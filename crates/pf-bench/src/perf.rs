@@ -36,8 +36,6 @@
 
 pub mod seed;
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pf_nn::models::small::SmallCnn;
@@ -351,28 +349,21 @@ impl<E: Conv1dEngine> Conv1dEngine for NoPrep<E> {
     // prepare_kernel deliberately left at the `None` default.
 }
 
-/// Engine adapter counting 1D convolution calls (used once per scenario to
-/// establish `convs_per_image`; the prepared path is hidden so every
-/// convolution goes through the counted method).
-#[derive(Debug)]
-struct Counting<E> {
-    inner: E,
-    calls: Arc<AtomicUsize>,
-}
-
-impl<E: Conv1dEngine> Conv1dEngine for Counting<E> {
-    fn correlate_valid(&self, signal: &[f64], kernel: &[f64]) -> Vec<f64> {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        self.inner.correlate_valid(signal, kernel)
-    }
-
-    fn max_signal_len(&self) -> Option<usize> {
-        self.inner.max_signal_len()
-    }
-
-    fn is_deterministic(&self) -> bool {
-        self.inner.is_deterministic()
-    }
+/// The 1D convolutions one operation of a scenario costs (`convs_per_image`):
+/// `op` runs once, untimed, on a telemetry-enabled twin of the timed
+/// session and the tiling layer's own `tiling.convs_1d` counter is read
+/// back.
+fn count_convs(
+    scenario: Scenario,
+    op: impl FnOnce(&Session) -> Result<(), PfError>,
+) -> Result<usize, PfError> {
+    let telemetry = Telemetry::with_span_capacity(0);
+    let twin = Session::builder()
+        .scenario(scenario)
+        .telemetry(telemetry.clone())
+        .build()?;
+    op(&twin)?;
+    Ok(telemetry.snapshot().counter("tiling.convs_1d") as usize)
 }
 
 fn backend_scenario(kind: BackendKind) -> Scenario {
@@ -424,7 +415,9 @@ pub fn conv2d_scenario(
     // and images. Warm the prepared-kernel cache once so the timing
     // measures the steady state a batch pipeline runs in.
     let _ = session.conv2d(&inputs[0], &kernel)?;
-    let (_, stats) = session.conv2d_with_stats(&inputs[0], &kernel)?;
+    let convs_per_image = count_convs(backend_scenario(kind), |twin| {
+        twin.conv2d(&inputs[0], &kernel).map(drop)
+    })?;
     let engine_time = best_of(reps, || {
         session
             .conv2d_batch(&inputs, &kernel)
@@ -469,8 +462,8 @@ pub fn conv2d_scenario(
         batch,
         reps,
         images_per_s,
-        us_per_conv: engine_time.as_secs_f64() * 1e6 / (stats.convs_1d * batch).max(1) as f64,
-        convs_per_image: stats.convs_1d,
+        us_per_conv: engine_time.as_secs_f64() * 1e6 / (convs_per_image * batch).max(1) as f64,
+        convs_per_image,
         seed_images_per_s,
         speedup_vs_seed: images_per_s / seed_images_per_s.max(1e-12),
     })
@@ -509,7 +502,9 @@ pub fn conv2d_multikernel_scenario(
 
     // Warm the prepared-kernel cache, then time the steady state.
     let _ = session.conv2d_multi(&inputs[0], &kernels)?;
-    let (_, stats) = session.conv2d_multi_with_stats(&inputs[0], &kernels)?;
+    let convs_per_image = count_convs(backend_scenario(kind), |twin| {
+        twin.conv2d_multi(&inputs[0], &kernels).map(drop)
+    })?;
     let engine_time = best_of(reps, || {
         for input in &inputs {
             let _ = session
@@ -563,8 +558,8 @@ pub fn conv2d_multikernel_scenario(
         batch,
         reps,
         images_per_s,
-        us_per_conv: engine_time.as_secs_f64() * 1e6 / (stats.convs_1d * batch).max(1) as f64,
-        convs_per_image: stats.convs_1d,
+        us_per_conv: engine_time.as_secs_f64() * 1e6 / (convs_per_image * batch).max(1) as f64,
+        convs_per_image,
         seed_images_per_s,
         speedup_vs_seed: images_per_s / seed_images_per_s.max(1e-12),
     })
@@ -624,20 +619,7 @@ pub fn inference_scenario(
         }
     });
 
-    // Conv count per image, via a counting engine (prepared path hidden so
-    // every 1D convolution goes through the counted call).
-    let calls = Arc::new(AtomicUsize::new(0));
-    let counting = Counting {
-        inner: scenario.backend.instantiate()?,
-        calls: Arc::clone(&calls),
-    };
-    let count_exec = pf_nn::executor::TiledExecutor::new(
-        counting,
-        scenario.backend.capacity,
-        scenario.pipeline,
-    )?;
-    let _ = cnn.features(&images[0], &count_exec)?;
-    let convs_per_image = calls.load(Ordering::Relaxed);
+    let convs_per_image = count_convs(scenario, |twin| twin.run_inference(&images[0]).map(drop))?;
 
     let images_per_s = batch as f64 / engine_time.as_secs_f64().max(1e-12);
     let seed_images_per_s = batch as f64 / seed_time.as_secs_f64().max(1e-12);
@@ -940,13 +922,14 @@ pub fn markdown_summary(report: &PerfReport, baseline: Option<&Baseline>) -> Str
 ///
 /// Propagates engine construction and correlation errors.
 pub fn stage_breakdown(smoke: bool) -> Result<Vec<StageRecord>, PfError> {
-    use pf_jtc::{JtcEngine, JtcEngineConfig, StageTimes};
-    use pf_telemetry::Telemetry;
+    use pf_jtc::{JtcEngine, JtcEngineConfig};
+    use pf_telemetry::Stage;
     use pf_tiling::PreparedConv1d;
 
     let iters = if smoke { 64 } else { 512 };
     let signal: Vec<f64> = (0..256).map(|i| (i as f64 * 0.17).sin() + 0.4).collect();
     let us = |d: Duration| d.as_secs_f64() * 1e6;
+    let ns_to_us = |ns: u64| ns as f64 / 1e3;
 
     let mut records = Vec::new();
     for (scenario, size) in [("conv2d_batch", 32usize), ("resnet18_batch_infer", 16)] {
@@ -993,20 +976,21 @@ pub fn stage_breakdown(smoke: bool) -> Result<Vec<StageRecord>, PfError> {
             for _ in 0..iters {
                 let _ = prep.correlate_valid_traced(&signal, &tel);
             }
-            let times = StageTimes::from_totals(&tel.stage_totals());
-            let total = times.total().as_secs_f64().max(1e-12);
+            let totals = tel.stage_totals();
+            let total = (totals.total_ns() as f64).max(1e-3);
+            let share = |stage: Stage| totals.stage_ns(stage) as f64 / total;
             records.push(StageRecord {
                 scenario: scenario.to_string(),
                 backend: kind.name().to_string(),
-                signal_fft_us: us(times.signal_fft),
-                spectrum_apply_us: us(times.spectrum_apply),
-                inverse_us: us(times.inverse),
-                dac_adc_us: us(times.dac_adc),
+                signal_fft_us: ns_to_us(totals.stage_ns(Stage::SignalFft)),
+                spectrum_apply_us: ns_to_us(totals.stage_ns(Stage::SpectrumApply)),
+                inverse_us: ns_to_us(totals.stage_ns(Stage::Inverse)),
+                dac_adc_us: ns_to_us(totals.stage_ns(Stage::DacAdc)),
                 other_us: 0.0,
-                signal_fft_share: times.signal_fft.as_secs_f64() / total,
-                spectrum_apply_share: times.spectrum_apply.as_secs_f64() / total,
-                inverse_share: times.inverse.as_secs_f64() / total,
-                dac_adc_share: times.dac_adc.as_secs_f64() / total,
+                signal_fft_share: share(Stage::SignalFft),
+                spectrum_apply_share: share(Stage::SpectrumApply),
+                inverse_share: share(Stage::Inverse),
+                dac_adc_share: share(Stage::DacAdc),
             });
         }
     }

@@ -196,13 +196,6 @@ pub trait Backend: Conv1dEngine + Send + Sync {
     /// Which registry entry this backend came from.
     fn kind(&self) -> BackendKind;
 
-    /// Clones the backend behind the trait object (`Box<dyn Backend>`
-    /// implements `Clone` through this). Clones of a stochastic backend
-    /// share the original's seeded noise stream — interleaved calls across
-    /// clones draw from one sequence in call order — so cloning never
-    /// duplicates or resets noise state.
-    fn clone_box(&self) -> Box<dyn Backend>;
-
     /// The capacity the backend was instantiated with, if bounded.
     fn capacity(&self) -> Option<usize> {
         self.max_signal_len()
@@ -265,12 +258,6 @@ impl dyn Backend {
     }
 }
 
-impl Clone for Box<dyn Backend> {
-    fn clone(&self) -> Self {
-        (**self).clone_box()
-    }
-}
-
 impl Conv1dEngine for Box<dyn Backend> {
     fn correlate_valid(&self, signal: &[f64], kernel: &[f64]) -> Vec<f64> {
         (**self).correlate_valid(signal, kernel)
@@ -319,14 +306,10 @@ impl Backend for DigitalBackend {
     fn kind(&self) -> BackendKind {
         BackendKind::Digital
     }
-
-    fn clone_box(&self) -> Box<dyn Backend> {
-        Box::new(*self)
-    }
 }
 
 /// [`Backend`] wrapper around the simulated JTC optics.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct JtcBackend {
     engine: JtcEngine,
     kind: BackendKind,
@@ -361,10 +344,6 @@ impl Conv1dEngine for JtcBackend {
 impl Backend for JtcBackend {
     fn kind(&self) -> BackendKind {
         self.kind
-    }
-
-    fn clone_box(&self) -> Box<dyn Backend> {
-        Box::new(self.clone())
     }
 }
 

@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::correlator::JtcSimulator;
 use crate::error::JtcError;
-use crate::prepared::PreparedKernel;
+use crate::prepared::{PreparedKernel, PreparedSpectrum};
 
 /// Configuration of the non-idealities applied by a [`JtcEngine`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -69,13 +69,7 @@ impl JtcEngineConfig {
 
 /// A [`Conv1dEngine`] that routes every 1D convolution through the simulated
 /// JTC optics with configurable quantisation and noise.
-///
-/// Cloning is cheap and clones *share* the sensing-noise stream (the `Arc`
-/// below is cloned, not the stream state): interleaved calls across clones
-/// draw from one seeded sequence in call order, exactly as if they had gone
-/// through the original engine. This is what lets callers hold one engine
-/// per parallelism grain without changing stochastic replay semantics.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct JtcEngine {
     simulator: JtcSimulator,
     config: JtcEngineConfig,
@@ -164,15 +158,18 @@ impl JtcEngine {
     /// sensing-noise stream, so the prepared path consumes exactly the
     /// stream the unprepared path would.
     ///
-    /// See [`PreparedKernel`] and [`JtcEngine::correlate_prepared`].
+    /// [`PreparedKernel::correlate`] then runs the engine's full signal
+    /// chain (DAC quantisation, sensing noise, ADC quantisation) — equivalent
+    /// to [`JtcEngine::correlate`] up to FFT rounding (~1e-12 relative): the
+    /// prepared optics exploit the linearity of the Fourier transform and
+    /// real-input symmetry, so the floating-point operation order differs.
     ///
     /// # Errors
     ///
-    /// Same conditions as
-    /// [`JtcSimulator::prepare_kernel`](crate::correlator::JtcSimulator::prepare_kernel).
+    /// Same conditions as [`PreparedSpectrum::new`].
     pub fn prepare(&self, kernel: &[f64], signal_len: usize) -> Result<PreparedKernel, JtcError> {
         let (kernel_q, k_scale) = quantize_through_dac(self.input_dac.as_ref(), kernel);
-        let spectrum = self.simulator.prepare_kernel(&kernel_q, signal_len)?;
+        let spectrum = PreparedSpectrum::new(&kernel_q, signal_len, self.simulator.capacity())?;
         Ok(PreparedKernel::new(
             spectrum,
             k_scale,
@@ -180,29 +177,6 @@ impl JtcEngine {
             self.output_adc.clone(),
             self.noise.clone(),
         ))
-    }
-
-    /// Runs one JTC correlation through a kernel prepared with
-    /// [`JtcEngine::prepare`], with the engine's full signal chain (DAC
-    /// quantisation, sensing noise, ADC quantisation). The noise samples
-    /// are drawn from **this engine's** stream (which, for kernels prepared
-    /// by this engine, is the same stream [`PreparedKernel::correlate`]
-    /// uses).
-    ///
-    /// Equivalent to [`JtcEngine::correlate`] with the prepared kernel, up
-    /// to FFT rounding (the prepared optics path is documented on
-    /// [`JtcSimulator::correlate_prepared`](crate::correlator::JtcSimulator::correlate_prepared)).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`crate::prepared::PreparedSpectrum::correlate`].
-    pub fn correlate_prepared(
-        &self,
-        signal: &[f64],
-        prepared: &PreparedKernel,
-    ) -> Result<Vec<f64>, JtcError> {
-        prepared.correlate_with_noise(signal, self.noise.as_deref())
     }
 }
 
@@ -413,7 +387,7 @@ mod tests {
             let signal: Vec<f64> = (0..48)
                 .map(|i| ((i as f64 + tile as f64 * 0.7) * 0.21).sin() + 0.1)
                 .collect();
-            let fast = engine.correlate_prepared(&signal, &prepared).unwrap();
+            let fast = prepared.correlate(&signal).unwrap();
             let slow = engine.correlate(&signal, &kernel).unwrap();
             assert_eq!(fast.len(), slow.len());
             assert!(
@@ -432,7 +406,9 @@ mod tests {
         assert_eq!(via_trait.signal_len(), 24);
         let a = via_trait.correlate_valid(&signal);
         let b = engine
-            .correlate_prepared(&signal, &engine.prepare(&kernel, 24).unwrap())
+            .prepare(&kernel, 24)
+            .unwrap()
+            .correlate(&signal)
             .unwrap();
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.to_bits(), y.to_bits());
@@ -453,7 +429,7 @@ mod tests {
         let kernel = vec![0.3, -0.2, 0.7, 0.1];
         let prepared = engine.prepare(&kernel, 48).unwrap();
         let signal: Vec<f64> = (0..48).map(|i| ((i as f64) * 0.23).sin()).collect();
-        let fast = engine.correlate_prepared(&signal, &prepared).unwrap();
+        let fast = prepared.correlate(&signal).unwrap();
         let digital = correlate1d(&signal, &kernel, PaddingMode::Valid);
         let err = relative_l2_error(&fast, &digital);
         assert!(err < 0.05, "8-bit prepared path error too large: {err}");
@@ -484,7 +460,9 @@ mod tests {
                 .collect();
             let a = prep.correlate_valid(&signal);
             let b = fresh
-                .correlate_prepared(&signal, &fresh.prepare(&[1.0, 2.0], 16).unwrap())
+                .prepare(&[1.0, 2.0], 16)
+                .unwrap()
+                .correlate(&signal)
                 .unwrap();
             assert_eq!(a.len(), 15);
             for (x, y) in a.iter().zip(&b) {

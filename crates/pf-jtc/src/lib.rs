@@ -63,5 +63,5 @@ pub use correlator::{JtcOutput, JtcSimulator};
 pub use engine::{JtcEngine, JtcEngineConfig};
 pub use error::JtcError;
 pub use pfcu::{Pfcu, PfcuConfig};
-pub use prepared::{PreparedKernel, PreparedSpectrum, SignalSpectrum, StageTimes};
+pub use prepared::{PreparedKernel, PreparedSpectrum, SignalSpectrum};
 pub use temporal::TemporalAccumulator;

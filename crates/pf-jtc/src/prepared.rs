@@ -44,9 +44,15 @@
 //! Every fast path is bit-identical to its unshared counterpart: the shared
 //! transform is byte-copied, not recomputed, so the floating-point operation
 //! sequence does not change.
+//!
+//! Each chain is written **once**: the full chain and the shared-signal
+//! chain each have one body taking `Option<&mut StageAcc>`, and the
+//! inherent, trait, `_acc` and `_traced` entry points are thin callers of
+//! it. Passing an accumulator marks the stage boundaries (`signal_fft`,
+//! `spectrum_apply`, `inverse`, `dac_adc`) in place; stage totals are read
+//! back as [`pf_telemetry::StageTotals`].
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 use pf_dsp::complex::Complex;
@@ -55,11 +61,20 @@ use pf_dsp::scratch::{with_spectrum_scratch, SpectrumScratch};
 use pf_photonics::adc::Adc;
 use pf_photonics::dac::Dac;
 use pf_photonics::detector::SensingNoise;
-use pf_telemetry::{Stage, StageAcc, StageTotals};
+use pf_telemetry::{Stage, StageAcc};
 use pf_tiling::{PreparedConv1d, PreparedSignal};
 
-use crate::correlator::JtcSimulator;
 use crate::error::JtcError;
+
+/// Marks a stage boundary on the caller's accumulator, when there is one.
+/// Every chain body below takes `Option<&mut StageAcc>`: `None` is the
+/// untraced hot path (no clock reads), `Some` the traced one — the same
+/// floating-point operations either way, so tracing never perturbs results.
+fn mark(acc: &mut Option<&mut StageAcc>, stage: Stage) {
+    if let Some(acc) = acc {
+        acc.mark(stage);
+    }
+}
 
 /// The precomputed optics-level state for correlating one fixed kernel with
 /// signals of one fixed length: input-plane geometry plus the kernel's
@@ -112,7 +127,8 @@ impl PreparedSpectrum {
     /// output terms separated, rather than the simulator's power-of-two
     /// base grid. The mixed-radix transform plans run any 5-smooth length
     /// directly, so the prepared path no longer pays for pad-to-pow2
-    /// transforms (the per-call [`JtcSimulator`] path keeps the big grid).
+    /// transforms (the per-call [`JtcSimulator`](crate::correlator::JtcSimulator)
+    /// path keeps the big grid).
     ///
     /// # Errors
     ///
@@ -274,6 +290,17 @@ impl PreparedSpectrum {
     /// the prepared [`PreparedSpectrum::signal_len`], and
     /// [`JtcError::EmptyOperand`] for an empty signal.
     pub fn correlate(&self, signal: &[f64]) -> Result<Vec<f64>, JtcError> {
+        self.correlate_acc(signal, None)
+    }
+
+    /// The body of [`PreparedSpectrum::correlate`], marking its stage
+    /// boundaries (signal FFT, then the two [`PreparedSpectrum::finish`]
+    /// stages) in place on the caller's accumulator.
+    fn correlate_acc(
+        &self,
+        signal: &[f64],
+        mut acc: Option<&mut StageAcc>,
+    ) -> Result<Vec<f64>, JtcError> {
         if signal.is_empty() {
             return Err(JtcError::EmptyOperand { what: "signal" });
         }
@@ -286,14 +313,8 @@ impl PreparedSpectrum {
             // buffer; the kernel spectrum is added in place.
             self.plan
                 .forward_real_into(signal, &mut s.fft, &mut s.half_a)?;
-            let SpectrumScratch {
-                fft,
-                half_a,
-                half_b,
-                real,
-            } = s;
-            self.apply_kernel_spectrum(half_a, real);
-            self.second_lens(real, fft, half_b)
+            mark(&mut acc, Stage::SignalFft);
+            self.finish(s, acc)
         })
     }
 
@@ -306,37 +327,18 @@ impl PreparedSpectrum {
     /// Returns [`JtcError::InvalidConfig`] if the transform's geometry
     /// (signal length or grid size) differs from this kernel's.
     pub fn correlate_spectrum(&self, spectrum: &SignalSpectrum) -> Result<Vec<f64>, JtcError> {
-        self.correlate_spectrum_impl(spectrum, None)
+        self.correlate_spectrum_acc(spectrum, None)
     }
 
-    /// Like [`PreparedSpectrum::correlate_spectrum`], accumulating the
-    /// spectrum-apply and inverse-lens stage durations into `times` (the
-    /// perf harness's `--stages` breakdown; not a hot path).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PreparedSpectrum::correlate_spectrum`].
-    pub fn correlate_spectrum_staged(
-        &self,
-        spectrum: &SignalSpectrum,
-        times: &mut StageTimes,
-    ) -> Result<Vec<f64>, JtcError> {
-        let mut acc = StageAcc::start();
-        let out = self.correlate_spectrum_impl(spectrum, Some(&mut acc));
-        times.add_ns(acc.ns());
-        out
-    }
-
-    /// Shared body of the fused and staged spectrum paths. `acc` chains
+    /// The body of [`PreparedSpectrum::correlate_spectrum`]. `acc` chains
     /// stage boundaries on the caller's accumulator, so a caller that
-    /// already marked earlier stages (e.g. the signal FFT in
-    /// [`PreparedKernel::correlate_staged`]) pays no extra clock reads at
-    /// the hand-off boundary. Entry checks and the spectrum byte-copy fall
-    /// into `spectrum_apply`.
-    fn correlate_spectrum_impl(
+    /// already marked earlier stages pays no extra clock reads at the
+    /// hand-off boundary. Entry checks and the spectrum byte-copy fall into
+    /// `spectrum_apply`.
+    fn correlate_spectrum_acc(
         &self,
         spectrum: &SignalSpectrum,
-        mut acc: Option<&mut StageAcc>,
+        acc: Option<&mut StageAcc>,
     ) -> Result<Vec<f64>, JtcError> {
         self.check_signal_len(spectrum.signal_len)?;
         if spectrum.n != self.n {
@@ -352,26 +354,34 @@ impl PreparedSpectrum {
             return Ok(Vec::new());
         }
         with_spectrum_scratch(|s| {
-            let SpectrumScratch {
-                fft,
-                half_a,
-                half_b,
-                real,
-            } = s;
-            // Byte-copy of the shared transform: `joint` then holds exactly
+            // Byte-copy of the shared transform: `half_a` then holds exactly
             // the bits the unshared path's signal FFT would produce.
-            half_a.clear();
-            half_a.extend_from_slice(&spectrum.half_spec);
-            self.apply_kernel_spectrum(half_a, real);
-            if let Some(acc) = &mut acc {
-                acc.mark(Stage::SpectrumApply);
-            }
-            let out = self.second_lens(real, fft, half_b)?;
-            if let Some(acc) = &mut acc {
-                acc.mark(Stage::Inverse);
-            }
-            Ok(out)
+            s.half_a.clear();
+            s.half_a.extend_from_slice(&spectrum.half_spec);
+            self.finish(s, acc)
         })
+    }
+
+    /// The shared tail of both chain bodies: `s.half_a` holds the signal's
+    /// half spectrum; adds the kernel spectrum, takes the square-law
+    /// intensity (`spectrum_apply`), then runs the second lens and extracts
+    /// the correlation lobe (`inverse`).
+    fn finish(
+        &self,
+        s: &mut SpectrumScratch,
+        mut acc: Option<&mut StageAcc>,
+    ) -> Result<Vec<f64>, JtcError> {
+        let SpectrumScratch {
+            fft,
+            half_a,
+            half_b,
+            real,
+        } = s;
+        self.apply_kernel_spectrum(half_a, real);
+        mark(&mut acc, Stage::SpectrumApply);
+        let out = self.second_lens(real, fft, half_b)?;
+        mark(&mut acc, Stage::Inverse);
+        Ok(out)
     }
 
     /// Adds the prepared kernel spectrum into `joint` (which must hold the
@@ -412,91 +422,6 @@ impl PreparedSpectrum {
         Ok((0..len)
             .map(|j| field_half[self.d - j].re * inv_n)
             .collect())
-    }
-}
-
-impl JtcSimulator {
-    /// Prepares `kernel` for repeated correlation against signals of
-    /// exactly `signal_len` samples (one spectrum computation amortised
-    /// over every subsequent [`JtcSimulator::correlate_prepared`] call).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PreparedSpectrum::new`].
-    pub fn prepare_kernel(
-        &self,
-        kernel: &[f64],
-        signal_len: usize,
-    ) -> Result<PreparedSpectrum, JtcError> {
-        PreparedSpectrum::new(kernel, signal_len, self.capacity())
-    }
-
-    /// Correlates `signal` against a kernel prepared with
-    /// [`JtcSimulator::prepare_kernel`].
-    ///
-    /// Numerically equivalent to [`JtcSimulator::correlate`] up to FFT
-    /// rounding (~1e-12 relative): the prepared path exploits the linearity
-    /// of the Fourier transform and real-input symmetry, so the floating
-    /// point operation order differs.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PreparedSpectrum::correlate`].
-    pub fn correlate_prepared(
-        &self,
-        signal: &[f64],
-        prepared: &PreparedSpectrum,
-    ) -> Result<Vec<f64>, JtcError> {
-        prepared.correlate(signal)
-    }
-}
-
-/// Wall-clock breakdown of one (or many accumulated) prepared correlations,
-/// by pipeline stage. Filled by [`PreparedKernel::correlate_staged`] for
-/// the perf harness's `--stages` report; the unstaged paths carry no timing
-/// overhead.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageTimes {
-    /// First lens: real-input FFT of the (quantised) signal.
-    pub signal_fft: Duration,
-    /// Kernel-spectrum add plus square-law intensity materialisation.
-    pub spectrum_apply: Duration,
-    /// Second lens (the "inverse" transform back to the output plane) plus
-    /// correlation-lobe extraction.
-    pub inverse: Duration,
-    /// Mixed-signal conditioning: DAC quantisation of the signal, output
-    /// rescaling, sensing noise and ADC quantisation.
-    pub dac_adc: Duration,
-}
-
-impl StageTimes {
-    /// Sum of all stages.
-    pub fn total(&self) -> Duration {
-        self.signal_fft + self.spectrum_apply + self.inverse + self.dac_adc
-    }
-
-    /// View over a telemetry [`StageTotals`] record: the per-stage
-    /// nanosecond counters converted back to [`Duration`]s. This is the
-    /// single source of truth for stage shares when execution runs through
-    /// the telemetry registry — the perf harness's `--stages` report and
-    /// the staged execution paths both read from it, so the two can no
-    /// longer drift apart.
-    pub fn from_totals(totals: &StageTotals) -> Self {
-        Self {
-            signal_fft: Duration::from_nanos(totals.stage_ns(Stage::SignalFft)),
-            spectrum_apply: Duration::from_nanos(totals.stage_ns(Stage::SpectrumApply)),
-            inverse: Duration::from_nanos(totals.stage_ns(Stage::Inverse)),
-            dac_adc: Duration::from_nanos(totals.stage_ns(Stage::DacAdc)),
-        }
-    }
-
-    /// Adds a nanosecond split indexed by [`Stage::index`] (the shape a
-    /// [`StageAcc`] accumulates) into these durations.
-    pub fn add_ns(&mut self, ns: [u64; Stage::COUNT]) {
-        self.signal_fft += Duration::from_nanos(ns[Stage::SignalFft.index()]);
-        self.spectrum_apply += Duration::from_nanos(ns[Stage::SpectrumApply.index()]);
-        self.inverse += Duration::from_nanos(ns[Stage::Inverse.index()]);
-        self.dac_adc += Duration::from_nanos(ns[Stage::DacAdc.index()]);
     }
 }
 
@@ -579,73 +504,54 @@ impl PreparedKernel {
     ///
     /// Same conditions as [`PreparedSpectrum::correlate`].
     pub fn correlate(&self, signal: &[f64]) -> Result<Vec<f64>, JtcError> {
-        self.correlate_with_noise(signal, self.noise.as_deref())
+        self.chain(signal, None)
     }
 
-    /// The full chain with an explicit noise stream (used by
-    /// [`JtcEngine::correlate_prepared`](crate::engine::JtcEngine::correlate_prepared)
-    /// so the inherent and trait paths share one implementation and stay
-    /// bit-identical).
-    pub(crate) fn correlate_with_noise(
-        &self,
-        signal: &[f64],
-        noise: Option<&Mutex<SensingNoise>>,
-    ) -> Result<Vec<f64>, JtcError> {
+    /// The one body of the full chain, marking stage boundaries on a
+    /// caller-held [`StageAcc`] when there is one (one clock read per
+    /// boundary; see the accumulator's docs for why loops hold one).
+    fn chain(&self, signal: &[f64], mut acc: Option<&mut StageAcc>) -> Result<Vec<f64>, JtcError> {
         let (signal_q, s_scale) = crate::engine::quantize_through_dac(self.dac.as_ref(), signal);
-        let mut out = self.spectrum.correlate(&signal_q)?;
-        self.condition(&mut out, s_scale, noise);
+        mark(&mut acc, Stage::DacAdc);
+        let mut out = self.spectrum.correlate_acc(&signal_q, acc.as_deref_mut())?;
+        self.condition(&mut out, s_scale);
+        mark(&mut acc, Stage::DacAdc);
         Ok(out)
     }
 
-    /// Like [`PreparedKernel::correlate`], accumulating per-stage wall time
-    /// into `times`. Measurement-only: the staged signal-FFT stage goes
-    /// through [`PreparedSpectrum::signal_spectrum`], which is bit-identical
-    /// to the fused path.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PreparedSpectrum::correlate`].
-    pub fn correlate_staged(
+    /// The one body of the shared-signal chain. No signal-FFT stage here:
+    /// the shared transform was computed (and attributed to `signal_fft`)
+    /// where it was prepared — the executor's `prepare_signal` /
+    /// `prepare_signal_batch` call sites. A foreign or mismatched transform
+    /// falls back to the full chain on `signal`.
+    fn chain_with_signal(
         &self,
+        prepared: &dyn PreparedSignal,
         signal: &[f64],
-        times: &mut StageTimes,
-    ) -> Result<Vec<f64>, JtcError> {
-        let mut acc = StageAcc::start();
-        let out = self.correlate_staged_acc(signal, &mut acc);
-        times.add_ns(acc.ns());
-        out
+        mut acc: Option<&mut StageAcc>,
+    ) -> Vec<f64> {
+        if let Some(shared) = prepared.as_any().downcast_ref::<SharedSignal>() {
+            if let Ok(mut out) = self
+                .spectrum
+                .correlate_spectrum_acc(&shared.spectrum, acc.as_deref_mut())
+            {
+                self.condition(&mut out, shared.s_scale);
+                mark(&mut acc, Stage::DacAdc);
+                return out;
+            }
+        }
+        // Shape-only contract, like `Conv1dEngine::correlate_valid`: a
+        // mismatched call degenerates to an empty result.
+        self.chain(signal, acc).unwrap_or_default()
     }
 
-    /// The staged chain marking boundaries on a caller-held [`StageAcc`]
-    /// (one clock read per boundary; see the accumulator's docs for why
-    /// loops hold one). Bit-identical to [`PreparedKernel::correlate`].
-    fn correlate_staged_acc(
-        &self,
-        signal: &[f64],
-        acc: &mut StageAcc,
-    ) -> Result<Vec<f64>, JtcError> {
-        let (signal_q, s_scale) = crate::engine::quantize_through_dac(self.dac.as_ref(), signal);
-        acc.mark(Stage::DacAdc);
-
-        let spectrum = self.spectrum.signal_spectrum(&signal_q)?;
-        acc.mark(Stage::SignalFft);
-
-        let mut out = self
-            .spectrum
-            .correlate_spectrum_impl(&spectrum, Some(acc))?;
-
-        self.condition(&mut out, s_scale, self.noise.as_deref());
-        acc.mark(Stage::DacAdc);
-        Ok(out)
-    }
-
-    /// Output conditioning shared by every engine-level path: rescale,
-    /// sensing noise (when a stream is attached), ADC quantisation.
-    fn condition(&self, out: &mut Vec<f64>, s_scale: f64, noise: Option<&Mutex<SensingNoise>>) {
+    /// Output conditioning shared by both chains: rescale, sensing noise
+    /// (when a stream is attached), ADC quantisation.
+    fn condition(&self, out: &mut Vec<f64>, s_scale: f64) {
         for v in out.iter_mut() {
             *v *= s_scale * self.k_scale;
         }
-        crate::engine::apply_sensing_noise(out, noise);
+        crate::engine::apply_sensing_noise(out, self.noise.as_deref());
         crate::engine::apply_output_adc(out, self.adc.as_ref());
     }
 }
@@ -658,7 +564,7 @@ impl PreparedConv1d for PreparedKernel {
     fn correlate_valid(&self, signal: &[f64]) -> Vec<f64> {
         // Shape-only contract, like `Conv1dEngine::correlate_valid`: a
         // mismatched call degenerates to an empty result.
-        self.correlate(signal).unwrap_or_default()
+        self.chain(signal, None).unwrap_or_default()
     }
 
     fn signal_key(&self) -> Option<u64> {
@@ -713,23 +619,11 @@ impl PreparedConv1d for PreparedKernel {
     }
 
     fn correlate_with_signal(&self, prepared: &dyn PreparedSignal, signal: &[f64]) -> Vec<f64> {
-        let Some(shared) = prepared.as_any().downcast_ref::<SharedSignal>() else {
-            return self.correlate_valid(signal);
-        };
-        match self.spectrum.correlate_spectrum(&shared.spectrum) {
-            Ok(mut out) => {
-                self.condition(&mut out, shared.s_scale, self.noise.as_deref());
-                out
-            }
-            // Geometry mismatch (foreign spectrum): recompute from scratch.
-            Err(_) => self.correlate_valid(signal),
-        }
+        self.chain_with_signal(prepared, signal, None)
     }
 
     fn correlate_valid_acc(&self, signal: &[f64], acc: &mut StageAcc) -> Vec<f64> {
-        // The staged path is bit-identical to the fused one (see
-        // `correlate_staged`), so tracing never perturbs results.
-        self.correlate_staged_acc(signal, acc).unwrap_or_default()
+        self.chain(signal, Some(acc)).unwrap_or_default()
     }
 
     fn correlate_with_signal_acc(
@@ -738,29 +632,14 @@ impl PreparedConv1d for PreparedKernel {
         signal: &[f64],
         acc: &mut StageAcc,
     ) -> Vec<f64> {
-        let Some(shared) = prepared.as_any().downcast_ref::<SharedSignal>() else {
-            return self.correlate_valid_acc(signal, acc);
-        };
-        // No signal-FFT stage here: the shared transform was computed (and
-        // attributed to signal_fft) where it was prepared — the executor's
-        // prepare_signal / prepare_signal_batch call sites.
-        match self
-            .spectrum
-            .correlate_spectrum_impl(&shared.spectrum, Some(acc))
-        {
-            Ok(mut out) => {
-                self.condition(&mut out, shared.s_scale, self.noise.as_deref());
-                acc.mark(Stage::DacAdc);
-                out
-            }
-            Err(_) => self.correlate_valid_acc(signal, acc),
-        }
+        self.chain_with_signal(prepared, signal, Some(acc))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::correlator::JtcSimulator;
     use pf_dsp::conv::{correlate1d, PaddingMode};
     use pf_dsp::util::max_abs_diff;
     use pf_telemetry::Telemetry;
@@ -769,14 +648,14 @@ mod tests {
     fn prepared_matches_per_call_optics() {
         let jtc = JtcSimulator::new(64).unwrap();
         let kernel = vec![0.25, 0.5, 1.0, 0.5, 0.25];
-        let prep = jtc.prepare_kernel(&kernel, 40).unwrap();
+        let prep = PreparedSpectrum::new(&kernel, 40, jtc.capacity()).unwrap();
         assert_eq!(prep.signal_len(), 40);
         assert_eq!(prep.kernel_len(), 5);
         for seed in 0..5u64 {
             let signal: Vec<f64> = (0..40)
                 .map(|i| ((i as f64 + seed as f64) * 0.3).sin() + 0.5)
                 .collect();
-            let fast = jtc.correlate_prepared(&signal, &prep).unwrap();
+            let fast = prep.correlate(&signal).unwrap();
             let slow = jtc.correlate(&signal, &kernel).unwrap();
             assert_eq!(fast.len(), slow.len());
             assert!(max_abs_diff(&fast, &slow) < 1e-9);
@@ -785,37 +664,35 @@ mod tests {
 
     #[test]
     fn prepared_matches_digital_reference() {
-        let jtc = JtcSimulator::new(128).unwrap();
         let kernel = vec![-1.0, 2.0, -1.0];
-        let prep = jtc.prepare_kernel(&kernel, 100).unwrap();
+        let prep = PreparedSpectrum::new(&kernel, 100, 128).unwrap();
         let signal: Vec<f64> = (0..100).map(|i| ((i as f64) * 0.17).cos()).collect();
-        let fast = jtc.correlate_prepared(&signal, &prep).unwrap();
+        let fast = prep.correlate(&signal).unwrap();
         let digital = correlate1d(&signal, &kernel, PaddingMode::Valid);
         assert!(max_abs_diff(&fast, &digital) < 1e-9);
     }
 
     #[test]
     fn prepared_validates_inputs() {
-        let jtc = JtcSimulator::new(16).unwrap();
         assert!(matches!(
-            jtc.prepare_kernel(&[], 8),
+            PreparedSpectrum::new(&[], 8, 16),
             Err(JtcError::EmptyOperand { .. })
         ));
         assert!(matches!(
-            jtc.prepare_kernel(&[1.0], 0),
+            PreparedSpectrum::new(&[1.0], 0, 16),
             Err(JtcError::EmptyOperand { .. })
         ));
         assert!(matches!(
-            jtc.prepare_kernel(&[1.0], 17),
+            PreparedSpectrum::new(&[1.0], 17, 16),
             Err(JtcError::InputTooLarge { .. })
         ));
-        let prep = jtc.prepare_kernel(&[1.0, 1.0], 8).unwrap();
+        let prep = PreparedSpectrum::new(&[1.0, 1.0], 8, 16).unwrap();
         assert!(matches!(
-            jtc.correlate_prepared(&[1.0; 7], &prep),
+            prep.correlate(&[1.0; 7]),
             Err(JtcError::InvalidConfig { .. })
         ));
         assert!(matches!(
-            jtc.correlate_prepared(&[], &prep),
+            prep.correlate(&[]),
             Err(JtcError::EmptyOperand { .. })
         ));
         assert!(matches!(
@@ -830,8 +707,7 @@ mod tests {
 
     #[test]
     fn kernel_longer_than_signal_is_empty() {
-        let jtc = JtcSimulator::new(16).unwrap();
-        let prep = jtc.prepare_kernel(&[1.0; 5], 3).unwrap();
+        let prep = PreparedSpectrum::new(&[1.0; 5], 3, 16).unwrap();
         assert!(prep.correlate(&[1.0; 3]).unwrap().is_empty());
         let spec = prep.signal_spectrum(&[1.0; 3]).unwrap();
         assert!(prep.correlate_spectrum(&spec).unwrap().is_empty());
@@ -839,9 +715,8 @@ mod tests {
 
     #[test]
     fn prepared_is_deterministic_across_calls() {
-        let jtc = JtcSimulator::new(32).unwrap();
         let kernel = vec![0.3, -0.2, 0.7];
-        let prep = jtc.prepare_kernel(&kernel, 20).unwrap();
+        let prep = PreparedSpectrum::new(&kernel, 20, 32).unwrap();
         let signal: Vec<f64> = (0..20).map(|i| (i as f64 * 0.9).sin()).collect();
         let a = prep.correlate(&signal).unwrap();
         let b = prep.correlate(&signal).unwrap();
@@ -849,7 +724,7 @@ mod tests {
             assert_eq!(x.to_bits(), y.to_bits());
         }
         // A freshly prepared spectrum is bit-identical too.
-        let prep2 = jtc.prepare_kernel(&kernel, 20).unwrap();
+        let prep2 = PreparedSpectrum::new(&kernel, 20, 32).unwrap();
         let c = prep2.correlate(&signal).unwrap();
         for (x, y) in a.iter().zip(&c) {
             assert_eq!(x.to_bits(), y.to_bits());
@@ -860,7 +735,6 @@ mod tests {
     fn shared_spectrum_path_is_bit_identical() {
         // One signal transform applied against several kernels must produce
         // exactly what the per-kernel fused path produces.
-        let jtc = JtcSimulator::new(64).unwrap();
         let kernels: Vec<Vec<f64>> = vec![
             vec![0.25, 0.5, 1.0, 0.5, 0.25],
             vec![-1.0, 2.0, -1.0, 0.5, 0.0],
@@ -868,7 +742,7 @@ mod tests {
         ];
         let preps: Vec<PreparedSpectrum> = kernels
             .iter()
-            .map(|k| jtc.prepare_kernel(k, 40).unwrap())
+            .map(|k| PreparedSpectrum::new(k, 40, 64).unwrap())
             .collect();
         let signal: Vec<f64> = (0..40).map(|i| (i as f64 * 0.31).sin() + 0.2).collect();
         // All kernels share a geometry, so any of them can take the
@@ -890,7 +764,7 @@ mod tests {
     fn prepared_grid_is_tight_and_still_exact() {
         let jtc = JtcSimulator::new(256).unwrap();
         let kernel = vec![0.25, -0.5, 1.0, 0.5, -0.25, 0.1, 0.3];
-        let prep = jtc.prepare_kernel(&kernel, 256).unwrap();
+        let prep = PreparedSpectrum::new(&kernel, 256, jtc.capacity()).unwrap();
         // Tight 5-smooth grid, strictly smaller than the 2048-point
         // simulator grid the per-call path uses.
         assert!(prep.grid_size() < jtc.grid_size());
@@ -903,8 +777,7 @@ mod tests {
 
     #[test]
     fn batched_signal_spectra_are_bit_identical_to_serial() {
-        let jtc = JtcSimulator::new(64).unwrap();
-        let prep = jtc.prepare_kernel(&[0.3, -0.2, 0.7], 40).unwrap();
+        let prep = PreparedSpectrum::new(&[0.3, -0.2, 0.7], 40, 64).unwrap();
         for count in [1usize, 2, 3, 5] {
             let signals: Vec<f64> = (0..40 * count)
                 .map(|i| ((i as f64) * 0.29).sin() + 0.1)
@@ -980,9 +853,8 @@ mod tests {
 
     #[test]
     fn correlate_spectrum_rejects_foreign_geometry() {
-        let jtc = JtcSimulator::new(64).unwrap();
-        let prep_a = jtc.prepare_kernel(&[1.0, 0.5], 40).unwrap();
-        let prep_b = jtc.prepare_kernel(&[1.0, 0.5], 32).unwrap();
+        let prep_a = PreparedSpectrum::new(&[1.0, 0.5], 40, 64).unwrap();
+        let prep_b = PreparedSpectrum::new(&[1.0, 0.5], 32, 64).unwrap();
         let spectrum = prep_a
             .signal_spectrum(&vec![1.0; 40])
             .expect("valid spectrum");
@@ -993,31 +865,9 @@ mod tests {
     }
 
     #[test]
-    fn staged_correlation_matches_unstaged_and_accounts_time() {
-        let jtc = JtcSimulator::new(64).unwrap();
-        let prep = PreparedKernel::new(
-            jtc.prepare_kernel(&[0.3, -0.2, 0.7], 48).unwrap(),
-            1.0,
-            None,
-            None,
-            None,
-        );
-        let signal: Vec<f64> = (0..48).map(|i| (i as f64 * 0.21).cos()).collect();
-        let mut times = StageTimes::default();
-        let staged = prep.correlate_staged(&signal, &mut times).unwrap();
-        let unstaged = prep.correlate(&signal).unwrap();
-        for (a, b) in staged.iter().zip(&unstaged) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert!(times.total() > Duration::ZERO);
-        assert!(times.inverse > Duration::ZERO);
-    }
-
-    #[test]
     fn traced_paths_are_bit_identical_and_attribute_stages() {
-        let jtc = JtcSimulator::new(64).unwrap();
         let prep = PreparedKernel::new(
-            jtc.prepare_kernel(&[0.3, -0.2, 0.7], 48).unwrap(),
+            PreparedSpectrum::new(&[0.3, -0.2, 0.7], 48, 64).unwrap(),
             1.0,
             None,
             None,
@@ -1026,14 +876,20 @@ mod tests {
         let signal: Vec<f64> = (0..48).map(|i| (i as f64 * 0.13).sin()).collect();
         let tel = Telemetry::enabled();
 
+        // One chain body serves the inherent, trait and traced entry
+        // points: marking stages must not change a bit, and must account
+        // time to every stage.
         let plain = prep.correlate_valid(&signal);
+        let inherent = prep.correlate(&signal).unwrap();
         let traced = prep.correlate_valid_traced(&signal, &tel);
-        for (a, b) in plain.iter().zip(&traced) {
+        for ((a, b), c) in plain.iter().zip(&traced).zip(&inherent) {
             assert_eq!(a.to_bits(), b.to_bits());
+            assert_eq!(a.to_bits(), c.to_bits());
         }
         let totals = tel.stage_totals();
         for stage in Stage::ALL {
             assert_eq!(totals.stage_calls(stage), 1, "{}", stage.name());
+            assert!(totals.stage_ns(stage) > 0, "{}", stage.name());
         }
 
         // Shared-signal path: spectrum stages only, no signal-FFT stage.
@@ -1049,14 +905,6 @@ mod tests {
         assert_eq!(delta.stage_calls(Stage::SpectrumApply), 1);
         assert_eq!(delta.stage_calls(Stage::Inverse), 1);
         assert_eq!(delta.stage_calls(Stage::DacAdc), 1);
-
-        // Round trip through the from-totals view preserves every stage.
-        let times = StageTimes::from_totals(&delta);
-        assert_eq!(times.signal_fft, Duration::ZERO);
-        assert_eq!(
-            times.total().as_nanos() as u64,
-            delta.total_ns(),
-            "view must cover all stages"
-        );
+        assert_eq!(delta.stage_ns(Stage::SignalFft), 0);
     }
 }

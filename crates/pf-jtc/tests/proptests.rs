@@ -6,6 +6,7 @@ use pf_dsp::conv::{correlate1d, PaddingMode};
 use pf_dsp::util::max_abs_diff;
 use pf_jtc::correlator::JtcSimulator;
 use pf_jtc::engine::{JtcEngine, JtcEngineConfig};
+use pf_jtc::prepared::PreparedSpectrum;
 use pf_jtc::temporal::{accumulate_with_depth, TemporalAccumulator};
 use pf_photonics::adc::Adc;
 use proptest::prelude::*;
@@ -106,10 +107,9 @@ proptest! {
             .map(|_| (0..kernel_len).map(|_| rng.gen_range(-1.0..1.0)).collect())
             .collect();
 
-        let jtc = JtcSimulator::new(64).unwrap();
         let preps: Vec<_> = kernels
             .iter()
-            .map(|k| jtc.prepare_kernel(k, signal_len).unwrap())
+            .map(|k| PreparedSpectrum::new(k, signal_len, 64).unwrap())
             .collect();
         let spectrum = preps[0].signal_spectrum(&signal).unwrap();
         for prep in &preps {
@@ -243,7 +243,7 @@ proptest! {
                 (0..signal_len).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let a = cached.correlate_valid(&signal);
             let fresh = fresh_engine.prepare(&kernel, signal_len).unwrap();
-            let b = fresh_engine.correlate_prepared(&signal, &fresh).unwrap();
+            let b = fresh.correlate(&signal).unwrap();
             prop_assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(&b) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());

@@ -148,18 +148,6 @@ pub struct TiledExecutor<E> {
     config: PipelineConfig,
 }
 
-impl<E: Clone> Clone for TiledExecutor<E> {
-    /// Clones share the prepared-kernel cache of the inner
-    /// [`TiledConvolver`], so a caller can hold one executor per
-    /// [`ParallelGrain`] without preparing every kernel spectrum twice.
-    fn clone(&self) -> Self {
-        Self {
-            convolver: self.convolver.clone(),
-            config: self.config,
-        }
-    }
-}
-
 impl<E: Conv1dEngine> TiledExecutor<E> {
     /// How many output channels are convolved per multi-kernel call. Caps
     /// the buffered partial planes at `OUT_CHANNEL_CHUNK × in_channels`
@@ -185,21 +173,26 @@ impl<E: Conv1dEngine> TiledExecutor<E> {
         // and the executor's many small convolutions would only fight that
         // for threads. Kernel-spectrum preparation is still cached and
         // shared. Callers owning the whole pool (small batches on wide
-        // hosts) opt into tile dispatch with [`TiledExecutor::with_grain`].
+        // hosts) opt into tile dispatch per call with [`TiledExecutor::at`].
         Ok(Self {
             convolver: TiledConvolver::new(engine, n_conv)?.with_grain(ParallelGrain::Image),
             config,
         })
     }
 
-    /// Sets the parallelism grain of the inner convolver —
-    /// [`ParallelGrain::Image`] (the default here) keeps tiles serial for
-    /// callers that parallelise per image; [`ParallelGrain::Tile`] fans
-    /// each layer's tile batch across the pool for callers that drive
-    /// images serially. Bit-identical either way.
-    pub fn with_grain(mut self, grain: ParallelGrain) -> Self {
-        self.convolver = self.convolver.with_grain(grain);
-        self
+    /// A borrowed view of this executor whose inner convolver runs at
+    /// `grain` — [`ParallelGrain::Image`] (the default here) keeps tiles
+    /// serial for callers that parallelise per image;
+    /// [`ParallelGrain::Tile`] fans each layer's tile batch across the pool
+    /// for callers that drive images serially. The view shares this
+    /// executor's engine, prepared-kernel cache and telemetry handle
+    /// ([`TiledConvolver::at`]), so a caller resolving its grain per call
+    /// holds one executor; results are bit-identical either way.
+    pub fn at(&self, grain: ParallelGrain) -> TiledExecutor<&E> {
+        TiledExecutor {
+            convolver: self.convolver.at(grain),
+            config: self.config,
+        }
     }
 
     /// The parallelism grain of the inner convolver.
@@ -599,6 +592,60 @@ mod tests {
             "depth-16 error {} should be below depth-1 error {}",
             errors[2],
             errors[0]
+        );
+    }
+
+    #[test]
+    fn grain_views_agree_bitwise_and_share_the_prepared_kernel_cache() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        /// Digital maths that opts into tile parallelism and counts kernel
+        /// preparations, so both the fan-out and the cache are observable.
+        #[derive(Debug, Default)]
+        struct CountingEngine(AtomicUsize);
+        impl Conv1dEngine for CountingEngine {
+            fn correlate_valid(&self, signal: &[f64], kernel: &[f64]) -> Vec<f64> {
+                DigitalEngine.correlate_valid(signal, kernel)
+            }
+            fn prepares_kernels(&self) -> bool {
+                true
+            }
+            fn prepare_kernel(
+                &self,
+                kernel: &[f64],
+                signal_len: usize,
+            ) -> Option<Arc<dyn pf_tiling::PreparedConv1d>> {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                DigitalEngine.prepare_kernel(kernel, signal_len)
+            }
+        }
+
+        let layer = small_layer(true, 1, 81);
+        let input = small_input(82);
+        // Capacity 48 over 12-column planes: several tiles per image.
+        let executor =
+            TiledExecutor::new(CountingEngine::default(), 48, PipelineConfig::ideal()).unwrap();
+        assert_eq!(executor.grain(), ParallelGrain::Image);
+        let image = executor.at(ParallelGrain::Image);
+        let tile = executor.at(ParallelGrain::Tile);
+        assert_eq!(tile.grain(), ParallelGrain::Tile);
+
+        let serial = image.forward(&input, &layer).unwrap();
+        let prepared = executor.convolver.engine().0.load(Ordering::Relaxed);
+        assert!(prepared > 0);
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .unwrap();
+        let fanned = pool.install(|| tile.forward(&input, &layer)).unwrap();
+        for (a, b) in serial.data().iter().zip(fanned.data()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        assert_eq!(
+            executor.convolver.engine().0.load(Ordering::Relaxed),
+            prepared,
+            "the tile view must hit the kernels the image view prepared"
         );
     }
 

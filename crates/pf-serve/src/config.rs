@@ -235,15 +235,21 @@ mod tests {
     #[test]
     fn scaling_hint_redirects_auto_sizing() {
         let host = std::thread::available_parallelism().unwrap().get();
+        // Auto-sizing only runs for `workers: 0`; the default spec pins one
+        // worker, which would bypass the hint on every multi-core host.
+        let auto = ServeConfig {
+            workers: 0,
+            ..ServeConfig::default()
+        };
         // A perfectly-scaling engine on a host-wide pool: one worker.
-        let saturating = ServeConfig::default().with_scaling_hint(ScalingHint {
+        let saturating = auto.with_scaling_hint(ScalingHint {
             pool_threads: host,
             speedup: host as f64,
         });
         assert_eq!(saturating.effective_workers(), 1.max(host / host));
         // An engine that gains nothing from its pool: one worker per host
         // thread — batch-level concurrency is the only parallelism left.
-        let flat = ServeConfig::default().with_scaling_hint(ScalingHint {
+        let flat = auto.with_scaling_hint(ScalingHint {
             pool_threads: host,
             speedup: 1.0,
         });
@@ -263,6 +269,6 @@ mod tests {
         assert!(ServeConfig::from_spec(&ServingSpec::default())
             .scaling_hint
             .is_none());
-        assert_eq!(flat.to_spec(), ServingSpec::default());
+        assert_eq!(flat.to_spec(), auto.to_spec());
     }
 }

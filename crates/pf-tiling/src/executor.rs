@@ -10,6 +10,19 @@
 //!   documented *edge effect* at row boundaries) or exactly (with horizontal
 //!   zero-padding, at the cost of longer tiles).
 //!
+//! # One driver, three bodies
+//!
+//! Every entry point is the same call: a single kernel is a kernel set of
+//! one, and `valid` mode is `same` mode at zero offset. One private driver
+//! places the output grid on the plane the tiles are cut from (a `Frame`:
+//! plane, row offset, column offset), builds the [`TilingPlan`] and runs
+//! exactly one of three strategy bodies — row tiling, partial row tiling,
+//! row partitioning — the three genuinely different algorithms of
+//! Section III. Output samples whose window hangs over the edge of a tile
+//! (only possible at a non-zero column offset) are recomputed with a direct
+//! dot product; everything else is copied out of the 1D results a covered
+//! column range at a time.
+//!
 //! # Throughput engineering
 //!
 //! The convolver is built for batch throughput, and its loops are grouped
@@ -38,25 +51,28 @@
 //!   ([`PreparedConv1d::prepare_signal_batch`]): every tile of the image is
 //!   packed planar and transformed in a single plan walk before the
 //!   per-tile loop consumes the seeded cache;
-//! * shared signal transforms live in a **per-call scratch cache** (capped
-//!   at 1024 entries with wholesale eviction, the same pattern as the
-//!   prepared-kernel cache); row
+//! * shared signal transforms live in a **per-call scratch cache**; row
 //!   partitioning also reuses one row partition's transform across all
-//!   kernel rows that slide over it. Hits and misses are reported through
-//!   [`ThroughputStats`];
+//!   kernel rows that slide over it. The scratch and the prepared-kernel
+//!   cache share one bound and one eviction rule (1024 entries, then drop
+//!   everything);
 //! * independent tiles/rows are dispatched across rayon worker threads with
 //!   deterministic ordering (results are collected in tile order, and each
 //!   tile is a pure function of its inputs), so the parallel output is
 //!   bit-identical to the serial output. Engines that report
 //!   [`Conv1dEngine::is_deterministic`] `== false` (optical sensing noise)
-//!   are always driven serially so their noise streams stay reproducible;
-//! * [`ThroughputStats`] (tiles, 1D convolutions, spectrum reuse, wall
-//!   time) is exposed via the `*_with_stats` variants for the perf harness
-//!   and the CI bench gate.
+//!   are always driven serially so their noise streams stay reproducible.
+//!   The grain is a per-call choice: [`TiledConvolver::at`] hands out a
+//!   borrowed view of one convolver (same engine, same prepared-kernel
+//!   cache, same telemetry) at another [`ParallelGrain`];
+//! * per-call tallies (tiles, 1D convolutions, spectrum reuse) are flushed
+//!   into the `tiling.*` counters of the attached [`Telemetry`] handle;
+//!   read them from a snapshot (`docs/PERFORMANCE.md` has the recipe).
 
 use std::collections::HashMap;
+use std::hash::Hash;
+use std::ops::Range;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use pf_dsp::conv::Matrix;
@@ -142,47 +158,24 @@ impl std::fmt::Display for ParallelGrain {
     }
 }
 
-/// Execution statistics of one tiled 2D convolution (or one multi-kernel
-/// convolution).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ThroughputStats {
-    /// Number of tiled 1D input vectors constructed.
-    pub tiles: usize,
-    /// Number of 1D convolutions executed on the backend.
-    pub convs_1d: usize,
-    /// 1D convolutions that consumed an already-computed shared signal
-    /// transform instead of recomputing it. Best-effort under parallel
-    /// dispatch (two workers may compute the same transform concurrently).
-    pub spectrum_hits: usize,
-    /// Shared signal transforms actually computed.
-    pub spectrum_misses: usize,
-    /// Wall-clock time of the whole 2D convolution.
-    pub elapsed: Duration,
-}
+/// Entry bound shared by the prepared-kernel cache and the per-call signal
+/// scratch. A CNN batch touches a few hundred distinct (kernel, tile
+/// length) pairs at most, and one 2D call a few dozen tile transforms; a
+/// workload streaming unbounded distinct kernels (template matching) or a
+/// huge input under row partitioning would otherwise grow the maps forever.
+const CACHE_CAP: usize = 1024;
 
-impl ThroughputStats {
-    /// Wall time in seconds.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.elapsed.as_secs_f64()
+/// The one eviction rule of both caches: at [`CACHE_CAP`] entries the map
+/// resets wholesale before the newcomer goes in — crude, but fixed-kernel
+/// workloads never hit it and every entry is cheap to recompute. An LRU was
+/// measured against this on the `conv_fresh` benchmark workload and
+/// declined (`docs/PERFORMANCE.md`). When two workers race to insert the
+/// same key the first entry stays; the values are interchangeable.
+fn insert_capped<K: Eq + Hash, V>(map: &mut HashMap<K, V>, key: K, value: V) {
+    if map.len() >= CACHE_CAP {
+        map.clear();
     }
-
-    /// Mean microseconds per 1D convolution (0 when no convolutions ran).
-    pub fn micros_per_conv(&self) -> f64 {
-        if self.convs_1d == 0 {
-            return 0.0;
-        }
-        self.elapsed.as_secs_f64() * 1e6 / self.convs_1d as f64
-    }
-
-    /// Accumulates another stats record (summing tiles, convs, spectrum
-    /// reuse and time).
-    pub fn merge(&mut self, other: &ThroughputStats) {
-        self.tiles += other.tiles;
-        self.convs_1d += other.convs_1d;
-        self.spectrum_hits += other.spectrum_hits;
-        self.spectrum_misses += other.spectrum_misses;
-        self.elapsed += other.elapsed;
-    }
+    map.entry(key).or_insert(value);
 }
 
 /// Cache key: exact bit pattern of the tiled kernel plus the tile length it
@@ -192,13 +185,15 @@ type PrepKey = (usize, Vec<u64>);
 type PrepMap = HashMap<PrepKey, Option<Arc<dyn PreparedConv1d>>>;
 
 /// Position of one 1D signal within the current 2D convolution call:
-/// (first input row, start column, end column). Within one call, equal keys
+/// (first plane row, start column, end column). Within one call, equal keys
 /// denote bit-identical signal content, so the key doubles as the shared
 /// signal-transform cache key without hashing the samples themselves.
 type SigKey = (isize, usize, usize);
 
 /// The per-call shared signal-transform scratch: transforms keyed by signal
-/// position, plus reuse counters surfaced through [`ThroughputStats`].
+/// position, plus the reuse tallies flushed into `tiling.spectrum_hits` /
+/// `tiling.spectrum_misses`. Best-effort under parallel dispatch (two
+/// workers may compute the same transform concurrently).
 #[derive(Debug, Default)]
 struct SignalScratch {
     map: HashMap<SigKey, Arc<dyn PreparedSignal>>,
@@ -213,19 +208,33 @@ struct Kernel1d {
     prep: Option<Arc<dyn PreparedConv1d>>,
 }
 
+/// Where the output grid sits on the plane the tiles are cut from: output
+/// element `(r, c)` is the window whose top-left corner is
+/// `plane[(r - row_off, c - col_off)]`. `valid` mode is the zero-offset
+/// frame over the input itself; `same` mode offsets by the kernel's half
+/// extents (under [`EdgeHandling::ZeroPad`] the column half is absorbed by
+/// the padding, so the plane is the padded copy and `col_off` is zero).
+#[derive(Clone, Copy)]
+struct Frame<'a> {
+    plane: &'a Matrix,
+    row_off: usize,
+    col_off: usize,
+}
+
 /// Executes 2D convolutions on a 1D convolution backend via row tiling.
 #[derive(Debug)]
 pub struct TiledConvolver<E> {
     engine: E,
     n_conv: usize,
     grain: ParallelGrain,
-    /// Prepared kernels shared across clones (and therefore across a whole
-    /// batch): `None` entries record that the engine declined to prepare.
+    /// Prepared kernels shared across [`TiledConvolver::at`] views (and
+    /// therefore across a whole batch): `None` entries record that the
+    /// engine declined to prepare.
     prep_cache: Arc<Mutex<PrepMap>>,
     /// Observability handle: disabled by default (zero-cost no-op path).
     /// When enabled, 1D convolutions run through the traced engine variants
     /// (which attribute per-stage time) and each 2D call flushes its
-    /// [`ThroughputStats`] into `tiling.*` counters.
+    /// tallies into the `tiling.*` counters.
     telemetry: Telemetry,
     /// The `tiling.*` counter handles, resolved once when the telemetry
     /// handle is attached: the per-2D-call flush must not pay five
@@ -256,23 +265,10 @@ impl TilingCounters {
     }
 }
 
-impl<E: Clone> Clone for TiledConvolver<E> {
-    fn clone(&self) -> Self {
-        Self {
-            engine: self.engine.clone(),
-            n_conv: self.n_conv,
-            grain: self.grain,
-            prep_cache: Arc::clone(&self.prep_cache),
-            telemetry: self.telemetry.clone(),
-            counters: self.counters.clone(),
-        }
-    }
-}
-
 impl<E: Conv1dEngine> TiledConvolver<E> {
     /// Creates a convolver for a backend with 1D capacity `n_conv`
-    /// (the number of input waveguides of a PFCU). Parallel tile dispatch
-    /// is enabled by default; see [`TiledConvolver::with_parallel`].
+    /// (the number of input waveguides of a PFCU). The grain defaults to
+    /// [`ParallelGrain::Auto`]; see [`TiledConvolver::with_grain`].
     ///
     /// # Errors
     ///
@@ -306,8 +302,9 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
     /// Attaches a telemetry handle. With a disabled handle (the default)
     /// execution is byte-for-byte the untraced path; with an enabled handle
     /// 1D convolutions report per-stage time and each 2D call flushes its
-    /// [`ThroughputStats`] into the `tiling.*` counters. Results are
-    /// bit-identical either way — tracing observes, never perturbs.
+    /// tallies (tiles, 1D convolutions, spectrum reuse) into the `tiling.*`
+    /// counters. Results are bit-identical either way — tracing observes,
+    /// never perturbs.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.set_telemetry(telemetry);
         self
@@ -324,19 +321,6 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         &self.telemetry
     }
 
-    /// Enables or disables parallel tile dispatch. The results are
-    /// bit-identical either way; disabling is useful to avoid nested
-    /// parallelism when the caller already parallelises at a coarser grain
-    /// (e.g. per image of a batch). Sugar for [`TiledConvolver::with_grain`]
-    /// with [`ParallelGrain::Auto`] / [`ParallelGrain::Image`].
-    pub fn with_parallel(self, parallel: bool) -> Self {
-        self.with_grain(if parallel {
-            ParallelGrain::Auto
-        } else {
-            ParallelGrain::Image
-        })
-    }
-
     /// Sets the parallelism grain. At the convolver level
     /// [`ParallelGrain::Image`] means "serial tiles — my caller owns the
     /// threads", [`ParallelGrain::Tile`] forces tile dispatch even on
@@ -348,14 +332,25 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         self
     }
 
+    /// A borrowed view of this convolver running at `grain`: the same
+    /// engine (by reference), the same prepared-kernel cache and the same
+    /// telemetry handle, so a caller that resolves its grain per call (the
+    /// facade `Session`) holds one convolver instead of one per grain. Costs
+    /// a few reference-count bumps.
+    pub fn at(&self, grain: ParallelGrain) -> TiledConvolver<&E> {
+        TiledConvolver {
+            engine: &self.engine,
+            n_conv: self.n_conv,
+            grain,
+            prep_cache: Arc::clone(&self.prep_cache),
+            telemetry: self.telemetry.clone(),
+            counters: self.counters.clone(),
+        }
+    }
+
     /// The configured parallelism grain.
     pub fn grain(&self) -> ParallelGrain {
         self.grain
-    }
-
-    /// Whether parallel tile dispatch is enabled.
-    pub fn parallel(&self) -> bool {
-        self.grain != ParallelGrain::Image
     }
 
     /// The configured 1D capacity.
@@ -396,23 +391,8 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         input: &Matrix,
         kernel: &Matrix,
     ) -> Result<Matrix, TilingError> {
-        Ok(self.correlate2d_valid_with_stats(input, kernel)?.0)
-    }
-
-    /// Like [`TiledConvolver::correlate2d_valid`], additionally returning
-    /// the execution statistics of this convolution.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TilingPlan::new`].
-    pub fn correlate2d_valid_with_stats(
-        &self,
-        input: &Matrix,
-        kernel: &Matrix,
-    ) -> Result<(Matrix, ThroughputStats), TilingError> {
-        let (mut outs, stats) =
-            self.correlate2d_valid_multi_with_stats(input, std::slice::from_ref(kernel))?;
-        Ok((outs.pop().expect("one kernel in, one plane out"), stats))
+        let mut outs = self.correlate2d(input, std::slice::from_ref(kernel), None)?;
+        Ok(outs.pop().expect("one kernel in, one plane out"))
     }
 
     /// Correlates one input against **many kernels of one shape**, grouped
@@ -437,48 +417,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         input: &Matrix,
         kernels: &[Matrix],
     ) -> Result<Vec<Matrix>, TilingError> {
-        Ok(self.correlate2d_valid_multi_with_stats(input, kernels)?.0)
-    }
-
-    /// Like [`TiledConvolver::correlate2d_valid_multi`], additionally
-    /// returning the execution statistics of the whole multi-kernel
-    /// convolution.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TiledConvolver::correlate2d_valid_multi`].
-    pub fn correlate2d_valid_multi_with_stats(
-        &self,
-        input: &Matrix,
-        kernels: &[Matrix],
-    ) -> Result<(Vec<Matrix>, ThroughputStats), TilingError> {
-        let start = Instant::now();
-        let Some(first) = kernels.first() else {
-            return Ok((Vec::new(), ThroughputStats::default()));
-        };
-        check_kernel_shapes(kernels)?;
-        let plan = self.plan(input, first)?;
-        let out_rows = input.rows() - first.rows() + 1;
-        let out_cols = input.cols() - first.cols() + 1;
-        let mut outs: Vec<Matrix> = (0..kernels.len())
-            .map(|_| Matrix::zeros(out_rows, out_cols))
-            .collect();
-        let scratch = Mutex::new(SignalScratch::default());
-
-        let (tiles, convs) = match plan.variant {
-            TilingVariant::RowTiling => {
-                self.valid_by_row_tiling(input, kernels, &plan, &scratch, &mut outs)
-            }
-            TilingVariant::PartialRowTiling => {
-                self.valid_by_partial_tiling(input, kernels, &plan, &scratch, &mut outs)
-            }
-            TilingVariant::RowPartitioning => {
-                self.valid_by_partitioning(input, kernels, &scratch, &mut outs)
-            }
-        };
-        let stats = finish_stats(start, tiles, convs, scratch);
-        self.record_throughput(&stats);
-        Ok((outs, stats))
+        self.correlate2d(input, kernels, None)
     }
 
     /// 2D `same` cross-correlation (output has the input's shape) computed
@@ -499,24 +438,8 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         kernel: &Matrix,
         edges: EdgeHandling,
     ) -> Result<Matrix, TilingError> {
-        Ok(self.correlate2d_same_with_stats(input, kernel, edges)?.0)
-    }
-
-    /// Like [`TiledConvolver::correlate2d_same`], additionally returning the
-    /// execution statistics of this convolution.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TiledConvolver::correlate2d_same`].
-    pub fn correlate2d_same_with_stats(
-        &self,
-        input: &Matrix,
-        kernel: &Matrix,
-        edges: EdgeHandling,
-    ) -> Result<(Matrix, ThroughputStats), TilingError> {
-        let (mut outs, stats) =
-            self.correlate2d_same_multi_with_stats(input, std::slice::from_ref(kernel), edges)?;
-        Ok((outs.pop().expect("one kernel in, one plane out"), stats))
+        let mut outs = self.correlate2d(input, std::slice::from_ref(kernel), Some(edges))?;
+        Ok(outs.pop().expect("one kernel in, one plane out"))
     }
 
     /// `same`-mode counterpart of
@@ -537,96 +460,80 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         kernels: &[Matrix],
         edges: EdgeHandling,
     ) -> Result<Vec<Matrix>, TilingError> {
-        Ok(self
-            .correlate2d_same_multi_with_stats(input, kernels, edges)?
-            .0)
+        self.correlate2d(input, kernels, Some(edges))
     }
 
-    /// Like [`TiledConvolver::correlate2d_same_multi`], additionally
-    /// returning the execution statistics of the whole multi-kernel
-    /// convolution.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TiledConvolver::correlate2d_same_multi`].
-    pub fn correlate2d_same_multi_with_stats(
+    /// The driver behind every entry point: `edges == None` is `valid`
+    /// mode. Places the output grid on the tiled plane (the [`Frame`]),
+    /// plans, runs the one strategy body the plan selects and flushes the
+    /// call's tallies into the `tiling.*` counters.
+    fn correlate2d(
         &self,
         input: &Matrix,
         kernels: &[Matrix],
-        edges: EdgeHandling,
-    ) -> Result<(Vec<Matrix>, ThroughputStats), TilingError> {
-        let start = Instant::now();
+        edges: Option<EdgeHandling>,
+    ) -> Result<Vec<Matrix>, TilingError> {
         let Some(first) = kernels.first() else {
-            return Ok((Vec::new(), ThroughputStats::default()));
+            return Ok(Vec::new());
         };
         check_kernel_shapes(kernels)?;
-        let working = match edges {
-            EdgeHandling::Wraparound => input.clone(),
-            EdgeHandling::ZeroPad => pad_columns(input, (first.cols() - 1) / 2, first.cols() / 2),
+        let (kr, kc) = (first.rows(), first.cols());
+        let padded;
+        let frame = match edges {
+            None => Frame {
+                plane: input,
+                row_off: 0,
+                col_off: 0,
+            },
+            Some(EdgeHandling::Wraparound) => Frame {
+                plane: input,
+                row_off: (kr - 1) / 2,
+                col_off: (kc - 1) / 2,
+            },
+            Some(EdgeHandling::ZeroPad) => {
+                padded = pad_columns(input, (kc - 1) / 2, kc / 2);
+                Frame {
+                    plane: &padded,
+                    row_off: (kr - 1) / 2,
+                    col_off: 0,
+                }
+            }
         };
-        let plan = TilingPlan::new(
-            working.rows(),
-            working.cols(),
-            first.rows(),
-            first.cols(),
-            self.n_conv,
-        )?;
-
-        let pr = (first.rows() - 1) / 2;
-        let pc = (first.cols() - 1) / 2;
+        let plan = TilingPlan::new(frame.plane.rows(), frame.plane.cols(), kr, kc, self.n_conv)?;
+        let (out_rows, out_cols) = match edges {
+            None => (input.rows() - kr + 1, input.cols() - kc + 1),
+            Some(_) => (input.rows(), input.cols()),
+        };
         let mut outs: Vec<Matrix> = (0..kernels.len())
-            .map(|_| Matrix::zeros(input.rows(), input.cols()))
+            .map(|_| Matrix::zeros(out_rows, out_cols))
             .collect();
         let scratch = Mutex::new(SignalScratch::default());
 
         let (tiles, convs) = match plan.variant {
-            TilingVariant::RowTiling => self
-                .same_by_row_tiling(&working, kernels, &plan, pr, pc, edges, &scratch, &mut outs),
-            _ => {
-                // For the partial/partitioned variants the per-row splitting
-                // below is already exact row-by-row, so reuse it.
-                self.same_by_row_accumulation(
-                    &working, kernels, &plan, pr, pc, edges, &scratch, &mut outs,
-                )
+            TilingVariant::RowTiling => {
+                self.by_row_tiling(frame, kernels, &plan, &scratch, &mut outs)
+            }
+            TilingVariant::PartialRowTiling => {
+                self.by_partial_tiling(frame, kernels, &plan, &scratch, &mut outs)
+            }
+            TilingVariant::RowPartitioning => {
+                self.by_partitioning(frame, kernels, &scratch, &mut outs)
             }
         };
-        let stats = finish_stats(start, tiles, convs, scratch);
-        self.record_throughput(&stats);
-        Ok((outs, stats))
-    }
-
-    /// Flushes one 2D call's [`ThroughputStats`] into the `tiling.*`
-    /// counters. Batched per call (not per tile) so the hot loop stays
-    /// untouched; a no-op when telemetry is disabled.
-    fn record_throughput(&self, stats: &ThroughputStats) {
-        if !self.telemetry.is_enabled() {
-            return;
+        // Batched per call (not per tile) so the hot loop stays untouched;
+        // no-op handles when telemetry is disabled.
+        if self.telemetry.is_enabled() {
+            let scratch = scratch.into_inner();
+            self.counters.tiles.add(tiles as u64);
+            self.counters.convs_1d.add(convs as u64);
+            self.counters.spectrum_hits.add(scratch.hits as u64);
+            self.counters.spectrum_misses.add(scratch.misses as u64);
+            self.counters.conv2d_calls.inc();
         }
-        self.counters.tiles.add(stats.tiles as u64);
-        self.counters.convs_1d.add(stats.convs_1d as u64);
-        self.counters.spectrum_hits.add(stats.spectrum_hits as u64);
-        self.counters
-            .spectrum_misses
-            .add(stats.spectrum_misses as u64);
-        self.counters.conv2d_calls.inc();
+        Ok(outs)
     }
 
     // ----- shared machinery ------------------------------------------------
-
-    /// Prepared-kernel cache size cap. A CNN batch touches a few hundred
-    /// distinct (kernel, tile length) pairs at most; a workload streaming
-    /// unbounded distinct kernels (template matching) would otherwise grow
-    /// the map forever, so the cache resets wholesale at the cap — crude,
-    /// but fixed-kernel workloads never hit it and preparation is cheap to
-    /// redo.
-    const PREP_CACHE_CAP: usize = 1024;
-
-    /// Shared signal-transform scratch cap, mirroring
-    /// [`TiledConvolver::PREP_CACHE_CAP`]'s wholesale-eviction pattern. The
-    /// scratch lives for one 2D convolution call; a huge input convolved
-    /// under row partitioning could otherwise accumulate one transform per
-    /// (row, partition) pair for the whole call.
-    const SPECTRUM_CACHE_CAP: usize = 1024;
 
     /// Stage attribution measures one convolution in this many (scaled
     /// back up at flush; see `extrapolate_ns`). Within one tile or kernel
@@ -658,11 +565,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         }
         // Build outside the lock: preparation may run an FFT.
         let prep = self.engine.prepare_kernel(kernel, signal_len);
-        let mut cache = self.prep_cache.lock();
-        if cache.len() >= Self::PREP_CACHE_CAP {
-            cache.clear();
-        }
-        cache.entry(key).or_insert_with(|| prep.clone());
+        insert_capped(&mut self.prep_cache.lock(), key, prep.clone());
         prep
     }
 
@@ -759,11 +662,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
                         acc.mark(Stage::SignalFft);
                     }
                     computed_here = true;
-                    let mut guard = scratch.lock();
-                    if guard.map.len() >= Self::SPECTRUM_CACHE_CAP {
-                        guard.map.clear();
-                    }
-                    guard.map.insert(key, Arc::clone(&sig));
+                    insert_capped(&mut scratch.lock().map, key, Arc::clone(&sig));
                     shared = Some(sig);
                 }
             }
@@ -850,28 +749,31 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         };
         let mut guard = scratch.lock();
         for (key, sig) in keys.iter().zip(transforms) {
-            if guard.map.len() >= Self::SPECTRUM_CACHE_CAP {
-                guard.map.clear();
-            }
-            guard.map.insert(*key, sig);
+            insert_capped(&mut guard.map, *key, sig);
             guard.misses += 1;
         }
     }
 
     /// Whether this call would actually fan work out across threads.
     fn parallel_active(&self, items: usize) -> bool {
-        // Three gates: the configured grain, determinism (noise streams
-        // must keep their serial order), and — under `Auto` — the engine's
-        // own cost hint: the vendored rayon spawns scoped threads per call,
-        // so parallelising memory-bound dot-product tiles would lose
-        // outright. An explicit `Tile` grain overrides the cost hint (the
-        // caller asked to measure exactly that), never the determinism gate.
+        // Four gates: the configured grain, determinism (noise streams
+        // must keep their serial order), the pool (on a 1-wide pool the
+        // collect-based parallel branches would run inline anyway, minus
+        // the serial path's buffer reuse and batched transform pre-pass),
+        // and — under `Auto` — the engine's own cost hint: the vendored
+        // rayon spawns scoped threads per call, so parallelising
+        // memory-bound dot-product tiles would lose outright. An explicit
+        // `Tile` grain overrides the cost hint (the caller asked to measure
+        // exactly that), never the other gates.
         let grain_allows = match self.grain {
             ParallelGrain::Image => false,
             ParallelGrain::Tile => true,
             ParallelGrain::Auto => self.engine.prefers_parallel_tiles(),
         };
-        grain_allows && items > 1 && self.engine.is_deterministic()
+        grain_allows
+            && items > 1
+            && self.engine.is_deterministic()
+            && rayon::current_num_threads() > 1
     }
 
     /// Maps `f` over `items`, in parallel when the engine allows it.
@@ -890,17 +792,25 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         }
     }
 
-    // ----- valid-mode implementations ------------------------------------
+    // ----- the three strategy bodies ---------------------------------------
 
-    fn valid_by_row_tiling(
+    /// Row tiling (Section III-A): each 1D convolution covers
+    /// `rows_per_tile` plane rows and completes `N_or` output rows.
+    /// Returns `(tiles built, 1D convolutions run)`.
+    fn by_row_tiling(
         &self,
-        input: &Matrix,
+        frame: Frame<'_>,
         kernels: &[Matrix],
         plan: &TilingPlan,
         scratch: &Mutex<SignalScratch>,
         outs: &mut [Matrix],
     ) -> (usize, usize) {
-        let si = input.cols();
+        let Frame {
+            plane,
+            row_off,
+            col_off,
+        } = frame;
+        let si = plane.cols();
         let n_or = plan.valid_output_rows_per_conv;
         let tile_len = plan.rows_per_tile * si;
         let ks: Vec<Kernel1d> = kernels
@@ -916,35 +826,57 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         // only pays off when several kernels share one tile transform.
         let share = kernels.len() > 1;
 
-        let starts: Vec<usize> = (0..outs[0].rows()).step_by(n_or).collect();
-        let write = |out: &mut Matrix, r0: usize, corr: &[f64]| {
-            let (rows, cols) = (out.rows(), out.cols());
-            for rr in 0..n_or {
-                let out_r = r0 + rr;
-                if out_r >= rows {
-                    break;
+        let (out_rows, out_cols) = (outs[0].rows(), outs[0].cols());
+        let starts: Vec<usize> = (0..out_rows).step_by(n_or).collect();
+        let tile_start = |r0: usize| r0 as isize - row_off as isize;
+        // Output column `c` of the tile's `rr`-th output row reads
+        // `corr[rr * si + c - col_off]`. The covered column range is
+        // computed once per row and copied as a slice; at zero offset it is
+        // the whole row.
+        let write = |outs: &mut [Matrix], r0: usize, per_kernel: &[Vec<f64>]| {
+            for ((out, corr), kernel) in outs.iter_mut().zip(per_kernel).zip(kernels) {
+                for rr in 0..n_or.min(out_rows - r0) {
+                    let (out_r, base) = (r0 + rr, rr * si);
+                    let covered = covered_columns(base, col_off, corr.len(), out_cols);
+                    let row = out.row_mut(out_r);
+                    if !covered.is_empty() {
+                        let src = base + covered.start - col_off;
+                        row[covered.clone()].copy_from_slice(&corr[src..src + covered.len()]);
+                    }
+                    // The window starts before this tile (left border of
+                    // the tile's first output row) or runs past its end
+                    // (right border of its last output row). In hardware
+                    // these samples come from the neighbouring tile's
+                    // output; reproduce them exactly with a direct dot
+                    // product so the only approximation left is the
+                    // genuine wraparound edge effect.
+                    for c in (0..covered.start).chain(covered.end..out_cols) {
+                        row[c] = window_dot(
+                            plane,
+                            kernel,
+                            0..kernel.rows(),
+                            out_r as isize - row_off as isize,
+                            c as isize - col_off as isize,
+                        );
+                    }
                 }
-                out.row_mut(out_r)
-                    .copy_from_slice(&corr[rr * si..rr * si + cols]);
             }
         };
 
         if self.parallel_active(starts.len()) {
             let corrs = self.dispatch(&starts, |&r0| {
                 let tiled_input =
-                    tile_input_rows(input, r0 as isize, plan.rows_per_tile, self.n_conv);
+                    tile_input_rows(plane, tile_start(r0), plan.rows_per_tile, self.n_conv);
                 self.apply_kernel_set(
                     scratch,
-                    (r0 as isize, 0, tile_len),
+                    (tile_start(r0), 0, tile_len),
                     &tiled_input[..tile_len],
                     &ks,
                     share,
                 )
             });
             for (per_kernel, &r0) in corrs.iter().zip(&starts) {
-                for (out, corr) in outs.iter_mut().zip(per_kernel) {
-                    write(out, r0, corr);
-                }
+                write(outs, r0, per_kernel);
             }
         } else {
             // Serial fast path: one tile buffer reused across every tile,
@@ -952,7 +884,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
             // the single-kernel case additionally skips the per-kernel
             // result vector entirely).
             let mut buf = vec![0.0; self.n_conv];
-            if share && starts.len() <= Self::SPECTRUM_CACHE_CAP {
+            if share && starts.len() <= CACHE_CAP {
                 // Batched pre-pass: pack every tile planar and transform
                 // the whole batch in one plan walk; the loop below hits
                 // the seeded cache tile by tile.
@@ -960,24 +892,32 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
                 let keys: Vec<SigKey> = starts
                     .iter()
                     .map(|&r0| {
-                        fill_tile_rows(&mut buf, input, r0 as isize, plan.rows_per_tile);
+                        fill_tile_rows(&mut buf, plane, tile_start(r0), plan.rows_per_tile);
                         signals.extend_from_slice(&buf[..tile_len]);
-                        (r0 as isize, 0, tile_len)
+                        (tile_start(r0), 0, tile_len)
                     })
                     .collect();
                 self.seed_shared_signals(scratch, &ks, &keys, &signals);
             }
-            // Single accumulator across the tile loop with the same
-            // strided sampling as the kernel-set path (which flushes
-            // inside `apply_kernel_set`); the `skip` drops tile refills
-            // and result write-back from the next mark.
-            let mut acc = self.telemetry.is_enabled().then(StageAcc::start);
-            let (mut tiles, mut sampled) = (0u64, 0u64);
+            // Single-kernel calls hold one accumulator across the tile loop
+            // with the same strided sampling as the kernel-set path (which
+            // flushes inside `apply_kernel_set`); the `skip` drops tile
+            // refills and result write-back from the next mark.
+            let mut acc = (!share && self.telemetry.is_enabled()).then(StageAcc::start);
+            let mut sampled = 0u64;
             for (i, &r0) in starts.iter().enumerate() {
-                fill_tile_rows(&mut buf, input, r0 as isize, plan.rows_per_tile);
+                fill_tile_rows(&mut buf, plane, tile_start(r0), plan.rows_per_tile);
                 let signal = &buf[..tile_len];
-                if ks.len() == 1 && !share {
-                    tiles += 1;
+                if share {
+                    let per_kernel = self.apply_kernel_set(
+                        scratch,
+                        (tile_start(r0), 0, tile_len),
+                        signal,
+                        &ks,
+                        share,
+                    );
+                    write(outs, r0, &per_kernel);
+                } else {
                     let corr = match acc.as_mut() {
                         Some(acc) if i.is_multiple_of(Self::STAGE_SAMPLE_STRIDE) => {
                             sampled += 1;
@@ -986,42 +926,41 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
                         }
                         _ => self.run1d(ks[0].prep.as_ref(), signal, &ks[0].tiled, None),
                     };
-                    write(&mut outs[0], r0, &corr);
-                } else {
-                    let per_kernel = self.apply_kernel_set(
-                        scratch,
-                        (r0 as isize, 0, tile_len),
-                        signal,
-                        &ks,
-                        share,
-                    );
-                    for (out, corr) in outs.iter_mut().zip(&per_kernel) {
-                        write(out, r0, corr);
-                    }
+                    write(outs, r0, std::slice::from_ref(&corr));
                 }
             }
             if let Some(acc) = acc.as_mut() {
-                self.telemetry
-                    .stage_add_ns(Self::extrapolate_ns(acc.ns(), tiles, sampled));
+                self.telemetry.stage_add_ns(Self::extrapolate_ns(
+                    acc.ns(),
+                    starts.len() as u64,
+                    sampled,
+                ));
             }
         }
         (starts.len(), starts.len() * kernels.len())
     }
 
-    fn valid_by_partial_tiling(
+    /// Partial row tiling (Section III-B): one output row at a time;
+    /// kernel rows are processed in groups of `rows_per_tile` and their
+    /// contributions accumulated. Returns `(tiles built, 1D convolutions
+    /// run)`.
+    fn by_partial_tiling(
         &self,
-        input: &Matrix,
+        frame: Frame<'_>,
         kernels: &[Matrix],
         plan: &TilingPlan,
         scratch: &Mutex<SignalScratch>,
         outs: &mut [Matrix],
     ) -> (usize, usize) {
-        // One output row at a time; kernel rows are processed in groups of
-        // `rows_per_tile` and their contributions accumulated (Section
-        // III-B). The per-group tiled kernels are prepared once, up front;
-        // consecutive output rows revisit the same input-row windows, so
+        let Frame {
+            plane,
+            row_off,
+            col_off,
+        } = frame;
+        // The per-group tiled kernels are prepared once, up front;
+        // consecutive output rows revisit the same plane-row windows, so
         // the shared-signal scratch is active even for a single kernel.
-        let si = input.cols();
+        let si = plane.cols();
         let n_ir = plan.rows_per_tile.max(1);
         let mut groups: Vec<(usize, usize, Vec<Kernel1d>)> = Vec::new();
         let mut k_start = 0;
@@ -1043,53 +982,67 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         let rows: Vec<usize> = (0..outs[0].rows()).collect();
         let out_cols = outs[0].cols();
         let accs = self.dispatch(&rows, |&out_r| {
+            let top = out_r as isize - row_off as isize;
             let mut acc = vec![vec![0.0; out_cols]; kernels.len()];
             for (k_start, count, ks) in &groups {
-                let tiled_input =
-                    tile_input_rows(input, (out_r + k_start) as isize, *count, self.n_conv);
-                let sig = &tiled_input[..count * si];
-                let key = ((out_r + k_start) as isize, 0, count * si);
-                let per_kernel = self.apply_kernel_set(scratch, key, sig, ks, true);
-                for (acc_k, corr) in acc.iter_mut().zip(&per_kernel) {
-                    for (c, a) in acc_k.iter_mut().enumerate() {
-                        *a += corr[c];
+                let tile_start = top + *k_start as isize;
+                let tiled_input = tile_input_rows(plane, tile_start, *count, self.n_conv);
+                let key = (tile_start, 0, count * si);
+                let per_kernel =
+                    self.apply_kernel_set(scratch, key, &tiled_input[..count * si], ks, true);
+                for ((acc_k, corr), kernel) in acc.iter_mut().zip(&per_kernel).zip(kernels) {
+                    let covered = covered_columns(0, col_off, corr.len(), out_cols);
+                    for (c, slot) in acc_k.iter_mut().enumerate() {
+                        *slot += if covered.contains(&c) {
+                            corr[c - col_off]
+                        } else {
+                            window_dot(
+                                plane,
+                                kernel,
+                                *k_start..k_start + count,
+                                top,
+                                c as isize - col_off as isize,
+                            )
+                        };
                     }
                 }
             }
             acc
         });
-        for (acc, &out_r) in accs.iter().zip(&rows) {
-            for (out, acc_k) in outs.iter_mut().zip(acc) {
-                out.row_mut(out_r).copy_from_slice(acc_k);
-            }
-        }
+        write_rows(outs, &accs);
         let n = rows.len() * groups.len();
         (n, n * kernels.len())
     }
 
-    fn valid_by_partitioning(
+    /// Row partitioning (Section III-C): overlap-save over columns — each
+    /// kernel row is correlated with partitions of the matching plane row
+    /// and the results accumulated. Rows are sliced in place, so no tiled
+    /// vectors are built: returns `(0, 1D convolutions run)`.
+    fn by_partitioning(
         &self,
-        input: &Matrix,
+        frame: Frame<'_>,
         kernels: &[Matrix],
         scratch: &Mutex<SignalScratch>,
         outs: &mut [Matrix],
     ) -> (usize, usize) {
-        // Overlap-save over columns: each kernel row is correlated with
-        // partitions of the matching input row and results accumulated
-        // (Section III-C). Every row shares the same column partitioning,
-        // so the partition list and the per-(kernel, kernel row, partition)
-        // prepared kernels are hoisted out of the dispatch loop. One input
-        // row partition is slid over by *every* kernel row of *every*
-        // kernel, so its shared transform is computed once and replayed
-        // `kernels × kernel_rows` times through the scratch cache.
+        let Frame {
+            plane,
+            row_off,
+            col_off,
+        } = frame;
+        // Every row shares the same column partitioning, so the partition
+        // list and the per-(kernel, kernel row, partition) prepared kernels
+        // are hoisted out of the dispatch loop. One plane row partition is
+        // slid over by *every* kernel row of *every* kernel, so its shared
+        // transform is computed once and replayed `kernels × kernel_rows`
+        // times through the scratch cache.
         let kernel_rows = kernels[0].rows();
         let kernel_cols = kernels[0].cols();
         let step = self.n_conv - kernel_cols + 1;
-        let rows: Vec<usize> = (0..outs[0].rows()).collect();
-        let out_cols = outs[0].cols();
-        let parts = column_partitions(out_cols, input.cols(), self.n_conv, step);
+        let corr_len = plane.cols() - kernel_cols + 1;
+        let parts = column_partitions(corr_len, plane.cols(), self.n_conv, step);
         // sets[dr][p] is the kernel set correlated against partition p of
-        // input row `out_r + dr`.
+        // the plane row kernel row `dr` lands on.
         let sets: Vec<Vec<Vec<Kernel1d>>> = (0..kernel_rows)
             .map(|dr| {
                 parts
@@ -1103,292 +1056,51 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
                     .collect()
             })
             .collect();
+        let rows: Vec<usize> = (0..outs[0].rows()).collect();
+        let out_cols = outs[0].cols();
+        // The (kernel row, plane row) pairs of one output row: border rows
+        // of an offset frame skip kernel rows hanging outside the plane.
+        let live_rows = |out_r: usize| {
+            (0..kernel_rows).filter_map(move |dr| {
+                let r = out_r as isize - row_off as isize + dr as isize;
+                (0..plane.rows() as isize)
+                    .contains(&r)
+                    .then_some((dr, r as usize))
+            })
+        };
+        let covered = covered_columns(0, col_off, corr_len, out_cols);
         let accs = self.dispatch(&rows, |&out_r| {
             let mut acc = vec![vec![0.0; out_cols]; kernels.len()];
-            for (dr, row_sets) in sets.iter().enumerate() {
-                let row = input.row(out_r + dr);
+            for (dr, r) in live_rows(out_r) {
+                let row = plane.row(r);
                 for (p, &(start, end)) in parts.iter().enumerate() {
-                    let key = ((out_r + dr) as isize, start, end);
+                    let key = (r as isize, start, end);
                     let per_kernel =
-                        self.apply_kernel_set(scratch, key, &row[start..end], &row_sets[p], true);
+                        self.apply_kernel_set(scratch, key, &row[start..end], &sets[dr][p], true);
                     for (acc_k, corr) in acc.iter_mut().zip(&per_kernel) {
                         for (i, v) in corr.iter().enumerate() {
-                            if start + i < out_cols {
-                                acc_k[start + i] += v;
+                            // Sample `start + i` of the row's correlation
+                            // is output column `start + i + col_off`.
+                            if start + i < corr_len && start + i + col_off < out_cols {
+                                acc_k[start + i + col_off] += v;
                             }
                         }
+                    }
+                }
+                // Columns whose window hangs over either end of the row.
+                for (acc_k, kernel) in acc.iter_mut().zip(kernels) {
+                    for c in (0..covered.start).chain(covered.end..out_cols) {
+                        acc_k[c] +=
+                            row_window_dot(row, kernel.row(dr), c as isize - col_off as isize);
                     }
                 }
             }
             acc
         });
-        for (acc, &out_r) in accs.iter().zip(&rows) {
-            for (out, acc_k) in outs.iter_mut().zip(acc) {
-                out.row_mut(out_r).copy_from_slice(acc_k);
-            }
-        }
-        // Row partitioning slices rows in place: no tiled vectors built.
-        (0, rows.len() * kernel_rows * parts.len() * kernels.len())
-    }
-
-    // ----- same-mode implementations --------------------------------------
-
-    #[allow(clippy::too_many_arguments)]
-    fn same_by_row_tiling(
-        &self,
-        working: &Matrix,
-        kernels: &[Matrix],
-        plan: &TilingPlan,
-        pr: usize,
-        pc: usize,
-        edges: EdgeHandling,
-        scratch: &Mutex<SignalScratch>,
-        outs: &mut [Matrix],
-    ) -> (usize, usize) {
-        let si = working.cols();
-        let n_or = plan.valid_output_rows_per_conv;
-        let tile_len = plan.rows_per_tile * si;
-        let ks: Vec<Kernel1d> = kernels
-            .iter()
-            .map(|k| {
-                self.kernel1d(
-                    tile_kernel_rows(k, 0, k.rows(), si, plan.tiled_kernel_len()),
-                    tile_len,
-                )
-            })
-            .collect();
-        let share = kernels.len() > 1;
-
-        let starts: Vec<usize> = (0..outs[0].rows()).step_by(n_or).collect();
-        let write = |outs: &mut [Matrix], r0: usize, per_kernel: &[Vec<f64>]| {
-            for ((out, corr), kernel) in outs.iter_mut().zip(per_kernel).zip(kernels) {
-                for rr in 0..n_or {
-                    let out_r = r0 + rr;
-                    if out_r >= out.rows() {
-                        break;
-                    }
-                    for c in 0..out.cols() {
-                        // Window top-left column in `working` coordinates.
-                        let wc = match edges {
-                            EdgeHandling::Wraparound => c as isize - pc as isize,
-                            EdgeHandling::ZeroPad => c as isize, // already padded left by pc
-                        };
-                        let p = rr as isize * si as isize + wc;
-                        let value = if p >= 0 && (p as usize) < corr.len() {
-                            corr[p as usize]
-                        } else {
-                            // The window starts before this tile (left border
-                            // of the tile's first output row) or runs past
-                            // its end (right border of its last output row).
-                            // In hardware these samples come from the
-                            // neighbouring tile's output; reproduce them
-                            // exactly with a direct dot product so the only
-                            // approximation left is the genuine wraparound
-                            // edge effect.
-                            window_dot(working, kernel, out_r as isize - pr as isize, wc)
-                        };
-                        out.set(out_r, c, value);
-                    }
-                }
-            }
-        };
-
-        if self.parallel_active(starts.len()) {
-            let corrs = self.dispatch(&starts, |&r0| {
-                let tile_start = r0 as isize - pr as isize;
-                let tiled_input =
-                    tile_input_rows(working, tile_start, plan.rows_per_tile, self.n_conv);
-                self.apply_kernel_set(
-                    scratch,
-                    (tile_start, 0, tile_len),
-                    &tiled_input[..tile_len],
-                    &ks,
-                    share,
-                )
-            });
-            for (per_kernel, &r0) in corrs.iter().zip(&starts) {
-                write(outs, r0, per_kernel);
-            }
-        } else {
-            let mut buf = vec![0.0; self.n_conv];
-            if share && starts.len() <= Self::SPECTRUM_CACHE_CAP {
-                // Same batched pre-pass as the valid path.
-                let mut signals = Vec::with_capacity(starts.len() * tile_len);
-                let keys: Vec<SigKey> = starts
-                    .iter()
-                    .map(|&r0| {
-                        let tile_start = r0 as isize - pr as isize;
-                        fill_tile_rows(&mut buf, working, tile_start, plan.rows_per_tile);
-                        signals.extend_from_slice(&buf[..tile_len]);
-                        (tile_start, 0, tile_len)
-                    })
-                    .collect();
-                self.seed_shared_signals(scratch, &ks, &keys, &signals);
-            }
-            for &r0 in &starts {
-                let tile_start = r0 as isize - pr as isize;
-                fill_tile_rows(&mut buf, working, tile_start, plan.rows_per_tile);
-                let per_kernel = self.apply_kernel_set(
-                    scratch,
-                    (tile_start, 0, tile_len),
-                    &buf[..tile_len],
-                    &ks,
-                    share,
-                );
-                write(outs, r0, &per_kernel);
-            }
-        }
-        (starts.len(), starts.len() * kernels.len())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn same_by_row_accumulation(
-        &self,
-        working: &Matrix,
-        kernels: &[Matrix],
-        plan: &TilingPlan,
-        pr: usize,
-        pc: usize,
-        edges: EdgeHandling,
-        scratch: &Mutex<SignalScratch>,
-        outs: &mut [Matrix],
-    ) -> (usize, usize) {
-        // Valid-style execution row by row with vertical zero rows; identical
-        // maths to the partial/partitioned valid paths but with offset rows.
-        let si = working.cols();
-        let n_ir = plan.rows_per_tile.max(1);
-        let rows: Vec<usize> = (0..outs[0].rows()).collect();
-        let out_cols = outs[0].cols();
-        let kernel_rows = kernels[0].rows();
-
-        let mut tiles = 0usize;
-        let mut convs = 0usize;
-        let accs: Vec<Vec<Vec<f64>>> = if plan.variant == TilingVariant::PartialRowTiling {
-            // Prepare the per-group tiled kernels once, like the valid path.
-            let mut groups: Vec<(usize, usize, Vec<Kernel1d>)> = Vec::new();
-            let mut k_start = 0;
-            while k_start < kernel_rows {
-                let count = n_ir.min(kernel_rows - k_start);
-                let ks: Vec<Kernel1d> = kernels
-                    .iter()
-                    .map(|k| {
-                        self.kernel1d(
-                            tile_kernel_rows(k, k_start, count, si, (count - 1) * si + k.cols()),
-                            count * si,
-                        )
-                    })
-                    .collect();
-                groups.push((k_start, count, ks));
-                k_start += count;
-            }
-            convs += rows.len() * groups.len() * kernels.len();
-            tiles += rows.len() * groups.len();
-            self.dispatch(&rows, |&out_r| {
-                let top = out_r as isize - pr as isize;
-                let mut acc = vec![vec![0.0; out_cols]; kernels.len()];
-                for (k_start, count, ks) in &groups {
-                    let tile_start = top + *k_start as isize;
-                    let tiled_input = tile_input_rows(working, tile_start, *count, self.n_conv);
-                    let key = (tile_start, 0, count * si);
-                    let per_kernel =
-                        self.apply_kernel_set(scratch, key, &tiled_input[..count * si], ks, true);
-                    for ((acc_k, corr), kernel) in acc.iter_mut().zip(&per_kernel).zip(kernels) {
-                        for (c, slot) in acc_k.iter_mut().enumerate() {
-                            let wc = match edges {
-                                EdgeHandling::Wraparound => c as isize - pc as isize,
-                                EdgeHandling::ZeroPad => c as isize,
-                            };
-                            *slot += if wc >= 0 && (wc as usize) < corr.len() {
-                                corr[wc as usize]
-                            } else {
-                                partial_window_dot(working, kernel, top, wc, *k_start, *count)
-                            };
-                        }
-                    }
-                }
-                acc
-            })
-        } else {
-            // Row partitioning, with the same hoisting as the valid path.
-            let kernel_cols = kernels[0].cols();
-            let step = self.n_conv - kernel_cols + 1;
-            let corr_len = working.cols().saturating_sub(kernel_cols) + 1;
-            let parts = column_partitions(corr_len, working.cols(), self.n_conv, step);
-            let sets: Vec<Vec<Vec<Kernel1d>>> = (0..kernel_rows)
-                .map(|dr| {
-                    parts
-                        .iter()
-                        .map(|&(s, e)| {
-                            kernels
-                                .iter()
-                                .map(|k| self.kernel1d(k.row(dr).to_vec(), e - s))
-                                .collect()
-                        })
-                        .collect()
-                })
-                .collect();
-            // Count only convolutions that actually run: border output rows
-            // skip kernel rows that fall outside the input.
-            for &out_r in &rows {
-                let top = out_r as isize - pr as isize;
-                for dr in 0..kernel_rows {
-                    let r = top + dr as isize;
-                    if r >= 0 && r < working.rows() as isize {
-                        convs += parts.len() * kernels.len();
-                    }
-                }
-            }
-            self.dispatch(&rows, |&out_r| {
-                let top = out_r as isize - pr as isize;
-                let mut acc = vec![vec![0.0; out_cols]; kernels.len()];
-                for (dr, row_sets) in sets.iter().enumerate() {
-                    let r = top + dr as isize;
-                    if r < 0 || r >= working.rows() as isize {
-                        continue;
-                    }
-                    let row = working.row(r as usize);
-                    let mut corr_rows = vec![vec![0.0; corr_len]; kernels.len()];
-                    for (p, &(start, end)) in parts.iter().enumerate() {
-                        let key = (r, start, end);
-                        let per_kernel = self.apply_kernel_set(
-                            scratch,
-                            key,
-                            &row[start..end],
-                            &row_sets[p],
-                            true,
-                        );
-                        for (corr_row, corr) in corr_rows.iter_mut().zip(&per_kernel) {
-                            for (i, v) in corr.iter().enumerate() {
-                                if start + i < corr_len {
-                                    corr_row[start + i] = *v;
-                                }
-                            }
-                        }
-                    }
-                    for ((acc_k, corr_row), kernel) in acc.iter_mut().zip(&corr_rows).zip(kernels) {
-                        let krow = kernel.row(dr);
-                        for (c, slot) in acc_k.iter_mut().enumerate() {
-                            let wc = match edges {
-                                EdgeHandling::Wraparound => c as isize - pc as isize,
-                                EdgeHandling::ZeroPad => c as isize,
-                            };
-                            if wc >= 0 && (wc as usize) < corr_row.len() {
-                                *slot += corr_row[wc as usize];
-                            } else {
-                                *slot += row_window_dot(row, krow, wc);
-                            }
-                        }
-                    }
-                }
-                acc
-            })
-        };
-        for (acc, &out_r) in accs.iter().zip(&rows) {
-            for (out, acc_k) in outs.iter_mut().zip(acc) {
-                out.row_mut(out_r).copy_from_slice(acc_k);
-            }
-        }
-        (tiles, convs)
+        write_rows(outs, &accs);
+        // Count only convolutions that actually run.
+        let live: usize = rows.iter().map(|&out_r| live_rows(out_r).count()).sum();
+        (0, live * parts.len() * kernels.len())
     }
 }
 
@@ -1405,20 +1117,23 @@ fn check_kernel_shapes(kernels: &[Matrix]) -> Result<(), TilingError> {
     Ok(())
 }
 
-/// Folds the per-call signal scratch into the final stats record.
-fn finish_stats(
-    start: Instant,
-    tiles: usize,
-    convs: usize,
-    scratch: Mutex<SignalScratch>,
-) -> ThroughputStats {
-    let scratch = scratch.into_inner();
-    ThroughputStats {
-        tiles,
-        convs_1d: convs,
-        spectrum_hits: scratch.hits,
-        spectrum_misses: scratch.misses,
-        elapsed: start.elapsed(),
+/// The columns `c` of an output row whose sample exists in a 1D result of
+/// `corr_len` samples when column `c` reads `corr[base + c - col_off]`; the
+/// columns outside the range need the direct dot-product fallback. At zero
+/// offset (and `base + out_cols <= corr_len`) this is the whole row.
+fn covered_columns(base: usize, col_off: usize, corr_len: usize, out_cols: usize) -> Range<usize> {
+    let lo = col_off.saturating_sub(base).min(out_cols);
+    let hi = (corr_len + col_off).saturating_sub(base).min(out_cols);
+    lo..hi.max(lo)
+}
+
+/// Copies per-output-row accumulators (`accs[out_r][kernel]`) into the
+/// output planes.
+fn write_rows(outs: &mut [Matrix], accs: &[Vec<Vec<f64>>]) {
+    for (out_r, acc) in accs.iter().enumerate() {
+        for (out, acc_k) in outs.iter_mut().zip(acc) {
+            out.row_mut(out_r).copy_from_slice(acc_k);
+        }
     }
 }
 
@@ -1451,38 +1166,25 @@ fn pad_columns(input: &Matrix, left: usize, right: usize) -> Matrix {
     out
 }
 
-/// Direct dot product of the kernel with the window whose top-left corner is
-/// at (`top_row`, `left_col`) of `input`, out-of-range elements reading as
-/// the row-major "flat" continuation (the wraparound semantics of the tiled
-/// 1D view) when inside the matrix, or zero when outside it entirely.
-fn window_dot(input: &Matrix, kernel: &Matrix, top_row: isize, left_col: isize) -> f64 {
-    let mut acc = 0.0;
-    for dr in 0..kernel.rows() {
-        let r = top_row + dr as isize;
-        if r < 0 || r >= input.rows() as isize {
-            continue;
-        }
-        acc += row_window_dot(input.row(r as usize), kernel.row(dr), left_col);
-    }
-    acc
-}
-
-fn partial_window_dot(
-    input: &Matrix,
+/// Direct dot product of kernel rows `kernel_rows` with the window whose
+/// top-left corner is at (`top_row`, `left_col`) of `plane` (`top_row`
+/// addresses kernel row 0), out-of-range elements reading as the row-major
+/// "flat" continuation (the wraparound semantics of the tiled 1D view) when
+/// inside the matrix, or zero when outside it entirely.
+fn window_dot(
+    plane: &Matrix,
     kernel: &Matrix,
+    kernel_rows: Range<usize>,
     top_row: isize,
     left_col: isize,
-    k_start: usize,
-    count: usize,
 ) -> f64 {
     let mut acc = 0.0;
-    for i in 0..count {
-        let dr = k_start + i;
+    for dr in kernel_rows {
         let r = top_row + dr as isize;
-        if r < 0 || r >= input.rows() as isize {
+        if r < 0 || r >= plane.rows() as isize {
             continue;
         }
-        acc += row_window_dot(input.row(r as usize), kernel.row(dr), left_col);
+        acc += row_window_dot(plane.row(r as usize), kernel.row(dr), left_col);
     }
     acc
 }
@@ -1521,6 +1223,19 @@ mod tests {
         TiledConvolver::new(DigitalEngine, n_conv).unwrap()
     }
 
+    /// The `tiling.*` tallies a call flushed into `tel`, as
+    /// `[tiles, convs_1d, spectrum_hits, spectrum_misses]` since `before`.
+    fn tallies(tel: &Telemetry, before: &pf_telemetry::MetricsSnapshot) -> [u64; 4] {
+        let delta = tel.snapshot().delta_since(before);
+        [
+            "tiling.tiles",
+            "tiling.convs_1d",
+            "tiling.spectrum_hits",
+            "tiling.spectrum_misses",
+        ]
+        .map(|name| delta.counter(name))
+    }
+
     #[test]
     fn telemetry_counters_flow_and_results_match_disabled() {
         let input = random_matrix(8, 8, 900);
@@ -1543,8 +1258,7 @@ mod tests {
         assert!(TiledConvolver::new(DigitalEngine, 0).is_err());
         assert!(TiledConvolver::new(DigitalEngine, 256).is_ok());
         assert_eq!(convolver(256).n_conv(), 256);
-        assert!(convolver(256).parallel());
-        assert!(!convolver(256).with_parallel(false).parallel());
+        assert_eq!(convolver(256).grain(), ParallelGrain::Auto);
     }
 
     #[test]
@@ -1720,21 +1434,54 @@ mod tests {
 
     #[test]
     fn grain_gates_parallel_dispatch() {
+        let pool = |width| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(width)
+                .build()
+                .unwrap()
+        };
         let c = convolver(256);
         assert_eq!(c.grain(), ParallelGrain::Auto);
-        // DigitalEngine's cost hint declines tile parallelism, so Auto
-        // stays serial...
-        assert!(!c.parallel_active(8));
-        // ...an explicit Tile grain overrides the hint...
-        let tile = convolver(256).with_grain(ParallelGrain::Tile);
-        assert!(tile.parallel_active(8));
-        assert!(!tile.parallel_active(1)); // but one tile is never fanned out
-                                           // ...and Image keeps tiles serial no matter what.
-        let image = convolver(256).with_grain(ParallelGrain::Image);
-        assert!(!image.parallel_active(8));
-        assert!(!image.parallel());
-        // Clones keep the grain.
-        assert_eq!(tile.clone().grain(), ParallelGrain::Tile);
+        let tile = c.at(ParallelGrain::Tile);
+        let image = c.at(ParallelGrain::Image);
+        assert_eq!(tile.grain(), ParallelGrain::Tile);
+        /// Digital maths with the cost hint of an FFT-backed engine.
+        #[derive(Debug)]
+        struct Hinted;
+        impl Conv1dEngine for Hinted {
+            fn correlate_valid(&self, signal: &[f64], kernel: &[f64]) -> Vec<f64> {
+                DigitalEngine.correlate_valid(signal, kernel)
+            }
+            fn prefers_parallel_tiles(&self) -> bool {
+                true
+            }
+        }
+        let hinted = TiledConvolver::new(Hinted, 256).unwrap();
+        pool(4).install(|| {
+            // DigitalEngine's cost hint declines tile parallelism, so Auto
+            // stays serial; an engine that asks for it gets it...
+            assert!(!c.parallel_active(8));
+            assert!(hinted.parallel_active(8));
+            // ...an explicit Tile grain overrides the hint...
+            assert!(tile.parallel_active(8));
+            assert!(!tile.parallel_active(1)); // but one tile is never fanned out
+            assert!(hinted.at(ParallelGrain::Tile).parallel_active(8));
+            // ...and Image keeps tiles serial no matter what.
+            assert!(!image.parallel_active(8));
+            assert!(!hinted.at(ParallelGrain::Image).parallel_active(8));
+        });
+        // On a 1-wide pool no grain fans out: the serial fast path (tile
+        // buffer reuse, batched transform pre-pass) is chosen at the source.
+        pool(1).install(|| {
+            for grain in [
+                ParallelGrain::Auto,
+                ParallelGrain::Image,
+                ParallelGrain::Tile,
+            ] {
+                assert!(!c.at(grain).parallel_active(8), "{grain}");
+                assert!(!hinted.at(grain).parallel_active(8), "{grain}");
+            }
+        });
     }
 
     #[test]
@@ -1776,7 +1523,7 @@ mod tests {
                 .correlate2d_valid(&input, &kernel)
                 .unwrap();
             let ser = convolver(n_conv)
-                .with_parallel(false)
+                .with_grain(ParallelGrain::Image)
                 .correlate2d_valid(&input, &kernel)
                 .unwrap();
             for (a, b) in par.data().iter().zip(ser.data()) {
@@ -1786,7 +1533,7 @@ mod tests {
                 .correlate2d_same(&input, &kernel, EdgeHandling::Wraparound)
                 .unwrap();
             let ser = convolver(n_conv)
-                .with_parallel(false)
+                .with_grain(ParallelGrain::Image)
                 .correlate2d_same(&input, &kernel, EdgeHandling::Wraparound)
                 .unwrap();
             for (a, b) in par.data().iter().zip(ser.data()) {
@@ -1831,12 +1578,11 @@ mod tests {
     fn multi_kernel_validates_shapes_and_handles_empty() {
         let input = random_matrix(8, 8, 211);
         let c = convolver(64);
-        let empty: Vec<Matrix> = Vec::new();
-        let (outs, stats) = c
-            .correlate2d_valid_multi_with_stats(&input, &empty)
-            .unwrap();
+        let tel = Telemetry::enabled();
+        let c = c.with_telemetry(tel.clone());
+        let outs = c.correlate2d_valid_multi(&input, &[]).unwrap();
         assert!(outs.is_empty());
-        assert_eq!(stats.convs_1d, 0);
+        assert_eq!(tel.snapshot().counter("tiling.convs_1d"), 0);
         let kernels = vec![random_matrix(3, 3, 212), random_matrix(2, 3, 213)];
         assert!(matches!(
             c.correlate2d_valid_multi(&input, &kernels),
@@ -1974,15 +1720,16 @@ mod tests {
         // correlation then consumes the seeded transform (a hit).
         let input = random_matrix(12, 12, 221);
         let kernels: Vec<Matrix> = (0..4).map(|i| random_matrix(3, 3, 222 + i)).collect();
-        let c = TiledConvolver::new(SharingDigital, 64).unwrap();
-        let (outs, stats) = c
-            .correlate2d_valid_multi_with_stats(&input, &kernels)
-            .unwrap();
-        // 12 output rows, 5 rows/tile, 3 valid rows per tile -> 4 tiles.
-        assert_eq!(stats.tiles, 4);
-        assert_eq!(stats.convs_1d, 4 * 4);
-        assert_eq!(stats.spectrum_misses, 4, "one batched transform per tile");
-        assert_eq!(stats.spectrum_hits, 4 * 4, "every 1D conv consumed a seed");
+        let tel = Telemetry::enabled();
+        let c = TiledConvolver::new(SharingDigital, 64)
+            .unwrap()
+            .with_telemetry(tel.clone());
+        let before = tel.snapshot();
+        let outs = c.correlate2d_valid_multi(&input, &kernels).unwrap();
+        // 12 output rows, 5 rows/tile, 3 valid rows per tile -> 4 tiles;
+        // one batched transform per tile (a miss), and every 1D
+        // convolution consumed a seed (a hit).
+        assert_eq!(tallies(&tel, &before), [4, 4 * 4, 4 * 4, 4]);
         for (kernel, plane) in kernels.iter().zip(&outs) {
             let reference = correlate2d(&input, kernel, PaddingMode::Valid);
             assert!(max_abs_diff(plane.data(), reference.data()) < 1e-10);
@@ -1990,9 +1737,9 @@ mod tests {
 
         // Single-kernel row tiling skips the scratch entirely: tile
         // positions never repeat, so there is nothing to share.
-        let (_, stats) = c.correlate2d_valid_with_stats(&input, &kernels[0]).unwrap();
-        assert_eq!(stats.spectrum_misses, 0);
-        assert_eq!(stats.spectrum_hits, 0);
+        let before = tel.snapshot();
+        c.correlate2d_valid(&input, &kernels[0]).unwrap();
+        assert_eq!(tallies(&tel, &before), [4, 4, 0, 0]);
     }
 
     #[test]
@@ -2002,18 +1749,20 @@ mod tests {
         // kernel sees spectrum reuse.
         let input = random_matrix(12, 12, 231);
         let kernel = random_matrix(3, 3, 232);
-        let c = TiledConvolver::new(SharingDigital, 7).unwrap();
-        let (out, stats) = c.correlate2d_valid_with_stats(&input, &kernel).unwrap();
+        let tel = Telemetry::enabled();
+        let c = TiledConvolver::new(SharingDigital, 7)
+            .unwrap()
+            .with_telemetry(tel.clone());
+        let before = tel.snapshot();
+        let out = c.correlate2d_valid(&input, &kernel).unwrap();
         let reference = correlate2d(&input, &kernel, PaddingMode::Valid);
         assert!(max_abs_diff(out.data(), reference.data()) < 1e-10);
-        assert!(stats.spectrum_misses > 0);
-        assert!(
-            stats.spectrum_hits > 0,
-            "kernel rows must reuse row-partition transforms"
-        );
+        let [_, convs_1d, hits, misses] = tallies(&tel, &before);
+        assert!(misses > 0);
+        assert!(hits > 0, "kernel rows must reuse row-partition transforms");
         assert_eq!(
-            stats.spectrum_hits + stats.spectrum_misses,
-            stats.convs_1d,
+            hits + misses,
+            convs_1d,
             "every 1D convolution went through the shared path"
         );
     }
@@ -2022,22 +1771,26 @@ mod tests {
     fn spectrum_scratch_evicts_at_the_cap() {
         // A synthetic workload with more distinct signals than the cap:
         // partitioning a tall input produces one key per (row, partition).
-        let rows = TiledConvolver::<SharingDigital>::SPECTRUM_CACHE_CAP + 40;
-        let input = random_matrix(rows, 12, 241);
+        let input = random_matrix(CACHE_CAP + 40, 12, 241);
         let kernel = random_matrix(1, 3, 242);
-        let c = TiledConvolver::new(SharingDigital, 7).unwrap();
-        let (out, stats) = c.correlate2d_valid_with_stats(&input, &kernel).unwrap();
+        let tel = Telemetry::enabled();
+        let c = TiledConvolver::new(SharingDigital, 7)
+            .unwrap()
+            .with_telemetry(tel.clone());
+        let before = tel.snapshot();
+        let out = c.correlate2d_valid(&input, &kernel).unwrap();
         let reference = correlate2d(&input, &kernel, PaddingMode::Valid);
         assert!(max_abs_diff(out.data(), reference.data()) < 1e-10);
         // More transforms computed than the cap holds: eviction happened,
         // results stayed exact, and the counters still balance.
-        assert!(stats.spectrum_misses > TiledConvolver::<SharingDigital>::SPECTRUM_CACHE_CAP);
-        assert_eq!(stats.spectrum_hits + stats.spectrum_misses, stats.convs_1d);
+        let [_, convs_1d, hits, misses] = tallies(&tel, &before);
+        assert!(misses > CACHE_CAP as u64);
+        assert_eq!(hits + misses, convs_1d);
     }
 
     #[test]
     fn prep_cache_evicts_at_the_cap_and_reprepares_correctly() {
-        let cap = TiledConvolver::<CountingPrepEngine>::PREP_CACHE_CAP;
+        let cap = CACHE_CAP;
         let engine = CountingPrepEngine::default();
         let prepares = Arc::clone(&engine.prepares);
         let c = TiledConvolver::new(engine, 64).unwrap();
@@ -2078,11 +1831,11 @@ mod tests {
     }
 
     #[test]
-    fn prep_cache_is_shared_across_clones() {
+    fn prep_cache_is_shared_across_grain_views() {
         let engine = CountingPrepEngine::default();
         let prepares = Arc::clone(&engine.prepares);
         let original = TiledConvolver::new(engine, 20).unwrap();
-        let clone = original.clone();
+        let view = original.at(ParallelGrain::Tile);
 
         let input = random_matrix(5, 5, 1);
         let kernel = random_matrix(3, 3, 2);
@@ -2090,13 +1843,13 @@ mod tests {
         let after_first = prepares.load(std::sync::atomic::Ordering::Relaxed);
         assert!(after_first >= 1);
 
-        // The clone reuses the original's prepared kernel: no new
+        // The view reuses the original's prepared kernel: no new
         // preparations, identical bits out.
-        let b = clone.correlate2d_valid(&input, &kernel).unwrap();
+        let b = view.correlate2d_valid(&input, &kernel).unwrap();
         assert_eq!(
             prepares.load(std::sync::atomic::Ordering::Relaxed),
             after_first,
-            "clone must hit the shared cache"
+            "view must hit the shared cache"
         );
         for (x, y) in a.data().iter().zip(b.data()) {
             assert_eq!(x.to_bits(), y.to_bits());
@@ -2104,9 +1857,9 @@ mod tests {
         // One shared cache, not two copies. (Lengths read one at a time:
         // both handles hold the *same* mutex.)
         let original_len = original.prep_cache.lock().len();
-        let clone_len = clone.prep_cache.lock().len();
-        assert_eq!(original_len, clone_len);
-        assert!(Arc::ptr_eq(&original.prep_cache, &clone.prep_cache));
+        let view_len = view.prep_cache.lock().len();
+        assert_eq!(original_len, view_len);
+        assert!(Arc::ptr_eq(&original.prep_cache, &view.prep_cache));
     }
 
     /// A backend with no prepared fast path at all (the trait defaults).
@@ -2144,12 +1897,14 @@ mod tests {
         // 10 * 6 + 2 * 4 = 68.
         let input = random_matrix(12, 12, 111);
         let kernel = random_matrix(3, 3, 112);
-        let (_, stats) = convolver(7)
-            .correlate2d_same_with_stats(&input, &kernel, EdgeHandling::Wraparound)
+        let tel = Telemetry::enabled();
+        let before = tel.snapshot();
+        convolver(7)
+            .with_telemetry(tel.clone())
+            .correlate2d_same(&input, &kernel, EdgeHandling::Wraparound)
             .unwrap();
-        assert_eq!(stats.convs_1d, 68);
         // Row partitioning slices rows in place: no tiled vectors built.
-        assert_eq!(stats.tiles, 0);
+        assert_eq!(tallies(&tel, &before), [0, 68, 0, 0]);
     }
 
     #[test]
@@ -2157,19 +1912,15 @@ mod tests {
         // Figure 3 setting: 3 tiles for a 5x5 input (see plan tests).
         let input = random_matrix(5, 5, 101);
         let kernel = random_matrix(3, 3, 102);
-        let (_, stats) = convolver(20)
-            .correlate2d_valid_with_stats(&input, &kernel)
-            .unwrap();
-        assert_eq!(stats.convs_1d, 2); // ceil(3 output rows / 2 per conv)
-        assert_eq!(stats.tiles, 2);
-        assert!(stats.micros_per_conv() >= 0.0);
-        let mut merged = ThroughputStats::default();
-        merged.merge(&stats);
-        merged.merge(&stats);
-        assert_eq!(merged.convs_1d, 2 * stats.convs_1d);
-        assert_eq!(
-            merged.spectrum_hits + merged.spectrum_misses,
-            2 * (stats.spectrum_hits + stats.spectrum_misses)
-        );
+        let tel = Telemetry::enabled();
+        let c = convolver(20).with_telemetry(tel.clone());
+        let before = tel.snapshot();
+        c.correlate2d_valid(&input, &kernel).unwrap();
+        // ceil(3 output rows / 2 per conv) tiles, one convolution each.
+        assert_eq!(tallies(&tel, &before), [2, 2, 0, 0]);
+        // The counters accumulate across calls.
+        c.correlate2d_valid(&input, &kernel).unwrap();
+        assert_eq!(tallies(&tel, &before), [4, 4, 0, 0]);
+        assert_eq!(tel.snapshot().counter("tiling.conv2d_calls"), 2);
     }
 }

@@ -49,6 +49,6 @@ pub mod tiler;
 
 pub use engine::{Conv1dEngine, DigitalEngine, PreparedConv1d, PreparedSignal};
 pub use error::TilingError;
-pub use executor::{EdgeHandling, ParallelGrain, ThroughputStats, TiledConvolver};
+pub use executor::{EdgeHandling, ParallelGrain, TiledConvolver};
 pub use plan::{TilingPlan, TilingVariant};
 pub use tiler::{fill_tile_rows, tile_input_rows, tile_kernel};

@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use pf_dsp::conv::{correlate1d, correlate2d, Matrix, PaddingMode};
 use pf_dsp::util::max_abs_diff;
+use pf_telemetry::Telemetry;
 use pf_tiling::{
     Conv1dEngine, DigitalEngine, EdgeHandling, ParallelGrain, PreparedConv1d, PreparedSignal,
     TiledConvolver, TilingPlan,
@@ -255,7 +256,7 @@ proptest! {
         let par = TiledConvolver::new(DigitalEngine, n_conv).unwrap()
             .correlate2d_valid(&input, &kernel).unwrap();
         let ser = TiledConvolver::new(DigitalEngine, n_conv).unwrap()
-            .with_parallel(false)
+            .with_grain(ParallelGrain::Image)
             .correlate2d_valid(&input, &kernel).unwrap();
         for (a, b) in par.data().iter().zip(ser.data()) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
@@ -264,7 +265,7 @@ proptest! {
         let par_prep = TiledConvolver::new(PreparingDigital, n_conv).unwrap()
             .correlate2d_valid(&input, &kernel).unwrap();
         let ser_prep = TiledConvolver::new(PreparingDigital, n_conv).unwrap()
-            .with_parallel(false)
+            .with_grain(ParallelGrain::Image)
             .correlate2d_valid(&input, &kernel).unwrap();
         for (a, b) in par_prep.data().iter().zip(ser_prep.data()) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
@@ -375,7 +376,7 @@ proptest! {
             let par = TiledConvolver::new(PreparingDigital, n_conv).unwrap()
                 .correlate2d_same(&input, &kernel, edges).unwrap();
             let ser = TiledConvolver::new(PreparingDigital, n_conv).unwrap()
-                .with_parallel(false)
+                .with_grain(ParallelGrain::Image)
                 .correlate2d_same(&input, &kernel, edges).unwrap();
             for (a, b) in par.data().iter().zip(ser.data()) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
@@ -409,11 +410,12 @@ proptest! {
             .collect();
 
         // Serial multi-kernel execution takes the seeded branch.
+        let tel = Telemetry::enabled();
         let serial = TiledConvolver::new(BatchSharingDigital, n_conv).unwrap()
-            .with_parallel(false);
-        let (outs, stats) = serial
-            .correlate2d_valid_multi_with_stats(&input, &kernels)
-            .unwrap();
+            .with_grain(ParallelGrain::Image)
+            .with_telemetry(tel.clone());
+        let outs = serial.correlate2d_valid_multi(&input, &kernels).unwrap();
+        let stats = tel.snapshot();
         prop_assert_eq!(outs.len(), references.len());
         for (a, b) in outs.iter().zip(&references) {
             for (x, y) in a.data().iter().zip(b.data()) {
@@ -422,8 +424,10 @@ proptest! {
         }
         // When sharing engaged, seeded transforms were consumed at least
         // once per kernel beyond the producing pre-pass.
-        if stats.spectrum_misses > 0 {
-            prop_assert!(stats.spectrum_hits >= stats.spectrum_misses);
+        if stats.counter("tiling.spectrum_misses") > 0 {
+            prop_assert!(
+                stats.counter("tiling.spectrum_hits") >= stats.counter("tiling.spectrum_misses")
+            );
         }
 
         // And the parallel branches (which do not seed) agree too, under

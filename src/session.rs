@@ -12,6 +12,14 @@
 //! * **analytical** — [`Session::evaluate_performance`] runs the
 //!   architecture simulator on the scenario's network and design point.
 //!
+//! The functional side holds **one** [`TiledConvolver`] and **one**
+//! [`TiledExecutor`]: [`Session::effective_grain`] resolves the parallelism
+//! grain per call and the call runs on a borrowed view at that grain
+//! ([`TiledConvolver::at`] / [`TiledExecutor::at`]), sharing one engine,
+//! one prepared-kernel cache and one telemetry handle. Per-call execution
+//! tallies are read from [`Session::telemetry`] snapshots (`tiling.*`
+//! counters, stage totals).
+//!
 //! "Functional accuracy + analytical performance for one configuration" is
 //! therefore a two-call flow:
 //!
@@ -33,12 +41,12 @@
 use pf_arch::simulator::{NetworkPerformance, Simulator};
 use pf_core::{Backend, BackendSpec, PfError, Scenario};
 use pf_dsp::conv::Matrix;
-use pf_nn::executor::TiledExecutor;
+use pf_nn::executor::{Conv2dExecutor, TiledExecutor};
 use pf_nn::models::small::SmallCnn;
 use pf_nn::models::NetworkSpec;
 use pf_nn::Tensor;
 use pf_telemetry::Telemetry;
-use pf_tiling::{ParallelGrain, ThroughputStats, TiledConvolver};
+use pf_tiling::{ParallelGrain, TiledConvolver};
 use rayon::prelude::*;
 
 /// Builder for [`Session`].
@@ -133,22 +141,16 @@ pub struct Session {
     /// The configured parallelism grain ([`ParallelGrain::Auto`] resolves
     /// per call; see [`Session::effective_grain`]).
     grain: ParallelGrain,
-    /// Tile-dispatching convolver for `conv2d` paths driven serially over
-    /// images.
+    /// The convolver behind the `conv2d` paths; each call runs on a
+    /// borrowed view at its resolved grain ([`TiledConvolver::at`]).
     convolver: TiledConvolver<Box<dyn Backend>>,
-    /// Serial-tile clone of `convolver` (same backend, same prepared-kernel
-    /// cache) for image-grain batch paths that own the thread pool.
-    convolver_serial: TiledConvolver<Box<dyn Backend>>,
-    /// Serial-tile executor for image-grain inference (the caller
-    /// parallelises per image).
+    /// The executor behind the inference paths, likewise viewed per call
+    /// ([`TiledExecutor::at`]).
     executor: TiledExecutor<Box<dyn Backend>>,
-    /// Tile-dispatching clone of `executor` (same backend, same
-    /// prepared-kernel cache) for tile-grain inference over serial images.
-    executor_tiles: TiledExecutor<Box<dyn Backend>>,
     cnn: SmallCnn,
     simulator: Simulator,
-    /// Observability handle shared by every convolver/executor pair (and
-    /// per-request seeded executors). Disabled by default.
+    /// Observability handle shared by the convolver, the executor and
+    /// per-request seeded executors. Disabled by default.
     telemetry: Telemetry,
 }
 
@@ -178,9 +180,9 @@ impl Session {
     }
 
     /// Builds a session with an explicit grain and observability handle
-    /// (see [`SessionBuilder::telemetry`]). Every convolver and executor
-    /// the session owns shares the handle, so one registry collects the
-    /// whole session's stage timings and tiling counters.
+    /// (see [`SessionBuilder::telemetry`]). The session's convolver and
+    /// executor share the handle, so one registry collects the whole
+    /// session's stage timings and tiling counters.
     ///
     /// # Errors
     ///
@@ -199,24 +201,10 @@ impl Session {
         let exec_backend = scenario.backend.instantiate()?;
         let backend_id = conv_backend.id();
         let capacity = scenario.backend.capacity;
-        // One pair of convolver/executor per grain. The pairs are clones:
-        // they share the backend (clones of a stochastic backend share its
-        // noise stream) and the prepared-kernel cache, so no kernel
-        // spectrum is ever prepared twice and warmup covers both. An
-        // explicit `Tile` grain forces tile dispatch past the engine's cost
-        // hint; `Auto` leaves the hint in charge.
-        let tile_grain = if grain == ParallelGrain::Tile {
-            ParallelGrain::Tile
-        } else {
-            ParallelGrain::Auto
-        };
-        let convolver = TiledConvolver::new(conv_backend, capacity)?
-            .with_grain(tile_grain)
-            .with_telemetry(telemetry.clone());
-        let convolver_serial = convolver.clone().with_grain(ParallelGrain::Image);
+        let convolver =
+            TiledConvolver::new(conv_backend, capacity)?.with_telemetry(telemetry.clone());
         let executor = TiledExecutor::new(exec_backend, capacity, scenario.pipeline)?
             .with_telemetry(telemetry.clone());
-        let executor_tiles = executor.clone().with_grain(tile_grain);
         let cnn = SmallCnn::new(
             scenario.functional.input_channels,
             scenario.functional.input_size,
@@ -229,9 +217,7 @@ impl Session {
             backend_id,
             grain,
             convolver,
-            convolver_serial,
             executor,
-            executor_tiles,
             cnn,
             simulator,
             telemetry,
@@ -276,6 +262,18 @@ impl Session {
                 }
             }
             explicit => explicit,
+        }
+    }
+
+    /// The grain handed to the tiling layer for a call over `items` images:
+    /// [`Session::effective_grain`]'s answer, except that a tile-grain
+    /// resolution of `Auto` stays `Auto` down there, so the engine's cost
+    /// hint still keeps memory-bound digital dot products serial. Only an
+    /// explicit `Tile` session forces tile dispatch past the hint.
+    fn tiling_grain(&self, items: usize) -> ParallelGrain {
+        match self.effective_grain(items) {
+            ParallelGrain::Image => ParallelGrain::Image,
+            _ => self.grain,
         }
     }
 
@@ -331,24 +329,8 @@ impl Session {
     /// Returns [`PfError::Tiling`] if the kernel does not fit the input or
     /// the backend capacity.
     pub fn conv2d(&self, input: &Matrix, kernel: &Matrix) -> Result<Matrix, PfError> {
-        Ok(self.pick_convolver(1).correlate2d_valid(input, kernel)?)
-    }
-
-    /// Like [`Session::conv2d`], additionally returning the tiling
-    /// executor's [`ThroughputStats`] (tiles, 1D convolutions, wall time)
-    /// for this convolution.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Session::conv2d`].
-    pub fn conv2d_with_stats(
-        &self,
-        input: &Matrix,
-        kernel: &Matrix,
-    ) -> Result<(Matrix, ThroughputStats), PfError> {
-        Ok(self
-            .pick_convolver(1)
-            .correlate2d_valid_with_stats(input, kernel)?)
+        let convolver = self.convolver.at(self.tiling_grain(1));
+        Ok(convolver.correlate2d_valid(input, kernel)?)
     }
 
     /// Correlates one input against **many kernels of one shape** through
@@ -360,46 +342,17 @@ impl Session {
     /// stochastic CG backend the sensing-noise stream is consumed
     /// tile-by-tile across the kernel set, so results are distributed
     /// identically to — but not bitwise equal to — sequential per-kernel
-    /// calls.
+    /// calls. How often a tile's transform was reused shows up in the
+    /// `tiling.spectrum_hits` / `tiling.spectrum_misses` counters of the
+    /// session's [`Telemetry`] handle.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Session::conv2d`], plus a [`PfError::Tiling`]
     /// error if the kernels differ in shape.
     pub fn conv2d_multi(&self, input: &Matrix, kernels: &[Matrix]) -> Result<Vec<Matrix>, PfError> {
-        Ok(self
-            .pick_convolver(1)
-            .correlate2d_valid_multi(input, kernels)?)
-    }
-
-    /// Like [`Session::conv2d_multi`], additionally returning the
-    /// [`ThroughputStats`] of the whole multi-kernel convolution —
-    /// including the shared-spectrum `spectrum_hits` / `spectrum_misses`
-    /// counters that show how often a tile's transform was reused.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Session::conv2d_multi`].
-    pub fn conv2d_multi_with_stats(
-        &self,
-        input: &Matrix,
-        kernels: &[Matrix],
-    ) -> Result<(Vec<Matrix>, ThroughputStats), PfError> {
-        Ok(self
-            .pick_convolver(1)
-            .correlate2d_valid_multi_with_stats(input, kernels)?)
-    }
-
-    /// The convolver serving a call over `items` images: the serial-tile
-    /// clone when the call runs image-grain (the caller owns the threads),
-    /// the tile-dispatching one otherwise. Both share one backend and one
-    /// prepared-kernel cache, so the choice only moves the parallelism.
-    fn pick_convolver(&self, items: usize) -> &TiledConvolver<Box<dyn Backend>> {
-        if self.effective_grain(items) == ParallelGrain::Image {
-            &self.convolver_serial
-        } else {
-            &self.convolver
-        }
+        let convolver = self.convolver.at(self.tiling_grain(1));
+        Ok(convolver.correlate2d_valid_multi(input, kernels)?)
     }
 
     /// Runs one kernel over a batch of inputs through row tiling.
@@ -419,15 +372,17 @@ impl Session {
     ///
     /// Returns the first per-image error in input order, if any.
     pub fn conv2d_batch(&self, inputs: &[Matrix], kernel: &Matrix) -> Result<Vec<Matrix>, PfError> {
-        if self.is_stochastic() || self.effective_grain(inputs.len()) != ParallelGrain::Image {
+        let grain = self.tiling_grain(inputs.len());
+        let convolver = self.convolver.at(grain);
+        if self.is_stochastic() || grain != ParallelGrain::Image {
             return inputs
                 .iter()
-                .map(|m| Ok(self.convolver.correlate2d_valid(m, kernel)?))
+                .map(|m| Ok(convolver.correlate2d_valid(m, kernel)?))
                 .collect();
         }
         let results: Vec<Result<Matrix, PfError>> = inputs
             .par_iter()
-            .map(|m| Ok(self.convolver_serial.correlate2d_valid(m, kernel)?))
+            .map(|m| Ok(convolver.correlate2d_valid(m, kernel)?))
             .collect();
         results.into_iter().collect()
     }
@@ -441,21 +396,12 @@ impl Session {
     /// Returns [`PfError::Nn`] if the image does not match the scenario's
     /// functional input shape.
     pub fn run_inference(&self, image: &Tensor) -> Result<Tensor, PfError> {
-        let executor = if self.effective_grain(1) == ParallelGrain::Tile {
-            &self.executor_tiles
-        } else {
-            &self.executor
-        };
-        self.infer_on(executor, image)
+        self.infer_on(&self.executor.at(self.tiling_grain(1)), image)
     }
 
     /// One image through the CNN on the given executor (the grain decision
     /// is the caller's).
-    fn infer_on(
-        &self,
-        executor: &TiledExecutor<Box<dyn Backend>>,
-        image: &Tensor,
-    ) -> Result<Tensor, PfError> {
+    fn infer_on(&self, executor: &dyn Conv2dExecutor, image: &Tensor) -> Result<Tensor, PfError> {
         let features = self.cnn.features(image, executor)?;
         let len = features.len();
         Ok(Tensor::new(vec![len], features)?)
@@ -491,15 +437,18 @@ impl Session {
                 .par_iter()
                 .map(|&i| self.run_inference_seeded(&images[i], i as u64))
                 .collect()
-        } else if self.effective_grain(images.len()) == ParallelGrain::Tile {
-            return images
-                .iter()
-                .map(|image| self.infer_on(&self.executor_tiles, image))
-                .collect();
         } else {
+            let grain = self.tiling_grain(images.len());
+            let executor = self.executor.at(grain);
+            if grain != ParallelGrain::Image {
+                return images
+                    .iter()
+                    .map(|image| self.infer_on(&executor, image))
+                    .collect();
+            }
             images
                 .par_iter()
-                .map(|image| self.infer_on(&self.executor, image))
+                .map(|image| self.infer_on(&executor, image))
                 .collect()
         };
         results.into_iter().collect()
@@ -528,9 +477,7 @@ impl Session {
             self.scenario.pipeline,
         )?
         .with_telemetry(self.telemetry.clone());
-        let features = self.cnn.features(image, &executor)?;
-        let len = features.len();
-        Ok(Tensor::new(vec![len], features)?)
+        self.infer_on(&executor, image)
     }
 
     /// Evaluates the scenario's network on the scenario's accelerator
@@ -765,15 +712,17 @@ mod tests {
     fn conv2d_stats_are_exposed() {
         let session = Session::builder()
             .scenario(scenario(BackendKind::JtcIdeal))
+            .telemetry(Telemetry::enabled())
             .build()
             .unwrap();
         let input =
             Matrix::new(32, 32, (0..1024).map(|i| (i as f64 * 0.03).sin()).collect()).unwrap();
         let kernel = Matrix::new(3, 3, vec![0.5; 9]).unwrap();
-        let (out, stats) = session.conv2d_with_stats(&input, &kernel).unwrap();
+        let out = session.conv2d(&input, &kernel).unwrap();
         assert_eq!(out.rows(), 30);
-        assert!(stats.convs_1d > 0);
-        assert!(stats.elapsed_secs() >= 0.0);
+        let stats = session.telemetry().snapshot();
+        assert!(stats.counter("tiling.convs_1d") > 0);
+        assert_eq!(stats.counter("tiling.conv2d_calls"), 1);
     }
 
     #[test]
