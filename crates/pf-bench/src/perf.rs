@@ -1009,7 +1009,7 @@ pub fn run_suite(smoke: bool, with_stages: bool) -> Result<PerfReport, PfError> 
     let (infer_batch, infer_reps) = if smoke { (4, 2) } else { (16, 3) };
     let multi_kernels = 8;
 
-    let mut results = vec![
+    let results = vec![
         conv2d_scenario(BackendKind::Digital, conv_batch, conv_reps, 32)?,
         conv2d_scenario(BackendKind::JtcIdeal, conv_batch, conv_reps, 32)?,
         conv2d_scenario(BackendKind::PhotofourierCg, conv_batch, conv_reps, 32)?,
@@ -1021,19 +1021,9 @@ pub fn run_suite(smoke: bool, with_stages: bool) -> Result<PerfReport, PfError> 
             multi_kernels,
         )?,
         inference_scenario(BackendKind::JtcIdeal, infer_batch, infer_reps)?,
+        inference_scenario(BackendKind::Digital, infer_batch, infer_reps)?,
+        inference_scenario(BackendKind::PhotofourierCg, infer_batch, infer_reps)?,
     ];
-    if !smoke {
-        results.push(inference_scenario(
-            BackendKind::Digital,
-            infer_batch,
-            infer_reps,
-        )?);
-        results.push(inference_scenario(
-            BackendKind::PhotofourierCg,
-            infer_batch,
-            infer_reps,
-        )?);
-    }
 
     let stages = if with_stages {
         Some(stage_breakdown(smoke)?)

@@ -282,6 +282,10 @@ impl Conv1dEngine for Box<dyn Backend> {
     fn prepare_kernel(&self, kernel: &[f64], signal_len: usize) -> Option<Arc<dyn PreparedConv1d>> {
         (**self).prepare_kernel(kernel, signal_len)
     }
+
+    fn bind_prepared(&self, cached: Arc<dyn PreparedConv1d>) -> Arc<dyn PreparedConv1d> {
+        (**self).bind_prepared(cached)
+    }
 }
 
 /// [`Backend`] wrapper around the exact digital reference.
@@ -338,6 +342,10 @@ impl Conv1dEngine for JtcBackend {
 
     fn prepare_kernel(&self, kernel: &[f64], signal_len: usize) -> Option<Arc<dyn PreparedConv1d>> {
         self.engine.prepare_kernel(kernel, signal_len)
+    }
+
+    fn bind_prepared(&self, cached: Arc<dyn PreparedConv1d>) -> Arc<dyn PreparedConv1d> {
+        self.engine.bind_prepared(cached)
     }
 }
 

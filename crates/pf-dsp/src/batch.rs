@@ -233,7 +233,7 @@ impl RealFftPlan {
                 }
                 process_rows(half_plan, scratch, false)?;
                 for (packed, spec) in scratch.chunks_exact(m).zip(out.chunks_exact_mut(sl)) {
-                    self.unpack_half(packed, spec);
+                    self.unpack_bins(packed, 0..=m, spec);
                 }
             }
             RealKernel::OddFull => {
@@ -292,7 +292,7 @@ impl RealFftPlan {
         }
         if r < rows {
             let row = &inputs[r * row_len..(r + 1) * row_len];
-            self.forward_real_core(row, scratch, &mut out[r * sl..(r + 1) * sl])?;
+            self.forward_real_core(row, 0..=self.n / 2, scratch, &mut out[r * sl..(r + 1) * sl])?;
         }
         Ok(())
     }

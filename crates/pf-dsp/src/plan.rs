@@ -21,7 +21,9 @@
 //! * [`RealFftPlan`] — real-input transforms returning the non-redundant
 //!   half spectrum (bins `0..=n/2`). Even lengths use the classic packing
 //!   trick (one `n/2`-point complex FFT plus an O(n) unpacking pass); odd
-//!   lengths fall back to a full-length complex transform. The
+//!   lengths fall back to a full-length complex transform.
+//!   [`RealFftPlan::forward_real_bins_into`] evaluates the unpacking pass
+//!   over a selected bin range only (bit-identical per bin). The
 //!   two-for-one pair API ([`RealFftPlan::forward_real_pair_into`]) packs
 //!   *two* real signals into one full-length complex transform — the win
 //!   for odd lengths, where no half-length trick exists.
@@ -37,6 +39,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::RangeInclusive;
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
@@ -725,23 +728,57 @@ impl RealFftPlan {
         scratch: &mut Vec<Complex>,
         out: &mut Vec<Complex>,
     ) -> Result<(), DspError> {
+        self.forward_real_bins_into(input, 0..=self.n / 2, scratch, out)
+    }
+
+    /// Computes only bins `bins` (a sub-range of `0..=n/2`) of the
+    /// `n`-point DFT of `input`: `out[i]` receives bin `bins.start() + i`.
+    ///
+    /// The transform itself runs in full; what shrinks is the even-length
+    /// unpacking pass, which is evaluated over the requested bins alone —
+    /// the saving for callers that read a narrow window of the spectrum
+    /// (the JTC's second lens reads only the correlation lobe). Each
+    /// produced bin is **bit-identical** to the same bin of
+    /// [`forward_real_into`](Self::forward_real_into), which is this call
+    /// over the full range.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DspError::InvalidLength`] if `input` is longer than the
+    /// plan length, if the range is inverted (`start > end`) or if it
+    /// reaches past bin `n/2`.
+    pub fn forward_real_bins_into(
+        &self,
+        input: &[f64],
+        bins: RangeInclusive<usize>,
+        scratch: &mut Vec<Complex>,
+        out: &mut Vec<Complex>,
+    ) -> Result<(), DspError> {
         if input.len() > self.n {
             return Err(DspError::InvalidLength {
                 len: input.len(),
                 requirement: "real FFT input must not exceed the plan length",
             });
         }
+        if bins.start() > bins.end() || *bins.end() >= self.spectrum_len() {
+            return Err(DspError::InvalidLength {
+                len: *bins.end(),
+                requirement: "spectrum bin range must be ordered and lie within 0..=n/2",
+            });
+        }
         out.clear();
-        out.resize(self.spectrum_len(), Complex::ZERO);
-        self.forward_real_core(input, scratch, out)
+        out.resize(bins.end() - bins.start() + 1, Complex::ZERO);
+        self.forward_real_core(input, bins, scratch, out)
     }
 
-    /// One real forward transform into a pre-sized output slice
-    /// (`spectrum_len()` bins). Shared by the single, batched and
-    /// packed-tail paths so they are bit-identical by construction.
+    /// One real forward transform into a pre-sized output slice (one slot
+    /// per requested bin; `bins` must lie within `0..=n/2`). Shared by the
+    /// single, selected-bins, batched and packed-tail paths so they are
+    /// bit-identical by construction.
     pub(crate) fn forward_real_core(
         &self,
         input: &[f64],
+        bins: RangeInclusive<usize>,
         scratch: &mut Vec<Complex>,
         out: &mut [Complex],
     ) -> Result<(), DspError> {
@@ -769,7 +806,7 @@ impl RealFftPlan {
                 }
                 scratch.resize(m, Complex::ZERO);
                 half_plan.process(scratch, false)?;
-                self.unpack_half(scratch, out);
+                self.unpack_bins(scratch, bins, out);
             }
             RealKernel::OddFull => {
                 scratch.clear();
@@ -778,17 +815,24 @@ impl RealFftPlan {
                     scratch.push(Complex::from_real(at(j)));
                 }
                 self.full_plan.process(scratch, false)?;
-                out.copy_from_slice(&scratch[..self.spectrum_len()]);
+                out.copy_from_slice(&scratch[bins]);
             }
         }
         Ok(())
     }
 
-    /// Unpacks a packed even transform: `X[k] = E[k] + w_n^k · O[k]` with
-    /// `E`/`O` the spectra of the even/odd subsequences recovered from the
-    /// packed half-length transform.
-    pub(crate) fn unpack_half(&self, packed: &[Complex], out: &mut [Complex]) {
+    /// Unpacks bins `bins` of a packed even transform into `out` (one slot
+    /// per bin): `X[k] = E[k] + w_n^k · O[k]` with `E`/`O` the spectra of
+    /// the even/odd subsequences recovered from the packed half-length
+    /// transform. A bin's value does not depend on which range asked for it.
+    pub(crate) fn unpack_bins(
+        &self,
+        packed: &[Complex],
+        bins: RangeInclusive<usize>,
+        out: &mut [Complex],
+    ) {
         let m = self.n / 2;
+        let (lo, hi) = (*bins.start(), *bins.end());
         let combine = |zk: Complex, zmk: Complex, w: Complex| {
             let even = (zk + zmk).scale(0.5);
             let odd_times_i = (zk - zmk).scale(0.5);
@@ -798,11 +842,15 @@ impl RealFftPlan {
         };
         // Bins 0 and m both wrap to packed[0]; interior bins pair k with
         // m - k directly, keeping the hot loop free of modular reductions.
-        out[0] = combine(packed[0], packed[0].conj(), self.unpack[0]);
-        for k in 1..m {
-            out[k] = combine(packed[k], packed[m - k].conj(), self.unpack[k]);
+        if lo == 0 {
+            out[0] = combine(packed[0], packed[0].conj(), self.unpack[0]);
         }
-        out[m] = combine(packed[0], packed[0].conj(), self.unpack[m]);
+        for k in lo.max(1)..(hi + 1).min(m) {
+            out[k - lo] = combine(packed[k], packed[m - k].conj(), self.unpack[k]);
+        }
+        if hi == m {
+            out[m - lo] = combine(packed[0], packed[0].conj(), self.unpack[m]);
+        }
     }
 
     /// Two-for-one packed transform: computes the half spectra of **two**

@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::complex::Complex;
 
 /// How often the scratch arena has (re)allocated: `grows` counts borrows
-/// in which any of the four buffers grew its capacity inside the closure —
+/// in which any of the three buffers grew its capacity inside the closure —
 /// i.e. the steady state was *not* allocation-free — and `borrows` counts
 /// every [`with_spectrum_scratch`] call. A warmed-up pipeline should hold
 /// `grows` flat while `borrows` climbs; the serving stack surfaces both as
@@ -55,10 +55,9 @@ pub fn scratch_stats() -> ScratchStats {
 pub struct SpectrumScratch {
     /// Packed-input scratch for [`crate::plan::RealFftPlan::forward_real_into`].
     pub fft: Vec<Complex>,
-    /// Half-spectrum working buffer (e.g. the joint spectrum of a JTC pass).
-    pub half_a: Vec<Complex>,
-    /// Second half-spectrum working buffer (e.g. the output-plane field).
-    pub half_b: Vec<Complex>,
+    /// Half-spectrum working buffer (e.g. the joint spectrum of a JTC pass,
+    /// then the output-plane bins of its correlation lobe).
+    pub half: Vec<Complex>,
     /// Real-valued working buffer (e.g. a square-law intensity sequence).
     pub real: Vec<f64>,
 }
@@ -94,15 +93,13 @@ pub fn with_spectrum_scratch<R>(f: impl FnOnce(&mut SpectrumScratch) -> R) -> R 
         SCRATCH_BORROWS.fetch_add(1, Ordering::Relaxed);
         let before = (
             scratch.fft.capacity(),
-            scratch.half_a.capacity(),
-            scratch.half_b.capacity(),
+            scratch.half.capacity(),
             scratch.real.capacity(),
         );
         let out = f(&mut scratch);
         let grew = scratch.fft.capacity() > before.0
-            || scratch.half_a.capacity() > before.1
-            || scratch.half_b.capacity() > before.2
-            || scratch.real.capacity() > before.3;
+            || scratch.half.capacity() > before.1
+            || scratch.real.capacity() > before.2;
         if grew {
             SCRATCH_GROWS.fetch_add(1, Ordering::Relaxed);
         }
@@ -119,12 +116,12 @@ mod tests {
         with_spectrum_scratch(|s| {
             s.real.clear();
             s.real.resize(1024, 1.0);
-            s.half_a.clear();
-            s.half_a.resize(64, Complex::ZERO);
+            s.half.clear();
+            s.half.resize(64, Complex::ZERO);
         });
         with_spectrum_scratch(|s| {
             assert!(s.real.capacity() >= 1024);
-            assert!(s.half_a.capacity() >= 64);
+            assert!(s.half.capacity() >= 64);
         });
     }
 

@@ -9,8 +9,8 @@
 //!   Bluestein, packed-real, two-for-one pair, batched — matches the
 //!   oracle within `1e-9`;
 //! * where the docs claim bit-identity (free fft vs. shared plan, batched
-//!   vs. per-row execution, batched real vs. serial real), results match
-//!   **bit for bit**;
+//!   vs. per-row execution, batched real vs. serial real, selected bins
+//!   vs. the full real transform), results match **bit for bit**;
 //! * structural invariants: forward∘inverse round-trips, Parseval.
 
 use pf_dsp::batch::BatchFftPlan;
@@ -225,5 +225,58 @@ proptest! {
     #[test]
     fn inverse_matches_the_oracle(x in complex_signal()) {
         assert_close(&ifft(&x).unwrap(), &oracle(&x, true), "free inverse");
+    }
+}
+
+/// The selected-bins real transform, on every real length above (packed
+/// even with mixed-radix and Bluestein half plans, full odd): each bin of
+/// each range — `{0}`, `{n/2}`, single interior bins, the full range and
+/// everything between — is bit-identical to the same bin of
+/// `forward_real_into` and within tolerance of the oracle.
+#[test]
+fn selected_bins_match_the_full_transform_and_the_oracle() {
+    for &n in REAL_LENGTHS {
+        let x: Vec<f64> = (0..n)
+            .map(|j| ((j * j + 3 * j) as f64 * 0.37).sin() * 0.9)
+            .collect();
+        let plan = RealFftPlan::shared(n).unwrap();
+        let (mut scratch, mut full, mut bins) = (Vec::new(), Vec::new(), Vec::new());
+        plan.forward_real_into(&x, &mut scratch, &mut full).unwrap();
+        let as_complex: Vec<Complex> = x.iter().map(|&v| Complex::from_real(v)).collect();
+        let reference = oracle(&as_complex, false);
+        for lo in 0..=n / 2 {
+            for hi in lo..=n / 2 {
+                plan.forward_real_bins_into(&x, lo..=hi, &mut scratch, &mut bins)
+                    .unwrap();
+                let what = format!("n={n} bins {lo}..={hi}");
+                assert_bits(&bins, &full[lo..=hi], &what);
+                assert_close(&bins, &reference[lo..=hi], &what);
+            }
+        }
+    }
+}
+
+/// Ranges reaching past bin `n/2`, inverted ranges and over-long inputs are
+/// rejected, on the packed and the full-length path alike.
+#[test]
+fn selected_bins_reject_bad_ranges() {
+    for n in [12usize, 14, 9] {
+        let plan = RealFftPlan::shared(n).unwrap();
+        let x = vec![0.5; n];
+        let (mut scratch, mut out) = (Vec::new(), Vec::new());
+        let half = n / 2;
+        let inverted = std::ops::RangeInclusive::new(3, 2);
+        for bad in [0..=half + 1, half + 1..=half + 1, inverted, half..=n] {
+            assert!(
+                matches!(
+                    plan.forward_real_bins_into(&x, bad.clone(), &mut scratch, &mut out),
+                    Err(pf_dsp::DspError::InvalidLength { .. })
+                ),
+                "n={n} range {bad:?} must be rejected"
+            );
+        }
+        assert!(plan
+            .forward_real_bins_into(&vec![0.0; n + 1], 0..=0, &mut scratch, &mut out)
+            .is_err());
     }
 }

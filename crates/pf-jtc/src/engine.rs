@@ -11,6 +11,7 @@
 //!   accumulation defers the read-out, which is exactly the mechanism that
 //!   restores accuracy in Figure 7.
 
+use std::any::Any;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -156,7 +157,10 @@ impl JtcEngine {
     ///
     /// Noisy engines hand the prepared kernel a reference to their own
     /// sensing-noise stream, so the prepared path consumes exactly the
-    /// stream the unprepared path would.
+    /// stream the unprepared path would. Preparation itself draws no noise
+    /// (DAC quantisation and the kernel spectrum are pure), which is what
+    /// lets [`Conv1dEngine::bind_prepared`] re-bind another engine's
+    /// prepared kernel to this engine's stream.
     ///
     /// [`PreparedKernel::correlate`] then runs the engine's full signal
     /// chain (DAC quantisation, sensing noise, ADC quantisation) — equivalent
@@ -267,6 +271,20 @@ impl Conv1dEngine for JtcEngine {
         self.prepare(kernel, signal_len)
             .ok()
             .map(|p| Arc::new(p) as Arc<dyn PreparedConv1d>)
+    }
+
+    fn bind_prepared(&self, cached: Arc<dyn PreparedConv1d>) -> Arc<dyn PreparedConv1d> {
+        // Preparation draws no noise, so a kernel another engine of this
+        // configuration prepared differs from ours only in the stream it
+        // is bound to. Deterministic engines bind nothing.
+        let Some(noise) = &self.noise else {
+            return cached;
+        };
+        match (&*cached as &dyn Any).downcast_ref::<PreparedKernel>() {
+            Some(kernel) => Arc::new(kernel.bound_to(Some(Arc::clone(noise)))),
+            // Not ours (a wrapping engine's handle): nothing to re-bind.
+            None => cached,
+        }
     }
 }
 

@@ -20,7 +20,8 @@
 //! * the square-law intensity of a real input's spectrum is symmetric
 //!   (`I[n-k] = I[k]`), so the second lens is again a real-input
 //!   half-spectrum FFT, and only the bins the correlation lobe occupies are
-//!   ever read;
+//!   ever read — so only those bins are unpacked
+//!   ([`RealFftPlan::forward_real_bins_into`]);
 //! * the signal's half-spectrum is itself reusable: a CNN layer correlates
 //!   each input tile against **many** kernels (one per output channel, two
 //!   with pseudo-negative splitting), and `F[s]` does not depend on the
@@ -35,8 +36,10 @@
 //!   plan over N planar rows, bit-identical per row to the one-at-a-time
 //!   path.
 //!
-//! [`PreparedKernel`] layers the engine's DAC/ADC quantisation (and, for
-//! noisy engines, the shared sensing-noise stream) on top and plugs into
+//! [`PreparedKernel`] layers the engine's DAC/ADC quantisation on top —
+//! still deterministic, so shareable between engines of one configuration
+//! — plus, for noisy engines, a binding to one engine's sensing-noise
+//! stream, and plugs into
 //! row tiling through [`pf_tiling::PreparedConv1d`], including the
 //! signal-sharing half of that trait
 //! ([`prepare_signal`](pf_tiling::PreparedConv1d::prepare_signal) /
@@ -312,7 +315,7 @@ impl PreparedSpectrum {
             // First lens on the signal alone, directly into the joint
             // buffer; the kernel spectrum is added in place.
             self.plan
-                .forward_real_into(signal, &mut s.fft, &mut s.half_a)?;
+                .forward_real_into(signal, &mut s.fft, &mut s.half)?;
             mark(&mut acc, Stage::SignalFft);
             self.finish(s, acc)
         })
@@ -354,15 +357,15 @@ impl PreparedSpectrum {
             return Ok(Vec::new());
         }
         with_spectrum_scratch(|s| {
-            // Byte-copy of the shared transform: `half_a` then holds exactly
+            // Byte-copy of the shared transform: `half` then holds exactly
             // the bits the unshared path's signal FFT would produce.
-            s.half_a.clear();
-            s.half_a.extend_from_slice(&spectrum.half_spec);
+            s.half.clear();
+            s.half.extend_from_slice(&spectrum.half_spec);
             self.finish(s, acc)
         })
     }
 
-    /// The shared tail of both chain bodies: `s.half_a` holds the signal's
+    /// The shared tail of both chain bodies: `s.half` holds the signal's
     /// half spectrum; adds the kernel spectrum, takes the square-law
     /// intensity (`spectrum_apply`), then runs the second lens and extracts
     /// the correlation lobe (`inverse`).
@@ -371,15 +374,12 @@ impl PreparedSpectrum {
         s: &mut SpectrumScratch,
         mut acc: Option<&mut StageAcc>,
     ) -> Result<Vec<f64>, JtcError> {
-        let SpectrumScratch {
-            fft,
-            half_a,
-            half_b,
-            real,
-        } = s;
-        self.apply_kernel_spectrum(half_a, real);
+        let SpectrumScratch { fft, half, real } = s;
+        self.apply_kernel_spectrum(half, real);
         mark(&mut acc, Stage::SpectrumApply);
-        let out = self.second_lens(real, fft, half_b)?;
+        // The joint spectrum is spent once the intensity exists, so its
+        // buffer takes the lobe bins.
+        let out = self.second_lens(real, fft, half)?;
         mark(&mut acc, Stage::Inverse);
         Ok(out)
     }
@@ -405,51 +405,61 @@ impl PreparedSpectrum {
         }
     }
 
-    /// Second lens (again a real input); normalises the double-transform
-    /// gain of N and extracts the correlation lobe, which lives at indices
-    /// `d-len+1..=d`, all within the produced half spectrum (`d < n/2` by
-    /// construction).
+    /// Second lens (again a real input), evaluated only where it is read:
+    /// the correlation lobe lives at output-plane bins `d-len+1..=d`, all
+    /// within the half spectrum (`d < n/2` by construction), so the
+    /// transform's unpacking pass runs over those bins alone. Normalises
+    /// the double-transform gain of N; lobe sample `j` is bin `d - j`.
     fn second_lens(
         &self,
         intensity: &[f64],
         fft_scratch: &mut Vec<Complex>,
-        field_half: &mut Vec<Complex>,
+        lobe: &mut Vec<Complex>,
     ) -> Result<Vec<f64>, JtcError> {
-        self.plan
-            .forward_real_into(intensity, fft_scratch, field_half)?;
         let len = self.signal_len - self.kernel_len + 1;
+        self.plan.forward_real_bins_into(
+            intensity,
+            self.d + 1 - len..=self.d,
+            fft_scratch,
+            lobe,
+        )?;
         let inv_n = 1.0 / self.n as f64;
-        Ok((0..len)
-            .map(|j| field_half[self.d - j].re * inv_n)
-            .collect())
+        Ok(lobe.iter().rev().map(|z| z.re * inv_n).collect())
     }
 }
 
-/// An engine-level prepared kernel: the optics-level [`PreparedSpectrum`]
-/// plus the mixed-signal state of the [`JtcEngine`](crate::engine::JtcEngine)
-/// that prepared it — DAC/ADC quantisation and, for noisy engines, a handle
-/// to the engine's seeded sensing-noise stream.
+/// An engine-level prepared kernel, in two halves. The **deterministic
+/// half** — the optics-level [`PreparedSpectrum`] (behind an `Arc`), the
+/// kernel's DAC scale and copies of the engine's DAC/ADC — is a pure
+/// function of the kernel and the engine configuration, so any engine of
+/// that configuration can share it. The **noise binding** is per engine: a
+/// handle to the seeded sensing-noise stream of the
+/// [`JtcEngine`](crate::engine::JtcEngine) this kernel draws from (`None`
+/// for deterministic engines).
+/// [`Conv1dEngine::bind_prepared`](pf_tiling::Conv1dEngine::bind_prepared)
+/// swaps the binding and keeps the half.
 ///
 /// Implements [`pf_tiling::PreparedConv1d`], so row tiling can reuse it
 /// across every tile of a convolution — and, through the convolver's
-/// prepared-kernel cache, across every image of a batch. Noisy engines'
-/// prepared kernels draw their per-call noise from the **engine's** stream
-/// in call order, so under a fixed seed the cached-spectrum path replays
-/// bit-identically to preparing the kernel afresh on every call; call order
-/// stays serial because the engine reports
+/// prepared-kernel cache, across every image of a batch and every seeded
+/// engine sharing that cache. Noisy engines' prepared kernels draw their
+/// per-call noise from the **bound engine's** stream in call order, so
+/// under a fixed seed the cached-spectrum path replays bit-identically to
+/// preparing the kernel afresh on every call; call order stays serial
+/// because the engine reports
 /// [`is_deterministic`](pf_tiling::Conv1dEngine::is_deterministic)` == false`.
 #[derive(Debug, Clone)]
 pub struct PreparedKernel {
-    spectrum: PreparedSpectrum,
+    spectrum: Arc<PreparedSpectrum>,
     /// Scale undoing the kernel's pre-DAC normalisation.
     k_scale: f64,
     /// Copy of the engine's input DAC (quantises incoming signals).
     dac: Option<Dac>,
     /// Copy of the engine's output ADC.
     adc: Option<Adc>,
-    /// The preparing engine's sensing-noise stream (shared, not copied:
-    /// the prepared path must consume the same stream the unprepared
-    /// engine paths do).
+    /// The bound engine's sensing-noise stream (shared, not copied: the
+    /// prepared path must consume the same stream the unprepared engine
+    /// paths do).
     noise: Option<Arc<Mutex<SensingNoise>>>,
 }
 
@@ -478,11 +488,22 @@ impl PreparedKernel {
         noise: Option<Arc<Mutex<SensingNoise>>>,
     ) -> Self {
         Self {
-            spectrum,
+            spectrum: Arc::new(spectrum),
             k_scale,
             dac,
             adc,
             noise,
+        }
+    }
+
+    /// The same deterministic half drawing from another noise stream: what
+    /// [`JtcEngine::prepare`](crate::engine::JtcEngine::prepare) on the
+    /// engine owning `noise` would return for this kernel, without the
+    /// preparation.
+    pub(crate) fn bound_to(&self, noise: Option<Arc<Mutex<SensingNoise>>>) -> Self {
+        Self {
+            noise,
+            ..self.clone()
         }
     }
 

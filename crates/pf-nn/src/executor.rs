@@ -195,6 +195,25 @@ impl<E: Conv1dEngine> TiledExecutor<E> {
         }
     }
 
+    /// A view of this executor driving **another engine** of the same
+    /// configuration (for a stochastic backend: another noise seed), with
+    /// this executor's pipeline, grain, prepared-kernel cache and telemetry
+    /// handle ([`TiledConvolver::on`]). A per-request seeded engine run
+    /// through such a view re-uses every kernel preparation the cache
+    /// already holds and adds its own to it; its results are bit-identical
+    /// to running it on a fresh executor of its own.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::Tiling`] if `engine` cannot hold this executor's
+    /// 1D capacity.
+    pub fn on<F: Conv1dEngine>(&self, engine: F) -> Result<TiledExecutor<F>, NnError> {
+        Ok(TiledExecutor {
+            convolver: self.convolver.on(engine)?,
+            config: self.config,
+        })
+    }
+
     /// The parallelism grain of the inner convolver.
     pub fn grain(&self) -> ParallelGrain {
         self.convolver.grain()

@@ -6,6 +6,7 @@
 //! photonic JTC backend (with square-law detection, quantisation and noise)
 //! lives in `pf-jtc`.
 
+use std::any::Any;
 use std::fmt::Debug;
 use std::sync::Arc;
 
@@ -75,6 +76,19 @@ pub trait Conv1dEngine: Debug + Sync {
         let _ = (kernel, signal_len);
         None
     }
+
+    /// Binds a prepared kernel taken from a prepared-kernel cache to *this*
+    /// engine's per-engine state, so one cache can serve several engines of
+    /// one configuration ([`TiledConvolver::on`](crate::TiledConvolver::on)).
+    /// `cached` may have been prepared by a different engine.
+    ///
+    /// Engines whose prepared kernels carry no such state return `cached`
+    /// unchanged (the default). A stochastic engine returns a kernel that
+    /// reads the same deterministic preparation but draws from its **own**
+    /// noise stream, exactly as if it had prepared the kernel itself.
+    fn bind_prepared(&self, cached: Arc<dyn PreparedConv1d>) -> Arc<dyn PreparedConv1d> {
+        cached
+    }
 }
 
 /// An engine-specific transform of one *signal*, reusable across every
@@ -91,8 +105,9 @@ pub trait PreparedSignal: Debug + Send + Sync {
 }
 
 /// A kernel prepared by [`Conv1dEngine::prepare_kernel`]: correlates one
-/// fixed kernel against many signals of one fixed length.
-pub trait PreparedConv1d: Debug + Send + Sync {
+/// fixed kernel against many signals of one fixed length. [`Any`] lets the
+/// owning engine recognise its own type in [`Conv1dEngine::bind_prepared`].
+pub trait PreparedConv1d: Any + Debug + Send + Sync {
     /// The signal length this kernel was prepared for.
     fn signal_len(&self) -> usize;
 
@@ -320,6 +335,10 @@ impl<E: Conv1dEngine + ?Sized> Conv1dEngine for &E {
 
     fn prepare_kernel(&self, kernel: &[f64], signal_len: usize) -> Option<Arc<dyn PreparedConv1d>> {
         (**self).prepare_kernel(kernel, signal_len)
+    }
+
+    fn bind_prepared(&self, cached: Arc<dyn PreparedConv1d>) -> Arc<dyn PreparedConv1d> {
+        (**self).bind_prepared(cached)
     }
 }
 

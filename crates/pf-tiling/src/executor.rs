@@ -34,7 +34,10 @@
 //!   bits and the tile length) so repeated convolutions with the same
 //!   weights — every image of a batch — skip the per-kernel work entirely.
 //!   Engines report [`Conv1dEngine::prepares_kernels`] so engines without a
-//!   fast path never pay the cache-key hashing;
+//!   fast path never pay the cache-key hashing. One cache can serve several
+//!   engines of one configuration ([`TiledConvolver::on`] — per-request
+//!   seeded engines of a stochastic backend): a hit is bound to the calling
+//!   engine's own state through [`Conv1dEngine::bind_prepared`];
 //! * the multi-kernel entry points
 //!   ([`TiledConvolver::correlate2d_valid_multi`] /
 //!   [`TiledConvolver::correlate2d_same_multi`]) correlate **each input
@@ -65,9 +68,10 @@
 //!   The grain is a per-call choice: [`TiledConvolver::at`] hands out a
 //!   borrowed view of one convolver (same engine, same prepared-kernel
 //!   cache, same telemetry) at another [`ParallelGrain`];
-//! * per-call tallies (tiles, 1D convolutions, spectrum reuse) are flushed
-//!   into the `tiling.*` counters of the attached [`Telemetry`] handle;
-//!   read them from a snapshot (`docs/PERFORMANCE.md` has the recipe).
+//! * per-call tallies (tiles, 1D convolutions, spectrum reuse, kernel
+//!   preparations) are flushed into the `tiling.*` counters of the attached
+//!   [`Telemetry`] handle; read them from a snapshot (`docs/PERFORMANCE.md`
+//!   has the recipe).
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -191,14 +195,17 @@ type PrepMap = HashMap<PrepKey, Option<Arc<dyn PreparedConv1d>>>;
 type SigKey = (isize, usize, usize);
 
 /// The per-call shared signal-transform scratch: transforms keyed by signal
-/// position, plus the reuse tallies flushed into `tiling.spectrum_hits` /
-/// `tiling.spectrum_misses`. Best-effort under parallel dispatch (two
-/// workers may compute the same transform concurrently).
+/// position, plus the tallies flushed into `tiling.spectrum_hits` /
+/// `tiling.spectrum_misses` / `tiling.kernel_prepares` when the call ends.
+/// Best-effort under parallel dispatch (two workers may compute the same
+/// transform concurrently).
 #[derive(Debug, Default)]
 struct SignalScratch {
     map: HashMap<SigKey, Arc<dyn PreparedSignal>>,
     hits: usize,
     misses: usize,
+    /// Prepared-kernel cache misses that ran the engine's `prepare_kernel`.
+    kernel_prepares: usize,
 }
 
 /// One kernel's per-call 1D execution state: the tiled kernel vector and
@@ -237,7 +244,7 @@ pub struct TiledConvolver<E> {
     /// tallies into the `tiling.*` counters.
     telemetry: Telemetry,
     /// The `tiling.*` counter handles, resolved once when the telemetry
-    /// handle is attached: the per-2D-call flush must not pay five
+    /// handle is attached: the per-2D-call flush must not pay six
     /// name-lookup allocations.
     counters: TilingCounters,
 }
@@ -250,6 +257,7 @@ struct TilingCounters {
     convs_1d: Counter,
     spectrum_hits: Counter,
     spectrum_misses: Counter,
+    kernel_prepares: Counter,
     conv2d_calls: Counter,
 }
 
@@ -260,6 +268,7 @@ impl TilingCounters {
             convs_1d: tel.counter("tiling.convs_1d"),
             spectrum_hits: tel.counter("tiling.spectrum_hits"),
             spectrum_misses: tel.counter("tiling.spectrum_misses"),
+            kernel_prepares: tel.counter("tiling.kernel_prepares"),
             conv2d_calls: tel.counter("tiling.conv2d_calls"),
         }
     }
@@ -281,14 +290,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
                 required: 1,
             });
         }
-        if let Some(max) = engine.max_signal_len() {
-            if n_conv > max {
-                return Err(TilingError::CapacityTooSmall {
-                    n_conv: max,
-                    required: n_conv,
-                });
-            }
-        }
+        check_capacity(&engine, n_conv)?;
         Ok(Self {
             engine,
             n_conv,
@@ -302,9 +304,9 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
     /// Attaches a telemetry handle. With a disabled handle (the default)
     /// execution is byte-for-byte the untraced path; with an enabled handle
     /// 1D convolutions report per-stage time and each 2D call flushes its
-    /// tallies (tiles, 1D convolutions, spectrum reuse) into the `tiling.*`
-    /// counters. Results are bit-identical either way — tracing observes,
-    /// never perturbs.
+    /// tallies (tiles, 1D convolutions, spectrum reuse, kernel preparations)
+    /// into the `tiling.*` counters. Results are bit-identical either way —
+    /// tracing observes, never perturbs.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.set_telemetry(telemetry);
         self
@@ -339,9 +341,34 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
     /// a few reference-count bumps.
     pub fn at(&self, grain: ParallelGrain) -> TiledConvolver<&E> {
         TiledConvolver {
-            engine: &self.engine,
-            n_conv: self.n_conv,
             grain,
+            ..self.view(&self.engine)
+        }
+    }
+
+    /// A view of this convolver driving **another engine** — same capacity,
+    /// grain, prepared-kernel cache and telemetry handle. `engine` must
+    /// prepare kernels interchangeably with this convolver's own: the same
+    /// configuration up to per-engine state such as a noise seed. Whatever
+    /// either engine prepares, the other reads from the one cache through
+    /// [`Conv1dEngine::bind_prepared`], so a per-request seeded engine pays
+    /// for its noise stream only, never for the deterministic preparations.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TilingError::CapacityTooSmall`] if this convolver's
+    /// capacity exceeds `engine`'s maximum signal length.
+    pub fn on<F: Conv1dEngine>(&self, engine: F) -> Result<TiledConvolver<F>, TilingError> {
+        check_capacity(&engine, self.n_conv)?;
+        Ok(self.view(engine))
+    }
+
+    /// The shared body of [`TiledConvolver::at`] and [`TiledConvolver::on`].
+    fn view<F>(&self, engine: F) -> TiledConvolver<F> {
+        TiledConvolver {
+            engine,
+            n_conv: self.n_conv,
+            grain: self.grain,
             prep_cache: Arc::clone(&self.prep_cache),
             telemetry: self.telemetry.clone(),
             counters: self.counters.clone(),
@@ -528,6 +555,9 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
             self.counters.convs_1d.add(convs as u64);
             self.counters.spectrum_hits.add(scratch.hits as u64);
             self.counters.spectrum_misses.add(scratch.misses as u64);
+            self.counters
+                .kernel_prepares
+                .add(scratch.kernel_prepares as u64);
             self.counters.conv2d_calls.inc();
         }
         Ok(outs)
@@ -552,26 +582,41 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
     }
 
     /// Looks up (or builds) the prepared form of `kernel` for tiles of
-    /// `signal_len` samples. `None` means the engine has no fast path.
-    fn prepared(&self, kernel: &[f64], signal_len: usize) -> Option<Arc<dyn PreparedConv1d>> {
+    /// `signal_len` samples. `None` means the engine has no fast path. A
+    /// cached entry may come from another engine sharing the cache
+    /// ([`TiledConvolver::on`]), so hits are bound to this engine; a miss
+    /// is tallied on the call's `scratch` (`tiling.kernel_prepares`).
+    fn prepared(
+        &self,
+        kernel: &[f64],
+        signal_len: usize,
+        scratch: &Mutex<SignalScratch>,
+    ) -> Option<Arc<dyn PreparedConv1d>> {
         if !self.engine.prepares_kernels() {
             // Building and hashing the bit-pattern key costs more than a
             // short dot product; engines without a fast path skip it.
             return None;
         }
         let key: PrepKey = (signal_len, kernel.iter().map(|v| v.to_bits()).collect());
-        if let Some(entry) = self.prep_cache.lock().get(&key) {
-            return entry.clone();
+        let cached = self.prep_cache.lock().get(&key).cloned();
+        if let Some(entry) = cached {
+            return entry.map(|prep| self.engine.bind_prepared(prep));
         }
         // Build outside the lock: preparation may run an FFT.
         let prep = self.engine.prepare_kernel(kernel, signal_len);
+        scratch.lock().kernel_prepares += 1;
         insert_capped(&mut self.prep_cache.lock(), key, prep.clone());
         prep
     }
 
     /// Builds the per-call execution state of one kernel.
-    fn kernel1d(&self, tiled: Vec<f64>, signal_len: usize) -> Kernel1d {
-        let prep = self.prepared(&tiled, signal_len);
+    fn kernel1d(
+        &self,
+        tiled: Vec<f64>,
+        signal_len: usize,
+        scratch: &Mutex<SignalScratch>,
+    ) -> Kernel1d {
+        let prep = self.prepared(&tiled, signal_len, scratch);
         Kernel1d { tiled, prep }
     }
 
@@ -819,6 +864,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
                 self.kernel1d(
                     tile_kernel_rows(k, 0, k.rows(), si, plan.tiled_kernel_len()),
                     tile_len,
+                    scratch,
                 )
             })
             .collect();
@@ -972,6 +1018,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
                     self.kernel1d(
                         tile_kernel_rows(k, k_start, count, si, (count - 1) * si + k.cols()),
                         count * si,
+                        scratch,
                     )
                 })
                 .collect();
@@ -1050,7 +1097,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
                     .map(|&(s, e)| {
                         kernels
                             .iter()
-                            .map(|k| self.kernel1d(k.row(dr).to_vec(), e - s))
+                            .map(|k| self.kernel1d(k.row(dr).to_vec(), e - s, scratch))
                             .collect()
                     })
                     .collect()
@@ -1101,6 +1148,17 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         // Count only convolutions that actually run.
         let live: usize = rows.iter().map(|&out_r| live_rows(out_r).count()).sum();
         (0, live * parts.len() * kernels.len())
+    }
+}
+
+/// A convolver's 1D capacity must fit the engine it drives.
+fn check_capacity(engine: &impl Conv1dEngine, n_conv: usize) -> Result<(), TilingError> {
+    match engine.max_signal_len() {
+        Some(max) if n_conv > max => Err(TilingError::CapacityTooSmall {
+            n_conv: max,
+            required: n_conv,
+        }),
+        _ => Ok(()),
     }
 }
 
@@ -1794,22 +1852,23 @@ mod tests {
         let engine = CountingPrepEngine::default();
         let prepares = Arc::clone(&engine.prepares);
         let c = TiledConvolver::new(engine, 64).unwrap();
+        let scratch = Mutex::new(SignalScratch::default());
 
         // Fill the cache with `cap` distinct kernels; every one is a miss.
         for i in 0..cap {
             let kernel = [i as f64 + 0.5];
-            assert!(c.prepared(&kernel, 8).is_some());
+            assert!(c.prepared(&kernel, 8, &scratch).is_some());
         }
         assert_eq!(prepares.load(std::sync::atomic::Ordering::Relaxed), cap);
         assert_eq!(c.prep_cache.lock().len(), cap);
 
         // A repeat within the cap is a hit: no new preparation.
-        assert!(c.prepared(&[0.5], 8).is_some());
+        assert!(c.prepared(&[0.5], 8, &scratch).is_some());
         assert_eq!(prepares.load(std::sync::atomic::Ordering::Relaxed), cap);
 
         // One more distinct kernel trips the cap: the cache resets
         // wholesale and holds only the newcomer.
-        assert!(c.prepared(&[-1.0], 8).is_some());
+        assert!(c.prepared(&[-1.0], 8, &scratch).is_some());
         assert_eq!(prepares.load(std::sync::atomic::Ordering::Relaxed), cap + 1);
         assert_eq!(c.prep_cache.lock().len(), 1);
 
@@ -1817,7 +1876,7 @@ mod tests {
         // the exact digital result.
         let signal: Vec<f64> = (0..8).map(|i| i as f64 * 0.25).collect();
         let before = prepares.load(std::sync::atomic::Ordering::Relaxed);
-        let prep = c.prepared(&[0.5], 8).expect("re-prepared");
+        let prep = c.prepared(&[0.5], 8, &scratch).expect("re-prepared");
         assert_eq!(
             prepares.load(std::sync::atomic::Ordering::Relaxed),
             before + 1,
@@ -1828,6 +1887,12 @@ mod tests {
             DigitalEngine.correlate_valid(&signal, &[0.5])
         );
         assert_eq!(c.prep_cache.lock().len(), 2);
+        // The call tally (`tiling.kernel_prepares`) counted exactly the
+        // misses the engine saw.
+        assert_eq!(
+            scratch.lock().kernel_prepares,
+            prepares.load(std::sync::atomic::Ordering::Relaxed)
+        );
     }
 
     #[test]

@@ -16,9 +16,13 @@
 //! [`TiledExecutor`]: [`Session::effective_grain`] resolves the parallelism
 //! grain per call and the call runs on a borrowed view at that grain
 //! ([`TiledConvolver::at`] / [`TiledExecutor::at`]), sharing one engine,
-//! one prepared-kernel cache and one telemetry handle. Per-call execution
-//! tallies are read from [`Session::telemetry`] snapshots (`tiling.*`
-//! counters, stage totals).
+//! one prepared-kernel cache and one telemetry handle. On a stochastic
+//! backend each request additionally gets its own seeded engine, driven
+//! through a view of the same executor ([`TiledExecutor::on`]): the request
+//! owns its noise stream and shares everything deterministic, the
+//! prepared-kernel cache included. Per-call execution tallies are read
+//! from [`Session::telemetry`] snapshots (`tiling.*` counters, stage
+//! totals).
 //!
 //! "Functional accuracy + analytical performance for one configuration" is
 //! therefore a two-call flow:
@@ -149,8 +153,8 @@ pub struct Session {
     executor: TiledExecutor<Box<dyn Backend>>,
     cnn: SmallCnn,
     simulator: Simulator,
-    /// Observability handle shared by the convolver, the executor and
-    /// per-request seeded executors. Disabled by default.
+    /// Observability handle shared by the convolver and the executor (and
+    /// through it by per-request seeded engines). Disabled by default.
     telemetry: Telemetry,
 }
 
@@ -291,28 +295,24 @@ impl Session {
     /// spectrum preparation (an inference server calls this before
     /// accepting traffic).
     ///
-    /// On stochastic backends this is a no-op — not because the noisy
-    /// chain can't prepare (since PR 5 it can, against its own seeded
-    /// noise stream), but because stochastic inference always runs on a
-    /// fresh per-request seeded engine ([`Session::run_inference_seeded`])
-    /// whose executor has its own prepared-kernel cache; warming this
-    /// session's cache would not be visible to those requests. Prepared
-    /// kernels embed their engine's noise stream, so the cache cannot be
-    /// shared across seeded engines without cross-contaminating streams.
+    /// The image runs through [`Session::run_inference_seeded`]. On a
+    /// stochastic backend that is a throwaway seeded engine: kernel
+    /// preparation draws no noise, so what it leaves in the cache serves
+    /// every later seeded request and the session engine alike, while the
+    /// session engine's own noise stream is not advanced —
+    /// [`Session::run_inference`] and the `conv2d` paths return the same
+    /// bits with or without a warm-up.
     ///
     /// # Errors
     ///
     /// Propagates the warm-up inference's error, if any.
     pub fn warmup(&self) -> Result<(), PfError> {
-        if self.is_stochastic() {
-            return Ok(());
-        }
         let zero = Tensor::zeros(vec![
             self.scenario.functional.input_channels,
             self.scenario.functional.input_size,
             self.scenario.functional.input_size,
         ]);
-        let _ = self.run_inference(&zero)?;
+        let _ = self.run_inference_seeded(&zero, 0)?;
         Ok(())
     }
 
@@ -463,6 +463,14 @@ impl Session {
     /// server (seed = admission sequence number) stay reproducible no
     /// matter how work is grouped or scheduled.
     ///
+    /// The seeded engine **owns** only its sensing-noise stream. Everything
+    /// deterministic it **shares** with the session: it runs on a view of
+    /// the session executor ([`TiledExecutor::on`]), so the DAC-quantised
+    /// kernel spectra come from that executor's prepared-kernel cache (and
+    /// a kernel it is first to meet goes into the cache for everyone after
+    /// it). The result is bit-identical to running the seeded engine
+    /// on a fresh executor with an empty cache.
+    ///
     /// # Errors
     ///
     /// Same conditions as [`Session::run_inference`].
@@ -471,13 +479,7 @@ impl Session {
             return self.run_inference(image);
         }
         let backend = self.scenario.backend.instantiate_seeded(noise_seed)?;
-        let executor = TiledExecutor::new(
-            backend,
-            self.scenario.backend.capacity,
-            self.scenario.pipeline,
-        )?
-        .with_telemetry(self.telemetry.clone());
-        self.infer_on(&executor, image)
+        self.infer_on(&self.executor.on(backend)?, image)
     }
 
     /// Evaluates the scenario's network on the scenario's accelerator
@@ -739,8 +741,9 @@ mod tests {
         let seeded = session.run_inference_seeded(&image, 99).unwrap();
         assert_eq!(plain, seeded);
 
-        // Stochastic backend: warmup is a no-op that must not advance the
-        // session engine's noise stream, and seeds pin the result.
+        // Stochastic backend: warmup fills the shared store through a
+        // throwaway seeded engine, and seeds pin the result before and
+        // after it.
         let session = Session::builder()
             .scenario(scenario(BackendKind::PhotofourierCg))
             .build()
