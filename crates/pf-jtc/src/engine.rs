@@ -144,11 +144,17 @@ impl JtcEngine {
 
         // Undo the normalisation applied before the DACs.
         let rescale = s_scale * k_scale;
+        let mut sum_sq = 0.0;
         for v in &mut out {
             *v *= rescale;
+            sum_sq += *v * *v;
         }
-        apply_sensing_noise(&mut out, self.noise.as_deref());
-        apply_output_adc(&mut out, self.output_adc.as_ref());
+        sense_and_convert(
+            &mut out,
+            sum_sq,
+            self.noise.as_deref(),
+            self.output_adc.as_ref(),
+        );
         Ok(out)
     }
 
@@ -184,20 +190,35 @@ impl JtcEngine {
     }
 }
 
-/// Adds photodetector sensing noise, relative to the output RMS, drawing
-/// from the given stream in output order. Shared by the engine's unprepared
-/// path and [`PreparedKernel`]'s prepared paths: both must consume the
-/// stream identically for seeded replay to hold.
-pub(crate) fn apply_sensing_noise(out: &mut [f64], noise: Option<&Mutex<SensingNoise>>) {
+/// The output conditioning behind the optics, on rescaled samples whose sum
+/// of squares (`sum_sq`, accumulated in output order) the caller's rescale
+/// pass already holds: photodetector sensing noise relative to the output
+/// RMS, one block per call drawn from the given stream under one lock, then
+/// ADC quantisation in place against the block's own full scale. A
+/// zero-RMS tile draws nothing. Shared by the engine's unprepared path and
+/// [`PreparedKernel`]'s prepared paths: both must consume the stream
+/// identically for seeded replay to hold.
+///
+/// Total over non-finite input: an overflowed RMS or full scale comes back
+/// as non-finite samples, never as a panic.
+pub(crate) fn sense_and_convert(
+    out: &mut [f64],
+    sum_sq: f64,
+    noise: Option<&Mutex<SensingNoise>>,
+    adc: Option<&Adc>,
+) {
+    let mut peak = None;
     if let Some(noise) = noise {
-        let rms = (out.iter().map(|x| x * x).sum::<f64>() / out.len().max(1) as f64).sqrt();
+        let rms = (sum_sq / out.len().max(1) as f64).sqrt();
         if rms > 0.0 {
-            let mut guard = noise.lock();
-            for v in out.iter_mut() {
-                let sample = guard.perturb(0.0);
-                *v += sample * rms;
-            }
+            peak = Some(noise.lock().add_scaled(out, rms));
         }
+    }
+    if let Some(adc) = adc {
+        // The noise pass scans the samples it writes and hands back their
+        // peak; only a noiseless (or silent) tile is scanned here.
+        let peak = peak.unwrap_or_else(|| out.iter().fold(0.0f64, |m, &v| m.max(v.abs())));
+        adc.quantize_in_place(out, peak.max(f64::EPSILON));
     }
 }
 
@@ -221,17 +242,6 @@ pub(crate) fn quantize_through_dac(dac: Option<&Dac>, values: &[f64]) -> (Vec<f6
                 .collect();
             (quantised, max_abs)
         }
-    }
-}
-
-/// Output ADC quantisation against the batch's own full scale.
-pub(crate) fn apply_output_adc(out: &mut Vec<f64>, adc: Option<&Adc>) {
-    if let Some(adc) = adc {
-        let full_scale = out
-            .iter()
-            .fold(0.0f64, |m, &v| m.max(v.abs()))
-            .max(f64::EPSILON);
-        *out = adc.quantize_slice(out, full_scale);
     }
 }
 
@@ -487,6 +497,41 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "round {round}");
             }
         }
+    }
+
+    #[test]
+    fn a_silent_tile_draws_no_noise() {
+        // A zero-RMS tile (an all-zero tile under an all-zero kernel, e.g.
+        // the empty half of a pseudo-negative split over padding) consumes
+        // nothing, on either path: the tile after it sees the stream
+        // exactly where the tile before it left it.
+        let config = JtcEngineConfig {
+            noise_seed: 3,
+            ..JtcEngineConfig::photofourier_cg(32)
+        };
+        let kernel = [0.5, 1.0, 0.5];
+        let tile = |phase: f64| -> Vec<f64> { (0..16).map(|i| (i as f64 * phase).sin()).collect() };
+        let (with_gap, without) = (
+            JtcEngine::new(config.clone()).unwrap(),
+            JtcEngine::new(config).unwrap(),
+        );
+        let prepared_gap = with_gap.prepare(&kernel, 16).unwrap();
+        let prepared = without.prepare(&kernel, 16).unwrap();
+
+        assert_eq!(
+            prepared_gap.correlate(&tile(0.3)).unwrap(),
+            prepared.correlate(&tile(0.3)).unwrap()
+        );
+        let silent = with_gap.prepare(&[0.0; 3], 16).unwrap();
+        assert_eq!(silent.correlate(&[0.0; 16]).unwrap(), [0.0; 14]);
+        assert_eq!(
+            with_gap.correlate(&[0.0; 16], &[0.0; 3]).unwrap(),
+            [0.0; 14]
+        );
+        assert_eq!(
+            prepared_gap.correlate(&tile(0.7)).unwrap(),
+            prepared.correlate(&tile(0.7)).unwrap()
+        );
     }
 
     #[test]

@@ -79,6 +79,27 @@ fn mark(acc: &mut Option<&mut StageAcc>, stage: Stage) {
     }
 }
 
+/// What the second lens' read-out — the one pass that touches every output
+/// sample before conditioning — does besides extracting the lobe.
+#[derive(Debug, Clone, Copy)]
+struct ReadOut {
+    /// Factor applied to every sample: the engine's DAC rescale
+    /// (`s_scale * k_scale`), or `1.0` at optics level, which changes no bit.
+    gain: f64,
+    /// Whether to return the samples' sum of squares (accumulated in
+    /// output order, for the sensing-noise RMS). Only noisy engines ask:
+    /// the sum is a loop-carried chain a noiseless read-out need not pay.
+    sum_squares: bool,
+}
+
+impl ReadOut {
+    /// The optics-level read-out: the bare correlation lobe.
+    const PLAIN: Self = Self {
+        gain: 1.0,
+        sum_squares: false,
+    };
+}
+
 /// The precomputed optics-level state for correlating one fixed kernel with
 /// signals of one fixed length: input-plane geometry plus the kernel's
 /// padded half-spectrum.
@@ -293,23 +314,25 @@ impl PreparedSpectrum {
     /// the prepared [`PreparedSpectrum::signal_len`], and
     /// [`JtcError::EmptyOperand`] for an empty signal.
     pub fn correlate(&self, signal: &[f64]) -> Result<Vec<f64>, JtcError> {
-        self.correlate_acc(signal, None)
+        Ok(self.correlate_acc(signal, ReadOut::PLAIN, None)?.0)
     }
 
     /// The body of [`PreparedSpectrum::correlate`], marking its stage
     /// boundaries (signal FFT, then the two [`PreparedSpectrum::finish`]
-    /// stages) in place on the caller's accumulator.
+    /// stages) in place on the caller's accumulator. `read_out` and the
+    /// returned sum of squares are [`PreparedSpectrum::second_lens`]'s.
     fn correlate_acc(
         &self,
         signal: &[f64],
+        read_out: ReadOut,
         mut acc: Option<&mut StageAcc>,
-    ) -> Result<Vec<f64>, JtcError> {
+    ) -> Result<(Vec<f64>, f64), JtcError> {
         if signal.is_empty() {
             return Err(JtcError::EmptyOperand { what: "signal" });
         }
         self.check_signal_len(signal.len())?;
         if self.kernel_len > self.signal_len {
-            return Ok(Vec::new());
+            return Ok((Vec::new(), 0.0));
         }
         with_spectrum_scratch(|s| {
             // First lens on the signal alone, directly into the joint
@@ -317,7 +340,7 @@ impl PreparedSpectrum {
             self.plan
                 .forward_real_into(signal, &mut s.fft, &mut s.half)?;
             mark(&mut acc, Stage::SignalFft);
-            self.finish(s, acc)
+            self.finish(s, read_out, acc)
         })
     }
 
@@ -330,19 +353,23 @@ impl PreparedSpectrum {
     /// Returns [`JtcError::InvalidConfig`] if the transform's geometry
     /// (signal length or grid size) differs from this kernel's.
     pub fn correlate_spectrum(&self, spectrum: &SignalSpectrum) -> Result<Vec<f64>, JtcError> {
-        self.correlate_spectrum_acc(spectrum, None)
+        Ok(self
+            .correlate_spectrum_acc(spectrum, ReadOut::PLAIN, None)?
+            .0)
     }
 
     /// The body of [`PreparedSpectrum::correlate_spectrum`]. `acc` chains
     /// stage boundaries on the caller's accumulator, so a caller that
     /// already marked earlier stages pays no extra clock reads at the
     /// hand-off boundary. Entry checks and the spectrum byte-copy fall into
-    /// `spectrum_apply`.
+    /// `spectrum_apply`. `read_out` and the returned sum of squares are
+    /// [`PreparedSpectrum::second_lens`]'s.
     fn correlate_spectrum_acc(
         &self,
         spectrum: &SignalSpectrum,
+        read_out: ReadOut,
         acc: Option<&mut StageAcc>,
-    ) -> Result<Vec<f64>, JtcError> {
+    ) -> Result<(Vec<f64>, f64), JtcError> {
         self.check_signal_len(spectrum.signal_len)?;
         if spectrum.n != self.n {
             return Err(JtcError::InvalidConfig {
@@ -354,14 +381,14 @@ impl PreparedSpectrum {
             });
         }
         if self.kernel_len > self.signal_len {
-            return Ok(Vec::new());
+            return Ok((Vec::new(), 0.0));
         }
         with_spectrum_scratch(|s| {
             // Byte-copy of the shared transform: `half` then holds exactly
             // the bits the unshared path's signal FFT would produce.
             s.half.clear();
             s.half.extend_from_slice(&spectrum.half_spec);
-            self.finish(s, acc)
+            self.finish(s, read_out, acc)
         })
     }
 
@@ -372,14 +399,15 @@ impl PreparedSpectrum {
     fn finish(
         &self,
         s: &mut SpectrumScratch,
+        read_out: ReadOut,
         mut acc: Option<&mut StageAcc>,
-    ) -> Result<Vec<f64>, JtcError> {
+    ) -> Result<(Vec<f64>, f64), JtcError> {
         let SpectrumScratch { fft, half, real } = s;
         self.apply_kernel_spectrum(half, real);
         mark(&mut acc, Stage::SpectrumApply);
         // The joint spectrum is spent once the intensity exists, so its
         // buffer takes the lobe bins.
-        let out = self.second_lens(real, fft, half)?;
+        let out = self.second_lens(real, fft, half, read_out)?;
         mark(&mut acc, Stage::Inverse);
         Ok(out)
     }
@@ -410,12 +438,16 @@ impl PreparedSpectrum {
     /// within the half spectrum (`d < n/2` by construction), so the
     /// transform's unpacking pass runs over those bins alone. Normalises
     /// the double-transform gain of N; lobe sample `j` is bin `d - j`.
+    ///
+    /// The read-out also does what `read_out` asks (rescale, sum of
+    /// squares; the sum is `0.0` when not asked for).
     fn second_lens(
         &self,
         intensity: &[f64],
         fft_scratch: &mut Vec<Complex>,
         lobe: &mut Vec<Complex>,
-    ) -> Result<Vec<f64>, JtcError> {
+        read_out: ReadOut,
+    ) -> Result<(Vec<f64>, f64), JtcError> {
         let len = self.signal_len - self.kernel_len + 1;
         self.plan.forward_real_bins_into(
             intensity,
@@ -424,7 +456,15 @@ impl PreparedSpectrum {
             lobe,
         )?;
         let inv_n = 1.0 / self.n as f64;
-        Ok(lobe.iter().rev().map(|z| z.re * inv_n).collect())
+        let ReadOut { gain, sum_squares } = read_out;
+        let samples = lobe.iter().rev().map(|z| z.re * inv_n * gain);
+        let mut sum_sq = 0.0;
+        let out = if sum_squares {
+            samples.inspect(|v| sum_sq += v * v).collect()
+        } else {
+            samples.collect()
+        };
+        Ok((out, sum_sq))
     }
 }
 
@@ -534,8 +574,10 @@ impl PreparedKernel {
     fn chain(&self, signal: &[f64], mut acc: Option<&mut StageAcc>) -> Result<Vec<f64>, JtcError> {
         let (signal_q, s_scale) = crate::engine::quantize_through_dac(self.dac.as_ref(), signal);
         mark(&mut acc, Stage::DacAdc);
-        let mut out = self.spectrum.correlate_acc(&signal_q, acc.as_deref_mut())?;
-        self.condition(&mut out, s_scale);
+        let (mut out, sum_sq) =
+            self.spectrum
+                .correlate_acc(&signal_q, self.read_out(s_scale), acc.as_deref_mut())?;
+        self.condition(&mut out, sum_sq);
         mark(&mut acc, Stage::DacAdc);
         Ok(out)
     }
@@ -552,11 +594,12 @@ impl PreparedKernel {
         mut acc: Option<&mut StageAcc>,
     ) -> Vec<f64> {
         if let Some(shared) = prepared.as_any().downcast_ref::<SharedSignal>() {
-            if let Ok(mut out) = self
-                .spectrum
-                .correlate_spectrum_acc(&shared.spectrum, acc.as_deref_mut())
-            {
-                self.condition(&mut out, shared.s_scale);
+            if let Ok((mut out, sum_sq)) = self.spectrum.correlate_spectrum_acc(
+                &shared.spectrum,
+                self.read_out(shared.s_scale),
+                acc.as_deref_mut(),
+            ) {
+                self.condition(&mut out, sum_sq);
                 mark(&mut acc, Stage::DacAdc);
                 return out;
             }
@@ -566,14 +609,20 @@ impl PreparedKernel {
         self.chain(signal, acc).unwrap_or_default()
     }
 
-    /// Output conditioning shared by both chains: rescale, sensing noise
-    /// (when a stream is attached), ADC quantisation.
-    fn condition(&self, out: &mut Vec<f64>, s_scale: f64) {
-        for v in out.iter_mut() {
-            *v *= s_scale * self.k_scale;
+    /// What both chains ask of the second lens' read-out for a signal with
+    /// pre-DAC scale `s_scale`.
+    fn read_out(&self, s_scale: f64) -> ReadOut {
+        ReadOut {
+            gain: s_scale * self.k_scale,
+            sum_squares: self.noise.is_some(),
         }
-        crate::engine::apply_sensing_noise(out, self.noise.as_deref());
-        crate::engine::apply_output_adc(out, self.adc.as_ref());
+    }
+
+    /// Output conditioning shared by both chains, on samples the second
+    /// lens already rescaled: sensing noise (when a stream is attached),
+    /// ADC quantisation.
+    fn condition(&self, out: &mut [f64], sum_sq: f64) {
+        crate::engine::sense_and_convert(out, sum_sq, self.noise.as_deref(), self.adc.as_ref());
     }
 }
 

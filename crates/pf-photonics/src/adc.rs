@@ -107,16 +107,17 @@ impl Adc {
     /// exactly what makes 8-bit partial sums lossy and motivates temporal
     /// accumulation (Section V-C).
     ///
+    /// The converter is total over everything else: a NaN sample reads back
+    /// NaN, and an infinite full scale has no finite code grid, so every
+    /// sample reads back NaN instead of tripping an assertion.
+    ///
     /// # Panics
     ///
     /// Panics if `full_scale` is not positive.
     pub fn quantize(&self, value: f64, full_scale: f64) -> f64 {
-        assert!(full_scale > 0.0, "full_scale must be positive");
-        let levels = self.levels() as f64;
-        let step = 2.0 * full_scale / levels;
-        let clipped = value.clamp(-full_scale, full_scale - step);
-        let code = ((clipped + full_scale) / step).round();
-        code * step - full_scale
+        let mut sample = [value];
+        self.quantize_in_place(&mut sample, full_scale);
+        sample[0]
     }
 
     /// Quantises an entire slice with a shared full-scale range.
@@ -125,10 +126,36 @@ impl Adc {
     ///
     /// Panics if `full_scale` is not positive.
     pub fn quantize_slice(&self, values: &[f64], full_scale: f64) -> Vec<f64> {
-        values
-            .iter()
-            .map(|&v| self.quantize(v, full_scale))
-            .collect()
+        let mut out = values.to_vec();
+        self.quantize_in_place(&mut out, full_scale);
+        out
+    }
+
+    /// [`Adc::quantize`] over a slice, overwriting it: the one quantiser
+    /// body, with the code grid (step and clip edges) computed once per
+    /// call rather than once per sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `full_scale` is not positive.
+    pub fn quantize_in_place(&self, values: &mut [f64], full_scale: f64) {
+        assert!(full_scale > 0.0, "full_scale must be positive");
+        let step = 2.0 * full_scale / self.levels() as f64;
+        let (low, high) = (-full_scale, full_scale - step);
+        for v in values {
+            // `f64::clamp` spelled out, because it asserts `low <= high` and
+            // an infinite full scale makes `high` NaN: both comparisons are
+            // then false and the NaN surfaces in the code arithmetic below.
+            let mut clipped = *v;
+            if clipped < low {
+                clipped = low;
+            }
+            if clipped > high {
+                clipped = high;
+            }
+            let code = ((clipped + full_scale) / step).round();
+            *v = code * step - full_scale;
+        }
     }
 
     /// Worst-case quantisation error (half an LSB) for the given full scale.
@@ -220,14 +247,71 @@ mod tests {
         assert!(q >= -1.0 - 1e-12);
     }
 
+    /// The per-sample quantiser as it stood before the code grid was
+    /// hoisted out of the loop: `f64::clamp` and everything recomputed per
+    /// call. Kept as the oracle for the one in-place body.
+    fn quantize_oracle(adc: &Adc, value: f64, full_scale: f64) -> f64 {
+        let levels = adc.levels() as f64;
+        let step = 2.0 * full_scale / levels;
+        let clipped = value.clamp(-full_scale, full_scale - step);
+        let code = ((clipped + full_scale) / step).round();
+        code * step - full_scale
+    }
+
     #[test]
     fn quantize_slice_matches_scalar() {
-        let adc = adc8();
-        let vals = [0.1, -0.5, 0.9];
-        let qs = adc.quantize_slice(&vals, 1.0);
-        for (v, q) in vals.iter().zip(&qs) {
-            assert_eq!(*q, adc.quantize(*v, 1.0));
+        for bits in [1u32, 4, 8, 12] {
+            let adc = Adc::new(bits, 1.0, 1.0).unwrap();
+            for full_scale in [1.0, 0.37, 2.0, f64::EPSILON, 1e200, 8e307] {
+                let step = 2.0 * full_scale / adc.levels() as f64;
+                // ±full scale and beyond, both clip edges and their
+                // neighbours, every exact half-code (where `round` decides),
+                // a dense interior sweep, signed zeros and the non-finites.
+                let mut vals = vec![
+                    full_scale,
+                    -full_scale,
+                    full_scale * 1.5,
+                    -full_scale * 1.5,
+                    full_scale - step,
+                    (full_scale - step).next_down(),
+                    (full_scale - step).next_up(),
+                    (-full_scale).next_up(),
+                    0.0,
+                    -0.0,
+                    f64::NAN,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                ];
+                for code in 0..adc.levels().min(512) {
+                    let half = (f64::from(code) + 0.5) * step - full_scale;
+                    vals.extend([half, half.next_down(), half.next_up()]);
+                }
+                vals.extend((0..2000).map(|i| (f64::from(i) / 999.5 - 1.0) * 1.01 * full_scale));
+
+                let mut in_place = vals.clone();
+                adc.quantize_in_place(&mut in_place, full_scale);
+                let by_slice = adc.quantize_slice(&vals, full_scale);
+                for ((&v, q), s) in vals.iter().zip(&in_place).zip(&by_slice) {
+                    let want = quantize_oracle(&adc, v, full_scale).to_bits();
+                    assert_eq!(q.to_bits(), want, "{bits} bits, fs {full_scale}, v {v}");
+                    assert_eq!(s.to_bits(), want);
+                    assert_eq!(adc.quantize(v, full_scale).to_bits(), want);
+                }
+            }
         }
+    }
+
+    #[test]
+    fn infinite_full_scale_reads_back_nan_without_panicking() {
+        // The oracle's `clamp` panics here ("min > max, or either was NaN").
+        let adc = adc8();
+        for v in [0.0, 1.0, -1e300, f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            assert!(adc.quantize(v, f64::INFINITY).is_nan());
+        }
+        assert!(adc
+            .quantize_slice(&[0.5, -0.5], f64::INFINITY)
+            .iter()
+            .all(|q| q.is_nan()));
     }
 
     #[test]

@@ -8,8 +8,15 @@
 //! charge from up to 16 consecutive cycles is integrated on a capacitor
 //! before a single ADC read-out, which keeps partial-sum accumulation at full
 //! precision and cuts ADC power 16×.
+//!
+//! [`SensingNoise`] is the read-out noise of those detectors as the
+//! accuracy experiments model it: additive zero-mean Gaussian noise at a
+//! configured SNR, from one seeded stream. It draws a block at a time, in
+//! pairs (Marsaglia polar method — one `ln`, one `sqrt` and one divide per
+//! *two* samples, no trigonometry, no table), `ceil(len / 2)` pairs per
+//! block with no spare carried between blocks.
 
-use rand::distributions::Distribution;
+use rand::distributions::{Distribution, Uniform};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -161,7 +168,14 @@ impl Photodetector {
 
 /// Additive Gaussian sensing-noise model used by the accuracy experiments
 /// (Figure 7 simulates "applying square function to partial sums and adding
-/// sensing noise").
+/// sensing noise"): zero-mean, standard deviation `sigma`, independent per
+/// sample, one seeded stream consumed in call order.
+///
+/// Every entry point is a caller of [`SensingNoise::add_scaled`], which
+/// draws in pairs (Marsaglia polar method) and consumes
+/// `ceil(len / 2)` pairs per block — so the *law* is independent of how
+/// samples are grouped into blocks, but the *values* a seed produces are
+/// not: replaying a seeded run means replaying its block lengths in order.
 #[derive(Debug, Clone)]
 pub struct SensingNoise {
     rng: StdRng,
@@ -212,25 +226,63 @@ impl SensingNoise {
         self.sigma
     }
 
-    /// Adds Gaussian noise to a single value.
+    /// Adds Gaussian noise to a single value: a one-sample
+    /// [`SensingNoise::add_scaled`] block.
     pub fn perturb(&mut self, value: f64) -> f64 {
-        if self.sigma == 0.0 {
-            return value;
-        }
-        value + self.sample_gaussian() * self.sigma
+        let mut sample = [value];
+        self.add_scaled(&mut sample, 1.0);
+        sample[0]
     }
 
-    /// Adds independent Gaussian noise to every element of a slice.
+    /// Adds independent Gaussian noise to every element of a slice: one
+    /// [`SensingNoise::add_scaled`] block over a copy.
     pub fn perturb_slice(&mut self, values: &[f64]) -> Vec<f64> {
-        values.iter().map(|&v| self.perturb(v)).collect()
+        let mut out = values.to_vec();
+        self.add_scaled(&mut out, 1.0);
+        out
     }
 
-    fn sample_gaussian(&mut self) -> f64 {
-        // Box-Muller transform on two uniform samples.
-        let uniform = rand::distributions::Uniform::new(f64::EPSILON, 1.0);
-        let u1: f64 = uniform.sample(&mut self.rng);
-        let u2: f64 = uniform.sample(&mut self.rng);
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+    /// Adds one block of independent Gaussian noise, `sigma * scale` per
+    /// sample, to `out` in place and returns the block's peak magnitude
+    /// after the add (the full scale an ADC behind the detector converts
+    /// against, so the caller needs no second scan).
+    ///
+    /// The one draw body. Gaussians come in pairs from the Marsaglia polar
+    /// method: a point uniform in the unit disc (two uniforms in `(-1, 1)`,
+    /// redrawn until `0 < s < 1`, 4/π tries on average) costs one `ln`, one
+    /// `sqrt` and one divide and yields two independent standard normals.
+    /// A block consumes `ceil(out.len() / 2)` pairs; an odd block drops the
+    /// second member of its last pair, and no spare is carried to the next
+    /// call, so what a block draws depends only on the stream position and
+    /// the block length. `sigma == 0` consumes nothing.
+    pub fn add_scaled(&mut self, out: &mut [f64], scale: f64) -> f64 {
+        let mut peak = 0.0f64;
+        if self.sigma == 0.0 {
+            return out.iter().fold(peak, |m, v| m.max(v.abs()));
+        }
+        let uniform = Uniform::new(-1.0, 1.0);
+        for pair in out.chunks_mut(2) {
+            let (x, y, s) = loop {
+                let x = uniform.sample(&mut self.rng);
+                let y = uniform.sample(&mut self.rng);
+                let s = x * x + y * y;
+                if s > 0.0 && s < 1.0 {
+                    break (x, y, s);
+                }
+            };
+            let radius = (-2.0 * s.ln() / s).sqrt();
+            for (v, g) in pair.iter_mut().zip([x * radius, y * radius]) {
+                *v += g * self.sigma * scale;
+                // `peak.max(|v|)` as a compare-select: the same value for
+                // every input (a NaN sample is skipped either way) without
+                // `f64::max`'s NaN fix-up in the loop-carried chain.
+                let magnitude = v.abs();
+                if magnitude > peak {
+                    peak = magnitude;
+                }
+            }
+        }
+        peak
     }
 }
 
