@@ -1,22 +1,19 @@
-//! Batched (planar/SoA) transform execution.
+//! Row-batch entry points over the single-signal plans.
 //!
 //! The JTC tiling layer produces *batches* of equal-length tiles — every
-//! tile of one image row-set, or one tile per image of a batch. Running
-//! [`FftPlan::process`](crate::plan::FftPlan::process) once per tile walks
-//! the twiddle tables once per tile; this module walks them **once per
-//! batch** instead:
+//! tile of one image row-set, or one tile per image of a batch — laid out
+//! back to back (planar). These calls take such a batch in one go; what
+//! runs underneath is **one plan execution per row**, in row order, through
+//! the same body as the single-signal call, so every row is bit-identical
+//! to it by construction. No stage is shared across rows: the tight
+//! 5-smooth grids the JTC picks almost never have a power-of-two half, and
+//! a mixed-radix row already walks its tables in cache. (Work shared
+//! *across transforms* lives in the lane path,
+//! [`RealFftPlan::forward_real_bins_lanes`].)
 //!
-//! * [`BatchFftPlan`] — executes one complex plan over `rows` contiguous
-//!   signals laid out back-to-back (planar/SoA). For radix-2 plans the
-//!   stage/twiddle loop is outermost and each loaded twiddle is applied
-//!   across all rows, so the per-row memory traffic of the twiddle table
-//!   drops by the batch width; other kernels fall back to per-row
-//!   execution. **Every row's floating-point op sequence is identical to a
-//!   per-row [`process`](crate::plan::FftPlan::process) call, so batched
-//!   results are bit-identical to the serial path.**
-//! * [`RealFftPlan::forward_real_batch_into`] — the batched real forward
-//!   transform: packs all rows, runs one batched complex pass, unpacks per
-//!   row. Bit-identical to looping
+//! * [`BatchFftPlan`] — one complex plan over `rows` contiguous signals.
+//! * [`RealFftPlan::forward_real_batch_into`] — the real forward transform
+//!   of every row; bit-identical to looping
 //!   [`forward_real_into`](crate::plan::RealFftPlan::forward_real_into).
 //! * [`RealFftPlan::forward_real_packed_into`] — the two-for-one variant:
 //!   consecutive row pairs share one full-length complex transform
@@ -27,10 +24,11 @@
 
 use crate::complex::Complex;
 use crate::error::DspError;
-use crate::plan::{FftPlan, Kernel, RealFftPlan, RealKernel};
+use crate::plan::{FftPlan, RealFftPlan};
 use std::sync::Arc;
 
-/// Executes one [`FftPlan`] over a contiguous planar batch of signals.
+/// Executes one [`FftPlan`] over a contiguous planar batch of signals, row
+/// by row.
 ///
 /// # Examples
 ///
@@ -94,87 +92,26 @@ impl BatchFftPlan {
     /// Returns [`DspError::InvalidLength`] when `data.len()` is not a
     /// multiple of the plan length.
     pub fn process_batch(&self, data: &mut [Complex], inverse: bool) -> Result<(), DspError> {
-        process_rows(&self.plan, data, inverse)
-    }
-}
-
-/// Batched in-place execution of `plan` over back-to-back rows of `data`.
-pub(crate) fn process_rows(
-    plan: &FftPlan,
-    data: &mut [Complex],
-    inverse: bool,
-) -> Result<(), DspError> {
-    let n = plan.len();
-    if !data.len().is_multiple_of(n) {
-        return Err(DspError::InvalidLength {
-            len: data.len(),
-            requirement: "batched input length must be a multiple of the plan length",
-        });
-    }
-    let Kernel::Radix2 { bit_rev, twiddles } = &plan.kernel else {
-        // Mixed-radix and Bluestein kernels stage through per-thread
-        // scratch; per-row execution is already their natural shape.
+        let n = self.plan.len();
+        if !data.len().is_multiple_of(n) {
+            return Err(DspError::InvalidLength {
+                len: data.len(),
+                requirement: "batched input length must be a multiple of the plan length",
+            });
+        }
         for row in data.chunks_exact_mut(n) {
-            plan.process(row, inverse)?;
+            self.plan.process(row, inverse)?;
         }
-        return Ok(());
-    };
-    if data.len() == n {
-        return plan.process(data, inverse);
+        Ok(())
     }
-    // Per-row bit-reversal permutation, then one stage/twiddle sweep with
-    // the row walk innermost: each twiddle is loaded once and applied to
-    // every row. A fixed row sees the exact (stage, start, k) op order of
-    // the serial path, and every butterfly touches only that row's data,
-    // so per-row results are bit-identical to `plan.process`.
-    for row in data.chunks_exact_mut(n) {
-        for (i, &rev) in bit_rev.iter().enumerate() {
-            let j = rev as usize;
-            if j > i {
-                row.swap(i, j);
-            }
-        }
-    }
-    let total = data.len();
-    let mut len = 2;
-    while len <= n {
-        let half = len / 2;
-        let stride = n / len;
-        for start in (0..n).step_by(len) {
-            for k in 0..half {
-                let mut w = twiddles[k * stride];
-                if inverse {
-                    w = w.conj();
-                }
-                let i0 = start + k;
-                let i1 = start + k + half;
-                let mut off = 0;
-                while off < total {
-                    let u = data[off + i0];
-                    let v = data[off + i1] * w;
-                    data[off + i0] = u + v;
-                    data[off + i1] = u - v;
-                    off += n;
-                }
-            }
-        }
-        len <<= 1;
-    }
-    if inverse {
-        let scale = 1.0 / n as f64;
-        for z in data.iter_mut() {
-            *z = z.scale(scale);
-        }
-    }
-    Ok(())
 }
 
 /// Validates a planar real-input batch and returns the row length.
 fn batch_row_len(plan_len: usize, inputs: &[f64], rows: usize) -> Result<usize, DspError> {
-    if rows == 0 || !inputs.len().is_multiple_of(rows) {
+    if rows == 0 || inputs.is_empty() || !inputs.len().is_multiple_of(rows) {
         return Err(DspError::InvalidLength {
             len: inputs.len(),
-            requirement: "batched real input length must be rows * row_len with rows >= 1",
+            requirement: "batched real input must be rows * row_len samples, both >= 1",
         });
     }
     let row_len = inputs.len() / rows;
@@ -193,10 +130,8 @@ impl RealFftPlan {
     /// bins back-to-back into `out`. Rows shorter than the plan length are
     /// zero-padded on the right.
     ///
-    /// Even-length plans pack all rows, run one batched half-length
-    /// complex pass ([`BatchFftPlan`]-style, twiddles loaded once per
-    /// batch) and unpack per row; odd-length plans batch the full-length
-    /// transform. **Bit-identical to looping
+    /// Each row runs the single-signal transform in turn, so the result is
+    /// **bit-identical to looping
     /// [`forward_real_into`](Self::forward_real_into) over the rows.**
     ///
     /// # Errors
@@ -214,42 +149,8 @@ impl RealFftPlan {
         let sl = self.spectrum_len();
         out.clear();
         out.resize(rows * sl, Complex::ZERO);
-        match &self.kernel {
-            RealKernel::PackedEven { half_plan } => {
-                let m = self.n / 2;
-                scratch.clear();
-                scratch.reserve(rows * m);
-                for row in inputs.chunks_exact(row_len) {
-                    let at = |idx: usize| -> f64 {
-                        if idx < row.len() {
-                            row[idx]
-                        } else {
-                            0.0
-                        }
-                    };
-                    for j in 0..m {
-                        scratch.push(Complex::new(at(2 * j), at(2 * j + 1)));
-                    }
-                }
-                process_rows(half_plan, scratch, false)?;
-                for (packed, spec) in scratch.chunks_exact(m).zip(out.chunks_exact_mut(sl)) {
-                    self.unpack_bins(packed, 0..=m, spec);
-                }
-            }
-            RealKernel::OddFull => {
-                scratch.clear();
-                scratch.reserve(rows * self.n);
-                for row in inputs.chunks_exact(row_len) {
-                    for j in 0..self.n {
-                        let v = if j < row.len() { row[j] } else { 0.0 };
-                        scratch.push(Complex::from_real(v));
-                    }
-                }
-                process_rows(&self.full_plan, scratch, false)?;
-                for (full, spec) in scratch.chunks_exact(self.n).zip(out.chunks_exact_mut(sl)) {
-                    spec.copy_from_slice(&full[..sl]);
-                }
-            }
+        for (row, spec) in inputs.chunks_exact(row_len).zip(out.chunks_exact_mut(sl)) {
+            self.forward_real_core(row, 0..=self.n / 2, scratch, spec)?;
         }
         Ok(())
     }
@@ -427,6 +328,11 @@ mod tests {
         // Row length exceeding the plan length.
         assert!(matches!(
             plan.forward_real_batch_into(&[0.0; 18], 2, &mut scratch, &mut out),
+            Err(DspError::InvalidLength { .. })
+        ));
+        // Empty rows have nothing to transform.
+        assert!(matches!(
+            plan.forward_real_batch_into(&[], 2, &mut scratch, &mut out),
             Err(DspError::InvalidLength { .. })
         ));
         // Zero rows never divide evenly.

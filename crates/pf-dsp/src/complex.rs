@@ -116,6 +116,37 @@ impl Complex {
     }
 }
 
+/// How many independent transforms a [`ComplexLanes`] element carries.
+pub const LANES: usize = 4;
+
+/// [`LANES`] complex numbers carried side by side, real parts together and
+/// imaginary parts together: the element of the lane-parallel transform
+/// ([`RealFftPlan::forward_real_bins_lanes`](crate::plan::RealFftPlan::forward_real_bins_lanes)),
+/// where lane `l` of every element belongs to transform `l`. Arithmetic on
+/// it is per lane and in [`Complex`]'s own expressions, so a lane's values
+/// are bit-identical to the same computation on [`Complex`].
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct ComplexLanes {
+    /// Real part of each lane.
+    pub re: [f64; LANES],
+    /// Imaginary part of each lane.
+    pub im: [f64; LANES],
+}
+
+impl ComplexLanes {
+    /// All lanes `0 + 0i`.
+    pub const ZERO: ComplexLanes = ComplexLanes {
+        re: [0.0; LANES],
+        im: [0.0; LANES],
+    };
+
+    /// The complex number in lane `lane`.
+    #[inline]
+    pub fn lane(&self, lane: usize) -> Complex {
+        Complex::new(self.re[lane], self.im[lane])
+    }
+}
+
 impl fmt::Display for Complex {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.im >= 0.0 {

@@ -6,7 +6,9 @@
 //! validating the row-tiling algorithm against digital references — requires
 //! a small, dependency-free DSP toolbox:
 //!
-//! * [`Complex`] — complex arithmetic used by the Fourier transforms.
+//! * [`Complex`] — complex arithmetic used by the Fourier transforms, and
+//!   [`ComplexLanes`], [`LANES`] of them side by side: the element of the
+//!   lane transform.
 //! * [`fft`] — FFT/IFFT for any length (radix-2 for powers of two,
 //!   mixed-radix for 5-smooth sizes, Bluestein otherwise) plus a direct
 //!   DFT reference.
@@ -14,9 +16,9 @@
 //!   kernels, plus a real-input half-spectrum transform and a two-for-one
 //!   packed pair transform) shared through a process-wide registry; the
 //!   hot path of the JTC simulation.
-//! * [`batch`] — batched planar/SoA execution of those plans (one twiddle
-//!   sweep over a whole tile batch), bit-identical per row to the serial
-//!   path.
+//! * [`batch`] — row-batch entry points over those plans (a planar batch in
+//!   one call, one plan execution per row), bit-identical per row to the
+//!   serial path.
 //! * [`conv`] — reference 1D/2D convolution and cross-correlation kernels in
 //!   `full`/`same`/`valid` modes, and FFT-accelerated 1D convolution.
 //! * [`scratch`] — per-thread reusable working buffers for spectrum
@@ -38,6 +40,7 @@
 #![deny(missing_debug_implementations)]
 
 pub mod batch;
+mod butterfly;
 pub mod complex;
 pub mod conv;
 pub mod error;
@@ -47,6 +50,6 @@ pub mod scratch;
 pub mod util;
 
 pub use batch::BatchFftPlan;
-pub use complex::Complex;
+pub use complex::{Complex, ComplexLanes, LANES};
 pub use error::DspError;
 pub use plan::{fft_with_plan, ifft_with_plan, FftPlan, RealFftPlan};

@@ -12,10 +12,11 @@
 //!   - power-of-two lengths run the classic radix-2 plan (bit-reversal +
 //!     twiddle tables) — byte-for-byte the historical hot path, so every
 //!     existing pow2 result stays bit-identical;
-//!   - 5-smooth lengths (`2^a·3^b·5^c`) run a mixed-radix
-//!     decimation-in-time recursion with specialised radix-4/2/3/5
-//!     butterflies, so joint-plane geometry can pick tight sizes instead
-//!     of rounding up to the next power of two;
+//!   - 5-smooth lengths (`2^a·3^b·5^c`) run mixed-radix decimation in
+//!     time with specialised radix-4/2/3/5 butterflies — a gather through
+//!     a leaf-order table built with the plan, then one combine pass per
+//!     factor — so joint-plane geometry can pick tight sizes instead of
+//!     rounding up to the next power of two;
 //!   - every other length runs Bluestein's chirp-z algorithm through a
 //!     padded power-of-two convolution, making the plan API total.
 //! * [`RealFftPlan`] — real-input transforms returning the non-redundant
@@ -27,15 +28,19 @@
 //!   two-for-one pair API ([`RealFftPlan::forward_real_pair_into`]) packs
 //!   *two* real signals into one full-length complex transform — the win
 //!   for odd lengths, where no half-length trick exists.
+//!   [`RealFftPlan::forward_real_bins_lanes`] carries [`LANES`] symmetric
+//!   real signals through one pass of the same butterflies
+//!   (they are written once, generic over the element), each lane
+//!   bit-identical to the one-signal transform.
 //! * a process-wide plan registry ([`FftPlan::shared`] /
 //!   [`RealFftPlan::shared`]) guarded by a `parking_lot` mutex, so every
 //!   caller transforming the same length shares one set of tables.
 //!
 //! Plans are bit-for-bit deterministic: the free [`crate::fft::fft`] /
 //! [`crate::fft::ifft`] functions are thin wrappers over the shared plans,
-//! so mixing the two APIs can never produce diverging numerics. Batched
-//! (planar/SoA) execution lives in [`crate::batch`] and preserves each
-//! row's exact floating-point op sequence.
+//! so mixing the two APIs can never produce diverging numerics. Row-batch
+//! entry points live in [`crate::batch`] and run each row through these
+//! plans.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -44,7 +49,8 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
-use crate::complex::Complex;
+use crate::butterfly::{leaf_order, mixed_passes, radix2_stages, unpack_bin, Element};
+use crate::complex::{Complex, ComplexLanes, LANES};
 use crate::error::DspError;
 use crate::util::{is_pow2, next_pow2};
 
@@ -63,11 +69,14 @@ pub(crate) enum Kernel {
     /// Mixed-radix decimation-in-time for 5-smooth lengths
     /// (`2^a·3^b·5^c`), with specialised radix-4/2/3/5 butterflies.
     MixedRadix {
-        /// Radix of each recursion level, outermost first (4s, then at
+        /// Radix of each decimation level, outermost first (4s, then at
         /// most one 2, then 3s, then 5s).
         factors: Vec<usize>,
         /// Full twiddle table `exp(-2πik/n)` for `k in 0..n`.
         twiddles: Vec<Complex>,
+        /// `leaf[i]` is the input index working-buffer slot `i` starts
+        /// from ([`leaf_order`]).
+        leaf: Vec<u32>,
     },
     /// Bluestein's chirp-z transform for all remaining lengths: the DFT
     /// rewritten as a circular convolution executed through a padded
@@ -105,7 +114,7 @@ pub(crate) enum Kernel {
 #[derive(Debug)]
 pub struct FftPlan {
     n: usize,
-    pub(crate) kernel: Kernel,
+    kernel: Kernel,
 }
 
 /// Splits `n` into mixed-radix factors (4s first, then at most one 2,
@@ -152,171 +161,6 @@ fn with_plan_scratch<R>(f: impl FnOnce(&mut Vec<Complex>) -> R) -> R {
     })
 }
 
-/// `i·z` without a full complex multiply.
-#[inline]
-fn mul_i(z: Complex) -> Complex {
-    Complex::new(-z.im, z.re)
-}
-
-/// Shared context of one mixed-radix recursion.
-struct MixedCtx<'a> {
-    /// Full twiddle table of the outermost transform (`big_n` entries).
-    twiddles: &'a [Complex],
-    /// Outermost transform length (twiddle table denominator).
-    big_n: usize,
-    /// Inverse transform: conjugate twiddles (the `1/n` scale is applied
-    /// by the caller).
-    inverse: bool,
-}
-
-impl MixedCtx<'_> {
-    /// Twiddle `W_N^idx`, conjugated for inverse transforms. The `-1·im`
-    /// multiply is bit-identical to `conj()` and lets the loops below stay
-    /// branch-free.
-    #[inline]
-    fn tw(&self, idx: usize, im_sign: f64) -> Complex {
-        let w = self.twiddles[idx];
-        Complex::new(w.re, w.im * im_sign)
-    }
-}
-
-/// Computes the `dst.len()`-point DFT of `src[offset], src[offset+stride],
-/// ...` into `dst` by decimation in time over `factors`.
-fn mixed_rec(
-    ctx: &MixedCtx<'_>,
-    src: &[Complex],
-    offset: usize,
-    stride: usize,
-    dst: &mut [Complex],
-    factors: &[usize],
-) {
-    let n = dst.len();
-    let Some((&r, rest)) = factors.split_first() else {
-        dst[0] = src[offset];
-        return;
-    };
-    let m = n / r;
-    if rest.is_empty() {
-        // Leaf stage: gather the r strided inputs directly instead of
-        // recursing into r single-element sub-transforms.
-        for (q, slot) in dst.iter_mut().enumerate() {
-            *slot = src[offset + q * stride];
-        }
-    } else {
-        for q in 0..r {
-            mixed_rec(
-                ctx,
-                src,
-                offset + q * stride,
-                stride * r,
-                &mut dst[q * m..(q + 1) * m],
-                rest,
-            );
-        }
-    }
-    // Combine: X[k + t·m] = Σ_q (Y_q[k]·W_N^{qk·(N/n)}) · W_r^{qt}, with
-    // the inner r-point DFT unrolled into a specialised butterfly and the
-    // twiddle indices advanced incrementally (q·k·tw_stride stays below
-    // big_n, so no modular reduction is needed).
-    let tw_stride = ctx.big_n / n;
-    let (sign, im_sign) = if ctx.inverse {
-        (1.0, -1.0)
-    } else {
-        (-1.0, 1.0)
-    };
-    match r {
-        2 => {
-            let (d0, d1) = dst.split_at_mut(m);
-            let mut i1 = 0usize;
-            for k in 0..m {
-                let t0 = d0[k];
-                let t1 = d1[k] * ctx.tw(i1, im_sign);
-                d0[k] = t0 + t1;
-                d1[k] = t0 - t1;
-                i1 += tw_stride;
-            }
-        }
-        3 => {
-            let s3 = 3.0f64.sqrt() * 0.5;
-            let (d0, tail) = dst.split_at_mut(m);
-            let (d1, d2) = tail.split_at_mut(m);
-            let (mut i1, mut i2) = (0usize, 0usize);
-            for k in 0..m {
-                let t0 = d0[k];
-                let t1 = d1[k] * ctx.tw(i1, im_sign);
-                let t2 = d2[k] * ctx.tw(i2, im_sign);
-                let sum = t1 + t2;
-                let diff = t1 - t2;
-                let a = t0 + sum.scale(-0.5);
-                let b = mul_i(diff).scale(sign * s3);
-                d0[k] = t0 + sum;
-                d1[k] = a + b;
-                d2[k] = a - b;
-                i1 += tw_stride;
-                i2 += 2 * tw_stride;
-            }
-        }
-        4 => {
-            let (lo, hi) = dst.split_at_mut(2 * m);
-            let (d0, d1) = lo.split_at_mut(m);
-            let (d2, d3) = hi.split_at_mut(m);
-            let (mut i1, mut i2, mut i3) = (0usize, 0usize, 0usize);
-            for k in 0..m {
-                let t0 = d0[k];
-                let t1 = d1[k] * ctx.tw(i1, im_sign);
-                let t2 = d2[k] * ctx.tw(i2, im_sign);
-                let t3 = d3[k] * ctx.tw(i3, im_sign);
-                let s0 = t0 + t2;
-                let s1 = t0 - t2;
-                let s2 = t1 + t3;
-                let j3 = mul_i(t1 - t3).scale(sign);
-                d0[k] = s0 + s2;
-                d1[k] = s1 + j3;
-                d2[k] = s0 - s2;
-                d3[k] = s1 - j3;
-                i1 += tw_stride;
-                i2 += 2 * tw_stride;
-                i3 += 3 * tw_stride;
-            }
-        }
-        5 => {
-            let tau = 2.0 * std::f64::consts::PI / 5.0;
-            let (c1, s1) = (tau.cos(), tau.sin());
-            let (c2, s2) = ((2.0 * tau).cos(), (2.0 * tau).sin());
-            let (lo, hi) = dst.split_at_mut(2 * m);
-            let (d0, d1) = lo.split_at_mut(m);
-            let (mid, d4) = hi.split_at_mut(2 * m);
-            let (d2, d3) = mid.split_at_mut(m);
-            let (mut i1, mut i2, mut i3, mut i4) = (0usize, 0usize, 0usize, 0usize);
-            for k in 0..m {
-                let t0 = d0[k];
-                let t1 = d1[k] * ctx.tw(i1, im_sign);
-                let t2 = d2[k] * ctx.tw(i2, im_sign);
-                let t3 = d3[k] * ctx.tw(i3, im_sign);
-                let t4 = d4[k] * ctx.tw(i4, im_sign);
-                let a1 = t1 + t4;
-                let b1 = t1 - t4;
-                let a2 = t2 + t3;
-                let b2 = t2 - t3;
-                let m1 = t0 + a1.scale(c1) + a2.scale(c2);
-                let v1 = mul_i(b1.scale(s1) + b2.scale(s2)).scale(sign);
-                let m2 = t0 + a1.scale(c2) + a2.scale(c1);
-                let v2 = mul_i(b1.scale(s2) - b2.scale(s1)).scale(sign);
-                d0[k] = t0 + a1 + a2;
-                d1[k] = m1 + v1;
-                d2[k] = m2 + v2;
-                d3[k] = m2 - v2;
-                d4[k] = m1 - v1;
-                i1 += tw_stride;
-                i2 += 2 * tw_stride;
-                i3 += 3 * tw_stride;
-                i4 += 4 * tw_stride;
-            }
-        }
-        _ => unreachable!("factors are drawn from {{2, 3, 4, 5}}"),
-    }
-}
-
 impl FftPlan {
     /// Builds a plan for transforms of length `n` (any `n >= 1`).
     ///
@@ -354,7 +198,12 @@ impl FftPlan {
                 let ang = -2.0 * std::f64::consts::PI * k as f64 / n as f64;
                 twiddles.push(Complex::cis(ang));
             }
-            Kernel::MixedRadix { factors, twiddles }
+            let leaf = leaf_order(n, &factors);
+            Kernel::MixedRadix {
+                factors,
+                twiddles,
+                leaf,
+            }
         } else {
             // Bluestein: X[k] = chirp[k]·Σ_j (x[j]·chirp[j])·conj(chirp[k-j])
             // — a circular convolution of length >= 2n-1, run on a padded
@@ -434,75 +283,77 @@ impl FftPlan {
                 requirement: "input length must match the FFT plan length",
             });
         }
-        let n = self.n;
         match &self.kernel {
-            Kernel::Radix2 { bit_rev, twiddles } => {
+            Kernel::Radix2 { bit_rev, .. } => {
                 for (i, &rev) in bit_rev.iter().enumerate() {
                     let j = rev as usize;
                     if j > i {
                         data.swap(i, j);
                     }
                 }
-                let mut len = 2;
-                while len <= n {
-                    let half = len / 2;
-                    let stride = n / len;
-                    for start in (0..n).step_by(len) {
-                        for k in 0..half {
-                            let mut w = twiddles[k * stride];
-                            if inverse {
-                                w = w.conj();
-                            }
-                            let u = data[start + k];
-                            let v = data[start + k + half] * w;
-                            data[start + k] = u + v;
-                            data[start + k + half] = u - v;
-                        }
-                    }
-                    len <<= 1;
-                }
-                if inverse {
-                    let scale = 1.0 / n as f64;
-                    for z in data.iter_mut() {
-                        *z = z.scale(scale);
-                    }
-                }
             }
-            Kernel::MixedRadix { factors, twiddles } => {
-                let ctx = MixedCtx {
-                    twiddles,
-                    big_n: n,
-                    inverse,
-                };
-                with_plan_scratch(|src| {
-                    src.clear();
-                    src.extend_from_slice(data);
-                    mixed_rec(&ctx, src, 0, 1, data, factors);
-                });
-                if inverse {
-                    let scale = 1.0 / n as f64;
-                    for z in data.iter_mut() {
-                        *z = z.scale(scale);
-                    }
+            Kernel::MixedRadix { leaf, .. } => with_plan_scratch(|src| {
+                src.clear();
+                src.extend_from_slice(data);
+                for (slot, &from) in data.iter_mut().zip(leaf) {
+                    *slot = src[from as usize];
                 }
-            }
+            }),
             Kernel::Bluestein { .. } => {
-                if inverse {
-                    // IDFT(x) = conj(DFT(conj(x)))/n.
-                    for z in data.iter_mut() {
-                        *z = z.conj();
-                    }
-                    self.bluestein_forward(data)?;
-                    let scale = 1.0 / n as f64;
-                    for z in data.iter_mut() {
-                        *z = z.conj().scale(scale);
-                    }
-                } else {
-                    self.bluestein_forward(data)?;
+                if !inverse {
+                    return self.bluestein_forward(data);
                 }
+                // IDFT(x) = conj(DFT(conj(x)))/n.
+                for z in data.iter_mut() {
+                    *z = z.conj();
+                }
+                self.bluestein_forward(data)?;
+                let scale = 1.0 / self.n as f64;
+                for z in data.iter_mut() {
+                    *z = z.conj().scale(scale);
+                }
+                return Ok(());
+            }
+        }
+        self.passes(data, inverse);
+        if inverse {
+            let scale = 1.0 / self.n as f64;
+            for z in data.iter_mut() {
+                *z = z.scale(scale);
             }
         }
         Ok(())
+    }
+
+    /// The input index each working-buffer slot starts from — bit-reversed
+    /// for radix-2 plans, leaf order for mixed-radix ones. `None` for
+    /// Bluestein plans, which do not run as gather-then-[`passes`](Self::passes).
+    pub(crate) fn gather_order(&self) -> Option<&[u32]> {
+        match &self.kernel {
+            Kernel::Radix2 { bit_rev, .. } => Some(bit_rev),
+            Kernel::MixedRadix { leaf, .. } => Some(leaf),
+            Kernel::Bluestein { .. } => None,
+        }
+    }
+
+    /// Runs the plan's butterfly passes in place over `data`, which must
+    /// hold the input gathered through [`gather_order`](Self::gather_order)
+    /// (without the inverse transform's `1/n` scale). The one body behind
+    /// the scalar and the lane transform.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a Bluestein plan (it has no gather order to call this
+    /// with).
+    #[inline(always)]
+    pub(crate) fn passes<E: Element>(&self, data: &mut [E], inverse: bool) {
+        match &self.kernel {
+            Kernel::Radix2 { twiddles, .. } => radix2_stages(data, twiddles, inverse),
+            Kernel::MixedRadix {
+                factors, twiddles, ..
+            } => mixed_passes(data, factors, twiddles, inverse),
+            Kernel::Bluestein { .. } => unreachable!("Bluestein plans have no gather order"),
+        }
     }
 
     /// The forward chirp-z pass of a Bluestein plan.
@@ -760,15 +611,21 @@ impl RealFftPlan {
                 requirement: "real FFT input must not exceed the plan length",
             });
         }
+        self.check_bins(&bins)?;
+        out.clear();
+        out.resize(bins.end() - bins.start() + 1, Complex::ZERO);
+        self.forward_real_core(input, bins, scratch, out)
+    }
+
+    /// A selected-bins range must be ordered and lie within `0..=n/2`.
+    fn check_bins(&self, bins: &RangeInclusive<usize>) -> Result<(), DspError> {
         if bins.start() > bins.end() || *bins.end() >= self.spectrum_len() {
             return Err(DspError::InvalidLength {
                 len: *bins.end(),
                 requirement: "spectrum bin range must be ordered and lie within 0..=n/2",
             });
         }
-        out.clear();
-        out.resize(bins.end() - bins.start() + 1, Complex::ZERO);
-        self.forward_real_core(input, bins, scratch, out)
+        Ok(())
     }
 
     /// One real forward transform into a pre-sized output slice (one slot
@@ -822,35 +679,176 @@ impl RealFftPlan {
     }
 
     /// Unpacks bins `bins` of a packed even transform into `out` (one slot
-    /// per bin): `X[k] = E[k] + w_n^k · O[k]` with `E`/`O` the spectra of
-    /// the even/odd subsequences recovered from the packed half-length
-    /// transform. A bin's value does not depend on which range asked for it.
-    pub(crate) fn unpack_bins(
-        &self,
-        packed: &[Complex],
-        bins: RangeInclusive<usize>,
-        out: &mut [Complex],
-    ) {
+    /// per bin) through [`unpack_bin`]. A bin's value does not depend on
+    /// which range asked for it, nor on how many lanes ride along.
+    #[inline(always)]
+    fn unpack_bins<E: Element>(&self, packed: &[E], bins: RangeInclusive<usize>, out: &mut [E]) {
         let m = self.n / 2;
         let (lo, hi) = (*bins.start(), *bins.end());
-        let combine = |zk: Complex, zmk: Complex, w: Complex| {
-            let even = (zk + zmk).scale(0.5);
-            let odd_times_i = (zk - zmk).scale(0.5);
-            // odd = -i · odd_times_i
-            let odd = Complex::new(odd_times_i.im, -odd_times_i.re);
-            even + w * odd
-        };
         // Bins 0 and m both wrap to packed[0]; interior bins pair k with
         // m - k directly, keeping the hot loop free of modular reductions.
         if lo == 0 {
-            out[0] = combine(packed[0], packed[0].conj(), self.unpack[0]);
+            out[0] = unpack_bin(packed[0], packed[0].conj(), self.unpack[0]);
         }
         for k in lo.max(1)..(hi + 1).min(m) {
-            out[k - lo] = combine(packed[k], packed[m - k].conj(), self.unpack[k]);
+            out[k - lo] = unpack_bin(packed[k], packed[m - k].conj(), self.unpack[k]);
         }
         if hi == m {
-            out[m - lo] = combine(packed[0], packed[0].conj(), self.unpack[m]);
+            out[m - lo] = unpack_bin(packed[0], packed[0].conj(), self.unpack[m]);
         }
+    }
+
+    /// Whether this plan runs [`forward_real_bins_lanes`](Self::forward_real_bins_lanes):
+    /// the length is even and the half-length plan is radix-2 or
+    /// mixed-radix (a Bluestein half plan stages through a padded
+    /// convolution, not through butterfly passes a lane block can share).
+    pub fn supports_lanes(&self) -> bool {
+        self.lane_half_plan().is_some()
+    }
+
+    /// The half plan and its gather order, when lanes are supported.
+    fn lane_half_plan(&self) -> Option<(&FftPlan, &[u32])> {
+        match &self.kernel {
+            RealKernel::PackedEven { half_plan } => {
+                half_plan.gather_order().map(|order| (&**half_plan, order))
+            }
+            RealKernel::OddFull => None,
+        }
+    }
+
+    /// Computes bins `bins` (a sub-range of `0..=n/2`) of the `n`-point
+    /// DFTs of [`LANES`] real **even-symmetric** signals at once:
+    /// `half[i][l]` is sample `i` of signal `l` for `i in 0..=n/2`, and
+    /// sample `n - i` equals sample `i` (what a square-law intensity
+    /// spectrum looks like, so the mirror half is read, never stored).
+    /// `out[i]` receives bin `bins.start() + i` of every lane; `work` is
+    /// the caller-owned transform buffer.
+    ///
+    /// One pass packs `x[2j] + i·x[2j+1]` straight into the half plan's
+    /// gather order, the half plan's butterflies run once over lane
+    /// elements, and the unpacking pass covers the requested bins only.
+    /// Lane `l` of every produced bin is **bit-identical** to what
+    /// [`forward_real_bins_into`](Self::forward_real_bins_into) produces
+    /// for signal `l` alone, whatever rides in the other lanes: the body
+    /// is the scalar one instantiated over [`ComplexLanes`].
+    ///
+    /// The body is compiled twice — for the build's baseline ISA and, on
+    /// x86-64, with AVX2 enabled — and this call picks by
+    /// `is_x86_feature_detected!`. The two cannot differ in a bit: both
+    /// are IEEE-exact per lane, FMA is not enabled and Rust never
+    /// contracts a multiply-add on its own.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DspError::InvalidLength`] if the plan does not
+    /// [support lanes](Self::supports_lanes), if `half` is not exactly
+    /// `n/2 + 1` samples, or if the range is inverted or reaches past bin
+    /// `n/2`.
+    pub fn forward_real_bins_lanes(
+        &self,
+        half: &[[f64; LANES]],
+        bins: RangeInclusive<usize>,
+        work: &mut Vec<ComplexLanes>,
+        out: &mut Vec<ComplexLanes>,
+    ) -> Result<(), DspError> {
+        let (half_plan, order) = self.check_lanes(half, &bins)?;
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the one requirement of a `#[target_feature]` function
+            // is that the CPU has the feature, checked on the line above.
+            unsafe { self.lanes_avx2(half_plan, order, half, bins, work, out) };
+            return Ok(());
+        }
+        self.lanes_body(half_plan, order, half, bins, work, out);
+        Ok(())
+    }
+
+    /// [`forward_real_bins_lanes`](Self::forward_real_bins_lanes) pinned to
+    /// the baseline-ISA instantiation, whatever the CPU offers — so a test
+    /// on an AVX2 host can hold both instantiations against each other and
+    /// against the scalar transform.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as
+    /// [`forward_real_bins_lanes`](Self::forward_real_bins_lanes).
+    pub fn forward_real_bins_lanes_portable(
+        &self,
+        half: &[[f64; LANES]],
+        bins: RangeInclusive<usize>,
+        work: &mut Vec<ComplexLanes>,
+        out: &mut Vec<ComplexLanes>,
+    ) -> Result<(), DspError> {
+        let (half_plan, order) = self.check_lanes(half, &bins)?;
+        self.lanes_body(half_plan, order, half, bins, work, out);
+        Ok(())
+    }
+
+    /// Entry checks of the lane transform; hands back the half plan and
+    /// its gather order.
+    fn check_lanes(
+        &self,
+        half: &[[f64; LANES]],
+        bins: &RangeInclusive<usize>,
+    ) -> Result<(&FftPlan, &[u32]), DspError> {
+        let Some(lane_plan) = self.lane_half_plan() else {
+            return Err(DspError::InvalidLength {
+                len: self.n,
+                requirement: "lane transforms need an even length with a non-Bluestein half plan",
+            });
+        };
+        if half.len() != self.spectrum_len() {
+            return Err(DspError::InvalidLength {
+                len: half.len(),
+                requirement: "a symmetric lane input holds exactly samples 0..=n/2",
+            });
+        }
+        self.check_bins(bins)?;
+        Ok(lane_plan)
+    }
+
+    /// The lane transform, `#[inline(always)]` down to the butterflies so
+    /// that each caller below compiles its own copy for its own ISA.
+    #[inline(always)]
+    fn lanes_body(
+        &self,
+        half_plan: &FftPlan,
+        order: &[u32],
+        half: &[[f64; LANES]],
+        bins: RangeInclusive<usize>,
+        work: &mut Vec<ComplexLanes>,
+        out: &mut Vec<ComplexLanes>,
+    ) {
+        let n = self.n;
+        work.clear();
+        work.extend(order.iter().map(|&j| {
+            let (even, odd) = (2 * j as usize, 2 * j as usize + 1);
+            ComplexLanes {
+                re: half[even.min(n - even)],
+                im: half[odd.min(n - odd)],
+            }
+        }));
+        half_plan.passes(work, false);
+        out.clear();
+        out.resize(bins.end() - bins.start() + 1, ComplexLanes::ZERO);
+        self.unpack_bins(work, bins, out);
+    }
+
+    /// [`lanes_body`](Self::lanes_body) compiled with AVX2: one 256-bit
+    /// operation per lane block where the baseline ISA issues two 128-bit
+    /// ones.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn lanes_avx2(
+        &self,
+        half_plan: &FftPlan,
+        order: &[u32],
+        half: &[[f64; LANES]],
+        bins: RangeInclusive<usize>,
+        work: &mut Vec<ComplexLanes>,
+        out: &mut Vec<ComplexLanes>,
+    ) {
+        self.lanes_body(half_plan, order, half, bins, work, out);
     }
 
     /// Two-for-one packed transform: computes the half spectra of **two**

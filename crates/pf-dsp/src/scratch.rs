@@ -20,10 +20,10 @@
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::complex::Complex;
+use crate::complex::{Complex, ComplexLanes, LANES};
 
 /// How often the scratch arena has (re)allocated: `grows` counts borrows
-/// in which any of the three buffers grew its capacity inside the closure —
+/// in which any of the arena's buffers grew its capacity inside the closure —
 /// i.e. the steady state was *not* allocation-free — and `borrows` counts
 /// every [`with_spectrum_scratch`] call. A warmed-up pipeline should hold
 /// `grows` flat while `borrows` climbs; the serving stack surfaces both as
@@ -50,7 +50,10 @@ pub fn scratch_stats() -> ScratchStats {
 
 /// Reusable working buffers for one spectrum computation: two complex
 /// vectors (FFT packing scratch and a half spectrum) and one real vector
-/// (an intensity or padded-input sequence).
+/// (an intensity or padded-input sequence), each with a lane counterpart
+/// for computations that carry [`LANES`] spectra at once. The lane buffers
+/// are sized by what a lane block reads — half a symmetric intensity, the
+/// half-length transform, the requested bins — never the full grid.
 #[derive(Debug, Default)]
 pub struct SpectrumScratch {
     /// Packed-input scratch for [`crate::plan::RealFftPlan::forward_real_into`].
@@ -60,6 +63,29 @@ pub struct SpectrumScratch {
     pub half: Vec<Complex>,
     /// Real-valued working buffer (e.g. a square-law intensity sequence).
     pub real: Vec<f64>,
+    /// Transform buffer of
+    /// [`crate::plan::RealFftPlan::forward_real_bins_lanes`].
+    pub lanes_fft: Vec<ComplexLanes>,
+    /// Lane counterpart of [`half`](Self::half) (e.g. the output-plane bins
+    /// of [`LANES`] correlation lobes).
+    pub lanes_half: Vec<ComplexLanes>,
+    /// Lane counterpart of [`real`](Self::real) (e.g. samples `0..=n/2` of
+    /// [`LANES`] symmetric intensity sequences).
+    pub lanes_real: Vec<[f64; LANES]>,
+}
+
+impl SpectrumScratch {
+    /// Capacity of every buffer, for the growth counter.
+    fn capacities(&self) -> [usize; 6] {
+        [
+            self.fft.capacity(),
+            self.half.capacity(),
+            self.real.capacity(),
+            self.lanes_fft.capacity(),
+            self.lanes_half.capacity(),
+            self.lanes_real.capacity(),
+        ]
+    }
 }
 
 /// Borrows the calling thread's [`SpectrumScratch`] for the duration of `f`.
@@ -91,16 +117,9 @@ pub fn with_spectrum_scratch<R>(f: impl FnOnce(&mut SpectrumScratch) -> R) -> R 
             .try_borrow_mut()
             .expect("with_spectrum_scratch must not be re-entered on one thread");
         SCRATCH_BORROWS.fetch_add(1, Ordering::Relaxed);
-        let before = (
-            scratch.fft.capacity(),
-            scratch.half.capacity(),
-            scratch.real.capacity(),
-        );
+        let before = scratch.capacities();
         let out = f(&mut scratch);
-        let grew = scratch.fft.capacity() > before.0
-            || scratch.half.capacity() > before.1
-            || scratch.real.capacity() > before.2;
-        if grew {
+        if scratch.capacities() != before {
             SCRATCH_GROWS.fetch_add(1, Ordering::Relaxed);
         }
         out
@@ -137,7 +156,8 @@ mod tests {
     fn growth_counter_sees_first_allocation() {
         // The counters are process-wide and other tests borrow scratch
         // concurrently, so assert the monotone facts only: a fresh
-        // thread's first over-sized borrow registers a growth, and every
+        // thread's first over-sized borrow registers a growth, so does a
+        // later borrow that grows nothing but a lane buffer, and every
         // borrow registers a borrow.
         let before = scratch_stats();
         std::thread::spawn(|| {
@@ -145,12 +165,16 @@ mod tests {
                 s.real.clear();
                 s.real.resize(1 << 16, 0.0);
             });
+            with_spectrum_scratch(|s| s.lanes_real.resize(1 << 10, [0.0; LANES]));
         })
         .join()
         .unwrap();
         let after = scratch_stats();
-        assert!(after.grows > before.grows, "fresh arena growth is counted");
-        assert!(after.borrows > before.borrows);
+        assert!(
+            after.grows >= before.grows + 2,
+            "fresh arena growth is counted, lane buffers included"
+        );
+        assert!(after.borrows >= before.borrows + 2);
     }
 
     #[test]

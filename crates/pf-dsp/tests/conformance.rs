@@ -6,18 +6,21 @@
 //! cannot silently re-derive a wrong baseline):
 //!
 //! * every plan variant — pow2 radix-2, mixed-radix (radix-4/2/3/5),
-//!   Bluestein, packed-real, two-for-one pair, batched — matches the
-//!   oracle within `1e-9`;
+//!   Bluestein, packed-real, two-for-one pair, batched, lanes — matches
+//!   the oracle within `1e-9`;
 //! * where the docs claim bit-identity (free fft vs. shared plan, batched
 //!   vs. per-row execution, batched real vs. serial real, selected bins
-//!   vs. the full real transform), results match **bit for bit**;
+//!   vs. the full real transform, each lane of the lane transform vs. the
+//!   scalar transform of its row, in every instantiation this host can
+//!   run), results match **bit for bit**;
 //! * structural invariants: forward∘inverse round-trips, Parseval.
 
 use pf_dsp::batch::BatchFftPlan;
 use pf_dsp::fft::{fft, ifft};
 use pf_dsp::plan::{fft_with_plan, FftPlan, RealFftPlan};
-use pf_dsp::Complex;
+use pf_dsp::{Complex, ComplexLanes, DspError, LANES};
 use proptest::prelude::*;
+use std::ops::RangeInclusive;
 
 /// Absolute conformance tolerance. Inputs are bounded to ±1 and lengths to
 /// ≤ 128, so both the oracle's and the plans' rounding stay far below it.
@@ -278,5 +281,147 @@ fn selected_bins_reject_bad_ranges() {
         assert!(plan
             .forward_real_bins_into(&vec![0.0; n + 1], 0..=0, &mut scratch, &mut out)
             .is_err());
+    }
+}
+
+/// One way into the lane transform.
+type LaneCall = fn(
+    &RealFftPlan,
+    &[[f64; LANES]],
+    RangeInclusive<usize>,
+    &mut Vec<ComplexLanes>,
+    &mut Vec<ComplexLanes>,
+) -> Result<(), DspError>;
+
+/// Every instantiation of the lane body this host can run, each called
+/// directly: the dispatching entry point is the AVX2 one wherever AVX2 is
+/// detected (and the baseline one elsewhere), the portable entry point is
+/// the baseline one everywhere.
+const LANE_CALLS: [(&str, LaneCall); 2] = [
+    ("dispatched", RealFftPlan::forward_real_bins_lanes),
+    ("portable", RealFftPlan::forward_real_bins_lanes_portable),
+];
+
+/// Samples `0..=n/2` of a symmetric real row, bounded to ±1.
+fn half_row(n: usize, seed: usize) -> Vec<f64> {
+    (0..=n / 2)
+        .map(|j| ((j * j + (3 + seed) * j + 7 * seed) as f64 * 0.37).sin() * 0.9)
+        .collect()
+}
+
+/// Checks every lane of the lane transform of `rows` (symmetric rows given
+/// by their first halves) over `ranges`: bit for bit the scalar selected-bins
+/// transform of the mirrored row, and within tolerance of the oracle.
+fn check_lanes(n: usize, rows: [&[f64]; LANES], ranges: &[RangeInclusive<usize>], what: &str) {
+    let plan = RealFftPlan::shared(n).unwrap();
+    assert!(plan.supports_lanes(), "n={n}");
+    let half: Vec<[f64; LANES]> = (0..=n / 2)
+        .map(|i| std::array::from_fn(|l| rows[l][i]))
+        .collect();
+    let full: Vec<Vec<f64>> = rows
+        .iter()
+        .map(|row| (0..n).map(|i| row[i.min(n - i)]).collect())
+        .collect();
+    let references: Vec<Vec<Complex>> = full
+        .iter()
+        .map(|x| {
+            let as_complex: Vec<Complex> = x.iter().map(|&v| Complex::from_real(v)).collect();
+            oracle(&as_complex, false)
+        })
+        .collect();
+    let (mut scratch, mut scalar) = (Vec::new(), Vec::new());
+    let (mut work, mut lanes) = (Vec::new(), Vec::new());
+    for bins in ranges {
+        for (name, call) in LANE_CALLS {
+            call(&plan, &half, bins.clone(), &mut work, &mut lanes).unwrap();
+            for l in 0..LANES {
+                let lane: Vec<Complex> = lanes.iter().map(|z| z.lane(l)).collect();
+                plan.forward_real_bins_into(&full[l], bins.clone(), &mut scratch, &mut scalar)
+                    .unwrap();
+                let what = format!("{what} n={n} bins {bins:?} lane {l} ({name})");
+                assert_bits(&lane, &scalar, &what);
+                assert_close(&lane, &references[l][bins.clone()], &what);
+            }
+        }
+    }
+}
+
+/// Four different rows, then one row in every lane (what a short last
+/// block looks like).
+fn check_lanes_both_fills(n: usize, ranges: &[RangeInclusive<usize>]) {
+    let rows: Vec<Vec<f64>> = (0..LANES).map(|l| half_row(n, l)).collect();
+    check_lanes(n, std::array::from_fn(|l| &*rows[l]), ranges, "four rows");
+    check_lanes(n, [&*rows[1]; LANES], ranges, "one row repeated");
+}
+
+/// The lane transform on every small even length with a power-of-two or
+/// mixed-radix half, over **every** bin sub-range — `{0}`, `{n/2}`, single
+/// interior bins, the full range and everything between.
+#[test]
+fn lanes_match_the_scalar_transform_and_the_oracle_on_every_bin_range() {
+    for n in [2usize, 4, 16, 128, 6, 12, 20, 60] {
+        let ranges: Vec<_> = (0..=n / 2)
+            .flat_map(|lo| (lo..=n / 2).map(move |hi| lo..=hi))
+            .collect();
+        check_lanes_both_fills(n, &ranges);
+    }
+}
+
+/// The lane transform on the grids the JTC runs (360 and 1200 are the
+/// benchmark's; 1350 adds a half with every radix), over the ends, the
+/// whole, single bins and lobe-shaped windows of the spectrum.
+#[test]
+fn lanes_match_the_scalar_transform_and_the_oracle_on_the_jtc_grids() {
+    for n in [360usize, 1200, 1350] {
+        let m = n / 2;
+        let ranges = [
+            0..=0,
+            m..=m,
+            0..=m,
+            1..=m - 1,
+            m / 3..=m / 3,
+            m / 4..=m / 4 + m / 5,
+            m - m / 3..=m,
+        ];
+        check_lanes_both_fills(n, &ranges);
+    }
+}
+
+/// Odd lengths and even lengths with a Bluestein half have no lane path,
+/// and say so; bad inputs are rejected where lanes are supported.
+#[test]
+fn lanes_are_refused_where_unsupported_and_on_bad_input() {
+    let (mut work, mut out) = (Vec::new(), Vec::new());
+    for n in [7usize, 9, 45, 21, 14, 22] {
+        let plan = RealFftPlan::shared(n).unwrap();
+        assert!(!plan.supports_lanes(), "n={n}");
+        let half = vec![[0.5; LANES]; n / 2 + 1];
+        for (name, call) in LANE_CALLS {
+            assert!(
+                matches!(
+                    call(&plan, &half, 0..=0, &mut work, &mut out),
+                    Err(DspError::InvalidLength { .. })
+                ),
+                "n={n} ({name})"
+            );
+        }
+    }
+    let plan = RealFftPlan::shared(12).unwrap();
+    let half = vec![[0.5; LANES]; 7];
+    let inverted = RangeInclusive::new(3, 2);
+    for (name, call) in LANE_CALLS {
+        for bad in [0..=7, 7..=7, inverted.clone()] {
+            assert!(
+                call(&plan, &half, bad.clone(), &mut work, &mut out).is_err(),
+                "range {bad:?} ({name})"
+            );
+        }
+        // Exactly samples 0..=n/2: one short or one long is refused.
+        for len in [6usize, 8] {
+            assert!(
+                call(&plan, &half.repeat(2)[..len], 0..=0, &mut work, &mut out).is_err(),
+                "{len} samples ({name})"
+            );
+        }
     }
 }

@@ -30,11 +30,17 @@
 //!   [`PreparedSpectrum::correlate_spectrum`] replays it against any
 //!   prepared kernel with the same geometry — one spectrum-add plus one
 //!   inverse-lens transform per kernel instead of two transforms each;
-//! * whole tile batches transform at once:
+//! * the kernels that consume one tile's transform ride the second lens
+//!   **in lanes**: [`PreparedConv1d::correlate_set_with_signal`] takes
+//!   [`LANES`] prepared kernels of one geometry through spectrum-add,
+//!   intensity, one lane transform
+//!   ([`RealFftPlan::forward_real_bins_lanes`]) and the lobe read-out
+//!   together — each lane the per-kernel expression sequence, bit for bit;
+//! * whole tile batches are handed over at once:
 //!   [`PreparedSpectrum::signal_spectra_batch`] (and the row-tiling hook
-//!   [`PreparedConv1d::prepare_signal_batch`]) run one batched real-input
-//!   plan over N planar rows, bit-identical per row to the one-at-a-time
-//!   path.
+//!   [`PreparedConv1d::prepare_signal_batch`]) take N planar rows in one
+//!   call and transform them row by row, bit-identical per row to the
+//!   one-at-a-time path.
 //!
 //! [`PreparedKernel`] layers the engine's DAC/ADC quantisation on top —
 //! still deterministic, so shareable between engines of one configuration
@@ -48,24 +54,26 @@
 //! transform is byte-copied, not recomputed, so the floating-point operation
 //! sequence does not change.
 //!
-//! Each chain is written **once**: the full chain and the shared-signal
-//! chain each have one body taking `Option<&mut StageAcc>`, and the
-//! inherent, trait, `_acc` and `_traced` entry points are thin callers of
-//! it. Passing an accumulator marks the stage boundaries (`signal_fft`,
-//! `spectrum_apply`, `inverse`, `dac_adc`) in place; stage totals are read
-//! back as [`pf_telemetry::StageTotals`].
+//! Each chain is written **once**: the full chain, the shared-signal
+//! chain and the shared-signal lane block each have one body taking
+//! `Option<&mut StageAcc>`, and the inherent, trait, `_acc` and `_traced`
+//! entry points are thin callers of it. Passing an accumulator marks the
+//! stage boundaries (`signal_fft`, `spectrum_apply`, `inverse`, `dac_adc`)
+//! in place; stage totals are read back as [`pf_telemetry::StageTotals`].
 
+use std::any::Any;
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use pf_dsp::complex::Complex;
+use pf_dsp::complex::{Complex, LANES};
 use pf_dsp::plan::RealFftPlan;
 use pf_dsp::scratch::{with_spectrum_scratch, SpectrumScratch};
 use pf_photonics::adc::Adc;
 use pf_photonics::dac::Dac;
 use pf_photonics::detector::SensingNoise;
 use pf_telemetry::{Stage, StageAcc};
-use pf_tiling::{PreparedConv1d, PreparedSignal};
+use pf_tiling::{correlate_set_per_kernel, PreparedConv1d, PreparedSignal};
 
 use crate::error::JtcError;
 
@@ -98,6 +106,21 @@ impl ReadOut {
         gain: 1.0,
         sum_squares: false,
     };
+
+    /// Reads a lobe out of the real parts of its output-plane bins, given
+    /// in output order: normalises the double-transform gain of N
+    /// (`inv_n`), applies the gain, and returns the samples with their sum
+    /// of squares (`0.0` when not asked for).
+    fn collect(self, lobe_re: impl Iterator<Item = f64>, inv_n: f64) -> (Vec<f64>, f64) {
+        let samples = lobe_re.map(|re| re * inv_n * self.gain);
+        let mut sum_sq = 0.0;
+        let out = if self.sum_squares {
+            samples.inspect(|v| sum_sq += v * v).collect()
+        } else {
+            samples.collect()
+        };
+        (out, sum_sq)
+    }
 }
 
 /// The precomputed optics-level state for correlating one fixed kernel with
@@ -252,14 +275,16 @@ impl PreparedSpectrum {
 
     /// Computes the first-lens transforms of `count` signals stored back to
     /// back in `signals` (planar layout, each row exactly
-    /// [`signal_len`](PreparedSpectrum::signal_len) samples) through **one
-    /// batched real-input transform**: the plan walks its stages once across
-    /// all rows instead of once per row.
+    /// [`signal_len`](PreparedSpectrum::signal_len) samples) in one call to
+    /// [`RealFftPlan::forward_real_batch_into`], which runs the real-input
+    /// transform once per row, in row order, sharing one scratch borrow and
+    /// one output allocation across the batch — no transform stage is
+    /// shared between rows.
     ///
     /// Each returned spectrum is bit-identical to what
-    /// [`PreparedSpectrum::signal_spectrum`] produces for the same row — the
-    /// batched kernel replays the per-row floating-point operation sequence
-    /// exactly — so every sharing guarantee downstream carries over.
+    /// [`PreparedSpectrum::signal_spectrum`] produces for the same row —
+    /// every row runs that call's own transform body — so every sharing
+    /// guarantee downstream carries over.
     ///
     /// # Errors
     ///
@@ -402,7 +427,9 @@ impl PreparedSpectrum {
         read_out: ReadOut,
         mut acc: Option<&mut StageAcc>,
     ) -> Result<(Vec<f64>, f64), JtcError> {
-        let SpectrumScratch { fft, half, real } = s;
+        let SpectrumScratch {
+            fft, half, real, ..
+        } = s;
         self.apply_kernel_spectrum(half, real);
         mark(&mut acc, Stage::SpectrumApply);
         // The joint spectrum is spent once the intensity exists, so its
@@ -448,23 +475,84 @@ impl PreparedSpectrum {
         lobe: &mut Vec<Complex>,
         read_out: ReadOut,
     ) -> Result<(Vec<f64>, f64), JtcError> {
+        self.plan
+            .forward_real_bins_into(intensity, self.lobe_bins(), fft_scratch, lobe)?;
+        let lobe_re = lobe.iter().rev().map(|z| z.re);
+        Ok(read_out.collect(lobe_re, 1.0 / self.n as f64))
+    }
+
+    /// The output-plane bins of the correlation lobe, ascending.
+    fn lobe_bins(&self) -> RangeInclusive<usize> {
         let len = self.signal_len - self.kernel_len + 1;
-        self.plan.forward_real_bins_into(
-            intensity,
-            self.d + 1 - len..=self.d,
-            fft_scratch,
-            lobe,
-        )?;
-        let inv_n = 1.0 / self.n as f64;
-        let ReadOut { gain, sum_squares } = read_out;
-        let samples = lobe.iter().rev().map(|z| z.re * inv_n * gain);
-        let mut sum_sq = 0.0;
-        let out = if sum_squares {
-            samples.inspect(|v| sum_sq += v * v).collect()
-        } else {
-            samples.collect()
-        };
-        Ok((out, sum_sq))
+        self.d + 1 - len..=self.d
+    }
+
+    /// Whether `other` lays its joint input plane out exactly as `self`
+    /// does, so the two can share a lane block.
+    fn same_geometry(&self, other: &PreparedSpectrum) -> bool {
+        (self.signal_len, self.kernel_len, self.d, self.n)
+            == (other.signal_len, other.kernel_len, other.d, other.n)
+    }
+
+    /// [`PreparedSpectrum::finish`] for a lane block: `block` holds 1 to
+    /// [`LANES`] prepared kernels of one geometry (a short block repeats
+    /// its last kernel in the idle lanes and drops their output), all
+    /// correlated against the signal half spectrum `signal_half` taken on
+    /// that geometry's grid. Adds each kernel spectrum, takes the square-law
+    /// intensities (`spectrum_apply`), then runs one lane transform and
+    /// reads every live lane's lobe out by `read_outs` (`inverse`), pushing
+    /// one sample vector per kernel onto `out` and returning the sums of
+    /// squares by lane. Every lane computes what `finish` computes for its
+    /// kernel, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry's plan does not support lanes or
+    /// `signal_half` was not taken on its grid — what
+    /// [`PreparedKernel::lane_set`] rules out before any block runs (a
+    /// block must not fail once an earlier one has drawn noise).
+    fn finish_lanes(
+        block: &[&PreparedSpectrum],
+        signal_half: &[Complex],
+        read_outs: &[ReadOut; LANES],
+        s: &mut SpectrumScratch,
+        out: &mut Vec<Vec<f64>>,
+        acc: &mut Option<&mut StageAcc>,
+    ) -> [f64; LANES] {
+        let first = block[0];
+        let kernels: [&[Complex]; LANES] =
+            std::array::from_fn(|l| &*block[l.min(block.len() - 1)].kernel_half_spec);
+        // The intensity is symmetric (`I[n-k] = I[k]`), and the lane
+        // transform reads the mirror half instead of having it stored.
+        s.lanes_real.clear();
+        s.lanes_real
+            .extend(signal_half.iter().enumerate().map(|(k, &signal)| {
+                std::array::from_fn(|l| {
+                    let mut joint = signal;
+                    joint += kernels[l][k];
+                    joint.norm_sqr()
+                })
+            }));
+        mark(acc, Stage::SpectrumApply);
+        first
+            .plan
+            .forward_real_bins_lanes(
+                &s.lanes_real,
+                first.lobe_bins(),
+                &mut s.lanes_fft,
+                &mut s.lanes_half,
+            )
+            .expect("the set was cleared for lanes on this geometry");
+        let inv_n = 1.0 / first.n as f64;
+        let mut sums = [0.0; LANES];
+        for (l, read_out) in read_outs.iter().enumerate().take(block.len()) {
+            let lobe_re = s.lanes_half.iter().rev().map(|z| z.re[l]);
+            let (samples, sum_sq) = read_out.collect(lobe_re, inv_n);
+            out.push(samples);
+            sums[l] = sum_sq;
+        }
+        mark(acc, Stage::Inverse);
+        sums
     }
 }
 
@@ -594,19 +682,102 @@ impl PreparedKernel {
         mut acc: Option<&mut StageAcc>,
     ) -> Vec<f64> {
         if let Some(shared) = prepared.as_any().downcast_ref::<SharedSignal>() {
-            if let Ok((mut out, sum_sq)) = self.spectrum.correlate_spectrum_acc(
-                &shared.spectrum,
-                self.read_out(shared.s_scale),
-                acc.as_deref_mut(),
-            ) {
-                self.condition(&mut out, sum_sq);
-                mark(&mut acc, Stage::DacAdc);
+            if let Ok(out) = self.chain_shared(shared, acc.as_deref_mut()) {
                 return out;
             }
         }
         // Shape-only contract, like `Conv1dEngine::correlate_valid`: a
         // mismatched call degenerates to an empty result.
         self.chain(signal, acc).unwrap_or_default()
+    }
+
+    /// The shared-signal chain on this engine's own transform type.
+    fn chain_shared(
+        &self,
+        shared: &SharedSignal,
+        mut acc: Option<&mut StageAcc>,
+    ) -> Result<Vec<f64>, JtcError> {
+        let (mut out, sum_sq) = self.spectrum.correlate_spectrum_acc(
+            &shared.spectrum,
+            self.read_out(shared.s_scale),
+            acc.as_deref_mut(),
+        )?;
+        self.condition(&mut out, sum_sq);
+        mark(&mut acc, Stage::DacAdc);
+        Ok(out)
+    }
+
+    /// The one body of the shared-signal chain for a whole kernel set that
+    /// [`PreparedKernel::lane_set`] cleared: the optics run per lane block
+    /// ([`PreparedSpectrum::finish_lanes`]), then each kernel of the block
+    /// conditions its own output **in kernel order**, so a noisy engine's
+    /// stream is consumed exactly as the per-kernel chain consumes it.
+    /// Stages are marked once per block. A block of one — a set of one
+    /// kernel, the tail of a set of `4k + 1` — takes the scalar chain: a
+    /// whole lane transform for one lobe costs more than the scalar one
+    /// (single-kernel partial tiling ran 20–29 % slower through lanes).
+    fn chain_set(
+        set: &[&dyn PreparedConv1d],
+        shared: &SharedSignal,
+        mut acc: Option<&mut StageAcc>,
+    ) -> Vec<Vec<f64>> {
+        let mut out = Vec::with_capacity(set.len());
+        for block in set.chunks(LANES) {
+            if let [lone] = block {
+                let lone = Self::of(*lone).expect("lane_set cleared every member");
+                out.push(
+                    lone.chain_shared(shared, acc.as_deref_mut())
+                        .expect("lane_set cleared the geometry"),
+                );
+                continue;
+            }
+            // A short last block repeats its last kernel in the idle lanes.
+            let kernels: [&PreparedKernel; LANES] = std::array::from_fn(|l| {
+                Self::of(block[l.min(block.len() - 1)]).expect("lane_set cleared every member")
+            });
+            let spectra = kernels.map(|k| &*k.spectrum);
+            let read_outs = kernels.map(|k| k.read_out(shared.s_scale));
+            let sums = with_spectrum_scratch(|s| {
+                PreparedSpectrum::finish_lanes(
+                    &spectra[..block.len()],
+                    &shared.spectrum.half_spec,
+                    &read_outs,
+                    s,
+                    &mut out,
+                    &mut acc,
+                )
+            });
+            let done = out.len() - block.len();
+            for ((kernel, samples), sum_sq) in kernels.iter().zip(&mut out[done..]).zip(sums) {
+                kernel.condition(samples, sum_sq);
+            }
+            mark(&mut acc, Stage::DacAdc);
+        }
+        out
+    }
+
+    /// `member` as this engine's own prepared kernel, if it is one.
+    fn of(member: &dyn PreparedConv1d) -> Option<&PreparedKernel> {
+        (member as &dyn Any).downcast_ref()
+    }
+
+    /// `prepared` as this engine's own transform, when the whole of `set`
+    /// can ride in lanes with it: every member is a [`PreparedKernel`] on
+    /// one geometry whose plan supports lanes and whose lobe is non-empty,
+    /// and the transform was taken on that geometry.
+    fn lane_set<'a>(
+        set: &[&dyn PreparedConv1d],
+        prepared: &'a dyn PreparedSignal,
+    ) -> Option<&'a SharedSignal> {
+        let shared = prepared.as_any().downcast_ref::<SharedSignal>()?;
+        let first = &*Self::of(*set.first()?)?.spectrum;
+        let rides = first.plan.supports_lanes()
+            && first.kernel_len <= first.signal_len
+            && (shared.spectrum.signal_len, shared.spectrum.n) == (first.signal_len, first.n)
+            && set
+                .iter()
+                .all(|member| Self::of(*member).is_some_and(|k| k.spectrum.same_geometry(first)));
+        rides.then_some(shared)
     }
 
     /// What both chains ask of the second lens' read-out for a signal with
@@ -690,6 +861,21 @@ impl PreparedConv1d for PreparedKernel {
 
     fn correlate_with_signal(&self, prepared: &dyn PreparedSignal, signal: &[f64]) -> Vec<f64> {
         self.chain_with_signal(prepared, signal, None)
+    }
+
+    fn correlate_set_with_signal(
+        &self,
+        set: &[&dyn PreparedConv1d],
+        prepared: &dyn PreparedSignal,
+        signal: &[f64],
+        acc: Option<&mut StageAcc>,
+    ) -> Vec<Vec<f64>> {
+        match Self::lane_set(set, prepared) {
+            Some(shared) => Self::chain_set(set, shared, acc),
+            // A foreign member, mixed geometries, an empty lobe: the
+            // per-kernel loop handles each member on its own terms.
+            None => correlate_set_per_kernel(set, prepared, signal, acc),
+        }
     }
 
     fn correlate_valid_acc(&self, signal: &[f64], acc: &mut StageAcc) -> Vec<f64> {

@@ -1,0 +1,292 @@
+//! The lane path against the per-kernel path.
+//!
+//! [`PreparedConv1d::correlate_set_with_signal`] on a JTC prepared kernel
+//! carries the kernels of a set through the second lens four to a lane
+//! block. The contract it is held to here: output for output **bit for
+//! bit** what calling `correlate_with_signal` on each member in turn
+//! produces, with a noisy engine's stream left in the same state — for
+//! every block shape (full blocks, a short last block, a set shorter than
+//! one block, a lone kernel, which takes the scalar chain), with and
+//! without stage marks, and on the sets it must hand back to the
+//! per-kernel loop (mixed geometry, a foreign member).
+
+use std::sync::Arc;
+
+use pf_dsp::scratch::with_spectrum_scratch;
+use pf_dsp::LANES;
+use pf_jtc::engine::{JtcEngine, JtcEngineConfig};
+use pf_telemetry::{Stage, StageAcc};
+use pf_tiling::{Conv1dEngine, PreparedConv1d, PreparedSignal};
+use proptest::prelude::*;
+
+const SIGNAL_LEN: usize = 48;
+
+fn configs() -> [(&'static str, JtcEngineConfig); 3] {
+    [
+        ("ideal", JtcEngineConfig::ideal(64)),
+        (
+            "adc_only",
+            JtcEngineConfig {
+                adc_bits: Some(8),
+                ..JtcEngineConfig::ideal(64)
+            },
+        ),
+        (
+            "cg_seed11",
+            JtcEngineConfig {
+                noise_seed: 11,
+                ..JtcEngineConfig::photofourier_cg(64)
+            },
+        ),
+    ]
+}
+
+fn kernel(i: usize, len: usize) -> Vec<f64> {
+    (0..len)
+        .map(|j| ((i * 7 + j * 3) as f64 * 0.41).sin() - 0.2 * (i % 3) as f64)
+        .collect()
+}
+
+fn signal(len: usize, phase: f64) -> Vec<f64> {
+    (0..len)
+        .map(|i| ((i as f64 + phase) * 0.29).sin() + 0.3)
+        .collect()
+}
+
+fn prepare(engine: &JtcEngine, kernels: &[Vec<f64>], len: usize) -> Vec<Arc<dyn PreparedConv1d>> {
+    kernels
+        .iter()
+        .map(|k| engine.prepare_kernel(k, len).expect("the JTC prepares"))
+        .collect()
+}
+
+fn refs(preps: &[Arc<dyn PreparedConv1d>]) -> Vec<&dyn PreparedConv1d> {
+    preps.iter().map(|p| &**p).collect()
+}
+
+fn per_kernel(
+    set: &[&dyn PreparedConv1d],
+    shared: &dyn PreparedSignal,
+    signal: &[f64],
+) -> Vec<Vec<f64>> {
+    set.iter()
+        .map(|k| k.correlate_with_signal(shared, signal))
+        .collect()
+}
+
+fn assert_bits(a: &[Vec<f64>], b: &[Vec<f64>], what: &str) {
+    assert_eq!(a.len(), b.len(), "{what}: output count");
+    for (k, (x, y)) in a.iter().zip(b).enumerate() {
+        assert_eq!(x.len(), y.len(), "{what}: kernel {k} length");
+        for (i, (p, q)) in x.iter().zip(y).enumerate() {
+            assert_eq!(p.to_bits(), q.to_bits(), "{what}: kernel {k} sample {i}");
+        }
+    }
+}
+
+/// Which path a set call took, read off this thread's scratch arena (one
+/// test, one thread): a lane block leaves its lobe in `lanes_half`, the
+/// per-kernel chain never touches it.
+#[derive(Debug, PartialEq, Clone, Copy)]
+enum Path {
+    Lanes,
+    PerKernel,
+}
+
+fn path_taken(f: impl FnOnce()) -> Path {
+    with_spectrum_scratch(|s| s.lanes_half.clear());
+    f();
+    match with_spectrum_scratch(|s| s.lanes_half.len()) {
+        0 => Path::PerKernel,
+        _ => Path::Lanes,
+    }
+}
+
+/// Runs `kernels` against two tiles on two engines of one configuration —
+/// the set call on one, the per-kernel loop on the other — and checks the
+/// path taken, outputs and engine state (the `Debug` form shows the noise
+/// generator).
+fn check_set_equals_loop(
+    name: &str,
+    config: &JtcEngineConfig,
+    kernels: &[Vec<f64>],
+    len: usize,
+    expect: Path,
+) {
+    let (by_set, by_loop) = (
+        JtcEngine::new(config.clone()).unwrap(),
+        JtcEngine::new(config.clone()).unwrap(),
+    );
+    let (set_preps, loop_preps) = (
+        prepare(&by_set, kernels, len),
+        prepare(&by_loop, kernels, len),
+    );
+    for phase in [0.0, 5.5] {
+        let tile = signal(len, phase);
+        let what = format!("{name}, {} kernels, phase {phase}", kernels.len());
+        let shared = set_preps[0].prepare_signal(&tile).unwrap();
+        let set = refs(&set_preps);
+        let mut lanes = Vec::new();
+        let path =
+            path_taken(|| lanes = set[0].correlate_set_with_signal(&set, &*shared, &tile, None));
+        assert_eq!(path, expect, "{what}: path");
+        let looped = per_kernel(&refs(&loop_preps), &*shared, &tile);
+        assert_bits(&lanes, &looped, &what);
+        assert_eq!(
+            format!("{by_set:?}"),
+            format!("{by_loop:?}"),
+            "{what}: engine state"
+        );
+    }
+}
+
+#[test]
+fn set_call_equals_the_per_kernel_loop_for_every_block_shape() {
+    for (name, config) in configs() {
+        for count in 1..=2 * LANES + 1 {
+            let kernels: Vec<Vec<f64>> = (0..count).map(|i| kernel(i, 5)).collect();
+            // One kernel is not worth a lane block.
+            let expect = if count == 1 {
+                Path::PerKernel
+            } else {
+                Path::Lanes
+            };
+            check_set_equals_loop(name, &config, &kernels, SIGNAL_LEN, expect);
+        }
+    }
+}
+
+#[test]
+fn a_silent_kernel_in_a_lane_draws_no_noise() {
+    // An all-zero kernel under an all-zero tile has zero RMS and must
+    // consume nothing, also when it rides between kernels that do.
+    let (_, config) = configs().into_iter().nth(2).unwrap();
+    let kernels = vec![kernel(0, 3), vec![0.0; 3], kernel(2, 3), kernel(3, 3)];
+    check_set_equals_loop("cg with a silent lane", &config, &kernels, 16, Path::Lanes);
+}
+
+#[test]
+fn stage_marks_change_no_bit_and_split_the_block_exactly() {
+    let engine = JtcEngine::new(JtcEngineConfig::photofourier_cg(64)).unwrap();
+    let other = JtcEngine::new(JtcEngineConfig::photofourier_cg(64)).unwrap();
+    let kernels: Vec<Vec<f64>> = (0..LANES + 2).map(|i| kernel(i, 5)).collect();
+    let (preps, other_preps) = (
+        prepare(&engine, &kernels, SIGNAL_LEN),
+        prepare(&other, &kernels, SIGNAL_LEN),
+    );
+    let tile = signal(SIGNAL_LEN, 1.0);
+    let shared = preps[0].prepare_signal(&tile).unwrap();
+    let mut acc = StageAcc::start();
+    let set = refs(&preps);
+    let traced = set[0].correlate_set_with_signal(&set, &*shared, &tile, Some(&mut acc));
+    let other_set = refs(&other_preps);
+    let plain = other_set[0].correlate_set_with_signal(&other_set, &*shared, &tile, None);
+    assert_bits(&traced, &plain, "traced vs plain");
+    let ns = acc.ns();
+    assert_eq!(
+        ns[Stage::SignalFft.index()],
+        0,
+        "the transform was shared, not taken"
+    );
+    for stage in [Stage::SpectrumApply, Stage::Inverse, Stage::DacAdc] {
+        assert!(ns[stage.index()] > 0, "{} is marked", stage.name());
+    }
+}
+
+/// A handle of a type the JTC does not know, forwarding what the trait
+/// requires and nothing else — the shape of a tracing wrapper written
+/// before the set call existed.
+#[derive(Debug)]
+struct Foreign(Arc<dyn PreparedConv1d>);
+
+impl PreparedConv1d for Foreign {
+    fn signal_len(&self) -> usize {
+        self.0.signal_len()
+    }
+
+    fn correlate_valid(&self, signal: &[f64]) -> Vec<f64> {
+        self.0.correlate_valid(signal)
+    }
+
+    fn correlate_with_signal(&self, prepared: &dyn PreparedSignal, signal: &[f64]) -> Vec<f64> {
+        self.0.correlate_with_signal(prepared, signal)
+    }
+}
+
+#[test]
+fn sets_that_cannot_ride_in_lanes_fall_back_to_the_loop() {
+    for (name, config) in configs() {
+        // Mixed geometry: kernel lengths differ, so lobes (and for some
+        // lengths grids) differ; the odd one out must still be answered as
+        // `correlate_with_signal` answers it.
+        let mixed: Vec<Vec<f64>> = [5, 5, 3, 5, 9]
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| kernel(i, len))
+            .collect();
+        check_set_equals_loop(
+            &format!("{name} mixed"),
+            &config,
+            &mixed,
+            SIGNAL_LEN,
+            Path::PerKernel,
+        );
+
+        // A kernel longer than the signal: empty outputs, no lanes.
+        let long: Vec<Vec<f64>> = (0..3).map(|i| kernel(i, 20)).collect();
+        check_set_equals_loop(&format!("{name} long"), &config, &long, 12, Path::PerKernel);
+
+        // A foreign member, first (the default body answers) and in the
+        // middle (the override recognises it and steps aside).
+        let kernels: Vec<Vec<f64>> = (0..LANES + 1).map(|i| kernel(i, 5)).collect();
+        for foreign_at in [0, 2] {
+            let (by_set, by_loop) = (
+                JtcEngine::new(config.clone()).unwrap(),
+                JtcEngine::new(config.clone()).unwrap(),
+            );
+            let wrap = |engine: &JtcEngine| -> Vec<Arc<dyn PreparedConv1d>> {
+                let mut preps = prepare(engine, &kernels, SIGNAL_LEN);
+                preps[foreign_at] = Arc::new(Foreign(Arc::clone(&preps[foreign_at])));
+                preps
+            };
+            let (set_preps, loop_preps) = (wrap(&by_set), wrap(&by_loop));
+            let tile = signal(SIGNAL_LEN, 2.0);
+            let shared = set_preps[1].prepare_signal(&tile).unwrap();
+            let set = refs(&set_preps);
+            let what = format!("{name} foreign at {foreign_at}");
+            let mut lanes = Vec::new();
+            let path = path_taken(|| {
+                lanes = set[0].correlate_set_with_signal(&set, &*shared, &tile, None)
+            });
+            assert_eq!(path, Path::PerKernel, "{what}: path");
+            let looped = per_kernel(&refs(&loop_preps), &*shared, &tile);
+            assert_bits(&lanes, &looped, &what);
+            assert_eq!(format!("{by_set:?}"), format!("{by_loop:?}"), "{what}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random kernels, signals and set sizes on the CG chain (DAC, noise,
+    /// ADC — everything a lane has to reproduce).
+    #[test]
+    fn random_sets_equal_the_per_kernel_loop(
+        tile in prop::collection::vec(-4.0f64..4.0, 24usize..=24),
+        kernels in prop::collection::vec(prop::collection::vec(-2.0f64..2.0, 4usize..=4), 1..11),
+        seed in 0u64..1000,
+    ) {
+        let config = JtcEngineConfig { noise_seed: seed, ..JtcEngineConfig::photofourier_cg(32) };
+        let (by_set, by_loop) =
+            (JtcEngine::new(config.clone()).unwrap(), JtcEngine::new(config).unwrap());
+        let (set_preps, loop_preps) =
+            (prepare(&by_set, &kernels, 24), prepare(&by_loop, &kernels, 24));
+        let shared = set_preps[0].prepare_signal(&tile).unwrap();
+        let set = refs(&set_preps);
+        let lanes = set[0].correlate_set_with_signal(&set, &*shared, &tile, None);
+        let looped = per_kernel(&refs(&loop_preps), &*shared, &tile);
+        assert_bits(&lanes, &looped, "random set");
+        prop_assert_eq!(format!("{by_set:?}"), format!("{by_loop:?}"));
+    }
+}

@@ -138,10 +138,10 @@ pub trait PreparedConv1d: Any + Debug + Send + Sync {
     ///
     /// Each returned transform must be **bit-identical** to what
     /// [`PreparedConv1d::prepare_signal`] produces for that row — the
-    /// executor may use either path interchangeably. Engines with a batched
-    /// transform kernel (one stage walk across all rows) override this; the
-    /// default simply loops. Returns `None` if any row fails to prepare or
-    /// the batch does not divide evenly.
+    /// executor may use either path interchangeably. Engines that can do
+    /// better with the whole batch in hand override this; the default
+    /// simply loops. Returns `None` if any row fails to prepare or the
+    /// batch does not divide evenly.
     fn prepare_signal_batch(
         &self,
         signals: &[f64],
@@ -198,6 +198,29 @@ pub trait PreparedConv1d: Any + Debug + Send + Sync {
         self.correlate_with_signal(prepared, signal)
     }
 
+    /// Correlates one shared signal transform against a whole set of
+    /// prepared kernels — every consumer of one tile's transform, `self`
+    /// among them — returning one output per member of `set`, in order.
+    /// `acc`, when present, collects the stage split of the whole call.
+    ///
+    /// Must be **bit-identical**, output for output, to calling
+    /// [`PreparedConv1d::correlate_with_signal`] on each member in turn,
+    /// and must consume any per-engine state (a noise stream) in that same
+    /// order. The default ([`correlate_set_per_kernel`]) is exactly that
+    /// loop; engines that can carry several kernels of a set through their
+    /// transform together (the JTC: one second lens per lane block)
+    /// override it, and fall back to the loop on a set they cannot batch —
+    /// a member of a foreign type, mixed geometries.
+    fn correlate_set_with_signal(
+        &self,
+        set: &[&dyn PreparedConv1d],
+        prepared: &dyn PreparedSignal,
+        signal: &[f64],
+        acc: Option<&mut StageAcc>,
+    ) -> Vec<Vec<f64>> {
+        correlate_set_per_kernel(set, prepared, signal, acc)
+    }
+
     /// [`PreparedConv1d::correlate_valid_acc`] for a one-off call: starts
     /// a fresh [`StageAcc`] and flushes it straight into `tel`'s stage
     /// slots. Loops should hold their own accumulator and call
@@ -223,6 +246,24 @@ pub trait PreparedConv1d: Any + Debug + Send + Sync {
         acc.flush(tel);
         out
     }
+}
+
+/// The per-kernel body of [`PreparedConv1d::correlate_set_with_signal`]:
+/// each member of `set` correlates the shared transform on its own, in
+/// order, marking its stages on `acc` when there is one. The trait's
+/// default, and what an overriding engine falls back to.
+pub fn correlate_set_per_kernel(
+    set: &[&dyn PreparedConv1d],
+    prepared: &dyn PreparedSignal,
+    signal: &[f64],
+    mut acc: Option<&mut StageAcc>,
+) -> Vec<Vec<f64>> {
+    set.iter()
+        .map(|kernel| match acc.as_deref_mut() {
+            Some(acc) => kernel.correlate_with_signal_acc(prepared, signal, acc),
+            None => kernel.correlate_with_signal(prepared, signal),
+        })
+        .collect()
 }
 
 /// Exact digital reference backend built on [`pf_dsp::conv::correlate1d`].

@@ -45,15 +45,19 @@
 //!   is built once, and engines that support signal sharing
 //!   ([`PreparedConv1d::prepare_signal`]) compute the tile's transform
 //!   (for the JTC: its real-input half-spectrum) once and replay it against
-//!   all N prepared kernel spectra — one spectrum-add plus one inverse
-//!   transform per kernel instead of two transforms each. A CNN layer
-//!   correlates each tile against up to `2 × out_channels` kernels, so this
-//!   removes the dominant redundant signal FFTs of batched inference. On
-//!   serial multi-kernel row tiling the tile transforms are additionally
-//!   computed as **one batched pass**
+//!   all N prepared kernel spectra. The consumers of one tile's transform
+//!   go to the engine as a whole set
+//!   ([`PreparedConv1d::correlate_set_with_signal`]), so an engine that can
+//!   carry several kernels through its second transform together (the JTC:
+//!   four to a lane block) does — one spectrum-add per kernel and one
+//!   inverse transform per block instead of two transforms per kernel. A
+//!   CNN layer correlates each tile against up to `2 × out_channels`
+//!   kernels, so this removes the dominant redundant signal FFTs of
+//!   batched inference. On serial multi-kernel row tiling the tile
+//!   transforms are additionally requested in **one batched call**
 //!   ([`PreparedConv1d::prepare_signal_batch`]): every tile of the image is
-//!   packed planar and transformed in a single plan walk before the
-//!   per-tile loop consumes the seeded cache;
+//!   packed planar and handed over before the per-tile loop consumes the
+//!   seeded cache;
 //! * shared signal transforms live in a **per-call scratch cache**; row
 //!   partitioning also reuses one row partition's transform across all
 //!   kernel rows that slide over it. The scratch and the prepared-kernel
@@ -565,12 +569,13 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
 
     // ----- shared machinery ------------------------------------------------
 
-    /// Stage attribution measures one convolution in this many (scaled
-    /// back up at flush; see `extrapolate_ns`). Within one tile or kernel
-    /// set every convolution runs the identical stage sequence on
-    /// identical geometry, so a strided sample reconstructs the split at a
-    /// quarter of the clock-read cost — what keeps traced runs inside the
-    /// CI overhead budget.
+    /// Stage attribution of the single-kernel tile loop measures one
+    /// convolution in this many (scaled back up at flush; see
+    /// `extrapolate_ns`). Every tile of a call runs the identical stage
+    /// sequence on identical geometry, so a strided sample reconstructs the
+    /// split at a quarter of the clock-read cost — what keeps traced runs
+    /// inside the CI overhead budget. (Kernel sets need no sampling: the
+    /// engine marks once per lane block; see `apply_kernel_set`.)
     const STAGE_SAMPLE_STRIDE: usize = 4;
 
     /// Scales a sampled per-stage split up to `total` convolutions.
@@ -680,13 +685,12 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
             None
         };
 
-        // Two set-local accumulators, one registry flush at the end: `acc`
-        // collects exact marks (the shared-transform preparation, fallback
-        // convolutions), `conv_acc` collects the strided consumer-conv
-        // sample that `extrapolate_ns` scales back up to the full set.
-        let enabled = self.telemetry.is_enabled();
-        let mut acc = enabled.then(StageAcc::start);
-        let mut conv_acc = enabled.then(StageAcc::start);
+        // One set-local accumulator, one registry flush at the end. Every
+        // mark is exact: the shared-transform preparation, each run of
+        // consumers (the engine marks its stages once per lane block — as
+        // many clock reads as a one-in-`STAGE_SAMPLE_STRIDE` sample would
+        // cost, with nothing to extrapolate), fallback convolutions.
+        let mut acc = self.telemetry.is_enabled().then(StageAcc::start);
 
         let mut shared: Option<Arc<dyn PreparedSignal>> = None;
         let mut computed_here = false;
@@ -713,40 +717,46 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
             }
         }
 
+        // Consumers of the shared transform go to the engine as whole runs
+        // (one call per tile when every kernel consumes, the usual case);
+        // a kernel that cannot consume it ends the run and goes through on
+        // its own, so outputs and any engine noise stream keep kernel
+        // order.
+        let consumes = |k: &Kernel1d| {
+            let key = k.prep.as_ref().map(|p| p.signal_key());
+            shared.is_some() && key == Some(share_key)
+        };
         let mut consumers = 0usize;
-        let mut sampled = 0u64;
-        let mut out: Vec<Vec<f64>> = Vec::with_capacity(kernels.len());
-        for k in kernels {
-            if let (Some(sig), Some(prep)) = (&shared, k.prep.as_ref()) {
-                if prep.signal_key() == share_key {
-                    let measure = consumers.is_multiple_of(Self::STAGE_SAMPLE_STRIDE);
-                    consumers += 1;
-                    out.push(match conv_acc.as_mut() {
-                        Some(conv) if measure => {
-                            sampled += 1;
-                            conv.skip();
-                            prep.correlate_with_signal_acc(&**sig, signal, conv)
-                        }
-                        _ => prep.correlate_with_signal(&**sig, signal),
-                    });
-                    continue;
-                }
+        let mut out: Vec<Vec<f64>> = Vec::new();
+        let mut rest = kernels;
+        while let Some(k) = rest.first() {
+            if let Some(acc) = acc.as_mut() {
+                acc.skip();
             }
-            out.push(match acc.as_mut() {
-                Some(acc) => {
-                    acc.skip();
-                    self.run1d(k.prep.as_ref(), signal, &k.tiled, Some(acc))
+            if let (true, Some(sig)) = (consumes(k), &shared) {
+                let mut run: Vec<&dyn PreparedConv1d> = Vec::with_capacity(rest.len());
+                run.extend(
+                    rest.iter()
+                        .take_while(|k| consumes(k))
+                        .filter_map(|k| k.prep.as_deref()),
+                );
+                let outputs = run[0].correlate_set_with_signal(&run, &**sig, signal, acc.as_mut());
+                if out.is_empty() {
+                    out = outputs;
+                } else {
+                    out.extend(outputs);
                 }
-                None => self.run1d(k.prep.as_ref(), signal, &k.tiled, None),
-            });
+                consumers += run.len();
+                rest = &rest[run.len()..];
+            } else {
+                // All of it on the first pass; nothing after.
+                out.reserve(rest.len());
+                out.push(self.run1d(k.prep.as_ref(), signal, &k.tiled, acc.as_mut()));
+                rest = &rest[1..];
+            }
         }
-        if let (Some(acc), Some(conv)) = (acc.as_mut(), conv_acc.as_mut()) {
-            let mut ns = acc.ns();
-            let scaled = Self::extrapolate_ns(conv.ns(), consumers as u64, sampled);
-            for (n, s) in ns.iter_mut().zip(scaled) {
-                *n += s;
-            }
-            self.telemetry.stage_add_ns(ns);
+        if let Some(acc) = acc.as_mut() {
+            acc.flush(&self.telemetry);
         }
 
         if consumers > 0 {
@@ -764,10 +774,9 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
     /// Seeds the shared-signal scratch from a **batched** transform pass:
     /// all tile signals are packed planar (`keys.len()` rows, back to back
     /// in `signals`) and handed to the producing kernel's
-    /// [`PreparedConv1d::prepare_signal_batch`], which engines with a
-    /// batched transform kernel run as one stage walk across every row.
-    /// The per-tile loop that follows then finds each transform already
-    /// cached.
+    /// [`PreparedConv1d::prepare_signal_batch`] in one call (the JTC
+    /// transforms the rows one after another). The per-tile loop that
+    /// follows then finds each transform already cached.
     ///
     /// Each seeded transform is bit-identical to what the per-tile path
     /// would have computed (the trait contract), so consuming code needs no
@@ -931,8 +940,8 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
             // result vector entirely).
             let mut buf = vec![0.0; self.n_conv];
             if share && starts.len() <= CACHE_CAP {
-                // Batched pre-pass: pack every tile planar and transform
-                // the whole batch in one plan walk; the loop below hits
+                // Batched pre-pass: pack every tile planar and have the
+                // whole batch transformed in one call; the loop below hits
                 // the seeded cache tile by tile.
                 let mut signals = Vec::with_capacity(starts.len() * tile_len);
                 let keys: Vec<SigKey> = starts
@@ -1798,6 +1807,64 @@ mod tests {
         let before = tel.snapshot();
         c.correlate2d_valid(&input, &kernels[0]).unwrap();
         assert_eq!(tallies(&tel, &before), [4, 4, 0, 0]);
+    }
+
+    /// Prepares kernels that share signal transforms and kernels that do
+    /// not, by the sign of the kernel's first sample.
+    #[derive(Debug)]
+    struct HalfSharingDigital;
+
+    impl Conv1dEngine for HalfSharingDigital {
+        fn correlate_valid(&self, signal: &[f64], kernel: &[f64]) -> Vec<f64> {
+            DigitalEngine.correlate_valid(signal, kernel)
+        }
+
+        fn prepares_kernels(&self) -> bool {
+            true
+        }
+
+        fn prepare_kernel(
+            &self,
+            kernel: &[f64],
+            signal_len: usize,
+        ) -> Option<Arc<dyn PreparedConv1d>> {
+            let kernel = kernel.to_vec();
+            Some(if kernel[0] >= 0.0 {
+                Arc::new(SharingPreparedDigital { kernel, signal_len })
+            } else {
+                Arc::new(PreparedDigital { kernel, signal_len })
+            })
+        }
+    }
+
+    #[test]
+    fn mixed_sets_go_to_the_engine_as_runs_in_kernel_order() {
+        // Consumers (+) and non-consumers (-) of the shared transform in
+        // one set: + - + + - leaves runs of 1, 2 and two lone kernels, and
+        // every output must land in its kernel's slot.
+        let input = random_matrix(12, 12, 261);
+        let kernels: Vec<Matrix> = [1.0, -1.0, 1.0, 1.0, -1.0]
+            .iter()
+            .enumerate()
+            .map(|(i, sign)| {
+                let mut data = random_matrix(3, 3, 262 + i as u64).data().to_vec();
+                data[0] = data[0].abs() * sign;
+                Matrix::new(3, 3, data).unwrap()
+            })
+            .collect();
+        let tel = Telemetry::enabled();
+        let c = TiledConvolver::new(HalfSharingDigital, 64)
+            .unwrap()
+            .with_telemetry(tel.clone());
+        let before = tel.snapshot();
+        let outs = c.correlate2d_valid_multi(&input, &kernels).unwrap();
+        // 4 tiles x 5 kernels; only the 3 consumers per tile touch the
+        // shared transform (one batched miss per tile).
+        assert_eq!(tallies(&tel, &before), [4, 4 * 5, 4 * 3, 4]);
+        for (kernel, plane) in kernels.iter().zip(&outs) {
+            let reference = correlate2d(&input, kernel, PaddingMode::Valid);
+            assert!(max_abs_diff(plane.data(), reference.data()) < 1e-10);
+        }
     }
 
     #[test]
