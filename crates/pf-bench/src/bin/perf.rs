@@ -26,10 +26,6 @@
 //!   (default), `image` or `tile`
 //! * `--md-summary PATH`  write the report as a GitHub-flavoured markdown
 //!   table (the CI `$GITHUB_STEP_SUMMARY` payload)
-//! * `--stages`         additionally measure the per-scenario, per-backend
-//!   stage breakdown (signal-FFT / spectrum-apply / inverse / DAC-ADC
-//!   shares under each scenario's tile geometry) and emit it under the
-//!   report's `stages` key
 //! * `--trace PATH`     run one batched inference per backend under a live
 //!   telemetry handle and export the span trees (bench → run_batch →
 //!   per-stage children) as validated Chrome trace-event JSON, printing
@@ -50,7 +46,7 @@ use photofourier::{ParallelGrain, Telemetry};
 
 fn usage() {
     eprintln!(
-        "usage: perf [--smoke] [--stages] [--out PATH] [--check BASELINE] [--tolerance FRACTION] \
+        "usage: perf [--smoke] [--out PATH] [--check BASELINE] [--tolerance FRACTION] \
          [--threads N] [--threads-sweep N,N,...] [--grain auto|image|tile] [--md-summary PATH] \
          [--trace PATH] [--overhead-check] [--overhead-budget F]"
     );
@@ -99,32 +95,12 @@ fn print_report(report: &PerfReport) {
             );
         }
     }
-    if let Some(stages) = &report.stages {
-        println!("\n-- stage breakdown (shares of one prepared correlation) --");
-        println!(
-            "{:<22} {:<16} {:>12} {:>15} {:>10} {:>10} {:>10}",
-            "scenario", "backend", "signal_fft", "spectrum_apply", "inverse", "dac_adc", "other_us"
-        );
-        for s in stages {
-            println!(
-                "{:<22} {:<16} {:>11.1}% {:>14.1}% {:>9.1}% {:>9.1}% {:>10.1}",
-                s.scenario,
-                s.backend,
-                s.signal_fft_share * 100.0,
-                s.spectrum_apply_share * 100.0,
-                s.inverse_share * 100.0,
-                s.dac_adc_share * 100.0,
-                s.other_us
-            );
-        }
-    }
     println!();
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
-    let mut stages = false;
     let mut out = "BENCH_throughput.json".to_string();
     let mut check: Option<String> = None;
     let mut tolerance = 0.30f64;
@@ -141,7 +117,6 @@ fn main() -> ExitCode {
         match args[i].as_str() {
             "--smoke" => smoke = true,
             "--full" => smoke = false,
-            "--stages" => stages = true,
             "--overhead-check" => overhead_check = true,
             "--out" | "--check" | "--tolerance" | "--threads" | "--threads-sweep" | "--grain"
             | "--md-summary" | "--trace" | "--overhead-budget" => {
@@ -228,7 +203,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut report = match run_suite(smoke, stages) {
+    let mut report = match run_suite(smoke) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("perf suite failed: {e}");

@@ -24,15 +24,15 @@
 //! * **multi-kernel conv2d** — the frozen seed path run once per kernel;
 //!   the live path tiles each input once and shares every tile's signal
 //!   spectrum across the whole kernel set.
-//! * **batched inference** — the current engines driven *without* the
-//!   prepared-kernel fast path and without cross-image parallelism (the
-//!   pre-engine execution structure), via a prepare-hiding adapter.
+//! * **batched inference** — the same frozen engines ([`seed::SeedEngine`]
+//!   is a [`pf_tiling::Conv1dEngine`] with no prepared path) under the
+//!   live layer executor, one image at a time: the pre-engine execution
+//!   structure (`docs/PERFORMANCE.md`, "Reading BENCH_throughput.json",
+//!   records the one time this row's origin changed).
 //!
-//! With `--stages`, the report additionally carries a per-scenario,
-//! per-backend wall-clock breakdown of one prepared correlation (signal
-//! FFT, spectrum apply, inverse lens, DAC/ADC conditioning) under a
-//! `stages` key — one row per scenario/backend pair, each measured under
-//! that scenario's tile geometry.
+//! Where the time of one correlation goes — by stage, on the real run — is
+//! the repo benchmark's traced ladder (`--trace 1`, `pf-jtc.stage_*_share`),
+//! not this harness.
 
 pub mod seed;
 
@@ -40,7 +40,6 @@ use std::time::{Duration, Instant};
 
 use pf_nn::models::small::SmallCnn;
 use pf_nn::Tensor;
-use pf_tiling::Conv1dEngine;
 use photofourier::prelude::*;
 use photofourier::PfError;
 use serde::{Deserialize, Serialize};
@@ -74,41 +73,6 @@ pub struct PerfRecord {
     /// `images_per_s / seed_images_per_s` — the host-independent metric the
     /// CI bench gate tracks.
     pub speedup_vs_seed: f64,
-}
-
-/// Wall-clock share of one prepared correlation for one scenario/backend
-/// pair, by pipeline stage (the `--stages` breakdown). Stages that a
-/// backend does not have (the digital dot product has no optics chain)
-/// report zero and the whole correlation lands in `other_us`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StageRecord {
-    /// Scenario whose tile geometry this row was measured under
-    /// (`conv2d_batch` or `resnet18_batch_infer`).
-    pub scenario: String,
-    /// Backend registry name.
-    pub backend: String,
-    /// Accumulated microseconds in the signal's first-lens FFT.
-    pub signal_fft_us: f64,
-    /// Accumulated microseconds adding the kernel spectrum and building the
-    /// square-law intensity.
-    pub spectrum_apply_us: f64,
-    /// Accumulated microseconds in the second (inverse) lens transform and
-    /// lobe extraction.
-    pub inverse_us: f64,
-    /// Accumulated microseconds in mixed-signal conditioning: DAC
-    /// quantisation, rescaling, sensing noise, ADC quantisation.
-    pub dac_adc_us: f64,
-    /// Time outside the staged optics chain (for the digital backend: the
-    /// whole direct convolution).
-    pub other_us: f64,
-    /// Fraction of the total spent in the signal FFT.
-    pub signal_fft_share: f64,
-    /// Fraction of the total spent applying the kernel spectrum.
-    pub spectrum_apply_share: f64,
-    /// Fraction of the total spent in the inverse transform.
-    pub inverse_share: f64,
-    /// Fraction of the total spent in DAC/ADC conditioning.
-    pub dac_adc_share: f64,
 }
 
 /// One point of a thread-scaling curve: one scenario/backend pair measured
@@ -172,9 +136,6 @@ pub struct PerfReport {
     /// Thread-scaling curves; present when the harness ran with
     /// `--threads-sweep`.
     pub threads: Option<ThreadScaling>,
-    /// Per-scenario, per-backend stage breakdown; present when the harness
-    /// ran with `--stages`.
-    pub stages: Option<Vec<StageRecord>>,
 }
 
 /// Expected floor for one scenario/backend pair, committed in
@@ -328,25 +289,20 @@ fn best_of<F: FnMut()>(reps: usize, mut f: F) -> Duration {
     best
 }
 
-/// Engine adapter that hides the prepared-kernel fast path, reproducing the
-/// seed execution structure (per-tile joint FFT, no spectrum reuse) on the
-/// current backend.
-#[derive(Debug)]
-struct NoPrep<E>(E);
-
-impl<E: Conv1dEngine> Conv1dEngine for NoPrep<E> {
-    fn correlate_valid(&self, signal: &[f64], kernel: &[f64]) -> Vec<f64> {
-        self.0.correlate_valid(signal, kernel)
-    }
-
-    fn max_signal_len(&self) -> Option<usize> {
-        self.0.max_signal_len()
-    }
-
-    fn is_deterministic(&self) -> bool {
-        self.0.is_deterministic()
-    }
-    // prepare_kernel deliberately left at the `None` default.
+/// Runs `f` on the frozen seed engine standing in for `kind` (built outside
+/// whatever `f` times).
+fn with_seed_engine<R>(
+    kind: BackendKind,
+    capacity: usize,
+    f: impl FnOnce(&seed::SeedEngine<'_>) -> R,
+) -> R {
+    let jtc = seed::SeedJtc::new(capacity);
+    let cg = parking_lot::Mutex::new(seed::SeedCg::new(capacity));
+    f(&match kind {
+        BackendKind::Digital => seed::SeedEngine::Digital,
+        BackendKind::JtcIdeal => seed::SeedEngine::Jtc(&jtc),
+        BackendKind::PhotofourierCg => seed::SeedEngine::Cg(&cg),
+    })
 }
 
 /// The 1D convolutions one operation of a scenario costs (`convs_per_image`):
@@ -424,35 +380,15 @@ pub fn conv2d_scenario(
             .expect("perf conv2d batch");
     });
 
-    // Seed path.
-    let seed_time = match kind {
-        BackendKind::JtcIdeal => {
-            let jtc = seed::SeedJtc::new(256);
-            best_of(reps, || {
-                for input in &inputs {
-                    let _ =
-                        seed::seed_conv2d_valid(&seed::SeedEngine::Jtc(&jtc), input, &kernel, 256);
-                }
-            })
-        }
-        BackendKind::Digital => best_of(reps, || {
+    // Seed path: the frozen optics (for CG wrapped in the frozen unprepared
+    // DAC/noise/ADC chain) or dot product, serial tiling.
+    let seed_time = with_seed_engine(kind, 256, |engine| {
+        best_of(reps, || {
             for input in &inputs {
-                let _ = seed::seed_conv2d_valid(&seed::SeedEngine::Digital, input, &kernel, 256);
+                let _ = seed::seed_conv2d_valid(engine, input, &kernel, 256);
             }
-        }),
-        // The frozen seed CG chain: seed optics, unprepared per-call
-        // DAC/noise/ADC, serial tiling — the structure the live path ran
-        // before prepared kernels were extended to noisy engines.
-        BackendKind::PhotofourierCg => {
-            let cg = parking_lot::Mutex::new(seed::SeedCg::new(256));
-            best_of(reps, || {
-                for input in &inputs {
-                    let _ =
-                        seed::seed_conv2d_valid(&seed::SeedEngine::Cg(&cg), input, &kernel, 256);
-                }
-            })
-        }
-    };
+        })
+    });
 
     let images_per_s = batch as f64 / engine_time.as_secs_f64().max(1e-12);
     let seed_images_per_s = batch as f64 / seed_time.as_secs_f64().max(1e-12);
@@ -514,41 +450,15 @@ pub fn conv2d_multikernel_scenario(
     });
 
     // Seed path: the frozen per-kernel seed convolution, once per kernel.
-    let seed_time = match kind {
-        BackendKind::JtcIdeal => {
-            let jtc = seed::SeedJtc::new(256);
-            best_of(reps, || {
-                for input in &inputs {
-                    for kernel in &kernels {
-                        let _ = seed::seed_conv2d_valid(
-                            &seed::SeedEngine::Jtc(&jtc),
-                            input,
-                            kernel,
-                            256,
-                        );
-                    }
-                }
-            })
-        }
-        BackendKind::Digital => best_of(reps, || {
+    let seed_time = with_seed_engine(kind, 256, |engine| {
+        best_of(reps, || {
             for input in &inputs {
                 for kernel in &kernels {
-                    let _ = seed::seed_conv2d_valid(&seed::SeedEngine::Digital, input, kernel, 256);
+                    let _ = seed::seed_conv2d_valid(engine, input, kernel, 256);
                 }
             }
-        }),
-        BackendKind::PhotofourierCg => {
-            let cg = parking_lot::Mutex::new(seed::SeedCg::new(256));
-            best_of(reps, || {
-                for input in &inputs {
-                    for kernel in &kernels {
-                        let _ =
-                            seed::seed_conv2d_valid(&seed::SeedEngine::Cg(&cg), input, kernel, 256);
-                    }
-                }
-            })
-        }
-    };
+        })
+    });
 
     let images_per_s = batch as f64 / engine_time.as_secs_f64().max(1e-12);
     let seed_images_per_s = batch as f64 / seed_time.as_secs_f64().max(1e-12);
@@ -600,24 +510,24 @@ pub fn inference_scenario(
         session.run_batch(&images).expect("perf batch inference");
     });
 
-    // Seed path: per-image serial execution without the prepared fast path.
+    // Seed path: per-image serial execution on the frozen engines, which
+    // have no prepared fast path.
     let cnn = SmallCnn::new(
         scenario.functional.input_channels,
         scenario.functional.input_size,
         scenario.functional.weight_seed,
     )?;
-    let seed_exec = pf_nn::executor::TiledExecutor::new(
-        NoPrep(scenario.backend.instantiate()?),
-        scenario.backend.capacity,
-        scenario.pipeline,
-    )?;
-    let seed_time = best_of(reps, || {
-        for image in &images {
-            let _ = cnn
-                .features(image, &seed_exec)
-                .expect("perf seed inference");
-        }
-    });
+    let capacity = scenario.backend.capacity;
+    let seed_time = with_seed_engine(kind, capacity, |engine| {
+        let seed_exec = pf_nn::executor::TiledExecutor::new(engine, capacity, scenario.pipeline)?;
+        Ok::<_, PfError>(best_of(reps, || {
+            for image in &images {
+                let _ = cnn
+                    .features(image, &seed_exec)
+                    .expect("perf seed inference");
+            }
+        }))
+    })?;
 
     let convs_per_image = count_convs(scenario, |twin| twin.run_inference(&images[0]).map(drop))?;
 
@@ -850,28 +760,6 @@ pub fn markdown_summary(report: &PerfReport, baseline: Option<&Baseline>) -> Str
         );
     }
 
-    if let Some(stages) = &report.stages {
-        let _ = writeln!(out, "\n### Stage breakdown (per prepared correlation)\n");
-        let _ = writeln!(
-            out,
-            "| scenario | backend | signal FFT | spectrum apply | inverse | DAC/ADC | other µs |"
-        );
-        let _ = writeln!(out, "|---|---|--:|--:|--:|--:|--:|");
-        for s in stages {
-            let _ = writeln!(
-                out,
-                "| {} | {} | {:.1}% | {:.1}% | {:.1}% | {:.1}% | {:.1} |",
-                s.scenario,
-                s.backend,
-                s.signal_fft_share * 100.0,
-                s.spectrum_apply_share * 100.0,
-                s.inverse_share * 100.0,
-                s.dac_adc_share * 100.0,
-                s.other_us
-            );
-        }
-    }
-
     if let Some(threads) = &report.threads {
         let _ = writeln!(
             out,
@@ -909,101 +797,12 @@ pub fn markdown_summary(report: &PerfReport, baseline: Option<&Baseline>) -> Str
     out
 }
 
-/// Collects the stage breakdown per scenario and backend. Each scenario
-/// contributes one row per backend, measured under that scenario's tile
-/// geometry against a full 256-waveguide tile:
-///
-/// * `conv2d_batch` — 32×32 input, 3×3 kernel → 67-sample tiled kernel;
-/// * `resnet18_batch_infer` — the functional scenario's 16×16 feature
-///   maps, 3×3 kernel → 35-sample tiled kernel (a tighter joint plane,
-///   so its FFT sizes differ from the conv2d rows).
-///
-/// # Errors
-///
-/// Propagates engine construction and correlation errors.
-pub fn stage_breakdown(smoke: bool) -> Result<Vec<StageRecord>, PfError> {
-    use pf_jtc::{JtcEngine, JtcEngineConfig};
-    use pf_telemetry::Stage;
-    use pf_tiling::PreparedConv1d;
-
-    let iters = if smoke { 64 } else { 512 };
-    let signal: Vec<f64> = (0..256).map(|i| (i as f64 * 0.17).sin() + 0.4).collect();
-    let us = |d: Duration| d.as_secs_f64() * 1e6;
-    let ns_to_us = |ns: u64| ns as f64 / 1e3;
-
-    let mut records = Vec::new();
-    for (scenario, size) in [("conv2d_batch", 32usize), ("resnet18_batch_infer", 16)] {
-        let kernel2d = conv2d_kernel();
-        let tiled_kernel = pf_tiling::tile_kernel(&kernel2d, size, 2 * size + 3);
-
-        // Digital: no optics chain — the whole prepared (sparse,
-        // structural zeros skipped) convolution is "other", matching what
-        // the shipped digital hot path actually runs.
-        let digital_prep = pf_tiling::DigitalEngine
-            .prepare_kernel(&tiled_kernel, signal.len())
-            .expect("digital engine prepares sparse kernels");
-        let start = Instant::now();
-        for _ in 0..iters {
-            let _ = digital_prep.correlate_valid(&signal);
-        }
-        records.push(StageRecord {
-            scenario: scenario.to_string(),
-            backend: BackendKind::Digital.name().to_string(),
-            signal_fft_us: 0.0,
-            spectrum_apply_us: 0.0,
-            inverse_us: 0.0,
-            dac_adc_us: 0.0,
-            other_us: us(start.elapsed()),
-            signal_fft_share: 0.0,
-            spectrum_apply_share: 0.0,
-            inverse_share: 0.0,
-            dac_adc_share: 0.0,
-        });
-
-        for kind in [BackendKind::JtcIdeal, BackendKind::PhotofourierCg] {
-            let config = match kind {
-                BackendKind::JtcIdeal => JtcEngineConfig::ideal(256),
-                BackendKind::PhotofourierCg => JtcEngineConfig::photofourier_cg(256),
-                BackendKind::Digital => unreachable!("digital handled above"),
-            };
-            let engine = JtcEngine::new(config)?;
-            let prep = engine.prepare(&tiled_kernel, 256)?;
-            // Single source of truth: the traced hot path accumulates into
-            // the telemetry stage registry and the breakdown is *derived*
-            // from those totals, so this harness reports exactly what the
-            // serving stack's stage counters see (no second set of books).
-            let tel = Telemetry::with_span_capacity(0);
-            for _ in 0..iters {
-                let _ = prep.correlate_valid_traced(&signal, &tel);
-            }
-            let totals = tel.stage_totals();
-            let total = (totals.total_ns() as f64).max(1e-3);
-            let share = |stage: Stage| totals.stage_ns(stage) as f64 / total;
-            records.push(StageRecord {
-                scenario: scenario.to_string(),
-                backend: kind.name().to_string(),
-                signal_fft_us: ns_to_us(totals.stage_ns(Stage::SignalFft)),
-                spectrum_apply_us: ns_to_us(totals.stage_ns(Stage::SpectrumApply)),
-                inverse_us: ns_to_us(totals.stage_ns(Stage::Inverse)),
-                dac_adc_us: ns_to_us(totals.stage_ns(Stage::DacAdc)),
-                other_us: 0.0,
-                signal_fft_share: share(Stage::SignalFft),
-                spectrum_apply_share: share(Stage::SpectrumApply),
-                inverse_share: share(Stage::Inverse),
-                dac_adc_share: share(Stage::DacAdc),
-            });
-        }
-    }
-    Ok(records)
-}
-
-/// Runs the full scenario matrix for one mode, optionally collecting the
-/// per-backend stage breakdown.
+/// Runs the full scenario matrix for one mode.
 ///
 /// # Errors
 ///
 /// Propagates the first scenario error.
-pub fn run_suite(smoke: bool, with_stages: bool) -> Result<PerfReport, PfError> {
+pub fn run_suite(smoke: bool) -> Result<PerfReport, PfError> {
     let mode = if smoke { "smoke" } else { "full" };
     let (conv_batch, conv_reps) = if smoke { (8, 3) } else { (32, 5) };
     let (infer_batch, infer_reps) = if smoke { (4, 2) } else { (16, 3) };
@@ -1025,12 +824,6 @@ pub fn run_suite(smoke: bool, with_stages: bool) -> Result<PerfReport, PfError> 
         inference_scenario(BackendKind::PhotofourierCg, infer_batch, infer_reps)?,
     ];
 
-    let stages = if with_stages {
-        Some(stage_breakdown(smoke)?)
-    } else {
-        None
-    };
-
     Ok(PerfReport {
         schema: SCHEMA.to_string(),
         mode: mode.to_string(),
@@ -1044,7 +837,6 @@ pub fn run_suite(smoke: bool, with_stages: bool) -> Result<PerfReport, PfError> 
         host_cores: host_cores(),
         results,
         threads: None,
-        stages,
     })
 }
 
@@ -1183,7 +975,6 @@ mod tests {
                 speedup_vs_seed: 2.5,
             }],
             threads,
-            stages: None,
         }
     }
 

@@ -29,6 +29,7 @@ use pf_dsp::util::next_pow2;
 use pf_photonics::adc::Adc;
 use pf_photonics::dac::Dac;
 use pf_photonics::detector::SensingNoise;
+use pf_tiling::Conv1dEngine;
 
 /// The seed FFT: per-call bit reversal, incremental twiddles.
 fn seed_fft(input: &[Complex]) -> Vec<Complex> {
@@ -196,13 +197,19 @@ pub enum SeedEngine<'a> {
     Cg(&'a Mutex<SeedCg>),
 }
 
-impl SeedEngine<'_> {
+/// The seed engines under the live executors (`resnet18_batch_infer`'s seed
+/// leg): nothing is prepared, so every tile runs the frozen per-call chain.
+impl Conv1dEngine for SeedEngine<'_> {
     fn correlate_valid(&self, signal: &[f64], kernel: &[f64]) -> Vec<f64> {
         match self {
             SeedEngine::Digital => correlate1d(signal, kernel, PaddingMode::Valid),
             SeedEngine::Jtc(jtc) => jtc.correlate(signal, kernel),
             SeedEngine::Cg(cg) => cg.lock().correlate(signal, kernel),
         }
+    }
+
+    fn is_deterministic(&self) -> bool {
+        !matches!(self, SeedEngine::Cg(_))
     }
 }
 

@@ -6,7 +6,10 @@
 //! simulated JTC optics, and the full PhotoFourier-CG signal chain with
 //! quantisation and noise). [`Backend`] unifies them behind a trait object
 //! with a string/enum registry so sessions and scenario files can select a
-//! compute substrate declaratively.
+//! compute substrate declaratively. The engines carry the trait themselves
+//! and [`BackendSpec::instantiate_seeded`] is the one place a backend is
+//! built, so the only forwarding layer is `Box<dyn Backend>`'s own
+//! [`Conv1dEngine`] impl.
 
 use std::fmt;
 use std::sync::Arc;
@@ -159,21 +162,15 @@ impl BackendSpec {
                 "backend capacity must be at least 1",
             ));
         }
-        match self.kind {
-            BackendKind::Digital => Ok(<dyn Backend>::digital()),
-            BackendKind::JtcIdeal => <dyn Backend>::jtc_ideal(self.capacity),
-            BackendKind::PhotofourierCg => {
-                let config = JtcEngineConfig {
-                    noise_seed,
-                    ..JtcEngineConfig::photofourier_cg(self.capacity)
-                };
-                let engine = JtcEngine::new(config)?;
-                Ok(Box::new(JtcBackend {
-                    engine,
-                    kind: BackendKind::PhotofourierCg,
-                }))
-            }
-        }
+        let config = match self.kind {
+            BackendKind::Digital => return Ok(Box::new(DigitalEngine)),
+            BackendKind::JtcIdeal => JtcEngineConfig::ideal(self.capacity),
+            BackendKind::PhotofourierCg => JtcEngineConfig {
+                noise_seed,
+                ..JtcEngineConfig::photofourier_cg(self.capacity)
+            },
+        };
+        Ok(Box::new(JtcEngine::new(config)?))
     }
 }
 
@@ -210,54 +207,6 @@ pub trait Backend: Conv1dEngine + Send + Sync {
     }
 }
 
-impl dyn Backend {
-    /// The exact digital reference backend (unbounded capacity).
-    pub fn digital() -> Box<dyn Backend> {
-        Box::new(DigitalBackend)
-    }
-
-    /// The ideal simulated JTC optics: full precision, no noise.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PfError::Jtc`] if `capacity` is zero.
-    pub fn jtc_ideal(capacity: usize) -> Result<Box<dyn Backend>, PfError> {
-        let engine = JtcEngine::ideal(capacity)?;
-        Ok(Box::new(JtcBackend {
-            engine,
-            kind: BackendKind::JtcIdeal,
-        }))
-    }
-
-    /// The PhotoFourier-CG signal chain: 8-bit DAC/ADC quantisation and
-    /// photodetector sensing noise at the paper's target SNR.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PfError::Jtc`] if `capacity` is zero.
-    pub fn photofourier_cg(capacity: usize) -> Result<Box<dyn Backend>, PfError> {
-        let engine = JtcEngine::new(JtcEngineConfig::photofourier_cg(capacity))?;
-        Ok(Box::new(JtcBackend {
-            engine,
-            kind: BackendKind::PhotofourierCg,
-        }))
-    }
-
-    /// Instantiates a backend by registry name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PfError::InvalidScenario`] for unknown names, or propagates
-    /// engine construction errors.
-    pub fn from_name(name: &str, capacity: usize) -> Result<Box<dyn Backend>, PfError> {
-        BackendSpec {
-            kind: BackendKind::from_name(name)?,
-            capacity,
-        }
-        .instantiate()
-    }
-}
-
 impl Conv1dEngine for Box<dyn Backend> {
     fn correlate_valid(&self, signal: &[f64], kernel: &[f64]) -> Vec<f64> {
         (**self).correlate_valid(signal, kernel)
@@ -288,70 +237,23 @@ impl Conv1dEngine for Box<dyn Backend> {
     }
 }
 
-/// [`Backend`] wrapper around the exact digital reference.
-#[derive(Debug, Clone, Copy, Default)]
-struct DigitalBackend;
-
-impl Conv1dEngine for DigitalBackend {
-    fn correlate_valid(&self, signal: &[f64], kernel: &[f64]) -> Vec<f64> {
-        DigitalEngine.correlate_valid(signal, kernel)
-    }
-
-    fn prepares_kernels(&self) -> bool {
-        DigitalEngine.prepares_kernels()
-    }
-
-    fn prepare_kernel(&self, kernel: &[f64], signal_len: usize) -> Option<Arc<dyn PreparedConv1d>> {
-        DigitalEngine.prepare_kernel(kernel, signal_len)
-    }
-}
-
-impl Backend for DigitalBackend {
+/// The exact digital reference (unbounded capacity).
+impl Backend for DigitalEngine {
     fn kind(&self) -> BackendKind {
         BackendKind::Digital
     }
 }
 
-/// [`Backend`] wrapper around the simulated JTC optics.
-#[derive(Debug)]
-struct JtcBackend {
-    engine: JtcEngine,
-    kind: BackendKind,
-}
-
-impl Conv1dEngine for JtcBackend {
-    fn correlate_valid(&self, signal: &[f64], kernel: &[f64]) -> Vec<f64> {
-        self.engine.correlate_valid(signal, kernel)
-    }
-
-    fn max_signal_len(&self) -> Option<usize> {
-        self.engine.max_signal_len()
-    }
-
-    fn is_deterministic(&self) -> bool {
-        self.engine.is_deterministic()
-    }
-
-    fn prefers_parallel_tiles(&self) -> bool {
-        self.engine.prefers_parallel_tiles()
-    }
-
-    fn prepares_kernels(&self) -> bool {
-        self.engine.prepares_kernels()
-    }
-
-    fn prepare_kernel(&self, kernel: &[f64], signal_len: usize) -> Option<Arc<dyn PreparedConv1d>> {
-        self.engine.prepare_kernel(kernel, signal_len)
-    }
-
-    fn bind_prepared(&self, cached: Arc<dyn PreparedConv1d>) -> Arc<dyn PreparedConv1d> {
-        self.engine.bind_prepared(cached)
-    }
-}
-
-impl Backend for JtcBackend {
+/// The simulated JTC optics. The registry's two JTC entries differ in
+/// whether the signal chain draws sensing noise
+/// ([`BackendKind::is_stochastic`]), and so does the tag.
+impl Backend for JtcEngine {
     fn kind(&self) -> BackendKind {
-        self.kind
+        if self.is_deterministic() {
+            BackendKind::JtcIdeal
+        } else {
+            BackendKind::PhotofourierCg
+        }
     }
 }
 
@@ -408,20 +310,27 @@ mod tests {
     }
 
     #[test]
-    fn constructors_and_identities() {
-        let digital = <dyn Backend>::digital();
+    fn specs_instantiate_their_kind_and_identity() {
+        let digital = BackendSpec::digital(64).instantiate().unwrap();
         assert_eq!(digital.kind(), BackendKind::Digital);
         assert_eq!(digital.capacity(), None);
         assert_eq!(digital.id(), "digital");
 
-        let ideal = <dyn Backend>::jtc_ideal(64).unwrap();
+        let ideal = BackendSpec::jtc_ideal(64).instantiate().unwrap();
         assert_eq!(ideal.kind(), BackendKind::JtcIdeal);
         assert_eq!(ideal.capacity(), Some(64));
         assert_eq!(ideal.id(), "jtc_ideal(64)");
 
-        let cg = <dyn Backend>::photofourier_cg(64).unwrap();
+        let cg = BackendSpec::photofourier_cg(64).instantiate().unwrap();
         assert_eq!(cg.kind(), BackendKind::PhotofourierCg);
-        assert!(<dyn Backend>::jtc_ideal(0).is_err());
+        assert_eq!(cg.id(), "photofourier_cg(64)");
+        for kind in BackendKind::ALL {
+            let spec = BackendSpec { kind, capacity: 0 };
+            assert!(spec.instantiate().is_err(), "{kind}");
+            // Every kind's tag survives the trip through its engine.
+            let spec = BackendSpec { kind, capacity: 32 };
+            assert_eq!(spec.instantiate_seeded(9).unwrap().kind(), kind);
+        }
     }
 
     #[test]
@@ -429,7 +338,7 @@ mod tests {
         let signal: Vec<f64> = (0..40).map(|i| ((i as f64) * 0.21).sin()).collect();
         let kernel = vec![0.25, 0.5, 0.25];
         let digital = correlate1d(&signal, &kernel, PaddingMode::Valid);
-        let ideal = <dyn Backend>::jtc_ideal(64).unwrap();
+        let ideal = BackendSpec::jtc_ideal(64).instantiate().unwrap();
         let optical = ideal.correlate_valid(&signal, &kernel);
         assert!(max_abs_diff(&optical, &digital) < 1e-8);
     }
@@ -444,7 +353,7 @@ mod tests {
 
     #[test]
     fn boxed_backend_is_a_conv1d_engine() {
-        let backend: Box<dyn Backend> = <dyn Backend>::digital();
+        let backend: Box<dyn Backend> = BackendSpec::digital(8).instantiate().unwrap();
         let out = backend.correlate_valid(&[1.0, 2.0, 3.0], &[1.0, 1.0]);
         assert_eq!(out, vec![3.0, 5.0]);
     }

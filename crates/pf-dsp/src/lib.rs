@@ -13,12 +13,9 @@
 //!   mixed-radix for 5-smooth sizes, Bluestein otherwise) plus a direct
 //!   DFT reference.
 //! * [`plan`] — precomputed FFT plans (radix-2 / mixed-radix / Bluestein
-//!   kernels, plus a real-input half-spectrum transform and a two-for-one
-//!   packed pair transform) shared through a process-wide registry; the
+//!   kernels, plus a real-input half-spectrum transform with selected-bin,
+//!   row-batch and lane forms) shared through a process-wide registry; the
 //!   hot path of the JTC simulation.
-//! * [`batch`] — row-batch entry points over those plans (a planar batch in
-//!   one call, one plan execution per row), bit-identical per row to the
-//!   serial path.
 //! * [`conv`] — reference 1D/2D convolution and cross-correlation kernels in
 //!   `full`/`same`/`valid` modes, and FFT-accelerated 1D convolution.
 //! * [`scratch`] — per-thread reusable working buffers for spectrum
@@ -39,7 +36,6 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-pub mod batch;
 mod butterfly;
 pub mod complex;
 pub mod conv;
@@ -49,7 +45,6 @@ pub mod plan;
 pub mod scratch;
 pub mod util;
 
-pub use batch::BatchFftPlan;
 pub use complex::{Complex, ComplexLanes, LANES};
 pub use error::DspError;
-pub use plan::{fft_with_plan, ifft_with_plan, FftPlan, RealFftPlan};
+pub use plan::{FftPlan, RealFftPlan};

@@ -7,7 +7,7 @@
 //!
 //! * [`FftPlan`] — a precomputed transform plan for **any** length, with
 //!   allocation-free in-place execution ([`FftPlan::process`]) and
-//!   convenience wrappers ([`fft_with_plan`] / [`ifft_with_plan`]). Three
+//!   allocating wrappers ([`FftPlan::fft`] / [`FftPlan::ifft`]). Three
 //!   kernels cover every size:
 //!   - power-of-two lengths run the classic radix-2 plan (bit-reversal +
 //!     twiddle tables) — byte-for-byte the historical hot path, so every
@@ -24,10 +24,9 @@
 //!   trick (one `n/2`-point complex FFT plus an O(n) unpacking pass); odd
 //!   lengths fall back to a full-length complex transform.
 //!   [`RealFftPlan::forward_real_bins_into`] evaluates the unpacking pass
-//!   over a selected bin range only (bit-identical per bin). The
-//!   two-for-one pair API ([`RealFftPlan::forward_real_pair_into`]) packs
-//!   *two* real signals into one full-length complex transform — the win
-//!   for odd lengths, where no half-length trick exists.
+//!   over a selected bin range only (bit-identical per bin).
+//!   [`RealFftPlan::forward_real_batch_into`] takes a planar batch of rows
+//!   in one call and runs that same transform once per row.
 //!   [`RealFftPlan::forward_real_bins_lanes`] carries [`LANES`] symmetric
 //!   real signals through one pass of the same butterflies
 //!   (they are written once, generic over the element), each lane
@@ -38,9 +37,7 @@
 //!
 //! Plans are bit-for-bit deterministic: the free [`crate::fft::fft`] /
 //! [`crate::fft::ifft`] functions are thin wrappers over the shared plans,
-//! so mixing the two APIs can never produce diverging numerics. Row-batch
-//! entry points live in [`crate::batch`] and run each row through these
-//! plans.
+//! so mixing the two APIs can never produce diverging numerics.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -97,12 +94,12 @@ pub(crate) enum Kernel {
 /// # Examples
 ///
 /// ```
-/// use pf_dsp::plan::{fft_with_plan, FftPlan};
+/// use pf_dsp::plan::FftPlan;
 /// use pf_dsp::Complex;
 ///
 /// let plan = FftPlan::shared(8)?;
 /// let x = vec![Complex::ONE; 8];
-/// let y = fft_with_plan(&plan, &x)?;
+/// let y = plan.fft(&x)?;
 /// assert!((y[0].re - 8.0).abs() < 1e-12);
 ///
 /// // Non-power-of-two lengths are supported too.
@@ -408,38 +405,9 @@ impl FftPlan {
     }
 }
 
-/// Computes the forward FFT of `input` through a prepared plan.
-///
-/// Numerically identical to [`crate::fft::fft`] (which is itself a wrapper
-/// over the shared plan of the input's length).
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] for an empty input and
-/// [`DspError::InvalidLength`] when the input length differs from the plan
-/// length.
-pub fn fft_with_plan(plan: &FftPlan, input: &[Complex]) -> Result<Vec<Complex>, DspError> {
-    if input.is_empty() {
-        return Err(DspError::EmptyInput { what: "fft input" });
-    }
-    plan.fft(input)
-}
-
-/// Computes the inverse FFT of `input` through a prepared plan.
-///
-/// # Errors
-///
-/// Same conditions as [`fft_with_plan`].
-pub fn ifft_with_plan(plan: &FftPlan, input: &[Complex]) -> Result<Vec<Complex>, DspError> {
-    if input.is_empty() {
-        return Err(DspError::EmptyInput { what: "fft input" });
-    }
-    plan.ifft(input)
-}
-
 /// How a [`RealFftPlan`] executes, selected by length parity.
 #[derive(Debug)]
-pub(crate) enum RealKernel {
+enum RealKernel {
     /// Even lengths: the classic packing trick — one `n/2`-point complex
     /// FFT of `x[2j] + i·x[2j+1]` plus an O(n) unpacking pass.
     PackedEven {
@@ -447,9 +415,11 @@ pub(crate) enum RealKernel {
         half_plan: Arc<FftPlan>,
     },
     /// Odd lengths: a full `n`-point complex transform of the
-    /// zero-imaginary input (no half-length trick exists; the two-for-one
-    /// pair API recovers the factor of two when signals come in pairs).
-    OddFull,
+    /// zero-imaginary input (no half-length trick exists).
+    OddFull {
+        /// Complex plan of length `n` executing the transform.
+        full_plan: Arc<FftPlan>,
+    },
 }
 
 /// A plan computing `n`-point transforms of *real* inputs, returning only
@@ -480,11 +450,8 @@ pub(crate) enum RealKernel {
 /// ```
 #[derive(Debug)]
 pub struct RealFftPlan {
-    pub(crate) n: usize,
-    pub(crate) kernel: RealKernel,
-    /// Full-length complex plan, used by the odd path and by the
-    /// two-for-one pair transform.
-    pub(crate) full_plan: Arc<FftPlan>,
+    n: usize,
+    kernel: RealKernel,
     /// `exp(-2πik/n)` for `k in 0..=n/2`, used by the unpacking pass.
     unpack: Vec<Complex>,
 }
@@ -514,20 +481,16 @@ impl RealFftPlan {
                 half_plan: FftPlan::shared(n / 2)?,
             }
         } else {
-            RealKernel::OddFull
+            RealKernel::OddFull {
+                full_plan: FftPlan::shared(n)?,
+            }
         };
-        let full_plan = FftPlan::shared(n)?;
         let mut unpack = Vec::with_capacity(n / 2 + 1);
         for k in 0..=(n / 2) {
             let ang = -2.0 * std::f64::consts::PI * k as f64 / n as f64;
             unpack.push(Complex::cis(ang));
         }
-        Ok(Self {
-            n,
-            kernel,
-            full_plan,
-            unpack,
-        })
+        Ok(Self { n, kernel, unpack })
     }
 
     /// Fetches (building on first use) the process-wide shared plan for
@@ -630,9 +593,9 @@ impl RealFftPlan {
 
     /// One real forward transform into a pre-sized output slice (one slot
     /// per requested bin; `bins` must lie within `0..=n/2`). Shared by the
-    /// single, selected-bins, batched and packed-tail paths so they are
-    /// bit-identical by construction.
-    pub(crate) fn forward_real_core(
+    /// single, selected-bins and batched paths so they are bit-identical by
+    /// construction.
+    fn forward_real_core(
         &self,
         input: &[f64],
         bins: RangeInclusive<usize>,
@@ -665,13 +628,13 @@ impl RealFftPlan {
                 half_plan.process(scratch, false)?;
                 self.unpack_bins(scratch, bins, out);
             }
-            RealKernel::OddFull => {
+            RealKernel::OddFull { full_plan } => {
                 scratch.clear();
                 scratch.reserve(self.n);
                 for j in 0..self.n {
                     scratch.push(Complex::from_real(at(j)));
                 }
-                self.full_plan.process(scratch, false)?;
+                full_plan.process(scratch, false)?;
                 out.copy_from_slice(&scratch[bins]);
             }
         }
@@ -712,7 +675,7 @@ impl RealFftPlan {
             RealKernel::PackedEven { half_plan } => {
                 half_plan.gather_order().map(|order| (&**half_plan, order))
             }
-            RealKernel::OddFull => None,
+            RealKernel::OddFull { .. } => None,
         }
     }
 
@@ -851,77 +814,48 @@ impl RealFftPlan {
         self.lanes_body(half_plan, order, half, bins, work, out);
     }
 
-    /// Two-for-one packed transform: computes the half spectra of **two**
-    /// real signals through a single full-length complex FFT of
-    /// `a[j] + i·b[j]`, halving the forward-transform count whenever
-    /// signals come in pairs. Both inputs are zero-padded to the plan
-    /// length.
+    /// Computes the half spectra of `rows` equal-length real signals laid
+    /// out back-to-back in `inputs` (planar — every tile of one image, or
+    /// one tile per image of a batch), writing `rows * spectrum_len()` bins
+    /// back-to-back into `out`. Rows shorter than the plan length are
+    /// zero-padded on the right.
     ///
-    /// For even plan lengths this is flop-neutral with two
-    /// [`forward_real_into`](Self::forward_real_into) calls (those already
-    /// run half-length transforms); the win is for odd lengths, where no
-    /// half-length path exists. Results agree with the unpacked path to
-    /// DFT accuracy but are **not** bit-identical to it — the two signals'
-    /// rounding couples inside the shared transform.
+    /// Each row runs the single-signal transform in turn — no stage is
+    /// shared across rows (work shared *across transforms* lives in
+    /// [`forward_real_bins_lanes`](Self::forward_real_bins_lanes)) — so the
+    /// result is **bit-identical to looping
+    /// [`forward_real_into`](Self::forward_real_into) over the rows.**
     ///
     /// # Errors
     ///
-    /// Returns [`DspError::InvalidLength`] if either input is longer than
-    /// the plan length.
-    pub fn forward_real_pair_into(
+    /// Returns [`DspError::InvalidLength`] when `inputs.len()` is not
+    /// `rows` equal rows, both at least 1, or a row exceeds the plan
+    /// length.
+    pub fn forward_real_batch_into(
         &self,
-        a: &[f64],
-        b: &[f64],
+        inputs: &[f64],
+        rows: usize,
         scratch: &mut Vec<Complex>,
-        out_a: &mut Vec<Complex>,
-        out_b: &mut Vec<Complex>,
+        out: &mut Vec<Complex>,
     ) -> Result<(), DspError> {
-        let sl = self.spectrum_len();
-        out_a.clear();
-        out_a.resize(sl, Complex::ZERO);
-        out_b.clear();
-        out_b.resize(sl, Complex::ZERO);
-        self.forward_real_pair_core(a, b, scratch, out_a, out_b)
-    }
-
-    /// Pair transform into pre-sized output slices (`spectrum_len()` bins
-    /// each); the packed batch path reuses this per pair.
-    pub(crate) fn forward_real_pair_core(
-        &self,
-        a: &[f64],
-        b: &[f64],
-        scratch: &mut Vec<Complex>,
-        out_a: &mut [Complex],
-        out_b: &mut [Complex],
-    ) -> Result<(), DspError> {
-        if a.len() > self.n || b.len() > self.n {
+        if rows == 0 || inputs.is_empty() || !inputs.len().is_multiple_of(rows) {
             return Err(DspError::InvalidLength {
-                len: a.len().max(b.len()),
+                len: inputs.len(),
+                requirement: "batched real input must be rows * row_len samples, both >= 1",
+            });
+        }
+        let row_len = inputs.len() / rows;
+        if row_len > self.n {
+            return Err(DspError::InvalidLength {
+                len: row_len,
                 requirement: "real FFT input must not exceed the plan length",
             });
         }
-        let n = self.n;
-        let pick = |s: &[f64], idx: usize| -> f64 {
-            if idx < s.len() {
-                s[idx]
-            } else {
-                0.0
-            }
-        };
-        scratch.clear();
-        scratch.reserve(n);
-        for j in 0..n {
-            scratch.push(Complex::new(pick(a, j), pick(b, j)));
-        }
-        self.full_plan.process(scratch, false)?;
-        // Z[k] = A[k] + i·B[k] and conj(Z[n-k]) = A[k] - i·B[k] for
-        // real-input spectra, so one transform separates into both.
-        for k in 0..self.spectrum_len() {
-            let zk = scratch[k];
-            let znk = scratch[(n - k) % n].conj();
-            out_a[k] = (zk + znk).scale(0.5);
-            let b_times_i = (zk - znk).scale(0.5);
-            out_b[k] = Complex::new(b_times_i.im, -b_times_i.re);
+        let sl = self.spectrum_len();
+        out.clear();
+        out.resize(rows * sl, Complex::ZERO);
+        for (row, spec) in inputs.chunks_exact(row_len).zip(out.chunks_exact_mut(sl)) {
+            self.forward_real_core(row, 0..=self.n / 2, scratch, spec)?;
         }
         Ok(())
     }
@@ -961,7 +895,7 @@ mod tests {
                 .map(|k| Complex::new((k as f64 * 0.37).sin(), (k as f64 * 0.21).cos()))
                 .collect();
             let plan = FftPlan::shared(n).unwrap();
-            let a = fft_with_plan(&plan, &x).unwrap();
+            let a = plan.fft(&x).unwrap();
             let b = fft(&x).unwrap();
             assert_eq!(a.len(), b.len());
             for (p, q) in a.iter().zip(&b) {
@@ -1071,22 +1005,59 @@ mod tests {
     }
 
     #[test]
-    fn pair_transform_matches_individual_spectra() {
-        for n in [7usize, 16, 20, 45] {
-            let a: Vec<f64> = (0..n).map(|k| (k as f64 * 0.4).sin() + 0.3).collect();
-            let b: Vec<f64> = (0..n).map(|k| (k as f64 * 0.9).cos() - 0.2).collect();
-            let plan = RealFftPlan::shared(n).unwrap();
-            let mut scratch = Vec::new();
-            let (mut pa, mut pb) = (Vec::new(), Vec::new());
-            plan.forward_real_pair_into(&a, &b, &mut scratch, &mut pa, &mut pb)
-                .unwrap();
-            let (mut sa, mut sb) = (Vec::new(), Vec::new());
-            plan.forward_real_into(&a, &mut scratch, &mut sa).unwrap();
-            plan.forward_real_into(&b, &mut scratch, &mut sb).unwrap();
-            for k in 0..plan.spectrum_len() {
-                assert!((pa[k] - sa[k]).abs() < 1e-9, "a bin {k} of n={n}");
-                assert!((pb[k] - sb[k]).abs() < 1e-9, "b bin {k} of n={n}");
+    fn batched_real_rows_are_bit_identical_to_serial() {
+        let row = |n: usize, seed: usize| -> Vec<f64> {
+            (0..n)
+                .map(|k| ((k + 3 * seed) as f64 * 0.23).sin() + 0.1 * seed as f64)
+                .collect()
+        };
+        for n in [16usize, 12, 9] {
+            for rows in [1usize, 2, 3, 4] {
+                let plan = RealFftPlan::shared(n).unwrap();
+                let row_len = n - 2; // exercise the zero-padding path
+                let inputs: Vec<f64> = (0..rows).flat_map(|r| row(row_len, r)).collect();
+                let mut scratch = Vec::new();
+                let mut batched = Vec::new();
+                plan.forward_real_batch_into(&inputs, rows, &mut scratch, &mut batched)
+                    .unwrap();
+                let sl = plan.spectrum_len();
+                assert_eq!(batched.len(), rows * sl);
+                for r in 0..rows {
+                    let mut single = Vec::new();
+                    plan.forward_real_into(
+                        &inputs[r * row_len..(r + 1) * row_len],
+                        &mut scratch,
+                        &mut single,
+                    )
+                    .unwrap();
+                    for k in 0..sl {
+                        let b = batched[r * sl + k];
+                        assert_eq!(b.re.to_bits(), single[k].re.to_bits(), "n={n} r={r} k={k}");
+                        assert_eq!(b.im.to_bits(), single[k].im.to_bits(), "n={n} r={r} k={k}");
+                    }
+                }
             }
+        }
+    }
+
+    #[test]
+    fn batch_rejects_ragged_real_inputs() {
+        let plan = RealFftPlan::shared(8).unwrap();
+        let mut scratch = Vec::new();
+        let mut out = Vec::new();
+        // 7 samples do not split into 2 rows; a row may not exceed the plan
+        // length; empty rows have nothing to transform; zero rows never
+        // divide evenly.
+        for (inputs, rows) in [
+            (&[0.0; 7][..], 2),
+            (&[0.0; 18][..], 2),
+            (&[][..], 2),
+            (&[0.0; 8][..], 0),
+        ] {
+            assert!(matches!(
+                plan.forward_real_batch_into(inputs, rows, &mut scratch, &mut out),
+                Err(DspError::InvalidLength { .. })
+            ));
         }
     }
 

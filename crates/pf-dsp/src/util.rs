@@ -67,18 +67,6 @@ pub fn next_fast_len(n: usize) -> usize {
     best
 }
 
-/// Zero-pads `data` on the right to length `len`.
-///
-/// If `data` is already at least `len` elements long, it is returned
-/// unchanged (truncated copies are never produced).
-pub fn zero_pad(data: &[f64], len: usize) -> Vec<f64> {
-    let mut out = data.to_vec();
-    if out.len() < len {
-        out.resize(len, 0.0);
-    }
-    out
-}
-
 /// Maximum absolute difference between two equal-length slices.
 ///
 /// # Panics
@@ -150,21 +138,6 @@ pub fn snr_db(signal: &[f64], reference: &[f64]) -> f64 {
     }
 }
 
-/// Index of the element with the largest value. Returns `None` for an empty
-/// slice. Ties resolve to the first occurrence.
-pub fn argmax(data: &[f64]) -> Option<usize> {
-    if data.is_empty() {
-        return None;
-    }
-    let mut best = 0;
-    for (i, &v) in data.iter().enumerate() {
-        if v > data[best] {
-            best = i;
-        }
-    }
-    Some(best)
-}
-
 /// Geometric mean of a slice of positive values.
 ///
 /// Returns `None` if the slice is empty or any value is non-positive.
@@ -174,20 +147,6 @@ pub fn geometric_mean(values: &[f64]) -> Option<f64> {
     }
     let log_sum: f64 = values.iter().map(|v| v.ln()).sum();
     Some((log_sum / values.len() as f64).exp())
-}
-
-/// Linearly spaced values from `start` to `end` inclusive.
-///
-/// Returns an empty vector for `n == 0` and `[start]` for `n == 1`.
-pub fn linspace(start: f64, end: f64, n: usize) -> Vec<f64> {
-    match n {
-        0 => Vec::new(),
-        1 => vec![start],
-        _ => {
-            let step = (end - start) / (n - 1) as f64;
-            (0..n).map(|i| start + step * i as f64).collect()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -246,12 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_pad_extends_and_preserves() {
-        assert_eq!(zero_pad(&[1.0, 2.0], 4), vec![1.0, 2.0, 0.0, 0.0]);
-        assert_eq!(zero_pad(&[1.0, 2.0, 3.0], 2), vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
     fn error_metrics() {
         let a = [1.0, 2.0, 3.0];
         let b = [1.0, 2.0, 3.0];
@@ -275,14 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn argmax_cases() {
-        assert_eq!(argmax(&[]), None);
-        assert_eq!(argmax(&[3.0]), Some(0));
-        assert_eq!(argmax(&[1.0, 5.0, 2.0]), Some(1));
-        assert_eq!(argmax(&[5.0, 5.0, 2.0]), Some(0));
-    }
-
-    #[test]
     fn geometric_mean_cases() {
         assert_eq!(geometric_mean(&[]), None);
         assert_eq!(geometric_mean(&[2.0, -1.0]), None);
@@ -290,13 +235,5 @@ mod tests {
         assert!((g - 2.0).abs() < 1e-12);
         let g = geometric_mean(&[2.0, 2.0, 2.0]).unwrap();
         assert!((g - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn linspace_cases() {
-        assert!(linspace(0.0, 1.0, 0).is_empty());
-        assert_eq!(linspace(3.0, 9.0, 1), vec![3.0]);
-        let v = linspace(0.0, 1.0, 5);
-        assert_eq!(v, vec![0.0, 0.25, 0.5, 0.75, 1.0]);
     }
 }

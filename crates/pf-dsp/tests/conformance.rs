@@ -6,18 +6,17 @@
 //! cannot silently re-derive a wrong baseline):
 //!
 //! * every plan variant — pow2 radix-2, mixed-radix (radix-4/2/3/5),
-//!   Bluestein, packed-real, two-for-one pair, batched, lanes — matches
-//!   the oracle within `1e-9`;
+//!   Bluestein, packed-real, batched, lanes — matches the oracle within
+//!   `1e-9`;
 //! * where the docs claim bit-identity (free fft vs. shared plan, batched
-//!   vs. per-row execution, batched real vs. serial real, selected bins
+//!   real vs. serial real, selected bins
 //!   vs. the full real transform, each lane of the lane transform vs. the
 //!   scalar transform of its row, in every instantiation this host can
 //!   run), results match **bit for bit**;
 //! * structural invariants: forward∘inverse round-trips, Parseval.
 
-use pf_dsp::batch::BatchFftPlan;
 use pf_dsp::fft::{fft, ifft};
-use pf_dsp::plan::{fft_with_plan, FftPlan, RealFftPlan};
+use pf_dsp::plan::{FftPlan, RealFftPlan};
 use pf_dsp::{Complex, ComplexLanes, DspError, LANES};
 use proptest::prelude::*;
 use std::ops::RangeInclusive;
@@ -108,7 +107,7 @@ proptest! {
     #[test]
     fn free_fft_is_bit_identical_to_the_shared_plan(x in complex_signal()) {
         let plan = FftPlan::shared(x.len()).unwrap();
-        assert_bits(&fft(&x).unwrap(), &fft_with_plan(&plan, &x).unwrap(), "free vs plan");
+        assert_bits(&fft(&x).unwrap(), &plan.fft(&x).unwrap(), "free vs plan");
     }
 
     /// forward ∘ inverse is the identity for every kernel.
@@ -145,41 +144,6 @@ proptest! {
         assert_close(&half, &reference[..half.len()], "real plan");
     }
 
-    /// The two-for-one pair transform separates both spectra to oracle
-    /// accuracy.
-    #[test]
-    fn pair_transform_matches_the_oracle(x in real_signal(), y in real_signal()) {
-        let n = x.len().max(y.len());
-        let plan = RealFftPlan::shared(n).unwrap();
-        let mut scratch = Vec::new();
-        let (mut sa, mut sb) = (Vec::new(), Vec::new());
-        plan.forward_real_pair_into(&x, &y, &mut scratch, &mut sa, &mut sb).unwrap();
-        for (signal, spec, name) in [(&x, &sa, "a"), (&y, &sb, "b")] {
-            let mut padded: Vec<Complex> =
-                signal.iter().map(|&v| Complex::from_real(v)).collect();
-            padded.resize(n, Complex::ZERO);
-            let reference = oracle(&padded, false);
-            assert_close(spec, &reference[..spec.len()], name);
-        }
-    }
-
-    /// Batched complex execution is documented bit-identical to per-row
-    /// plan calls — and therefore oracle-accurate by transitivity.
-    #[test]
-    fn batched_complex_is_bit_identical_to_serial(x in complex_signal(), rows in 1usize..5) {
-        let n = x.len();
-        let batch = BatchFftPlan::shared(n).unwrap();
-        let mut data: Vec<Complex> = (0..rows).flat_map(|r| {
-            x.iter().map(move |z| *z + Complex::from_real(r as f64 * 0.01))
-        }).collect();
-        let mut reference = data.clone();
-        batch.process_batch(&mut data, false).unwrap();
-        for chunk in reference.chunks_exact_mut(n) {
-            batch.plan().process(chunk, false).unwrap();
-        }
-        assert_bits(&data, &reference, "batched complex");
-    }
-
     /// Batched real execution is documented bit-identical to looping
     /// `forward_real_into`.
     #[test]
@@ -198,29 +162,6 @@ proptest! {
             plan.forward_real_into(&inputs[r * n..(r + 1) * n], &mut scratch, &mut single)
                 .unwrap();
             assert_bits(&batched[r * sl..(r + 1) * sl], &single, "batched real");
-        }
-    }
-
-    /// The packed (two-for-one) batch matches the oracle for every row —
-    /// even row counts pack fully, odd ones exercise the single-row tail.
-    #[test]
-    fn packed_batch_matches_the_oracle(x in real_signal(), rows in 1usize..6) {
-        let n = x.len();
-        let plan = RealFftPlan::shared(n).unwrap();
-        let inputs: Vec<f64> = (0..rows).flat_map(|r| {
-            x.iter().map(move |v| v * (1.0 + r as f64 * 0.1))
-        }).collect();
-        let mut scratch = Vec::new();
-        let mut packed = Vec::new();
-        plan.forward_real_packed_into(&inputs, rows, &mut scratch, &mut packed).unwrap();
-        let sl = plan.spectrum_len();
-        for r in 0..rows {
-            let as_complex: Vec<Complex> = inputs[r * n..(r + 1) * n]
-                .iter()
-                .map(|&v| Complex::from_real(v))
-                .collect();
-            let reference = oracle(&as_complex, false);
-            assert_close(&packed[r * sl..(r + 1) * sl], &reference[..sl], "packed batch");
         }
     }
 

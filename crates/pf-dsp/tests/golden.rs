@@ -8,7 +8,6 @@
 //! it: the complex plan (forward and inverse), the real-input plan, and
 //! the batched real path.
 
-use pf_dsp::batch::BatchFftPlan;
 use pf_dsp::plan::{FftPlan, RealFftPlan};
 use pf_dsp::Complex;
 
@@ -129,45 +128,21 @@ fn real_plans_reproduce_golden_half_spectra() {
 }
 
 #[test]
-fn batched_paths_reproduce_golden_spectra() {
+fn batched_real_path_reproduces_golden_spectra() {
     for g in goldens() {
-        // Three identical rows through the batched complex path.
-        let batch = BatchFftPlan::shared(g.n).unwrap();
-        let mut rows: Vec<Complex> = (0..3)
-            .flat_map(|_| g.input.iter().map(|&v| Complex::from_real(v)))
-            .collect();
-        batch.process_batch(&mut rows, false).unwrap();
-        for (r, chunk) in rows.chunks_exact(g.n).enumerate() {
+        // Two identical rows through the batched real path.
+        let plan = RealFftPlan::shared(g.n).unwrap();
+        let inputs: Vec<f64> = g.input.iter().chain(&g.input).copied().collect();
+        let (mut scratch, mut out) = (Vec::new(), Vec::new());
+        plan.forward_real_batch_into(&inputs, 2, &mut scratch, &mut out)
+            .unwrap();
+        for (r, chunk) in out.chunks_exact(plan.spectrum_len()).enumerate() {
             for (k, (got, want)) in chunk.iter().zip(&g.expect).enumerate() {
                 assert!(
                     (*got - *want).abs() < TOL,
-                    "{}: batched row {r} bin {k}",
+                    "{}: real batch row {r} bin {k}",
                     g.name
                 );
-            }
-        }
-        // Two identical rows through the batched and packed real paths.
-        let plan = RealFftPlan::shared(g.n).unwrap();
-        let inputs: Vec<f64> = g.input.iter().chain(&g.input).copied().collect();
-        let mut scratch = Vec::new();
-        let sl = plan.spectrum_len();
-        for packed in [false, true] {
-            let mut out = Vec::new();
-            if packed {
-                plan.forward_real_packed_into(&inputs, 2, &mut scratch, &mut out)
-                    .unwrap();
-            } else {
-                plan.forward_real_batch_into(&inputs, 2, &mut scratch, &mut out)
-                    .unwrap();
-            }
-            for (r, chunk) in out.chunks_exact(sl).enumerate() {
-                for (k, (got, want)) in chunk.iter().zip(&g.expect).enumerate() {
-                    assert!(
-                        (*got - *want).abs() < TOL,
-                        "{}: real batch (packed={packed}) row {r} bin {k}",
-                        g.name
-                    );
-                }
             }
         }
     }

@@ -3,7 +3,7 @@
 use pf_dsp::complex::Complex;
 use pf_dsp::conv::{conv1d, conv1d_fft, correlate2d, Matrix, PaddingMode};
 use pf_dsp::fft::{dft, fft, fft_real, fftshift, ifft, ifftshift};
-use pf_dsp::plan::{fft_with_plan, ifft_with_plan, FftPlan, RealFftPlan};
+use pf_dsp::plan::{FftPlan, RealFftPlan};
 use pf_dsp::util::{max_abs_diff, next_pow2};
 use proptest::prelude::*;
 
@@ -53,17 +53,17 @@ proptest! {
     }
 
     #[test]
-    fn fft_with_plan_matches_fft_bit_for_bit(x in complex_vec_pow2()) {
+    fn shared_plan_matches_fft_bit_for_bit(x in complex_vec_pow2()) {
         // The free functions are thin wrappers over the shared plan, so the
         // two APIs must agree exactly — not within a tolerance.
         let plan = FftPlan::shared(x.len()).unwrap();
-        let a = fft_with_plan(&plan, &x).unwrap();
+        let a = plan.fft(&x).unwrap();
         let b = fft(&x).unwrap();
         for (p, q) in a.iter().zip(&b) {
             prop_assert_eq!(p.re.to_bits(), q.re.to_bits());
             prop_assert_eq!(p.im.to_bits(), q.im.to_bits());
         }
-        let ai = ifft_with_plan(&plan, &x).unwrap();
+        let ai = plan.ifft(&x).unwrap();
         let bi = ifft(&x).unwrap();
         for (p, q) in ai.iter().zip(&bi) {
             prop_assert_eq!(p.re.to_bits(), q.re.to_bits());
@@ -72,9 +72,9 @@ proptest! {
     }
 
     #[test]
-    fn fft_with_plan_matches_dft(x in complex_vec_pow2()) {
+    fn shared_plan_matches_dft(x in complex_vec_pow2()) {
         let plan = FftPlan::shared(x.len()).unwrap();
-        let a = fft_with_plan(&plan, &x).unwrap();
+        let a = plan.fft(&x).unwrap();
         let b = dft(&x).unwrap();
         for (p, q) in a.iter().zip(&b) {
             prop_assert!((*p - *q).abs() < 1e-6);

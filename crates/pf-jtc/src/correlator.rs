@@ -1,4 +1,13 @@
-//! Numerical simulation of the optical JTC chain.
+//! Literal numerical simulation of the optical JTC chain: the Figure 2
+//! visualiser and the slow oracle of the crate.
+//!
+//! Nothing on an execution path calls this module. [`JtcSimulator`] builds
+//! the whole joint input plane and keeps the whole output plane, which is
+//! what Figure 2 plots ([`JtcOutput::intensity_shifted`],
+//! [`JtcOutput::terms_are_separated`]) and what makes it an *independent*
+//! check of the engine's prepared chain ([`crate::prepared`]: another grid,
+//! real half-spectrum transforms, only the correlation lobe read out) — the
+//! two are held together at 1e-9 by the tests of both modules.
 //!
 //! The simulation follows the physics described in Section II-A:
 //!
@@ -216,24 +225,24 @@ impl JtcSimulator {
     }
 }
 
-/// Joint input-plane geometry shared by the per-call and prepared paths:
-/// the signal→kernel separation `d` (large enough that the correlation
-/// lobes clear the central term) and the simulation grid size `n` (the
-/// simulator's base grid, grown if an unusually long kernel needs more
-/// guard space). Tuning either formula here retunes both execution paths.
+/// Joint input-plane geometry of the simulator: the signal→kernel
+/// separation `d` (large enough that the correlation lobes clear the
+/// central term; [`prepared_geometry`] uses the same one) and the
+/// simulation grid size `n` (the simulator's base grid, grown if an
+/// unusually long kernel needs more guard space).
 pub(crate) fn joint_geometry(signal_len: usize, kernel_len: usize, grid: usize) -> (usize, usize) {
     let d = 2 * signal_len + kernel_len + 2;
     let n = grid.max(next_pow2(2 * d + 2 * kernel_len + 4));
     (d, n)
 }
 
-/// Tight input-plane geometry for the prepared path: the same separation
+/// Tight input-plane geometry for the prepared chain: the same separation
 /// `d` as [`joint_geometry`] (so the output terms never overlap), but the
 /// grid is the smallest **even 5-smooth** size that fits the three terms
 /// plus guard space, instead of the simulator's power-of-two base grid.
 ///
 /// `pf_dsp`'s mixed-radix plans run any 5-smooth length directly, so the
-/// prepared transforms no longer pay for next-power-of-two padding — e.g. a
+/// prepared transforms do not pay for next-power-of-two padding — e.g. a
 /// 256-sample signal against a 67-sample tiled kernel runs on a 1350-point
 /// grid instead of 2048. The tight grid is always `<=` the padded one and
 /// always even, so the half-spectrum optics (conjugate symmetry, mirror
@@ -372,7 +381,7 @@ mod tests {
             for k in [1usize, 3, 5, 32, 67, 256] {
                 let (d, n) = prepared_geometry(s, k);
                 let (dj, nj) = joint_geometry(s, k, 0);
-                assert_eq!(d, dj, "separation must match the per-call path");
+                assert_eq!(d, dj, "separation must match the simulator's");
                 // Enough room for the central term and both lobes.
                 assert!(n >= 2 * d + 2 * k + 4, "s={s} k={k}: n={n} too small");
                 // Even (half-spectrum mirror bin exists) and never worse

@@ -1,8 +1,8 @@
 //! The photonic 1D convolution backend used by row tiling.
 //!
-//! [`JtcEngine`] implements [`pf_tiling::Conv1dEngine`] on top of the
-//! [`JtcSimulator`] optics chain and adds the mixed-signal non-idealities the
-//! accuracy experiments of the paper study:
+//! [`JtcEngine`] implements [`pf_tiling::Conv1dEngine`] on the prepared
+//! optics chain of [`crate::prepared`] and adds the mixed-signal
+//! non-idealities the accuracy experiments of the paper study:
 //!
 //! * DAC quantisation of input activations and filter weights (8-bit by
 //!   default),
@@ -10,6 +10,15 @@
 //! * optional ADC quantisation of the outputs — disabled when temporal
 //!   accumulation defers the read-out, which is exactly the mechanism that
 //!   restores accuracy in Figure 7.
+//!
+//! The engine has **one** chain. A one-off [`JtcEngine::correlate`] is
+//! "prepare, then run" on the same tight grid and the same half-spectrum
+//! transforms row tiling's cached path uses, so every entry point — the
+//! inherent call, [`Conv1dEngine::correlate_valid`] and a kept
+//! [`PreparedKernel`] — returns the same bits and consumes the noise stream
+//! identically. The joint-plane simulation in [`crate::correlator`] is not
+//! an execution path of the engine: it is the Figure 2 visualiser and the
+//! independent slow oracle the prepared chain is tested against.
 
 use std::any::Any;
 use std::sync::Arc;
@@ -21,9 +30,8 @@ use pf_photonics::detector::SensingNoise;
 use pf_tiling::{Conv1dEngine, PreparedConv1d};
 use serde::{Deserialize, Serialize};
 
-use crate::correlator::JtcSimulator;
 use crate::error::JtcError;
-use crate::prepared::{PreparedKernel, PreparedSpectrum};
+use crate::prepared::PreparedKernel;
 
 /// Configuration of the non-idealities applied by a [`JtcEngine`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -72,14 +80,13 @@ impl JtcEngineConfig {
 /// JTC optics with configurable quantisation and noise.
 #[derive(Debug)]
 pub struct JtcEngine {
-    simulator: JtcSimulator,
     config: JtcEngineConfig,
     input_dac: Option<Dac>,
     output_adc: Option<Adc>,
     /// The seeded sensing-noise stream, behind an `Arc` so prepared kernels
     /// handed out by this engine draw from the *same* stream in call order
-    /// (which is what makes the cached-spectrum path replay bit-identically
-    /// to per-call preparation under a fixed seed).
+    /// (which is what makes a cached prepared kernel replay bit-identically
+    /// to preparing afresh per call under a fixed seed).
     noise: Option<Arc<Mutex<SensingNoise>>>,
 }
 
@@ -91,7 +98,12 @@ impl JtcEngine {
     /// Returns [`JtcError::InvalidConfig`] if the capacity is zero, or
     /// propagates converter construction errors for unsupported resolutions.
     pub fn new(config: JtcEngineConfig) -> Result<Self, JtcError> {
-        let simulator = JtcSimulator::new(config.capacity)?;
+        if config.capacity == 0 {
+            return Err(JtcError::InvalidConfig {
+                name: "capacity",
+                requirement: "must be at least 1".to_string(),
+            });
+        }
         let input_dac = match config.dac_bits {
             Some(bits) => Some(Dac::new(bits, 10.0, 35.71)?),
             None => None,
@@ -109,7 +121,6 @@ impl JtcEngine {
             None => None,
         };
         Ok(Self {
-            simulator,
             config,
             input_dac,
             output_adc,
@@ -126,122 +137,47 @@ impl JtcEngine {
         Self::new(JtcEngineConfig::ideal(capacity))
     }
 
-    /// The engine configuration.
-    pub fn config(&self) -> &JtcEngineConfig {
-        &self.config
-    }
-
     /// Runs one JTC correlation with the configured non-idealities and
-    /// returns the valid cross-correlation.
+    /// returns the valid cross-correlation: [`JtcEngine::prepare`] for this
+    /// one call, then [`PreparedKernel::correlate`] — bit-identical to
+    /// keeping the prepared kernel, noise draws included.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`JtcSimulator::output_plane`].
+    /// * [`JtcError::EmptyOperand`] if the signal or kernel is empty.
+    /// * [`JtcError::InputTooLarge`] if either operand exceeds the capacity.
+    ///
+    /// A kernel longer than the signal is not an error: the valid
+    /// correlation is empty.
     pub fn correlate(&self, signal: &[f64], kernel: &[f64]) -> Result<Vec<f64>, JtcError> {
-        let (signal_q, s_scale) = quantize_through_dac(self.input_dac.as_ref(), signal);
-        let (kernel_q, k_scale) = quantize_through_dac(self.input_dac.as_ref(), kernel);
-        let mut out = self.simulator.correlate(&signal_q, &kernel_q)?;
-
-        // Undo the normalisation applied before the DACs.
-        let rescale = s_scale * k_scale;
-        let mut sum_sq = 0.0;
-        for v in &mut out {
-            *v *= rescale;
-            sum_sq += *v * *v;
-        }
-        sense_and_convert(
-            &mut out,
-            sum_sq,
-            self.noise.as_deref(),
-            self.output_adc.as_ref(),
-        );
-        Ok(out)
+        self.prepare(kernel, signal.len())?.correlate(signal)
     }
 
     /// Prepares `kernel` (DAC-quantised once, spectrum computed once) for
     /// repeated correlation against signals of exactly `signal_len` samples.
     ///
     /// Noisy engines hand the prepared kernel a reference to their own
-    /// sensing-noise stream, so the prepared path consumes exactly the
-    /// stream the unprepared path would. Preparation itself draws no noise
-    /// (DAC quantisation and the kernel spectrum are pure), which is what
-    /// lets [`Conv1dEngine::bind_prepared`] re-bind another engine's
-    /// prepared kernel to this engine's stream.
+    /// sensing-noise stream, so every correlation draws from the engine's
+    /// one stream in call order. Preparation itself draws no noise (DAC
+    /// quantisation and the kernel spectrum are pure), which is what lets
+    /// [`Conv1dEngine::bind_prepared`] re-bind another engine's prepared
+    /// kernel to this engine's stream.
     ///
     /// [`PreparedKernel::correlate`] then runs the engine's full signal
-    /// chain (DAC quantisation, sensing noise, ADC quantisation) — equivalent
-    /// to [`JtcEngine::correlate`] up to FFT rounding (~1e-12 relative): the
-    /// prepared optics exploit the linearity of the Fourier transform and
-    /// real-input symmetry, so the floating-point operation order differs.
+    /// chain (DAC quantisation, optics, sensing noise, ADC quantisation).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`PreparedSpectrum::new`].
+    /// Same conditions as [`PreparedSpectrum::new`](crate::prepared::PreparedSpectrum::new).
     pub fn prepare(&self, kernel: &[f64], signal_len: usize) -> Result<PreparedKernel, JtcError> {
-        let (kernel_q, k_scale) = quantize_through_dac(self.input_dac.as_ref(), kernel);
-        let spectrum = PreparedSpectrum::new(&kernel_q, signal_len, self.simulator.capacity())?;
-        Ok(PreparedKernel::new(
-            spectrum,
-            k_scale,
+        PreparedKernel::new(
+            kernel,
+            signal_len,
+            self.config.capacity,
             self.input_dac.clone(),
             self.output_adc.clone(),
             self.noise.clone(),
-        ))
-    }
-}
-
-/// The output conditioning behind the optics, on rescaled samples whose sum
-/// of squares (`sum_sq`, accumulated in output order) the caller's rescale
-/// pass already holds: photodetector sensing noise relative to the output
-/// RMS, one block per call drawn from the given stream under one lock, then
-/// ADC quantisation in place against the block's own full scale. A
-/// zero-RMS tile draws nothing. Shared by the engine's unprepared path and
-/// [`PreparedKernel`]'s prepared paths: both must consume the stream
-/// identically for seeded replay to hold.
-///
-/// Total over non-finite input: an overflowed RMS or full scale comes back
-/// as non-finite samples, never as a panic.
-pub(crate) fn sense_and_convert(
-    out: &mut [f64],
-    sum_sq: f64,
-    noise: Option<&Mutex<SensingNoise>>,
-    adc: Option<&Adc>,
-) {
-    let mut peak = None;
-    if let Some(noise) = noise {
-        let rms = (sum_sq / out.len().max(1) as f64).sqrt();
-        if rms > 0.0 {
-            peak = Some(noise.lock().add_scaled(out, rms));
-        }
-    }
-    if let Some(adc) = adc {
-        // The noise pass scans the samples it writes and hands back their
-        // peak; only a noiseless (or silent) tile is scanned here.
-        let peak = peak.unwrap_or_else(|| out.iter().fold(0.0f64, |m, &v| m.max(v.abs())));
-        adc.quantize_in_place(out, peak.max(f64::EPSILON));
-    }
-}
-
-/// Normalises an operand to `[-1, 1]`, passes it through the DAC (if
-/// present) and returns the quantised values together with the scale factor
-/// to undo the normalisation.
-pub(crate) fn quantize_through_dac(dac: Option<&Dac>, values: &[f64]) -> (Vec<f64>, f64) {
-    let max_abs = values.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
-    if max_abs == 0.0 {
-        return (values.to_vec(), 1.0);
-    }
-    match dac {
-        None => (values.to_vec(), 1.0),
-        Some(dac) => {
-            // The DAC generates magnitudes; signs ride along as the phase
-            // of the modulated field (or as the pseudo-negative split at
-            // the architecture level).
-            let quantised: Vec<f64> = values
-                .iter()
-                .map(|&v| dac.generate(v.abs() / max_abs) * v.signum())
-                .collect();
-            (quantised, max_abs)
-        }
+        )
     }
 }
 
@@ -275,9 +211,9 @@ impl Conv1dEngine for JtcEngine {
     fn prepare_kernel(&self, kernel: &[f64], signal_len: usize) -> Option<Arc<dyn PreparedConv1d>> {
         // Noisy engines prepare too: the prepared kernel shares this
         // engine's seeded noise stream and draws from it in call order, so
-        // under a fixed seed the cached deterministic spectrum stage is
-        // bit-identical to preparing afresh per call. Call order stays
-        // serial because `is_deterministic()` reports false.
+        // a cached kernel replays what preparing afresh per call would.
+        // Call order stays serial because `is_deterministic()` reports
+        // false.
         self.prepare(kernel, signal_len)
             .ok()
             .map(|p| Arc::new(p) as Arc<dyn PreparedConv1d>)
@@ -401,28 +337,6 @@ mod tests {
         assert_eq!(cg.dac_bits, Some(8));
         assert_eq!(cg.adc_bits, Some(8));
         assert_eq!(cg.sensing_snr_db, Some(20.0));
-    }
-
-    #[test]
-    fn prepared_kernel_reuse_across_100_tiles_matches_per_call() {
-        // One prepared kernel reused for 100 different tiles must agree with
-        // the per-call path on every tile (the per-call path runs the joint
-        // FFT; the prepared path splits it, so agreement is to FFT rounding).
-        let engine = JtcEngine::ideal(64).unwrap();
-        let kernel = vec![0.4, -0.1, 0.8, 0.2, -0.3];
-        let prepared = engine.prepare(&kernel, 48).unwrap();
-        for tile in 0..100u64 {
-            let signal: Vec<f64> = (0..48)
-                .map(|i| ((i as f64 + tile as f64 * 0.7) * 0.21).sin() + 0.1)
-                .collect();
-            let fast = prepared.correlate(&signal).unwrap();
-            let slow = engine.correlate(&signal, &kernel).unwrap();
-            assert_eq!(fast.len(), slow.len());
-            assert!(
-                max_abs_diff(&fast, &slow) < 1e-9,
-                "tile {tile} diverged from the per-call path"
-            );
-        }
     }
 
     #[test]

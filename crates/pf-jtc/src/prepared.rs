@@ -1,18 +1,22 @@
-//! Prepared kernel spectra — the throughput fast path of the JTC simulation.
+//! Prepared kernel spectra — the one execution path of the JTC engine.
 //!
 //! Row tiling drives the JTC with **one fixed kernel against many tiles of
 //! equal length**: every tile of a convolution layer (and every image of a
-//! batch) reuses the same tiled filter. The baseline
-//! [`JtcSimulator::correlate`](crate::correlator::JtcSimulator::correlate)
-//! path rebuilds the joint input plane and runs two full-grid complex FFTs
-//! per tile. This module amortises and shrinks that work:
+//! batch) reuses the same tiled filter. Simulated literally
+//! ([`JtcSimulator::output_plane`](crate::correlator::JtcSimulator::output_plane),
+//! kept as the Figure 2 visualiser and as the slow oracle this module is
+//! tested against), every tile rebuilds the joint input plane and runs two
+//! full-grid complex FFTs. This module amortises and shrinks that work, and
+//! a one-off correlation
+//! ([`JtcEngine::correlate`](crate::engine::JtcEngine::correlate)) simply
+//! prepares for its one call:
 //!
 //! * [`PreparedSpectrum`] fixes the input-plane geometry (separation `d`,
 //!   grid size `n`) for one `(kernel, signal_len)` pair and precomputes the
 //!   kernel's padded half-spectrum once. The prepared grid is **tight**:
 //!   the smallest even 5-smooth size that keeps the output terms separated
-//!   (mixed-radix plans run it directly), not the simulator's
-//!   power-of-two base grid;
+//!   (mixed-radix plans run it directly), not the oracle's power-of-two
+//!   base grid;
 //! * per tile, the first lens is computed as a **real-input half-spectrum
 //!   FFT of the signal alone** (one `n/2`-point complex FFT instead of an
 //!   `n`-point one) and the kernel spectrum is added — the Fourier transform
@@ -154,18 +158,6 @@ pub struct SignalSpectrum {
     half_spec: Vec<Complex>,
 }
 
-impl SignalSpectrum {
-    /// The signal length this spectrum was computed from.
-    pub fn signal_len(&self) -> usize {
-        self.signal_len
-    }
-
-    /// The simulation grid size the transform was taken on.
-    pub fn grid_size(&self) -> usize {
-        self.n
-    }
-}
-
 impl PreparedSpectrum {
     /// Builds the prepared state for `kernel` against signals of exactly
     /// `signal_len` samples, using the same signal→kernel separation as
@@ -173,9 +165,9 @@ impl PreparedSpectrum {
     /// but a **tight grid**: the smallest even 5-smooth size that keeps the
     /// output terms separated, rather than the simulator's power-of-two
     /// base grid. The mixed-radix transform plans run any 5-smooth length
-    /// directly, so the prepared path no longer pays for pad-to-pow2
-    /// transforms (the per-call [`JtcSimulator`](crate::correlator::JtcSimulator)
-    /// path keeps the big grid).
+    /// directly, so no transform pays for pad-to-pow2 (only the
+    /// [`JtcSimulator`](crate::correlator::JtcSimulator) oracle keeps the
+    /// big grid).
     ///
     /// # Errors
     ///
@@ -196,7 +188,7 @@ impl PreparedSpectrum {
                 capacity,
             });
         }
-        // Same separation as the per-call path (signal at the origin,
+        // Same separation as the joint-plane oracle (signal at the origin,
         // kernel at offset d), tight 5-smooth grid.
         let (d, n) = crate::correlator::prepared_geometry(signal_len, kernel.len());
         let plan = RealFftPlan::shared(n)?;
@@ -217,16 +209,6 @@ impl PreparedSpectrum {
             kernel_half_spec,
             plan,
         })
-    }
-
-    /// The signal length this spectrum was prepared for.
-    pub fn signal_len(&self) -> usize {
-        self.signal_len
-    }
-
-    /// The prepared kernel's length.
-    pub fn kernel_len(&self) -> usize {
-        self.kernel_len
     }
 
     /// The simulation grid size used by this prepared geometry.
@@ -254,7 +236,7 @@ impl PreparedSpectrum {
     /// # Errors
     ///
     /// Returns [`JtcError::InvalidConfig`] if `signal.len()` differs from
-    /// the prepared [`PreparedSpectrum::signal_len`], and
+    /// the signal length this spectrum was prepared for, and
     /// [`JtcError::EmptyOperand`] for an empty signal.
     pub fn signal_spectrum(&self, signal: &[f64]) -> Result<SignalSpectrum, JtcError> {
         if signal.is_empty() {
@@ -275,7 +257,7 @@ impl PreparedSpectrum {
 
     /// Computes the first-lens transforms of `count` signals stored back to
     /// back in `signals` (planar layout, each row exactly
-    /// [`signal_len`](PreparedSpectrum::signal_len) samples) in one call to
+    /// the prepared signal length) in one call to
     /// [`RealFftPlan::forward_real_batch_into`], which runs the real-input
     /// transform once per row, in row order, sharing one scratch borrow and
     /// one output allocation across the batch — no transform stage is
@@ -336,7 +318,7 @@ impl PreparedSpectrum {
     /// # Errors
     ///
     /// Returns [`JtcError::InvalidConfig`] if `signal.len()` differs from
-    /// the prepared [`PreparedSpectrum::signal_len`], and
+    /// the signal length this spectrum was prepared for, and
     /// [`JtcError::EmptyOperand`] for an empty signal.
     pub fn correlate(&self, signal: &[f64]) -> Result<Vec<f64>, JtcError> {
         Ok(self.correlate_acc(signal, ReadOut::PLAIN, None)?.0)
@@ -585,9 +567,8 @@ pub struct PreparedKernel {
     dac: Option<Dac>,
     /// Copy of the engine's output ADC.
     adc: Option<Adc>,
-    /// The bound engine's sensing-noise stream (shared, not copied: the
-    /// prepared path must consume the same stream the unprepared engine
-    /// paths do).
+    /// The bound engine's sensing-noise stream (shared, not copied: every
+    /// kernel an engine prepares draws from that engine's one stream).
     noise: Option<Arc<Mutex<SensingNoise>>>,
 }
 
@@ -607,21 +588,50 @@ impl PreparedSignal for SharedSignal {
     }
 }
 
+/// Normalises an operand to `[-1, 1]`, passes it through the DAC (if
+/// present) and returns the quantised values together with the scale factor
+/// to undo the normalisation.
+fn quantize_through_dac(dac: Option<&Dac>, values: &[f64]) -> (Vec<f64>, f64) {
+    let max_abs = values.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+    if max_abs == 0.0 {
+        return (values.to_vec(), 1.0);
+    }
+    match dac {
+        None => (values.to_vec(), 1.0),
+        Some(dac) => {
+            // The DAC generates magnitudes; signs ride along as the phase
+            // of the modulated field (or as the pseudo-negative split at
+            // the architecture level).
+            let quantised: Vec<f64> = values
+                .iter()
+                .map(|&v| dac.generate(v.abs() / max_abs) * v.signum())
+                .collect();
+            (quantised, max_abs)
+        }
+    }
+}
+
 impl PreparedKernel {
+    /// Prepares `kernel` for an engine of input-plane `capacity` with the
+    /// given converters and noise stream: the kernel goes through the DAC
+    /// once and its spectrum is computed once. Draws no noise.
     pub(crate) fn new(
-        spectrum: PreparedSpectrum,
-        k_scale: f64,
+        kernel: &[f64],
+        signal_len: usize,
+        capacity: usize,
         dac: Option<Dac>,
         adc: Option<Adc>,
         noise: Option<Arc<Mutex<SensingNoise>>>,
-    ) -> Self {
-        Self {
+    ) -> Result<Self, JtcError> {
+        let (kernel_q, k_scale) = quantize_through_dac(dac.as_ref(), kernel);
+        let spectrum = PreparedSpectrum::new(&kernel_q, signal_len, capacity)?;
+        Ok(Self {
             spectrum: Arc::new(spectrum),
             k_scale,
             dac,
             adc,
             noise,
-        }
+        })
     }
 
     /// The same deterministic half drawing from another noise stream: what
@@ -640,11 +650,6 @@ impl PreparedKernel {
         &self.spectrum
     }
 
-    /// Scale factor undoing the kernel's pre-DAC normalisation.
-    pub fn kernel_scale(&self) -> f64 {
-        self.k_scale
-    }
-
     /// Runs the full signal chain (DAC → optics → rescale → sensing noise →
     /// ADC) against `signal`. Deterministic engines carry no noise stream,
     /// so their chain is a pure function of the input.
@@ -660,7 +665,7 @@ impl PreparedKernel {
     /// caller-held [`StageAcc`] when there is one (one clock read per
     /// boundary; see the accumulator's docs for why loops hold one).
     fn chain(&self, signal: &[f64], mut acc: Option<&mut StageAcc>) -> Result<Vec<f64>, JtcError> {
-        let (signal_q, s_scale) = crate::engine::quantize_through_dac(self.dac.as_ref(), signal);
+        let (signal_q, s_scale) = quantize_through_dac(self.dac.as_ref(), signal);
         mark(&mut acc, Stage::DacAdc);
         let (mut out, sum_sq) =
             self.spectrum
@@ -789,11 +794,29 @@ impl PreparedKernel {
         }
     }
 
-    /// Output conditioning shared by both chains, on samples the second
-    /// lens already rescaled: sensing noise (when a stream is attached),
-    /// ADC quantisation.
+    /// The output conditioning behind the optics, shared by every chain,
+    /// on rescaled samples whose sum of squares (`sum_sq`, accumulated in
+    /// output order) the second lens' read-out already holds: photodetector
+    /// sensing noise relative to the output RMS, one block per call drawn
+    /// from the bound stream under one lock, then ADC quantisation in place
+    /// against the block's own full scale. A zero-RMS tile draws nothing.
+    ///
+    /// Total over non-finite input: an overflowed RMS or full scale comes
+    /// back as non-finite samples, never as a panic.
     fn condition(&self, out: &mut [f64], sum_sq: f64) {
-        crate::engine::sense_and_convert(out, sum_sq, self.noise.as_deref(), self.adc.as_ref());
+        let mut peak = None;
+        if let Some(noise) = &self.noise {
+            let rms = (sum_sq / out.len().max(1) as f64).sqrt();
+            if rms > 0.0 {
+                peak = Some(noise.lock().add_scaled(out, rms));
+            }
+        }
+        if let Some(adc) = &self.adc {
+            // The noise pass scans the samples it writes and hands back
+            // their peak; only a noiseless (or silent) tile is scanned here.
+            let peak = peak.unwrap_or_else(|| out.iter().fold(0.0f64, |m, &v| m.max(v.abs())));
+            adc.quantize_in_place(out, peak.max(f64::EPSILON));
+        }
     }
 }
 
@@ -823,7 +846,7 @@ impl PreparedConv1d for PreparedKernel {
     }
 
     fn prepare_signal(&self, signal: &[f64]) -> Option<Arc<dyn PreparedSignal>> {
-        let (signal_q, s_scale) = crate::engine::quantize_through_dac(self.dac.as_ref(), signal);
+        let (signal_q, s_scale) = quantize_through_dac(self.dac.as_ref(), signal);
         let spectrum = self.spectrum.signal_spectrum(&signal_q).ok()?;
         Some(Arc::new(SharedSignal { spectrum, s_scale }))
     }
@@ -843,7 +866,7 @@ impl PreparedConv1d for PreparedKernel {
         let mut packed = Vec::with_capacity(signals.len());
         let mut scales = Vec::with_capacity(count);
         for chunk in signals.chunks_exact(row) {
-            let (q, s_scale) = crate::engine::quantize_through_dac(self.dac.as_ref(), chunk);
+            let (q, s_scale) = quantize_through_dac(self.dac.as_ref(), chunk);
             packed.extend_from_slice(&q);
             scales.push(s_scale);
         }
@@ -905,8 +928,6 @@ mod tests {
         let jtc = JtcSimulator::new(64).unwrap();
         let kernel = vec![0.25, 0.5, 1.0, 0.5, 0.25];
         let prep = PreparedSpectrum::new(&kernel, 40, jtc.capacity()).unwrap();
-        assert_eq!(prep.signal_len(), 40);
-        assert_eq!(prep.kernel_len(), 5);
         for seed in 0..5u64 {
             let signal: Vec<f64> = (0..40)
                 .map(|i| ((i as f64 + seed as f64) * 0.3).sin() + 0.5)
@@ -1004,8 +1025,6 @@ mod tests {
         // All kernels share a geometry, so any of them can take the
         // transform.
         let spectrum = preps[0].signal_spectrum(&signal).unwrap();
-        assert_eq!(spectrum.signal_len(), 40);
-        assert_eq!(spectrum.grid_size(), preps[0].grid_size());
         for prep in &preps {
             let shared = prep.correlate_spectrum(&spectrum).unwrap();
             let fused = prep.correlate(&signal).unwrap();
@@ -1021,8 +1040,8 @@ mod tests {
         let jtc = JtcSimulator::new(256).unwrap();
         let kernel = vec![0.25, -0.5, 1.0, 0.5, -0.25, 0.1, 0.3];
         let prep = PreparedSpectrum::new(&kernel, 256, jtc.capacity()).unwrap();
-        // Tight 5-smooth grid, strictly smaller than the 2048-point
-        // simulator grid the per-call path uses.
+        // Tight 5-smooth grid, strictly smaller than the 2048-point grid
+        // of the joint-plane oracle.
         assert!(prep.grid_size() < jtc.grid_size());
         assert_eq!(prep.grid_size() % 2, 0);
         let signal: Vec<f64> = (0..256).map(|i| ((i as f64) * 0.13).sin() + 0.4).collect();
@@ -1122,13 +1141,7 @@ mod tests {
 
     #[test]
     fn traced_paths_are_bit_identical_and_attribute_stages() {
-        let prep = PreparedKernel::new(
-            PreparedSpectrum::new(&[0.3, -0.2, 0.7], 48, 64).unwrap(),
-            1.0,
-            None,
-            None,
-            None,
-        );
+        let prep = PreparedKernel::new(&[0.3, -0.2, 0.7], 48, 64, None, None, None).unwrap();
         let signal: Vec<f64> = (0..48).map(|i| (i as f64 * 0.13).sin()).collect();
         let tel = Telemetry::enabled();
 

@@ -9,6 +9,10 @@
 //! one block, a lone kernel, which takes the scalar chain), with and
 //! without stage marks, and on the sets it must hand back to the
 //! per-kernel loop (mixed geometry, a foreign member).
+//!
+//! And, since the engine has one chain: the one-off entries
+//! (`JtcEngine::correlate`, `Conv1dEngine::correlate_valid`) against a kept
+//! prepared kernel, held to the same standard.
 
 use std::sync::Arc;
 
@@ -163,6 +167,54 @@ fn a_silent_kernel_in_a_lane_draws_no_noise() {
     let (_, config) = configs().into_iter().nth(2).unwrap();
     let kernels = vec![kernel(0, 3), vec![0.0; 3], kernel(2, 3), kernel(3, 3)];
     check_set_equals_loop("cg with a silent lane", &config, &kernels, 16, Path::Lanes);
+}
+
+#[test]
+fn one_off_trait_and_kept_prepared_entries_are_one_chain() {
+    // Three engines of one configuration, one entry point each, the same
+    // tiles in the same order: bit-identical outputs and — the `Debug` form
+    // shows the noise generator — streams left in the same state. An
+    // all-zero tile under an all-zero kernel is silent (zero RMS) and must
+    // draw nothing on any entry.
+    for (name, config) in configs() {
+        let engine = || JtcEngine::new(config.clone()).unwrap();
+        let (by_trait, one_off, keeping) = (engine(), engine(), engine());
+        let kernels = [kernel(1, 5), vec![0.0; 5]];
+        let kept = kernels
+            .each_ref()
+            .map(|k| keeping.prepare(k, SIGNAL_LEN).unwrap());
+        let steps = [
+            (signal(SIGNAL_LEN, 0.0), 0),
+            (signal(SIGNAL_LEN, 5.5), 0),
+            (vec![0.0; SIGNAL_LEN], 1),
+            (signal(SIGNAL_LEN, 9.25), 0),
+        ];
+        for (t, (tile, k)) in steps.iter().enumerate() {
+            let what = format!("{name}, tile {t}");
+            let before = format!("{one_off:?}");
+            let outs = [
+                by_trait.correlate_valid(tile, &kernels[*k]),
+                one_off.correlate(tile, &kernels[*k]).unwrap(),
+                kept[*k].correlate(tile).unwrap(),
+            ];
+            assert_eq!(outs[0].len(), SIGNAL_LEN - 5 + 1, "{what}");
+            assert_bits(
+                &outs[..1],
+                &outs[1..2],
+                &format!("{what}: trait vs one-off"),
+            );
+            assert_bits(&outs[1..2], &outs[2..], &format!("{what}: one-off vs kept"));
+            let state = format!("{one_off:?}");
+            assert_eq!(format!("{by_trait:?}"), state, "{what}: trait entry state");
+            assert_eq!(format!("{keeping:?}"), state, "{what}: kept entry state");
+            let silent = *k == 1;
+            assert_eq!(
+                before == state,
+                silent || one_off.is_deterministic(),
+                "{what}: only a live tile on a noisy engine draws"
+            );
+        }
+    }
 }
 
 #[test]

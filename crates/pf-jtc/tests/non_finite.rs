@@ -20,8 +20,8 @@ fn signal(poison: f64) -> Vec<f64> {
     signal
 }
 
-/// Every way a signal reaches the chain: the unprepared engine path, the
-/// prepared path through the trait (the one row tiling drives), and the
+/// Every way a signal reaches the chain: the engine's one-off entry, a
+/// kept prepared kernel through the trait (what row tiling drives), and the
 /// shared-signal path behind it.
 fn every_path(config: &JtcEngineConfig, signal: &[f64]) -> Vec<(&'static str, Vec<f64>)> {
     let engine = || JtcEngine::new(config.clone()).unwrap();
@@ -33,7 +33,7 @@ fn every_path(config: &JtcEngineConfig, signal: &[f64]) -> Vec<(&'static str, Ve
         .prepare_signal(signal)
         .expect("JTC kernels share signals");
     vec![
-        ("unprepared", engine().correlate_valid(signal, &KERNEL)),
+        ("one-off", engine().correlate_valid(signal, &KERNEL)),
         ("prepared", prepared.correlate_valid(signal)),
         (
             "shared signal",

@@ -175,8 +175,8 @@ proptest! {
         kernel_len in 1usize..6,
         quantised in 0u8..2, // 1 = DAC in the chain, 0 = ideal
     ) {
-        // `prepare_signal_batch` runs all rows through one batched planar
-        // transform; the trait contract demands each row be bit-identical
+        // `prepare_signal_batch` takes all rows in one planar call; the
+        // trait contract demands each row be bit-identical
         // to its one-at-a-time `prepare_signal` counterpart — with and
         // without a DAC in the chain.
         use pf_tiling::Conv1dEngine;
@@ -213,16 +213,16 @@ proptest! {
     }
 
     #[test]
-    fn seeded_noisy_prepared_path_replays_the_unprepared_stream(
+    fn seeded_noisy_cached_kernel_replays_preparing_per_call(
         seed in 0u64..1000,
         signal_len in 8usize..40,
         kernel_len in 1usize..5,
         calls in 1usize..5,
     ) {
         // Two engines with the same noise seed: one reuses a cached
-        // trait-prepared kernel, the other re-prepares on every call (the
-        // unprepared-spectrum path). The seeded noise stream advances
-        // identically, so outputs are bit-identical call for call.
+        // trait-prepared kernel, the other re-prepares on every call. The
+        // seeded noise stream advances identically, so outputs are
+        // bit-identical call for call.
         use pf_tiling::Conv1dEngine;
         use rand::{Rng, SeedableRng};
         prop_assume!(kernel_len <= signal_len);

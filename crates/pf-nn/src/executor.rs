@@ -214,9 +214,13 @@ impl<E: Conv1dEngine> TiledExecutor<E> {
         })
     }
 
-    /// The parallelism grain of the inner convolver.
-    pub fn grain(&self) -> ParallelGrain {
-        self.convolver.grain()
+    /// The row-tiling convolver every layer of this executor runs on, for
+    /// callers that also drive bare 2D convolutions (the facade's `conv2d*`
+    /// paths): one engine, one prepared-kernel cache and one telemetry
+    /// handle then serve both, and a kernel either side prepared is a cache
+    /// hit for the other.
+    pub fn convolver(&self) -> &TiledConvolver<E> {
+        &self.convolver
     }
 
     /// Attaches a telemetry handle to the inner convolver, so every
@@ -224,23 +228,8 @@ impl<E: Conv1dEngine> TiledExecutor<E> {
     /// counters into that registry. A disabled handle (the default) keeps
     /// the untraced hot path.
     pub fn with_telemetry(mut self, telemetry: pf_telemetry::Telemetry) -> Self {
-        self.convolver.set_telemetry(telemetry);
+        self.convolver = self.convolver.with_telemetry(telemetry);
         self
-    }
-
-    /// In-place form of [`TiledExecutor::with_telemetry`].
-    pub fn set_telemetry(&mut self, telemetry: pf_telemetry::Telemetry) {
-        self.convolver.set_telemetry(telemetry);
-    }
-
-    /// The attached telemetry handle.
-    pub fn telemetry(&self) -> &pf_telemetry::Telemetry {
-        self.convolver.telemetry()
-    }
-
-    /// The pipeline configuration.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.config
     }
 
     fn conv_planes(
@@ -279,9 +268,9 @@ impl<E: Conv1dEngine> Conv2dExecutor for TiledExecutor<E> {
         // built — and, on the JTC backends, Fourier-transformed — once for
         // the whole kernel stack instead of once per output channel. The
         // tiling layer additionally sees the channel's whole tile batch at
-        // once, so those signal transforms run through one batched planar
-        // pass (`PreparedConv1d::prepare_signal_batch`) rather than
-        // per-tile FFT calls.
+        // once, so those signal transforms are requested in one call
+        // (`PreparedConv1d::prepare_signal_batch`; the rows still transform
+        // one by one).
         //
         // Output channels are processed in chunks so the buffered partial
         // planes stay O(chunk × in_channels) instead of O(out × in): the
@@ -645,13 +634,15 @@ mod tests {
         // Capacity 48 over 12-column planes: several tiles per image.
         let executor =
             TiledExecutor::new(CountingEngine::default(), 48, PipelineConfig::ideal()).unwrap();
-        assert_eq!(executor.grain(), ParallelGrain::Image);
+        let convolver = executor.convolver();
+        assert_eq!(convolver.grain(), ParallelGrain::Image);
         let image = executor.at(ParallelGrain::Image);
         let tile = executor.at(ParallelGrain::Tile);
-        assert_eq!(tile.grain(), ParallelGrain::Tile);
+        assert_eq!(tile.convolver().grain(), ParallelGrain::Tile);
+        let count = || convolver.engine().0.load(Ordering::Relaxed);
 
         let serial = image.forward(&input, &layer).unwrap();
-        let prepared = executor.convolver.engine().0.load(Ordering::Relaxed);
+        let prepared = count();
         assert!(prepared > 0);
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(4)
@@ -662,9 +653,38 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert_eq!(
-            executor.convolver.engine().0.load(Ordering::Relaxed),
+            count(),
             prepared,
             "the tile view must hit the kernels the image view prepared"
+        );
+
+        // One store: `convolver()` is the convolver `forward` runs on, so
+        // a kernel either side prepared is a hit for the other.
+        let bare = |layer: &Conv2d| {
+            for i in 0..layer.in_channels() {
+                let kernels: Vec<Matrix> = (0..layer.out_channels())
+                    .map(|o| layer.weights.filter_plane(o, i))
+                    .collect();
+                convolver
+                    .correlate2d_same_multi(&input.channel(i), &kernels, EdgeHandling::Wraparound)
+                    .unwrap();
+            }
+        };
+        bare(&layer);
+        assert_eq!(
+            count(),
+            prepared,
+            "bare convolutions must hit the kernels forward prepared"
+        );
+        let unseen = small_layer(true, 1, 83);
+        bare(&unseen);
+        let after_bare = count();
+        assert!(after_bare > prepared);
+        image.forward(&input, &unseen).unwrap();
+        assert_eq!(
+            count(),
+            after_bare,
+            "forward must hit the kernels the bare convolutions prepared"
         );
     }
 

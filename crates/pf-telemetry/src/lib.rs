@@ -112,7 +112,7 @@ impl Stage {
     }
 
     /// Stable snake_case name, matching the span taxonomy and the
-    /// `StageRecord` fields in BENCH_throughput.json.
+    /// benchmark ladder's `pf-jtc.stage_*_share` rows.
     pub fn name(self) -> &'static str {
         match self {
             Stage::SignalFft => "signal_fft",

@@ -71,7 +71,9 @@ pub trait Conv1dEngine: Debug + Sync {
     /// path and callers should fall back to
     /// [`Conv1dEngine::correlate_valid`]. Implementations must guarantee the
     /// prepared path computes exactly what `correlate_valid` would, up to
-    /// the engine's own numerical tolerance.
+    /// the engine's own numerical tolerance (both engines of this workspace
+    /// meet it bit for bit: the JTC's `correlate_valid` *is* prepare-then-
+    /// run, the digital sparse kernel replays the dense sum's order).
     fn prepare_kernel(&self, kernel: &[f64], signal_len: usize) -> Option<Arc<dyn PreparedConv1d>> {
         let _ = (kernel, signal_len);
         None

@@ -312,19 +312,9 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
     /// into the `tiling.*` counters. Results are bit-identical either way —
     /// tracing observes, never perturbs.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.set_telemetry(telemetry);
-        self
-    }
-
-    /// Replaces the telemetry handle in place (for already-built convolvers).
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.counters = TilingCounters::new(&telemetry);
         self.telemetry = telemetry;
-    }
-
-    /// The attached telemetry handle (disabled unless configured).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+        self
     }
 
     /// Sets the parallelism grain. At the convolver level
@@ -382,11 +372,6 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
     /// The configured parallelism grain.
     pub fn grain(&self) -> ParallelGrain {
         self.grain
-    }
-
-    /// The configured 1D capacity.
-    pub fn n_conv(&self) -> usize {
-        self.n_conv
     }
 
     /// A reference to the underlying backend.
@@ -1324,7 +1309,6 @@ mod tests {
     fn constructor_validation() {
         assert!(TiledConvolver::new(DigitalEngine, 0).is_err());
         assert!(TiledConvolver::new(DigitalEngine, 256).is_ok());
-        assert_eq!(convolver(256).n_conv(), 256);
         assert_eq!(convolver(256).grain(), ParallelGrain::Auto);
     }
 

@@ -12,17 +12,21 @@
 //! * **analytical** — [`Session::evaluate_performance`] runs the
 //!   architecture simulator on the scenario's network and design point.
 //!
-//! The functional side holds **one** [`TiledConvolver`] and **one**
-//! [`TiledExecutor`]: [`Session::effective_grain`] resolves the parallelism
-//! grain per call and the call runs on a borrowed view at that grain
-//! ([`TiledConvolver::at`] / [`TiledExecutor::at`]), sharing one engine,
-//! one prepared-kernel cache and one telemetry handle. On a stochastic
-//! backend each request additionally gets its own seeded engine, driven
-//! through a view of the same executor ([`TiledExecutor::on`]): the request
-//! owns its noise stream and shares everything deterministic, the
-//! prepared-kernel cache included. Per-call execution tallies are read
-//! from [`Session::telemetry`] snapshots (`tiling.*` counters, stage
-//! totals).
+//! The functional side holds **one** [`TiledExecutor`] over **one**
+//! backend instance: [`Session::effective_grain`] resolves the parallelism
+//! grain per call and the call runs on a borrowed view at that grain —
+//! [`TiledExecutor::at`] for inference,
+//! [`TiledConvolver::at`](pf_tiling::TiledConvolver::at) on the executor's
+//! own convolver ([`TiledExecutor::convolver`]) for the `conv2d` paths —
+//! so one engine, one prepared-kernel cache and one telemetry
+//! handle serve every call, and on a stochastic backend `conv2d*` and
+//! unseeded [`Session::run_inference`] draw from the one session noise
+//! stream in call order. Each seeded request additionally gets its own
+//! engine, driven through a view of the same executor
+//! ([`TiledExecutor::on`]): the request owns its noise stream and shares
+//! everything deterministic, the prepared-kernel cache included. Per-call
+//! execution tallies are read from [`Session::telemetry`] snapshots
+//! (`tiling.*` counters, stage totals).
 //!
 //! "Functional accuracy + analytical performance for one configuration" is
 //! therefore a two-call flow:
@@ -50,7 +54,7 @@ use pf_nn::models::small::SmallCnn;
 use pf_nn::models::NetworkSpec;
 use pf_nn::Tensor;
 use pf_telemetry::Telemetry;
-use pf_tiling::{ParallelGrain, TiledConvolver};
+use pf_tiling::ParallelGrain;
 use rayon::prelude::*;
 
 /// Builder for [`Session`].
@@ -145,16 +149,14 @@ pub struct Session {
     /// The configured parallelism grain ([`ParallelGrain::Auto`] resolves
     /// per call; see [`Session::effective_grain`]).
     grain: ParallelGrain,
-    /// The convolver behind the `conv2d` paths; each call runs on a
-    /// borrowed view at its resolved grain ([`TiledConvolver::at`]).
-    convolver: TiledConvolver<Box<dyn Backend>>,
-    /// The executor behind the inference paths, likewise viewed per call
-    /// ([`TiledExecutor::at`]).
+    /// The executor behind every functional path: inference runs on a
+    /// per-call view of it ([`TiledExecutor::at`]), the `conv2d` paths on a
+    /// per-call view of its convolver ([`TiledExecutor::convolver`]).
     executor: TiledExecutor<Box<dyn Backend>>,
     cnn: SmallCnn,
     simulator: Simulator,
-    /// Observability handle shared by the convolver and the executor (and
-    /// through it by per-request seeded engines). Disabled by default.
+    /// Observability handle of the executor (and through it of per-request
+    /// seeded engines). Disabled by default.
     telemetry: Telemetry,
 }
 
@@ -184,8 +186,8 @@ impl Session {
     }
 
     /// Builds a session with an explicit grain and observability handle
-    /// (see [`SessionBuilder::telemetry`]). The session's convolver and
-    /// executor share the handle, so one registry collects the whole
+    /// (see [`SessionBuilder::telemetry`]). Every functional path runs on
+    /// the session's one executor, so one registry collects the whole
     /// session's stage timings and tiling counters.
     ///
     /// # Errors
@@ -198,16 +200,9 @@ impl Session {
     ) -> Result<Self, PfError> {
         scenario.validate()?;
         let network = scenario.network_spec()?;
-        // Two backend instances: the convolver and the executor each own
-        // theirs (construction is cheap; the optics chain is stateless
-        // apart from the noise RNG).
-        let conv_backend = scenario.backend.instantiate()?;
-        let exec_backend = scenario.backend.instantiate()?;
-        let backend_id = conv_backend.id();
-        let capacity = scenario.backend.capacity;
-        let convolver =
-            TiledConvolver::new(conv_backend, capacity)?.with_telemetry(telemetry.clone());
-        let executor = TiledExecutor::new(exec_backend, capacity, scenario.pipeline)?
+        let backend = scenario.backend.instantiate()?;
+        let backend_id = backend.id();
+        let executor = TiledExecutor::new(backend, scenario.backend.capacity, scenario.pipeline)?
             .with_telemetry(telemetry.clone());
         let cnn = SmallCnn::new(
             scenario.functional.input_channels,
@@ -220,7 +215,6 @@ impl Session {
             network,
             backend_id,
             grain,
-            convolver,
             executor,
             cnn,
             simulator,
@@ -329,7 +323,7 @@ impl Session {
     /// Returns [`PfError::Tiling`] if the kernel does not fit the input or
     /// the backend capacity.
     pub fn conv2d(&self, input: &Matrix, kernel: &Matrix) -> Result<Matrix, PfError> {
-        let convolver = self.convolver.at(self.tiling_grain(1));
+        let convolver = self.executor.convolver().at(self.tiling_grain(1));
         Ok(convolver.correlate2d_valid(input, kernel)?)
     }
 
@@ -351,7 +345,7 @@ impl Session {
     /// Same conditions as [`Session::conv2d`], plus a [`PfError::Tiling`]
     /// error if the kernels differ in shape.
     pub fn conv2d_multi(&self, input: &Matrix, kernels: &[Matrix]) -> Result<Vec<Matrix>, PfError> {
-        let convolver = self.convolver.at(self.tiling_grain(1));
+        let convolver = self.executor.convolver().at(self.tiling_grain(1));
         Ok(convolver.correlate2d_valid_multi(input, kernels)?)
     }
 
@@ -373,7 +367,7 @@ impl Session {
     /// Returns the first per-image error in input order, if any.
     pub fn conv2d_batch(&self, inputs: &[Matrix], kernel: &Matrix) -> Result<Vec<Matrix>, PfError> {
         let grain = self.tiling_grain(inputs.len());
-        let convolver = self.convolver.at(grain);
+        let convolver = self.executor.convolver().at(grain);
         if self.is_stochastic() || grain != ParallelGrain::Image {
             return inputs
                 .iter()
@@ -390,6 +384,13 @@ impl Session {
     /// Runs one image through the runnable feature-extractor CNN on the
     /// session backend with the scenario's numeric pipeline, returning the
     /// flattened feature tensor.
+    ///
+    /// On a stochastic backend the sensing noise comes from the session
+    /// engine's own stream — the one the `conv2d` paths also draw from — so
+    /// the result depends on every unseeded call the session ran before it
+    /// (and replays exactly when a fresh session repeats the same call
+    /// sequence). [`Session::run_inference_seeded`] pins the stream per
+    /// request instead.
     ///
     /// # Errors
     ///
@@ -431,7 +432,7 @@ impl Session {
     ///
     /// Returns the first per-image error in input order, if any.
     pub fn run_batch(&self, images: &[Tensor]) -> Result<Vec<Tensor>, PfError> {
-        let results: Vec<Result<Tensor, PfError>> = if self.scenario.backend.kind.is_stochastic() {
+        let results: Vec<Result<Tensor, PfError>> = if self.is_stochastic() {
             let indices: Vec<usize> = (0..images.len()).collect();
             indices
                 .par_iter()
@@ -755,6 +756,48 @@ mod tests {
         let c = session.run_inference_seeded(&image, 4).unwrap();
         assert_eq!(a, b, "same seed must reproduce the same features");
         assert_ne!(a, c, "different seeds must differ");
+    }
+
+    #[test]
+    fn a_stochastic_session_draws_from_one_stream() {
+        let build = || {
+            Session::builder()
+                .scenario(scenario(BackendKind::PhotofourierCg))
+                .build()
+                .unwrap()
+        };
+        let image = Tensor::random(vec![1, 16, 16], 0.0, 1.0, 11);
+        let images = vec![image.clone(), Tensor::random(vec![1, 16, 16], 0.0, 1.0, 12)];
+        let input =
+            Matrix::new(12, 12, (0..144).map(|i| (i as f64 * 0.13).sin()).collect()).unwrap();
+        let kernel = Matrix::new(3, 3, (0..9).map(|i| (i as f64 - 4.0) / 9.0).collect()).unwrap();
+
+        // `conv2d` advances the stream the unseeded inference then reads:
+        // the inference differs from a fresh session's first one, and the
+        // same call sequence on another fresh session replays both.
+        let first = build().run_inference(&image).unwrap();
+        let session = build();
+        let conv = session.conv2d(&input, &kernel).unwrap();
+        let after_conv = session.run_inference(&image).unwrap();
+        assert_ne!(after_conv, first, "conv2d and run_inference share a stream");
+        let replay = build();
+        assert_eq!(replay.conv2d(&input, &kernel).unwrap(), conv);
+        assert_eq!(replay.run_inference(&image).unwrap(), after_conv);
+
+        // Seeded requests own their stream: no interleaving with the
+        // session's own draws moves them.
+        let quiet = build();
+        let seeded = quiet.run_inference_seeded(&image, 5).unwrap();
+        let batch = quiet.run_batch(&images).unwrap();
+        let busy = build();
+        busy.conv2d_multi(&input, std::slice::from_ref(&kernel))
+            .unwrap();
+        assert_eq!(busy.run_inference_seeded(&image, 5).unwrap(), seeded);
+        busy.conv2d_batch(std::slice::from_ref(&input), &kernel)
+            .unwrap();
+        busy.run_inference(&image).unwrap();
+        assert_eq!(busy.run_batch(&images).unwrap(), batch);
+        assert_eq!(busy.run_inference_seeded(&image, 5).unwrap(), seeded);
     }
 
     #[test]
