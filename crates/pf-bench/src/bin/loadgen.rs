@@ -51,12 +51,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use pf_bench::chaos::{check_chaos_smoke, run_chaos_suite_traced, ChaosOptions, ChaosReport};
+use pf_bench::chaos::{check_chaos_smoke, run_chaos_suite, ChaosOptions, ChaosReport};
 use pf_bench::exitcode;
-use pf_bench::routing::{check_route_smoke, run_route_suite_traced, RouteOptions, RoutingReport};
-use pf_bench::serving::{
-    check_smoke, run_suite_traced, LoadgenOptions, ServingReport, TraceSummary,
-};
+use pf_bench::routing::{check_route_smoke, run_route_suite, RouteOptions, RoutingReport};
+use pf_bench::serving::{check_smoke, run_suite, LoadgenOptions, ServingReport, TraceSummary};
 use pf_bench::Table;
 use photofourier::telemetry::validate_chrome_trace;
 use photofourier::{BackendKind, Telemetry};
@@ -307,7 +305,7 @@ fn run_chaos(
     if let Some(path) = scenario {
         chaos_options.scenario = path;
     }
-    let report = match run_chaos_suite_traced(&chaos_options, tel) {
+    let report = match run_chaos_suite(&chaos_options, tel) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("chaos loadgen failed: {e}");
@@ -381,7 +379,7 @@ fn run_route(
         requests,
         seed: options.seed,
     };
-    let report = match run_route_suite_traced(&route_options, tel) {
+    let report = match run_route_suite(&route_options, tel) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("route loadgen failed: {e}");
@@ -588,7 +586,7 @@ fn main() -> ExitCode {
         return run_route(&options, requests, out, &tel, trace_out.as_deref());
     }
 
-    let report = match run_suite_traced(&options, &tel) {
+    let report = match run_suite(&options, &tel) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("loadgen failed: {e}");

@@ -1,283 +1,144 @@
-//! `cargo run -p pf-bench --bin perf` — the throughput perf harness.
+//! `cargo run -p pf-bench --bin perf` — the thread-sweep report and the
+//! telemetry-overhead gate.
 //!
-//! Measures batched conv2d and batched inference on every backend, writes
-//! `BENCH_throughput.json`, and (with `--check`) gates against the
-//! committed `benches/baseline.json`. See the README "Performance" section
-//! for the schema and the CI wiring, and `docs/PERFORMANCE.md` ("Reading
-//! the scaling curves") for the `--threads-sweep` output.
+//! How fast the engines are, and where the time goes, is measured by the
+//! repo benchmark (`BENCHMARK.json`, `benchmark/README.md`); this binary
+//! takes the two host-side measurements the benchmark does not. See the
+//! README's "Measuring performance" section and `docs/PERFORMANCE.md`
+//! ("Reading the scaling curves").
+//!
+//! A run needs at least one mode flag (`--threads-sweep`,
+//! `--overhead-check`, `--trace`); the first two each write one report and
+//! exclude each other. Exit codes: **0** pass, **1** a measurement failed,
+//! the overhead gate was breached or a file could not be written, **2**
+//! bad command line.
 //!
 //! Flags:
 //!
-//! * `--smoke`          small shapes / few reps (the CI bench-smoke job)
-//! * `--out PATH`       report path (default `BENCH_throughput.json`)
-//! * `--check PATH`     compare against a committed baseline; non-zero exit
-//!   on regression (throughput floors and, when the sweep ran, the
-//!   core-gated thread-scaling floors)
-//! * `--tolerance F`    allowed fractional regression for `--check`
-//!   (default 0.30 = 30%)
-//! * `--threads N`      size the parallel-dispatch worker pool (default:
-//!   one worker per available core); the report records both the request
-//!   (`host_threads_configured`) and the pool actually used
-//!   (`host_threads`)
-//! * `--threads-sweep 1,2,4`  measure thread-scaling curves: each listed
-//!   pool width is installed as a scoped pool and every smoke scenario is
-//!   re-timed under it; emitted under the report's `threads` key
-//! * `--grain G`        parallelism grain for the sweep sessions: `auto`
-//!   (default), `image` or `tile`
-//! * `--md-summary PATH`  write the report as a GitHub-flavoured markdown
-//!   table (the CI `$GITHUB_STEP_SUMMARY` payload)
+//! * `--smoke`          small shapes / few reps (the CI bench-smoke job);
+//!   the default is the full shapes
+//! * `--threads-sweep 1,2,4`  measure the thread-scaling curves: each
+//!   listed pool width (and always 1) is installed as a scoped pool, every
+//!   curve is re-timed under it, and the report (schema
+//!   `pf-bench/thread-sweep-v1`) is written; a report, not a gate
+//! * `--overhead-check` time the inference workload with telemetry enabled
+//!   against the disabled path (interleaved best-of), write the report
+//!   (schema `pf-bench/telemetry-overhead-v1`: the two times, their ratio,
+//!   the budget and the verdict) and fail if the overhead exceeds the 3%
+//!   budget
+//! * `--out PATH`       where the mode's report goes (default
+//!   `BENCH_scaling.json` / `BENCH_overhead.json`)
 //! * `--trace PATH`     run one batched inference per backend under a live
 //!   telemetry handle and export the span trees (bench → run_batch →
 //!   per-stage children) as validated Chrome trace-event JSON, printing
 //!   the flamegraph-style text tree alongside
-//! * `--overhead-check` measure the telemetry-enabled inference workload
-//!   against the disabled path (interleaved best-of) and fail if the
-//!   overhead exceeds the budget (default 3%)
-//! * `--overhead-budget F`  override that budget fraction
 
 use std::process::ExitCode;
 
-use pf_bench::perf::{
-    check_against_baseline, check_scaling_against_baseline, markdown_summary, run_suite,
-    telemetry_overhead, thread_scaling, traced_run, Baseline, PerfReport, OVERHEAD_BUDGET,
-};
+use pf_bench::perf::{telemetry_overhead, thread_scaling, traced_run, PerfReport};
 use photofourier::telemetry::validate_chrome_trace;
 use photofourier::{ParallelGrain, Telemetry};
 
-fn usage() {
-    eprintln!(
-        "usage: perf [--smoke] [--out PATH] [--check BASELINE] [--tolerance FRACTION] \
-         [--threads N] [--threads-sweep N,N,...] [--grain auto|image|tile] [--md-summary PATH] \
-         [--trace PATH] [--overhead-check] [--overhead-budget F]"
-    );
+const USAGE: &str = "usage: perf [--smoke] [--threads-sweep N,N,... | --overhead-check] \
+    [--out PATH] [--trace PATH]   (at least one of --threads-sweep, --overhead-check, --trace)";
+
+/// A parsed command line.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    smoke: bool,
+    out: Option<String>,
+    sweep: Option<Vec<usize>>,
+    trace: Option<String>,
+    overhead_check: bool,
 }
 
-fn print_report(report: &PerfReport) {
-    println!(
-        "\n== PhotoFourier throughput ({} mode, {} host thread(s), {} core(s)) ==",
-        report.mode, report.host_threads, report.host_cores
-    );
-    println!(
-        "{:<22} {:<16} {:>6} {:>12} {:>12} {:>10} {:>14}",
-        "scenario", "backend", "batch", "imgs/s", "seed imgs/s", "us/conv", "speedup_vs_seed"
-    );
-    for r in &report.results {
-        println!(
-            "{:<22} {:<16} {:>6} {:>12.2} {:>12.2} {:>10.2} {:>14.2}",
-            r.scenario,
-            r.backend,
-            r.batch,
-            r.images_per_s,
-            r.seed_images_per_s,
-            r.us_per_conv,
-            r.speedup_vs_seed
-        );
-    }
-    if let Some(threads) = &report.threads {
-        println!(
-            "\n-- thread scaling (requested grain: {}, widths {:?}) --",
-            threads.grain, threads.counts
-        );
-        println!(
-            "{:<22} {:<16} {:>7} {:>8} {:>12} {:>12} {:>11}",
-            "scenario", "backend", "threads", "grain", "imgs/s", "speedup_vs_1", "efficiency"
-        );
-        for r in &threads.curve {
-            println!(
-                "{:<22} {:<16} {:>7} {:>8} {:>12.2} {:>12.2} {:>11.2}",
-                r.scenario,
-                r.backend,
-                r.threads,
-                r.grain,
-                r.images_per_s,
-                r.speedup_vs_1,
-                r.efficiency
-            );
+/// Parses the flags after the program name; the error is the one-line
+/// message printed above the usage string.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args::default();
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let mut value = || args.next().ok_or(format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--smoke" => parsed.smoke = true,
+            "--overhead-check" => parsed.overhead_check = true,
+            "--out" => parsed.out = Some(value()?.clone()),
+            "--trace" => parsed.trace = Some(value()?.clone()),
+            "--threads-sweep" => {
+                let widths: Result<Vec<usize>, _> =
+                    value()?.split(',').map(|s| s.trim().parse()).collect();
+                parsed.sweep = Some(
+                    widths
+                        .ok()
+                        .filter(|widths| widths.iter().all(|&n| n >= 1))
+                        .ok_or("--threads-sweep needs a comma-separated list of integers >= 1")?,
+                );
+            }
+            other => return Err(format!("unknown flag {other}")),
         }
     }
-    println!();
+    match (&parsed.sweep, parsed.overhead_check, &parsed.trace) {
+        (Some(_), true, _) => Err("--threads-sweep and --overhead-check each write one \
+                                   report; run them separately"
+            .to_string()),
+        (None, false, None) => {
+            Err("nothing to do: pass --threads-sweep, --overhead-check or --trace".to_string())
+        }
+        (None, false, Some(_)) if parsed.out.is_some() => {
+            Err("--out needs --threads-sweep or --overhead-check".to_string())
+        }
+        _ => Ok(parsed),
+    }
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut out = "BENCH_throughput.json".to_string();
-    let mut check: Option<String> = None;
-    let mut tolerance = 0.30f64;
-    let mut threads: Option<usize> = None;
-    let mut sweep: Option<Vec<usize>> = None;
-    let mut grain = ParallelGrain::Auto;
-    let mut md_summary: Option<String> = None;
-    let mut trace: Option<String> = None;
-    let mut overhead_check = false;
-    let mut overhead_budget = OVERHEAD_BUDGET;
+fn print_sweep(report: &PerfReport) {
+    println!(
+        "== PhotoFourier thread sweep ({} mode, {} host thread(s), {} core(s), grain {}, widths {:?}) ==",
+        report.mode,
+        report.host_threads,
+        report.host_cores,
+        report.threads.grain,
+        report.threads.counts
+    );
+    println!(
+        "{:<22} {:<16} {:>7} {:>8} {:>12} {:>12} {:>11}",
+        "scenario", "backend", "threads", "grain", "imgs/s", "speedup_vs_1", "efficiency"
+    );
+    for r in &report.threads.curve {
+        println!(
+            "{:<22} {:<16} {:>7} {:>8} {:>12.2} {:>12.2} {:>11.2}",
+            r.scenario, r.backend, r.threads, r.grain, r.images_per_s, r.speedup_vs_1, r.efficiency
+        );
+    }
+}
 
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => smoke = true,
-            "--full" => smoke = false,
-            "--overhead-check" => overhead_check = true,
-            "--out" | "--check" | "--tolerance" | "--threads" | "--threads-sweep" | "--grain"
-            | "--md-summary" | "--trace" | "--overhead-budget" => {
-                let flag = args[i].clone();
-                i += 1;
-                let Some(value) = args.get(i) else {
-                    eprintln!("{flag} needs a value");
-                    usage();
-                    return ExitCode::from(2);
-                };
-                match flag.as_str() {
-                    "--out" => out = value.clone(),
-                    "--check" => check = Some(value.clone()),
-                    "--md-summary" => md_summary = Some(value.clone()),
-                    "--trace" => trace = Some(value.clone()),
-                    "--overhead-budget" => match value.parse::<f64>() {
-                        Ok(f) if (0.0..1.0).contains(&f) => overhead_budget = f,
-                        _ => {
-                            eprintln!("--overhead-budget needs a fraction in [0, 1)");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--threads" => match value.parse::<usize>() {
-                        Ok(n) if n >= 1 => threads = Some(n),
-                        _ => {
-                            eprintln!("--threads needs an integer >= 1");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    "--threads-sweep" => {
-                        let counts: Result<Vec<usize>, _> = value
-                            .split(',')
-                            .map(|s| s.trim().parse::<usize>())
-                            .collect();
-                        match counts {
-                            Ok(counts) if counts.iter().all(|&n| n >= 1) && !counts.is_empty() => {
-                                sweep = Some(counts);
-                            }
-                            _ => {
-                                eprintln!(
-                                    "--threads-sweep needs a comma-separated list of integers >= 1"
-                                );
-                                return ExitCode::from(2);
-                            }
-                        }
-                    }
-                    "--grain" => match ParallelGrain::from_name(value) {
-                        Some(g) => grain = g,
-                        None => {
-                            eprintln!("--grain needs one of: auto, image, tile");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    _ => match value.parse::<f64>() {
-                        Ok(t) if (0.0..1.0).contains(&t) => tolerance = t,
-                        _ => {
-                            eprintln!("--tolerance needs a fraction in [0, 1)");
-                            return ExitCode::from(2);
-                        }
-                    },
-                }
-            }
-            "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                usage();
-                return ExitCode::from(2);
-            }
-        }
-        i += 1;
+/// Serialises `report` to `path`; the error is ready to print.
+fn write_json<T: serde::Serialize>(report: &T, path: &str) -> Result<(), String> {
+    let json = serde_json::to_string_pretty(report)
+        .map_err(|e| format!("failed to serialise report: {e}"))?;
+    std::fs::write(path, json + "\n").map_err(|e| format!("failed to write {path}: {e}"))?;
+    println!("wrote {path}");
+    Ok(())
+}
+
+/// Runs the parsed modes in order: sweep, trace, overhead gate.
+fn run(args: &Args) -> Result<(), String> {
+    if let Some(counts) = &args.sweep {
+        let threads = thread_scaling(args.smoke, counts, ParallelGrain::Auto)
+            .map_err(|e| format!("thread-scaling sweep failed: {e}"))?;
+        let report = PerfReport::new(args.smoke, threads);
+        print_sweep(&report);
+        write_json(&report, args.out.as_deref().unwrap_or("BENCH_scaling.json"))?;
     }
 
-    if let Some(n) = threads {
-        if rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build_global()
-            .is_err()
-        {
-            eprintln!("failed to configure a {n}-thread worker pool");
-            return ExitCode::FAILURE;
-        }
-    }
-
-    let mut report = match run_suite(smoke) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("perf suite failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    report.host_threads_configured = threads.unwrap_or(0);
-    if let Some(counts) = &sweep {
-        report.threads = match thread_scaling(smoke, counts, grain) {
-            Ok(scaling) => Some(scaling),
-            Err(e) => {
-                eprintln!("thread-scaling sweep failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-    }
-    print_report(&report);
-
-    let json = match serde_json::to_string_pretty(&report) {
-        Ok(json) => json,
-        Err(e) => {
-            eprintln!("failed to serialise report: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = std::fs::write(&out, json + "\n") {
-        eprintln!("failed to write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {out}");
-
-    let baseline: Option<Baseline> = match &check {
-        Some(baseline_path) => {
-            match std::fs::read_to_string(baseline_path)
-                .map_err(|e| e.to_string())
-                .and_then(|s| serde_json::from_str(&s).map_err(|e| e.to_string()))
-            {
-                Ok(baseline) => Some(baseline),
-                Err(e) => {
-                    eprintln!("failed to read baseline {baseline_path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => None,
-    };
-
-    if let Some(path) = &md_summary {
-        if let Err(e) = std::fs::write(path, markdown_summary(&report, baseline.as_ref())) {
-            eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-    }
-
-    if let Some(path) = &trace {
+    if let Some(path) = &args.trace {
         let tel = Telemetry::enabled();
-        if let Err(e) = traced_run(smoke, &tel) {
-            eprintln!("traced run failed: {e}");
-            return ExitCode::FAILURE;
-        }
+        traced_run(args.smoke, &tel).map_err(|e| format!("traced run failed: {e}"))?;
         let json = tel.chrome_trace_json();
-        let stats = match validate_chrome_trace(&json) {
-            Ok(stats) => stats,
-            Err(e) => {
-                eprintln!("exported trace is not valid Chrome trace JSON: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("\n-- span tree (one batched inference per backend) --");
+        let stats = validate_chrome_trace(&json)
+            .map_err(|e| format!("exported trace is not valid Chrome trace JSON: {e}"))?;
+        std::fs::write(path, json).map_err(|e| format!("failed to write {path}: {e}"))?;
+        println!("-- span tree (one batched inference per backend) --");
         print!("{}", tel.text_tree());
         println!(
             "wrote {path} ({} event(s), {} span pair(s), {} track(s))",
@@ -285,51 +146,150 @@ fn main() -> ExitCode {
         );
     }
 
-    if overhead_check {
-        let overhead = match telemetry_overhead(smoke) {
-            Ok(overhead) => overhead,
-            Err(e) => {
-                eprintln!("overhead measurement failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+    if args.overhead_check {
+        let overhead = telemetry_overhead(args.smoke)
+            .map_err(|e| format!("overhead measurement failed: {e}"))?;
         println!(
-            "telemetry overhead: disabled {:.3} ms, enabled {:.3} ms, {:+.2}% (budget {:.0}%)",
+            "telemetry overhead ({}): disabled {:.3} ms, enabled {:.3} ms, {:+.2}% (budget {:.0}%)",
+            overhead.mode,
             overhead.disabled_s * 1e3,
             overhead.enabled_s * 1e3,
             overhead.overhead_frac * 100.0,
-            overhead_budget * 100.0
+            overhead.budget * 100.0
         );
-        if overhead.overhead_frac > overhead_budget {
-            eprintln!(
+        // Written before the verdict: a breach is what the report is for.
+        write_json(
+            &overhead,
+            args.out.as_deref().unwrap_or("BENCH_overhead.json"),
+        )?;
+        if !overhead.passed {
+            return Err(format!(
                 "telemetry overhead gate FAILED: {:.2}% exceeds the {:.0}% budget",
                 overhead.overhead_frac * 100.0,
-                overhead_budget * 100.0
-            );
-            return ExitCode::FAILURE;
+                overhead.budget * 100.0
+            ));
         }
         println!("telemetry overhead gate passed");
     }
+    Ok(())
+}
 
-    if let (Some(baseline_path), Some(baseline)) = (&check, &baseline) {
-        let mut failures = check_against_baseline(&report, baseline, tolerance);
-        let (scaling_failures, skipped) = check_scaling_against_baseline(&report, baseline);
-        failures.extend(scaling_failures);
-        for note in &skipped {
-            println!("scaling gate skipped: {note}");
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let args = match parse_args(&args) {
+        Ok(args) => args,
+        Err(message) => {
+            eprintln!("{message}\n{USAGE}");
+            return ExitCode::from(pf_bench::exitcode::USAGE);
         }
-        if failures.is_empty() {
-            println!(
-                "bench gate passed against {baseline_path} ({}% tolerance)",
-                tolerance * 100.0
-            );
-        } else {
-            eprintln!("bench gate FAILED against {baseline_path}:");
-            for failure in &failures {
-                eprintln!("  - {failure}");
-            }
-            return ExitCode::FAILURE;
+    };
+    match run(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(message) => {
+            eprintln!("{message}");
+            ExitCode::FAILURE
         }
     }
-    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn the_ci_command_lines_parse() {
+        assert_eq!(
+            parse("--smoke --threads-sweep 1,2,4 --out BENCH_scaling.json"),
+            Ok(Args {
+                smoke: true,
+                out: Some("BENCH_scaling.json".to_string()),
+                sweep: Some(vec![1, 2, 4]),
+                trace: None,
+                overhead_check: false,
+            })
+        );
+        assert_eq!(
+            parse("--smoke --overhead-check --trace TRACE_perf.json --out BENCH_overhead.json"),
+            Ok(Args {
+                smoke: true,
+                out: Some("BENCH_overhead.json".to_string()),
+                sweep: None,
+                trace: Some("TRACE_perf.json".to_string()),
+                overhead_check: true,
+            })
+        );
+        // A trace alone is a mode; full shapes are the default.
+        let trace_only = parse("--trace t.json").unwrap();
+        assert!(!trace_only.smoke && trace_only.trace.is_some());
+    }
+
+    #[test]
+    fn unknown_and_removed_flags_are_usage_errors() {
+        // The seven flags removed with the throughput suite (spelled
+        // without their dashes so the retired names stay greppable as
+        // absent), one removed earlier and one that never existed.
+        for name in [
+            "check",
+            "tolerance",
+            "md-summary",
+            "full",
+            "threads",
+            "grain",
+            "overhead-budget",
+            "stages",
+            "bogus",
+        ] {
+            let err = parse(&format!("--smoke --overhead-check --{name} 1")).unwrap_err();
+            assert_eq!(err, format!("unknown flag --{name}"));
+        }
+    }
+
+    #[test]
+    fn a_run_with_no_mode_flag_is_a_usage_error() {
+        for line in ["", "--smoke", "--smoke --out x.json"] {
+            let err = parse(line).unwrap_err();
+            assert!(err.starts_with("nothing to do"), "`{line}`: {err}");
+        }
+        // One report per run, and --out needs a report to name.
+        assert!(parse("--threads-sweep 1,2 --overhead-check").is_err());
+        assert!(parse("--trace t.json --out x.json")
+            .unwrap_err()
+            .starts_with("--out needs"));
+    }
+
+    #[test]
+    fn threads_sweep_rejects_zero_empty_and_non_integers() {
+        for value in ["0", "1,0", ",", "1,,2", "two", "1.5", "-1"] {
+            let err = parse(&format!("--threads-sweep {value}")).unwrap_err();
+            assert!(err.starts_with("--threads-sweep needs"), "`{value}`: {err}");
+        }
+        // An empty operand (`--threads-sweep ""`) is rejected the same way.
+        let empty = ["--threads-sweep".to_string(), String::new()];
+        assert!(parse_args(&empty)
+            .unwrap_err()
+            .starts_with("--threads-sweep needs"));
+        assert_eq!(
+            parse("--threads-sweep 4,2").unwrap().sweep,
+            Some(vec![4, 2])
+        );
+    }
+
+    #[test]
+    fn a_flag_missing_its_value_is_reported_by_name() {
+        for flag in ["--out", "--threads-sweep", "--trace"] {
+            assert_eq!(
+                parse(&format!("--smoke {flag}")).unwrap_err(),
+                format!("{flag} needs a value")
+            );
+        }
+    }
 }

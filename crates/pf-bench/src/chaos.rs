@@ -26,7 +26,7 @@ use photofourier::prelude::*;
 use photofourier::route::{self, ChaosShard, RouterRequest, RouterStats};
 use serde::{Deserialize, Serialize};
 
-use crate::routing::{Trace, TraceKind};
+use crate::routing::{request_image, Trace, TraceKind};
 
 /// Schema identifier written into the report.
 pub const SCHEMA: &str = "pf-bench/chaos-v1";
@@ -119,28 +119,16 @@ pub struct ChaosReport {
     pub trace: Option<crate::serving::TraceSummary>,
 }
 
-/// Runs the chaos scenario once.
+/// Runs the chaos scenario once. Under an enabled `tel`,
+/// `router.retries`, `router.breaker_transitions` and friends land in it
+/// and the report carries a trace summary.
 ///
 /// # Errors
 ///
 /// Propagates scenario loading/validation and tier construction errors.
 /// Per-request failures do **not** error the run — they are what the gate
 /// inspects.
-pub fn run_chaos_suite(options: &ChaosOptions) -> Result<ChaosReport, PfError> {
-    run_chaos_suite_traced(options, &Telemetry::disabled())
-}
-
-/// [`run_chaos_suite`] under a telemetry handle (`router.retries`,
-/// `router.breaker_transitions` and friends land in `tel`; the report
-/// carries a trace summary when `tel` is enabled).
-///
-/// # Errors
-///
-/// Same conditions as [`run_chaos_suite`].
-pub fn run_chaos_suite_traced(
-    options: &ChaosOptions,
-    tel: &Telemetry,
-) -> Result<ChaosReport, PfError> {
+pub fn run_chaos_suite(options: &ChaosOptions, tel: &Telemetry) -> Result<ChaosReport, PfError> {
     let scenario = Scenario::from_path(&options.scenario)?;
     let requests = match options.requests {
         0 if options.smoke => 96,
@@ -184,19 +172,7 @@ pub fn run_chaos_suite_traced(
         if pending.len() >= IN_FLIGHT {
             settle(&mut pending, &mut resolved, &mut failed);
         }
-        let image = Tensor::random(
-            vec![
-                scenario.functional.input_channels,
-                scenario.functional.input_size,
-                scenario.functional.input_size,
-            ],
-            0.0,
-            1.0,
-            options
-                .seed
-                .wrapping_mul(0x9E37_79B9)
-                .wrapping_add(k as u64),
-        );
+        let image = request_image(&scenario, options.seed, k);
         let payload = route::ModelRequest::new(image, event.model).with_seed(k as u64);
         let request = RouterRequest::new(payload)
             .with_class(event.class)
@@ -344,7 +320,7 @@ mod tests {
 
     #[test]
     fn chaos_smoke_passes_its_own_gate() {
-        let report = run_chaos_suite(&smoke_options()).unwrap();
+        let report = run_chaos_suite(&smoke_options(), &Telemetry::disabled()).unwrap();
         assert_eq!(report.schema, SCHEMA);
         let failures = check_chaos_smoke(&report);
         assert!(failures.is_empty(), "{failures:?}");
@@ -357,8 +333,8 @@ mod tests {
 
     #[test]
     fn chaos_counts_replay_bit_identically() {
-        let a = run_chaos_suite(&smoke_options()).unwrap();
-        let b = run_chaos_suite(&smoke_options()).unwrap();
+        let a = run_chaos_suite(&smoke_options(), &Telemetry::disabled()).unwrap();
+        let b = run_chaos_suite(&smoke_options(), &Telemetry::disabled()).unwrap();
         assert_eq!(a.counts, b.counts, "fault/retry/breaker counts diverged");
         assert_eq!(a.resolved, b.resolved);
         assert_eq!(a.failed, b.failed);
@@ -369,7 +345,7 @@ mod tests {
 
     #[test]
     fn gate_flags_the_failure_modes() {
-        let report = run_chaos_suite(&smoke_options()).unwrap();
+        let report = run_chaos_suite(&smoke_options(), &Telemetry::disabled()).unwrap();
         assert!(check_chaos_smoke(&report).is_empty());
 
         let mut broken = report.clone();

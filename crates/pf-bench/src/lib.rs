@@ -5,12 +5,13 @@
 //! those results and time the underlying computation. EXPERIMENTS.md records
 //! the paper-vs-measured comparison for each one.
 //!
-//! The crate also ships three standalone drivers: `--bin perf` (the batched
-//! throughput harness behind the CI bench gate, see [`perf`]), `--bin
-//! sweep` (the declarative design-space sweep runner documented in
-//! `docs/SCENARIOS.md`) and `--bin loadgen` (the serving load generator
-//! driving the `pf-serve` micro-batching server, see [`serving`] and
-//! `docs/SERVING.md`; its `--route` mode drives the `pf-router`
+//! The crate also ships three standalone drivers: `--bin perf` (the
+//! thread-sweep report and the telemetry-overhead gate, the two host-side
+//! measurements the repo benchmark under `benchmark/` does not take, see
+//! [`perf`]), `--bin sweep` (the declarative design-space sweep runner
+//! documented in `docs/SCENARIOS.md`) and `--bin loadgen` (the serving load
+//! generator driving the `pf-serve` micro-batching server, see [`serving`]
+//! and `docs/SERVING.md`; its `--route` mode drives the `pf-router`
 //! multi-replica tier with trace-driven arrivals instead, see [`routing`],
 //! and its `--chaos` mode drives the fault-injected tier and gates on
 //! self-healing, see [`chaos`] and [`exitcode`] for the exit taxonomy).
@@ -42,3 +43,27 @@ pub mod serving;
 
 pub use experiments::*;
 pub use report::Table;
+
+use photofourier::prelude::{Scenario, Tensor};
+
+/// The seeded uniform `[0, 1)` image of the scenario's functional input
+/// shape. Every load generator and `perf` workload draws its traffic here,
+/// so one seed names one image across gates and offline verification.
+pub(crate) fn scenario_image(scenario: &Scenario, seed: u64) -> Tensor {
+    let f = &scenario.functional;
+    Tensor::random(
+        vec![f.input_channels, f.input_size, f.input_size],
+        0.0,
+        1.0,
+        seed,
+    )
+}
+
+/// Whether two tensors agree in shape and in every sample's bit pattern.
+pub(crate) fn tensors_bit_equal(a: &Tensor, b: &Tensor) -> bool {
+    a.shape() == b.shape()
+        && a.data()
+            .iter()
+            .zip(b.data())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
+}

@@ -36,6 +36,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use crate::{scenario_image, tensors_bit_equal};
+
 /// Schema identifier written into the report.
 pub const SCHEMA: &str = "pf-bench/routing-v1";
 
@@ -300,12 +302,7 @@ impl RouteRun {
     /// handle the router also records admission spans, `router.*` counters
     /// and replica-scoped `serve.*` metrics into `tel`; results are
     /// bit-identical either way.
-    fn record_traced(
-        &self,
-        trace: &Trace,
-        seed: u64,
-        tel: &Telemetry,
-    ) -> Result<RoutingRecord, PfError> {
+    fn record(&self, trace: &Trace, seed: u64, tel: &Telemetry) -> Result<RoutingRecord, PfError> {
         let scenario = self.scenario();
         // Scope this record's counters apart from the suite's other routers
         // (the registry is shared, so an unscoped second router would
@@ -373,22 +370,11 @@ impl RouteRun {
 
 /// The image request `k` of a trace submits: seeded, so a replay (and the
 /// offline verification) sees identical traffic.
-fn request_image(scenario: &Scenario, seed: u64, k: usize) -> Tensor {
-    let f = &scenario.functional;
-    Tensor::random(
-        vec![f.input_channels, f.input_size, f.input_size],
-        0.0,
-        1.0,
+pub(crate) fn request_image(scenario: &Scenario, seed: u64, k: usize) -> Tensor {
+    scenario_image(
+        scenario,
         seed.wrapping_mul(0x9E37_79B9).wrapping_add(k as u64),
     )
-}
-
-fn tensors_bit_equal(a: &Tensor, b: &Tensor) -> bool {
-    a.shape() == b.shape()
-        && a.data()
-            .iter()
-            .zip(b.data())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Re-runs every served request through a fresh offline session of its
@@ -430,27 +416,14 @@ fn verify_offline(
 /// shed → spill → reject ladder. Full: the same per-policy comparison
 /// with more arrivals, plus the diurnal and heavy-tail traces under
 /// `kernel_affinity` and a stochastic-backend record proving seeded
-/// replay through the tier.
+/// replay through the tier. Every record's router shares `tel`, and the
+/// report carries a [`TraceSummary`](crate::serving::TraceSummary) when it
+/// is enabled.
 ///
 /// # Errors
 ///
 /// Propagates the first record's construction error.
-pub fn run_route_suite(options: &RouteOptions) -> Result<RoutingReport, PfError> {
-    run_route_suite_traced(options, &Telemetry::disabled())
-}
-
-/// [`run_route_suite`] under a telemetry handle: every record's router
-/// shares `tel`, and the report carries a
-/// [`TraceSummary`](crate::serving::TraceSummary) (`None` when `tel` is
-/// disabled, making this identical to [`run_route_suite`]).
-///
-/// # Errors
-///
-/// Same conditions as [`run_route_suite`].
-pub fn run_route_suite_traced(
-    options: &RouteOptions,
-    tel: &Telemetry,
-) -> Result<RoutingReport, PfError> {
+pub fn run_route_suite(options: &RouteOptions, tel: &Telemetry) -> Result<RoutingReport, PfError> {
     let requests = match options.requests {
         0 if options.smoke => 48,
         0 => 192,
@@ -482,13 +455,13 @@ pub fn run_route_suite_traced(
             models,
             options.seed,
         );
-        results.push(policy_run(policy).record_traced(&trace, options.seed, tel)?);
+        results.push(policy_run(policy).record(&trace, options.seed, tel)?);
     }
 
     if !options.smoke {
         for kind in [TraceKind::Diurnal, TraceKind::HeavyTail] {
             let trace = Trace::generate(kind, requests, options.base_rps, models, options.seed);
-            results.push(policy_run("kernel_affinity").record_traced(&trace, options.seed, tel)?);
+            results.push(policy_run("kernel_affinity").record(&trace, options.seed, tel)?);
         }
         // Seeded replay through the tier on the stochastic CG chain.
         let trace = Trace::generate(
@@ -500,7 +473,7 @@ pub fn run_route_suite_traced(
         );
         let mut run = policy_run("kernel_affinity");
         run.backend = BackendKind::PhotofourierCg;
-        results.push(run.record_traced(&trace, options.seed, tel)?);
+        results.push(run.record(&trace, options.seed, tel)?);
     }
 
     // The overload record: tiny queues and unpaced arrivals force the
@@ -527,7 +500,7 @@ pub fn run_route_suite_traced(
             deadline: None,
             overload: true,
         }
-        .record_traced(&overload_trace, options.seed, tel)?,
+        .record(&overload_trace, options.seed, tel)?,
     );
 
     Ok(RoutingReport {
@@ -709,7 +682,7 @@ mod tests {
             requests: 32,
             ..RouteOptions::default()
         };
-        let report = run_route_suite(&options).unwrap();
+        let report = run_route_suite(&options, &Telemetry::disabled()).unwrap();
         assert_eq!(report.schema, SCHEMA);
         // Per-policy bursty records plus the overload record.
         assert_eq!(report.results.len(), ROUTER_POLICIES.len() + 1);
@@ -741,7 +714,7 @@ mod tests {
             requests: 32,
             ..RouteOptions::default()
         };
-        let mut report = run_route_suite(&options).unwrap();
+        let mut report = run_route_suite(&options, &Telemetry::disabled()).unwrap();
         // Teleport the overload record's sheds into a normal record: the
         // gate must route them to the shed path, not the failure path.
         let sheds = report.results.last().unwrap().stats.shed;
@@ -767,7 +740,7 @@ mod tests {
             requests: 24,
             ..RouteOptions::default()
         };
-        let report = run_route_suite(&options).unwrap();
+        let report = run_route_suite(&options, &Telemetry::disabled()).unwrap();
         let json = serde_json::to_string_pretty(&report).unwrap();
         let back: RoutingReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);

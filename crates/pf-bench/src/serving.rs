@@ -29,6 +29,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use crate::{scenario_image, tensors_bit_equal};
+
 /// Schema identifier written into the report.
 pub const SCHEMA: &str = "pf-bench/serving-v1";
 
@@ -186,28 +188,14 @@ fn backend_scenario(kind: BackendKind, smoke: bool) -> Scenario {
 /// The image request `(worker, k)` submits: seeded, so two runs (and the
 /// offline verification) see identical traffic.
 fn request_image(scenario: &Scenario, seed: u64, worker: usize, k: usize) -> Tensor {
-    let f = &scenario.functional;
     let image_seed = seed
         .wrapping_add(worker as u64 * 1_000_003)
         .wrapping_add(k as u64);
-    Tensor::random(
-        vec![f.input_channels, f.input_size, f.input_size],
-        0.0,
-        1.0,
-        image_seed,
-    )
+    scenario_image(scenario, image_seed)
 }
 
 /// One served request, recorded for offline verification.
 type Outcome = (u64, Tensor, Tensor); // (seq, input, served output)
-
-fn tensors_bit_equal(a: &Tensor, b: &Tensor) -> bool {
-    a.shape() == b.shape()
-        && a.data()
-            .iter()
-            .zip(b.data())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
-}
 
 /// Re-runs every served request through a fresh offline session and checks
 /// bit-identity. Deterministic backends go through the batched offline path
@@ -236,37 +224,15 @@ fn verify_offline(session: &Session, outcomes: &[Outcome]) -> bool {
 }
 
 /// Runs a closed-loop load: `concurrency` submitter threads, each blocking
-/// on its request's result before submitting the next.
+/// on its request's result before submitting the next. Under an enabled
+/// `tel` the server records `serve.*` counters and per-request span trees
+/// into it; results are bit-identical with [`Telemetry::disabled`].
 ///
 /// # Errors
 ///
 /// Propagates session/server construction errors (individual request
 /// failures are accounted in the record's stats instead).
 pub fn run_closed_loop(
-    kind: BackendKind,
-    concurrency: usize,
-    budget: Budget,
-    seed: u64,
-    smoke: bool,
-) -> Result<ServingRecord, PfError> {
-    run_closed_loop_traced(
-        kind,
-        concurrency,
-        budget,
-        seed,
-        smoke,
-        &Telemetry::disabled(),
-    )
-}
-
-/// [`run_closed_loop`] under a telemetry handle: the server records
-/// `serve.*` counters and per-request span trees into `tel`. Results are
-/// bit-identical to the untraced run.
-///
-/// # Errors
-///
-/// Same conditions as [`run_closed_loop`].
-pub fn run_closed_loop_traced(
     kind: BackendKind,
     concurrency: usize,
     budget: Budget,
@@ -336,7 +302,8 @@ pub fn run_closed_loop_traced(
 /// Runs an open-loop load: one submitter paces `requests` arrivals by a
 /// seeded exponential (Poisson) process at `rps`, collecting every ticket
 /// afterwards. Overload shows up as rejected requests in the stats rather
-/// than back-pressure on the arrival process.
+/// than back-pressure on the arrival process. `tel` as in
+/// [`run_closed_loop`].
 ///
 /// # Errors
 ///
@@ -347,28 +314,12 @@ pub fn run_open_loop(
     requests: usize,
     seed: u64,
     smoke: bool,
-) -> Result<ServingRecord, PfError> {
-    run_open_loop_traced(kind, rps, requests, seed, smoke, &Telemetry::disabled())
-}
-
-/// [`run_open_loop`] under a telemetry handle (see
-/// [`run_closed_loop_traced`]).
-///
-/// # Errors
-///
-/// Same conditions as [`run_open_loop`].
-pub fn run_open_loop_traced(
-    kind: BackendKind,
-    rps: f64,
-    requests: usize,
-    seed: u64,
-    smoke: bool,
     tel: &Telemetry,
 ) -> Result<ServingRecord, PfError> {
     assert!(rps > 0.0, "open loop needs a positive arrival rate");
     let scenario = backend_scenario(kind, smoke);
     let offline = Session::from_scenario(scenario.clone())?;
-    // See run_closed_loop_traced: per-record metric scope, shared spans.
+    // See run_closed_loop: per-record metric scope, shared spans.
     let server = serve::serve_scenario_traced(scenario, tel.with_prefix(&format!("open_{kind}")))?;
 
     let mut rng = StdRng::seed_from_u64(seed);
@@ -415,25 +366,13 @@ pub fn run_open_loop_traced(
 /// `jtc_ideal`) with 32 requests each, plus one open-loop record on the
 /// last backend. Full: closed loop (wall-time budget) and open loop
 /// (`rps * duration` requests) on every backend (default all three).
+/// Every record's server shares `tel`, and the report carries a
+/// [`TraceSummary`] when it is enabled.
 ///
 /// # Errors
 ///
 /// Propagates the first record's error.
-pub fn run_suite(options: &LoadgenOptions) -> Result<ServingReport, PfError> {
-    run_suite_traced(options, &Telemetry::disabled())
-}
-
-/// [`run_suite`] under a telemetry handle: every record's server shares
-/// `tel`, and the report carries a [`TraceSummary`] (`None` when `tel` is
-/// disabled, making this identical to [`run_suite`]).
-///
-/// # Errors
-///
-/// Same conditions as [`run_suite`].
-pub fn run_suite_traced(
-    options: &LoadgenOptions,
-    tel: &Telemetry,
-) -> Result<ServingReport, PfError> {
+pub fn run_suite(options: &LoadgenOptions, tel: &Telemetry) -> Result<ServingReport, PfError> {
     let backends: Vec<BackendKind> = if options.backends.is_empty() {
         if options.smoke {
             vec![BackendKind::Digital, BackendKind::JtcIdeal]
@@ -451,7 +390,7 @@ pub fn run_suite_traced(
         } else {
             Budget::Wall(options.duration)
         };
-        results.push(run_closed_loop_traced(
+        results.push(run_closed_loop(
             kind,
             options.concurrency,
             budget,
@@ -471,7 +410,7 @@ pub fn run_suite_traced(
         } else {
             ((options.rps * options.duration.as_secs_f64()).ceil() as usize).max(1)
         };
-        results.push(run_open_loop_traced(
+        results.push(run_open_loop(
             kind,
             options.rps,
             requests,
@@ -537,10 +476,23 @@ pub fn check_smoke(report: &ServingReport) -> Vec<String> {
 mod tests {
     use super::*;
 
+    /// A smoke closed-loop record of exactly `requests` requests, untraced.
+    fn closed(kind: BackendKind, concurrency: usize, requests: usize, seed: u64) -> ServingRecord {
+        let budget = Budget::Requests(requests);
+        run_closed_loop(
+            kind,
+            concurrency,
+            budget,
+            seed,
+            true,
+            &Telemetry::disabled(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn smoke_closed_loop_matches_offline_and_accounts_fully() {
-        let record =
-            run_closed_loop(BackendKind::Digital, 2, Budget::Requests(8), 7, true).unwrap();
+        let record = closed(BackendKind::Digital, 2, 8, 7);
         assert_eq!(record.backend, "digital");
         assert_eq!(record.pattern, "closed_loop");
         assert!(record.matches_offline);
@@ -563,7 +515,8 @@ mod tests {
 
     #[test]
     fn open_loop_paces_and_verifies() {
-        let record = run_open_loop(BackendKind::JtcIdeal, 400.0, 8, 9, true).unwrap();
+        let tel = Telemetry::disabled();
+        let record = run_open_loop(BackendKind::JtcIdeal, 400.0, 8, 9, true, &tel).unwrap();
         assert_eq!(record.pattern, "open_loop");
         assert!(record.matches_offline);
         assert_eq!(record.stats.submitted, 8);
@@ -572,14 +525,7 @@ mod tests {
 
     #[test]
     fn stochastic_backend_replays_by_admission_seed() {
-        let record = run_closed_loop(
-            BackendKind::PhotofourierCg,
-            2,
-            Budget::Requests(6),
-            11,
-            true,
-        )
-        .unwrap();
+        let record = closed(BackendKind::PhotofourierCg, 2, 6, 11);
         assert!(
             record.matches_offline,
             "CG results must replay from ticket seqs"
@@ -589,7 +535,7 @@ mod tests {
 
     #[test]
     fn smoke_gate_flags_broken_records() {
-        let good = run_closed_loop(BackendKind::Digital, 1, Budget::Requests(4), 3, true).unwrap();
+        let good = closed(BackendKind::Digital, 1, 4, 3);
         let mut report = ServingReport {
             schema: SCHEMA.to_string(),
             mode: "smoke".to_string(),
@@ -606,8 +552,7 @@ mod tests {
 
     #[test]
     fn report_serializes_round_trip() {
-        let record =
-            run_closed_loop(BackendKind::Digital, 1, Budget::Requests(2), 1, true).unwrap();
+        let record = closed(BackendKind::Digital, 1, 2, 1);
         let report = ServingReport {
             schema: SCHEMA.to_string(),
             mode: "smoke".to_string(),

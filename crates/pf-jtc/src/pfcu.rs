@@ -119,20 +119,13 @@ impl Pfcu {
     ///
     /// # Errors
     ///
-    /// * [`JtcError::InputTooLarge`] if the signal exceeds the input
-    ///   waveguide count.
+    /// * [`JtcError::InputTooLarge`] if the signal or the kernel is longer
+    ///   than the input waveguide count.
     /// * [`JtcError::InvalidConfig`] if the kernel carries more non-zero
     ///   values than there are active weight waveguides (those positions have
-    ///   no DAC, Section IV-B) or is longer than the input waveguide count.
+    ///   no DAC, Section IV-B).
     pub fn correlate(&self, signal: &[f64], kernel: &[f64]) -> Result<Vec<f64>, JtcError> {
-        if signal.len() > self.config.input_waveguides {
-            return Err(JtcError::InputTooLarge {
-                signal_len: signal.len(),
-                kernel_len: kernel.len(),
-                capacity: self.config.input_waveguides,
-            });
-        }
-        if kernel.len() > self.config.input_waveguides {
+        if signal.len().max(kernel.len()) > self.config.input_waveguides {
             return Err(JtcError::InputTooLarge {
                 signal_len: signal.len(),
                 kernel_len: kernel.len(),
@@ -263,12 +256,23 @@ mod tests {
     }
 
     #[test]
-    fn signal_capacity_enforced() {
+    fn signal_and_kernel_capacity_enforced() {
         let pfcu = Pfcu::photofourier_default();
-        assert!(matches!(
+        let too_large = |signal_len, kernel_len| JtcError::InputTooLarge {
+            signal_len,
+            kernel_len,
+            capacity: 256,
+        };
+        // An over-long signal.
+        assert_eq!(
             pfcu.correlate(&vec![1.0; 257], &[1.0]),
-            Err(JtcError::InputTooLarge { .. })
-        ));
+            Err(too_large(257, 1))
+        );
+        // An over-long kernel (one non-zero weight, so the DAC limit is not
+        // what rejects it) reports the same error.
+        let mut kernel = vec![0.0; 257];
+        kernel[0] = 1.0;
+        assert_eq!(pfcu.correlate(&[1.0; 4], &kernel), Err(too_large(4, 257)));
         assert!(pfcu.correlate(&vec![1.0; 256], &[1.0]).is_ok());
     }
 

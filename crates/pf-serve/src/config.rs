@@ -7,8 +7,8 @@ use pf_core::{PfError, ServingSpec};
 /// A measured parallel-scaling data point for the engine behind a server:
 /// how much faster one engine call runs on a `pool_threads`-wide rayon pool
 /// than on one thread. Produced by a calibration run (the facade's
-/// `serve::measured_scaling_hint`) or copied from a committed
-/// `BENCH_throughput.json` `threads` curve; consumed by
+/// `serve::measured_scaling_hint`) or copied from a thread-sweep report
+/// (`perf --threads-sweep`, the `threads.curve` records); consumed by
 /// [`ServeConfig::effective_workers`] to size the worker pool from the
 /// engine's *measured* parallel benefit instead of assuming every engine
 /// call saturates the whole pool.
@@ -119,7 +119,7 @@ impl ServeConfig {
     /// [`ScalingHint::effective_width`] — an engine whose batches only
     /// reach, say, 1.3x on the pool occupies ~2 threads' worth of host, so
     /// more workers fit before anything actually contends. The hint-based
-    /// sizing is what the scaling curves in `BENCH_throughput.json` feed
+    /// sizing is what the scaling curves of a thread-sweep report feed
     /// (see `docs/PERFORMANCE.md`, "Reading the scaling curves").
     pub fn effective_workers(&self) -> usize {
         if self.workers > 0 {

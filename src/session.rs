@@ -135,7 +135,28 @@ impl SessionBuilder {
         if let Some(network) = self.network_override {
             scenario.network = network;
         }
-        Session::with_telemetry(scenario, self.grain, self.telemetry)
+        scenario.validate()?;
+        let network = scenario.network_spec()?;
+        let backend = scenario.backend.instantiate()?;
+        let backend_id = backend.id();
+        let executor = TiledExecutor::new(backend, scenario.backend.capacity, scenario.pipeline)?
+            .with_telemetry(self.telemetry.clone());
+        let cnn = SmallCnn::new(
+            scenario.functional.input_channels,
+            scenario.functional.input_size,
+            scenario.functional.weight_seed,
+        )?;
+        let simulator = Simulator::new(scenario.arch.resolve()?)?;
+        Ok(Session {
+            scenario,
+            network,
+            backend_id,
+            grain: self.grain,
+            executor,
+            cnn,
+            simulator,
+            telemetry: self.telemetry,
+        })
     }
 }
 
@@ -166,60 +187,15 @@ impl Session {
         SessionBuilder::default()
     }
 
-    /// Builds a session directly from a scenario, with the default
-    /// [`ParallelGrain::Auto`].
+    /// Builds a session directly from a scenario: the builder with every
+    /// other setting at its default ([`ParallelGrain::Auto`], telemetry
+    /// disabled).
     ///
     /// # Errors
     ///
     /// Same conditions as [`SessionBuilder::build`].
     pub fn from_scenario(scenario: Scenario) -> Result<Self, PfError> {
-        Self::with_grain(scenario, ParallelGrain::Auto)
-    }
-
-    /// Builds a session from a scenario with an explicit parallelism grain.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SessionBuilder::build`].
-    pub fn with_grain(scenario: Scenario, grain: ParallelGrain) -> Result<Self, PfError> {
-        Self::with_telemetry(scenario, grain, Telemetry::disabled())
-    }
-
-    /// Builds a session with an explicit grain and observability handle
-    /// (see [`SessionBuilder::telemetry`]). Every functional path runs on
-    /// the session's one executor, so one registry collects the whole
-    /// session's stage timings and tiling counters.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SessionBuilder::build`].
-    pub fn with_telemetry(
-        scenario: Scenario,
-        grain: ParallelGrain,
-        telemetry: Telemetry,
-    ) -> Result<Self, PfError> {
-        scenario.validate()?;
-        let network = scenario.network_spec()?;
-        let backend = scenario.backend.instantiate()?;
-        let backend_id = backend.id();
-        let executor = TiledExecutor::new(backend, scenario.backend.capacity, scenario.pipeline)?
-            .with_telemetry(telemetry.clone());
-        let cnn = SmallCnn::new(
-            scenario.functional.input_channels,
-            scenario.functional.input_size,
-            scenario.functional.weight_seed,
-        )?;
-        let simulator = Simulator::new(scenario.arch.resolve()?)?;
-        Ok(Self {
-            scenario,
-            network,
-            backend_id,
-            grain,
-            executor,
-            cnn,
-            simulator,
-            telemetry,
-        })
+        Self::builder().scenario(scenario).build()
     }
 
     /// The session's observability handle (disabled unless one was

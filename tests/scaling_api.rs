@@ -38,7 +38,11 @@ fn batch_under(
     width: usize,
     images: &[pf_nn::Tensor],
 ) -> Vec<pf_nn::Tensor> {
-    let session = Session::with_grain(scenario(kind), grain).unwrap();
+    let session = Session::builder()
+        .scenario(scenario(kind))
+        .parallel_grain(grain)
+        .build()
+        .unwrap();
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(width)
         .build()
@@ -109,7 +113,11 @@ proptest! {
                 .build()
                 .unwrap();
             for grain in GRAINS {
-                let grained = Session::with_grain(scenario(BackendKind::JtcIdeal), grain).unwrap();
+                let grained = Session::builder()
+                    .scenario(scenario(BackendKind::JtcIdeal))
+                    .parallel_grain(grain)
+                    .build()
+                    .unwrap();
                 let multi = pool
                     .install(|| grained.conv2d_multi(&input, &kernels))
                     .unwrap();
@@ -169,7 +177,11 @@ fn conv2d_batches_are_grain_and_schedule_invariant() {
     let reference = session.conv2d_batch(&inputs, &kernel).unwrap();
     for width in POOL_WIDTHS {
         for grain in GRAINS {
-            let grained = Session::with_grain(scenario(BackendKind::JtcIdeal), grain).unwrap();
+            let grained = Session::builder()
+                .scenario(scenario(BackendKind::JtcIdeal))
+                .parallel_grain(grain)
+                .build()
+                .unwrap();
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(width)
                 .build()
