@@ -22,10 +22,10 @@
 //!   curve is re-timed under it, and the report (schema
 //!   `pf-bench/thread-sweep-v1`) is written; a report, not a gate
 //! * `--overhead-check` time the inference workload with telemetry enabled
-//!   against the disabled path (interleaved best-of), write the report
-//!   (schema `pf-bench/telemetry-overhead-v1`: the two times, their ratio,
-//!   the budget and the verdict) and fail if the overhead exceeds the 3%
-//!   budget
+//!   against the disabled path (interleaved pairs), write the report
+//!   (schema `pf-bench/telemetry-overhead-v2`: the pair count, both sides'
+//!   medians, the median pair ratio, the budget and the verdict) and fail
+//!   if the overhead exceeds the 3% budget
 //! * `--out PATH`       where the mode's report goes (default
 //!   `BENCH_scaling.json` / `BENCH_overhead.json`)
 //! * `--trace PATH`     run one batched inference per backend under a live
@@ -150,8 +150,10 @@ fn run(args: &Args) -> Result<(), String> {
         let overhead = telemetry_overhead(args.smoke)
             .map_err(|e| format!("overhead measurement failed: {e}"))?;
         println!(
-            "telemetry overhead ({}): disabled {:.3} ms, enabled {:.3} ms, {:+.2}% (budget {:.0}%)",
+            "telemetry overhead ({}, {} pairs): median disabled {:.3} ms, enabled {:.3} ms, \
+             median pair ratio {:+.2}% (budget {:.0}%)",
             overhead.mode,
+            overhead.pairs,
             overhead.disabled_s * 1e3,
             overhead.enabled_s * 1e3,
             overhead.overhead_frac * 100.0,

@@ -50,11 +50,13 @@ fn time_real(n: usize, iters: usize) -> f64 {
 fn main() {
     let iters = 20_000;
     println!("complex plans (µs/transform):");
-    for n in [675usize, 720, 768, 810, 960, 1024, 1350, 1440, 1536, 2048] {
+    for n in [
+        120usize, 500, 675, 720, 768, 810, 960, 1024, 1350, 1440, 1536, 2048,
+    ] {
         println!("  n={n:5}  {:8.3}", time_complex(n, iters));
     }
     println!("real plans (µs/transform):");
-    for n in [1350usize, 1440, 1536, 1620, 1920, 2048, 2700] {
+    for n in [240usize, 1000, 1350, 1440, 1536, 1620, 1920, 2048, 2700] {
         println!("  n={n:5}  {:8.3}", time_real(n, iters));
     }
 }

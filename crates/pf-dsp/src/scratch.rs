@@ -12,6 +12,15 @@
 //! Buffers keep their capacity across calls (steady-state execution
 //! performs no allocation) and are only ever *logically* cleared by the
 //! borrower — callers must not assume any particular content on entry.
+//! One-off work borrows the same arena: preparing a kernel spectrum pads
+//! its input in [`SpectrumScratch::real`] and packs it in
+//! [`SpectrumScratch::fft`] instead of allocating both per kernel.
+//!
+//! Every buffer is sized by the grid its borrower transforms on, so the
+//! arena is as small as the JTC's joint plane: on the 1000-point grid of
+//! a 256-sample tile against a 35-sample tiled kernel a lane block holds
+//! 501 × 32 B of intensities, 500 × 64 B of transform and 222 × 64 B of
+//! lobe — 62 KB per thread.
 //!
 //! Threads are how the row tiler dispatches independent tiles, so
 //! thread-local state needs no locking and cannot alias across concurrent
@@ -61,7 +70,8 @@ pub struct SpectrumScratch {
     /// Half-spectrum working buffer (e.g. the joint spectrum of a JTC pass,
     /// then the output-plane bins of its correlation lobe).
     pub half: Vec<Complex>,
-    /// Real-valued working buffer (e.g. a square-law intensity sequence).
+    /// Real-valued working buffer (e.g. a square-law intensity sequence, or
+    /// a kernel zero-padded to its input-plane offset while it is prepared).
     pub real: Vec<f64>,
     /// Transform buffer of
     /// [`crate::plan::RealFftPlan::forward_real_bins_lanes`].

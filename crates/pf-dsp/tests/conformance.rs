@@ -308,12 +308,14 @@ fn lanes_match_the_scalar_transform_and_the_oracle_on_every_bin_range() {
     }
 }
 
-/// The lane transform on the grids the JTC runs (360 and 1200 are the
-/// benchmark's; 1350 adds a half with every radix), over the ends, the
-/// whole, single bins and lobe-shaped windows of the spectrum.
+/// The lane transform on the grids the JTC runs (240 and 1000 are the
+/// benchmark's, with halves 120 = 4·2·3·5 and 500 = 4·5·5·5; 360 and 1200
+/// were until the joint plane shrank to the read window; 1350 has an odd
+/// half, 3·3·3·5·5), over the ends, the whole, single bins and lobe-shaped
+/// windows of the spectrum.
 #[test]
 fn lanes_match_the_scalar_transform_and_the_oracle_on_the_jtc_grids() {
-    for n in [360usize, 1200, 1350] {
+    for n in [240usize, 360, 1000, 1200, 1350] {
         let m = n / 2;
         let ranges = [
             0..=0,

@@ -23,9 +23,20 @@
 //!    non-convolution term `O(x)`.
 //!
 //! The simulation grid is larger than the physical number of waveguides so
-//! the discrete transform behaves like the continuous optics (no circular
-//! aliasing between the three terms); the physical capacity only limits how
-//! long the signal and kernel may be.
+//! the discrete transform behaves like the continuous optics: on the
+//! simulator's plane there is **no circular aliasing between the three
+//! terms** (`joint_geometry` keeps every lobe whole and apart, guard bands
+//! included). The physical capacity only limits how long the signal and
+//! kernel may be.
+//!
+//! The prepared chain asks for less — **no aliasing into the read window**.
+//! Its photodetectors sample only the valid window of the `+` lobe
+//! (Section III-A), so `prepared_geometry` lets the rest of that lobe run
+//! into the central term and into the `−` lobe and keeps the plane just
+//! large enough that nothing lands on the bins that are read
+//! (`valid_lobe_is_clear`, the three-interval check next to it). Another
+//! separation *and* another grid: the two geometries share nothing but the
+//! physics.
 
 use pf_dsp::complex::Complex;
 use pf_dsp::fft::{fft, fftshift};
@@ -226,31 +237,68 @@ impl JtcSimulator {
 }
 
 /// Joint input-plane geometry of the simulator: the signal→kernel
-/// separation `d` (large enough that the correlation lobes clear the
-/// central term; [`prepared_geometry`] uses the same one) and the
-/// simulation grid size `n` (the simulator's base grid, grown if an
-/// unusually long kernel needs more guard space).
+/// separation `d` (large enough that the **whole** correlation lobes clear
+/// the central term, guard bands included) and the simulation grid size `n`
+/// (the simulator's base grid, grown if an unusually long kernel needs more
+/// guard space).
 pub(crate) fn joint_geometry(signal_len: usize, kernel_len: usize, grid: usize) -> (usize, usize) {
     let d = 2 * signal_len + kernel_len + 2;
     let n = grid.max(next_pow2(2 * d + 2 * kernel_len + 4));
     (d, n)
 }
 
-/// Tight input-plane geometry for the prepared chain: the same separation
-/// `d` as [`joint_geometry`] (so the output terms never overlap), but the
-/// grid is the smallest **even 5-smooth** size that fits the three terms
-/// plus guard space, instead of the simulator's power-of-two base grid.
+/// Input-plane geometry of the prepared chain: the smallest separation `d`
+/// and the smallest **even 5-smooth** grid `n` on which the bins the chain
+/// reads — the valid window of the `+` lobe — are exact
+/// ([`valid_lobe_is_clear`]): `d = 2·Ls − Lk`, `n ≥ 4·Ls − Lk`. Everything
+/// else on the output plane may alias: the invalid ends of the `+` lobe
+/// overlap the central term below the window and the `−` lobe above it.
 ///
-/// `pf_dsp`'s mixed-radix plans run any 5-smooth length directly, so the
-/// prepared transforms do not pay for next-power-of-two padding — e.g. a
-/// 256-sample signal against a 67-sample tiled kernel runs on a 1350-point
-/// grid instead of 2048. The tight grid is always `<=` the padded one and
-/// always even, so the half-spectrum optics (conjugate symmetry, mirror
-/// bin handling, `d < n/2` lobe extraction) carry over unchanged.
+/// `pf_dsp`'s mixed-radix plans run any 5-smooth length directly — a
+/// 256-sample signal against a 67-sample tiled kernel runs on 960 points
+/// (the simulator: 2048). `n` is even and `d < n/2`, so the half-spectrum
+/// optics (conjugate symmetry, mirror bin handling, lobe extraction from
+/// the half spectrum) apply.
+///
+/// Total: a kernel longer than the signal has no valid window, so it sits
+/// right behind the signal (`d = Ls`) on a plane that holds both.
 pub(crate) fn prepared_geometry(signal_len: usize, kernel_len: usize) -> (usize, usize) {
-    let d = 2 * signal_len + kernel_len + 2;
-    let n = next_fast_len(2 * d + 2 * kernel_len + 4);
+    let d = 2 * signal_len - kernel_len.min(signal_len);
+    let n = next_fast_len(2 * d + kernel_len);
+    debug_assert!(valid_lobe_is_clear(signal_len, kernel_len, d, n));
     (d, n)
+}
+
+/// Whether the bins the prepared chain reads are exact on a circular output
+/// plane of `n` points, with the signal on `[0, Ls)` and the kernel on
+/// `[d, d + Lk)` of the input plane.
+///
+/// The output plane is the circular autocorrelation of the joint input
+/// (Equation 1), three terms on three intervals of lags `τ (mod n)`:
+///
+/// * the central term `O(x)` on `|τ| ≤ Ls − 1` (for `Lk ≤ Ls`), i.e. on
+///   `[0, Ls − 1]` and its image `[n − Ls + 1, n − 1]`;
+/// * the `+` lobe on `[d − Ls + 1, d + Lk − 1]`, whose **valid window**
+///   `V = [d − Ls + Lk, d]` holds the `Ls − Lk + 1` samples that are read
+///   (sample `j` at bin `d − j`);
+/// * the `−` lobe on the mirror image, `[n − d − Lk + 1, n − d + Ls − 1]`.
+///
+/// The chain reads `V` out of the half spectrum, so `V` has to end at or
+/// below `n/2` (the last condition implies it), and there each of the
+/// other intervals can reach it from one side only — one inequality per
+/// interval. A kernel longer than the signal has no valid window; the
+/// plane then only has to hold both operands side by side.
+pub(crate) fn valid_lobe_is_clear(ls: usize, lk: usize, d: usize, n: usize) -> bool {
+    if lk > ls {
+        return d >= ls && d + lk <= n;
+    }
+    // V starts above the central term: d − Ls + Lk > Ls − 1.
+    let above_central = d + lk >= 2 * ls;
+    // V ends below the central term's image: d < n − Ls + 1.
+    let below_central_image = d + ls <= n;
+    // V ends below the − lobe: d < n − d − Lk + 1.
+    let below_minus_lobe = 2 * d + lk <= n;
+    above_central && below_central_image && below_minus_lobe
 }
 
 #[cfg(test)]
@@ -380,16 +428,16 @@ mod tests {
         for s in [1usize, 3, 8, 32, 100, 256] {
             for k in [1usize, 3, 5, 32, 67, 256] {
                 let (d, n) = prepared_geometry(s, k);
-                let (dj, nj) = joint_geometry(s, k, 0);
-                assert_eq!(d, dj, "separation must match the simulator's");
-                // Enough room for the central term and both lobes.
-                assert!(n >= 2 * d + 2 * k + 4, "s={s} k={k}: n={n} too small");
-                // Even (half-spectrum mirror bin exists) and never worse
-                // than the padded power-of-two grid.
+                assert!(valid_lobe_is_clear(s, k, d, n), "s={s} k={k}: d={d} n={n}");
+                // Both operands fit, the window is read from the half
+                // spectrum, and the grid never exceeds what keeping every
+                // term apart took (the bound this geometry replaced).
+                assert!(d >= s && d + k <= n, "s={s} k={k}: d={d} n={n}");
+                assert!(2 * d < n, "s={s} k={k}: d={d} is not below n/2={}", n / 2);
+                assert!(n <= next_fast_len(4 * s + 4 * k + 8), "s={s} k={k}: n={n}");
+                // Even (half-spectrum mirror bin exists) and 5-smooth (the
+                // mixed-radix plan handles it without Bluestein).
                 assert_eq!(n % 2, 0, "s={s} k={k}: n={n} must be even");
-                assert!(n <= nj, "s={s} k={k}: tight n={n} exceeds padded {nj}");
-                // 5-smooth: the mixed-radix plan handles it without
-                // Bluestein.
                 let mut m = n;
                 for p in [2usize, 3, 5] {
                     while m % p == 0 {
@@ -397,11 +445,70 @@ mod tests {
                     }
                 }
                 assert_eq!(m, 1, "s={s} k={k}: n={n} is not 5-smooth");
+                if k > s {
+                    // No window: the kernel sits right behind the signal
+                    // on a plane that must still hold both.
+                    assert_eq!(d, s, "s={s} k={k}");
+                    assert!(!valid_lobe_is_clear(s, k, d, d + k - 1), "s={s} k={k}");
+                    continue;
+                }
+                // The bound is the wall: d = 2·Ls − Lk, n ≥ 4·Ls − Lk, and
+                // the largest even plane below it aliases into the window.
+                assert_eq!(d, 2 * s - k, "s={s} k={k}");
+                let bound = 4 * s - k;
+                assert!(n >= bound, "s={s} k={k}: n={n} below {bound}");
+                let below = (bound - 1) & !1;
+                assert!(
+                    !valid_lobe_is_clear(s, k, d, below),
+                    "s={s} k={k}: {below} < {bound} must alias"
+                );
             }
         }
-        // The headline case from the resnet18 tile geometry: 1350 < 2048.
-        let (_, n) = prepared_geometry(256, 67);
-        assert_eq!(n, 1350);
+        // The resnet18 tile geometries: conv1 and `conv_fresh` tiles, the
+        // conv2 tiles, and the 67-sample tiled kernel that ran on 1350.
+        assert_eq!(prepared_geometry(256, 35), (477, 1000));
+        assert_eq!(prepared_geometry(64, 19), (109, 240));
+        assert_eq!(prepared_geometry(256, 67), (445, 960));
+    }
+
+    /// The valid window of the brute-force circular autocorrelation of an
+    /// all-ones joint plane: every term is strictly positive on its whole
+    /// support, so the window reads `Lk` everywhere iff nothing but the
+    /// `+` lobe lands on it.
+    fn all_ones_window_is_exact(ls: usize, lk: usize, d: usize, n: usize) -> bool {
+        let mut joint = vec![0u32; n];
+        for x in (0..ls).chain(d..d + lk) {
+            joint[x] += 1;
+        }
+        (0..=ls - lk).all(|j| {
+            let tau = d - j;
+            let r: u32 = (0..n).map(|x| joint[x] * joint[(x + tau) % n]).sum();
+            r as usize == lk
+        })
+    }
+
+    #[test]
+    fn valid_lobe_is_clear_agrees_with_brute_force_autocorrelation() {
+        for ls in 1usize..=9 {
+            for lk in 1..=ls {
+                // Every placement with the window on the plane and read
+                // from the half spectrum (d ≤ n/2).
+                for d in ls - lk..=3 * ls {
+                    for n in (2 * d).max(d + lk)..=5 * ls {
+                        assert_eq!(
+                            valid_lobe_is_clear(ls, lk, d, n),
+                            all_ones_window_is_exact(ls, lk, d, n),
+                            "ls={ls} lk={lk} d={d} n={n}"
+                        );
+                    }
+                }
+                // Exact at the bound itself, before rounding to a fast
+                // length, and wrong one step below it.
+                let (d, bound) = (2 * ls - lk, 4 * ls - lk);
+                assert!(all_ones_window_is_exact(ls, lk, d, bound));
+                assert!(!all_ones_window_is_exact(ls, lk, d, bound - 1));
+            }
+        }
     }
 
     #[test]

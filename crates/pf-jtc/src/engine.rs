@@ -198,9 +198,9 @@ impl Conv1dEngine for JtcEngine {
     }
 
     fn prefers_parallel_tiles(&self) -> bool {
-        // Each tile runs two FFTs over a grid of a thousand-plus samples —
-        // far above the cost of a thread spawn, unlike a digital dot
-        // product.
+        // Each tile runs two FFTs over a grid of about a thousand samples
+        // at full capacity — far above the cost of a thread spawn, unlike
+        // a digital dot product.
         true
     }
 

@@ -13,10 +13,13 @@
 //!
 //! * [`PreparedSpectrum`] fixes the input-plane geometry (separation `d`,
 //!   grid size `n`) for one `(kernel, signal_len)` pair and precomputes the
-//!   kernel's padded half-spectrum once. The prepared grid is **tight**:
-//!   the smallest even 5-smooth size that keeps the output terms separated
-//!   (mixed-radix plans run it directly), not the oracle's power-of-two
-//!   base grid;
+//!   kernel's padded half-spectrum once. The plane **holds only what is
+//!   read**: the smallest separation and the smallest even 5-smooth grid
+//!   (mixed-radix plans run it directly) on which nothing aliases into the
+//!   valid window of the correlation lobe — `d = 2·Ls − Lk`,
+//!   `n ≥ 4·Ls − Lk` — where the oracle keeps all three output terms whole
+//!   and apart on a power-of-two grid. Every stage below is O(n) or
+//!   O(n log n) in that size;
 //! * per tile, the first lens is computed as a **real-input half-spectrum
 //!   FFT of the signal alone** (one `n/2`-point complex FFT instead of an
 //!   `n`-point one) and the kernel spectrum is added — the Fourier transform
@@ -160,14 +163,14 @@ pub struct SignalSpectrum {
 
 impl PreparedSpectrum {
     /// Builds the prepared state for `kernel` against signals of exactly
-    /// `signal_len` samples, using the same signal→kernel separation as
-    /// [`JtcSimulator::output_plane`](crate::correlator::JtcSimulator::output_plane)
-    /// but a **tight grid**: the smallest even 5-smooth size that keeps the
-    /// output terms separated, rather than the simulator's power-of-two
-    /// base grid. The mixed-radix transform plans run any 5-smooth length
-    /// directly, so no transform pays for pad-to-pow2 (only the
-    /// [`JtcSimulator`](crate::correlator::JtcSimulator) oracle keeps the
-    /// big grid).
+    /// `signal_len` samples on the smallest joint plane that keeps the
+    /// **read window** exact: signal at the origin, kernel at offset
+    /// `d = 2·Ls − Lk`, on the smallest even 5-smooth grid of at least
+    /// `4·Ls − Lk` points. Only the valid window of the correlation lobe is
+    /// ever read, so the rest of the output plane is left to alias; the
+    /// [`JtcSimulator`](crate::correlator::JtcSimulator) oracle, which
+    /// shows the whole plane, keeps a wider separation and a power-of-two
+    /// grid on which all three terms stay apart.
     ///
     /// # Errors
     ///
@@ -188,18 +191,20 @@ impl PreparedSpectrum {
                 capacity,
             });
         }
-        // Same separation as the joint-plane oracle (signal at the origin,
-        // kernel at offset d), tight 5-smooth grid.
         let (d, n) = crate::correlator::prepared_geometry(signal_len, kernel.len());
         let plan = RealFftPlan::shared(n)?;
 
         // Kernel half-spectrum, computed once: the kernel occupies
-        // [d, d + kernel_len) of the otherwise-zero input plane.
-        let mut padded = vec![0.0; d + kernel.len()];
-        padded[d..].copy_from_slice(kernel);
-        let mut scratch = Vec::new();
+        // [d, d + kernel_len) of the otherwise-zero input plane. Nothing
+        // prepares a kernel from inside a scratch borrow, so the padded
+        // input and the packing buffer are the thread's own.
         let mut kernel_half_spec = Vec::new();
-        plan.forward_real_into(&padded, &mut scratch, &mut kernel_half_spec)?;
+        with_spectrum_scratch(|s| {
+            s.real.clear();
+            s.real.resize(d, 0.0);
+            s.real.extend_from_slice(kernel);
+            plan.forward_real_into(&s.real, &mut s.fft, &mut kernel_half_spec)
+        })?;
 
         Ok(Self {
             signal_len,
@@ -443,10 +448,12 @@ impl PreparedSpectrum {
     }
 
     /// Second lens (again a real input), evaluated only where it is read:
-    /// the correlation lobe lives at output-plane bins `d-len+1..=d`, all
-    /// within the half spectrum (`d < n/2` by construction), so the
-    /// transform's unpacking pass runs over those bins alone. Normalises
-    /// the double-transform gain of N; lobe sample `j` is bin `d - j`.
+    /// the valid window of the correlation lobe lives at output-plane bins
+    /// `d-len+1..=d`, all within the half spectrum (`d < n/2` by
+    /// construction) and the only bins the geometry keeps alias-free, so
+    /// the transform's unpacking pass runs over those bins alone.
+    /// Normalises the double-transform gain of N; lobe sample `j` is bin
+    /// `d - j`.
     ///
     /// The read-out also does what `read_out` asks (rescale, sum of
     /// squares; the sum is `0.0` when not asked for).

@@ -60,35 +60,41 @@ const COUNTERS: [&str; 5] = [
 /// nine `cg_seed7` digests were re-recorded once, when the sensing-noise
 /// draw became the paired polar method (new values per seed, same law);
 /// the deterministic half of that change passed against the old digests.
+/// All eighteen `jtc_ideal` / `cg_seed7` digests were re-recorded once
+/// more when the prepared joint plane shrank to the valid window
+/// (`d = 2·Ls − Lk`, `n ≥ 4·Ls − Lk`: other twiddles, other rounding, the
+/// same lobe to ≈ 1e-15, the same noise draws per block), under the 1e-9
+/// oracles of `pf-jtc/tests/geometry.rs`; the nine `digital` digests and
+/// all 27 counter rows passed that change unedited.
 #[rustfmt::skip]
 const EXPECTED: &[(&str, &str, u64, [u64; 5])] = &[
     ("row_several_tiles", "digital", 0xc9262865451d249f, [28, 56, 0, 0, 6]),
-    ("row_several_tiles", "jtc_ideal", 0xd431861676938a88, [28, 56, 42, 14, 6]),
-    ("row_several_tiles", "cg_seed7", 0x969092b9ba61d9f1, [28, 56, 42, 14, 6]),
+    ("row_several_tiles", "jtc_ideal", 0xadd152ae2f3c9b3d, [28, 56, 42, 14, 6]),
+    ("row_several_tiles", "cg_seed7", 0xb7e66f2c7a332fd6, [28, 56, 42, 14, 6]),
     ("row_tile_at_capacity", "digital", 0xe9c61248ff65bd9c, [60, 120, 0, 0, 6]),
-    ("row_tile_at_capacity", "jtc_ideal", 0xc48626bdf22828cb, [60, 120, 74, 46, 6]),
-    ("row_tile_at_capacity", "cg_seed7", 0x0b493fa160cf87b7, [60, 120, 74, 46, 6]),
+    ("row_tile_at_capacity", "jtc_ideal", 0x0b39215bc66f9084, [60, 120, 74, 46, 6]),
+    ("row_tile_at_capacity", "cg_seed7", 0xd710f151ecce77a0, [60, 120, 74, 46, 6]),
     ("row_kernel_equals_input", "digital", 0xa664cf548b893756, [32, 64, 0, 0, 6]),
-    ("row_kernel_equals_input", "jtc_ideal", 0x580c37a9423c7052, [32, 64, 38, 26, 6]),
-    ("row_kernel_equals_input", "cg_seed7", 0x659de1a251b4e5a2, [32, 64, 38, 26, 6]),
+    ("row_kernel_equals_input", "jtc_ideal", 0x900759dcc3919249, [32, 64, 38, 26, 6]),
+    ("row_kernel_equals_input", "cg_seed7", 0x74633611174e5193, [32, 64, 38, 26, 6]),
     ("row_1xn_kernel", "digital", 0x69a106b6538b24f3, [24, 48, 0, 0, 6]),
-    ("row_1xn_kernel", "jtc_ideal", 0xf00e6b9b8026b2c5, [24, 48, 36, 12, 6]),
-    ("row_1xn_kernel", "cg_seed7", 0xde412ac2c5d58a88, [24, 48, 36, 12, 6]),
+    ("row_1xn_kernel", "jtc_ideal", 0x0bac4d0b4813f344, [24, 48, 36, 12, 6]),
+    ("row_1xn_kernel", "cg_seed7", 0x9d51c58d42a3f181, [24, 48, 36, 12, 6]),
     ("partial_three_groups", "digital", 0x7dac6479869c8a08, [174, 348, 0, 0, 6]),
-    ("partial_three_groups", "jtc_ideal", 0x6a4aa4cd0e60cda7, [174, 348, 258, 90, 6]),
-    ("partial_three_groups", "cg_seed7", 0x8647fdaa87e33684, [174, 348, 258, 90, 6]),
+    ("partial_three_groups", "jtc_ideal", 0x7a6b3c2832fbf837, [174, 348, 258, 90, 6]),
+    ("partial_three_groups", "cg_seed7", 0xdd3c3c1b7dc6dfaa, [174, 348, 258, 90, 6]),
     ("partial_uneven_groups", "digital", 0x9100a4288e185c18, [112, 224, 0, 0, 6]),
-    ("partial_uneven_groups", "jtc_ideal", 0xce9a0ec9734af56c, [112, 224, 112, 112, 6]),
-    ("partial_uneven_groups", "cg_seed7", 0xe0a5b799dc1681a8, [112, 224, 112, 112, 6]),
+    ("partial_uneven_groups", "jtc_ideal", 0x75d3f803a12b5462, [112, 224, 112, 112, 6]),
+    ("partial_uneven_groups", "cg_seed7", 0x3150e32ea9533b3d, [112, 224, 112, 112, 6]),
     ("partitioned_square", "digital", 0x746f96282d965543, [0, 920, 0, 0, 6]),
-    ("partitioned_square", "jtc_ideal", 0x645b6df486830ad9, [0, 920, 752, 168, 6]),
-    ("partitioned_square", "cg_seed7", 0x99bed9a9c7f7c18f, [0, 920, 752, 168, 6]),
+    ("partitioned_square", "jtc_ideal", 0x5210a810657fe3de, [0, 920, 752, 168, 6]),
+    ("partitioned_square", "cg_seed7", 0x1d7c73025ce04d19, [0, 920, 752, 168, 6]),
     ("partitioned_1xn_kernel", "digital", 0x8d25baf906aa87e6, [0, 192, 0, 0, 6]),
-    ("partitioned_1xn_kernel", "jtc_ideal", 0x54ca358640f6e9a2, [0, 192, 96, 96, 6]),
-    ("partitioned_1xn_kernel", "cg_seed7", 0xfc8530ecd18066c4, [0, 192, 96, 96, 6]),
+    ("partitioned_1xn_kernel", "jtc_ideal", 0x4f74227f4606b74d, [0, 192, 96, 96, 6]),
+    ("partitioned_1xn_kernel", "cg_seed7", 0x0684db4d5328ece9, [0, 192, 96, 96, 6]),
     ("partitioned_clipped_tail", "digital", 0x4af2b21f5ecec0fe, [0, 848, 0, 0, 6]),
-    ("partitioned_clipped_tail", "jtc_ideal", 0x6ed4e1e43d44e9af, [0, 848, 680, 168, 6]),
-    ("partitioned_clipped_tail", "cg_seed7", 0xda0081c9323ed4af, [0, 848, 680, 168, 6]),
+    ("partitioned_clipped_tail", "jtc_ideal", 0x41f494088eea6a2a, [0, 848, 680, 168, 6]),
+    ("partitioned_clipped_tail", "cg_seed7", 0x44d4d0eda0507974, [0, 848, 680, 168, 6]),
 ];
 
 fn lcg_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
