@@ -20,7 +20,7 @@
 //! * `--threads-sweep 1,2,4`  measure the thread-scaling curves: each
 //!   listed pool width (and always 1) is installed as a scoped pool, every
 //!   curve is re-timed under it, and the report (schema
-//!   `pf-bench/thread-sweep-v1`) is written; a report, not a gate
+//!   `pf-bench/thread-sweep-v2`) is written; a report, not a gate
 //! * `--overhead-check` time the inference workload with telemetry enabled
 //!   against the disabled path (interleaved pairs), write the report
 //!   (schema `pf-bench/telemetry-overhead-v2`: the pair count, both sides'
@@ -37,7 +37,7 @@ use std::process::ExitCode;
 
 use pf_bench::perf::{telemetry_overhead, thread_scaling, traced_run, PerfReport};
 use photofourier::telemetry::validate_chrome_trace;
-use photofourier::{ParallelGrain, Telemetry};
+use photofourier::Telemetry;
 
 const USAGE: &str = "usage: perf [--smoke] [--threads-sweep N,N,... | --overhead-check] \
     [--out PATH] [--trace PATH]   (at least one of --threads-sweep, --overhead-check, --trace)";
@@ -93,21 +93,17 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
 
 fn print_sweep(report: &PerfReport) {
     println!(
-        "== PhotoFourier thread sweep ({} mode, {} host thread(s), {} core(s), grain {}, widths {:?}) ==",
-        report.mode,
-        report.host_threads,
-        report.host_cores,
-        report.threads.grain,
-        report.threads.counts
+        "== PhotoFourier thread sweep ({} mode, {} host thread(s), {} core(s), widths {:?}) ==",
+        report.mode, report.host_threads, report.host_cores, report.threads.counts
     );
     println!(
-        "{:<22} {:<16} {:>7} {:>8} {:>12} {:>12} {:>11}",
-        "scenario", "backend", "threads", "grain", "imgs/s", "speedup_vs_1", "efficiency"
+        "{:<22} {:<16} {:>7} {:>12} {:>12} {:>11}",
+        "scenario", "backend", "threads", "imgs/s", "speedup_vs_1", "efficiency"
     );
     for r in &report.threads.curve {
         println!(
-            "{:<22} {:<16} {:>7} {:>8} {:>12.2} {:>12.2} {:>11.2}",
-            r.scenario, r.backend, r.threads, r.grain, r.images_per_s, r.speedup_vs_1, r.efficiency
+            "{:<22} {:<16} {:>7} {:>12.2} {:>12.2} {:>11.2}",
+            r.scenario, r.backend, r.threads, r.images_per_s, r.speedup_vs_1, r.efficiency
         );
     }
 }
@@ -124,7 +120,7 @@ fn write_json<T: serde::Serialize>(report: &T, path: &str) -> Result<(), String>
 /// Runs the parsed modes in order: sweep, trace, overhead gate.
 fn run(args: &Args) -> Result<(), String> {
     if let Some(counts) = &args.sweep {
-        let threads = thread_scaling(args.smoke, counts, ParallelGrain::Auto)
+        let threads = thread_scaling(args.smoke, counts)
             .map_err(|e| format!("thread-scaling sweep failed: {e}"))?;
         let report = PerfReport::new(args.smoke, threads);
         print_sweep(&report);

@@ -299,7 +299,7 @@ pub fn fig07_temporal_accumulation() -> Result<Fig7Result, Box<dyn std::error::E
 
     let mut points = Vec::new();
     for depth in [1usize, 2, 4, 8, 16, 32] {
-        let accumulated = accumulate_with_depth(&cycles, depth, &adc, full_scale)?;
+        let accumulated = accumulate_with_depth(&cycles, depth, Some(&adc), full_scale)?;
         let psum_relative_error = pf_dsp::util::relative_l2_error(&accumulated, &exact);
 
         let executor = TiledExecutor::new(

@@ -1,9 +1,9 @@
 //! Experiment implementations for the PhotoFourier benchmark harness.
 //!
 //! Every table and figure of the paper's evaluation has a function here that
-//! computes its rows/series; the Criterion benches under `benches/` print
-//! those results and time the underlying computation. EXPERIMENTS.md records
-//! the paper-vs-measured comparison for each one.
+//! computes its rows/series; `--bin repro` prints them (`repro` all twelve,
+//! `repro fig13 tab1` the named ones) and times nothing — the models behind
+//! the tables are ladder rows of the repo benchmark under `benchmark/`.
 //!
 //! The crate also ships three standalone drivers: `--bin perf` (the
 //! thread-sweep report and the telemetry-overhead gate, the two host-side
@@ -18,8 +18,8 @@
 //!
 //! # Examples
 //!
-//! Experiment results render through the fixed-width [`Table`] the benches
-//! print:
+//! Experiment results render through the fixed-width [`Table`] `repro`
+//! prints:
 //!
 //! ```
 //! use pf_bench::Table;

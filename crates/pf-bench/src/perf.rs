@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 use crate::scenario_image;
 
 /// Schema identifier of the thread-sweep report ([`PerfReport`]).
-pub const SWEEP_SCHEMA: &str = "pf-bench/thread-sweep-v1";
+pub const SWEEP_SCHEMA: &str = "pf-bench/thread-sweep-v2";
 
 /// Schema identifier of the telemetry-overhead report ([`OverheadReport`]).
 pub const OVERHEAD_SCHEMA: &str = "pf-bench/telemetry-overhead-v2";
@@ -38,10 +38,6 @@ pub struct ThreadScalingRecord {
     pub backend: String,
     /// Scoped pool width this point was measured under.
     pub threads: usize,
-    /// The parallelism grain the batch actually ran at under this pool
-    /// width (`auto` sessions resolve per point: `image` when the batch
-    /// fills the pool, `tile` otherwise).
-    pub grain: String,
     /// Measured engine throughput in images per second.
     pub images_per_s: f64,
     /// Throughput relative to the 1-thread point of the same curve.
@@ -56,9 +52,6 @@ pub struct ThreadScalingRecord {
 pub struct ThreadScaling {
     /// Pool widths swept (always includes 1, the curve's reference point).
     pub counts: Vec<usize>,
-    /// The session-level grain the sweep ran with (`perf` always asks for
-    /// `auto`); per-point resolution is in each record.
-    pub grain: String,
     /// One record per (scenario, backend, pool width).
     pub curve: Vec<ThreadScalingRecord>,
 }
@@ -176,12 +169,10 @@ fn sweep_widths(counts: &[usize]) -> Vec<usize> {
 
 /// One curve of the sweep: `run` (one whole batch of `batch` images on
 /// `session`) is timed best-of-`reps` under a scoped pool of each width and
-/// normalised to its own 1-thread point. `serial` marks a batch the session
-/// never dispatches in parallel, whatever its grain.
+/// normalised to its own 1-thread point.
 fn measure_curve(
     scenario: &str,
     session: &Session,
-    serial: bool,
     widths: &[usize],
     batch: usize,
     reps: usize,
@@ -192,11 +183,6 @@ fn measure_curve(
     for &threads in widths {
         let pool = scoped_pool(threads)?;
         let elapsed = pool.install(|| best_of(reps, &mut run));
-        let grain = if serial {
-            "serial"
-        } else {
-            pool.install(|| session.effective_grain(batch)).name()
-        };
         let images_per_s = batch as f64 / elapsed.as_secs_f64().max(1e-12);
         if threads == 1 {
             base = images_per_s;
@@ -206,7 +192,6 @@ fn measure_curve(
             scenario: scenario.to_string(),
             backend: session.scenario().backend.kind.name().to_string(),
             threads,
-            grain: grain.to_string(),
             images_per_s,
             speedup_vs_1,
             efficiency: speedup_vs_1 / threads as f64,
@@ -224,10 +209,12 @@ fn measure_curve(
 /// One session per scenario is built up front (prepared-kernel caches warm
 /// once and are shared across the whole curve), so the only thing that
 /// varies between points is the advertised pool width — which is exactly
-/// what the parallel dispatch heuristics key on. The per-point `grain`
-/// field records how the session actually resolved its [`ParallelGrain`]
-/// under that width (stochastic conv2d batches pin to `serial`: determinism
-/// forbids parallel dispatch there regardless of grain).
+/// what the session's one parallelism rule keys on: a batch at least as
+/// large as the width fans out across images, a smaller one runs image by
+/// image with fanned-out tiles (`docs/PERFORMANCE.md`, "Reading the scaling
+/// curves"; stochastic conv2d batches are serial at every width). A width
+/// is a thread count: the pool never lets a worker open a region of its
+/// own.
 ///
 /// On a host with fewer cores than a requested width the point is still
 /// measured — the scoped pool advertises the width and dispatch follows it
@@ -237,21 +224,12 @@ fn measure_curve(
 /// # Errors
 ///
 /// Propagates session construction and execution errors.
-pub fn thread_scaling(
-    smoke: bool,
-    counts: &[usize],
-    grain: ParallelGrain,
-) -> Result<ThreadScaling, PfError> {
+pub fn thread_scaling(smoke: bool, counts: &[usize]) -> Result<ThreadScaling, PfError> {
     let (conv_batch, conv_reps) = if smoke { (8, 3) } else { (32, 5) };
     let (infer_batch, infer_reps) = if smoke { (4, 2) } else { (16, 3) };
     let widths = sweep_widths(counts);
     let mut curve = Vec::new();
-    let session_for = |kind| {
-        Session::builder()
-            .scenario(backend_scenario(kind))
-            .parallel_grain(grain)
-            .build()
-    };
+    let session_for = |kind| Session::from_scenario(backend_scenario(kind));
 
     // conv2d_batch on every backend.
     for kind in [
@@ -266,7 +244,6 @@ pub fn thread_scaling(
         curve.extend(measure_curve(
             "conv2d_batch",
             &session,
-            session.is_stochastic(),
             &widths,
             conv_batch,
             conv_reps,
@@ -285,7 +262,6 @@ pub fn thread_scaling(
     curve.extend(measure_curve(
         "resnet18_batch_infer",
         &session,
-        false,
         &widths,
         infer_batch,
         infer_reps,
@@ -296,7 +272,6 @@ pub fn thread_scaling(
 
     Ok(ThreadScaling {
         counts: widths,
-        grain: grain.name().to_string(),
         curve,
     })
 }
@@ -407,7 +382,7 @@ pub fn telemetry_overhead(smoke: bool) -> Result<OverheadReport, PfError> {
 /// Runs one batched inference per backend under `tel`, each wrapped in a
 /// `bench` root span with a `run_batch` child whose interval is attributed
 /// across the four JTC stages from the registry's stage-counter deltas
-/// (see [`photofourier::serve::staged_span`]) — the workload behind
+/// (see [`photofourier::telemetry::staged_span`]) — the workload behind
 /// `perf --trace`.
 ///
 /// # Errors
@@ -424,7 +399,7 @@ pub fn traced_run(smoke: bool, tel: &Telemetry) -> Result<(), PfError> {
         let images = image_batch(&scenario, batch, 3000);
         let _ = session.run_batch(&images[..1])?; // warm outside the spans
         let root = tel.span(kind.name(), "bench");
-        photofourier::serve::staged_span(tel, "run_batch", root.id(), || {
+        photofourier::telemetry::staged_span(tel, "run_batch", root.id(), || {
             session.run_batch(&images)
         })?;
     }
@@ -445,9 +420,8 @@ mod tests {
 
     #[test]
     fn thread_scaling_measures_a_normalised_curve_per_scenario() {
-        let scaling = thread_scaling(true, &[2], ParallelGrain::Auto).unwrap();
+        let scaling = thread_scaling(true, &[2]).unwrap();
         assert_eq!(scaling.counts, vec![1, 2]);
-        assert_eq!(scaling.grain, "auto");
         // Four curves (3 conv backends + jtc inference), two points each.
         assert_eq!(scaling.curve.len(), 8);
         for record in &scaling.curve {
@@ -461,10 +435,6 @@ mod tests {
             );
             if record.threads == 1 {
                 assert!((record.speedup_vs_1 - 1.0).abs() < 1e-12, "{record:?}");
-            }
-            // Stochastic conv2d batches cannot dispatch in parallel.
-            if record.backend == "photofourier_cg" && record.scenario == "conv2d_batch" {
-                assert_eq!(record.grain, "serial");
             }
         }
     }
@@ -493,12 +463,10 @@ mod tests {
             true,
             ThreadScaling {
                 counts: vec![1, 2],
-                grain: "auto".to_string(),
                 curve: vec![ThreadScalingRecord {
                     scenario: "resnet18_batch_infer".to_string(),
                     backend: "jtc_ideal".to_string(),
                     threads: 2,
-                    grain: "image".to_string(),
                     images_per_s: 2570.0,
                     speedup_vs_1: 0.88,
                     efficiency: 0.44,
@@ -511,7 +479,7 @@ mod tests {
         );
         assert!(report.host_threads >= 1 && report.host_cores >= 1);
         let json = serde_json::to_string_pretty(&report).unwrap();
-        assert!(json.contains("\"pf-bench/thread-sweep-v1\""), "{json}");
+        assert!(json.contains("\"pf-bench/thread-sweep-v2\""), "{json}");
         let back: PerfReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
     }

@@ -34,7 +34,6 @@ use pf_core::{FaultsSpec, PfError};
 use pf_photonics::detector::SensingNoise;
 use pf_router::{CacheStats, ReplicaEngine};
 use pf_serve::InferenceEngine;
-use pf_telemetry::Telemetry;
 
 /// One injectable fault, compiled from a `[[faults.windows]]` entry.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -332,15 +331,17 @@ impl<E: InferenceEngine> FaultyEngine<E> {
             corruptor(response, corruption);
         }
     }
+}
 
-    /// Shared pre/post fault logic around one engine call, so the plain and
-    /// traced paths stay bit-identical by construction.
-    fn run(
+impl<E: InferenceEngine> InferenceEngine for FaultyEngine<E> {
+    type Request = E::Request;
+    type Response = E::Response;
+
+    fn infer_batch(
         &self,
-        inputs: &[E::Request],
+        inputs: &[Self::Request],
         seqs: &[u64],
-        call: impl FnOnce(&E, &[E::Request], &[u64]) -> Result<Vec<E::Response>, PfError>,
-    ) -> Result<Vec<E::Response>, PfError> {
+    ) -> Result<Vec<Self::Response>, PfError> {
         let faults: Vec<Option<FaultKind>> = seqs.iter().map(|&s| self.plan.fault_for(s)).collect();
 
         // Whole-batch faults first: a panicking or erroring engine takes its
@@ -380,7 +381,7 @@ impl<E: InferenceEngine> FaultyEngine<E> {
             std::thread::sleep(Duration::from_micros(delay_us));
         }
 
-        let mut outputs = call(&self.inner, inputs, seqs)?;
+        let mut outputs = self.inner.infer_batch(inputs, seqs)?;
 
         // Per-request payload corruption on the way out.
         for (i, fault) in faults.iter().enumerate() {
@@ -402,33 +403,6 @@ impl<E: InferenceEngine> FaultyEngine<E> {
             }
         }
         Ok(outputs)
-    }
-}
-
-impl<E: InferenceEngine> InferenceEngine for FaultyEngine<E> {
-    type Request = E::Request;
-    type Response = E::Response;
-
-    fn infer_batch(
-        &self,
-        inputs: &[Self::Request],
-        seqs: &[u64],
-    ) -> Result<Vec<Self::Response>, PfError> {
-        self.run(inputs, seqs, |inner, inputs, seqs| {
-            inner.infer_batch(inputs, seqs)
-        })
-    }
-
-    fn infer_batch_traced(
-        &self,
-        inputs: &[Self::Request],
-        seqs: &[u64],
-        tel: &Telemetry,
-        parent: u64,
-    ) -> Result<Vec<Self::Response>, PfError> {
-        self.run(inputs, seqs, |inner, inputs, seqs| {
-            inner.infer_batch_traced(inputs, seqs, tel, parent)
-        })
     }
 }
 

@@ -1,135 +1,15 @@
 //! Temporal accumulation (Section V-C).
 //!
-//! In an output-stationary dataflow the convolution results of consecutive
-//! input channels must be summed. Doing that *after* an 8-bit ADC quantises
-//! every partial sum wrecks accuracy; doing it *at the photodetector* — by
-//! letting charge accumulate on a capacitor over up to 16 cycles before a
-//! single read-out — keeps the accumulation at full precision and lets the
-//! ADC run 16× slower. [`TemporalAccumulator`] models exactly that, and its
-//! counterpart [`accumulate_quantized_per_cycle`] models the baseline that
+//! The capacitor bank and its accumulation loop — [`TemporalAccumulator`],
+//! [`accumulate_with_depth`] — live in [`pf_photonics::temporal`], next to
+//! the ADC they read out through, so that the CNN executor runs the same
+//! loop; they are re-exported here. What this module adds is their
+//! counterpart [`accumulate_quantized_per_cycle`], the baseline that
 //! quantises every cycle, so Figure 7 can be regenerated by comparing the
 //! two.
 
 use pf_photonics::adc::Adc;
-use serde::{Deserialize, Serialize};
-
-use crate::error::JtcError;
-
-/// Analog partial-sum accumulator sitting behind a bank of photodetectors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TemporalAccumulator {
-    depth: usize,
-    accumulated: Vec<f64>,
-    cycles: usize,
-}
-
-impl TemporalAccumulator {
-    /// Creates an accumulator for `lanes` parallel photodetectors that can
-    /// integrate up to `depth` cycles before read-out.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JtcError::InvalidConfig`] if `depth` or `lanes` is zero.
-    pub fn new(lanes: usize, depth: usize) -> Result<Self, JtcError> {
-        if depth == 0 {
-            return Err(JtcError::InvalidConfig {
-                name: "depth",
-                requirement: "temporal accumulation depth must be at least 1".to_string(),
-            });
-        }
-        if lanes == 0 {
-            return Err(JtcError::InvalidConfig {
-                name: "lanes",
-                requirement: "must have at least one photodetector lane".to_string(),
-            });
-        }
-        Ok(Self {
-            depth,
-            accumulated: vec![0.0; lanes],
-            cycles: 0,
-        })
-    }
-
-    /// Temporal accumulation depth.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Number of parallel lanes.
-    pub fn lanes(&self) -> usize {
-        self.accumulated.len()
-    }
-
-    /// Cycles accumulated since the last read-out.
-    pub fn cycles(&self) -> usize {
-        self.cycles
-    }
-
-    /// Whether the capacitor bank is full and must be read out.
-    pub fn is_full(&self) -> bool {
-        self.cycles >= self.depth
-    }
-
-    /// Adds one cycle of photodetector outputs to the capacitors.
-    ///
-    /// # Errors
-    ///
-    /// * [`JtcError::InvalidConfig`] if `partial.len()` differs from the
-    ///   number of lanes, or if the accumulator is already full.
-    pub fn accumulate(&mut self, partial: &[f64]) -> Result<(), JtcError> {
-        if partial.len() != self.accumulated.len() {
-            return Err(JtcError::InvalidConfig {
-                name: "partial",
-                requirement: format!(
-                    "expected {} lanes, got {}",
-                    self.accumulated.len(),
-                    partial.len()
-                ),
-            });
-        }
-        if self.is_full() {
-            return Err(JtcError::InvalidConfig {
-                name: "cycles",
-                requirement: "accumulator is full; call read_out() first".to_string(),
-            });
-        }
-        for (acc, &p) in self.accumulated.iter_mut().zip(partial) {
-            *acc += p;
-        }
-        self.cycles += 1;
-        Ok(())
-    }
-
-    /// Reads the accumulated analog values through `adc` (one quantisation
-    /// for the whole group of cycles) and resets the capacitors.
-    ///
-    /// `full_scale` is the ADC input range; pass `None` to auto-range to the
-    /// current maximum (an idealisation useful for sensitivity studies).
-    pub fn read_out(&mut self, adc: &Adc, full_scale: Option<f64>) -> Vec<f64> {
-        let fs = full_scale.unwrap_or_else(|| {
-            self.accumulated
-                .iter()
-                .fold(0.0f64, |m, &v| m.max(v.abs()))
-                .max(f64::EPSILON)
-        });
-        let out = adc.quantize_slice(&self.accumulated, fs);
-        self.reset();
-        out
-    }
-
-    /// Reads the accumulated values without any quantisation (full-precision
-    /// reference) and resets the capacitors.
-    pub fn read_out_ideal(&mut self) -> Vec<f64> {
-        let out = self.accumulated.clone();
-        self.reset();
-        out
-    }
-
-    fn reset(&mut self) {
-        self.accumulated.iter_mut().for_each(|v| *v = 0.0);
-        self.cycles = 0;
-    }
-}
+pub use pf_photonics::temporal::{accumulate_with_depth, TemporalAccumulator};
 
 /// Baseline behaviour without temporal accumulation: every cycle's partial
 /// sums are quantised by the ADC and accumulated digitally. Returns the final
@@ -159,48 +39,6 @@ pub fn accumulate_quantized_per_cycle(
     acc
 }
 
-/// Accumulates `cycles` through a [`TemporalAccumulator`] of the given depth,
-/// reading out (and digitally summing the read-outs) whenever the capacitor
-/// bank fills up — the two-level accumulation scheme of Section V-F.
-///
-/// # Errors
-///
-/// Returns [`JtcError::InvalidConfig`] if the cycle vectors have inconsistent
-/// lengths or `depth` is zero.
-pub fn accumulate_with_depth(
-    cycles: &[Vec<f64>],
-    depth: usize,
-    adc: &Adc,
-    full_scale: Option<f64>,
-) -> Result<Vec<f64>, JtcError> {
-    if cycles.is_empty() {
-        return Ok(Vec::new());
-    }
-    let lanes = cycles[0].len();
-    let mut accumulator = TemporalAccumulator::new(lanes, depth)?;
-    let mut digital = vec![0.0; lanes];
-    for cycle in cycles {
-        accumulator.accumulate(cycle)?;
-        if accumulator.is_full() {
-            for (d, v) in digital
-                .iter_mut()
-                .zip(accumulator.read_out(adc, full_scale))
-            {
-                *d += v;
-            }
-        }
-    }
-    if accumulator.cycles() > 0 {
-        for (d, v) in digital
-            .iter_mut()
-            .zip(accumulator.read_out(adc, full_scale))
-        {
-            *d += v;
-        }
-    }
-    Ok(digital)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,7 +66,7 @@ mod tests {
         acc.accumulate(&[1.0, 2.0]).unwrap();
         acc.accumulate(&[0.5, -1.0]).unwrap();
         assert_eq!(acc.cycles(), 2);
-        let out = acc.read_out_ideal();
+        let out = acc.read_out(None, None);
         assert_eq!(out, vec![1.5, 1.0]);
         assert_eq!(acc.cycles(), 0);
     }
@@ -261,7 +99,7 @@ mod tests {
         let adc = adc8();
         // Fixed full scale representative of the partial-sum range.
         let fs = Some(16.0);
-        let temporal = accumulate_with_depth(&cycles, depth, &adc, fs).unwrap();
+        let temporal = accumulate_with_depth(&cycles, depth, Some(&adc), fs).unwrap();
         let per_cycle = accumulate_quantized_per_cycle(&cycles, &adc, fs);
 
         let err_temporal = relative_l2_error(&temporal, &exact);
@@ -290,7 +128,7 @@ mod tests {
 
         let mut last_err = f64::INFINITY;
         for depth in [1usize, 2, 4, 8, 16, 32] {
-            let out = accumulate_with_depth(&cycles, depth, &adc, fs).unwrap();
+            let out = accumulate_with_depth(&cycles, depth, Some(&adc), fs).unwrap();
             let err = relative_l2_error(&out, &exact);
             assert!(
                 err <= last_err + 1e-6,
@@ -305,7 +143,7 @@ mod tests {
         let cycles = vec![vec![0.3, -0.2], vec![0.7, 0.5], vec![-0.1, 0.4]];
         let adc = adc8();
         let fs = Some(4.0);
-        let a = accumulate_with_depth(&cycles, 1, &adc, fs).unwrap();
+        let a = accumulate_with_depth(&cycles, 1, Some(&adc), fs).unwrap();
         let b = accumulate_quantized_per_cycle(&cycles, &adc, fs);
         assert_eq!(a, b);
     }
@@ -313,7 +151,8 @@ mod tests {
     #[test]
     fn empty_cycles() {
         let adc = adc8();
-        assert!(accumulate_with_depth(&[], 16, &adc, None)
+        let none: [Vec<f64>; 0] = [];
+        assert!(accumulate_with_depth(&none, 16, Some(&adc), None)
             .unwrap()
             .is_empty());
         assert!(accumulate_quantized_per_cycle(&[], &adc, None).is_empty());
@@ -324,7 +163,7 @@ mod tests {
         let mut acc = TemporalAccumulator::new(1, 4).unwrap();
         acc.accumulate(&[0.123456]).unwrap();
         let adc = adc8();
-        let out = acc.read_out(&adc, Some(1.0));
+        let out = acc.read_out(Some(&adc), Some(1.0));
         // Quantised to the 8-bit grid: multiple of 2/256.
         let lsb = 2.0 / 256.0;
         let ratio = out[0] / lsb;

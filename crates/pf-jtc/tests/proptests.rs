@@ -85,7 +85,7 @@ proptest! {
         let exact: Vec<f64> = (0..4)
             .map(|lane| cycles.iter().map(|c| c[lane]).sum())
             .collect();
-        let read = acc.read_out_ideal();
+        let read = acc.read_out(None, None);
         prop_assert!(max_abs_diff(&read, &exact) < 1e-12);
     }
 
@@ -267,8 +267,8 @@ proptest! {
             .collect();
         let adc = Adc::new(8, 0.625, 0.93).unwrap();
         let fs = Some(16.0);
-        let shallow = accumulate_with_depth(&cycles, 1, &adc, fs).unwrap();
-        let deep = accumulate_with_depth(&cycles, 16, &adc, fs).unwrap();
+        let shallow = accumulate_with_depth(&cycles, 1, Some(&adc), fs).unwrap();
+        let deep = accumulate_with_depth(&cycles, 16, Some(&adc), fs).unwrap();
         let err_shallow = pf_dsp::util::relative_l2_error(&shallow, &exact);
         let err_deep = pf_dsp::util::relative_l2_error(&deep, &exact);
         prop_assert!(err_deep <= err_shallow + 1e-9);

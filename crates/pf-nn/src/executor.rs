@@ -14,7 +14,8 @@
 
 use pf_dsp::conv::{correlate2d, Matrix, PaddingMode};
 use pf_photonics::adc::Adc;
-use pf_tiling::{Conv1dEngine, EdgeHandling, ParallelGrain, TiledConvolver};
+use pf_photonics::temporal::accumulate_with_depth;
+use pf_tiling::{Conv1dEngine, EdgeHandling, TiledConvolver};
 use serde::{Deserialize, Serialize};
 
 use crate::error::NnError;
@@ -168,31 +169,16 @@ impl<E: Conv1dEngine> TiledExecutor<E> {
                 requirement: "must be at least 1".to_string(),
             });
         }
-        // Tile-level parallelism stays off inside the executor by default:
-        // callers parallelise at the per-image grain (`Session::run_batch`),
-        // and the executor's many small convolutions would only fight that
-        // for threads. Kernel-spectrum preparation is still cached and
-        // shared. Callers owning the whole pool (small batches on wide
-        // hosts) opt into tile dispatch per call with [`TiledExecutor::at`].
+        // The convolver keeps its default grain: a caller that fans images
+        // out across the pool (`Session::run_batch`) runs each image on a
+        // worker, where the pool width is 1 and every layer's tiles stay
+        // serial; a caller that drives images one at a time owns the pool,
+        // and each layer's tile batch may fan out under the engine's cost
+        // hint.
         Ok(Self {
-            convolver: TiledConvolver::new(engine, n_conv)?.with_grain(ParallelGrain::Image),
+            convolver: TiledConvolver::new(engine, n_conv)?,
             config,
         })
-    }
-
-    /// A borrowed view of this executor whose inner convolver runs at
-    /// `grain` — [`ParallelGrain::Image`] (the default here) keeps tiles
-    /// serial for callers that parallelise per image;
-    /// [`ParallelGrain::Tile`] fans each layer's tile batch across the pool
-    /// for callers that drive images serially. The view shares this
-    /// executor's engine, prepared-kernel cache and telemetry handle
-    /// ([`TiledConvolver::at`]), so a caller resolving its grain per call
-    /// holds one executor; results are bit-identical either way.
-    pub fn at(&self, grain: ParallelGrain) -> TiledExecutor<&E> {
-        TiledExecutor {
-            convolver: self.convolver.at(grain),
-            config: self.config,
-        }
     }
 
     /// A view of this executor driving **another engine** of the same
@@ -364,7 +350,9 @@ fn check_input(input: &Tensor, layer: &Conv2d) -> Result<(), NnError> {
 }
 
 /// Accumulates per-channel partial-sum planes with temporal accumulation of
-/// the given depth and an optional partial-sum ADC.
+/// the given depth and an optional partial-sum ADC — the Section V-C loop of
+/// [`pf_photonics::temporal`], for which this function only chooses the
+/// full scale.
 ///
 /// The ADC full scale is a hardware design constant sized for the deepest
 /// supported group (16 channels, the capacitor capacity of the PhotoFourier
@@ -372,39 +360,17 @@ fn check_input(input: &Tensor, layer: &Conv2d) -> Result<(), NnError> {
 /// therefore waste dynamic range on every read-out, which is precisely why
 /// Figure 7 shows accuracy improving with depth.
 fn accumulate_partials(partials: &[Matrix], depth: usize, adc: Option<&Adc>) -> Matrix {
-    let depth = depth.max(1);
     let max_partial = partials
         .iter()
         .flat_map(|p| p.data().iter())
         .fold(0.0f64, |m, &v| m.max(v.abs()));
     let full_scale =
         (max_partial * pf_photonics::params::TEMPORAL_ACCUMULATION_DEPTH as f64).max(f64::EPSILON);
-
-    let mut digital_acc: Option<Matrix> = None;
-    let mut analog_acc: Option<Matrix> = None;
-    let mut in_group = 0usize;
-    for (i, partial) in partials.iter().enumerate() {
-        analog_acc = Some(match analog_acc {
-            None => partial.clone(),
-            Some(a) => add(&a, partial),
-        });
-        in_group += 1;
-        let last = i + 1 == partials.len();
-        if in_group == depth || last {
-            let mut group = analog_acc.take().expect("group has at least one channel");
-            if let Some(adc) = adc {
-                let quantised = adc.quantize_slice(group.data(), full_scale);
-                group = Matrix::new(group.rows(), group.cols(), quantised)
-                    .expect("quantised data keeps its shape");
-            }
-            digital_acc = Some(match digital_acc {
-                None => group,
-                Some(a) => add(&a, &group),
-            });
-            in_group = 0;
-        }
-    }
-    digital_acc.expect("at least one partial plane")
+    let planes: Vec<&[f64]> = partials.iter().map(Matrix::data).collect();
+    let summed = accumulate_with_depth(&planes, depth, adc, Some(full_scale))
+        .expect("equal-shaped partial planes and a depth validated at construction");
+    Matrix::new(partials[0].rows(), partials[0].cols(), summed)
+        .expect("accumulation keeps the plane's shape")
 }
 
 /// Splits a filter into its positive part and the magnitude of its negative
@@ -416,11 +382,6 @@ pub fn split_pseudo_negative(kernel: &Matrix) -> (Matrix, Matrix) {
         Matrix::new(kernel.rows(), kernel.cols(), pos).expect("same shape"),
         Matrix::new(kernel.rows(), kernel.cols(), neg).expect("same shape"),
     )
-}
-
-fn add(a: &Matrix, b: &Matrix) -> Matrix {
-    let data: Vec<f64> = a.data().iter().zip(b.data()).map(|(x, y)| x + y).collect();
-    Matrix::new(a.rows(), a.cols(), data).expect("same shape")
 }
 
 fn subtract(a: &Matrix, b: &Matrix) -> Matrix {
@@ -604,7 +565,7 @@ mod tests {
     }
 
     #[test]
-    fn grain_views_agree_bitwise_and_share_the_prepared_kernel_cache() {
+    fn forward_is_pool_width_invariant_and_shares_one_prepared_kernel_cache() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
 
@@ -615,6 +576,9 @@ mod tests {
         impl Conv1dEngine for CountingEngine {
             fn correlate_valid(&self, signal: &[f64], kernel: &[f64]) -> Vec<f64> {
                 DigitalEngine.correlate_valid(signal, kernel)
+            }
+            fn prefers_parallel_tiles(&self) -> bool {
+                true
             }
             fn prepares_kernels(&self) -> bool {
                 true
@@ -635,27 +599,30 @@ mod tests {
         let executor =
             TiledExecutor::new(CountingEngine::default(), 48, PipelineConfig::ideal()).unwrap();
         let convolver = executor.convolver();
-        assert_eq!(convolver.grain(), ParallelGrain::Image);
-        let image = executor.at(ParallelGrain::Image);
-        let tile = executor.at(ParallelGrain::Tile);
-        assert_eq!(tile.convolver().grain(), ParallelGrain::Tile);
         let count = || convolver.engine().0.load(Ordering::Relaxed);
+        let pool = |width| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(width)
+                .build()
+                .unwrap()
+        };
 
-        let serial = image.forward(&input, &layer).unwrap();
+        // Serial tiles on a 1-wide pool, fanned-out tiles on a 4-wide one.
+        let serial = pool(1)
+            .install(|| executor.forward(&input, &layer))
+            .unwrap();
         let prepared = count();
         assert!(prepared > 0);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
+        let fanned = pool(4)
+            .install(|| executor.forward(&input, &layer))
             .unwrap();
-        let fanned = pool.install(|| tile.forward(&input, &layer)).unwrap();
         for (a, b) in serial.data().iter().zip(fanned.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert_eq!(
             count(),
             prepared,
-            "the tile view must hit the kernels the image view prepared"
+            "the second forward must hit the kernels the first prepared"
         );
 
         // One store: `convolver()` is the convolver `forward` runs on, so
@@ -680,7 +647,7 @@ mod tests {
         bare(&unseen);
         let after_bare = count();
         assert!(after_bare > prepared);
-        image.forward(&input, &unseen).unwrap();
+        executor.forward(&input, &unseen).unwrap();
         assert_eq!(
             count(),
             after_bare,

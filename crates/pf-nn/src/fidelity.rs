@@ -6,8 +6,8 @@
 //! convolution layer accumulates when executed through row tiling (plus
 //! quantisation / noise / temporal accumulation) instead of exact 2D
 //! convolution. The per-layer relative error and SNR reported here, combined
-//! with the end-to-end accuracy proxy in the benches, stand in for Table I
-//! (see DESIGN.md and EXPERIMENTS.md).
+//! with the end-to-end accuracy proxy of `pf-bench`'s `repro tab1`, stand in
+//! for Table I.
 
 use pf_tiling::Conv1dEngine;
 use serde::{Deserialize, Serialize};

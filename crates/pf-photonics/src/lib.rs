@@ -42,6 +42,7 @@ pub mod error;
 pub mod laser;
 pub mod mrr;
 pub mod params;
+pub mod temporal;
 pub mod units;
 
 pub use error::PhotonicsError;

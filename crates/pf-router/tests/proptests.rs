@@ -47,7 +47,6 @@ fn config(replicas: usize) -> RouterConfig {
             batch_timeout: Duration::ZERO,
             queue_depth: 64,
             workers: 1,
-            scaling_hint: None,
         },
         replicas,
         policy: Policy::RoundRobin,

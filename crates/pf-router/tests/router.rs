@@ -146,7 +146,6 @@ fn config(policy: Policy, replicas: usize, queue_depth: usize) -> RouterConfig {
             batch_timeout: Duration::ZERO,
             queue_depth,
             workers: 1,
-            scaling_hint: None,
         },
         replicas,
         policy,

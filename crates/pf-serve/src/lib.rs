@@ -40,6 +40,6 @@ pub mod config;
 pub mod server;
 pub mod stats;
 
-pub use config::{ScalingHint, ServeConfig};
+pub use config::ServeConfig;
 pub use server::{InferenceEngine, RequestTrace, Server, Ticket};
 pub use stats::{BatchBucket, LatencySummary, ServerStats};

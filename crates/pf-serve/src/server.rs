@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 use pf_core::PfError;
-use pf_telemetry::{request_track, Telemetry};
+use pf_telemetry::{request_track, staged_span, Telemetry};
 
 use crate::config::ServeConfig;
 use crate::stats::{ServerStats, StatsCollector};
@@ -72,23 +72,6 @@ pub trait InferenceEngine: Send + Sync {
         inputs: &[Self::Request],
         seqs: &[u64],
     ) -> Result<Vec<Self::Response>, PfError>;
-
-    /// [`InferenceEngine::infer_batch`] with span attribution: `parent` is
-    /// the dispatching worker's batch-span id, for engines that emit their
-    /// own child spans (per-stage convolution work). Must return results
-    /// **bit-identical** to `infer_batch` — tracing observes, never
-    /// perturbs. The default ignores the telemetry arguments; the server
-    /// only calls this when tracing is enabled.
-    fn infer_batch_traced(
-        &self,
-        inputs: &[Self::Request],
-        seqs: &[u64],
-        tel: &Telemetry,
-        parent: u64,
-    ) -> Result<Vec<Self::Response>, PfError> {
-        let _ = (tel, parent);
-        self.infer_batch(inputs, seqs)
-    }
 }
 
 impl<E: InferenceEngine + ?Sized> InferenceEngine for Arc<E> {
@@ -101,16 +84,6 @@ impl<E: InferenceEngine + ?Sized> InferenceEngine for Arc<E> {
         seqs: &[u64],
     ) -> Result<Vec<Self::Response>, PfError> {
         (**self).infer_batch(inputs, seqs)
-    }
-
-    fn infer_batch_traced(
-        &self,
-        inputs: &[Self::Request],
-        seqs: &[u64],
-        tel: &Telemetry,
-        parent: u64,
-    ) -> Result<Vec<Self::Response>, PfError> {
-        (**self).infer_batch_traced(inputs, seqs, tel, parent)
     }
 }
 
@@ -698,10 +671,12 @@ fn dispatch<E: InferenceEngine>(shared: &Shared<E>, batch: Vec<Request<E::Reques
                 Some((root, req)) => tel.span_with_parent("batch", "serve", root, req),
                 None => tel.span("batch", "serve"),
             };
-            let parent = batch_span.id();
-            shared
-                .engine
-                .infer_batch_traced(&inputs, &seqs, tel, parent)
+            // The engine's call becomes an `infer` span under the batch,
+            // with per-stage children synthesized from the stage counters
+            // its convolutions advanced.
+            staged_span(tel, "infer", batch_span.id(), || {
+                shared.engine.infer_batch(&inputs, &seqs)
+            })
         } else {
             shared.engine.infer_batch(&inputs, &seqs)
         }

@@ -62,7 +62,6 @@ proptest! {
                 batch_timeout: Duration::ZERO,
                 queue_depth: 64,
                 workers,
-                scaling_hint: None,
             },
         ).unwrap();
 

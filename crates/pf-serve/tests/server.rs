@@ -118,7 +118,6 @@ fn quick_config() -> ServeConfig {
         batch_timeout: Duration::from_micros(500),
         queue_depth: 64,
         workers: 1,
-        scaling_hint: None,
     }
 }
 
@@ -174,7 +173,6 @@ fn overload_is_deterministic_and_explicit() {
         batch_timeout: Duration::ZERO,
         queue_depth: 2,
         workers: 1,
-        scaling_hint: None,
     };
     let server = Server::new(Arc::clone(&engine), config).unwrap();
 
@@ -217,7 +215,6 @@ fn batcher_forms_micro_batches_up_to_max_batch() {
         batch_timeout: Duration::from_millis(5),
         queue_depth: 64,
         workers: 1,
-        scaling_hint: None,
     };
     let server = Server::new(Arc::clone(&engine), config).unwrap();
 
@@ -358,7 +355,6 @@ fn expired_requests_are_never_dispatched() {
         batch_timeout: Duration::ZERO,
         queue_depth: 16,
         workers: 1,
-        scaling_hint: None,
     };
     let server = Server::new(Arc::clone(&engine), config).unwrap();
 
@@ -410,7 +406,6 @@ fn abandoned_tickets_are_cancelled_not_failed() {
         batch_timeout: Duration::ZERO,
         queue_depth: 16,
         workers: 1,
-        scaling_hint: None,
     };
     let server = Server::new(Arc::clone(&engine), config).unwrap();
 

@@ -1,6 +1,5 @@
 //! Unified observability for the PhotoFourier serving stack: a lock-light
-//! metric registry (counters, gauges, log-bucketed latency histograms), a
-//! span recorder with Chrome-trace and text-tree exporters, and the
+//! metric registry (counters, gauges), a span recorder with Chrome-trace and text-tree exporters, and the
 //! request-id plumbing that lets one serving request yield one coherent
 //! span tree from router admission down to per-stage convolution work.
 //!
@@ -47,9 +46,7 @@ mod spans;
 mod stopwatch;
 
 pub use export::{chrome_trace, text_tree, validate_chrome_trace, TraceStats};
-pub use metrics::{
-    bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot, BUCKETS,
-};
+pub use metrics::{Counter, Gauge};
 pub use snapshot::{MetricsSnapshot, StageTotals};
 pub use spans::{request_track, SpanEvent, REQ_TRACK_BASE};
 pub use stopwatch::{StageAcc, Stopwatch};
@@ -245,14 +242,6 @@ impl Telemetry {
         }
     }
 
-    /// The latency histogram `name` (scoped by this handle's prefix).
-    pub fn histogram(&self, name: &str) -> Histogram {
-        match &self.inner {
-            Some(inner) => Histogram(Some(inner.registry.histogram(&self.scoped(name)))),
-            None => Histogram::noop(),
-        }
-    }
-
     /// Accumulates `elapsed` into `stage`'s fixed slot (wait-free, no
     /// lookup — safe on the per-conv hot path).
     pub fn stage_add(&self, stage: Stage, elapsed: Duration) {
@@ -432,7 +421,6 @@ impl Telemetry {
             Some(inner) => MetricsSnapshot {
                 counters: inner.registry.counter_values(),
                 gauges: inner.registry.gauge_values(),
-                histograms: inner.registry.histogram_values(),
                 stages: self.stage_totals(),
                 spans_recorded: inner.recorder.recorded(),
                 spans_dropped: inner.recorder.dropped(),
@@ -452,6 +440,66 @@ impl Telemetry {
     pub fn text_tree(&self) -> String {
         text_tree(&self.spans())
     }
+}
+
+/// Runs `f` under a synthesized `name` span parented at `parent` (for the
+/// serving path: the dispatching worker's batch span), then attributes the
+/// interval across the four JTC stages from the registry's stage-counter
+/// deltas: each stage that ran gets a child span laid out sequentially in
+/// pipeline order with its measured duration (scaled down proportionally
+/// if concurrent work inflated the deltas past the wall interval). With a
+/// disabled handle it is just `f()`.
+///
+/// The attribution is synthesized, not measured per-span — the per-conv
+/// hot path records only two striped counter adds — so overlapping
+/// batches on other workers can bleed into each other's stage shares;
+/// totals across the whole trace remain exact.
+pub fn staged_span<R>(
+    tel: &Telemetry,
+    name: &'static str,
+    parent: u64,
+    f: impl FnOnce() -> R,
+) -> R {
+    if !tel.is_enabled() {
+        return f();
+    }
+    let before = tel.stage_totals();
+    let start = Instant::now();
+    let out = f();
+    let end = Instant::now();
+    let delta = tel.stage_totals().delta_since(&before);
+    let span_id = tel.alloc_span_id();
+    let track = thread_track();
+    tel.record_span(span_id, name, "session", track, start, end, parent, 0);
+    let wall_ns = end.saturating_duration_since(start).as_nanos() as u64;
+    let total_ns = delta.total_ns();
+    if total_ns > 0 && wall_ns > 0 {
+        let scale = if total_ns > wall_ns {
+            wall_ns as f64 / total_ns as f64
+        } else {
+            1.0
+        };
+        let mut cursor = start;
+        for stage in Stage::ALL {
+            let ns = (delta.stage_ns(stage) as f64 * scale) as u64;
+            if ns == 0 {
+                continue;
+            }
+            let stage_end = cursor + Duration::from_nanos(ns);
+            tel.record_span(
+                tel.alloc_span_id(),
+                stage.name(),
+                "stage",
+                track,
+                cursor,
+                stage_end,
+                span_id,
+                0,
+            );
+            cursor = stage_end;
+        }
+    }
+    out
 }
 
 /// An open span: records its interval on drop. Returned by
@@ -529,7 +577,6 @@ mod tests {
         assert!(!tel.is_enabled());
         tel.counter("x").inc();
         tel.gauge("y").set(3);
-        tel.histogram("z").record_ns(5);
         tel.stage_add(Stage::Inverse, Duration::from_nanos(7));
         assert_eq!(tel.next_request_id(), 0);
         assert_eq!(tel.alloc_span_id(), 0);

@@ -1,7 +1,7 @@
-//! Lock-light metric primitives: striped monotonic counters, gauges, and
-//! log-bucketed latency histograms, plus the name → cell registry.
+//! Lock-light metric primitives: striped monotonic counters and gauges,
+//! plus the name → cell registry.
 //!
-//! The hot path (a `Counter::add` or `Histogram::record`) is wait-free: one
+//! The hot path (a `Counter::add`) is wait-free: one
 //! relaxed `fetch_add` on an atomic chosen by a cached per-thread slot.
 //! Locks appear only at wiring time (name lookup) and on snapshot.
 
@@ -9,21 +9,13 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 /// Stripes per counter cell. Threads hash onto stripes by a stable
 /// per-thread slot, so two busy threads rarely contend on one cache line;
 /// `value()` sums the stripes.
 pub(crate) const STRIPES: usize = 16;
-
-/// Log2 buckets per histogram: bucket `i` holds values whose bit length is
-/// `i` (i.e. `2^(i-1) ..= 2^i - 1` nanoseconds), with bucket 0 for zero and
-/// bucket 63 absorbing everything of bit length ≥ 63. 63 bits of
-/// nanoseconds is ~292 years, comfortably past any latency we can record.
-pub const BUCKETS: usize = 64;
 
 static NEXT_THREAD_SLOT: AtomicUsize = AtomicUsize::new(0);
 
@@ -169,165 +161,11 @@ impl fmt::Debug for Gauge {
     }
 }
 
-/// The bucket a nanosecond value lands in: its bit length, clamped to the
-/// last bucket. Zero lands in bucket 0.
-pub fn bucket_index(ns: u64) -> usize {
-    (64 - ns.leading_zeros() as usize).min(BUCKETS - 1)
-}
-
-/// The largest value bucket `i` can hold: `2^i - 1`, saturating at
-/// `u64::MAX` for the final bucket. Quantiles report this bound, so a
-/// histogram quantile is never below the exact sample quantile and less
-/// than 2x above it (see the quantile accuracy proptest).
-pub fn bucket_upper_bound(i: usize) -> u64 {
-    if i >= BUCKETS - 1 {
-        u64::MAX
-    } else {
-        (1u64 << i) - 1
-    }
-}
-
-/// Shared storage behind a [`Histogram`] handle.
-pub(crate) struct HistogramCell {
-    buckets: [AtomicU64; BUCKETS],
-    sum_ns: AtomicU64,
-}
-
-impl HistogramCell {
-    pub(crate) fn new() -> Self {
-        Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum_ns: AtomicU64::new(0),
-        }
-    }
-
-    pub(crate) fn record_ns(&self, ns: u64) {
-        self.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    pub(crate) fn snapshot(&self, name: &str) -> HistogramSnapshot {
-        let buckets: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        HistogramSnapshot {
-            name: name.to_string(),
-            count: buckets.iter().sum(),
-            sum_ns: self.sum_ns.load(Ordering::Relaxed),
-            buckets,
-        }
-    }
-}
-
-/// A log-bucketed latency histogram handle. Cheap to clone; no-op when the
-/// registry is disabled.
-#[derive(Clone, Default)]
-pub struct Histogram(pub(crate) Option<Arc<HistogramCell>>);
-
-impl Histogram {
-    /// A handle that records nothing.
-    pub fn noop() -> Self {
-        Self(None)
-    }
-
-    /// Records one observation of `ns` nanoseconds.
-    pub fn record_ns(&self, ns: u64) {
-        if let Some(cell) = &self.0 {
-            cell.record_ns(ns);
-        }
-    }
-
-    /// Records one observation of a duration.
-    pub fn record(&self, d: Duration) {
-        self.record_ns(d.as_nanos().min(u128::from(u64::MAX)) as u64);
-    }
-
-    /// A copy of the current bucket contents under `name`.
-    pub fn snapshot(&self, name: &str) -> HistogramSnapshot {
-        match &self.0 {
-            Some(cell) => cell.snapshot(name),
-            None => HistogramSnapshot {
-                name: name.to_string(),
-                ..HistogramSnapshot::default()
-            },
-        }
-    }
-}
-
-impl fmt::Debug for Histogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Histogram")
-            .field("count", &self.snapshot("").count)
-            .finish()
-    }
-}
-
-/// A point-in-time copy of one histogram's buckets, with quantile
-/// extraction. Serializable for BENCH reports.
-#[derive(Serialize, Deserialize, Clone, Debug, Default, PartialEq)]
-pub struct HistogramSnapshot {
-    /// Fully-qualified metric name.
-    pub name: String,
-    /// Total observations.
-    pub count: u64,
-    /// Sum of all observed nanoseconds (for the mean).
-    pub sum_ns: u64,
-    /// Per-bucket observation counts (index = bit length of the value).
-    pub buckets: Vec<u64>,
-}
-
-impl HistogramSnapshot {
-    /// The nearest-rank `q`-quantile in nanoseconds, reported as the upper
-    /// bound of the bucket holding that rank: at least the exact sample
-    /// quantile and less than 2x above it. Returns 0 on an empty histogram.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return bucket_upper_bound(i);
-            }
-        }
-        bucket_upper_bound(BUCKETS - 1)
-    }
-
-    /// p50 in milliseconds.
-    pub fn p50_ms(&self) -> f64 {
-        self.quantile_ns(0.50) as f64 / 1e6
-    }
-
-    /// p95 in milliseconds.
-    pub fn p95_ms(&self) -> f64 {
-        self.quantile_ns(0.95) as f64 / 1e6
-    }
-
-    /// p99 in milliseconds.
-    pub fn p99_ms(&self) -> f64 {
-        self.quantile_ns(0.99) as f64 / 1e6
-    }
-
-    /// Mean observation in milliseconds (0 on an empty histogram).
-    pub fn mean_ms(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / self.count as f64 / 1e6
-        }
-    }
-}
-
 /// The name → cell registry. Lookups (wiring time) and snapshots lock; the
 /// handles they return do not.
 pub(crate) struct Registry {
     counters: Mutex<HashMap<String, Arc<CounterCell>>>,
     gauges: Mutex<HashMap<String, Arc<GaugeCell>>>,
-    histograms: Mutex<HashMap<String, Arc<HistogramCell>>>,
 }
 
 impl Registry {
@@ -335,7 +173,6 @@ impl Registry {
         Self {
             counters: Mutex::new(HashMap::new()),
             gauges: Mutex::new(HashMap::new()),
-            histograms: Mutex::new(HashMap::new()),
         }
     }
 
@@ -357,18 +194,6 @@ impl Registry {
             Some(cell) => Arc::clone(cell),
             None => {
                 let cell = Arc::new(GaugeCell::new());
-                map.insert(name.to_string(), Arc::clone(&cell));
-                cell
-            }
-        }
-    }
-
-    pub(crate) fn histogram(&self, name: &str) -> Arc<HistogramCell> {
-        let mut map = self.histograms.lock();
-        match map.get(name) {
-            Some(cell) => Arc::clone(cell),
-            None => {
-                let cell = Arc::new(HistogramCell::new());
                 map.insert(name.to_string(), Arc::clone(&cell));
                 cell
             }
@@ -398,41 +223,11 @@ impl Registry {
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }
-
-    /// All histograms as name-sorted snapshots.
-    pub(crate) fn histogram_values(&self) -> Vec<HistogramSnapshot> {
-        let mut out: Vec<HistogramSnapshot> = self
-            .histograms
-            .lock()
-            .iter()
-            .map(|(name, cell)| cell.snapshot(name))
-            .collect();
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bucket_bounds_cover_the_u64_range() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3);
-        assert_eq!(bucket_index(u64::MAX), BUCKETS - 1);
-        for i in 0..BUCKETS {
-            // Every bucket's upper bound maps back into a bucket <= i.
-            assert!(bucket_index(bucket_upper_bound(i)) <= i.max(1));
-        }
-        assert_eq!(bucket_upper_bound(0), 0);
-        assert_eq!(bucket_upper_bound(1), 1);
-        assert_eq!(bucket_upper_bound(10), 1023);
-        assert_eq!(bucket_upper_bound(BUCKETS - 1), u64::MAX);
-    }
 
     #[test]
     fn counters_sum_across_threads() {
@@ -477,29 +272,5 @@ mod tests {
         let gauge = Gauge::noop();
         gauge.set(7);
         assert_eq!(gauge.value(), 0);
-        let histogram = Histogram::noop();
-        histogram.record_ns(100);
-        assert_eq!(histogram.snapshot("x").count, 0);
-    }
-
-    #[test]
-    fn histogram_quantiles_walk_buckets() {
-        let registry = Registry::new();
-        let h = Histogram(Some(registry.histogram("t.lat")));
-        // 9 samples at ~100ns, 1 at ~1ms: p50 bounds 100, p99 bounds 1e6.
-        for _ in 0..9 {
-            h.record_ns(100);
-        }
-        h.record_ns(1_000_000);
-        let snap = h.snapshot("t.lat");
-        assert_eq!(snap.count, 10);
-        let p50 = snap.quantile_ns(0.50);
-        assert!((100..200).contains(&p50), "p50 bound {p50}");
-        let p99 = snap.quantile_ns(0.99);
-        assert!((1_000_000..2_000_000).contains(&p99), "p99 bound {p99}");
-        assert!(snap.mean_ms() > 0.0);
-        // Empty histograms answer zero everywhere.
-        assert_eq!(HistogramSnapshot::default().quantile_ns(0.99), 0);
-        assert_eq!(HistogramSnapshot::default().mean_ms(), 0.0);
     }
 }

@@ -3,7 +3,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::metrics::HistogramSnapshot;
 use crate::Stage;
 
 /// Accumulated per-stage convolution time (the fixed-slot stage counters;
@@ -52,8 +51,6 @@ pub struct MetricsSnapshot {
     pub counters: Vec<(String, u64)>,
     /// Gauges, name-sorted.
     pub gauges: Vec<(String, u64)>,
-    /// Latency histograms, name-sorted.
-    pub histograms: Vec<HistogramSnapshot>,
     /// Fixed-slot per-stage convolution totals.
     pub stages: StageTotals,
     /// Spans ever recorded (retained + dropped).
@@ -73,16 +70,10 @@ impl MetricsSnapshot {
         lookup(&self.gauges, name)
     }
 
-    /// The histogram named `name`, if recorded.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.iter().find(|h| h.name == name)
-    }
-
     /// The counter-delta view `self - prev`: counters, stage totals and
     /// span tallies subtract (saturating, and counters absent from `prev`
-    /// keep their full value); gauges and histograms keep the current
-    /// state, since they describe levels and distributions rather than
-    /// rates.
+    /// keep their full value); gauges keep the current state, since they
+    /// describe levels rather than rates.
     pub fn delta_since(&self, prev: &MetricsSnapshot) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: self
@@ -91,7 +82,6 @@ impl MetricsSnapshot {
                 .map(|(name, v)| (name.clone(), v.saturating_sub(lookup(&prev.counters, name))))
                 .collect(),
             gauges: self.gauges.clone(),
-            histograms: self.histograms.clone(),
             stages: self.stages.delta_since(&prev.stages),
             spans_recorded: self.spans_recorded.saturating_sub(prev.spans_recorded),
             spans_dropped: self.spans_dropped.saturating_sub(prev.spans_dropped),
@@ -173,12 +163,6 @@ mod tests {
         let snap = MetricsSnapshot {
             counters: vec![("serve.submitted".into(), 12)],
             gauges: vec![("serve.queue_high_water".into(), 4)],
-            histograms: vec![HistogramSnapshot {
-                name: "serve.latency".into(),
-                count: 2,
-                sum_ns: 300,
-                buckets: vec![0, 1, 1],
-            }],
             stages: StageTotals {
                 ns: [1, 2, 3, 4],
                 calls: [1, 1, 1, 1],
@@ -190,6 +174,5 @@ mod tests {
         let back: MetricsSnapshot = serde_json::from_str(&text).unwrap();
         assert_eq!(back, snap);
         assert_eq!(back.stages.total_ns(), 10);
-        assert_eq!(back.histogram("serve.latency").unwrap().count, 2);
     }
 }

@@ -69,9 +69,11 @@
 //!   bit-identical to the serial output. Engines that report
 //!   [`Conv1dEngine::is_deterministic`] `== false` (optical sensing noise)
 //!   are always driven serially so their noise streams stay reproducible.
-//!   The grain is a per-call choice: [`TiledConvolver::at`] hands out a
-//!   borrowed view of one convolver (same engine, same prepared-kernel
-//!   cache, same telemetry) at another [`ParallelGrain`];
+//!   Tiles fan out only when this call is the outermost parallel region:
+//!   the gate reads the pool width, and on a worker of somebody else's
+//!   region (a batch fanned out across images, a sweep across grid points)
+//!   the pool answers 1, so nested tiles take the serial fast path without
+//!   any caller having to say so;
 //! * per-call tallies (tiles, 1D convolutions, spectrum reuse, kernel
 //!   preparations) are flushed into the `tiling.*` counters of the attached
 //!   [`Telemetry`] handle; read them from a snapshot (`docs/PERFORMANCE.md`
@@ -109,61 +111,24 @@ pub enum EdgeHandling {
     ZeroPad,
 }
 
-/// Which grain of parallelism a tiled execution uses.
+/// Whether a convolver may fan its tiles out across the pool.
 ///
 /// The tiling layer only ever parallelises over *tiles* — rows of one
-/// image's joint plane. Batch callers (the facade `Session`, `pf-nn`'s
-/// `TiledExecutor`) can instead parallelise over *images* and drive each
-/// convolver serially. The two grains are bit-identical (every tile is a
-/// pure function of its inputs and results are collected in input order);
-/// they differ only in throughput, and the crossover depends on batch size
-/// versus pool width — see `docs/PERFORMANCE.md`, "Reading the scaling
-/// curves".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+/// image's joint plane — and only when it is the outermost parallel
+/// region: inside somebody else's region the pool width is 1 and tiles run
+/// serially whatever the grain says (see `docs/PERFORMANCE.md`, "Reading
+/// the scaling curves"). Both values are bit-identical (every tile is a
+/// pure function of its inputs and results are collected in input order).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ParallelGrain {
-    /// Pick per call: batch callers go image-grain when the batch alone can
-    /// fill the pool (`images >= threads`), tile-grain otherwise; a lone
-    /// convolver behaves like [`ParallelGrain::Tile`] gated by the engine's
-    /// cost hint ([`Conv1dEngine::prefers_parallel_tiles`]).
+    /// Tiles fan out when the engine's cost hint asks for it
+    /// ([`Conv1dEngine::prefers_parallel_tiles`]) and the pool has threads
+    /// to give.
     #[default]
     Auto,
-    /// Parallelise across images of a batch; tiles within each image run
-    /// serially. The right grain when the batch is at least as wide as the
-    /// pool — no fork/join inside each image.
+    /// Tiles always run serially — the pinned serial reference of tests
+    /// and of the benchmark's mirror.
     Image,
-    /// Parallelise across tiles within each image; images of a batch run
-    /// serially. The right grain for small batches of large images, where
-    /// image-grain work would leave most of the pool idle. Overrides the
-    /// engine's cost hint (an explicit request), but never its determinism
-    /// gate — stochastic engines always run serially.
-    Tile,
-}
-
-impl ParallelGrain {
-    /// Stable lower-case name, used in reports and on the `perf` CLI.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ParallelGrain::Auto => "auto",
-            ParallelGrain::Image => "image",
-            ParallelGrain::Tile => "tile",
-        }
-    }
-
-    /// Parses a lower-case name (inverse of [`ParallelGrain::name`]).
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "auto" => Some(ParallelGrain::Auto),
-            "image" => Some(ParallelGrain::Image),
-            "tile" => Some(ParallelGrain::Tile),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for ParallelGrain {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
 }
 
 /// Entry bound shared by the prepared-kernel cache and the per-call signal
@@ -238,9 +203,9 @@ pub struct TiledConvolver<E> {
     engine: E,
     n_conv: usize,
     grain: ParallelGrain,
-    /// Prepared kernels shared across [`TiledConvolver::at`] views (and
-    /// therefore across a whole batch): `None` entries record that the
-    /// engine declined to prepare.
+    /// Prepared kernels shared across [`TiledConvolver::on`] views (and
+    /// therefore across the seeded requests of a session): `None` entries
+    /// record that the engine declined to prepare.
     prep_cache: Arc<Mutex<PrepMap>>,
     /// Observability handle: disabled by default (zero-cost no-op path).
     /// When enabled, 1D convolutions run through the traced engine variants
@@ -317,27 +282,12 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         self
     }
 
-    /// Sets the parallelism grain. At the convolver level
-    /// [`ParallelGrain::Image`] means "serial tiles — my caller owns the
-    /// threads", [`ParallelGrain::Tile`] forces tile dispatch even on
-    /// engines whose cost hint declines it, and [`ParallelGrain::Auto`]
-    /// (the default) leaves the decision to the engine's hint. All grains
-    /// produce bit-identical results.
+    /// Sets the parallelism grain: [`ParallelGrain::Image`] pins tiles
+    /// serial, [`ParallelGrain::Auto`] (the default) leaves the decision to
+    /// the engine's hint and the pool. Both produce bit-identical results.
     pub fn with_grain(mut self, grain: ParallelGrain) -> Self {
         self.grain = grain;
         self
-    }
-
-    /// A borrowed view of this convolver running at `grain`: the same
-    /// engine (by reference), the same prepared-kernel cache and the same
-    /// telemetry handle, so a caller that resolves its grain per call (the
-    /// facade `Session`) holds one convolver instead of one per grain. Costs
-    /// a few reference-count bumps.
-    pub fn at(&self, grain: ParallelGrain) -> TiledConvolver<&E> {
-        TiledConvolver {
-            grain,
-            ..self.view(&self.engine)
-        }
     }
 
     /// A view of this convolver driving **another engine** — same capacity,
@@ -354,24 +304,14 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
     /// capacity exceeds `engine`'s maximum signal length.
     pub fn on<F: Conv1dEngine>(&self, engine: F) -> Result<TiledConvolver<F>, TilingError> {
         check_capacity(&engine, self.n_conv)?;
-        Ok(self.view(engine))
-    }
-
-    /// The shared body of [`TiledConvolver::at`] and [`TiledConvolver::on`].
-    fn view<F>(&self, engine: F) -> TiledConvolver<F> {
-        TiledConvolver {
+        Ok(TiledConvolver {
             engine,
             n_conv: self.n_conv,
             grain: self.grain,
             prep_cache: Arc::clone(&self.prep_cache),
             telemetry: self.telemetry.clone(),
             counters: self.counters.clone(),
-        }
-    }
-
-    /// The configured parallelism grain.
-    pub fn grain(&self) -> ParallelGrain {
-        self.grain
+        })
     }
 
     /// A reference to the underlying backend.
@@ -795,21 +735,17 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
 
     /// Whether this call would actually fan work out across threads.
     fn parallel_active(&self, items: usize) -> bool {
-        // Four gates: the configured grain, determinism (noise streams
-        // must keep their serial order), the pool (on a 1-wide pool the
-        // collect-based parallel branches would run inline anyway, minus
-        // the serial path's buffer reuse and batched transform pre-pass),
-        // and — under `Auto` — the engine's own cost hint: the vendored
+        // Four gates: the grain, the engine's own cost hint (the vendored
         // rayon spawns scoped threads per call, so parallelising
-        // memory-bound dot-product tiles would lose outright. An explicit
-        // `Tile` grain overrides the cost hint (the caller asked to measure
-        // exactly that), never the other gates.
-        let grain_allows = match self.grain {
-            ParallelGrain::Image => false,
-            ParallelGrain::Tile => true,
-            ParallelGrain::Auto => self.engine.prefers_parallel_tiles(),
-        };
-        grain_allows
+        // memory-bound dot-product tiles would lose outright), determinism
+        // (noise streams must keep their serial order) and the pool. The
+        // pool gate is also what keeps parallel regions from nesting: a
+        // worker of an outer region reads a width of 1 here. On a 1-wide
+        // pool the collect-based parallel branches would run inline anyway,
+        // minus the serial path's buffer reuse and batched transform
+        // pre-pass.
+        self.grain == ParallelGrain::Auto
+            && self.engine.prefers_parallel_tiles()
             && items > 1
             && self.engine.is_deterministic()
             && rayon::current_num_threads() > 1
@@ -1275,6 +1211,31 @@ mod tests {
         TiledConvolver::new(DigitalEngine, n_conv).unwrap()
     }
 
+    /// Digital maths with the cost hint of an FFT-backed engine: the one
+    /// way to reach the parallel tile branches without the optics.
+    #[derive(Debug)]
+    struct Hinted;
+
+    impl Conv1dEngine for Hinted {
+        fn correlate_valid(&self, signal: &[f64], kernel: &[f64]) -> Vec<f64> {
+            DigitalEngine.correlate_valid(signal, kernel)
+        }
+        fn prefers_parallel_tiles(&self) -> bool {
+            true
+        }
+    }
+
+    fn hinted(n_conv: usize) -> TiledConvolver<Hinted> {
+        TiledConvolver::new(Hinted, n_conv).unwrap()
+    }
+
+    fn pool(width: usize) -> rayon::ThreadPool {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(width)
+            .build()
+            .unwrap()
+    }
+
     /// The `tiling.*` tallies a call flushed into `tel`, as
     /// `[tiles, convs_1d, spectrum_hits, spectrum_misses]` since `before`.
     fn tallies(tel: &Telemetry, before: &pf_telemetry::MetricsSnapshot) -> [u64; 4] {
@@ -1309,7 +1270,7 @@ mod tests {
     fn constructor_validation() {
         assert!(TiledConvolver::new(DigitalEngine, 0).is_err());
         assert!(TiledConvolver::new(DigitalEngine, 256).is_ok());
-        assert_eq!(convolver(256).grain(), ParallelGrain::Auto);
+        assert_eq!(convolver(256).grain, ParallelGrain::Auto);
     }
 
     #[test]
@@ -1470,90 +1431,44 @@ mod tests {
     }
 
     #[test]
-    fn grain_names_round_trip() {
-        for grain in [
-            ParallelGrain::Auto,
-            ParallelGrain::Image,
-            ParallelGrain::Tile,
-        ] {
-            assert_eq!(ParallelGrain::from_name(grain.name()), Some(grain));
-            assert_eq!(format!("{grain}"), grain.name());
-        }
-        assert_eq!(ParallelGrain::from_name("rows"), None);
-        assert_eq!(ParallelGrain::default(), ParallelGrain::Auto);
-    }
-
-    #[test]
     fn grain_gates_parallel_dispatch() {
-        let pool = |width| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(width)
-                .build()
-                .unwrap()
-        };
-        let c = convolver(256);
-        assert_eq!(c.grain(), ParallelGrain::Auto);
-        let tile = c.at(ParallelGrain::Tile);
-        let image = c.at(ParallelGrain::Image);
-        assert_eq!(tile.grain(), ParallelGrain::Tile);
-        /// Digital maths with the cost hint of an FFT-backed engine.
-        #[derive(Debug)]
-        struct Hinted;
-        impl Conv1dEngine for Hinted {
-            fn correlate_valid(&self, signal: &[f64], kernel: &[f64]) -> Vec<f64> {
-                DigitalEngine.correlate_valid(signal, kernel)
-            }
-            fn prefers_parallel_tiles(&self) -> bool {
-                true
-            }
-        }
-        let hinted = TiledConvolver::new(Hinted, 256).unwrap();
+        let serial = |c: TiledConvolver<Hinted>| c.with_grain(ParallelGrain::Image);
         pool(4).install(|| {
             // DigitalEngine's cost hint declines tile parallelism, so Auto
             // stays serial; an engine that asks for it gets it...
-            assert!(!c.parallel_active(8));
-            assert!(hinted.parallel_active(8));
-            // ...an explicit Tile grain overrides the hint...
-            assert!(tile.parallel_active(8));
-            assert!(!tile.parallel_active(1)); // but one tile is never fanned out
-            assert!(hinted.at(ParallelGrain::Tile).parallel_active(8));
-            // ...and Image keeps tiles serial no matter what.
-            assert!(!image.parallel_active(8));
-            assert!(!hinted.at(ParallelGrain::Image).parallel_active(8));
+            assert!(!convolver(256).parallel_active(8));
+            assert!(hinted(256).parallel_active(8));
+            assert!(!hinted(256).parallel_active(1)); // but one tile is never fanned out
+                                                      // ...and Image keeps tiles serial no matter what.
+            assert!(!serial(hinted(256)).parallel_active(8));
+            // Inside a worker of somebody else's region: never. (Two items
+            // on a 4-wide pool: each runs on a worker of its own.)
+            let nested: Vec<bool> = [(); 2]
+                .par_iter()
+                .map(|()| hinted(256).parallel_active(8))
+                .collect();
+            assert_eq!(nested, [false, false]);
         });
-        // On a 1-wide pool no grain fans out: the serial fast path (tile
-        // buffer reuse, batched transform pre-pass) is chosen at the source.
+        // On a 1-wide pool neither grain fans out: the serial fast path
+        // (tile buffer reuse, batched transform pre-pass) is chosen at the
+        // source.
         pool(1).install(|| {
-            for grain in [
-                ParallelGrain::Auto,
-                ParallelGrain::Image,
-                ParallelGrain::Tile,
-            ] {
-                assert!(!c.at(grain).parallel_active(8), "{grain}");
-                assert!(!hinted.at(grain).parallel_active(8), "{grain}");
-            }
+            assert!(!hinted(256).parallel_active(8));
+            assert!(!serial(hinted(256)).parallel_active(8));
         });
     }
 
     #[test]
-    fn tile_grain_is_bit_identical_to_serial_at_several_pool_widths() {
+    fn parallel_tiles_are_bit_identical_to_serial_at_several_pool_widths() {
         let input = random_matrix(24, 24, 95);
         let kernel = random_matrix(3, 3, 96);
-        let ser = convolver(64)
+        let ser = hinted(64)
             .with_grain(ParallelGrain::Image)
             .correlate2d_valid(&input, &kernel)
             .unwrap();
         for width in [1usize, 2, 4] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(width)
-                .build()
-                .unwrap();
-            let par = pool
-                .install(|| {
-                    convolver(64)
-                        .with_grain(ParallelGrain::Tile)
-                        .correlate2d_valid(&input, &kernel)
-                })
+            let par = pool(width)
+                .install(|| hinted(64).correlate2d_valid(&input, &kernel))
                 .unwrap();
             for (a, b) in par.data().iter().zip(ser.data()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "divergence at pool width {width}");
@@ -1570,20 +1485,22 @@ mod tests {
         ] {
             let input = random_matrix(rows, cols, seed);
             let kernel = random_matrix(k, k, seed + 500);
-            let par = convolver(n_conv)
-                .correlate2d_valid(&input, &kernel)
+            let par = pool(4)
+                .install(|| hinted(n_conv).correlate2d_valid(&input, &kernel))
                 .unwrap();
-            let ser = convolver(n_conv)
+            let ser = hinted(n_conv)
                 .with_grain(ParallelGrain::Image)
                 .correlate2d_valid(&input, &kernel)
                 .unwrap();
             for (a, b) in par.data().iter().zip(ser.data()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "parallel/serial divergence");
             }
-            let par = convolver(n_conv)
-                .correlate2d_same(&input, &kernel, EdgeHandling::Wraparound)
+            let par = pool(4)
+                .install(|| {
+                    hinted(n_conv).correlate2d_same(&input, &kernel, EdgeHandling::Wraparound)
+                })
                 .unwrap();
-            let ser = convolver(n_conv)
+            let ser = hinted(n_conv)
                 .with_grain(ParallelGrain::Image)
                 .correlate2d_same(&input, &kernel, EdgeHandling::Wraparound)
                 .unwrap();
@@ -1944,38 +1861,6 @@ mod tests {
             scratch.lock().kernel_prepares,
             prepares.load(std::sync::atomic::Ordering::Relaxed)
         );
-    }
-
-    #[test]
-    fn prep_cache_is_shared_across_grain_views() {
-        let engine = CountingPrepEngine::default();
-        let prepares = Arc::clone(&engine.prepares);
-        let original = TiledConvolver::new(engine, 20).unwrap();
-        let view = original.at(ParallelGrain::Tile);
-
-        let input = random_matrix(5, 5, 1);
-        let kernel = random_matrix(3, 3, 2);
-        let a = original.correlate2d_valid(&input, &kernel).unwrap();
-        let after_first = prepares.load(std::sync::atomic::Ordering::Relaxed);
-        assert!(after_first >= 1);
-
-        // The view reuses the original's prepared kernel: no new
-        // preparations, identical bits out.
-        let b = view.correlate2d_valid(&input, &kernel).unwrap();
-        assert_eq!(
-            prepares.load(std::sync::atomic::Ordering::Relaxed),
-            after_first,
-            "view must hit the shared cache"
-        );
-        for (x, y) in a.data().iter().zip(b.data()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        // One shared cache, not two copies. (Lengths read one at a time:
-        // both handles hold the *same* mutex.)
-        let original_len = original.prep_cache.lock().len();
-        let view_len = view.prep_cache.lock().len();
-        assert_eq!(original_len, view_len);
-        assert!(Arc::ptr_eq(&original.prep_cache, &view.prep_cache));
     }
 
     /// A backend with no prepared fast path at all (the trait defaults).

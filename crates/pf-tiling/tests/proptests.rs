@@ -139,6 +139,12 @@ impl Conv1dEngine for BatchSharingDigital {
         correlate1d(signal, kernel, PaddingMode::Valid)
     }
 
+    fn prefers_parallel_tiles(&self) -> bool {
+        // Opt in so the default grain reaches the parallel (non-seeding)
+        // branches on a wide pool.
+        true
+    }
+
     fn prepares_kernels(&self) -> bool {
         true
     }
@@ -329,10 +335,11 @@ proptest! {
         n_conv in 3usize..200,
         seed in 0u64..1000,
     ) {
-        // The grain knob steers *where* parallelism happens, never *what*
-        // is computed: every grain, under scoped pools of width 1, 2 and 4,
+        // The grain steers *whether* tiles fan out, never *what* is
+        // computed: both grains, under scoped pools of width 1, 2 and 4,
         // must reproduce the serial image-grain result bit for bit — with
-        // both a preparation-declining and a kernel-preparing engine.
+        // both a preparation-declining engine (serial by its cost hint) and
+        // a kernel-preparing one that asks for parallel tiles.
         let ksize = 2 * k + 1;
         prop_assume!(ksize <= rows && ksize <= cols && n_conv >= ksize);
         let input = lcg_matrix(rows, cols, seed);
@@ -346,7 +353,7 @@ proptest! {
             .correlate2d_valid(&input, &kernel).unwrap();
         for width in [1usize, 2, 4] {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap();
-            for grain in [ParallelGrain::Auto, ParallelGrain::Image, ParallelGrain::Tile] {
+            for grain in [ParallelGrain::Auto, ParallelGrain::Image] {
                 let prep = TiledConvolver::new(PreparingDigital, n_conv).unwrap()
                     .with_grain(grain);
                 let out = pool.install(|| prep.correlate2d_valid(&input, &kernel)).unwrap();
@@ -434,7 +441,7 @@ proptest! {
         // every grain and pool width.
         for width in [1usize, 2, 4] {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap();
-            for grain in [ParallelGrain::Auto, ParallelGrain::Image, ParallelGrain::Tile] {
+            for grain in [ParallelGrain::Auto, ParallelGrain::Image] {
                 let c = TiledConvolver::new(BatchSharingDigital, n_conv).unwrap()
                     .with_grain(grain);
                 let outs = pool

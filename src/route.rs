@@ -217,19 +217,6 @@ impl InferenceEngine for ModelShardEngine {
             })
             .collect()
     }
-
-    /// [`InferenceEngine::infer_batch`] under an `infer` span with
-    /// synthesized per-stage child spans (see [`crate::serve`]). Results
-    /// are bit-identical to the untraced path.
-    fn infer_batch_traced(
-        &self,
-        inputs: &[ModelRequest],
-        seqs: &[u64],
-        tel: &Telemetry,
-        parent: u64,
-    ) -> Result<Vec<Tensor>, PfError> {
-        crate::serve::staged_span(tel, "infer", parent, || self.infer_batch(inputs, seqs))
-    }
 }
 
 impl ReplicaEngine for ModelShardEngine {

@@ -23,81 +23,16 @@
 //! # Ok::<(), photofourier::PfError>(())
 //! ```
 
-use std::time::Instant;
-
 use pf_core::{PfError, Scenario};
 use pf_nn::Tensor;
-use pf_telemetry::{thread_track, Stage, Telemetry};
+use pf_telemetry::Telemetry;
 
 pub use pf_serve::{
-    BatchBucket, InferenceEngine, LatencySummary, RequestTrace, ScalingHint, ServeConfig, Server,
-    ServerStats, Ticket,
+    BatchBucket, InferenceEngine, LatencySummary, RequestTrace, ServeConfig, Server, ServerStats,
+    Ticket,
 };
 
 use crate::session::Session;
-
-/// Runs `f` under a synthesized `name` span parented at `parent` (for the
-/// serving path: the dispatching worker's batch span), then attributes the
-/// interval across the four JTC stages from the registry's stage-counter
-/// deltas: each stage that ran gets a child span laid out sequentially in
-/// pipeline order with its measured duration (scaled down proportionally
-/// if concurrent work inflated the deltas past the wall interval).
-///
-/// The attribution is synthesized, not measured per-span — the per-conv
-/// hot path records only two striped counter adds — so overlapping
-/// batches on other workers can bleed into each other's stage shares;
-/// totals across the whole trace remain exact.
-///
-/// # Errors
-///
-/// Whatever `f` returns; the spans are recorded either way.
-pub fn staged_span<T>(
-    tel: &Telemetry,
-    name: &'static str,
-    parent: u64,
-    f: impl FnOnce() -> Result<T, PfError>,
-) -> Result<T, PfError> {
-    if !tel.is_enabled() {
-        return f();
-    }
-    let before = tel.stage_totals();
-    let start = Instant::now();
-    let out = f();
-    let end = Instant::now();
-    let delta = tel.stage_totals().delta_since(&before);
-    let infer_id = tel.alloc_span_id();
-    let track = thread_track();
-    tel.record_span(infer_id, name, "session", track, start, end, parent, 0);
-    let wall_ns = end.saturating_duration_since(start).as_nanos() as u64;
-    let total_ns = delta.total_ns();
-    if total_ns > 0 && wall_ns > 0 {
-        let scale = if total_ns > wall_ns {
-            wall_ns as f64 / total_ns as f64
-        } else {
-            1.0
-        };
-        let mut cursor = start;
-        for stage in Stage::ALL {
-            let ns = (delta.stage_ns(stage) as f64 * scale) as u64;
-            if ns == 0 {
-                continue;
-            }
-            let stage_end = cursor + std::time::Duration::from_nanos(ns);
-            tel.record_span(
-                tel.alloc_span_id(),
-                stage.name(),
-                "stage",
-                track,
-                cursor,
-                stage_end,
-                infer_id,
-                0,
-            );
-            cursor = stage_end;
-        }
-    }
-    out
-}
 
 /// A [`pf_serve::Server`] whose engine is a facade [`Session`].
 pub type SessionServer = Server<Session>;
@@ -125,19 +60,6 @@ impl InferenceEngine for Session {
         } else {
             self.run_batch(inputs)
         }
-    }
-
-    /// [`InferenceEngine::infer_batch`] under an `infer` span with
-    /// synthesized per-stage child spans (see the module docs). Results
-    /// are bit-identical to the untraced path.
-    fn infer_batch_traced(
-        &self,
-        inputs: &[Tensor],
-        seqs: &[u64],
-        tel: &Telemetry,
-        parent: u64,
-    ) -> Result<Vec<Tensor>, PfError> {
-        staged_span(tel, "infer", parent, || self.infer_batch(inputs, seqs))
     }
 }
 
@@ -191,68 +113,6 @@ pub fn serve_session(session: Session, config: ServeConfig) -> Result<SessionSer
     Server::with_telemetry(session, config, telemetry)
 }
 
-/// Like [`serve_session`], but when the config auto-sizes its workers
-/// (`workers == 0`) and carries no [`ScalingHint`] yet, a calibration run
-/// measures one first ([`measured_scaling_hint`]), so the worker count is
-/// derived from the engine's *measured* parallel benefit on this host
-/// rather than from the raw core count.
-///
-/// # Errors
-///
-/// Propagates calibration, warm-up and server configuration errors.
-pub fn serve_session_calibrated(
-    session: Session,
-    mut config: ServeConfig,
-) -> Result<SessionServer, PfError> {
-    if config.workers == 0 && config.scaling_hint.is_none() {
-        config = config.with_scaling_hint(measured_scaling_hint(&session, 4)?);
-    }
-    serve_session(session, config)
-}
-
-/// Measures a [`ScalingHint`] for this session's engine on this host: one
-/// `batch`-image [`Session::run_batch`] is timed on a 1-thread scoped rayon
-/// pool and on a host-wide pool (after an untimed warm-up pass that
-/// populates the prepared-kernel cache), and the ratio is the measured
-/// speedup. The images are synthetic (the scenario's functional input
-/// shape); only wall time is observed, so the calibration leaves no trace
-/// in the session beyond a warmed cache.
-///
-/// # Errors
-///
-/// Propagates inference errors from the calibration batches.
-pub fn measured_scaling_hint(session: &Session, batch: usize) -> Result<ScalingHint, PfError> {
-    let host = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let shape = vec![
-        session.scenario().functional.input_channels,
-        session.scenario().functional.input_size,
-        session.scenario().functional.input_size,
-    ];
-    let images: Vec<Tensor> = (0..batch.max(1))
-        .map(|i| Tensor::random(shape.clone(), 0.0, 1.0, 1000 + i as u64))
-        .collect();
-    session.warmup()?;
-    let time_at = |width: usize| -> Result<f64, PfError> {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(width)
-            .build()
-            .map_err(|e| PfError::invalid_scenario(format!("thread pool: {e}")))?;
-        let start = std::time::Instant::now();
-        pool.install(|| session.run_batch(&images))?;
-        Ok(start.elapsed().as_secs_f64())
-    };
-    let _ = time_at(1)?; // untimed in effect: first pass absorbs cache fills
-    let t1 = time_at(1)?;
-    let tn = time_at(host)?;
-    let speedup = if tn > 0.0 && t1 > 0.0 { t1 / tn } else { 1.0 };
-    Ok(ScalingHint {
-        pool_threads: host,
-        speedup,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,31 +134,6 @@ mod tests {
         assert_eq!(served, session.run_inference(&image).unwrap());
         let stats = server.shutdown().unwrap();
         assert_eq!(stats.served, 1);
-    }
-
-    #[test]
-    fn calibration_measures_a_usable_hint_and_sizes_workers() {
-        let scenario = Scenario::new("calib", "resnet18", BackendSpec::jtc_ideal(256));
-        let session = Session::from_scenario(scenario.clone()).unwrap();
-        let hint = measured_scaling_hint(&session, 2).unwrap();
-        let host = std::thread::available_parallelism().unwrap().get();
-        assert_eq!(hint.pool_threads, host);
-        assert!(hint.speedup.is_finite() && hint.speedup > 0.0);
-        assert!((1..=host).contains(&hint.effective_width()));
-
-        // The calibrated server comes up, serves, and its worker count came
-        // from the hint-aware auto-sizing.
-        let config = ServeConfig {
-            workers: 0, // auto-size: calibration only applies to this mode
-            ..ServeConfig::default()
-        };
-        let server =
-            serve_session_calibrated(Session::from_scenario(scenario).unwrap(), config).unwrap();
-        let hinted = server.config().scaling_hint.expect("calibration attached");
-        assert!(hinted.speedup > 0.0);
-        let image = Tensor::random(vec![1, 16, 16], 0.0, 1.0, 21);
-        server.submit_blocking(image).unwrap();
-        assert_eq!(server.shutdown().unwrap().served, 1);
     }
 
     #[test]

@@ -13,20 +13,28 @@
 //!   architecture simulator on the scenario's network and design point.
 //!
 //! The functional side holds **one** [`TiledExecutor`] over **one**
-//! backend instance: [`Session::effective_grain`] resolves the parallelism
-//! grain per call and the call runs on a borrowed view at that grain —
-//! [`TiledExecutor::at`] for inference,
-//! [`TiledConvolver::at`](pf_tiling::TiledConvolver::at) on the executor's
-//! own convolver ([`TiledExecutor::convolver`]) for the `conv2d` paths —
-//! so one engine, one prepared-kernel cache and one telemetry
-//! handle serve every call, and on a stochastic backend `conv2d*` and
-//! unseeded [`Session::run_inference`] draw from the one session noise
-//! stream in call order. Each seeded request additionally gets its own
+//! backend instance: inference runs on the executor, the `conv2d` paths on
+//! the executor's own convolver ([`TiledExecutor::convolver`]), so one
+//! engine, one prepared-kernel cache and one telemetry handle serve every
+//! call, and on a stochastic backend `conv2d*` and unseeded
+//! [`Session::run_inference`] draw from the one session noise stream in
+//! call order. Each seeded request additionally gets its own
 //! engine, driven through a view of the same executor
 //! ([`TiledExecutor::on`]): the request owns its noise stream and shares
 //! everything deterministic, the prepared-kernel cache included. Per-call
 //! execution tallies are read from [`Session::telemetry`] snapshots
 //! (`tiling.*` counters, stage totals).
+//!
+//! Parallelism is one rule, applied at the two batch loops
+//! ([`Session::run_batch`], [`Session::conv2d_batch`]): **images fan out
+//! across the pool when the batch can fill it** (`images >=
+//! rayon::current_num_threads()`); otherwise the loop is serial and each
+//! image's tiles may fan out instead, under the engine's cost hint. The
+//! two never nest, and no caller has to arrange that: the pool gives every
+//! worker of a parallel region a width of 1 (`vendor/rayon`), so a session
+//! driven from inside somebody else's region — a sweep fanning out over
+//! grid points — runs serially on its worker. Every choice is
+//! bit-identical (`docs/PERFORMANCE.md`, "Reading the scaling curves").
 //!
 //! "Functional accuracy + analytical performance for one configuration" is
 //! therefore a two-call flow:
@@ -54,7 +62,6 @@ use pf_nn::models::small::SmallCnn;
 use pf_nn::models::NetworkSpec;
 use pf_nn::Tensor;
 use pf_telemetry::Telemetry;
-use pf_tiling::ParallelGrain;
 use rayon::prelude::*;
 
 /// Builder for [`Session`].
@@ -63,7 +70,6 @@ pub struct SessionBuilder {
     scenario: Option<Scenario>,
     backend_override: Option<BackendSpec>,
     network_override: Option<String>,
-    grain: ParallelGrain,
     telemetry: Telemetry,
 }
 
@@ -95,15 +101,6 @@ impl SessionBuilder {
     /// Overrides the scenario's network registry name.
     pub fn network(mut self, name: impl Into<String>) -> Self {
         self.network_override = Some(name.into());
-        self
-    }
-
-    /// Sets the session's parallelism grain (default
-    /// [`ParallelGrain::Auto`]): whether batch calls fan out across images
-    /// or across the tiles within each image. All grains are bit-identical;
-    /// see [`Session::effective_grain`] for how `Auto` resolves per call.
-    pub fn parallel_grain(mut self, grain: ParallelGrain) -> Self {
-        self.grain = grain;
         self
     }
 
@@ -151,7 +148,6 @@ impl SessionBuilder {
             scenario,
             network,
             backend_id,
-            grain: self.grain,
             executor,
             cnn,
             simulator,
@@ -167,12 +163,8 @@ pub struct Session {
     scenario: Scenario,
     network: NetworkSpec,
     backend_id: String,
-    /// The configured parallelism grain ([`ParallelGrain::Auto`] resolves
-    /// per call; see [`Session::effective_grain`]).
-    grain: ParallelGrain,
-    /// The executor behind every functional path: inference runs on a
-    /// per-call view of it ([`TiledExecutor::at`]), the `conv2d` paths on a
-    /// per-call view of its convolver ([`TiledExecutor::convolver`]).
+    /// The executor behind every functional path: inference runs on it,
+    /// the `conv2d` paths on its convolver ([`TiledExecutor::convolver`]).
     executor: TiledExecutor<Box<dyn Backend>>,
     cnn: SmallCnn,
     simulator: Simulator,
@@ -188,8 +180,7 @@ impl Session {
     }
 
     /// Builds a session directly from a scenario: the builder with every
-    /// other setting at its default ([`ParallelGrain::Auto`], telemetry
-    /// disabled).
+    /// other setting at its default (telemetry disabled).
     ///
     /// # Errors
     ///
@@ -215,40 +206,15 @@ impl Session {
         &self.backend_id
     }
 
-    /// The configured parallelism grain.
-    pub fn grain(&self) -> ParallelGrain {
-        self.grain
-    }
-
-    /// The grain a batch of `items` images actually runs at, resolving
-    /// [`ParallelGrain::Auto`] against the current rayon pool width: when
-    /// the batch alone can fill the pool (`items >= threads`) image-grain
-    /// wins (no fork/join inside each image); smaller batches go tile-grain
-    /// so the pool doesn't idle. Explicit grains are returned unchanged.
-    /// The returned value is never `Auto`.
-    pub fn effective_grain(&self, items: usize) -> ParallelGrain {
-        match self.grain {
-            ParallelGrain::Auto => {
-                if items >= rayon::current_num_threads() {
-                    ParallelGrain::Image
-                } else {
-                    ParallelGrain::Tile
-                }
-            }
-            explicit => explicit,
-        }
-    }
-
-    /// The grain handed to the tiling layer for a call over `items` images:
-    /// [`Session::effective_grain`]'s answer, except that a tile-grain
-    /// resolution of `Auto` stays `Auto` down there, so the engine's cost
-    /// hint still keeps memory-bound digital dot products serial. Only an
-    /// explicit `Tile` session forces tile dispatch past the hint.
-    fn tiling_grain(&self, items: usize) -> ParallelGrain {
-        match self.effective_grain(items) {
-            ParallelGrain::Image => ParallelGrain::Image,
-            _ => self.grain,
-        }
+    /// The one parallelism rule of the batch loops: a batch of `items`
+    /// images fans out across the pool exactly when it can fill it. Below
+    /// that the loop runs serially and the tiles of each image may fan out
+    /// instead (the tiling layer's gate, under the engine's cost hint). On a
+    /// 1-wide pool — and on a worker of somebody else's parallel region,
+    /// where the pool answers 1 — every batch "fills" it and the fan-out
+    /// runs inline.
+    fn images_fan_out(items: usize) -> bool {
+        items >= rayon::current_num_threads()
     }
 
     /// Whether the session backend draws random noise samples
@@ -299,8 +265,7 @@ impl Session {
     /// Returns [`PfError::Tiling`] if the kernel does not fit the input or
     /// the backend capacity.
     pub fn conv2d(&self, input: &Matrix, kernel: &Matrix) -> Result<Matrix, PfError> {
-        let convolver = self.executor.convolver().at(self.tiling_grain(1));
-        Ok(convolver.correlate2d_valid(input, kernel)?)
+        Ok(self.executor.convolver().correlate2d_valid(input, kernel)?)
     }
 
     /// Correlates one input against **many kernels of one shape** through
@@ -321,39 +286,33 @@ impl Session {
     /// Same conditions as [`Session::conv2d`], plus a [`PfError::Tiling`]
     /// error if the kernels differ in shape.
     pub fn conv2d_multi(&self, input: &Matrix, kernels: &[Matrix]) -> Result<Vec<Matrix>, PfError> {
-        let convolver = self.executor.convolver().at(self.tiling_grain(1));
-        Ok(convolver.correlate2d_valid_multi(input, kernels)?)
+        Ok(self
+            .executor
+            .convolver()
+            .correlate2d_valid_multi(input, kernels)?)
     }
 
     /// Runs one kernel over a batch of inputs through row tiling.
     ///
     /// The kernel's spectrum is prepared once (on backends with a prepared
     /// fast path) and reused across every tile of every image. One level of
-    /// parallelism, never two, at the grain picked by
-    /// [`Session::effective_grain`]: image-grain batches fan images across
-    /// the pool and run each image's tiles serially; tile-grain batches run
-    /// images sequentially while each image's tiles fan out. Results are
-    /// bit-identical either way, and identical to calling
-    /// [`Session::conv2d`] per image, in input order. Stochastic backends
-    /// always run serially through the session engine so the shared noise
-    /// stream is consumed in input order.
+    /// parallelism, never two: a batch that can fill the pool fans images
+    /// across it and each image's tiles run serially on their worker; a
+    /// smaller batch runs images sequentially while each image's tiles may
+    /// fan out. Results are bit-identical either way, and identical to
+    /// calling [`Session::conv2d`] per image, in input order. Stochastic
+    /// backends always run serially through the session engine so the
+    /// shared noise stream is consumed in input order.
     ///
     /// # Errors
     ///
     /// Returns the first per-image error in input order, if any.
     pub fn conv2d_batch(&self, inputs: &[Matrix], kernel: &Matrix) -> Result<Vec<Matrix>, PfError> {
-        let grain = self.tiling_grain(inputs.len());
-        let convolver = self.executor.convolver().at(grain);
-        if self.is_stochastic() || grain != ParallelGrain::Image {
-            return inputs
-                .iter()
-                .map(|m| Ok(convolver.correlate2d_valid(m, kernel)?))
-                .collect();
+        let conv = |input| self.conv2d(input, kernel);
+        if self.is_stochastic() || !Self::images_fan_out(inputs.len()) {
+            return inputs.iter().map(conv).collect();
         }
-        let results: Vec<Result<Matrix, PfError>> = inputs
-            .par_iter()
-            .map(|m| Ok(convolver.correlate2d_valid(m, kernel)?))
-            .collect();
+        let results: Vec<Result<Matrix, PfError>> = inputs.par_iter().map(conv).collect();
         results.into_iter().collect()
     }
 
@@ -373,31 +332,30 @@ impl Session {
     /// Returns [`PfError::Nn`] if the image does not match the scenario's
     /// functional input shape.
     pub fn run_inference(&self, image: &Tensor) -> Result<Tensor, PfError> {
-        self.infer_on(&self.executor.at(self.tiling_grain(1)), image)
+        self.infer_on(&self.executor, image)
     }
 
-    /// One image through the CNN on the given executor (the grain decision
-    /// is the caller's).
+    /// One image through the CNN on the given executor.
     fn infer_on(&self, executor: &dyn Conv2dExecutor, image: &Tensor) -> Result<Tensor, PfError> {
         let features = self.cnn.features(image, executor)?;
         let len = features.len();
         Ok(Tensor::new(vec![len], features)?)
     }
 
-    /// Runs a batch of images with parallel dispatch at the grain picked by
-    /// [`Session::effective_grain`]: image-grain batches fan images across
-    /// the pool (each image's tiles serial), tile-grain batches run images
-    /// sequentially with each layer's tiles fanned out. Results are
-    /// bit-identical either way.
+    /// Runs a batch of images, image `i` as
+    /// [`Session::run_inference_seeded`]`(image, i)`. A batch that can fill
+    /// the pool fans images across it (each image's tiles serial on its
+    /// worker); a smaller batch runs images sequentially with each layer's
+    /// tiles fanned out. Results are bit-identical either way.
     ///
     /// Deterministic regardless of thread scheduling: stochastic backends
     /// (the CG signal chain's sensing noise) get one independently-seeded
     /// engine per image, keyed by `noise_seed = image index`, instead of
-    /// sharing the session engine's single noise stream across threads
-    /// (always image-grain: per-image engines *are* the image grain, and
-    /// tile dispatch is refused for nondeterministic engines anyway).
-    /// For deterministic backends the result equals per-image
-    /// [`Session::run_inference`] exactly.
+    /// sharing the session engine's single noise stream across threads —
+    /// and always fan out across images, whatever the batch size: tile
+    /// dispatch is refused for nondeterministic engines, so images are the
+    /// only work a stochastic batch can spread. For deterministic backends
+    /// the result equals per-image [`Session::run_inference`] exactly.
     ///
     /// On backends with a prepared fast path (the JTC optics), each layer's
     /// kernel spectra are prepared on first use and reused across **every
@@ -408,26 +366,12 @@ impl Session {
     ///
     /// Returns the first per-image error in input order, if any.
     pub fn run_batch(&self, images: &[Tensor]) -> Result<Vec<Tensor>, PfError> {
-        let results: Vec<Result<Tensor, PfError>> = if self.is_stochastic() {
-            let indices: Vec<usize> = (0..images.len()).collect();
-            indices
-                .par_iter()
-                .map(|&i| self.run_inference_seeded(&images[i], i as u64))
-                .collect()
-        } else {
-            let grain = self.tiling_grain(images.len());
-            let executor = self.executor.at(grain);
-            if grain != ParallelGrain::Image {
-                return images
-                    .iter()
-                    .map(|image| self.infer_on(&executor, image))
-                    .collect();
-            }
-            images
-                .par_iter()
-                .map(|image| self.infer_on(&executor, image))
-                .collect()
-        };
+        let infer = |i: usize| self.run_inference_seeded(&images[i], i as u64);
+        if !self.is_stochastic() && !Self::images_fan_out(images.len()) {
+            return (0..images.len()).map(infer).collect();
+        }
+        let indices: Vec<usize> = (0..images.len()).collect();
+        let results: Vec<Result<Tensor, PfError>> = indices.par_iter().map(|&i| infer(i)).collect();
         results.into_iter().collect()
     }
 
@@ -611,37 +555,36 @@ mod tests {
         }
     }
 
+    fn pool(width: usize) -> rayon::ThreadPool {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(width)
+            .build()
+            .unwrap()
+    }
+
     #[test]
     fn auto_grain_resolves_by_batch_size_vs_pool_width() {
-        let session = Session::builder()
-            .scenario(scenario(BackendKind::JtcIdeal))
-            .build()
-            .unwrap();
-        assert_eq!(session.grain(), ParallelGrain::Auto);
-        let wide = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap();
-        wide.install(|| {
-            assert_eq!(session.effective_grain(8), ParallelGrain::Image);
-            assert_eq!(session.effective_grain(4), ParallelGrain::Image);
-            assert_eq!(session.effective_grain(2), ParallelGrain::Tile);
-            assert_eq!(session.effective_grain(1), ParallelGrain::Tile);
+        // Images fan out exactly when the batch can fill the pool...
+        for width in [1usize, 2, 4] {
+            pool(width).install(|| {
+                for batch in [1usize, 3, 5, 8] {
+                    assert_eq!(
+                        Session::images_fan_out(batch),
+                        batch >= width,
+                        "batch {batch} on a {width}-wide pool"
+                    );
+                }
+            });
+        }
+        // ...and on a worker of somebody else's region the pool is 1 wide,
+        // so the "fan-out" of even a single image runs inline there.
+        let nested: Vec<bool> = pool(4).install(|| {
+            [(); 2]
+                .par_iter()
+                .map(|()| Session::images_fan_out(1) && rayon::current_num_threads() == 1)
+                .collect()
         });
-        let narrow = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap();
-        narrow.install(|| assert_eq!(session.effective_grain(1), ParallelGrain::Image));
-
-        // Explicit grains never resolve away.
-        let tiled = Session::builder()
-            .scenario(scenario(BackendKind::JtcIdeal))
-            .parallel_grain(ParallelGrain::Tile)
-            .build()
-            .unwrap();
-        wide.install(|| assert_eq!(tiled.effective_grain(64), ParallelGrain::Tile));
-        assert_eq!(tiled.grain(), ParallelGrain::Tile);
+        assert_eq!(nested, [true, true]);
     }
 
     #[test]
@@ -663,26 +606,25 @@ mod tests {
             })
             .collect();
         for kind in [BackendKind::Digital, BackendKind::JtcIdeal] {
-            let reference = Session::builder()
-                .scenario(scenario(kind))
-                .parallel_grain(ParallelGrain::Image)
-                .build()
-                .unwrap();
-            let ref_batch = reference.run_batch(&images).unwrap();
-            let ref_conv = reference.conv2d_batch(&inputs, &kernel).unwrap();
-            for grain in [ParallelGrain::Tile, ParallelGrain::Auto] {
-                let session = Session::builder()
-                    .scenario(scenario(kind))
-                    .parallel_grain(grain)
-                    .build()
-                    .unwrap();
-                assert_eq!(session.run_batch(&images).unwrap(), ref_batch, "{grain}");
-                let conv = session.conv2d_batch(&inputs, &kernel).unwrap();
-                for (a, b) in conv.iter().zip(&ref_conv) {
-                    for (x, y) in a.data().iter().zip(b.data()) {
-                        assert_eq!(x.to_bits(), y.to_bits(), "{kind:?} {grain}");
+            let session = Session::builder().scenario(scenario(kind)).build().unwrap();
+            let (ref_batch, ref_conv) = pool(1).install(|| {
+                (
+                    session.run_batch(&images).unwrap(),
+                    session.conv2d_batch(&inputs, &kernel).unwrap(),
+                )
+            });
+            // Three images: fanned out across a 2-wide pool, run one by
+            // one with fanned-out tiles on a 4-wide one.
+            for width in [2usize, 4] {
+                pool(width).install(|| {
+                    assert_eq!(session.run_batch(&images).unwrap(), ref_batch, "{width}");
+                    let conv = session.conv2d_batch(&inputs, &kernel).unwrap();
+                    for (a, b) in conv.iter().zip(&ref_conv) {
+                        for (x, y) in a.data().iter().zip(b.data()) {
+                            assert_eq!(x.to_bits(), y.to_bits(), "{kind:?} {width}");
+                        }
                     }
-                }
+                });
             }
         }
     }

@@ -186,7 +186,6 @@ fn overload_rejects_with_the_typed_error() {
         batch_timeout: Duration::ZERO,
         queue_depth: 1,
         workers: 1,
-        scaling_hint: None,
     };
     let server = Server::new(Arc::clone(&engine), config).unwrap();
 

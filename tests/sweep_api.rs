@@ -94,6 +94,31 @@ fn design_space_smoke_report_is_identical_serial_and_parallel() {
 }
 
 #[test]
+fn a_parallel_sweep_opens_no_parallel_region_from_inside_a_worker() {
+    // Every grid point builds a session and calls `conv2d` /
+    // `run_inference` on it from a worker of the sweep's own fan-out. On a
+    // pool wide enough to give every point a worker, those calls must find
+    // a pool they cannot split (width 1) and run serially: the vendored
+    // rayon `debug_assert!`s at its spawn site that no worker ever reaches
+    // it, so in a debug build a nested dispatch panics this test — which
+    // is how it fails when the pool's worker rule is reverted.
+    let wide = rayon::ThreadPoolBuilder::new()
+        .num_threads(4)
+        .build()
+        .unwrap();
+    let report = wide.install(|| {
+        SweepRunner::new(shipped("sweep_design_space.toml"))
+            .unwrap()
+            .filter("pfcu=8,")
+            .smoke(true)
+            .parallel(true)
+            .run()
+            .unwrap()
+    });
+    assert_eq!(report.points.len(), 6);
+}
+
+#[test]
 fn report_carries_both_analytical_and_functional_results() {
     let report = SweepRunner::new(shipped("sweep_design_space.toml"))
         .unwrap()
