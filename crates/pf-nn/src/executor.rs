@@ -12,10 +12,12 @@
 //!   depth and partial-sum ADC (Section V-C), which is the knob Figure 7
 //!   sweeps.
 
+use std::sync::{Arc, Mutex};
+
 use pf_dsp::conv::{correlate2d, Matrix, PaddingMode};
 use pf_photonics::adc::Adc;
 use pf_photonics::temporal::accumulate_with_depth;
-use pf_tiling::{Conv1dEngine, EdgeHandling, TiledConvolver};
+use pf_tiling::{Conv1dEngine, EdgeHandling, KernelSet, TiledConvolver};
 use serde::{Deserialize, Serialize};
 
 use crate::error::NnError;
@@ -147,14 +149,60 @@ impl Default for PipelineConfig {
 pub struct TiledExecutor<E> {
     convolver: TiledConvolver<E>,
     config: PipelineConfig,
+    /// Every layer this executor (or an [`TiledExecutor::on`] view of it)
+    /// has met, lowered: see [`Lowered`].
+    lowered: Arc<Mutex<Vec<Arc<Lowered>>>>,
+}
+
+/// A convolution layer as it sits in the PFCU while activations stream past
+/// it: everything `forward` does that depends on the weights and the plane
+/// shape alone — weight quantisation, pseudo-negative splitting, one
+/// prepared [`KernelSet`] per (output-channel chunk, input channel). Built
+/// the first time a layer is seen and found again by **exact bit equality**
+/// of the raw weights (plus plane shape and padding): mutated weights are a
+/// different layer, and a lookup is a scan that leaves each candidate at
+/// its first differing sample — nothing is hashed, no key is built. Bias
+/// and stride stay with the layer; they are applied after accumulation.
+#[derive(Debug)]
+struct Lowered {
+    /// The layer's raw weights and their shape, as it was handed in.
+    weights: Tensor,
+    /// `(height, width)` of the activation planes.
+    plane: (usize, usize),
+    padded: bool,
+    /// `sets[chunk * in_channels + i]`: input channel `i` against the
+    /// kernels of output-channel chunk `chunk` (both halves of every filter
+    /// under pseudo-negative weights, positive first).
+    sets: Vec<KernelSet>,
+}
+
+impl Lowered {
+    fn is(&self, layer: &Conv2d, plane: (usize, usize)) -> bool {
+        self.padded == layer.padded
+            && self.plane == plane
+            && self.weights.shape() == layer.weights.shape()
+            && self
+                .weights
+                .data()
+                .iter()
+                .zip(layer.weights.data())
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
 }
 
 impl<E: Conv1dEngine> TiledExecutor<E> {
-    /// How many output channels are convolved per multi-kernel call. Caps
-    /// the buffered partial planes at `OUT_CHANNEL_CHUNK × in_channels`
-    /// while still amortising each input tile's signal transform over up
-    /// to `2 × OUT_CHANNEL_CHUNK` kernels.
+    /// How many output channels are convolved per kernel set. Caps the
+    /// buffered partial planes at `OUT_CHANNEL_CHUNK × in_channels` while
+    /// still amortising each input tile's signal transform over up to
+    /// `2 × OUT_CHANNEL_CHUNK` kernels.
     const OUT_CHANNEL_CHUNK: usize = 16;
+
+    /// Bound on the lowered layers kept, under the prepared-kernel store's
+    /// rule: at the cap the list resets wholesale before the newcomer goes
+    /// in. A network's layers are a few dozen; a caller streaming
+    /// never-repeated weights lowers every one cold and holds at most this
+    /// many.
+    const LOWERED_CAP: usize = 1024;
 
     /// Creates an executor around a 1D backend with capacity `n_conv`.
     ///
@@ -178,16 +226,17 @@ impl<E: Conv1dEngine> TiledExecutor<E> {
         Ok(Self {
             convolver: TiledConvolver::new(engine, n_conv)?,
             config,
+            lowered: Arc::default(),
         })
     }
 
     /// A view of this executor driving **another engine** of the same
     /// configuration (for a stochastic backend: another noise seed), with
-    /// this executor's pipeline, grain, prepared-kernel cache and telemetry
-    /// handle ([`TiledConvolver::on`]). A per-request seeded engine run
-    /// through such a view re-uses every kernel preparation the cache
-    /// already holds and adds its own to it; its results are bit-identical
-    /// to running it on a fresh executor of its own.
+    /// this executor's pipeline, grain, lowered layers, prepared-kernel
+    /// store and telemetry handle ([`TiledConvolver::on`]). A per-request
+    /// seeded engine run through such a view lowers nothing this executor
+    /// has already lowered and adds what it is first to meet; its results
+    /// are bit-identical to running it on a fresh executor of its own.
     ///
     /// # Errors
     ///
@@ -197,13 +246,14 @@ impl<E: Conv1dEngine> TiledExecutor<E> {
         Ok(TiledExecutor {
             convolver: self.convolver.on(engine)?,
             config: self.config,
+            lowered: Arc::clone(&self.lowered),
         })
     }
 
     /// The row-tiling convolver every layer of this executor runs on, for
     /// callers that also drive bare 2D convolutions (the facade's `conv2d*`
-    /// paths): one engine, one prepared-kernel cache and one telemetry
-    /// handle then serve both, and a kernel either side prepared is a cache
+    /// paths): one engine, one prepared-kernel store and one telemetry
+    /// handle then serve both, and a kernel either side prepared is a store
     /// hit for the other.
     pub fn convolver(&self) -> &TiledConvolver<E> {
         &self.convolver
@@ -218,71 +268,63 @@ impl<E: Conv1dEngine> TiledExecutor<E> {
         self
     }
 
-    fn conv_planes(
-        &self,
-        input: &Matrix,
-        kernels: &[Matrix],
-        padded: bool,
-    ) -> Result<Vec<Matrix>, NnError> {
-        let out = if padded {
-            self.convolver
-                .correlate2d_same_multi(input, kernels, self.config.edge_handling)?
-        } else {
-            self.convolver.correlate2d_valid_multi(input, kernels)?
-        };
-        Ok(out)
+    fn chunks(out_channels: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
+        (0..out_channels)
+            .step_by(Self::OUT_CHANNEL_CHUNK)
+            .map(move |start| start..out_channels.min(start + Self::OUT_CHANNEL_CHUNK))
     }
-}
 
-impl<E: Conv1dEngine> Conv2dExecutor for TiledExecutor<E> {
-    fn forward(&self, input: &Tensor, layer: &Conv2d) -> Result<Tensor, NnError> {
-        check_input(input, layer)?;
+    /// The lowered form of `layer` over `plane`-shaped activations: the
+    /// one this executor (or a view sharing its list) built before, else
+    /// built now and kept.
+    fn lowered(&self, layer: &Conv2d, plane: (usize, usize)) -> Result<Arc<Lowered>, NnError> {
+        let find = |list: &[Arc<Lowered>]| list.iter().find(|l| l.is(layer, plane)).cloned();
+        let lock = || {
+            self.lowered
+                .lock()
+                .expect("no panic while the lowered list is locked")
+        };
+        if let Some(hit) = find(&lock()) {
+            return Ok(hit);
+        }
+        // Lower outside the lock: preparation may run FFTs.
+        let fresh = Arc::new(self.lower(layer, plane)?);
+        let mut list = lock();
+        // Two images racing to lower one layer: the first entry stays, the
+        // sets are interchangeable.
+        if let Some(raced) = find(&list) {
+            return Ok(raced);
+        }
+        if list.len() >= Self::LOWERED_CAP {
+            list.clear();
+        }
+        list.push(Arc::clone(&fresh));
+        Ok(fresh)
+    }
+
+    /// Grouped by *input channel*: every output channel's kernel for one
+    /// input channel (two per channel with pseudo-negative splitting) goes
+    /// into one kernel set, so each input tile is built — and, on the JTC
+    /// backends, Fourier-transformed — once for the whole kernel stack
+    /// instead of once per output channel.
+    ///
+    /// Output channels are grouped in chunks so the partial planes one
+    /// chunk buffers stay O(chunk × in_channels) instead of O(out × in):
+    /// the partial-sum ADC full scale needs every partial of an output
+    /// channel before accumulation can start, so the per-(o, i) planes of
+    /// one chunk must be materialised together. A chunk still amortises
+    /// each tile's signal transform over up to `2 × OUT_CHANNEL_CHUNK`
+    /// kernels, which captures almost all of the sharing win with bounded
+    /// memory on wide layers.
+    fn lower(&self, layer: &Conv2d, plane: (usize, usize)) -> Result<Lowered, NnError> {
         let weights = quantize_tensor(&layer.weights, self.config.weight_quant);
-        let activations = quantize_tensor(input, self.config.activation_quant);
-
-        let psum_adc = self
-            .config
-            .psum_adc_bits
-            .map(|bits| Adc::new(bits, 0.625, 0.93).expect("valid ADC resolution"));
-
-        let oc = layer.out_channels();
-        let ic = layer.in_channels();
-
-        // Grouped by *input channel*: every output channel's kernel for one
-        // input channel (two per channel with pseudo-negative splitting)
-        // runs through one multi-kernel convolution, so each input tile is
-        // built — and, on the JTC backends, Fourier-transformed — once for
-        // the whole kernel stack instead of once per output channel. The
-        // tiling layer additionally sees the channel's whole tile batch at
-        // once, so those signal transforms are requested in one call
-        // (`PreparedConv1d::prepare_signal_batch`; the rows still transform
-        // one by one).
-        //
-        // Output channels are processed in chunks so the buffered partial
-        // planes stay O(chunk × in_channels) instead of O(out × in): the
-        // partial-sum ADC full scale needs every partial of an output
-        // channel before accumulation can start, so the per-(o, i) planes
-        // of one chunk must be materialised together. A chunk still
-        // amortises each tile's signal transform over up to
-        // `2 × OUT_CHANNEL_CHUNK` kernels, which captures almost all of the
-        // sharing win with bounded memory on wide layers.
-        //
-        // `partials[o_rel * ic + i]` holds the (o, i) partial plane; the
-        // accumulation consumes them in exactly the per-output-channel
-        // order of the kernel-grouped execution, so the result is
-        // bit-identical to it.
-        let mut out_channels = Vec::with_capacity(oc);
-        for chunk_start in (0..oc).step_by(Self::OUT_CHANNEL_CHUNK) {
-            let chunk = (chunk_start..oc.min(chunk_start + Self::OUT_CHANNEL_CHUNK))
-                .collect::<Vec<usize>>();
-            let mut partials: Vec<Option<Matrix>> = (0..chunk.len() * ic).map(|_| None).collect();
+        let edges = layer.padded.then_some(self.config.edge_handling);
+        let (oc, ic) = (layer.out_channels(), layer.in_channels());
+        let mut sets = Vec::with_capacity(oc.div_ceil(Self::OUT_CHANNEL_CHUNK) * ic);
+        for chunk in Self::chunks(oc) {
             for i in 0..ic {
-                let mut kernels = Vec::with_capacity(if self.config.pseudo_negative {
-                    2 * chunk.len()
-                } else {
-                    chunk.len()
-                });
-                for &o in &chunk {
+                let mut kernels = Vec::with_capacity(2 * chunk.len());
+                for o in chunk.clone() {
                     let kernel = weights.filter_plane(o, i);
                     if self.config.pseudo_negative {
                         let (pos, neg) = split_pseudo_negative(&kernel);
@@ -292,44 +334,112 @@ impl<E: Conv1dEngine> Conv2dExecutor for TiledExecutor<E> {
                         kernels.push(kernel);
                     }
                 }
-                let planes = self.conv_planes(&activations.channel(i), &kernels, layer.padded)?;
-                if self.config.pseudo_negative {
-                    for o_rel in 0..chunk.len() {
-                        partials[o_rel * ic + i] =
-                            Some(subtract(&planes[2 * o_rel], &planes[2 * o_rel + 1]));
-                    }
-                } else {
-                    for (o_rel, plane) in planes.into_iter().enumerate() {
-                        partials[o_rel * ic + i] = Some(plane);
-                    }
-                }
+                sets.push(
+                    self.convolver
+                        .prepare_set(&kernels, plane.0, plane.1, edges)?,
+                );
+            }
+        }
+        Ok(Lowered {
+            weights: layer.weights.clone(),
+            plane,
+            padded: layer.padded,
+            sets,
+        })
+    }
+}
+
+impl<E: Conv1dEngine> Conv2dExecutor for TiledExecutor<E> {
+    /// Prepare-then-run, one level up: the layer is lowered on first sight
+    /// (`Lowered`) and every later forward does signal-side work only —
+    /// quantise the activations, stream each input channel past its kernel
+    /// sets, accumulate, add bias, subsample.
+    fn forward(&self, input: &Tensor, layer: &Conv2d) -> Result<Tensor, NnError> {
+        check_input(input, layer)?;
+        let (ic, plane) = (input.shape()[0], (input.shape()[1], input.shape()[2]));
+        let lowered = self.lowered(layer, plane)?;
+        let activations = quantize_tensor(input, self.config.activation_quant);
+        let channels: Vec<Matrix> = (0..ic).map(|i| activations.channel(i)).collect();
+
+        let psum_adc = self
+            .config
+            .psum_adc_bits
+            .map(|bits| Adc::new(bits, 0.625, 0.93).expect("valid ADC resolution"));
+
+        let Some(first) = lowered.sets.first() else {
+            return Err(NnError::InvalidParameter {
+                name: "conv layer channels",
+                requirement: "must be non-zero".to_string(),
+            });
+        };
+        // Unit-stride planes of `h × w`; the output keeps every `stride`-th
+        // row and column (compute at stride 1, discard, Section VI-E).
+        let (h, w) = first.output_shape();
+        let hw = h * w;
+        let stride = layer.stride.max(1);
+        let (out_h, out_w) = (h.div_ceil(stride), w.div_ceil(stride));
+        let mut out = Vec::with_capacity(layer.out_channels() * out_h * out_w);
+
+        // One flat buffer holds a chunk's partial planes, input channel
+        // major: plane `(i, o_rel)` at `(i * chunk + o_rel) * hw`, so the
+        // kernel set of input channel `i` writes one contiguous block. A
+        // pseudo-negative pair lands in one plane: the positive half is
+        // copied in, the negative half — emitted after it, sample for
+        // sample — is subtracted in place.
+        let pairs = self.config.pseudo_negative;
+        let mut partials = vec![0.0; ic * Self::OUT_CHANNEL_CHUNK.min(layer.out_channels()) * hw];
+        for (chunk, sets) in Self::chunks(layer.out_channels()).zip(lowered.sets.chunks(ic)) {
+            for ((set, channel), block) in sets
+                .iter()
+                .zip(&channels)
+                .zip(partials.chunks_mut(chunk.len() * hw))
+            {
+                self.convolver
+                    .correlate2d_set(set, channel, |k, r, c, samples| {
+                        let (o_rel, negative) = if pairs {
+                            (k / 2, k % 2 == 1)
+                        } else {
+                            (k, false)
+                        };
+                        let at = o_rel * hw + r * w + c;
+                        let dst = &mut block[at..at + samples.len()];
+                        if negative {
+                            for (d, s) in dst.iter_mut().zip(samples) {
+                                *d -= s;
+                            }
+                        } else {
+                            dst.copy_from_slice(samples);
+                        }
+                    })?;
             }
 
-            for (o_rel, &o) in chunk.iter().enumerate() {
+            for (o_rel, o) in chunk.clone().enumerate() {
                 // Accumulate the per-input-channel partial planes in groups
                 // of `temporal_depth`: within a group the sum stays analog
                 // (full precision); at the group boundary the ADC quantises
                 // once; groups are summed digitally (the two-level
                 // accumulation of Section V-F).
-                let channel_partials: Vec<Matrix> = (0..ic)
-                    .map(|i| partials[o_rel * ic + i].take().expect("partial computed"))
+                let channel_partials: Vec<&[f64]> = (0..ic)
+                    .map(|i| &partials[(i * chunk.len() + o_rel) * hw..][..hw])
                     .collect();
-                let mut plane = accumulate_partials(
+                let plane = accumulate_partials(
                     &channel_partials,
                     self.config.temporal_depth,
                     psum_adc.as_ref(),
                 );
-                if layer.bias[o] != 0.0 {
-                    for r in 0..plane.rows() {
-                        for c in 0..plane.cols() {
-                            plane.set(r, c, plane.get(r, c) + layer.bias[o]);
+                let bias = layer.bias[o];
+                for row in plane.chunks(w).step_by(stride) {
+                    out.extend(row.iter().step_by(stride).map(|&v| {
+                        if bias != 0.0 {
+                            v + bias
+                        } else {
+                            v
                         }
-                    }
+                    }));
                 }
-                out_channels.push(subsample(&plane, layer.stride));
             }
         }
-        Tensor::from_channels(&out_channels)
+        Tensor::new(vec![layer.out_channels(), out_h, out_w], out)
     }
 }
 
@@ -359,18 +469,15 @@ fn check_input(input: &Tensor, layer: &Conv2d) -> Result<(), NnError> {
 /// photodetectors), independent of the depth actually used — shallow depths
 /// therefore waste dynamic range on every read-out, which is precisely why
 /// Figure 7 shows accuracy improving with depth.
-fn accumulate_partials(partials: &[Matrix], depth: usize, adc: Option<&Adc>) -> Matrix {
+fn accumulate_partials(partials: &[&[f64]], depth: usize, adc: Option<&Adc>) -> Vec<f64> {
     let max_partial = partials
         .iter()
-        .flat_map(|p| p.data().iter())
+        .flat_map(|p| p.iter())
         .fold(0.0f64, |m, &v| m.max(v.abs()));
     let full_scale =
         (max_partial * pf_photonics::params::TEMPORAL_ACCUMULATION_DEPTH as f64).max(f64::EPSILON);
-    let planes: Vec<&[f64]> = partials.iter().map(Matrix::data).collect();
-    let summed = accumulate_with_depth(&planes, depth, adc, Some(full_scale))
-        .expect("equal-shaped partial planes and a depth validated at construction");
-    Matrix::new(partials[0].rows(), partials[0].cols(), summed)
-        .expect("accumulation keeps the plane's shape")
+    accumulate_with_depth(partials, depth, adc, Some(full_scale))
+        .expect("equal-shaped partial planes and a depth validated at construction")
 }
 
 /// Splits a filter into its positive part and the magnitude of its negative
@@ -382,11 +489,6 @@ pub fn split_pseudo_negative(kernel: &Matrix) -> (Matrix, Matrix) {
         Matrix::new(kernel.rows(), kernel.cols(), pos).expect("same shape"),
         Matrix::new(kernel.rows(), kernel.cols(), neg).expect("same shape"),
     )
-}
-
-fn subtract(a: &Matrix, b: &Matrix) -> Matrix {
-    let data: Vec<f64> = a.data().iter().zip(b.data()).map(|(x, y)| x - y).collect();
-    Matrix::new(a.rows(), a.cols(), data).expect("same shape")
 }
 
 /// Subsamples a unit-stride output plane to the requested stride, which is

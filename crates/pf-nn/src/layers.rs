@@ -283,9 +283,13 @@ impl Linear {
     }
 }
 
-/// Rectified linear unit applied element-wise.
-pub fn relu(input: &Tensor) -> Tensor {
-    input.map(|x| x.max(0.0))
+/// Rectified linear unit applied element-wise, in place on a tensor the
+/// caller owns.
+pub fn relu(mut input: Tensor) -> Tensor {
+    for x in input.data_mut() {
+        *x = x.max(0.0);
+    }
+    input
 }
 
 /// 2D max pooling with a square window and equal stride.
@@ -334,26 +338,23 @@ fn pool2d(input: &Tensor, window: usize, reduce: impl Fn(&[f64]) -> f64) -> Tens
     assert_eq!(input.shape().len(), 3, "pooling requires a 3D tensor");
     assert!(window > 0, "pooling window must be positive");
     let (c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-    let oh = h / window;
-    let ow = w / window;
-    let mut out = Tensor::zeros(vec![c, oh.max(1), ow.max(1)]);
-    let mut buf = Vec::with_capacity(window * window);
-    for ch in 0..c {
-        for or in 0..oh.max(1) {
-            for oc in 0..ow.max(1) {
+    // A plane smaller than the window is one window over all of it.
+    let (oh, ow) = ((h / window).max(1), (w / window).max(1));
+    let (win_h, win_w) = (window.min(h), window.min(w));
+    let mut out = Vec::with_capacity(c * oh * ow);
+    let mut buf = Vec::with_capacity(win_h * win_w);
+    for plane in input.data().chunks(h * w) {
+        for rows in plane.chunks(w * window).take(oh) {
+            for oc in 0..ow {
                 buf.clear();
-                for dr in 0..window.min(h) {
-                    for dc in 0..window.min(w) {
-                        let r = (or * window + dr).min(h - 1);
-                        let cidx = (oc * window + dc).min(w - 1);
-                        buf.push(input.get3(ch, r, cidx));
-                    }
+                for row in rows.chunks(w).take(win_h) {
+                    buf.extend_from_slice(&row[oc * window..oc * window + win_w]);
                 }
-                out.set3(ch, or, oc, reduce(&buf));
+                out.push(reduce(&buf));
             }
         }
     }
-    out
+    Tensor::new(vec![c, oh, ow], out).expect("one value per window")
 }
 
 #[cfg(test)]
@@ -411,7 +412,7 @@ mod tests {
     #[test]
     fn relu_clamps_negatives() {
         let t = Tensor::new(vec![1, 2, 2], vec![1.0, -1.0, 0.0, -3.0]).unwrap();
-        assert_eq!(relu(&t).data(), &[1.0, 0.0, 0.0, 0.0]);
+        assert_eq!(relu(t).data(), &[1.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -85,10 +85,9 @@ impl SmallCnn {
             });
         }
         let x = executor.forward(image, &self.conv1)?;
-        let x = max_pool2d(&relu(&x), 2);
+        let x = max_pool2d(&relu(x), 2);
         let x = executor.forward(&x, &self.conv2)?;
-        let x = max_pool2d(&relu(&x), 2);
-        Ok(x.to_vec())
+        Ok(max_pool2d(&relu(x), 2).into_vec())
     }
 
     /// Extracts features for a whole batch of images.

@@ -232,6 +232,11 @@ impl Tensor {
         self.data.clone()
     }
 
+    /// Flattens to a 1D vector without copying: the tensor's own data.
+    pub fn into_vec(self) -> Vec<f64> {
+        self.data
+    }
+
     /// Reshapes the tensor without moving data.
     ///
     /// # Errors

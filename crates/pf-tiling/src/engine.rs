@@ -293,9 +293,13 @@ impl Conv1dEngine for DigitalEngine {
 /// long but has at most `sk · sc` non-zeros, and pseudo-negative splitting
 /// zeroes half of each filter pair on top. The dense dot product spends most
 /// of its time multiplying by those zeros, so preparation records the
-/// non-zero runs once and the per-tile correlation only touches them.
+/// non-zero taps once and the per-tile correlation only touches them.
 ///
-/// The accumulation visits the surviving terms in the same ascending-index
+/// The correlation streams **one tap at a time over every output**
+/// (`out[p] += signal[p + offset] · tap` for all `p`, taps ascending): the
+/// inner loop is a contiguous multiply-add the compiler vectorises, where
+/// an output-outer loop over a handful of scattered taps is not. Each
+/// output still receives its surviving terms in the same ascending-index
 /// order as the dense reference, and a skipped term contributes an exact
 /// `+0.0` there, so for finite signals the sparse result is identical to
 /// [`pf_dsp::conv::correlate1d`] (up to the sign of an all-zero
@@ -304,28 +308,21 @@ impl Conv1dEngine for DigitalEngine {
 struct SparseKernel {
     kernel_len: usize,
     signal_len: usize,
-    /// `(offset, non-zero run)` pairs, offsets ascending.
-    segments: Vec<(usize, Vec<f64>)>,
+    /// `(offset, value)` of every non-zero sample, offsets ascending.
+    taps: Vec<(usize, f64)>,
 }
 
 impl SparseKernel {
     fn new(kernel: &[f64], signal_len: usize) -> Self {
-        let mut segments: Vec<(usize, Vec<f64>)> = Vec::new();
-        let mut run: Option<(usize, Vec<f64>)> = None;
-        for (i, &v) in kernel.iter().enumerate() {
-            if v != 0.0 {
-                run.get_or_insert_with(|| (i, Vec::new())).1.push(v);
-            } else if let Some(done) = run.take() {
-                segments.push(done);
-            }
-        }
-        if let Some(done) = run.take() {
-            segments.push(done);
-        }
         Self {
             kernel_len: kernel.len(),
             signal_len,
-            segments,
+            taps: kernel
+                .iter()
+                .copied()
+                .enumerate()
+                .filter(|&(_, v)| v != 0.0)
+                .collect(),
         }
     }
 }
@@ -340,16 +337,11 @@ impl PreparedConv1d for SparseKernel {
             return Vec::new();
         }
         let len = signal.len() - self.kernel_len + 1;
-        let mut out = Vec::with_capacity(len);
-        for p in 0..len {
-            let mut acc = 0.0;
-            for (offset, seg) in &self.segments {
-                let window = &signal[p + offset..p + offset + seg.len()];
-                for (s, k) in window.iter().zip(seg) {
-                    acc += s * k;
-                }
+        let mut out = vec![0.0; len];
+        for &(offset, tap) in &self.taps {
+            for (acc, s) in out.iter_mut().zip(&signal[offset..offset + len]) {
+                *acc += s * tap;
             }
-            out.push(acc);
         }
         out
     }
@@ -433,17 +425,35 @@ mod tests {
             // dense
             vec![1.0, 2.0, 3.0],
         ];
-        let signal: Vec<f64> = (0..40).map(|i| ((i as f64) * 0.37).sin() - 0.2).collect();
+        let smooth: Vec<f64> = (0..40).map(|i| ((i as f64) * 0.37).sin() - 0.2).collect();
+        // Values a tap-outer and an output-outer sum could round
+        // differently if either re-associated: signed zeros, subnormals,
+        // samples near the top of the exponent range, all interleaved.
+        let extreme: Vec<f64> = (0..40)
+            .map(|i| match i % 5 {
+                0 => -0.0,
+                1 => f64::MIN_POSITIVE / 8.0 * (i as f64 + 1.0),
+                2 => 1e300 * ((i as f64) * 0.11).cos(),
+                3 => -f64::MIN_POSITIVE / 3.0,
+                _ => smooth[i],
+            })
+            .collect();
+        // The longest tiled kernel above, so exactly one output, and a
+        // signal no longer than that kernel.
+        let one_output = &smooth[..11];
         for kernel in &kernels {
-            let prep = DigitalEngine
-                .prepare_kernel(kernel, signal.len())
-                .expect("digital prepares");
-            assert_eq!(prep.signal_len(), signal.len());
-            let sparse = prep.correlate_valid(&signal);
-            let dense = DigitalEngine.correlate_valid(&signal, kernel);
-            assert_eq!(sparse.len(), dense.len());
-            for (a, b) in sparse.iter().zip(&dense) {
-                assert_eq!(a.to_bits(), b.to_bits(), "kernel {kernel:?}");
+            for signal in [&smooth[..], &extreme[..], one_output] {
+                let prep = DigitalEngine
+                    .prepare_kernel(kernel, signal.len())
+                    .expect("digital prepares");
+                assert_eq!(prep.signal_len(), signal.len());
+                let sparse = prep.correlate_valid(signal);
+                let dense = DigitalEngine.correlate_valid(signal, kernel);
+                assert_eq!(sparse.len(), dense.len());
+                assert_eq!(sparse.len(), signal.len() - kernel.len() + 1);
+                for (a, b) in sparse.iter().zip(&dense) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "kernel {kernel:?}");
+                }
             }
         }
         // Shape contract: kernel longer than signal degenerates to empty.

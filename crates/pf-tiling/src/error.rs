@@ -35,6 +35,14 @@ pub enum TilingError {
         /// Shape of the offending kernel (rows, cols).
         found: (usize, usize),
     },
+    /// A prepared kernel set was run against an input of another shape than
+    /// the one it was prepared for.
+    InputShapeMismatch {
+        /// Input shape the set was prepared for (rows, cols).
+        expected: (usize, usize),
+        /// Shape of the input supplied (rows, cols).
+        found: (usize, usize),
+    },
 }
 
 impl fmt::Display for TilingError {
@@ -53,6 +61,11 @@ impl fmt::Display for TilingError {
             TilingError::MismatchedKernels { expected, found } => write!(
                 f,
                 "multi-kernel convolution mixes kernel shapes: expected {}x{}, found {}x{}",
+                expected.0, expected.1, found.0, found.1
+            ),
+            TilingError::InputShapeMismatch { expected, found } => write!(
+                f,
+                "kernel set prepared for {}x{} inputs was run against a {}x{} input",
                 expected.0, expected.1, found.0, found.1
             ),
         }
@@ -84,6 +97,11 @@ mod tests {
             found: (5, 5),
         };
         assert!(e.to_string().contains("3x3") && e.to_string().contains("5x5"));
+        let e = TilingError::InputShapeMismatch {
+            expected: (16, 16),
+            found: (8, 8),
+        };
+        assert!(e.to_string().contains("16x16") && e.to_string().contains("8x8"));
     }
 
     #[test]

@@ -10,18 +10,30 @@
 //!   documented *edge effect* at row boundaries) or exactly (with horizontal
 //!   zero-padding, at the cost of longer tiles).
 //!
-//! # One driver, three bodies
+//! # Prepare, then run — one path, three bodies
 //!
-//! Every entry point is the same call: a single kernel is a kernel set of
-//! one, and `valid` mode is `same` mode at zero offset. One private driver
-//! places the output grid on the plane the tiles are cut from (a `Frame`:
-//! plane, row offset, column offset), builds the [`TilingPlan`] and runs
-//! exactly one of three strategy bodies — row tiling, partial row tiling,
-//! row partitioning — the three genuinely different algorithms of
-//! Section III. Output samples whose window hangs over the edge of a tile
-//! (only possible at a non-zero column offset) are recomputed with a direct
-//! dot product; everything else is copied out of the 1D results a covered
-//! column range at a time.
+//! Every entry point is the same two steps. A single kernel is a kernel set
+//! of one, and `valid` mode is `same` mode at zero offset.
+//!
+//! 1. [`TiledConvolver::prepare_set`] does everything that depends only on
+//!    the kernels and the shape of the input plane: the shape checks, where
+//!    the output grid sits on the plane the tiles are cut from (row and
+//!    column offsets, horizontal padding), the [`TilingPlan`], and — for the
+//!    one strategy the plan selects — every tiled 1D kernel with its
+//!    prepared form. The result is an owned [`KernelSet`]: the filter as it
+//!    sits in the PFCU while input tiles stream past it.
+//! 2. [`TiledConvolver::correlate2d_set`] runs a set against one input:
+//!    it cuts the tiles, calls the engine and hands every output sample to
+//!    the caller's sink. It runs exactly one of three strategy bodies — row
+//!    tiling, partial row tiling, row partitioning — the three genuinely
+//!    different algorithms of Section III. Output samples whose window
+//!    hangs over the edge of a tile (only possible at a non-zero column
+//!    offset) are recomputed with a direct dot product; everything else is
+//!    handed over out of the 1D results a covered column range at a time.
+//!
+//! The `correlate2d_*` entry points are step 1 then step 2 into fresh output
+//! planes. A caller that meets the same kernels again (a CNN layer, image
+//! after image) keeps the set and repeats only step 2.
 //!
 //! # Throughput engineering
 //!
@@ -29,40 +41,46 @@
 //! **by input signal** rather than by kernel so that per-signal work is
 //! shared:
 //!
-//! * the tiled kernel is prepared **once** per 2D convolution through
-//!   [`Conv1dEngine::prepare_kernel`] and cached (keyed by the exact kernel
-//!   bits and the tile length) so repeated convolutions with the same
-//!   weights — every image of a batch — skip the per-kernel work entirely.
-//!   Engines report [`Conv1dEngine::prepares_kernels`] so engines without a
-//!   fast path never pay the cache-key hashing. One cache can serve several
-//!   engines of one configuration ([`TiledConvolver::on`] — per-request
-//!   seeded engines of a stochastic backend): a hit is bound to the calling
-//!   engine's own state through [`Conv1dEngine::bind_prepared`];
-//! * the multi-kernel entry points
-//!   ([`TiledConvolver::correlate2d_valid_multi`] /
-//!   [`TiledConvolver::correlate2d_same_multi`]) correlate **each input
-//!   tile against every kernel before moving to the next tile**: the tile
-//!   is built once, and engines that support signal sharing
-//!   ([`PreparedConv1d::prepare_signal`]) compute the tile's transform
-//!   (for the JTC: its real-input half-spectrum) once and replay it against
-//!   all N prepared kernel spectra. The consumers of one tile's transform
-//!   go to the engine as a whole set
-//!   ([`PreparedConv1d::correlate_set_with_signal`]), so an engine that can
-//!   carry several kernels through its second transform together (the JTC:
-//!   four to a lane block) does — one spectrum-add per kernel and one
-//!   inverse transform per block instead of two transforms per kernel. A
-//!   CNN layer correlates each tile against up to `2 × out_channels`
-//!   kernels, so this removes the dominant redundant signal FFTs of
-//!   batched inference. On serial multi-kernel row tiling the tile
-//!   transforms are additionally requested in **one batched call**
-//!   ([`PreparedConv1d::prepare_signal_batch`]): every tile of the image is
-//!   packed planar and handed over before the per-tile loop consumes the
-//!   seeded cache;
-//! * shared signal transforms live in a **per-call scratch cache**; row
+//! * nothing that depends on the kernels alone happens per input: a
+//!   [`KernelSet`] holds the tiled kernels already prepared through
+//!   [`Conv1dEngine::prepare_kernel`]. Preparations are looked up in a
+//!   store (keyed by the exact kernel bits and the tile length) *while the
+//!   set is built*, so two sets — or two bare convolutions — over the same
+//!   weights prepare them once; a run never touches the store. Engines
+//!   report [`Conv1dEngine::prepares_kernels`] so engines without a fast
+//!   path never pay the key hashing. One store, and one set, can serve
+//!   several engines of one configuration ([`TiledConvolver::on`] —
+//!   per-request seeded engines of a stochastic backend): each run binds
+//!   the set's preparations to the calling engine's own state through
+//!   [`Conv1dEngine::bind_prepared`];
+//! * a run correlates **each input tile against every kernel of the set
+//!   before moving to the next tile**: the tile is built once, and engines
+//!   that support signal sharing ([`PreparedConv1d::prepare_signal`])
+//!   compute the tile's transform (for the JTC: its real-input
+//!   half-spectrum) once and replay it against all N prepared kernel
+//!   spectra. The consumers of one tile's transform go to the engine as a
+//!   whole set ([`PreparedConv1d::correlate_set_with_signal`]), so an
+//!   engine that can carry several kernels through its second transform
+//!   together (the JTC: four to a lane block) does — one spectrum-add per
+//!   kernel and one inverse transform per block instead of two transforms
+//!   per kernel. A CNN layer correlates each tile against up to
+//!   `2 × out_channels` kernels, so this removes the dominant redundant
+//!   signal FFTs of batched inference. On serial multi-kernel row tiling
+//!   the tile transforms are additionally requested in **one batched
+//!   call** ([`PreparedConv1d::prepare_signal_batch`]): when a kernel of
+//!   the set produces shared transforms, every tile of the image is packed
+//!   planar and handed over before the per-tile loop consumes the seeded
+//!   cache (a set without a producer — the digital engine — packs nothing);
+//! * shared signal transforms live in a **per-run scratch cache**; row
 //!   partitioning also reuses one row partition's transform across all
 //!   kernel rows that slide over it. The scratch and the prepared-kernel
-//!   cache share one bound and one eviction rule (1024 entries, then drop
+//!   store share one bound and one eviction rule (1024 entries, then drop
 //!   everything);
+//! * output samples go to a caller-supplied sink, a row segment at a time,
+//!   so the caller decides where a plane lives and how it is combined: the
+//!   `correlate2d_*` entry points copy into fresh matrices, the CNN
+//!   executor subtracts a pseudo-negative pair straight into one flat
+//!   buffer;
 //! * independent tiles/rows are dispatched across rayon worker threads with
 //!   deterministic ordering (results are collected in tile order, and each
 //!   tile is a pure function of its inputs), so the parallel output is
@@ -74,10 +92,10 @@
 //!   region (a batch fanned out across images, a sweep across grid points)
 //!   the pool answers 1, so nested tiles take the serial fast path without
 //!   any caller having to say so;
-//! * per-call tallies (tiles, 1D convolutions, spectrum reuse, kernel
-//!   preparations) are flushed into the `tiling.*` counters of the attached
-//!   [`Telemetry`] handle; read them from a snapshot (`docs/PERFORMANCE.md`
-//!   has the recipe).
+//! * tallies (tiles, 1D convolutions and spectrum reuse per run, kernel
+//!   preparations per prepared set) are flushed into the `tiling.*`
+//!   counters of the attached [`Telemetry`] handle; read them from a
+//!   snapshot (`docs/PERFORMANCE.md` has the recipe).
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -131,7 +149,7 @@ pub enum ParallelGrain {
     Image,
 }
 
-/// Entry bound shared by the prepared-kernel cache and the per-call signal
+/// Entry bound shared by the prepared-kernel store and the per-run signal
 /// scratch. A CNN batch touches a few hundred distinct (kernel, tile
 /// length) pairs at most, and one 2D call a few dozen tile transforms; a
 /// workload streaming unbounded distinct kernels (template matching) or a
@@ -151,50 +169,97 @@ fn insert_capped<K: Eq + Hash, V>(map: &mut HashMap<K, V>, key: K, value: V) {
     map.entry(key).or_insert(value);
 }
 
-/// Cache key: exact bit pattern of the tiled kernel plus the tile length it
+/// Store key: exact bit pattern of the tiled kernel plus the tile length it
 /// was prepared for.
 type PrepKey = (usize, Vec<u64>);
 
 type PrepMap = HashMap<PrepKey, Option<Arc<dyn PreparedConv1d>>>;
 
-/// Position of one 1D signal within the current 2D convolution call:
-/// (first plane row, start column, end column). Within one call, equal keys
-/// denote bit-identical signal content, so the key doubles as the shared
+/// Position of one 1D signal within the current run: (first plane row,
+/// start column, end column). Within one run, equal keys denote
+/// bit-identical signal content, so the key doubles as the shared
 /// signal-transform cache key without hashing the samples themselves.
 type SigKey = (isize, usize, usize);
 
-/// The per-call shared signal-transform scratch: transforms keyed by signal
+/// The per-run shared signal-transform scratch: transforms keyed by signal
 /// position, plus the tallies flushed into `tiling.spectrum_hits` /
-/// `tiling.spectrum_misses` / `tiling.kernel_prepares` when the call ends.
-/// Best-effort under parallel dispatch (two workers may compute the same
-/// transform concurrently).
+/// `tiling.spectrum_misses` when the run ends. Best-effort under parallel
+/// dispatch (two workers may compute the same transform concurrently).
 #[derive(Debug, Default)]
 struct SignalScratch {
     map: HashMap<SigKey, Arc<dyn PreparedSignal>>,
     hits: usize,
     misses: usize,
-    /// Prepared-kernel cache misses that ran the engine's `prepare_kernel`.
-    kernel_prepares: usize,
 }
 
-/// One kernel's per-call 1D execution state: the tiled kernel vector and
-/// (on engines with a fast path) its prepared form.
+/// One tiled 1D kernel of a [`KernelSet`].
+#[derive(Debug)]
 struct Kernel1d {
+    /// The tiled kernel vector, for engines without a fast path; empty when
+    /// `prep` stands in for it.
     tiled: Vec<f64>,
+    /// The engine's prepared form, as the store holds it: not yet bound to
+    /// any engine's own state.
     prep: Option<Arc<dyn PreparedConv1d>>,
 }
 
-/// Where the output grid sits on the plane the tiles are cut from: output
-/// element `(r, c)` is the window whose top-left corner is
-/// `plane[(r - row_off, c - col_off)]`. `valid` mode is the zero-offset
-/// frame over the input itself; `same` mode offsets by the kernel's half
-/// extents (under [`EdgeHandling::ZeroPad`] the column half is absorbed by
-/// the padding, so the plane is the padded copy and `col_off` is zero).
-#[derive(Clone, Copy)]
-struct Frame<'a> {
-    plane: &'a Matrix,
+/// A [`Kernel1d`] for the length of one run: its preparation bound to the
+/// calling engine ([`Conv1dEngine::bind_prepared`]).
+struct Bound<'a> {
+    tiled: &'a [f64],
+    prep: Option<Arc<dyn PreparedConv1d>>,
+}
+
+/// The tiled 1D kernels of a [`KernelSet`], in the layout of the one
+/// strategy body its plan selects.
+#[derive(Debug)]
+enum Stacks {
+    /// One tiled kernel per kernel of the set.
+    RowTiling(Vec<Kernel1d>),
+    /// `(first kernel row, kernel rows, one tiled kernel per kernel)` per
+    /// kernel-row group.
+    PartialRowTiling(Vec<(usize, usize, Vec<Kernel1d>)>),
+    /// The overlap-save column partitions `(start, end)` every row shares,
+    /// and `sets[dr][p]`: the kernel rows `dr` correlated against partition
+    /// `p` of the plane row they land on.
+    RowPartitioning {
+        parts: Vec<(usize, usize)>,
+        sets: Vec<Vec<Vec<Kernel1d>>>,
+    },
+}
+
+/// Kernels of one shape lowered for inputs of one shape: everything a 2D
+/// convolution does that does not depend on the input
+/// ([`TiledConvolver::prepare_set`]), kept so that it is done once however
+/// many inputs stream past ([`TiledConvolver::correlate2d_set`]).
+#[derive(Debug)]
+pub struct KernelSet {
+    /// The 2D kernels: border samples and row partitioning read them.
+    kernels: Vec<Matrix>,
+    /// `(rows, cols)` of the inputs this set runs against.
+    input_shape: (usize, usize),
+    output_shape: (usize, usize),
+    /// Output element `(r, c)` is the window whose top-left corner is
+    /// `plane[(r - row_off, c - col_off)]`. `valid` mode is the zero-offset
+    /// frame over the input itself; `same` mode offsets by the kernel's
+    /// half extents (under [`EdgeHandling::ZeroPad`] the column half is
+    /// absorbed by the padding, so `col_off` is zero).
     row_off: usize,
     col_off: usize,
+    /// Zero columns added left and right of every input row before tiling
+    /// ([`EdgeHandling::ZeroPad`]): the plane is the padded copy.
+    pad: (usize, usize),
+    /// Planned over the plane, padding included.
+    plan: TilingPlan,
+    stacks: Stacks,
+}
+
+impl KernelSet {
+    /// `(rows, cols)` of every output plane of this set: one plane per
+    /// kernel.
+    pub fn output_shape(&self) -> (usize, usize) {
+        self.output_shape
+    }
 }
 
 /// Executes 2D convolutions on a 1D convolution backend via row tiling.
@@ -209,12 +274,12 @@ pub struct TiledConvolver<E> {
     prep_cache: Arc<Mutex<PrepMap>>,
     /// Observability handle: disabled by default (zero-cost no-op path).
     /// When enabled, 1D convolutions run through the traced engine variants
-    /// (which attribute per-stage time) and each 2D call flushes its
-    /// tallies into the `tiling.*` counters.
+    /// (which attribute per-stage time) and each run flushes its tallies
+    /// into the `tiling.*` counters.
     telemetry: Telemetry,
     /// The `tiling.*` counter handles, resolved once when the telemetry
-    /// handle is attached: the per-2D-call flush must not pay six
-    /// name-lookup allocations.
+    /// handle is attached: the per-run flush must not pay six name-lookup
+    /// allocations.
     counters: TilingCounters,
 }
 
@@ -272,10 +337,10 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
 
     /// Attaches a telemetry handle. With a disabled handle (the default)
     /// execution is byte-for-byte the untraced path; with an enabled handle
-    /// 1D convolutions report per-stage time and each 2D call flushes its
-    /// tallies (tiles, 1D convolutions, spectrum reuse, kernel preparations)
-    /// into the `tiling.*` counters. Results are bit-identical either way —
-    /// tracing observes, never perturbs.
+    /// 1D convolutions report per-stage time and the tallies (tiles, 1D
+    /// convolutions and spectrum reuse per run, kernel preparations per
+    /// prepared set) go into the `tiling.*` counters. Results are
+    /// bit-identical either way — tracing observes, never perturbs.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.counters = TilingCounters::new(&telemetry);
         self.telemetry = telemetry;
@@ -291,12 +356,14 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
     }
 
     /// A view of this convolver driving **another engine** — same capacity,
-    /// grain, prepared-kernel cache and telemetry handle. `engine` must
+    /// grain, prepared-kernel store and telemetry handle. `engine` must
     /// prepare kernels interchangeably with this convolver's own: the same
     /// configuration up to per-engine state such as a noise seed. Whatever
-    /// either engine prepares, the other reads from the one cache through
-    /// [`Conv1dEngine::bind_prepared`], so a per-request seeded engine pays
-    /// for its noise stream only, never for the deterministic preparations.
+    /// either engine prepares, the other reads from the one store, and a
+    /// [`KernelSet`] either prepared runs on the other: every run binds the
+    /// preparations to its own engine ([`Conv1dEngine::bind_prepared`]), so
+    /// a per-request seeded engine pays for its noise stream only, never
+    /// for the deterministic preparations.
     ///
     /// # Errors
     ///
@@ -419,64 +486,202 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         self.correlate2d(input, kernels, Some(edges))
     }
 
-    /// The driver behind every entry point: `edges == None` is `valid`
-    /// mode. Places the output grid on the tiled plane (the [`Frame`]),
-    /// plans, runs the one strategy body the plan selects and flushes the
-    /// call's tallies into the `tiling.*` counters.
+    /// The body of every `correlate2d_*` entry point (`edges == None` is
+    /// `valid` mode): prepare the set, run it into fresh output planes.
     fn correlate2d(
         &self,
         input: &Matrix,
         kernels: &[Matrix],
         edges: Option<EdgeHandling>,
     ) -> Result<Vec<Matrix>, TilingError> {
-        let Some(first) = kernels.first() else {
+        if kernels.is_empty() {
             return Ok(Vec::new());
+        }
+        let set = self.prepare_set(kernels, input.rows(), input.cols(), edges)?;
+        let (rows, cols) = set.output_shape();
+        let mut outs: Vec<Matrix> = (0..kernels.len())
+            .map(|_| Matrix::zeros(rows, cols))
+            .collect();
+        self.correlate2d_set(&set, input, |k, r, c, samples| {
+            outs[k].row_mut(r)[c..c + samples.len()].copy_from_slice(samples);
+        })?;
+        Ok(outs)
+    }
+
+    /// Lowers `kernels` (one shape) for inputs of `plane_rows × plane_cols`:
+    /// the half of a 2D convolution that does not depend on the input.
+    /// `edges == None` is `valid` mode, `Some` is `same` mode with that
+    /// edge handling. Places the output grid on the tiled plane, plans, and
+    /// builds the tiled 1D kernels of the one strategy the plan selects,
+    /// each with its prepared form from the store (a miss prepares it,
+    /// stores it and is tallied into `tiling.kernel_prepares`).
+    ///
+    /// The set is tied to this convolver's capacity and to engines of its
+    /// configuration; it runs on this convolver and on its
+    /// [`TiledConvolver::on`] views.
+    ///
+    /// # Errors
+    ///
+    /// [`TilingError::EmptyOperand`] for an empty kernel slice,
+    /// [`TilingError::MismatchedKernels`] if the kernels differ in shape,
+    /// and the conditions of [`TilingPlan::new`] (with
+    /// [`EdgeHandling::ZeroPad`] the padded row length must still fit the
+    /// 1D capacity).
+    pub fn prepare_set(
+        &self,
+        kernels: &[Matrix],
+        plane_rows: usize,
+        plane_cols: usize,
+        edges: Option<EdgeHandling>,
+    ) -> Result<KernelSet, TilingError> {
+        let Some(first) = kernels.first() else {
+            return Err(TilingError::EmptyOperand { what: "kernel set" });
         };
         check_kernel_shapes(kernels)?;
         let (kr, kc) = (first.rows(), first.cols());
-        let padded;
-        let frame = match edges {
-            None => Frame {
-                plane: input,
-                row_off: 0,
-                col_off: 0,
-            },
-            Some(EdgeHandling::Wraparound) => Frame {
-                plane: input,
-                row_off: (kr - 1) / 2,
-                col_off: (kc - 1) / 2,
-            },
-            Some(EdgeHandling::ZeroPad) => {
-                padded = pad_columns(input, (kc - 1) / 2, kc / 2);
-                Frame {
-                    plane: &padded,
-                    row_off: (kr - 1) / 2,
-                    col_off: 0,
-                }
-            }
+        let (row_off, col_off, pad) = match edges {
+            None => (0, 0, (0, 0)),
+            Some(EdgeHandling::Wraparound) => ((kr - 1) / 2, (kc - 1) / 2, (0, 0)),
+            Some(EdgeHandling::ZeroPad) => ((kr - 1) / 2, 0, ((kc - 1) / 2, kc / 2)),
         };
-        let plan = TilingPlan::new(frame.plane.rows(), frame.plane.cols(), kr, kc, self.n_conv)?;
-        let (out_rows, out_cols) = match edges {
-            None => (input.rows() - kr + 1, input.cols() - kc + 1),
-            Some(_) => (input.rows(), input.cols()),
+        let si = plane_cols + pad.0 + pad.1;
+        let plan = TilingPlan::new(plane_rows, si, kr, kc, self.n_conv)?;
+        let output_shape = match edges {
+            None => (plane_rows - kr + 1, plane_cols - kc + 1),
+            Some(_) => (plane_rows, plane_cols),
         };
-        let mut outs: Vec<Matrix> = (0..kernels.len())
-            .map(|_| Matrix::zeros(out_rows, out_cols))
-            .collect();
-        let scratch = Mutex::new(SignalScratch::default());
 
-        let (tiles, convs) = match plan.variant {
+        let mut prepares = 0usize;
+        let stacks = match plan.variant {
             TilingVariant::RowTiling => {
-                self.by_row_tiling(frame, kernels, &plan, &scratch, &mut outs)
+                let tile_len = plan.rows_per_tile * si;
+                Stacks::RowTiling(
+                    kernels
+                        .iter()
+                        .map(|k| {
+                            let tiled = tile_kernel_rows(k, 0, kr, si, plan.tiled_kernel_len());
+                            self.kernel1d(tiled, tile_len, &mut prepares)
+                        })
+                        .collect(),
+                )
             }
             TilingVariant::PartialRowTiling => {
-                self.by_partial_tiling(frame, kernels, &plan, &scratch, &mut outs)
+                // Kernel rows are processed in groups of `rows_per_tile`.
+                let n_ir = plan.rows_per_tile.max(1);
+                let mut groups = Vec::new();
+                let mut k_start = 0;
+                while k_start < kr {
+                    let count = n_ir.min(kr - k_start);
+                    let ks = kernels
+                        .iter()
+                        .map(|k| {
+                            let tiled =
+                                tile_kernel_rows(k, k_start, count, si, (count - 1) * si + kc);
+                            self.kernel1d(tiled, count * si, &mut prepares)
+                        })
+                        .collect();
+                    groups.push((k_start, count, ks));
+                    k_start += count;
+                }
+                Stacks::PartialRowTiling(groups)
             }
             TilingVariant::RowPartitioning => {
-                self.by_partitioning(frame, kernels, &scratch, &mut outs)
+                // Every row shares the same column partitioning, so the
+                // partition list and the per-(kernel row, partition, kernel)
+                // prepared kernel rows are built once for the whole set.
+                let step = self.n_conv - kc + 1;
+                let parts = column_partitions(si - kc + 1, si, self.n_conv, step);
+                let sets = (0..kr)
+                    .map(|dr| {
+                        parts
+                            .iter()
+                            .map(|&(s, e)| {
+                                kernels
+                                    .iter()
+                                    .map(|k| {
+                                        self.kernel1d(k.row(dr).to_vec(), e - s, &mut prepares)
+                                    })
+                                    .collect()
+                            })
+                            .collect()
+                    })
+                    .collect();
+                Stacks::RowPartitioning { parts, sets }
             }
         };
-        // Batched per call (not per tile) so the hot loop stays untouched;
+        if self.telemetry.is_enabled() {
+            self.counters.kernel_prepares.add(prepares as u64);
+        }
+        Ok(KernelSet {
+            kernels: kernels.to_vec(),
+            input_shape: (plane_rows, plane_cols),
+            output_shape,
+            row_off,
+            col_off,
+            pad,
+            plan,
+            stacks,
+        })
+    }
+
+    /// Runs a prepared set against `input`: the half of a 2D convolution
+    /// that is all signal-side work. Cuts the tiles, binds the set's
+    /// preparations to this convolver's engine
+    /// ([`Conv1dEngine::bind_prepared`]), runs the one strategy body the
+    /// set was planned for and flushes the run's tallies into the
+    /// `tiling.*` counters.
+    ///
+    /// Output goes to `emit(k, row, col, samples)`: `samples` are
+    /// consecutive elements of kernel `k`'s output plane
+    /// ([`KernelSet::output_shape`]), starting at `(row, col)` and staying
+    /// within that row. Every element of every plane is emitted exactly
+    /// once, and the emissions covering one `(row, col)` arrive in kernel
+    /// order — a sink may combine a later kernel's sample with an earlier
+    /// kernel's in place.
+    ///
+    /// # Errors
+    ///
+    /// [`TilingError::InputShapeMismatch`] if `input` does not have the
+    /// shape the set was prepared for, [`TilingError::CapacityTooSmall`] if
+    /// the set was prepared by a convolver of another capacity.
+    pub fn correlate2d_set(
+        &self,
+        set: &KernelSet,
+        input: &Matrix,
+        mut emit: impl FnMut(usize, usize, usize, &[f64]),
+    ) -> Result<(), TilingError> {
+        let found = (input.rows(), input.cols());
+        if found != set.input_shape {
+            return Err(TilingError::InputShapeMismatch {
+                expected: set.input_shape,
+                found,
+            });
+        }
+        if set.plan.n_conv != self.n_conv {
+            return Err(TilingError::CapacityTooSmall {
+                n_conv: self.n_conv,
+                required: set.plan.n_conv,
+            });
+        }
+        let padded;
+        let plane = if set.pad == (0, 0) {
+            input
+        } else {
+            padded = pad_columns(input, set.pad.0, set.pad.1);
+            &padded
+        };
+        let scratch = Mutex::new(SignalScratch::default());
+
+        let (tiles, convs) = match &set.stacks {
+            Stacks::RowTiling(stack) => self.by_row_tiling(plane, set, stack, &scratch, &mut emit),
+            Stacks::PartialRowTiling(groups) => {
+                self.by_partial_tiling(plane, set, groups, &scratch, &mut emit)
+            }
+            Stacks::RowPartitioning { parts, sets } => {
+                self.by_partitioning(plane, set, parts, sets, &scratch, &mut emit)
+            }
+        };
+        // Batched per run (not per tile) so the hot loop stays untouched;
         // no-op handles when telemetry is disabled.
         if self.telemetry.is_enabled() {
             let scratch = scratch.into_inner();
@@ -484,12 +689,9 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
             self.counters.convs_1d.add(convs as u64);
             self.counters.spectrum_hits.add(scratch.hits as u64);
             self.counters.spectrum_misses.add(scratch.misses as u64);
-            self.counters
-                .kernel_prepares
-                .add(scratch.kernel_prepares as u64);
             self.counters.conv2d_calls.inc();
         }
-        Ok(outs)
+        Ok(())
     }
 
     // ----- shared machinery ------------------------------------------------
@@ -512,15 +714,16 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
     }
 
     /// Looks up (or builds) the prepared form of `kernel` for tiles of
-    /// `signal_len` samples. `None` means the engine has no fast path. A
-    /// cached entry may come from another engine sharing the cache
-    /// ([`TiledConvolver::on`]), so hits are bound to this engine; a miss
-    /// is tallied on the call's `scratch` (`tiling.kernel_prepares`).
+    /// `signal_len` samples. `None` means the engine has no fast path. The
+    /// entry is the store's own — prepared by whichever engine sharing the
+    /// store ([`TiledConvolver::on`]) met the kernel first; a run binds it
+    /// to its engine. A miss is tallied on `prepares`
+    /// (`tiling.kernel_prepares`).
     fn prepared(
         &self,
         kernel: &[f64],
         signal_len: usize,
-        scratch: &Mutex<SignalScratch>,
+        prepares: &mut usize,
     ) -> Option<Arc<dyn PreparedConv1d>> {
         if !self.engine.prepares_kernels() {
             // Building and hashing the bit-pattern key costs more than a
@@ -530,24 +733,31 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         let key: PrepKey = (signal_len, kernel.iter().map(|v| v.to_bits()).collect());
         let cached = self.prep_cache.lock().get(&key).cloned();
         if let Some(entry) = cached {
-            return entry.map(|prep| self.engine.bind_prepared(prep));
+            return entry;
         }
         // Build outside the lock: preparation may run an FFT.
         let prep = self.engine.prepare_kernel(kernel, signal_len);
-        scratch.lock().kernel_prepares += 1;
+        *prepares += 1;
         insert_capped(&mut self.prep_cache.lock(), key, prep.clone());
         prep
     }
 
-    /// Builds the per-call execution state of one kernel.
-    fn kernel1d(
-        &self,
-        tiled: Vec<f64>,
-        signal_len: usize,
-        scratch: &Mutex<SignalScratch>,
-    ) -> Kernel1d {
-        let prep = self.prepared(&tiled, signal_len, scratch);
+    /// Builds one tiled kernel of a set.
+    fn kernel1d(&self, tiled: Vec<f64>, signal_len: usize, prepares: &mut usize) -> Kernel1d {
+        let prep = self.prepared(&tiled, signal_len, prepares);
+        let tiled = if prep.is_some() { Vec::new() } else { tiled };
         Kernel1d { tiled, prep }
+    }
+
+    /// Binds a stack's preparations to this convolver's engine for one run.
+    fn bind<'a>(&self, stack: &'a [Kernel1d]) -> Vec<Bound<'a>> {
+        stack
+            .iter()
+            .map(|k| Bound {
+                tiled: &k.tiled,
+                prep: k.prep.clone().map(|p| self.engine.bind_prepared(p)),
+            })
+            .collect()
     }
 
     /// Runs `f` — a batched shared-transform preparation — attributing its
@@ -574,24 +784,18 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
     /// available, falling back to the engine. `acc` (present exactly when
     /// telemetry is enabled) collects the per-stage split; the caller owns
     /// it across its tile loop and flushes once.
-    fn run1d(
-        &self,
-        prep: Option<&Arc<dyn PreparedConv1d>>,
-        signal: &[f64],
-        kernel: &[f64],
-        acc: Option<&mut StageAcc>,
-    ) -> Vec<f64> {
-        match (prep, acc) {
+    fn run1d(&self, kernel: &Bound<'_>, signal: &[f64], acc: Option<&mut StageAcc>) -> Vec<f64> {
+        match (&kernel.prep, acc) {
             (Some(p), Some(acc)) => p.correlate_valid_acc(signal, acc),
             (Some(p), None) => p.correlate_valid(signal),
-            (None, _) => self.engine.correlate_valid(signal, kernel),
+            (None, _) => self.engine.correlate_valid(signal, kernel.tiled),
         }
     }
 
     /// Correlates one signal against a whole kernel set, sharing the
     /// signal's transform across every kernel that supports it.
     ///
-    /// `share` additionally enables the per-call scratch cache lookup; it is
+    /// `share` additionally enables the per-run scratch cache lookup; it is
     /// off for single-kernel row tiling, where tile positions never repeat
     /// and the shared path would only add copies.
     fn apply_kernel_set(
@@ -599,7 +803,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         scratch: &Mutex<SignalScratch>,
         key: SigKey,
         signal: &[f64],
-        kernels: &[Kernel1d],
+        kernels: &[Bound<'_>],
         share: bool,
     ) -> Vec<Vec<f64>> {
         let share_key = if share {
@@ -647,7 +851,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         // a kernel that cannot consume it ends the run and goes through on
         // its own, so outputs and any engine noise stream keep kernel
         // order.
-        let consumes = |k: &Kernel1d| {
+        let consumes = |k: &Bound<'_>| {
             let key = k.prep.as_ref().map(|p| p.signal_key());
             shared.is_some() && key == Some(share_key)
         };
@@ -676,7 +880,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
             } else {
                 // All of it on the first pass; nothing after.
                 out.reserve(rest.len());
-                out.push(self.run1d(k.prep.as_ref(), signal, &k.tiled, acc.as_mut()));
+                out.push(self.run1d(k, signal, acc.as_mut()));
                 rest = &rest[1..];
             }
         }
@@ -698,7 +902,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
 
     /// Seeds the shared-signal scratch from a **batched** transform pass:
     /// all tile signals are packed planar (`keys.len()` rows, back to back
-    /// in `signals`) and handed to the producing kernel's
+    /// in `signals`) and handed to `producer`'s
     /// [`PreparedConv1d::prepare_signal_batch`] in one call (the JTC
     /// transforms the rows one after another). The per-tile loop that
     /// follows then finds each transform already cached.
@@ -710,17 +914,10 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
     fn seed_shared_signals(
         &self,
         scratch: &Mutex<SignalScratch>,
-        kernels: &[Kernel1d],
+        producer: &dyn PreparedConv1d,
         keys: &[SigKey],
         signals: &[f64],
     ) {
-        let Some(producer) = kernels
-            .iter()
-            .find(|k| k.prep.as_ref().is_some_and(|p| p.signal_key().is_some()))
-            .and_then(|k| k.prep.as_ref())
-        else {
-            return;
-        };
         let Some(transforms) =
             self.attribute_signal_fft(|| producer.prepare_signal_batch(signals, keys.len()))
         else {
@@ -774,50 +971,37 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
     /// Returns `(tiles built, 1D convolutions run)`.
     fn by_row_tiling(
         &self,
-        frame: Frame<'_>,
-        kernels: &[Matrix],
-        plan: &TilingPlan,
+        plane: &Matrix,
+        set: &KernelSet,
+        stack: &[Kernel1d],
         scratch: &Mutex<SignalScratch>,
-        outs: &mut [Matrix],
+        emit: &mut impl FnMut(usize, usize, usize, &[f64]),
     ) -> (usize, usize) {
-        let Frame {
-            plane,
-            row_off,
-            col_off,
-        } = frame;
+        let (plan, kernels) = (&set.plan, &set.kernels);
+        let (row_off, col_off) = (set.row_off, set.col_off);
         let si = plane.cols();
         let n_or = plan.valid_output_rows_per_conv;
         let tile_len = plan.rows_per_tile * si;
-        let ks: Vec<Kernel1d> = kernels
-            .iter()
-            .map(|k| {
-                self.kernel1d(
-                    tile_kernel_rows(k, 0, k.rows(), si, plan.tiled_kernel_len()),
-                    tile_len,
-                    scratch,
-                )
-            })
-            .collect();
-        // Tile positions never repeat within a call, so the scratch cache
+        let ks = self.bind(stack);
+        // Tile positions never repeat within a run, so the scratch cache
         // only pays off when several kernels share one tile transform.
         let share = kernels.len() > 1;
 
-        let (out_rows, out_cols) = (outs[0].rows(), outs[0].cols());
+        let (out_rows, out_cols) = set.output_shape;
         let starts: Vec<usize> = (0..out_rows).step_by(n_or).collect();
         let tile_start = |r0: usize| r0 as isize - row_off as isize;
         // Output column `c` of the tile's `rr`-th output row reads
         // `corr[rr * si + c - col_off]`. The covered column range is
-        // computed once per row and copied as a slice; at zero offset it is
-        // the whole row.
-        let write = |outs: &mut [Matrix], r0: usize, per_kernel: &[Vec<f64>]| {
-            for ((out, corr), kernel) in outs.iter_mut().zip(per_kernel).zip(kernels) {
+        // computed once per row and emitted as a slice; at zero offset it
+        // is the whole row.
+        let mut write = |r0: usize, per_kernel: &[Vec<f64>]| {
+            for (k, (corr, kernel)) in per_kernel.iter().zip(kernels).enumerate() {
                 for rr in 0..n_or.min(out_rows - r0) {
                     let (out_r, base) = (r0 + rr, rr * si);
                     let covered = covered_columns(base, col_off, corr.len(), out_cols);
-                    let row = out.row_mut(out_r);
                     if !covered.is_empty() {
                         let src = base + covered.start - col_off;
-                        row[covered.clone()].copy_from_slice(&corr[src..src + covered.len()]);
+                        emit(k, out_r, covered.start, &corr[src..src + covered.len()]);
                     }
                     // The window starts before this tile (left border of
                     // the tile's first output row) or runs past its end
@@ -827,13 +1011,14 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
                     // product so the only approximation left is the
                     // genuine wraparound edge effect.
                     for c in (0..covered.start).chain(covered.end..out_cols) {
-                        row[c] = window_dot(
+                        let sample = window_dot(
                             plane,
                             kernel,
                             0..kernel.rows(),
                             out_r as isize - row_off as isize,
                             c as isize - col_off as isize,
                         );
+                        emit(k, out_r, c, &[sample]);
                     }
                 }
             }
@@ -852,18 +1037,27 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
                 )
             });
             for (per_kernel, &r0) in corrs.iter().zip(&starts) {
-                write(outs, r0, per_kernel);
+                write(r0, per_kernel);
             }
         } else {
             // Serial fast path: one tile buffer reused across every tile,
-            // results written back immediately (no intermediate collection;
+            // results handed over immediately (no intermediate collection;
             // the single-kernel case additionally skips the per-kernel
             // result vector entirely).
             let mut buf = vec![0.0; self.n_conv];
-            if share && starts.len() <= CACHE_CAP {
-                // Batched pre-pass: pack every tile planar and have the
-                // whole batch transformed in one call; the loop below hits
-                // the seeded cache tile by tile.
+            // Batched pre-pass, when a kernel of the set produces shared
+            // transforms at all (asked before anything is packed): every
+            // tile goes planar into one buffer and the whole batch is
+            // transformed in one call; the loop below hits the seeded
+            // cache tile by tile.
+            let producer = (share && starts.len() <= CACHE_CAP)
+                .then(|| {
+                    ks.iter()
+                        .filter_map(|k| k.prep.as_deref())
+                        .find(|p| p.signal_key().is_some())
+                })
+                .flatten();
+            if let Some(producer) = producer {
                 let mut signals = Vec::with_capacity(starts.len() * tile_len);
                 let keys: Vec<SigKey> = starts
                     .iter()
@@ -873,12 +1067,12 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
                         (tile_start(r0), 0, tile_len)
                     })
                     .collect();
-                self.seed_shared_signals(scratch, &ks, &keys, &signals);
+                self.seed_shared_signals(scratch, producer, &keys, &signals);
             }
-            // Single-kernel calls hold one accumulator across the tile loop
+            // Single-kernel runs hold one accumulator across the tile loop
             // with the same strided sampling as the kernel-set path (which
             // flushes inside `apply_kernel_set`); the `skip` drops tile
-            // refills and result write-back from the next mark.
+            // refills and result hand-over from the next mark.
             let mut acc = (!share && self.telemetry.is_enabled()).then(StageAcc::start);
             let mut sampled = 0u64;
             for (i, &r0) in starts.iter().enumerate() {
@@ -892,17 +1086,17 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
                         &ks,
                         share,
                     );
-                    write(outs, r0, &per_kernel);
+                    write(r0, &per_kernel);
                 } else {
                     let corr = match acc.as_mut() {
                         Some(acc) if i.is_multiple_of(Self::STAGE_SAMPLE_STRIDE) => {
                             sampled += 1;
                             acc.skip();
-                            self.run1d(ks[0].prep.as_ref(), signal, &ks[0].tiled, Some(acc))
+                            self.run1d(&ks[0], signal, Some(acc))
                         }
-                        _ => self.run1d(ks[0].prep.as_ref(), signal, &ks[0].tiled, None),
+                        _ => self.run1d(&ks[0], signal, None),
                     };
-                    write(outs, r0, std::slice::from_ref(&corr));
+                    write(r0, std::slice::from_ref(&corr));
                 }
             }
             if let Some(acc) = acc.as_mut() {
@@ -922,42 +1116,24 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
     /// run)`.
     fn by_partial_tiling(
         &self,
-        frame: Frame<'_>,
-        kernels: &[Matrix],
-        plan: &TilingPlan,
+        plane: &Matrix,
+        set: &KernelSet,
+        groups: &[(usize, usize, Vec<Kernel1d>)],
         scratch: &Mutex<SignalScratch>,
-        outs: &mut [Matrix],
+        emit: &mut impl FnMut(usize, usize, usize, &[f64]),
     ) -> (usize, usize) {
-        let Frame {
-            plane,
-            row_off,
-            col_off,
-        } = frame;
-        // The per-group tiled kernels are prepared once, up front;
-        // consecutive output rows revisit the same plane-row windows, so
+        let (row_off, col_off) = (set.row_off, set.col_off);
+        // Consecutive output rows revisit the same plane-row windows, so
         // the shared-signal scratch is active even for a single kernel.
+        let kernels = &set.kernels;
         let si = plane.cols();
-        let n_ir = plan.rows_per_tile.max(1);
-        let mut groups: Vec<(usize, usize, Vec<Kernel1d>)> = Vec::new();
-        let mut k_start = 0;
-        while k_start < kernels[0].rows() {
-            let count = n_ir.min(kernels[0].rows() - k_start);
-            let ks: Vec<Kernel1d> = kernels
-                .iter()
-                .map(|k| {
-                    self.kernel1d(
-                        tile_kernel_rows(k, k_start, count, si, (count - 1) * si + k.cols()),
-                        count * si,
-                        scratch,
-                    )
-                })
-                .collect();
-            groups.push((k_start, count, ks));
-            k_start += count;
-        }
+        let groups: Vec<(usize, usize, Vec<Bound<'_>>)> = groups
+            .iter()
+            .map(|(k_start, count, ks)| (*k_start, *count, self.bind(ks)))
+            .collect();
 
-        let rows: Vec<usize> = (0..outs[0].rows()).collect();
-        let out_cols = outs[0].cols();
+        let (out_rows, out_cols) = set.output_shape;
+        let rows: Vec<usize> = (0..out_rows).collect();
         let accs = self.dispatch(&rows, |&out_r| {
             let top = out_r as isize - row_off as isize;
             let mut acc = vec![vec![0.0; out_cols]; kernels.len()];
@@ -986,7 +1162,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
             }
             acc
         });
-        write_rows(outs, &accs);
+        emit_rows(&accs, emit);
         let n = rows.len() * groups.len();
         (n, n * kernels.len())
     }
@@ -997,44 +1173,26 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
     /// vectors are built: returns `(0, 1D convolutions run)`.
     fn by_partitioning(
         &self,
-        frame: Frame<'_>,
-        kernels: &[Matrix],
+        plane: &Matrix,
+        set: &KernelSet,
+        parts: &[(usize, usize)],
+        sets: &[Vec<Vec<Kernel1d>>],
         scratch: &Mutex<SignalScratch>,
-        outs: &mut [Matrix],
+        emit: &mut impl FnMut(usize, usize, usize, &[f64]),
     ) -> (usize, usize) {
-        let Frame {
-            plane,
-            row_off,
-            col_off,
-        } = frame;
-        // Every row shares the same column partitioning, so the partition
-        // list and the per-(kernel, kernel row, partition) prepared kernels
-        // are hoisted out of the dispatch loop. One plane row partition is
-        // slid over by *every* kernel row of *every* kernel, so its shared
-        // transform is computed once and replayed `kernels × kernel_rows`
-        // times through the scratch cache.
+        let (row_off, col_off) = (set.row_off, set.col_off);
+        // One plane row partition is slid over by *every* kernel row of
+        // *every* kernel, so its shared transform is computed once and
+        // replayed `kernels × kernel_rows` times through the scratch cache.
+        let kernels = &set.kernels;
         let kernel_rows = kernels[0].rows();
-        let kernel_cols = kernels[0].cols();
-        let step = self.n_conv - kernel_cols + 1;
-        let corr_len = plane.cols() - kernel_cols + 1;
-        let parts = column_partitions(corr_len, plane.cols(), self.n_conv, step);
-        // sets[dr][p] is the kernel set correlated against partition p of
-        // the plane row kernel row `dr` lands on.
-        let sets: Vec<Vec<Vec<Kernel1d>>> = (0..kernel_rows)
-            .map(|dr| {
-                parts
-                    .iter()
-                    .map(|&(s, e)| {
-                        kernels
-                            .iter()
-                            .map(|k| self.kernel1d(k.row(dr).to_vec(), e - s, scratch))
-                            .collect()
-                    })
-                    .collect()
-            })
+        let corr_len = plane.cols() - kernels[0].cols() + 1;
+        let sets: Vec<Vec<Vec<Bound<'_>>>> = sets
+            .iter()
+            .map(|per_part| per_part.iter().map(|ks| self.bind(ks)).collect())
             .collect();
-        let rows: Vec<usize> = (0..outs[0].rows()).collect();
-        let out_cols = outs[0].cols();
+        let (out_rows, out_cols) = set.output_shape;
+        let rows: Vec<usize> = (0..out_rows).collect();
         // The (kernel row, plane row) pairs of one output row: border rows
         // of an offset frame skip kernel rows hanging outside the plane.
         let live_rows = |out_r: usize| {
@@ -1074,7 +1232,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
             }
             acc
         });
-        write_rows(outs, &accs);
+        emit_rows(&accs, emit);
         // Count only convolutions that actually run.
         let live: usize = rows.iter().map(|&out_r| live_rows(out_r).count()).sum();
         (0, live * parts.len() * kernels.len())
@@ -1115,12 +1273,11 @@ fn covered_columns(base: usize, col_off: usize, corr_len: usize, out_cols: usize
     lo..hi.max(lo)
 }
 
-/// Copies per-output-row accumulators (`accs[out_r][kernel]`) into the
-/// output planes.
-fn write_rows(outs: &mut [Matrix], accs: &[Vec<Vec<f64>>]) {
+/// Emits per-output-row accumulators (`accs[out_r][kernel]`) as whole rows.
+fn emit_rows(accs: &[Vec<Vec<f64>>], emit: &mut impl FnMut(usize, usize, usize, &[f64])) {
     for (out_r, acc) in accs.iter().enumerate() {
-        for (out, acc_k) in outs.iter_mut().zip(acc) {
-            out.row_mut(out_r).copy_from_slice(acc_k);
+        for (k, acc_k) in acc.iter().enumerate() {
+            emit(k, out_r, 0, acc_k);
         }
     }
 }
@@ -1147,9 +1304,7 @@ fn column_partitions(
 fn pad_columns(input: &Matrix, left: usize, right: usize) -> Matrix {
     let mut out = Matrix::zeros(input.rows(), input.cols() + left + right);
     for r in 0..input.rows() {
-        for c in 0..input.cols() {
-            out.set(r, c + left, input.get(r, c));
-        }
+        out.row_mut(r)[left..left + input.cols()].copy_from_slice(input.row(r));
     }
     out
 }
@@ -1820,23 +1975,23 @@ mod tests {
         let engine = CountingPrepEngine::default();
         let prepares = Arc::clone(&engine.prepares);
         let c = TiledConvolver::new(engine, 64).unwrap();
-        let scratch = Mutex::new(SignalScratch::default());
+        let mut tally = 0usize;
 
         // Fill the cache with `cap` distinct kernels; every one is a miss.
         for i in 0..cap {
             let kernel = [i as f64 + 0.5];
-            assert!(c.prepared(&kernel, 8, &scratch).is_some());
+            assert!(c.prepared(&kernel, 8, &mut tally).is_some());
         }
         assert_eq!(prepares.load(std::sync::atomic::Ordering::Relaxed), cap);
         assert_eq!(c.prep_cache.lock().len(), cap);
 
         // A repeat within the cap is a hit: no new preparation.
-        assert!(c.prepared(&[0.5], 8, &scratch).is_some());
+        assert!(c.prepared(&[0.5], 8, &mut tally).is_some());
         assert_eq!(prepares.load(std::sync::atomic::Ordering::Relaxed), cap);
 
         // One more distinct kernel trips the cap: the cache resets
         // wholesale and holds only the newcomer.
-        assert!(c.prepared(&[-1.0], 8, &scratch).is_some());
+        assert!(c.prepared(&[-1.0], 8, &mut tally).is_some());
         assert_eq!(prepares.load(std::sync::atomic::Ordering::Relaxed), cap + 1);
         assert_eq!(c.prep_cache.lock().len(), 1);
 
@@ -1844,7 +1999,7 @@ mod tests {
         // the exact digital result.
         let signal: Vec<f64> = (0..8).map(|i| i as f64 * 0.25).collect();
         let before = prepares.load(std::sync::atomic::Ordering::Relaxed);
-        let prep = c.prepared(&[0.5], 8, &scratch).expect("re-prepared");
+        let prep = c.prepared(&[0.5], 8, &mut tally).expect("re-prepared");
         assert_eq!(
             prepares.load(std::sync::atomic::Ordering::Relaxed),
             before + 1,
@@ -1857,10 +2012,7 @@ mod tests {
         assert_eq!(c.prep_cache.lock().len(), 2);
         // The call tally (`tiling.kernel_prepares`) counted exactly the
         // misses the engine saw.
-        assert_eq!(
-            scratch.lock().kernel_prepares,
-            prepares.load(std::sync::atomic::Ordering::Relaxed)
-        );
+        assert_eq!(tally, prepares.load(std::sync::atomic::Ordering::Relaxed));
     }
 
     /// A backend with no prepared fast path at all (the trait defaults).

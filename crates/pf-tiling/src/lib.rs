@@ -51,6 +51,6 @@ pub use engine::{
     correlate_set_per_kernel, Conv1dEngine, DigitalEngine, PreparedConv1d, PreparedSignal,
 };
 pub use error::TilingError;
-pub use executor::{EdgeHandling, ParallelGrain, TiledConvolver};
+pub use executor::{EdgeHandling, KernelSet, ParallelGrain, TiledConvolver};
 pub use plan::{TilingPlan, TilingVariant};
 pub use tiler::{fill_tile_rows, tile_input_rows, tile_kernel};

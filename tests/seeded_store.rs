@@ -177,6 +177,55 @@ fn kernels_are_prepared_once_per_session_not_once_per_request() {
 }
 
 #[test]
+fn a_second_seeded_engine_lowers_nothing_and_prepares_nothing() {
+    let scenario = cg_scenario();
+    let images = images(2);
+    let tel = Telemetry::enabled();
+    let session = Session::builder()
+        .scenario(scenario.clone())
+        .telemetry(tel.clone())
+        .build()
+        .unwrap();
+    session.run_inference_seeded(&images[0], 1).unwrap();
+    assert_eq!(kernel_prepares(&tel), 272, "the first engine lowers");
+
+    // Push the network's kernels out of the prepared-kernel store: 1 040
+    // never-repeated kernels through the bare `conv2d` path reset it at
+    // its cap. A forward that went back to the store — that lowered its
+    // layers again — would now have to prepare all 272 once more.
+    let input = Matrix::new(8, 8, (0..64).map(|i| (i as f64 * 0.21).cos()).collect()).unwrap();
+    for call in 0..65 {
+        let fresh: Vec<Matrix> = (0..16)
+            .map(|k| {
+                let phase = (call * 16 + k) as f64;
+                Matrix::new(
+                    3,
+                    3,
+                    (0..9).map(|i| (phase + i as f64 * 0.37).sin()).collect(),
+                )
+                .unwrap()
+            })
+            .collect();
+        session.conv2d_multi(&input, &fresh).unwrap();
+    }
+    assert_eq!(kernel_prepares(&tel), 272 + 65 * 16);
+
+    // A second seeded engine, through `on()`: the layers are found lowered.
+    let before = kernel_prepares(&tel);
+    let got = session.run_inference_seeded(&images[1], 2).unwrap();
+    assert_eq!(
+        kernel_prepares(&tel),
+        before,
+        "nothing lowered, nothing prepared"
+    );
+    assert_bits(
+        &got,
+        &fresh_engine_oracle(&scenario, &images[1], 2, Telemetry::disabled()),
+        "second seeded engine on lowered layers",
+    );
+}
+
+#[test]
 fn warmup_fills_the_store_without_touching_the_session_stream() {
     let scenario = cg_scenario();
     let image = &images(1)[0];

@@ -5,8 +5,9 @@
 //! allocator — with a counting `#[global_allocator]`. Two facts are pinned:
 //!
 //! * after `warmup()`, `Session::run_inference` allocates the same number
-//!   of times call over call, on `jtc_ideal` and on `photofourier_cg` (a
-//!   count that drifts is a cache still filling or a buffer still growing);
+//!   of times call over call, on `digital`, `jtc_ideal` and
+//!   `photofourier_cg` (a count that drifts is a cache still filling or a
+//!   buffer still growing);
 //! * the lane path allocates nothing per block beyond what it returns: a
 //!   warm `correlate_set_with_signal` over `k` kernels allocates the `k`
 //!   result vectors and the vector holding them — the lobe is read out of
@@ -79,17 +80,22 @@ fn one_wide<T: Send>(f: impl FnOnce() -> T + Send) -> T {
 #[test]
 fn inference_allocates_the_same_call_over_call_after_warmup() {
     // Allocator calls per `run_inference` of one 1 x 16 x 16 image through
-    // the small CNN (9 conv layer calls, 18 tiles, 544 1D convolutions),
-    // as counted when this test was written: a ceiling with 10 % headroom
-    // for toolchain drift, not a pin — the equality below is the pin.
-    // (The parent commit read 2 333 on `jtc_ideal`; the lane path's share
-    // is the 18: one list of a tile's consumers per tile.) What is left is
-    // what each layer returns upward — one vector per 1D convolution, per
-    // output plane, per tile buffer — not the transforms, which allocate
-    // nothing once the arena is warm.
+    // the small CNN (34 kernel-set runs, 18 tiles, 544 1D convolutions),
+    // as counted when the executor started lowering each layer once: a
+    // ceiling with 10 % headroom for toolchain drift, not a pin — the
+    // equality below is the pin. The count is the glue meter: a warm
+    // forward re-derives nothing from the weights (no quantised copy, no
+    // filter planes, no pseudo-negative halves, no tiled kernels, no store
+    // keys — 2 351 / 2 623 on `jtc_ideal` / `photofourier_cg` while it
+    // did), so what is left is what each layer returns upward — one vector
+    // per 1D convolution, per tile's result list, per accumulated output
+    // plane — not the transforms, which allocate nothing once the arena is
+    // warm. The CG chain adds one re-bound kernel per prepared kernel per
+    // run (its own noise stream).
     let recorded = [
-        ("jtc_ideal", BackendSpec::jtc_ideal(256), 2_351u64),
-        ("photofourier_cg", BackendSpec::photofourier_cg(256), 2_623),
+        ("digital", BackendSpec::digital(256), 713u64),
+        ("jtc_ideal", BackendSpec::jtc_ideal(256), 848),
+        ("photofourier_cg", BackendSpec::photofourier_cg(256), 1_120),
     ];
 
     for (name, backend, recorded) in recorded {
