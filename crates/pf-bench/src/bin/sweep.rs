@@ -3,8 +3,10 @@
 //!
 //! Loads a scenario file, expands its `[sweep]` section into the full
 //! cartesian grid (see `docs/SCENARIOS.md`), executes every point
-//! rayon-parallel through the `photofourier::SweepRunner`, prints a summary
-//! table and writes the `SweepReport` as both JSON and CSV.
+//! through the `photofourier::SweepRunner` (points fan out across the
+//! rayon pool; reports are bit-for-bit identical at every pool width),
+//! prints a summary table and writes the `SweepReport` as both JSON and
+//! CSV.
 //!
 //! Flags:
 //!
@@ -13,8 +15,6 @@
 //!   the CSV is written next to it with a `.csv` extension
 //! * `--smoke`          small functional probes (the CI configuration)
 //! * `--filter SUBSTR`  run only points whose id contains the substring
-//! * `--serial`         disable parallel point execution (reports are
-//!   bit-for-bit identical either way)
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -23,7 +23,7 @@ use pf_bench::Table;
 use photofourier::prelude::*;
 
 fn usage() {
-    eprintln!("usage: sweep --scenario PATH [--out PATH] [--smoke] [--filter SUBSTR] [--serial]");
+    eprintln!("usage: sweep --scenario PATH [--out PATH] [--smoke] [--filter SUBSTR]");
 }
 
 fn print_report(report: &SweepReport) {
@@ -65,7 +65,6 @@ fn main() -> ExitCode {
     let mut scenario_path: Option<String> = None;
     let mut out = "SWEEP_report.json".to_string();
     let mut smoke = false;
-    let mut serial = false;
     let mut filter: Option<String> = None;
 
     let mut i = 0;
@@ -73,7 +72,6 @@ fn main() -> ExitCode {
         match args[i].as_str() {
             "--smoke" => smoke = true,
             "--full" => smoke = false,
-            "--serial" => serial = true,
             "--scenario" | "--out" | "--filter" => {
                 let flag = args[i].clone();
                 i += 1;
@@ -131,7 +129,7 @@ fn main() -> ExitCode {
     } else {
         println!("expanded {total} point(s)");
     }
-    runner = runner.smoke(smoke).parallel(!serial);
+    runner = runner.smoke(smoke);
 
     let start = std::time::Instant::now();
     let report = match runner.run() {
@@ -144,10 +142,10 @@ fn main() -> ExitCode {
     let elapsed = start.elapsed();
     print_report(&report);
     println!(
-        "ran {} point(s) in {:.2}s ({})",
+        "ran {} point(s) in {:.2}s on {} thread(s)",
         report.points.len(),
         elapsed.as_secs_f64(),
-        if serial { "serial" } else { "parallel" }
+        rayon::current_num_threads()
     );
 
     let json = match report.to_json() {

@@ -395,11 +395,7 @@ fn verify_offline(
                 session
             }
         };
-        let offline = if session.is_stochastic() {
-            session.run_inference_seeded(input, *k)?
-        } else {
-            session.run_inference(input)?
-        };
+        let offline = session.run_inference_seeded(input, *k)?;
         if !tensors_bit_equal(&offline, served) {
             return Ok(false);
         }

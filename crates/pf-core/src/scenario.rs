@@ -229,9 +229,10 @@ pub const ROUTER_POLICIES: [&str; 3] = ["round_robin", "least_loaded", "kernel_a
 /// batch-formation window at `shrink_at` pressure, shed the lowest priority
 /// class at `shed_at`, and rejects only when every replica queue is full.
 /// Every field has a default, so an empty `[serving.router]` table is a
-/// valid two-replica kernel-affinity router (serde impls are hand-written
-/// to fill missing keys from [`RouterSpec::default`]).
-#[derive(Debug, Clone, PartialEq)]
+/// valid two-replica kernel-affinity router (missing keys are filled from
+/// [`RouterSpec::default`]).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct RouterSpec {
     /// Number of replica shards (independent servers), at least 1.
     pub replicas: usize,
@@ -352,59 +353,6 @@ impl RouterSpec {
     }
 }
 
-// Hand-written serde impls (the vendored derive has no `#[serde(default)]`):
-// every missing key falls back to `RouterSpec::default()`, so a bare
-// `[serving.router]` table is a complete router configuration.
-impl Serialize for RouterSpec {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("replicas".to_string(), self.replicas.to_value()),
-            ("policy".to_string(), self.policy.to_value()),
-            (
-                "priority_classes".to_string(),
-                self.priority_classes.to_value(),
-            ),
-            ("slo_p99_ms".to_string(), self.slo_p99_ms.to_value()),
-            ("models".to_string(), self.models.to_value()),
-            ("replica_cache".to_string(), self.replica_cache.to_value()),
-            ("shed_at".to_string(), self.shed_at.to_value()),
-            ("shrink_at".to_string(), self.shrink_at.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for RouterSpec {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
-        fn field_or<T: Deserialize>(
-            value: &serde::Value,
-            name: &str,
-            default: T,
-        ) -> Result<T, serde::DeError> {
-            match value.get(name) {
-                Some(v) => T::from_value(v)
-                    .map_err(|e| serde::DeError::new(format!("router field `{name}`: {e}"))),
-                None => Ok(default),
-            }
-        }
-        if !matches!(value, serde::Value::Map(_)) {
-            return Err(serde::DeError::new(format!(
-                "expected a `[serving.router]` table, found {value:?}"
-            )));
-        }
-        let defaults = RouterSpec::default();
-        Ok(Self {
-            replicas: field_or(value, "replicas", defaults.replicas)?,
-            policy: field_or(value, "policy", defaults.policy)?,
-            priority_classes: field_or(value, "priority_classes", defaults.priority_classes)?,
-            slo_p99_ms: field_or(value, "slo_p99_ms", defaults.slo_p99_ms)?,
-            models: field_or(value, "models", defaults.models)?,
-            replica_cache: field_or(value, "replica_cache", defaults.replica_cache)?,
-            shed_at: field_or(value, "shed_at", defaults.shed_at)?,
-            shrink_at: field_or(value, "shrink_at", defaults.shrink_at)?,
-        })
-    }
-}
-
 /// Registry of the fault kinds a `[[faults.windows]]` entry can name.
 pub const FAULT_KINDS: [&str; 7] = [
     "latency_spike",
@@ -424,7 +372,8 @@ pub const FAULT_KINDS: [&str; 7] = [
 /// request sequence numbers, so a chaos run replays bit-identically given
 /// the same seed. Every field has a default, so a bare `[faults]` table is
 /// a valid (empty, fault-free) plan.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct FaultsSpec {
     /// Seed for per-request fault magnitudes (jitter on spike durations,
     /// calibration-drift draws). The schedule itself — which seqs fault —
@@ -440,8 +389,11 @@ pub struct FaultsSpec {
 }
 
 /// One entry of the `[[faults.windows]]` array: a fault kind scheduled over
-/// a half-open request-sequence range.
-#[derive(Debug, Clone, PartialEq)]
+/// a half-open request-sequence range. Missing keys fall back to
+/// [`FaultWindowSpec::default`], so an entry naming only a `kind` is
+/// complete.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct FaultWindowSpec {
     /// Fault kind: one of [`FAULT_KINDS`] — `latency_spike` (sleep before
     /// serving), `stall` (a longer sleep, same mechanism), `panic` (the
@@ -506,78 +458,6 @@ impl FaultsSpec {
             }
         }
         Ok(())
-    }
-}
-
-// Hand-written serde, like RouterSpec: missing keys fall back to defaults,
-// so `[faults]` plus a list of `[[faults.windows]]` entries each naming only
-// a `kind` is already a complete plan.
-impl Serialize for FaultsSpec {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("seed".to_string(), self.seed.to_value()),
-            ("replica".to_string(), self.replica.to_value()),
-            ("windows".to_string(), self.windows.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for FaultsSpec {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
-        if !matches!(value, serde::Value::Map(_)) {
-            return Err(serde::DeError::new(format!(
-                "expected a `[faults]` table, found {value:?}"
-            )));
-        }
-        let defaults = FaultsSpec::default();
-        Ok(Self {
-            seed: faults_field_or(value, "seed", defaults.seed)?,
-            replica: faults_field_or(value, "replica", defaults.replica)?,
-            windows: faults_field_or(value, "windows", defaults.windows)?,
-        })
-    }
-}
-
-impl Serialize for FaultWindowSpec {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("kind".to_string(), self.kind.to_value()),
-            ("from_seq".to_string(), self.from_seq.to_value()),
-            ("until_seq".to_string(), self.until_seq.to_value()),
-            ("every".to_string(), self.every.to_value()),
-            ("magnitude".to_string(), self.magnitude.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for FaultWindowSpec {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
-        if !matches!(value, serde::Value::Map(_)) {
-            return Err(serde::DeError::new(format!(
-                "expected a `[[faults.windows]]` table, found {value:?}"
-            )));
-        }
-        let defaults = FaultWindowSpec::default();
-        Ok(Self {
-            kind: faults_field_or(value, "kind", defaults.kind)?,
-            from_seq: faults_field_or(value, "from_seq", defaults.from_seq)?,
-            until_seq: faults_field_or(value, "until_seq", defaults.until_seq)?,
-            every: faults_field_or(value, "every", defaults.every)?,
-            magnitude: faults_field_or(value, "magnitude", defaults.magnitude)?,
-        })
-    }
-}
-
-fn faults_field_or<T: Deserialize>(
-    value: &serde::Value,
-    name: &str,
-    default: T,
-) -> Result<T, serde::DeError> {
-    match value.get(name) {
-        Some(v) => {
-            T::from_value(v).map_err(|e| serde::DeError::new(format!("faults field `{name}`: {e}")))
-        }
-        None => Ok(default),
     }
 }
 

@@ -9,8 +9,9 @@
 //! the expression sequence the one-lane instantiation executes, so a lane's
 //! result is bit-identical to transforming that lane alone.
 //!
-//! Everything here is `#[inline(always)]`: the lane path instantiates its
-//! whole body twice (the build's baseline ISA and AVX2, see
+//! Everything here is `#[inline(always)]`: the symmetric-input transform
+//! instantiates its whole body once per element and, over lanes, once more
+//! per ISA (the build's baseline and AVX2, see
 //! [`RealFftPlan::forward_real_bins_lanes`](crate::plan::RealFftPlan::forward_real_bins_lanes)),
 //! and a butterfly left out of line would be compiled for the baseline ISA
 //! only.
@@ -25,6 +26,13 @@ use crate::complex::{Complex, ComplexLanes, LANES};
 pub(crate) trait Element:
     Copy + Add<Output = Self> + Sub<Output = Self> + Mul<Complex, Output = Self>
 {
+    /// The real samples an element is packed from: one `f64` per transform
+    /// carried.
+    type Real: Copy;
+    /// Every transform carried at `0 + 0i`.
+    const ZERO: Self;
+    /// `re + i·im`, per transform carried.
+    fn pack(re: Self::Real, im: Self::Real) -> Self;
     /// Multiplies by a real scalar.
     fn scale(self, s: f64) -> Self;
     /// Complex conjugate.
@@ -36,6 +44,14 @@ pub(crate) trait Element:
 }
 
 impl Element for Complex {
+    type Real = f64;
+    const ZERO: Self = Complex::ZERO;
+
+    #[inline(always)]
+    fn pack(re: f64, im: f64) -> Self {
+        Complex::new(re, im)
+    }
+
     #[inline(always)]
     fn scale(self, s: f64) -> Self {
         Complex::scale(self, s)
@@ -97,6 +113,14 @@ impl Mul<Complex> for ComplexLanes {
 }
 
 impl Element for ComplexLanes {
+    type Real = [f64; LANES];
+    const ZERO: Self = ComplexLanes::ZERO;
+
+    #[inline(always)]
+    fn pack(re: [f64; LANES], im: [f64; LANES]) -> Self {
+        ComplexLanes { re, im }
+    }
+
     #[inline(always)]
     fn scale(self, s: f64) -> Self {
         ComplexLanes {

@@ -22,15 +22,23 @@
 //! * [`RealFftPlan`] — real-input transforms returning the non-redundant
 //!   half spectrum (bins `0..=n/2`). Even lengths use the classic packing
 //!   trick (one `n/2`-point complex FFT plus an O(n) unpacking pass); odd
-//!   lengths fall back to a full-length complex transform.
-//!   [`RealFftPlan::forward_real_bins_into`] evaluates the unpacking pass
-//!   over a selected bin range only (bit-identical per bin).
-//!   [`RealFftPlan::forward_real_batch_into`] takes a planar batch of rows
-//!   in one call and runs that same transform once per row.
-//!   [`RealFftPlan::forward_real_bins_lanes`] carries [`LANES`] symmetric
-//!   real signals through one pass of the same butterflies
-//!   (they are written once, generic over the element), each lane
-//!   bit-identical to the one-signal transform.
+//!   lengths fall back to a full-length complex transform. Two input
+//!   shapes, each with **one body**:
+//!   - *any real signal*, zero-padded on the right
+//!     ([`RealFftPlan::forward_real_bins_into`], the unpacking pass
+//!     evaluated over a selected bin range only, bit-identical per bin;
+//!     [`RealFftPlan::forward_real_into`] is the full range and
+//!     [`RealFftPlan::forward_real_batch_into`] that same transform once
+//!     per row of a planar batch);
+//!   - *an even-symmetric real signal given by samples `0..=n/2`* (a
+//!     square-law intensity spectrum): the mirror half is read, never
+//!     stored, and packed straight into the half plan's gather order. The
+//!     body is generic over the butterfly element and instantiated at two
+//!     widths — [`RealFftPlan::forward_real_bins_symmetric`] over
+//!     [`Complex`] (one signal), [`RealFftPlan::forward_real_bins_lanes`]
+//!     over [`ComplexLanes`] ([`LANES`] signals) — so a lane is
+//!     bit-identical to the one-signal transform by construction, and both
+//!     to the full-length transform of the mirrored signal.
 //! * a process-wide plan registry ([`FftPlan::shared`] /
 //!   [`RealFftPlan::shared`]) guarded by a `parking_lot` mutex, so every
 //!   caller transforming the same length shares one set of tables.
@@ -661,10 +669,12 @@ impl RealFftPlan {
         }
     }
 
-    /// Whether this plan runs [`forward_real_bins_lanes`](Self::forward_real_bins_lanes):
-    /// the length is even and the half-length plan is radix-2 or
-    /// mixed-radix (a Bluestein half plan stages through a padded
-    /// convolution, not through butterfly passes a lane block can share).
+    /// Whether this plan runs the symmetric-input transforms
+    /// ([`forward_real_bins_symmetric`](Self::forward_real_bins_symmetric),
+    /// [`forward_real_bins_lanes`](Self::forward_real_bins_lanes)): the
+    /// length is even and the half-length plan is radix-2 or mixed-radix (a
+    /// Bluestein half plan stages through a padded convolution, not through
+    /// butterfly passes an element of any width can ride).
     pub fn supports_lanes(&self) -> bool {
         self.lane_half_plan().is_some()
     }
@@ -679,24 +689,49 @@ impl RealFftPlan {
         }
     }
 
-    /// Computes bins `bins` (a sub-range of `0..=n/2`) of the `n`-point
-    /// DFTs of [`LANES`] real **even-symmetric** signals at once:
-    /// `half[i][l]` is sample `i` of signal `l` for `i in 0..=n/2`, and
-    /// sample `n - i` equals sample `i` (what a square-law intensity
-    /// spectrum looks like, so the mirror half is read, never stored).
-    /// `out[i]` receives bin `bins.start() + i` of every lane; `work` is
-    /// the caller-owned transform buffer.
+    /// Computes bins `bins` (a sub-range of `0..=n/2`) of the `n`-point DFT
+    /// of one real **even-symmetric** signal: `half[i]` is sample `i` for
+    /// `i in 0..=n/2`, and sample `n - i` equals sample `i` (what a
+    /// square-law intensity spectrum looks like, so the mirror half is
+    /// read, never stored). `out[i]` receives bin `bins.start() + i`; `work`
+    /// is the caller-owned transform buffer.
+    ///
+    /// This is [`forward_real_bins_lanes`](Self::forward_real_bins_lanes) at
+    /// width 1 — the same body over [`Complex`] instead of
+    /// [`ComplexLanes`] — and every produced bin is **bit-identical** to
+    /// what [`forward_real_bins_into`](Self::forward_real_bins_into)
+    /// produces for the mirrored full-length signal.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as
+    /// [`forward_real_bins_lanes`](Self::forward_real_bins_lanes).
+    pub fn forward_real_bins_symmetric(
+        &self,
+        half: &[f64],
+        bins: RangeInclusive<usize>,
+        work: &mut Vec<Complex>,
+        out: &mut Vec<Complex>,
+    ) -> Result<(), DspError> {
+        let (half_plan, order) = self.check_symmetric(half, &bins)?;
+        self.symmetric_body(half_plan, order, half, bins, work, out);
+        Ok(())
+    }
+
+    /// [`forward_real_bins_symmetric`](Self::forward_real_bins_symmetric)
+    /// for [`LANES`] signals at once: `half[i][l]` is sample `i` of signal
+    /// `l`, and `out[i]` receives bin `bins.start() + i` of every lane.
     ///
     /// One pass packs `x[2j] + i·x[2j+1]` straight into the half plan's
     /// gather order, the half plan's butterflies run once over lane
     /// elements, and the unpacking pass covers the requested bins only.
-    /// Lane `l` of every produced bin is **bit-identical** to what
-    /// [`forward_real_bins_into`](Self::forward_real_bins_into) produces
-    /// for signal `l` alone, whatever rides in the other lanes: the body
-    /// is the scalar one instantiated over [`ComplexLanes`].
+    /// Lane `l` of every produced bin is **bit-identical** to what the
+    /// one-signal transform produces for signal `l` alone, whatever rides
+    /// in the other lanes: the body is one, instantiated over
+    /// [`ComplexLanes`] here and over [`Complex`] there.
     ///
-    /// The body is compiled twice — for the build's baseline ISA and, on
-    /// x86-64, with AVX2 enabled — and this call picks by
+    /// The lane instantiation is compiled twice — for the build's baseline
+    /// ISA and, on x86-64, with AVX2 enabled — and this call picks by
     /// `is_x86_feature_detected!`. The two cannot differ in a bit: both
     /// are IEEE-exact per lane, FMA is not enabled and Rust never
     /// contracts a multiply-add on its own.
@@ -714,7 +749,7 @@ impl RealFftPlan {
         work: &mut Vec<ComplexLanes>,
         out: &mut Vec<ComplexLanes>,
     ) -> Result<(), DspError> {
-        let (half_plan, order) = self.check_lanes(half, &bins)?;
+        let (half_plan, order) = self.check_symmetric(half, &bins)?;
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: the one requirement of a `#[target_feature]` function
@@ -722,7 +757,7 @@ impl RealFftPlan {
             unsafe { self.lanes_avx2(half_plan, order, half, bins, work, out) };
             return Ok(());
         }
-        self.lanes_body(half_plan, order, half, bins, work, out);
+        self.symmetric_body(half_plan, order, half, bins, work, out);
         Ok(())
     }
 
@@ -742,64 +777,65 @@ impl RealFftPlan {
         work: &mut Vec<ComplexLanes>,
         out: &mut Vec<ComplexLanes>,
     ) -> Result<(), DspError> {
-        let (half_plan, order) = self.check_lanes(half, &bins)?;
-        self.lanes_body(half_plan, order, half, bins, work, out);
+        let (half_plan, order) = self.check_symmetric(half, &bins)?;
+        self.symmetric_body(half_plan, order, half, bins, work, out);
         Ok(())
     }
 
-    /// Entry checks of the lane transform; hands back the half plan and
+    /// Entry checks of the symmetric-input transform at any width (`R` is
+    /// one sample of every signal carried); hands back the half plan and
     /// its gather order.
-    fn check_lanes(
+    fn check_symmetric<R>(
         &self,
-        half: &[[f64; LANES]],
+        half: &[R],
         bins: &RangeInclusive<usize>,
     ) -> Result<(&FftPlan, &[u32]), DspError> {
         let Some(lane_plan) = self.lane_half_plan() else {
             return Err(DspError::InvalidLength {
                 len: self.n,
-                requirement: "lane transforms need an even length with a non-Bluestein half plan",
+                requirement:
+                    "symmetric-input transforms need an even length with a non-Bluestein half plan",
             });
         };
         if half.len() != self.spectrum_len() {
             return Err(DspError::InvalidLength {
                 len: half.len(),
-                requirement: "a symmetric lane input holds exactly samples 0..=n/2",
+                requirement: "a symmetric input holds exactly samples 0..=n/2",
             });
         }
         self.check_bins(bins)?;
         Ok(lane_plan)
     }
 
-    /// The lane transform, `#[inline(always)]` down to the butterflies so
-    /// that each caller below compiles its own copy for its own ISA.
+    /// The symmetric-input selected-bins transform, written once for every
+    /// width: `E` is [`Complex`] for one signal, [`ComplexLanes`] for
+    /// [`LANES`]. `#[inline(always)]` down to the butterflies so that each
+    /// caller compiles its own copy for its own element and ISA.
     #[inline(always)]
-    fn lanes_body(
+    fn symmetric_body<E: Element>(
         &self,
         half_plan: &FftPlan,
         order: &[u32],
-        half: &[[f64; LANES]],
+        half: &[E::Real],
         bins: RangeInclusive<usize>,
-        work: &mut Vec<ComplexLanes>,
-        out: &mut Vec<ComplexLanes>,
+        work: &mut Vec<E>,
+        out: &mut Vec<E>,
     ) {
         let n = self.n;
         work.clear();
         work.extend(order.iter().map(|&j| {
             let (even, odd) = (2 * j as usize, 2 * j as usize + 1);
-            ComplexLanes {
-                re: half[even.min(n - even)],
-                im: half[odd.min(n - odd)],
-            }
+            E::pack(half[even.min(n - even)], half[odd.min(n - odd)])
         }));
         half_plan.passes(work, false);
         out.clear();
-        out.resize(bins.end() - bins.start() + 1, ComplexLanes::ZERO);
+        out.resize(bins.end() - bins.start() + 1, E::ZERO);
         self.unpack_bins(work, bins, out);
     }
 
-    /// [`lanes_body`](Self::lanes_body) compiled with AVX2: one 256-bit
-    /// operation per lane block where the baseline ISA issues two 128-bit
-    /// ones.
+    /// [`symmetric_body`](Self::symmetric_body) over lanes compiled with
+    /// AVX2: one 256-bit operation per lane block where the baseline ISA
+    /// issues two 128-bit ones.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     fn lanes_avx2(
@@ -811,7 +847,7 @@ impl RealFftPlan {
         work: &mut Vec<ComplexLanes>,
         out: &mut Vec<ComplexLanes>,
     ) {
-        self.lanes_body(half_plan, order, half, bins, work, out);
+        self.symmetric_body(half_plan, order, half, bins, work, out);
     }
 
     /// Computes the half spectra of `rows` equal-length real signals laid

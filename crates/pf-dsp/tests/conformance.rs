@@ -6,13 +6,14 @@
 //! cannot silently re-derive a wrong baseline):
 //!
 //! * every plan variant — pow2 radix-2, mixed-radix (radix-4/2/3/5),
-//!   Bluestein, packed-real, batched, lanes — matches the oracle within
-//!   `1e-9`;
+//!   Bluestein, packed-real, batched, symmetric-input at width 1 and in
+//!   lanes — matches the oracle within `1e-9`;
 //! * where the docs claim bit-identity (free fft vs. shared plan, batched
 //!   real vs. serial real, selected bins
-//!   vs. the full real transform, each lane of the lane transform vs. the
-//!   scalar transform of its row, in every instantiation this host can
-//!   run), results match **bit for bit**;
+//!   vs. the full real transform, the symmetric-input transform at width 1
+//!   vs. the full-length transform of the mirrored row, each lane of the
+//!   lane transform vs. both, in every instantiation this host can run),
+//!   results match **bit for bit**;
 //! * structural invariants: forward∘inverse round-trips, Parseval.
 
 use pf_dsp::fft::{fft, ifft};
@@ -250,9 +251,12 @@ fn half_row(n: usize, seed: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Checks every lane of the lane transform of `rows` (symmetric rows given
-/// by their first halves) over `ranges`: bit for bit the scalar selected-bins
-/// transform of the mirrored row, and within tolerance of the oracle.
+/// Checks the symmetric-input transform of `rows` (symmetric rows given by
+/// their first halves) over `ranges`, at both widths. Width 1
+/// (`forward_real_bins_symmetric`, one row at a time): bit for bit the
+/// full-length selected-bins transform of the mirrored row, and within
+/// tolerance of the oracle. Every lane of the lane transform: bit for bit
+/// both of those.
 fn check_lanes(n: usize, rows: [&[f64]; LANES], ranges: &[RangeInclusive<usize>], what: &str) {
     let plan = RealFftPlan::shared(n).unwrap();
     assert!(plan.supports_lanes(), "n={n}");
@@ -271,17 +275,23 @@ fn check_lanes(n: usize, rows: [&[f64]; LANES], ranges: &[RangeInclusive<usize>]
         })
         .collect();
     let (mut scratch, mut scalar) = (Vec::new(), Vec::new());
+    let (mut one_work, mut one) = (Vec::new(), Vec::new());
     let (mut work, mut lanes) = (Vec::new(), Vec::new());
     for bins in ranges {
-        for (name, call) in LANE_CALLS {
-            call(&plan, &half, bins.clone(), &mut work, &mut lanes).unwrap();
-            for l in 0..LANES {
+        for l in 0..LANES {
+            plan.forward_real_bins_into(&full[l], bins.clone(), &mut scratch, &mut scalar)
+                .unwrap();
+            plan.forward_real_bins_symmetric(rows[l], bins.clone(), &mut one_work, &mut one)
+                .unwrap();
+            let what = format!("{what} n={n} bins {bins:?} row {l} (width 1)");
+            assert_bits(&one, &scalar, &what);
+            assert_close(&one, &references[l][bins.clone()], &what);
+            for (name, call) in LANE_CALLS {
+                call(&plan, &half, bins.clone(), &mut work, &mut lanes).unwrap();
                 let lane: Vec<Complex> = lanes.iter().map(|z| z.lane(l)).collect();
-                plan.forward_real_bins_into(&full[l], bins.clone(), &mut scratch, &mut scalar)
-                    .unwrap();
                 let what = format!("{what} n={n} bins {bins:?} lane {l} ({name})");
                 assert_bits(&lane, &scalar, &what);
-                assert_close(&lane, &references[l][bins.clone()], &what);
+                assert_bits(&lane, &one, &what);
             }
         }
     }
@@ -295,9 +305,10 @@ fn check_lanes_both_fills(n: usize, ranges: &[RangeInclusive<usize>]) {
     check_lanes(n, [&*rows[1]; LANES], ranges, "one row repeated");
 }
 
-/// The lane transform on every small even length with a power-of-two or
-/// mixed-radix half, over **every** bin sub-range — `{0}`, `{n/2}`, single
-/// interior bins, the full range and everything between.
+/// The symmetric-input transform, width 1 and lanes, on every small even
+/// length with a power-of-two or mixed-radix half, over **every** bin
+/// sub-range — `{0}`, `{n/2}`, single interior bins, the full range and
+/// everything between.
 #[test]
 fn lanes_match_the_scalar_transform_and_the_oracle_on_every_bin_range() {
     for n in [2usize, 4, 16, 128, 6, 12, 20, 60] {
@@ -308,7 +319,8 @@ fn lanes_match_the_scalar_transform_and_the_oracle_on_every_bin_range() {
     }
 }
 
-/// The lane transform on the grids the JTC runs (240 and 1000 are the
+/// The symmetric-input transform, width 1 and lanes, on the grids the JTC
+/// runs (240 and 1000 are the
 /// benchmark's, with halves 120 = 4·2·3·5 and 500 = 4·5·5·5; 360 and 1200
 /// were until the joint plane shrank to the read window; 1350 has an odd
 /// half, 3·3·3·5·5), over the ends, the whole, single bins and lobe-shaped
@@ -330,14 +342,28 @@ fn lanes_match_the_scalar_transform_and_the_oracle_on_the_jtc_grids() {
     }
 }
 
-/// Odd lengths and even lengths with a Bluestein half have no lane path,
-/// and say so; bad inputs are rejected where lanes are supported.
+/// Odd lengths and even lengths with a Bluestein half have no
+/// symmetric-input path at either width, and say so; bad inputs are
+/// rejected where it is supported.
 #[test]
 fn lanes_are_refused_where_unsupported_and_on_bad_input() {
     let (mut work, mut out) = (Vec::new(), Vec::new());
+    let (mut one_work, mut one) = (Vec::new(), Vec::new());
     for n in [7usize, 9, 45, 21, 14, 22] {
         let plan = RealFftPlan::shared(n).unwrap();
         assert!(!plan.supports_lanes(), "n={n}");
+        assert!(
+            matches!(
+                plan.forward_real_bins_symmetric(
+                    &vec![0.5; n / 2 + 1],
+                    0..=0,
+                    &mut one_work,
+                    &mut one
+                ),
+                Err(DspError::InvalidLength { .. })
+            ),
+            "n={n} (width 1)"
+        );
         let half = vec![[0.5; LANES]; n / 2 + 1];
         for (name, call) in LANE_CALLS {
             assert!(
@@ -352,6 +378,20 @@ fn lanes_are_refused_where_unsupported_and_on_bad_input() {
     let plan = RealFftPlan::shared(12).unwrap();
     let half = vec![[0.5; LANES]; 7];
     let inverted = RangeInclusive::new(3, 2);
+    for bad in [0..=7, 7..=7, inverted.clone()] {
+        assert!(
+            plan.forward_real_bins_symmetric(&[0.5; 7], bad.clone(), &mut one_work, &mut one)
+                .is_err(),
+            "range {bad:?} (width 1)"
+        );
+    }
+    for len in [6usize, 8] {
+        assert!(
+            plan.forward_real_bins_symmetric(&[0.5; 8][..len], 0..=0, &mut one_work, &mut one)
+                .is_err(),
+            "{len} samples (width 1)"
+        );
+    }
     for (name, call) in LANE_CALLS {
         for bad in [0..=7, 7..=7, inverted.clone()] {
             assert!(

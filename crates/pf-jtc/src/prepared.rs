@@ -20,62 +20,57 @@
 //!   `n ≥ 4·Ls − Lk` — where the oracle keeps all three output terms whole
 //!   and apart on a power-of-two grid. Every stage below is O(n) or
 //!   O(n log n) in that size;
-//! * per tile, the first lens is computed as a **real-input half-spectrum
-//!   FFT of the signal alone** (one `n/2`-point complex FFT instead of an
-//!   `n`-point one) and the kernel spectrum is added — the Fourier transform
-//!   is linear, so `F[s + k] = F[s] + F[k]`;
-//! * the square-law intensity of a real input's spectrum is symmetric
-//!   (`I[n-k] = I[k]`), so the second lens is again a real-input
-//!   half-spectrum FFT, and only the bins the correlation lobe occupies are
-//!   ever read — so only those bins are unpacked
-//!   ([`RealFftPlan::forward_real_bins_into`]);
-//! * the signal's half-spectrum is itself reusable: a CNN layer correlates
-//!   each input tile against **many** kernels (one per output channel, two
-//!   with pseudo-negative splitting), and `F[s]` does not depend on the
-//!   kernel. [`SignalSpectrum`] materialises that transform once
-//!   ([`PreparedSpectrum::signal_spectrum`]) and
-//!   [`PreparedSpectrum::correlate_spectrum`] replays it against any
-//!   prepared kernel with the same geometry — one spectrum-add plus one
-//!   inverse-lens transform per kernel instead of two transforms each;
-//! * the kernels that consume one tile's transform ride the second lens
-//!   **in lanes**: [`PreparedConv1d::correlate_set_with_signal`] takes
-//!   [`LANES`] prepared kernels of one geometry through spectrum-add,
-//!   intensity, one lane transform
-//!   ([`RealFftPlan::forward_real_bins_lanes`]) and the lobe read-out
-//!   together — each lane the per-kernel expression sequence, bit for bit;
-//! * whole tile batches are handed over at once:
-//!   [`PreparedSpectrum::signal_spectra_batch`] (and the row-tiling hook
-//!   [`PreparedConv1d::prepare_signal_batch`]) take N planar rows in one
-//!   call and transform them row by row, bit-identical per row to the
-//!   one-at-a-time path.
+//! * the **first lens** is a real-input half-spectrum FFT of the signal
+//!   alone (one `n/2`-point complex FFT instead of an `n`-point one) — the
+//!   Fourier transform is linear, so `F[s + k] = F[s] + F[k]` and the
+//!   kernel's half is added afterwards. It has one body, the batch
+//!   ([`PreparedSpectrum::signal_spectra_batch`], N planar rows transformed
+//!   row by row; the row-tiling hook is
+//!   [`PreparedConv1d::prepare_signal_batch`]): one signal is a batch of
+//!   one row, and the result is a [`SignalSpectrum`] any prepared kernel of
+//!   the same geometry replays — a CNN layer correlates each input tile
+//!   against **many** kernels (one per output channel, two with
+//!   pseudo-negative splitting), and `F[s]` does not depend on the kernel;
+//! * everything behind the first lens has **one body at every width**
+//!   (`PreparedSpectrum::finish_block`): for the 1 to [`LANES`] kernels of
+//!   one geometry that ride a pass together it adds each kernel spectrum,
+//!   takes the square-law intensities — symmetric (`I[n-k] = I[k]`), so
+//!   only samples `0..=n/2` exist anywhere — runs the second lens as a
+//!   symmetric-input real transform unpacked over the lobe's bins alone,
+//!   and reads every lobe out. Width one is not a special case: a lone
+//!   kernel ([`PreparedSpectrum::correlate`],
+//!   [`PreparedSpectrum::correlate_spectrum`], the tail of a set of
+//!   `4k + 1`) is the body over `f64` / [`Complex`]
+//!   ([`RealFftPlan::forward_real_bins_symmetric`]), a lane block
+//!   ([`PreparedConv1d::correlate_set_with_signal`]) the same source over
+//!   `[f64; LANES]` / [`ComplexLanes`]
+//!   ([`RealFftPlan::forward_real_bins_lanes`]) — so a lane's samples are
+//!   the lone kernel's, bit for bit, by construction.
 //!
 //! [`PreparedKernel`] layers the engine's DAC/ADC quantisation on top —
 //! still deterministic, so shareable between engines of one configuration
 //! — plus, for noisy engines, a binding to one engine's sensing-noise
-//! stream, and plugs into
-//! row tiling through [`pf_tiling::PreparedConv1d`], including the
-//! signal-sharing half of that trait
-//! ([`prepare_signal`](pf_tiling::PreparedConv1d::prepare_signal) /
-//! [`correlate_with_signal`](pf_tiling::PreparedConv1d::correlate_with_signal)).
-//! Every fast path is bit-identical to its unshared counterpart: the shared
-//! transform is byte-copied, not recomputed, so the floating-point operation
-//! sequence does not change.
+//! stream, and plugs into row tiling through [`pf_tiling::PreparedConv1d`].
+//! The full chain ([`correlate_valid`](PreparedConv1d::correlate_valid)) is
+//! the shared-signal chain
+//! ([`correlate_with_signal`](PreparedConv1d::correlate_with_signal)) on a
+//! transform it takes itself, so the two cannot differ in a bit.
 //!
-//! Each chain is written **once**: the full chain, the shared-signal
-//! chain and the shared-signal lane block each have one body taking
-//! `Option<&mut StageAcc>`, and the inherent, trait, `_acc` and `_traced`
-//! entry points are thin callers of it. Passing an accumulator marks the
-//! stage boundaries (`signal_fft`, `spectrum_apply`, `inverse`, `dac_adc`)
-//! in place; stage totals are read back as [`pf_telemetry::StageTotals`].
+//! Every body takes `Option<&mut StageAcc>`, and the inherent, trait,
+//! `_acc` and `_traced` entry points are thin callers of it. Passing an
+//! accumulator marks the stage boundaries (`signal_fft`, `spectrum_apply`,
+//! `inverse`, `dac_adc`) in place; stage totals are read back as
+//! [`pf_telemetry::StageTotals`].
 
 use std::any::Any;
 use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use pf_dsp::complex::{Complex, LANES};
+use pf_dsp::complex::{Complex, ComplexLanes, LANES};
 use pf_dsp::plan::RealFftPlan;
 use pf_dsp::scratch::{with_spectrum_scratch, SpectrumScratch};
+use pf_dsp::DspError;
 use pf_photonics::adc::Adc;
 use pf_photonics::dac::Dac;
 use pf_photonics::detector::SensingNoise;
@@ -130,6 +125,79 @@ impl ReadOut {
     }
 }
 
+/// How many kernels ride one pass of [`PreparedSpectrum::finish_block`],
+/// named by the block's intensity sample: `f64` is a block of one,
+/// `[f64; LANES]` a lane block. What differs between the widths is listed
+/// here — which arena buffers have this shape, which instantiation of the
+/// symmetric transform takes them — so the body is written once.
+trait Width: Copy {
+    /// One output-plane bin of every kernel of the block.
+    type Bin;
+    /// One sample per kernel: `f(l)` is kernel `l`'s.
+    fn per_kernel(f: impl FnMut(usize) -> f64) -> Self;
+    /// The real part of kernel `l`'s bin.
+    fn re(bin: &Self::Bin, l: usize) -> f64;
+    /// The arena's intensity buffer of this width.
+    fn intensity(s: &mut SpectrumScratch) -> &mut Vec<Self>;
+    /// Bins `bins` of the transforms of the symmetric sequences whose
+    /// samples `0..=n/2` sit in [`Width::intensity`], left in the arena.
+    fn second_lens<'s>(
+        plan: &RealFftPlan,
+        s: &'s mut SpectrumScratch,
+        bins: RangeInclusive<usize>,
+    ) -> Result<&'s [Self::Bin], DspError>;
+}
+
+impl Width for f64 {
+    type Bin = Complex;
+
+    fn per_kernel(mut f: impl FnMut(usize) -> f64) -> Self {
+        f(0)
+    }
+
+    fn re(bin: &Complex, _: usize) -> f64 {
+        bin.re
+    }
+
+    fn intensity(s: &mut SpectrumScratch) -> &mut Vec<f64> {
+        &mut s.real
+    }
+
+    fn second_lens<'s>(
+        plan: &RealFftPlan,
+        s: &'s mut SpectrumScratch,
+        bins: RangeInclusive<usize>,
+    ) -> Result<&'s [Complex], DspError> {
+        plan.forward_real_bins_symmetric(&s.real, bins, &mut s.fft, &mut s.half)?;
+        Ok(&s.half)
+    }
+}
+
+impl Width for [f64; LANES] {
+    type Bin = ComplexLanes;
+
+    fn per_kernel(f: impl FnMut(usize) -> f64) -> Self {
+        std::array::from_fn(f)
+    }
+
+    fn re(bin: &ComplexLanes, l: usize) -> f64 {
+        bin.re[l]
+    }
+
+    fn intensity(s: &mut SpectrumScratch) -> &mut Vec<[f64; LANES]> {
+        &mut s.lanes_real
+    }
+
+    fn second_lens<'s>(
+        plan: &RealFftPlan,
+        s: &'s mut SpectrumScratch,
+        bins: RangeInclusive<usize>,
+    ) -> Result<&'s [ComplexLanes], DspError> {
+        plan.forward_real_bins_lanes(&s.lanes_real, bins, &mut s.lanes_fft, &mut s.lanes_half)?;
+        Ok(&s.lanes_half)
+    }
+}
+
 /// The precomputed optics-level state for correlating one fixed kernel with
 /// signals of one fixed length: input-plane geometry plus the kernel's
 /// padded half-spectrum.
@@ -150,10 +218,9 @@ pub struct PreparedSpectrum {
 /// The first-lens transform of one signal: bins `0..=n/2` of the `n`-point
 /// DFT of the signal placed at the input-plane origin.
 ///
-/// Computed once per tile by [`PreparedSpectrum::signal_spectrum`] and
-/// consumed by [`PreparedSpectrum::correlate_spectrum`] for every kernel
-/// prepared with the same geometry, replacing the per-kernel signal FFT
-/// with an O(n) copy.
+/// Computed once per tile by [`PreparedSpectrum::signal_spectra_batch`] and
+/// read by [`PreparedSpectrum::correlate_spectrum`] for every kernel
+/// prepared with the same geometry, replacing the per-kernel signal FFT.
 #[derive(Debug, Clone)]
 pub struct SignalSpectrum {
     signal_len: usize,
@@ -236,7 +303,8 @@ impl PreparedSpectrum {
 
     /// Computes the first-lens transform of `signal` alone (real input,
     /// implicit zero padding), reusable against every prepared kernel that
-    /// shares this geometry (same `signal_len` and grid size).
+    /// shares this geometry (same `signal_len` and grid size):
+    /// [`PreparedSpectrum::signal_spectra_batch`] over one row.
     ///
     /// # Errors
     ///
@@ -244,20 +312,8 @@ impl PreparedSpectrum {
     /// the signal length this spectrum was prepared for, and
     /// [`JtcError::EmptyOperand`] for an empty signal.
     pub fn signal_spectrum(&self, signal: &[f64]) -> Result<SignalSpectrum, JtcError> {
-        if signal.is_empty() {
-            return Err(JtcError::EmptyOperand { what: "signal" });
-        }
-        self.check_signal_len(signal.len())?;
-        let mut half_spec = Vec::new();
-        with_spectrum_scratch(|s| {
-            self.plan
-                .forward_real_into(signal, &mut s.fft, &mut half_spec)
-        })?;
-        Ok(SignalSpectrum {
-            signal_len: self.signal_len,
-            n: self.n,
-            half_spec,
-        })
+        let mut batch = self.signal_spectra_batch(signal, 1)?;
+        Ok(batch.pop().expect("one row in, one spectrum out"))
     }
 
     /// Computes the first-lens transforms of `count` signals stored back to
@@ -268,10 +324,7 @@ impl PreparedSpectrum {
     /// one output allocation across the batch — no transform stage is
     /// shared between rows.
     ///
-    /// Each returned spectrum is bit-identical to what
-    /// [`PreparedSpectrum::signal_spectrum`] produces for the same row —
-    /// every row runs that call's own transform body — so every sharing
-    /// guarantee downstream carries over.
+    /// A row's spectrum does not depend on what else is in the batch.
     ///
     /// # Errors
     ///
@@ -315,10 +368,7 @@ impl PreparedSpectrum {
     /// Runs the optics chain against `signal` and extracts the valid
     /// cross-correlation, reusing the prepared kernel spectrum.
     ///
-    /// Bit-identical to
-    /// `self.correlate_spectrum(&self.signal_spectrum(signal)?)`: the
-    /// shared-spectrum path copies the transform instead of recomputing it,
-    /// so the floating-point operation sequence is the same.
+    /// This is `self.correlate_spectrum(&self.signal_spectrum(signal)?)`.
     ///
     /// # Errors
     ///
@@ -326,34 +376,7 @@ impl PreparedSpectrum {
     /// the signal length this spectrum was prepared for, and
     /// [`JtcError::EmptyOperand`] for an empty signal.
     pub fn correlate(&self, signal: &[f64]) -> Result<Vec<f64>, JtcError> {
-        Ok(self.correlate_acc(signal, ReadOut::PLAIN, None)?.0)
-    }
-
-    /// The body of [`PreparedSpectrum::correlate`], marking its stage
-    /// boundaries (signal FFT, then the two [`PreparedSpectrum::finish`]
-    /// stages) in place on the caller's accumulator. `read_out` and the
-    /// returned sum of squares are [`PreparedSpectrum::second_lens`]'s.
-    fn correlate_acc(
-        &self,
-        signal: &[f64],
-        read_out: ReadOut,
-        mut acc: Option<&mut StageAcc>,
-    ) -> Result<(Vec<f64>, f64), JtcError> {
-        if signal.is_empty() {
-            return Err(JtcError::EmptyOperand { what: "signal" });
-        }
-        self.check_signal_len(signal.len())?;
-        if self.kernel_len > self.signal_len {
-            return Ok((Vec::new(), 0.0));
-        }
-        with_spectrum_scratch(|s| {
-            // First lens on the signal alone, directly into the joint
-            // buffer; the kernel spectrum is added in place.
-            self.plan
-                .forward_real_into(signal, &mut s.fft, &mut s.half)?;
-            mark(&mut acc, Stage::SignalFft);
-            self.finish(s, read_out, acc)
-        })
+        self.correlate_spectrum(&self.signal_spectrum(signal)?)
     }
 
     /// Runs the optics chain against a signal transform computed by
@@ -370,17 +393,17 @@ impl PreparedSpectrum {
             .0)
     }
 
-    /// The body of [`PreparedSpectrum::correlate_spectrum`]. `acc` chains
-    /// stage boundaries on the caller's accumulator, so a caller that
-    /// already marked earlier stages pays no extra clock reads at the
-    /// hand-off boundary. Entry checks and the spectrum byte-copy fall into
-    /// `spectrum_apply`. `read_out` and the returned sum of squares are
-    /// [`PreparedSpectrum::second_lens`]'s.
+    /// The body of [`PreparedSpectrum::correlate_spectrum`]: the entry
+    /// checks, then a block of one. `acc` chains stage boundaries on the
+    /// caller's accumulator, so a caller that already marked earlier stages
+    /// pays no extra clock reads at the hand-off boundary (the entry checks
+    /// fall into `spectrum_apply`). `read_out` and the returned sum of
+    /// squares are [`PreparedSpectrum::finish_block`]'s.
     fn correlate_spectrum_acc(
         &self,
         spectrum: &SignalSpectrum,
         read_out: ReadOut,
-        acc: Option<&mut StageAcc>,
+        mut acc: Option<&mut StageAcc>,
     ) -> Result<(Vec<f64>, f64), JtcError> {
         self.check_signal_len(spectrum.signal_len)?;
         if spectrum.n != self.n {
@@ -392,82 +415,75 @@ impl PreparedSpectrum {
                 ),
             });
         }
-        if self.kernel_len > self.signal_len {
-            return Ok((Vec::new(), 0.0));
+        let mut lone = (Vec::new(), 0.0);
+        if self.kernel_len <= self.signal_len {
+            Self::finish_block::<f64>(
+                &[self],
+                &spectrum.half_spec,
+                &[read_out],
+                &mut acc,
+                |_, samples, sum_sq| lone = (samples, sum_sq),
+            )?;
         }
-        with_spectrum_scratch(|s| {
-            // Byte-copy of the shared transform: `half` then holds exactly
-            // the bits the unshared path's signal FFT would produce.
-            s.half.clear();
-            s.half.extend_from_slice(&spectrum.half_spec);
-            self.finish(s, read_out, acc)
-        })
+        Ok(lone)
     }
 
-    /// The shared tail of both chain bodies: `s.half` holds the signal's
-    /// half spectrum; adds the kernel spectrum, takes the square-law
-    /// intensity (`spectrum_apply`), then runs the second lens and extracts
-    /// the correlation lobe (`inverse`).
-    fn finish(
-        &self,
-        s: &mut SpectrumScratch,
-        read_out: ReadOut,
-        mut acc: Option<&mut StageAcc>,
-    ) -> Result<(Vec<f64>, f64), JtcError> {
-        let SpectrumScratch {
-            fft, half, real, ..
-        } = s;
-        self.apply_kernel_spectrum(half, real);
-        mark(&mut acc, Stage::SpectrumApply);
-        // The joint spectrum is spent once the intensity exists, so its
-        // buffer takes the lobe bins.
-        let out = self.second_lens(real, fft, half, read_out)?;
-        mark(&mut acc, Stage::Inverse);
-        Ok(out)
-    }
-
-    /// Adds the prepared kernel spectrum into `joint` (which must hold the
-    /// signal's half spectrum) and materialises the full-length square-law
-    /// intensity — `F[s+k] = F[s] + F[k]`, and the joint input is real so
-    /// its intensity spectrum is symmetric: `I[n-k] = I[k]`.
-    fn apply_kernel_spectrum(&self, joint: &mut [Complex], intensity: &mut Vec<f64>) {
-        for (j, k) in joint.iter_mut().zip(&self.kernel_half_spec) {
-            *j += *k;
-        }
-        intensity.clear();
-        intensity.resize(self.n, 0.0);
-        for (k, z) in joint.iter().enumerate() {
-            let v = z.norm_sqr();
-            intensity[k] = v;
-            // Bins 0 and n/2 (when n is even) are their own mirrors; every
-            // other half-spectrum bin also fills its conjugate image.
-            if k != 0 && 2 * k != self.n {
-                intensity[self.n - k] = v;
-            }
-        }
-    }
-
-    /// Second lens (again a real input), evaluated only where it is read:
-    /// the valid window of the correlation lobe lives at output-plane bins
-    /// `d-len+1..=d`, all within the half spectrum (`d < n/2` by
-    /// construction) and the only bins the geometry keeps alias-free, so
-    /// the transform's unpacking pass runs over those bins alone.
-    /// Normalises the double-transform gain of N; lobe sample `j` is bin
-    /// `d - j`.
+    /// The one body behind every chain: `block` holds the prepared kernels
+    /// of one geometry that ride this pass together — one at width `f64`,
+    /// 1 to [`LANES`] at width `[f64; LANES]` (a short block repeats its
+    /// last kernel in the idle lanes and drops their output) — against the
+    /// signal half spectrum `signal_half` taken on that geometry's grid.
     ///
-    /// The read-out also does what `read_out` asks (rescale, sum of
-    /// squares; the sum is `0.0` when not asked for).
-    fn second_lens(
-        &self,
-        intensity: &[f64],
-        fft_scratch: &mut Vec<Complex>,
-        lobe: &mut Vec<Complex>,
-        read_out: ReadOut,
-    ) -> Result<(Vec<f64>, f64), JtcError> {
-        self.plan
-            .forward_real_bins_into(intensity, self.lobe_bins(), fft_scratch, lobe)?;
-        let lobe_re = lobe.iter().rev().map(|z| z.re);
-        Ok(read_out.collect(lobe_re, 1.0 / self.n as f64))
+    /// `spectrum_apply`: `F[s+k] = F[s] + F[k]`, then the square-law
+    /// intensity. The joint input is real, so the intensity is symmetric
+    /// (`I[n-k] = I[k]`): only samples `0..=n/2` are stored, the transform
+    /// reads the mirror half. `inverse`: the second lens, evaluated only
+    /// where it is read — the valid window of the correlation lobe lives at
+    /// output-plane bins `d-len+1..=d`, all within the half spectrum
+    /// (`d < n/2` by construction) and the only bins the geometry keeps
+    /// alias-free. Every kernel's lobe is then read out by its `read_outs`
+    /// entry (lobe sample `j` is bin `d - j`, the double-transform gain of
+    /// N normalised away) and handed to `emit(l, samples,
+    /// sum_of_squares)`, in kernel order. A kernel's samples are, bit for
+    /// bit, what a block of that kernel alone computes.
+    ///
+    /// # Errors
+    ///
+    /// The plan's, if it has no symmetric transform or `signal_half` was
+    /// not taken on its grid — what [`PreparedKernel::lane_set`] rules out
+    /// before any block of a set runs (a block must not fail once an
+    /// earlier one has drawn noise).
+    fn finish_block<W: Width>(
+        block: &[&PreparedSpectrum],
+        signal_half: &[Complex],
+        read_outs: &[ReadOut],
+        acc: &mut Option<&mut StageAcc>,
+        mut emit: impl FnMut(usize, Vec<f64>, f64),
+    ) -> Result<(), JtcError> {
+        let first = block[0];
+        let kernels: [&[Complex]; LANES] =
+            std::array::from_fn(|l| &*block[l.min(block.len() - 1)].kernel_half_spec);
+        with_spectrum_scratch(|s| {
+            let intensity = W::intensity(s);
+            intensity.clear();
+            intensity.extend(signal_half.iter().enumerate().map(|(k, &signal)| {
+                W::per_kernel(|l| {
+                    let mut joint = signal;
+                    joint += kernels[l][k];
+                    joint.norm_sqr()
+                })
+            }));
+            mark(acc, Stage::SpectrumApply);
+            let lobe = W::second_lens(&first.plan, s, first.lobe_bins())?;
+            let inv_n = 1.0 / first.n as f64;
+            for (l, read_out) in read_outs.iter().enumerate() {
+                let lobe_re = lobe.iter().rev().map(|z| W::re(z, l));
+                let (samples, sum_sq) = read_out.collect(lobe_re, inv_n);
+                emit(l, samples, sum_sq);
+            }
+            mark(acc, Stage::Inverse);
+            Ok(())
+        })
     }
 
     /// The output-plane bins of the correlation lobe, ascending.
@@ -481,67 +497,6 @@ impl PreparedSpectrum {
     fn same_geometry(&self, other: &PreparedSpectrum) -> bool {
         (self.signal_len, self.kernel_len, self.d, self.n)
             == (other.signal_len, other.kernel_len, other.d, other.n)
-    }
-
-    /// [`PreparedSpectrum::finish`] for a lane block: `block` holds 1 to
-    /// [`LANES`] prepared kernels of one geometry (a short block repeats
-    /// its last kernel in the idle lanes and drops their output), all
-    /// correlated against the signal half spectrum `signal_half` taken on
-    /// that geometry's grid. Adds each kernel spectrum, takes the square-law
-    /// intensities (`spectrum_apply`), then runs one lane transform and
-    /// reads every live lane's lobe out by `read_outs` (`inverse`), pushing
-    /// one sample vector per kernel onto `out` and returning the sums of
-    /// squares by lane. Every lane computes what `finish` computes for its
-    /// kernel, bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry's plan does not support lanes or
-    /// `signal_half` was not taken on its grid — what
-    /// [`PreparedKernel::lane_set`] rules out before any block runs (a
-    /// block must not fail once an earlier one has drawn noise).
-    fn finish_lanes(
-        block: &[&PreparedSpectrum],
-        signal_half: &[Complex],
-        read_outs: &[ReadOut; LANES],
-        s: &mut SpectrumScratch,
-        out: &mut Vec<Vec<f64>>,
-        acc: &mut Option<&mut StageAcc>,
-    ) -> [f64; LANES] {
-        let first = block[0];
-        let kernels: [&[Complex]; LANES] =
-            std::array::from_fn(|l| &*block[l.min(block.len() - 1)].kernel_half_spec);
-        // The intensity is symmetric (`I[n-k] = I[k]`), and the lane
-        // transform reads the mirror half instead of having it stored.
-        s.lanes_real.clear();
-        s.lanes_real
-            .extend(signal_half.iter().enumerate().map(|(k, &signal)| {
-                std::array::from_fn(|l| {
-                    let mut joint = signal;
-                    joint += kernels[l][k];
-                    joint.norm_sqr()
-                })
-            }));
-        mark(acc, Stage::SpectrumApply);
-        first
-            .plan
-            .forward_real_bins_lanes(
-                &s.lanes_real,
-                first.lobe_bins(),
-                &mut s.lanes_fft,
-                &mut s.lanes_half,
-            )
-            .expect("the set was cleared for lanes on this geometry");
-        let inv_n = 1.0 / first.n as f64;
-        let mut sums = [0.0; LANES];
-        for (l, read_out) in read_outs.iter().enumerate().take(block.len()) {
-            let lobe_re = s.lanes_half.iter().rev().map(|z| z.re[l]);
-            let (samples, sum_sq) = read_out.collect(lobe_re, inv_n);
-            out.push(samples);
-            sums[l] = sum_sq;
-        }
-        mark(acc, Stage::Inverse);
-        sums
     }
 }
 
@@ -668,18 +623,16 @@ impl PreparedKernel {
         self.chain(signal, None)
     }
 
-    /// The one body of the full chain, marking stage boundaries on a
-    /// caller-held [`StageAcc`] when there is one (one clock read per
+    /// The full chain: the first lens on the DAC-quantised signal, then the
+    /// shared-signal chain on that transform. Stage boundaries are marked on
+    /// a caller-held [`StageAcc`] when there is one (one clock read per
     /// boundary; see the accumulator's docs for why loops hold one).
     fn chain(&self, signal: &[f64], mut acc: Option<&mut StageAcc>) -> Result<Vec<f64>, JtcError> {
         let (signal_q, s_scale) = quantize_through_dac(self.dac.as_ref(), signal);
         mark(&mut acc, Stage::DacAdc);
-        let (mut out, sum_sq) =
-            self.spectrum
-                .correlate_acc(&signal_q, self.read_out(s_scale), acc.as_deref_mut())?;
-        self.condition(&mut out, sum_sq);
-        mark(&mut acc, Stage::DacAdc);
-        Ok(out)
+        let spectrum = self.spectrum.signal_spectrum(&signal_q)?;
+        mark(&mut acc, Stage::SignalFft);
+        self.chain_shared(&SharedSignal { spectrum, s_scale }, acc)
     }
 
     /// The one body of the shared-signal chain. No signal-FFT stage here:
@@ -720,14 +673,15 @@ impl PreparedKernel {
     }
 
     /// The one body of the shared-signal chain for a whole kernel set that
-    /// [`PreparedKernel::lane_set`] cleared: the optics run per lane block
-    /// ([`PreparedSpectrum::finish_lanes`]), then each kernel of the block
+    /// [`PreparedKernel::lane_set`] cleared: the optics run per block
+    /// ([`PreparedSpectrum::finish_block`]), then each kernel of the block
     /// conditions its own output **in kernel order**, so a noisy engine's
     /// stream is consumed exactly as the per-kernel chain consumes it.
     /// Stages are marked once per block. A block of one — a set of one
-    /// kernel, the tail of a set of `4k + 1` — takes the scalar chain: a
-    /// whole lane transform for one lobe costs more than the scalar one
-    /// (single-kernel partial tiling ran 20–29 % slower through lanes).
+    /// kernel, the tail of a set of `4k + 1` — runs at width 1
+    /// ([`PreparedKernel::chain_shared`]): a whole lane transform for one
+    /// lobe costs more than the one-signal instantiation (single-kernel
+    /// partial tiling ran 20–29 % slower through lanes).
     fn chain_set(
         set: &[&dyn PreparedConv1d],
         shared: &SharedSignal,
@@ -743,22 +697,25 @@ impl PreparedKernel {
                 );
                 continue;
             }
-            // A short last block repeats its last kernel in the idle lanes.
+            // Fixed-size views (a short block repeats its last kernel):
+            // nothing here may allocate per block.
             let kernels: [&PreparedKernel; LANES] = std::array::from_fn(|l| {
                 Self::of(block[l.min(block.len() - 1)]).expect("lane_set cleared every member")
             });
             let spectra = kernels.map(|k| &*k.spectrum);
             let read_outs = kernels.map(|k| k.read_out(shared.s_scale));
-            let sums = with_spectrum_scratch(|s| {
-                PreparedSpectrum::finish_lanes(
-                    &spectra[..block.len()],
-                    &shared.spectrum.half_spec,
-                    &read_outs,
-                    s,
-                    &mut out,
-                    &mut acc,
-                )
-            });
+            let mut sums = [0.0; LANES];
+            PreparedSpectrum::finish_block::<[f64; LANES]>(
+                &spectra[..block.len()],
+                &shared.spectrum.half_spec,
+                &read_outs[..block.len()],
+                &mut acc,
+                |l, samples, sum_sq| {
+                    out.push(samples);
+                    sums[l] = sum_sq;
+                },
+            )
+            .expect("lane_set cleared the geometry");
             let done = out.len() - block.len();
             for ((kernel, samples), sum_sq) in kernels.iter().zip(&mut out[done..]).zip(sums) {
                 kernel.condition(samples, sum_sq);
@@ -853,9 +810,7 @@ impl PreparedConv1d for PreparedKernel {
     }
 
     fn prepare_signal(&self, signal: &[f64]) -> Option<Arc<dyn PreparedSignal>> {
-        let (signal_q, s_scale) = quantize_through_dac(self.dac.as_ref(), signal);
-        let spectrum = self.spectrum.signal_spectrum(&signal_q).ok()?;
-        Some(Arc::new(SharedSignal { spectrum, s_scale }))
+        self.prepare_signal_batch(signal, 1)?.pop()
     }
 
     fn prepare_signal_batch(

@@ -19,83 +19,77 @@
 //!    the kernels and the shape of the input plane: the shape checks, where
 //!    the output grid sits on the plane the tiles are cut from (row and
 //!    column offsets, horizontal padding), the [`TilingPlan`], and — for the
-//!    one strategy the plan selects — every tiled 1D kernel with its
-//!    prepared form. The result is an owned [`KernelSet`]: the filter as it
-//!    sits in the PFCU while input tiles stream past it.
-//! 2. [`TiledConvolver::correlate2d_set`] runs a set against one input:
-//!    it cuts the tiles, calls the engine and hands every output sample to
-//!    the caller's sink. It runs exactly one of three strategy bodies — row
-//!    tiling, partial row tiling, row partitioning — the three genuinely
-//!    different algorithms of Section III. Output samples whose window
-//!    hangs over the edge of a tile (only possible at a non-zero column
-//!    offset) are recomputed with a direct dot product; everything else is
-//!    handed over out of the 1D results a covered column range at a time.
+//!    one strategy the plan selects — every *stack* of tiled 1D kernels
+//!    (the kernels one signal is correlated against), prepared through
+//!    [`Conv1dEngine::prepare_kernel`] and **classified once** by how a run
+//!    will drive it: `Shared` (every member prepared under one
+//!    [`PreparedConv1d::signal_key`], and the signal's transform has more
+//!    than one reader), `Each` (prepared, nothing to share) or `Plain` (the
+//!    engine declined; all or nothing per stack). The result is an owned
+//!    [`KernelSet`]: the filter as it sits in the PFCU while input tiles
+//!    stream past it. Preparations come from a store keyed by the exact
+//!    kernel bits and the tile length, so two sets over the same weights
+//!    prepare them once; a run never touches the store, and engines that
+//!    report [`Conv1dEngine::prepares_kernels`] `== false` never pay the
+//!    key hashing.
+//! 2. [`TiledConvolver::correlate2d_set`] runs a set against one input: it
+//!    binds the set's preparations to the calling engine
+//!    ([`Conv1dEngine::bind_prepared`] — one store, and one set, can serve
+//!    several engines of one configuration through [`TiledConvolver::on`]),
+//!    cuts the signals, calls the engine and hands every output sample to
+//!    the caller's sink, a row segment at a time. It runs exactly one of
+//!    three strategy bodies — row tiling, partial row tiling, row
+//!    partitioning — the three genuinely different algorithms of
+//!    Section III. Output samples whose window hangs over the edge of a
+//!    tile (only possible at a non-zero column offset) are recomputed with
+//!    a direct dot product.
 //!
 //! The `correlate2d_*` entry points are step 1 then step 2 into fresh output
 //! planes. A caller that meets the same kernels again (a CNN layer, image
 //! after image) keeps the set and repeats only step 2.
 //!
-//! # Throughput engineering
+//! # One signal, one stack, one call
 //!
-//! The convolver is built for batch throughput, and its loops are grouped
-//! **by input signal** rather than by kernel so that per-signal work is
-//! shared:
+//! Under all three strategies the unit of work is **one signal against one
+//! stack**, every kernel of the stack before the next signal. What the
+//! stack's class decided at prepare time, the run just does: a `Shared`
+//! stack has the signal transformed once
+//! ([`PreparedConv1d::prepare_signal_batch`] — for the JTC its real-input
+//! half-spectrum) and goes to the engine whole
+//! ([`PreparedConv1d::correlate_set_with_signal`]; the JTC carries four
+//! kernels to a lane block through its second transform), an `Each` stack
+//! runs each member's own chain, a `Plain` stack the engine's
+//! [`Conv1dEngine::correlate_valid`]. Nothing is decided per tile.
 //!
-//! * nothing that depends on the kernels alone happens per input: a
-//!   [`KernelSet`] holds the tiled kernels already prepared through
-//!   [`Conv1dEngine::prepare_kernel`]. Preparations are looked up in a
-//!   store (keyed by the exact kernel bits and the tile length) *while the
-//!   set is built*, so two sets — or two bare convolutions — over the same
-//!   weights prepare them once; a run never touches the store. Engines
-//!   report [`Conv1dEngine::prepares_kernels`] so engines without a fast
-//!   path never pay the key hashing. One store, and one set, can serve
-//!   several engines of one configuration ([`TiledConvolver::on`] —
-//!   per-request seeded engines of a stochastic backend): each run binds
-//!   the set's preparations to the calling engine's own state through
-//!   [`Conv1dEngine::bind_prepared`];
-//! * a run correlates **each input tile against every kernel of the set
-//!   before moving to the next tile**: the tile is built once, and engines
-//!   that support signal sharing ([`PreparedConv1d::prepare_signal`])
-//!   compute the tile's transform (for the JTC: its real-input
-//!   half-spectrum) once and replay it against all N prepared kernel
-//!   spectra. The consumers of one tile's transform go to the engine as a
-//!   whole set ([`PreparedConv1d::correlate_set_with_signal`]), so an
-//!   engine that can carry several kernels through its second transform
-//!   together (the JTC: four to a lane block) does — one spectrum-add per
-//!   kernel and one inverse transform per block instead of two transforms
-//!   per kernel. A CNN layer correlates each tile against up to
-//!   `2 × out_channels` kernels, so this removes the dominant redundant
-//!   signal FFTs of batched inference. On serial multi-kernel row tiling
-//!   the tile transforms are additionally requested in **one batched
-//!   call** ([`PreparedConv1d::prepare_signal_batch`]): when a kernel of
-//!   the set produces shared transforms, every tile of the image is packed
-//!   planar and handed over before the per-tile loop consumes the seeded
-//!   cache (a set without a producer — the digital engine — packs nothing);
-//! * shared signal transforms live in a **per-run scratch cache**; row
-//!   partitioning also reuses one row partition's transform across all
-//!   kernel rows that slide over it. The scratch and the prepared-kernel
-//!   store share one bound and one eviction rule (1024 entries, then drop
-//!   everything);
-//! * output samples go to a caller-supplied sink, a row segment at a time,
-//!   so the caller decides where a plane lives and how it is combined: the
-//!   `correlate2d_*` entry points copy into fresh matrices, the CNN
-//!   executor subtracts a pseudo-negative pair straight into one flat
-//!   buffer;
-//! * independent tiles/rows are dispatched across rayon worker threads with
-//!   deterministic ordering (results are collected in tile order, and each
-//!   tile is a pure function of its inputs), so the parallel output is
-//!   bit-identical to the serial output. Engines that report
-//!   [`Conv1dEngine::is_deterministic`] `== false` (optical sensing noise)
-//!   are always driven serially so their noise streams stay reproducible.
-//!   Tiles fan out only when this call is the outermost parallel region:
-//!   the gate reads the pool width, and on a worker of somebody else's
-//!   region (a batch fanned out across images, a sweep across grid points)
-//!   the pool answers 1, so nested tiles take the serial fast path without
-//!   any caller having to say so;
-//! * tallies (tiles, 1D convolutions and spectrum reuse per run, kernel
-//!   preparations per prepared set) are flushed into the `tiling.*`
-//!   counters of the attached [`Telemetry`] handle; read them from a
-//!   snapshot (`docs/PERFORMANCE.md` has the recipe).
+//! * **Row tiling has one tile loop.** Every tile of the image is cut once,
+//!   planar into one buffer, which is dealt out in one contiguous chunk per
+//!   pool thread. A chunk has its tiles transformed in one batched call —
+//!   the chunk of the buffer *is* the batch, and tile positions never
+//!   repeat within a run, so transforms are indexed by tile, not looked up
+//!   — then runs them in order. Width one is not a special case: where
+//!   tiles do not fan out (a 1-wide pool, a worker of somebody else's
+//!   region, an engine that keeps tiles serial) the one chunk is the whole
+//!   image;
+//! * partial row tiling and row partitioning meet the same signal again
+//!   (consecutive output rows revisit plane-row windows; every kernel row
+//!   slides over one row partition), so their shared transforms live in a
+//!   **per-run scratch keyed by signal position**, under the
+//!   prepared-kernel store's bound and eviction rule (1024 entries, then
+//!   drop everything);
+//! * independent chunks/rows are dispatched across rayon worker threads,
+//!   results collected in input order and each a pure function of its
+//!   inputs, so the output is bit-identical at every pool width. Engines
+//!   that report [`Conv1dEngine::is_deterministic`] `== false` (optical
+//!   sensing noise) are always driven serially so their noise streams stay
+//!   reproducible, and work fans out only when this call is the outermost
+//!   parallel region: on a worker of somebody else's region (a batch fanned
+//!   out across images, a sweep across grid points) the pool answers 1;
+//! * with telemetry enabled each chunk of row tiles holds one [`StageAcc`]
+//!   across its loop — the engine marks its stages once per lane block or
+//!   per convolution, every mark exact — and flushes once; each run
+//!   flushes its tallies (tiles, 1D convolutions, spectrum reuse) into the
+//!   `tiling.*` counters of the attached [`Telemetry`] handle (read them
+//!   from a snapshot: `docs/PERFORMANCE.md` has the recipe).
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -104,7 +98,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use pf_dsp::conv::Matrix;
-use pf_telemetry::{Counter, Stage, StageAcc, Stopwatch, Telemetry};
+use pf_telemetry::{Counter, Stage, StageAcc, Telemetry};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -182,7 +176,9 @@ type PrepMap = HashMap<PrepKey, Option<Arc<dyn PreparedConv1d>>>;
 type SigKey = (isize, usize, usize);
 
 /// The per-run shared signal-transform scratch: transforms keyed by signal
-/// position, plus the tallies flushed into `tiling.spectrum_hits` /
+/// position (for the strategies that meet a signal again; row tiling
+/// indexes its transforms by tile and keeps only its tallies here), plus
+/// the tallies flushed into `tiling.spectrum_hits` /
 /// `tiling.spectrum_misses` when the run ends. Best-effort under parallel
 /// dispatch (two workers may compute the same transform concurrently).
 #[derive(Debug, Default)]
@@ -192,40 +188,69 @@ struct SignalScratch {
     misses: usize,
 }
 
-/// One tiled 1D kernel of a [`KernelSet`].
+/// The tiled 1D kernels one signal is correlated against — a filter set as
+/// it sits in the PFCU — classified **once**, when the set is prepared, by
+/// how a run drives it. All or nothing: a stack is never driven kernel by
+/// kernel down different paths.
 #[derive(Debug)]
-struct Kernel1d {
-    /// The tiled kernel vector, for engines without a fast path; empty when
-    /// `prep` stands in for it.
-    tiled: Vec<f64>,
-    /// The engine's prepared form, as the store holds it: not yet bound to
-    /// any engine's own state.
-    prep: Option<Arc<dyn PreparedConv1d>>,
+enum Stack {
+    /// Every member prepared under one [`PreparedConv1d::signal_key`], and
+    /// the signal's transform has more than one reader (several kernels, or
+    /// a strategy whose signal positions repeat): the signal is transformed
+    /// once and the whole stack goes to the engine in one call
+    /// ([`PreparedConv1d::correlate_set_with_signal`]).
+    Shared(Vec<Arc<dyn PreparedConv1d>>),
+    /// Every member prepared, nothing to share (no common key, or a single
+    /// kernel under row tiling, whose tile positions never repeat): each
+    /// member runs its own full chain.
+    Each(Vec<Arc<dyn PreparedConv1d>>),
+    /// The engine declined to prepare: the tiled kernel vectors go to
+    /// [`Conv1dEngine::correlate_valid`].
+    Plain(Vec<Vec<f64>>),
 }
 
-/// A [`Kernel1d`] for the length of one run: its preparation bound to the
-/// calling engine ([`Conv1dEngine::bind_prepared`]).
-struct Bound<'a> {
-    tiled: &'a [f64],
-    prep: Option<Arc<dyn PreparedConv1d>>,
+impl Stack {
+    /// The prepared members, as the store holds them: not yet bound to any
+    /// engine's own state.
+    fn members(&self) -> &[Arc<dyn PreparedConv1d>] {
+        match self {
+            Stack::Shared(members) | Stack::Each(members) => members,
+            Stack::Plain(_) => &[],
+        }
+    }
+
+    /// This stack for the length of one run, over its members `bound` to
+    /// the calling engine ([`Conv1dEngine::bind_prepared`]).
+    fn run<'a>(&'a self, bound: &'a [&'a dyn PreparedConv1d]) -> Run<'a> {
+        match self {
+            Stack::Shared(_) => Run::Shared(bound),
+            Stack::Each(_) => Run::Each(bound),
+            Stack::Plain(tiled) => Run::Plain(tiled),
+        }
+    }
 }
 
-/// The tiled 1D kernels of a [`KernelSet`], in the layout of the one
-/// strategy body its plan selects.
+/// A [`Stack`] bound for one run: what the engine's set call takes, built
+/// once per run.
+enum Run<'a> {
+    Shared(&'a [&'a dyn PreparedConv1d]),
+    Each(&'a [&'a dyn PreparedConv1d]),
+    Plain(&'a [Vec<f64>]),
+}
+
+/// How the one strategy body a [`KernelSet`]'s plan selects indexes the
+/// set's stacks.
 #[derive(Debug)]
-enum Stacks {
-    /// One tiled kernel per kernel of the set.
-    RowTiling(Vec<Kernel1d>),
-    /// `(first kernel row, kernel rows, one tiled kernel per kernel)` per
-    /// kernel-row group.
-    PartialRowTiling(Vec<(usize, usize, Vec<Kernel1d>)>),
-    /// The overlap-save column partitions `(start, end)` every row shares,
-    /// and `sets[dr][p]`: the kernel rows `dr` correlated against partition
-    /// `p` of the plane row they land on.
-    RowPartitioning {
-        parts: Vec<(usize, usize)>,
-        sets: Vec<Vec<Vec<Kernel1d>>>,
-    },
+enum Layout {
+    /// One stack: every kernel tiled whole.
+    RowTiling,
+    /// `(first kernel row, kernel rows)` per kernel-row group; `stacks[g]`
+    /// tiles group `g` of every kernel.
+    PartialRowTiling(Vec<(usize, usize)>),
+    /// The overlap-save column partitions `(start, end)` every row shares;
+    /// `stacks[dr * parts + p]` holds kernel rows `dr`, correlated against
+    /// partition `p` of the plane row they land on.
+    RowPartitioning(Vec<(usize, usize)>),
 }
 
 /// Kernels of one shape lowered for inputs of one shape: everything a 2D
@@ -251,7 +276,8 @@ pub struct KernelSet {
     pad: (usize, usize),
     /// Planned over the plane, padding included.
     plan: TilingPlan,
-    stacks: Stacks,
+    layout: Layout,
+    stacks: Vec<Stack>,
 }
 
 impl KernelSet {
@@ -552,61 +578,51 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         };
 
         let mut prepares = 0usize;
-        let stacks = match plan.variant {
+        let mut stack = |tiled: Vec<Vec<f64>>, signal_len: usize, positions_repeat: bool| {
+            self.stack(tiled, signal_len, positions_repeat, &mut prepares)
+        };
+        let (layout, stacks) = match plan.variant {
             TilingVariant::RowTiling => {
-                let tile_len = plan.rows_per_tile * si;
-                Stacks::RowTiling(
-                    kernels
-                        .iter()
-                        .map(|k| {
-                            let tiled = tile_kernel_rows(k, 0, kr, si, plan.tiled_kernel_len());
-                            self.kernel1d(tiled, tile_len, &mut prepares)
-                        })
-                        .collect(),
-                )
+                let tiled = kernels
+                    .iter()
+                    .map(|k| tile_kernel_rows(k, 0, kr, si, plan.tiled_kernel_len()))
+                    .collect();
+                let stack = stack(tiled, plan.rows_per_tile * si, false);
+                (Layout::RowTiling, vec![stack])
             }
             TilingVariant::PartialRowTiling => {
                 // Kernel rows are processed in groups of `rows_per_tile`.
                 let n_ir = plan.rows_per_tile.max(1);
-                let mut groups = Vec::new();
-                let mut k_start = 0;
-                while k_start < kr {
-                    let count = n_ir.min(kr - k_start);
-                    let ks = kernels
-                        .iter()
-                        .map(|k| {
-                            let tiled =
-                                tile_kernel_rows(k, k_start, count, si, (count - 1) * si + kc);
-                            self.kernel1d(tiled, count * si, &mut prepares)
-                        })
-                        .collect();
-                    groups.push((k_start, count, ks));
-                    k_start += count;
-                }
-                Stacks::PartialRowTiling(groups)
+                let groups: Vec<(usize, usize)> = (0..kr)
+                    .step_by(n_ir)
+                    .map(|k_start| (k_start, n_ir.min(kr - k_start)))
+                    .collect();
+                let stacks = groups
+                    .iter()
+                    .map(|&(k_start, count)| {
+                        let tiled = kernels
+                            .iter()
+                            .map(|k| tile_kernel_rows(k, k_start, count, si, (count - 1) * si + kc))
+                            .collect();
+                        stack(tiled, count * si, true)
+                    })
+                    .collect();
+                (Layout::PartialRowTiling(groups), stacks)
             }
             TilingVariant::RowPartitioning => {
                 // Every row shares the same column partitioning, so the
-                // partition list and the per-(kernel row, partition, kernel)
-                // prepared kernel rows are built once for the whole set.
+                // partition list and the per-(kernel row, partition) stacks
+                // of kernel rows are built once for the whole set.
                 let step = self.n_conv - kc + 1;
                 let parts = column_partitions(si - kc + 1, si, self.n_conv, step);
-                let sets = (0..kr)
-                    .map(|dr| {
-                        parts
-                            .iter()
-                            .map(|&(s, e)| {
-                                kernels
-                                    .iter()
-                                    .map(|k| {
-                                        self.kernel1d(k.row(dr).to_vec(), e - s, &mut prepares)
-                                    })
-                                    .collect()
-                            })
-                            .collect()
-                    })
-                    .collect();
-                Stacks::RowPartitioning { parts, sets }
+                let mut stacks = Vec::with_capacity(kr * parts.len());
+                for dr in 0..kr {
+                    for &(start, end) in &parts {
+                        let rows = kernels.iter().map(|k| k.row(dr).to_vec()).collect();
+                        stacks.push(stack(rows, end - start, true));
+                    }
+                }
+                (Layout::RowPartitioning(parts), stacks)
             }
         };
         if self.telemetry.is_enabled() {
@@ -620,6 +636,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
             col_off,
             pad,
             plan,
+            layout,
             stacks,
         })
     }
@@ -671,14 +688,33 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
             &padded
         };
         let scratch = Mutex::new(SignalScratch::default());
+        // Every stack's members bound to this engine, flat and in stack
+        // order; each stack's run takes its slice of the references.
+        let bound: Vec<Arc<dyn PreparedConv1d>> = set
+            .stacks
+            .iter()
+            .flat_map(Stack::members)
+            .map(|member| self.engine.bind_prepared(Arc::clone(member)))
+            .collect();
+        let refs: Vec<&dyn PreparedConv1d> = bound.iter().map(|member| &**member).collect();
+        let mut rest = &refs[..];
+        let runs: Vec<Run<'_>> = set
+            .stacks
+            .iter()
+            .map(|stack| {
+                let (members, tail) = rest.split_at(stack.members().len());
+                rest = tail;
+                stack.run(members)
+            })
+            .collect();
 
-        let (tiles, convs) = match &set.stacks {
-            Stacks::RowTiling(stack) => self.by_row_tiling(plane, set, stack, &scratch, &mut emit),
-            Stacks::PartialRowTiling(groups) => {
-                self.by_partial_tiling(plane, set, groups, &scratch, &mut emit)
+        let (tiles, convs) = match &set.layout {
+            Layout::RowTiling => self.by_row_tiling(plane, set, &runs[0], &scratch, &mut emit),
+            Layout::PartialRowTiling(groups) => {
+                self.by_partial_tiling(plane, set, groups, &runs, &scratch, &mut emit)
             }
-            Stacks::RowPartitioning { parts, sets } => {
-                self.by_partitioning(plane, set, parts, sets, &scratch, &mut emit)
+            Layout::RowPartitioning(parts) => {
+                self.by_partitioning(plane, set, parts, &runs, &scratch, &mut emit)
             }
         };
         // Batched per run (not per tile) so the hot loop stays untouched;
@@ -695,23 +731,6 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
     }
 
     // ----- shared machinery ------------------------------------------------
-
-    /// Stage attribution of the single-kernel tile loop measures one
-    /// convolution in this many (scaled back up at flush; see
-    /// `extrapolate_ns`). Every tile of a call runs the identical stage
-    /// sequence on identical geometry, so a strided sample reconstructs the
-    /// split at a quarter of the clock-read cost — what keeps traced runs
-    /// inside the CI overhead budget. (Kernel sets need no sampling: the
-    /// engine marks once per lane block; see `apply_kernel_set`.)
-    const STAGE_SAMPLE_STRIDE: usize = 4;
-
-    /// Scales a sampled per-stage split up to `total` convolutions.
-    fn extrapolate_ns(ns: [u64; Stage::COUNT], total: u64, sampled: u64) -> [u64; Stage::COUNT] {
-        if sampled == 0 || sampled >= total {
-            return ns;
-        }
-        ns.map(|v| ((v as u128 * total as u128) / sampled as u128) as u64)
-    }
 
     /// Looks up (or builds) the prepared form of `kernel` for tiles of
     /// `signal_len` samples. `None` means the engine has no fast path. The
@@ -742,192 +761,107 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         prep
     }
 
-    /// Builds one tiled kernel of a set.
-    fn kernel1d(&self, tiled: Vec<f64>, signal_len: usize, prepares: &mut usize) -> Kernel1d {
-        let prep = self.prepared(&tiled, signal_len, prepares);
-        let tiled = if prep.is_some() { Vec::new() } else { tiled };
-        Kernel1d { tiled, prep }
-    }
-
-    /// Binds a stack's preparations to this convolver's engine for one run.
-    fn bind<'a>(&self, stack: &'a [Kernel1d]) -> Vec<Bound<'a>> {
-        stack
+    /// Builds and classifies one stack of a set: `tiled` holds one tiled 1D
+    /// kernel per kernel of the set, each for signals of `signal_len`
+    /// samples; `positions_repeat` says whether the strategy meets the same
+    /// signal more than once within a run.
+    fn stack(
+        &self,
+        tiled: Vec<Vec<f64>>,
+        signal_len: usize,
+        positions_repeat: bool,
+        prepares: &mut usize,
+    ) -> Stack {
+        let members: Option<Vec<_>> = tiled
             .iter()
-            .map(|k| Bound {
-                tiled: &k.tiled,
-                prep: k.prep.clone().map(|p| self.engine.bind_prepared(p)),
-            })
-            .collect()
-    }
-
-    /// Runs `f` — a batched shared-transform preparation — attributing its
-    /// wall time to the `signal_fft` stage when telemetry is enabled.
-    /// Without this (and the equivalent mark in `apply_kernel_set`) a
-    /// traced shared run would show no signal-FFT time at all: the shared
-    /// path computes its transforms only at the prepare sites. The
-    /// preparation also includes the input-DAC quantisation of the
-    /// signals; that sliver rides along into `signal_fft` rather than
-    /// `dac_adc` (the transform dominates).
-    fn attribute_signal_fft<T>(&self, f: impl FnOnce() -> T) -> T {
-        if !self.telemetry.is_enabled() {
-            return f();
-        }
-        let mut sw = Stopwatch::start();
-        let out = f();
-        let mut ns = [0u64; Stage::COUNT];
-        ns[Stage::SignalFft.index()] = sw.lap_ns();
-        self.telemetry.stage_add_ns(ns);
-        out
-    }
-
-    /// Runs one 1D convolution through the prepared fast path when
-    /// available, falling back to the engine. `acc` (present exactly when
-    /// telemetry is enabled) collects the per-stage split; the caller owns
-    /// it across its tile loop and flushes once.
-    fn run1d(&self, kernel: &Bound<'_>, signal: &[f64], acc: Option<&mut StageAcc>) -> Vec<f64> {
-        match (&kernel.prep, acc) {
-            (Some(p), Some(acc)) => p.correlate_valid_acc(signal, acc),
-            (Some(p), None) => p.correlate_valid(signal),
-            (None, _) => self.engine.correlate_valid(signal, kernel.tiled),
+            .map(|kernel| self.prepared(kernel, signal_len, prepares))
+            .collect();
+        let Some(members) = members else {
+            return Stack::Plain(tiled);
+        };
+        let key = members[0].signal_key();
+        let one_key = key.is_some() && members.iter().all(|m| m.signal_key() == key);
+        if one_key && (members.len() > 1 || positions_repeat) {
+            Stack::Shared(members)
+        } else {
+            Stack::Each(members)
         }
     }
 
-    /// Correlates one signal against a whole kernel set, sharing the
-    /// signal's transform across every kernel that supports it.
-    ///
-    /// `share` additionally enables the per-run scratch cache lookup; it is
-    /// off for single-kernel row tiling, where tile positions never repeat
-    /// and the shared path would only add copies.
-    fn apply_kernel_set(
+    /// Correlates one signal against a whole stack, one output per kernel
+    /// in kernel order. `shared` is the signal's transform when the run is
+    /// [`Run::Shared`] and the engine produced one; a shared run without it
+    /// (the engine declined this signal) runs kernel by kernel like
+    /// [`Run::Each`]. `acc` (present exactly when telemetry is enabled)
+    /// collects the per-stage split; the caller owns it across its loop and
+    /// flushes once.
+    fn apply(
+        &self,
+        run: &Run<'_>,
+        signal: &[f64],
+        shared: Option<&dyn PreparedSignal>,
+        mut acc: Option<&mut StageAcc>,
+    ) -> Vec<Vec<f64>> {
+        match (run, shared) {
+            (Run::Plain(tiled), _) => tiled
+                .iter()
+                .map(|kernel| self.engine.correlate_valid(signal, kernel))
+                .collect(),
+            (Run::Shared(set), Some(shared)) => {
+                set[0].correlate_set_with_signal(set, shared, signal, acc)
+            }
+            (Run::Shared(set) | Run::Each(set), _) => set
+                .iter()
+                .map(|member| match acc.as_deref_mut() {
+                    Some(acc) => member.correlate_valid_acc(signal, acc),
+                    None => member.correlate_valid(signal),
+                })
+                .collect(),
+        }
+    }
+
+    /// [`TiledConvolver::apply`] for the strategies whose signal positions
+    /// repeat: a [`Run::Shared`] stack finds the signal's transform in the
+    /// per-run scratch under `key`, computing and storing it on a miss (the
+    /// preparation includes the input-DAC quantisation of the signal; that
+    /// sliver rides into `signal_fft` — the transform dominates, and
+    /// splitting it out would cost an extra clock read per signal). Stage
+    /// time is accumulated here and flushed once per call.
+    fn apply_keyed(
         &self,
         scratch: &Mutex<SignalScratch>,
         key: SigKey,
         signal: &[f64],
-        kernels: &[Bound<'_>],
-        share: bool,
+        run: &Run<'_>,
     ) -> Vec<Vec<f64>> {
-        let share_key = if share {
-            kernels
-                .iter()
-                .find_map(|k| k.prep.as_ref().and_then(|p| p.signal_key()))
-        } else {
-            None
-        };
-
-        // One set-local accumulator, one registry flush at the end. Every
-        // mark is exact: the shared-transform preparation, each run of
-        // consumers (the engine marks its stages once per lane block — as
-        // many clock reads as a one-in-`STAGE_SAMPLE_STRIDE` sample would
-        // cost, with nothing to extrapolate), fallback convolutions.
         let mut acc = self.telemetry.is_enabled().then(StageAcc::start);
-
-        let mut shared: Option<Arc<dyn PreparedSignal>> = None;
-        let mut computed_here = false;
-        if let Some(sk) = share_key {
-            shared = scratch.lock().map.get(&key).cloned();
+        let mut shared = None;
+        if let Run::Shared(set) = run {
+            let mut guard = scratch.lock();
+            shared = guard.map.get(&key).cloned();
+            if shared.is_some() {
+                guard.hits += set.len();
+            }
+            drop(guard);
             if shared.is_none() {
-                let producer = kernels
-                    .iter()
-                    .find(|k| k.prep.as_ref().is_some_and(|p| p.signal_key() == Some(sk)))
-                    .and_then(|k| k.prep.as_ref());
-                // Compute outside the lock: this is the signal FFT. The
-                // preparation includes the input-DAC quantisation of the
-                // signal; that sliver rides into `signal_fft` (the
-                // transform dominates, and splitting it out would cost an
-                // extra clock read per tile).
-                if let Some(sig) = producer.and_then(|p| p.prepare_signal(signal)) {
+                // Outside the lock: this is the signal FFT.
+                shared = set[0].prepare_signal(signal);
+                if let Some(shared) = &shared {
                     if let Some(acc) = acc.as_mut() {
                         acc.mark(Stage::SignalFft);
                     }
-                    computed_here = true;
-                    insert_capped(&mut scratch.lock().map, key, Arc::clone(&sig));
-                    shared = Some(sig);
+                    let mut guard = scratch.lock();
+                    insert_capped(&mut guard.map, key, Arc::clone(shared));
+                    guard.misses += 1;
+                    guard.hits += set.len() - 1;
                 }
             }
         }
-
-        // Consumers of the shared transform go to the engine as whole runs
-        // (one call per tile when every kernel consumes, the usual case);
-        // a kernel that cannot consume it ends the run and goes through on
-        // its own, so outputs and any engine noise stream keep kernel
-        // order.
-        let consumes = |k: &Bound<'_>| {
-            let key = k.prep.as_ref().map(|p| p.signal_key());
-            shared.is_some() && key == Some(share_key)
-        };
-        let mut consumers = 0usize;
-        let mut out: Vec<Vec<f64>> = Vec::new();
-        let mut rest = kernels;
-        while let Some(k) = rest.first() {
-            if let Some(acc) = acc.as_mut() {
-                acc.skip();
-            }
-            if let (true, Some(sig)) = (consumes(k), &shared) {
-                let mut run: Vec<&dyn PreparedConv1d> = Vec::with_capacity(rest.len());
-                run.extend(
-                    rest.iter()
-                        .take_while(|k| consumes(k))
-                        .filter_map(|k| k.prep.as_deref()),
-                );
-                let outputs = run[0].correlate_set_with_signal(&run, &**sig, signal, acc.as_mut());
-                if out.is_empty() {
-                    out = outputs;
-                } else {
-                    out.extend(outputs);
-                }
-                consumers += run.len();
-                rest = &rest[run.len()..];
-            } else {
-                // All of it on the first pass; nothing after.
-                out.reserve(rest.len());
-                out.push(self.run1d(k, signal, acc.as_mut()));
-                rest = &rest[1..];
-            }
-        }
+        let out = self.apply(run, signal, shared.as_deref(), acc.as_mut());
         if let Some(acc) = acc.as_mut() {
             acc.flush(&self.telemetry);
         }
-
-        if consumers > 0 {
-            let mut guard = scratch.lock();
-            if computed_here {
-                guard.misses += 1;
-                guard.hits += consumers - 1;
-            } else {
-                guard.hits += consumers;
-            }
-        }
         out
-    }
-
-    /// Seeds the shared-signal scratch from a **batched** transform pass:
-    /// all tile signals are packed planar (`keys.len()` rows, back to back
-    /// in `signals`) and handed to `producer`'s
-    /// [`PreparedConv1d::prepare_signal_batch`] in one call (the JTC
-    /// transforms the rows one after another). The per-tile loop that
-    /// follows then finds each transform already cached.
-    ///
-    /// Each seeded transform is bit-identical to what the per-tile path
-    /// would have computed (the trait contract), so consuming code needs no
-    /// changes and results are unchanged bit for bit. Counters: one miss
-    /// per transform seeded here; every consumption downstream is a hit.
-    fn seed_shared_signals(
-        &self,
-        scratch: &Mutex<SignalScratch>,
-        producer: &dyn PreparedConv1d,
-        keys: &[SigKey],
-        signals: &[f64],
-    ) {
-        let Some(transforms) =
-            self.attribute_signal_fft(|| producer.prepare_signal_batch(signals, keys.len()))
-        else {
-            return;
-        };
-        let mut guard = scratch.lock();
-        for (key, sig) in keys.iter().zip(transforms) {
-            insert_capped(&mut guard.map, *key, sig);
-            guard.misses += 1;
-        }
     }
 
     /// Whether this call would actually fan work out across threads.
@@ -937,10 +871,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         // memory-bound dot-product tiles would lose outright), determinism
         // (noise streams must keep their serial order) and the pool. The
         // pool gate is also what keeps parallel regions from nesting: a
-        // worker of an outer region reads a width of 1 here. On a 1-wide
-        // pool the collect-based parallel branches would run inline anyway,
-        // minus the serial path's buffer reuse and batched transform
-        // pre-pass.
+        // worker of an outer region reads a width of 1 here.
         self.grain == ParallelGrain::Auto
             && self.engine.prefers_parallel_tiles()
             && items > 1
@@ -973,7 +904,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         &self,
         plane: &Matrix,
         set: &KernelSet,
-        stack: &[Kernel1d],
+        run: &Run<'_>,
         scratch: &Mutex<SignalScratch>,
         emit: &mut impl FnMut(usize, usize, usize, &[f64]),
     ) -> (usize, usize) {
@@ -982,14 +913,10 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         let si = plane.cols();
         let n_or = plan.valid_output_rows_per_conv;
         let tile_len = plan.rows_per_tile * si;
-        let ks = self.bind(stack);
-        // Tile positions never repeat within a run, so the scratch cache
-        // only pays off when several kernels share one tile transform.
-        let share = kernels.len() > 1;
 
         let (out_rows, out_cols) = set.output_shape;
-        let starts: Vec<usize> = (0..out_rows).step_by(n_or).collect();
-        let tile_start = |r0: usize| r0 as isize - row_off as isize;
+        // Tile `i` completes output rows `i * n_or ..`.
+        let tiles = out_rows.div_ceil(n_or);
         // Output column `c` of the tile's `rr`-th output row reads
         // `corr[rr * si + c - col_off]`. The covered column range is
         // computed once per row and emitted as a slice; at zero offset it
@@ -1024,90 +951,73 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
             }
         };
 
-        if self.parallel_active(starts.len()) {
-            let corrs = self.dispatch(&starts, |&r0| {
-                let tiled_input =
-                    tile_input_rows(plane, tile_start(r0), plan.rows_per_tile, self.n_conv);
-                self.apply_kernel_set(
-                    scratch,
-                    (tile_start(r0), 0, tile_len),
-                    &tiled_input[..tile_len],
-                    &ks,
-                    share,
-                )
-            });
-            for (per_kernel, &r0) in corrs.iter().zip(&starts) {
-                write(r0, per_kernel);
-            }
-        } else {
-            // Serial fast path: one tile buffer reused across every tile,
-            // results handed over immediately (no intermediate collection;
-            // the single-kernel case additionally skips the per-kernel
-            // result vector entirely).
-            let mut buf = vec![0.0; self.n_conv];
-            // Batched pre-pass, when a kernel of the set produces shared
-            // transforms at all (asked before anything is packed): every
-            // tile goes planar into one buffer and the whole batch is
-            // transformed in one call; the loop below hits the seeded
-            // cache tile by tile.
-            let producer = (share && starts.len() <= CACHE_CAP)
-                .then(|| {
-                    ks.iter()
-                        .filter_map(|k| k.prep.as_deref())
-                        .find(|p| p.signal_key().is_some())
-                })
-                .flatten();
-            if let Some(producer) = producer {
-                let mut signals = Vec::with_capacity(starts.len() * tile_len);
-                let keys: Vec<SigKey> = starts
-                    .iter()
-                    .map(|&r0| {
-                        fill_tile_rows(&mut buf, plane, tile_start(r0), plan.rows_per_tile);
-                        signals.extend_from_slice(&buf[..tile_len]);
-                        (tile_start(r0), 0, tile_len)
-                    })
-                    .collect();
-                self.seed_shared_signals(scratch, producer, &keys, &signals);
-            }
-            // Single-kernel runs hold one accumulator across the tile loop
-            // with the same strided sampling as the kernel-set path (which
-            // flushes inside `apply_kernel_set`); the `skip` drops tile
-            // refills and result hand-over from the next mark.
-            let mut acc = (!share && self.telemetry.is_enabled()).then(StageAcc::start);
-            let mut sampled = 0u64;
-            for (i, &r0) in starts.iter().enumerate() {
-                fill_tile_rows(&mut buf, plane, tile_start(r0), plan.rows_per_tile);
-                let signal = &buf[..tile_len];
-                if share {
-                    let per_kernel = self.apply_kernel_set(
-                        scratch,
-                        (tile_start(r0), 0, tile_len),
-                        signal,
-                        &ks,
-                        share,
-                    );
-                    write(r0, &per_kernel);
-                } else {
-                    let corr = match acc.as_mut() {
-                        Some(acc) if i.is_multiple_of(Self::STAGE_SAMPLE_STRIDE) => {
-                            sampled += 1;
-                            acc.skip();
-                            self.run1d(&ks[0], signal, Some(acc))
-                        }
-                        _ => self.run1d(&ks[0], signal, None),
-                    };
-                    write(r0, std::slice::from_ref(&corr));
-                }
-            }
-            if let Some(acc) = acc.as_mut() {
-                self.telemetry.stage_add_ns(Self::extrapolate_ns(
-                    acc.ns(),
-                    starts.len() as u64,
-                    sampled,
-                ));
-            }
+        // Every tile is cut once, planar into one buffer: a chunk of it is
+        // both the batch the engine transforms and the signal each of its
+        // tiles' convolutions reads.
+        let mut signals = vec![0.0; tiles * tile_len];
+        for (i, tile) in signals.chunks_exact_mut(tile_len).enumerate() {
+            let first_row = (i * n_or) as isize - row_off as isize;
+            fill_tile_rows(tile, plane, first_row, plan.rows_per_tile);
         }
-        (starts.len(), starts.len() * kernels.len())
+        // One contiguous chunk of tiles per pool thread; when tiles do not
+        // fan out (a 1-wide pool, a worker of somebody else's region, an
+        // engine that keeps them serial) the one chunk is the whole image.
+        let width = if self.parallel_active(tiles) {
+            rayon::current_num_threads()
+        } else {
+            1
+        };
+        let chunks: Vec<&[f64]> = signals.chunks(tiles.div_ceil(width) * tile_len).collect();
+        let corrs = self.dispatch(&chunks, |chunk| {
+            self.run_tiles(run, chunk, tile_len, scratch)
+        });
+        for (i, per_kernel) in corrs.iter().flatten().enumerate() {
+            write(i * n_or, per_kernel);
+        }
+        (tiles, tiles * kernels.len())
+    }
+
+    /// One chunk of row tiling: `tiles` holds whole tiles of `tile_len`
+    /// samples back to back. A shared stack's transforms are taken for the
+    /// whole chunk in one batched call
+    /// ([`PreparedConv1d::prepare_signal_batch`]; tile positions never
+    /// repeat within a run, so they are indexed, not keyed), then the tiles
+    /// run in order. Returns the per-kernel outputs of every tile. Tallies:
+    /// one miss per transform taken, one hit per convolution that read one.
+    fn run_tiles(
+        &self,
+        run: &Run<'_>,
+        tiles: &[f64],
+        tile_len: usize,
+        scratch: &Mutex<SignalScratch>,
+    ) -> Vec<Vec<Vec<f64>>> {
+        let mut acc = self.telemetry.is_enabled().then(StageAcc::start);
+        let transforms = match run {
+            Run::Shared(set) => set[0].prepare_signal_batch(tiles, tiles.len() / tile_len),
+            _ => None,
+        };
+        // The tiles' input-DAC quantisation rides along into `signal_fft`
+        // (see `apply_keyed`).
+        if let (Some(acc), Some(_)) = (acc.as_mut(), &transforms) {
+            acc.mark(Stage::SignalFft);
+        }
+        let out = tiles
+            .chunks_exact(tile_len)
+            .enumerate()
+            .map(|(i, tile)| {
+                let shared = transforms.as_ref().and_then(|t| t.get(i)).map(|t| &**t);
+                self.apply(run, tile, shared, acc.as_mut())
+            })
+            .collect();
+        if let Some(acc) = acc.as_mut() {
+            acc.flush(&self.telemetry);
+        }
+        if let (Run::Shared(set), Some(transforms)) = (run, &transforms) {
+            let mut guard = scratch.lock();
+            guard.misses += transforms.len();
+            guard.hits += transforms.len() * set.len();
+        }
+        out
     }
 
     /// Partial row tiling (Section III-B): one output row at a time;
@@ -1118,7 +1028,8 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         &self,
         plane: &Matrix,
         set: &KernelSet,
-        groups: &[(usize, usize, Vec<Kernel1d>)],
+        groups: &[(usize, usize)],
+        runs: &[Run<'_>],
         scratch: &Mutex<SignalScratch>,
         emit: &mut impl FnMut(usize, usize, usize, &[f64]),
     ) -> (usize, usize) {
@@ -1127,22 +1038,17 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         // the shared-signal scratch is active even for a single kernel.
         let kernels = &set.kernels;
         let si = plane.cols();
-        let groups: Vec<(usize, usize, Vec<Bound<'_>>)> = groups
-            .iter()
-            .map(|(k_start, count, ks)| (*k_start, *count, self.bind(ks)))
-            .collect();
 
         let (out_rows, out_cols) = set.output_shape;
         let rows: Vec<usize> = (0..out_rows).collect();
         let accs = self.dispatch(&rows, |&out_r| {
             let top = out_r as isize - row_off as isize;
             let mut acc = vec![vec![0.0; out_cols]; kernels.len()];
-            for (k_start, count, ks) in &groups {
-                let tile_start = top + *k_start as isize;
-                let tiled_input = tile_input_rows(plane, tile_start, *count, self.n_conv);
+            for (&(k_start, count), run) in groups.iter().zip(runs) {
+                let tile_start = top + k_start as isize;
+                let tiled_input = tile_input_rows(plane, tile_start, count, self.n_conv);
                 let key = (tile_start, 0, count * si);
-                let per_kernel =
-                    self.apply_kernel_set(scratch, key, &tiled_input[..count * si], ks, true);
+                let per_kernel = self.apply_keyed(scratch, key, &tiled_input[..count * si], run);
                 for ((acc_k, corr), kernel) in acc.iter_mut().zip(&per_kernel).zip(kernels) {
                     let covered = covered_columns(0, col_off, corr.len(), out_cols);
                     for (c, slot) in acc_k.iter_mut().enumerate() {
@@ -1152,7 +1058,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
                             window_dot(
                                 plane,
                                 kernel,
-                                *k_start..k_start + count,
+                                k_start..k_start + count,
                                 top,
                                 c as isize - col_off as isize,
                             )
@@ -1176,7 +1082,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         plane: &Matrix,
         set: &KernelSet,
         parts: &[(usize, usize)],
-        sets: &[Vec<Vec<Kernel1d>>],
+        runs: &[Run<'_>],
         scratch: &Mutex<SignalScratch>,
         emit: &mut impl FnMut(usize, usize, usize, &[f64]),
     ) -> (usize, usize) {
@@ -1187,10 +1093,6 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         let kernels = &set.kernels;
         let kernel_rows = kernels[0].rows();
         let corr_len = plane.cols() - kernels[0].cols() + 1;
-        let sets: Vec<Vec<Vec<Bound<'_>>>> = sets
-            .iter()
-            .map(|per_part| per_part.iter().map(|ks| self.bind(ks)).collect())
-            .collect();
         let (out_rows, out_cols) = set.output_shape;
         let rows: Vec<usize> = (0..out_rows).collect();
         // The (kernel row, plane row) pairs of one output row: border rows
@@ -1210,8 +1112,8 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
                 let row = plane.row(r);
                 for (p, &(start, end)) in parts.iter().enumerate() {
                     let key = (r as isize, start, end);
-                    let per_kernel =
-                        self.apply_kernel_set(scratch, key, &row[start..end], &sets[dr][p], true);
+                    let run = &runs[dr * parts.len() + p];
+                    let per_kernel = self.apply_keyed(scratch, key, &row[start..end], run);
                     for (acc_k, corr) in acc.iter_mut().zip(&per_kernel) {
                         for (i, v) in corr.iter().enumerate() {
                             // Sample `start + i` of the row's correlation
@@ -1604,9 +1506,8 @@ mod tests {
                 .collect();
             assert_eq!(nested, [false, false]);
         });
-        // On a 1-wide pool neither grain fans out: the serial fast path
-        // (tile buffer reuse, batched transform pre-pass) is chosen at the
-        // source.
+        // On a 1-wide pool neither grain fans out: the tiles run as one
+        // chunk.
         pool(1).install(|| {
             assert!(!hinted(256).parallel_active(8));
             assert!(!serial(hinted(256)).parallel_active(8));
@@ -1820,6 +1721,12 @@ mod tests {
             DigitalEngine.correlate_valid(signal, kernel)
         }
 
+        // Like the optics it stands in for: tiles fan out where the pool
+        // has threads to give.
+        fn prefers_parallel_tiles(&self) -> bool {
+            true
+        }
+
         fn prepares_kernels(&self) -> bool {
             true
         }
@@ -1838,27 +1745,35 @@ mod tests {
 
     #[test]
     fn multi_kernel_shares_signal_transforms_and_counts_reuse() {
-        // Row tiling, 4 kernels: every tile's transform is computed in the
-        // batched pre-pass (one miss per tile) and every per-kernel
-        // correlation then consumes the seeded transform (a hit).
+        // Row tiling, 4 kernels: every tile's transform is taken in its
+        // chunk's batched call (one miss per tile) and every per-kernel
+        // correlation then reads it (a hit). One loop, so one way to
+        // count: the tallies and the bits are the same whether the tiles
+        // ran as one chunk or one chunk per thread.
         let input = random_matrix(12, 12, 221);
         let kernels: Vec<Matrix> = (0..4).map(|i| random_matrix(3, 3, 222 + i)).collect();
         let tel = Telemetry::enabled();
         let c = TiledConvolver::new(SharingDigital, 64)
             .unwrap()
             .with_telemetry(tel.clone());
-        let before = tel.snapshot();
-        let outs = c.correlate2d_valid_multi(&input, &kernels).unwrap();
-        // 12 output rows, 5 rows/tile, 3 valid rows per tile -> 4 tiles;
-        // one batched transform per tile (a miss), and every 1D
-        // convolution consumed a seed (a hit).
-        assert_eq!(tallies(&tel, &before), [4, 4 * 4, 4 * 4, 4]);
-        for (kernel, plane) in kernels.iter().zip(&outs) {
-            let reference = correlate2d(&input, kernel, PaddingMode::Valid);
-            assert!(max_abs_diff(plane.data(), reference.data()) < 1e-10);
+        for width in [1usize, 2, 4] {
+            let before = tel.snapshot();
+            let outs = pool(width)
+                .install(|| c.correlate2d_valid_multi(&input, &kernels))
+                .unwrap();
+            // 12 output rows, 5 rows/tile, 3 valid rows per tile -> 4 tiles.
+            assert_eq!(
+                tallies(&tel, &before),
+                [4, 4 * 4, 4 * 4, 4],
+                "pool width {width}"
+            );
+            for (kernel, plane) in kernels.iter().zip(&outs) {
+                let reference = correlate2d(&input, kernel, PaddingMode::Valid);
+                assert!(max_abs_diff(plane.data(), reference.data()) < 1e-10);
+            }
         }
 
-        // Single-kernel row tiling skips the scratch entirely: tile
+        // Single-kernel row tiling takes no shared transform at all: tile
         // positions never repeat, so there is nothing to share.
         let before = tel.snapshot();
         c.correlate2d_valid(&input, &kernels[0]).unwrap();
@@ -1894,10 +1809,11 @@ mod tests {
     }
 
     #[test]
-    fn mixed_sets_go_to_the_engine_as_runs_in_kernel_order() {
-        // Consumers (+) and non-consumers (-) of the shared transform in
-        // one set: + - + + - leaves runs of 1, 2 and two lone kernels, and
-        // every output must land in its kernel's slot.
+    fn a_stack_without_one_common_signal_key_runs_per_kernel() {
+        // Sharers (+) and non-sharers (-) of a signal transform in one
+        // set: there is no one key the whole stack was prepared under, so
+        // nothing is shared, every kernel runs its own chain, and every
+        // output must land in its kernel's slot.
         let input = random_matrix(12, 12, 261);
         let kernels: Vec<Matrix> = [1.0, -1.0, 1.0, 1.0, -1.0]
             .iter()
@@ -1912,14 +1828,83 @@ mod tests {
         let c = TiledConvolver::new(HalfSharingDigital, 64)
             .unwrap()
             .with_telemetry(tel.clone());
+        let set = c.prepare_set(&kernels, 12, 12, None).unwrap();
+        assert!(matches!(set.stacks[..], [Stack::Each(_)]));
         let before = tel.snapshot();
         let outs = c.correlate2d_valid_multi(&input, &kernels).unwrap();
-        // 4 tiles x 5 kernels; only the 3 consumers per tile touch the
-        // shared transform (one batched miss per tile).
-        assert_eq!(tallies(&tel, &before), [4, 4 * 5, 4 * 3, 4]);
+        // 4 tiles x 5 kernels, no transform taken or read.
+        assert_eq!(tallies(&tel, &before), [4, 4 * 5, 0, 0]);
         for (kernel, plane) in kernels.iter().zip(&outs) {
             let reference = correlate2d(&input, kernel, PaddingMode::Valid);
             assert!(max_abs_diff(plane.data(), reference.data()) < 1e-10);
+        }
+        // The sharers alone do have one key.
+        let sharers = [kernels[0].clone(), kernels[2].clone(), kernels[3].clone()];
+        let set = c.prepare_set(&sharers, 12, 12, None).unwrap();
+        assert!(matches!(set.stacks[..], [Stack::Shared(_)]));
+    }
+
+    /// The digital engine, except that it declines to prepare any kernel
+    /// whose first sample is negative.
+    #[derive(Debug)]
+    struct DecliningDigital;
+
+    impl Conv1dEngine for DecliningDigital {
+        fn correlate_valid(&self, signal: &[f64], kernel: &[f64]) -> Vec<f64> {
+            DigitalEngine.correlate_valid(signal, kernel)
+        }
+
+        fn prepares_kernels(&self) -> bool {
+            true
+        }
+
+        fn prepare_kernel(
+            &self,
+            kernel: &[f64],
+            signal_len: usize,
+        ) -> Option<Arc<dyn PreparedConv1d>> {
+            (kernel[0] >= 0.0)
+                .then(|| DigitalEngine.prepare_kernel(kernel, signal_len))
+                .flatten()
+        }
+    }
+
+    #[test]
+    fn an_engine_that_declines_one_kernel_runs_the_whole_stack_plain() {
+        // Every strategy, one declined kernel in the middle of the set: the
+        // stack is all or nothing, and the plain path must reproduce the
+        // all-prepared run of the same maths bit for bit.
+        for (rows, cols, n_conv, seed) in [
+            (12, 12, 64, 271u64), // row tiling
+            (10, 10, 15, 272),    // partial row tiling
+            (12, 12, 7, 273),     // row partitioning
+        ] {
+            let input = random_matrix(rows, cols, seed);
+            let kernels: Vec<Matrix> = [1.0, -1.0, 1.0]
+                .iter()
+                .enumerate()
+                .map(|(i, sign)| {
+                    let mut data = random_matrix(3, 3, seed + 10 + i as u64).data().to_vec();
+                    data[0] = data[0].abs() * sign;
+                    Matrix::new(3, 3, data).unwrap()
+                })
+                .collect();
+            let declining = TiledConvolver::new(DecliningDigital, n_conv).unwrap();
+            let set = declining.prepare_set(&kernels, rows, cols, None).unwrap();
+            assert!(set.stacks.iter().all(|s| matches!(s, Stack::Plain(_))));
+            let prepared = convolver(n_conv)
+                .prepare_set(&kernels, rows, cols, None)
+                .unwrap();
+            assert!(prepared.stacks.iter().all(|s| matches!(s, Stack::Each(_))));
+            let plain = declining.correlate2d_valid_multi(&input, &kernels).unwrap();
+            let reference = convolver(n_conv)
+                .correlate2d_valid_multi(&input, &kernels)
+                .unwrap();
+            for (a, b) in plain.iter().zip(&reference) {
+                for (x, y) in a.data().iter().zip(b.data()) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "n_conv {n_conv}");
+                }
+            }
         }
     }
 

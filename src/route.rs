@@ -200,20 +200,17 @@ impl InferenceEngine for ModelShardEngine {
     type Request = ModelRequest;
     type Response = Tensor;
 
-    /// Runs each request against its model's session. Deterministic
-    /// backends use the plain inference path (bit-identical to offline
-    /// [`Session::run_inference`] on the same variant); stochastic
-    /// backends pin the noise stream to the request's own `seed`.
+    /// Runs each request against its model's session, seeded with the
+    /// request's own `seed` ([`Session::run_inference_seeded`]: stochastic
+    /// backends pin the noise stream to it, deterministic ones ignore it
+    /// and are bit-identical to offline [`Session::run_inference`] on the
+    /// same variant).
     fn infer_batch(&self, inputs: &[ModelRequest], _seqs: &[u64]) -> Result<Vec<Tensor>, PfError> {
         inputs
             .iter()
             .map(|request| {
                 let session = self.session_for(request.model)?;
-                if session.is_stochastic() {
-                    session.run_inference_seeded(&request.image, request.seed)
-                } else {
-                    session.run_inference(&request.image)
-                }
+                session.run_inference_seeded(&request.image, request.seed)
             })
             .collect()
     }

@@ -15,8 +15,10 @@
 //!   inference against a digital-backend session with the identical
 //!   numeric pipeline.
 //!
-//! Points execute rayon-parallel by default. Results are **bit-for-bit
-//! identical** to serial execution: every point owns its sessions (fresh
+//! Points fan out across the rayon pool; the pool width is the one way to
+//! say "serial" (`ThreadPoolBuilder::num_threads(1)` around the run).
+//! Results are **bit-for-bit identical** at every width: every point owns
+//! its sessions (fresh
 //! noise streams seeded per point), the digital inference reference is
 //! deterministic regardless of which thread populates the cache first, and
 //! the report lists points in expansion order, not completion order.
@@ -178,7 +180,6 @@ fn csv_escape(field: &str) -> String {
 #[derive(Debug)]
 pub struct SweepRunner {
     plan: SweepPlan,
-    parallel: bool,
     smoke: bool,
     /// Digital inference features keyed by (capacity, pipeline, functional):
     /// points that share a numeric pipeline share one reference computation.
@@ -207,7 +208,6 @@ impl SweepRunner {
     pub fn from_plan(plan: SweepPlan) -> Self {
         Self {
             plan,
-            parallel: true,
             smoke: false,
             reference_cache: Mutex::new(HashMap::new()),
         }
@@ -218,13 +218,6 @@ impl SweepRunner {
     /// images). Analytical metrics are identical in both modes.
     pub fn smoke(mut self, smoke: bool) -> Self {
         self.smoke = smoke;
-        self
-    }
-
-    /// Enables or disables rayon-parallel point execution (default:
-    /// enabled). Reports are bit-for-bit identical either way.
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
         self
     }
 
@@ -254,11 +247,8 @@ impl SweepRunner {
                 "sweep has no points to run (filter matched nothing?)",
             ));
         }
-        let results: Vec<Result<SweepPointResult, PfError>> = if self.parallel {
-            points.par_iter().map(|p| self.evaluate_point(p)).collect()
-        } else {
-            points.iter().map(|p| self.evaluate_point(p)).collect()
-        };
+        let results: Vec<Result<SweepPointResult, PfError>> =
+            points.par_iter().map(|p| self.evaluate_point(p)).collect();
         let points = results.into_iter().collect::<Result<Vec<_>, _>>()?;
         Ok(SweepReport {
             schema: SWEEP_SCHEMA.to_string(),
@@ -408,18 +398,19 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_reports_are_bit_identical() {
-        let serial = SweepRunner::new(sweep_scenario())
-            .unwrap()
-            .smoke(true)
-            .parallel(false)
-            .run()
+        let run = || {
+            SweepRunner::new(sweep_scenario())
+                .unwrap()
+                .smoke(true)
+                .run()
+                .unwrap()
+        };
+        let one_wide = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
             .unwrap();
-        let parallel = SweepRunner::new(sweep_scenario())
-            .unwrap()
-            .smoke(true)
-            .parallel(true)
-            .run()
-            .unwrap();
+        let serial = one_wide.install(run);
+        let parallel = run();
         assert_eq!(serial, parallel);
         for (a, b) in serial.points.iter().zip(&parallel.points) {
             assert_eq!(a.fps_per_watt.to_bits(), b.fps_per_watt.to_bits());

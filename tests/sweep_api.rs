@@ -60,17 +60,21 @@ fn design_space_smoke_report_is_identical_serial_and_parallel() {
     // that includes the stochastic CG chain: per-point FPS/W (and every
     // other field) must be bit-for-bit identical between serial and
     // parallel execution.
-    let run = |parallel: bool| {
+    let run = || {
         SweepRunner::new(shipped("sweep_design_space.toml"))
             .unwrap()
             .filter("pfcu=8,")
             .smoke(true)
-            .parallel(parallel)
             .run()
             .unwrap()
     };
-    let serial = run(false);
-    let parallel = run(true);
+    // The pool width is the one way to say "serial".
+    let one_wide = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+    let serial = one_wide.install(run);
+    let parallel = run();
     assert_eq!(serial.points.len(), 6);
     assert_eq!(serial, parallel);
     for (a, b) in serial.points.iter().zip(&parallel.points) {
@@ -90,7 +94,7 @@ fn design_space_smoke_report_is_identical_serial_and_parallel() {
     assert_eq!(serial.to_json().unwrap(), parallel.to_json().unwrap());
     assert_eq!(serial.to_csv(), parallel.to_csv());
     // And the whole thing is reproducible across repeated runs.
-    assert_eq!(run(true), parallel);
+    assert_eq!(run(), parallel);
 }
 
 #[test]
@@ -111,7 +115,6 @@ fn a_parallel_sweep_opens_no_parallel_region_from_inside_a_worker() {
             .unwrap()
             .filter("pfcu=8,")
             .smoke(true)
-            .parallel(true)
             .run()
             .unwrap()
     });
