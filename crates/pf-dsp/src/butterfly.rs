@@ -33,8 +33,13 @@ pub(crate) trait Element:
     const ZERO: Self;
     /// `re + i·im`, per transform carried.
     fn pack(re: Self::Real, im: Self::Real) -> Self;
+    /// The real part, per transform carried.
+    fn re(self) -> Self::Real;
     /// Multiplies by a real scalar.
     fn scale(self, s: f64) -> Self;
+    /// `s_re·re + i·s_im·im`: each part times its own real scalar (two real
+    /// samples riding one element, each with its own table entry).
+    fn scale_parts(self, s_re: f64, s_im: f64) -> Self;
     /// Complex conjugate.
     fn conj(self) -> Self;
     /// `i·z` without a full complex multiply.
@@ -53,8 +58,18 @@ impl Element for Complex {
     }
 
     #[inline(always)]
+    fn re(self) -> f64 {
+        self.re
+    }
+
+    #[inline(always)]
     fn scale(self, s: f64) -> Self {
         Complex::scale(self, s)
+    }
+
+    #[inline(always)]
+    fn scale_parts(self, s_re: f64, s_im: f64) -> Self {
+        Complex::new(self.re * s_re, self.im * s_im)
     }
 
     #[inline(always)]
@@ -122,10 +137,23 @@ impl Element for ComplexLanes {
     }
 
     #[inline(always)]
+    fn re(self) -> [f64; LANES] {
+        self.re
+    }
+
+    #[inline(always)]
     fn scale(self, s: f64) -> Self {
         ComplexLanes {
             re: lanes(|l| self.re[l] * s),
             im: lanes(|l| self.im[l] * s),
+        }
+    }
+
+    #[inline(always)]
+    fn scale_parts(self, s_re: f64, s_im: f64) -> Self {
+        ComplexLanes {
+            re: lanes(|l| self.re[l] * s_re),
+            im: lanes(|l| self.im[l] * s_im),
         }
     }
 
@@ -392,11 +420,14 @@ mod tests {
         };
         let (a, b) = (pack(&|l| z(l as f64)), pack(&|l| z(l as f64 + 0.5)));
         let w = z(9.0);
-        let cases: [(ComplexLanes, &dyn Fn(usize) -> Complex); 8] = [
+        let cases: [(ComplexLanes, &dyn Fn(usize) -> Complex); 9] = [
             (a + b, &|l| z(l as f64) + z(l as f64 + 0.5)),
             (a - b, &|l| z(l as f64) - z(l as f64 + 0.5)),
             (a * w, &|l| z(l as f64) * w),
             (Element::scale(a, 0.3), &|l| z(l as f64).scale(0.3)),
+            (a.scale_parts(0.3, -1.7), &|l| {
+                z(l as f64).scale_parts(0.3, -1.7)
+            }),
             (Element::conj(a), &|l| z(l as f64).conj()),
             (a.mul_i(), &|l| z(l as f64).mul_i()),
             (a.mul_neg_i(), &|l| z(l as f64).mul_neg_i()),

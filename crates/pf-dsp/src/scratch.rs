@@ -19,8 +19,8 @@
 //! Every buffer is sized by the grid its borrower transforms on, so the
 //! arena is as small as the JTC's joint plane: on the 1000-point grid of
 //! a 256-sample tile against a 35-sample tiled kernel a lane block holds
-//! 501 × 32 B of intensities, 500 × 64 B of transform and 222 × 64 B of
-//! lobe — 62 KB per thread.
+//! 501 × 32 B of intensities, 250 × 64 B of quarter-length transform and
+//! 222 × 32 B of (real) lobe — 39 KB per thread.
 //!
 //! Threads are how the row tiler dispatches independent tiles, so
 //! thread-local state needs no locking and cannot alias across concurrent
@@ -57,19 +57,21 @@ pub fn scratch_stats() -> ScratchStats {
     }
 }
 
-/// Reusable working buffers for one spectrum computation: two complex
-/// vectors (FFT packing scratch and a half spectrum) and one real vector
-/// (an intensity or padded-input sequence), each with a lane counterpart
-/// for computations that carry [`LANES`] spectra at once. The lane buffers
-/// are sized by what a lane block reads — half a symmetric intensity, the
-/// half-length transform, the requested bins — never the full grid.
+/// Reusable working buffers for one spectrum computation: one complex
+/// vector (FFT packing scratch) and two real ones (an intensity or
+/// padded-input sequence, and the real bins of a symmetric sequence's
+/// transform), each with a lane counterpart for computations that carry
+/// [`LANES`] spectra at once. The lane buffers are sized by what a lane
+/// block reads — half a symmetric intensity, the quarter-length transform,
+/// the requested bins — never the full grid.
 #[derive(Debug, Default)]
 pub struct SpectrumScratch {
     /// Packed-input scratch for [`crate::plan::RealFftPlan::forward_real_into`].
     pub fft: Vec<Complex>,
-    /// Half-spectrum working buffer (e.g. the joint spectrum of a JTC pass,
-    /// then the output-plane bins of its correlation lobe).
-    pub half: Vec<Complex>,
+    /// Selected bins of the half spectrum of a symmetric real sequence —
+    /// real, like the sequence (e.g. the output-plane bins of a JTC pass'
+    /// correlation lobe).
+    pub half: Vec<f64>,
     /// Real-valued working buffer (e.g. a square-law intensity sequence, or
     /// a kernel zero-padded to its input-plane offset while it is prepared).
     pub real: Vec<f64>,
@@ -78,7 +80,7 @@ pub struct SpectrumScratch {
     pub lanes_fft: Vec<ComplexLanes>,
     /// Lane counterpart of [`half`](Self::half) (e.g. the output-plane bins
     /// of [`LANES`] correlation lobes).
-    pub lanes_half: Vec<ComplexLanes>,
+    pub lanes_half: Vec<[f64; LANES]>,
     /// Lane counterpart of [`real`](Self::real) (e.g. samples `0..=n/2` of
     /// [`LANES`] symmetric intensity sequences).
     pub lanes_real: Vec<[f64; LANES]>,
@@ -146,7 +148,7 @@ mod tests {
             s.real.clear();
             s.real.resize(1024, 1.0);
             s.half.clear();
-            s.half.resize(64, Complex::ZERO);
+            s.half.resize(64, 0.0);
         });
         with_spectrum_scratch(|s| {
             assert!(s.real.capacity() >= 1024);

@@ -248,8 +248,8 @@ pub(crate) fn joint_geometry(signal_len: usize, kernel_len: usize, grid: usize) 
 }
 
 /// Input-plane geometry of the prepared chain: the smallest separation `d`
-/// and the smallest **even 5-smooth** grid `n` on which the bins the chain
-/// reads — the valid window of the `+` lobe — are exact
+/// and the smallest **5-smooth multiple of four** `n` on which the bins the
+/// chain reads — the valid window of the `+` lobe — are exact
 /// ([`valid_lobe_is_clear`]): `d = 2·Ls − Lk`, `n ≥ 4·Ls − Lk`. Everything
 /// else on the output plane may alias: the invalid ends of the `+` lobe
 /// overlap the central term below the window and the `−` lobe above it.
@@ -258,13 +258,19 @@ pub(crate) fn joint_geometry(signal_len: usize, kernel_len: usize, grid: usize) 
 /// 256-sample signal against a 67-sample tiled kernel runs on 960 points
 /// (the simulator: 2048). `n` is even and `d < n/2`, so the half-spectrum
 /// optics (conjugate symmetry, mirror bin handling, lobe extraction from
-/// the half spectrum) apply.
+/// the half spectrum) apply; a multiple of four, so the second lens — the
+/// transform of a real *and even* intensity — runs as one quarter-length
+/// complex transform on every plane there is
+/// ([`RealFftPlan::forward_real_bins_symmetric`](pf_dsp::plan::RealFftPlan::forward_real_bins_symmetric)),
+/// with a 5-smooth quarter.
 ///
 /// Total: a kernel longer than the signal has no valid window, so it sits
 /// right behind the signal (`d = Ls`) on a plane that holds both.
 pub(crate) fn prepared_geometry(signal_len: usize, kernel_len: usize) -> (usize, usize) {
     let d = 2 * signal_len - kernel_len.min(signal_len);
-    let n = next_fast_len(2 * d + kernel_len);
+    // Twice an even 5-smooth number: every 5-smooth multiple of four, and
+    // nothing else.
+    let n = 2 * next_fast_len((2 * d + kernel_len).div_ceil(2));
     debug_assert!(valid_lobe_is_clear(signal_len, kernel_len, d, n));
     (d, n)
 }
@@ -424,7 +430,12 @@ mod tests {
     }
 
     #[test]
-    fn prepared_geometry_is_tight_even_and_sufficient() {
+    fn prepared_geometry_is_tight_a_multiple_of_four_and_sufficient() {
+        let runs_the_second_lens = |n: usize| {
+            pf_dsp::plan::RealFftPlan::shared(n)
+                .unwrap()
+                .supports_lanes()
+        };
         for s in [1usize, 3, 8, 32, 100, 256] {
             for k in [1usize, 3, 5, 32, 67, 256] {
                 let (d, n) = prepared_geometry(s, k);
@@ -435,16 +446,10 @@ mod tests {
                 assert!(d >= s && d + k <= n, "s={s} k={k}: d={d} n={n}");
                 assert!(2 * d < n, "s={s} k={k}: d={d} is not below n/2={}", n / 2);
                 assert!(n <= next_fast_len(4 * s + 4 * k + 8), "s={s} k={k}: n={n}");
-                // Even (half-spectrum mirror bin exists) and 5-smooth (the
-                // mixed-radix plan handles it without Bluestein).
-                assert_eq!(n % 2, 0, "s={s} k={k}: n={n} must be even");
-                let mut m = n;
-                for p in [2usize, 3, 5] {
-                    while m % p == 0 {
-                        m /= p;
-                    }
-                }
-                assert_eq!(m, 1, "s={s} k={k}: n={n} is not 5-smooth");
+                // A multiple of four (the half-spectrum mirror bin exists) with
+                // a 5-smooth quarter (mixed-radix plans, no Bluestein): what
+                // the symmetric second lens asks of a plan.
+                assert!(runs_the_second_lens(n), "s={s} k={k}: n={n}");
                 if k > s {
                     // No window: the kernel sits right behind the signal
                     // on a plane that must still hold both.
@@ -452,11 +457,18 @@ mod tests {
                     assert!(!valid_lobe_is_clear(s, k, d, d + k - 1), "s={s} k={k}");
                     continue;
                 }
-                // The bound is the wall: d = 2·Ls − Lk, n ≥ 4·Ls − Lk, and
-                // the largest even plane below it aliases into the window.
+                // The bound is the wall: d = 2·Ls − Lk, n ≥ 4·Ls − Lk, no
+                // 5-smooth multiple of four sits between the two, and the
+                // largest even plane below the bound aliases into the window.
                 assert_eq!(d, 2 * s - k, "s={s} k={k}");
                 let bound = 4 * s - k;
                 assert!(n >= bound, "s={s} k={k}: n={n} below {bound}");
+                for smaller in bound..n {
+                    assert!(
+                        !runs_the_second_lens(smaller),
+                        "s={s} k={k}: {smaller} < {n} would do"
+                    );
+                }
                 let below = (bound - 1) & !1;
                 assert!(
                     !valid_lobe_is_clear(s, k, d, below),

@@ -14,12 +14,13 @@
 //! * [`PreparedSpectrum`] fixes the input-plane geometry (separation `d`,
 //!   grid size `n`) for one `(kernel, signal_len)` pair and precomputes the
 //!   kernel's padded half-spectrum once. The plane **holds only what is
-//!   read**: the smallest separation and the smallest even 5-smooth grid
-//!   (mixed-radix plans run it directly) on which nothing aliases into the
-//!   valid window of the correlation lobe — `d = 2·Ls − Lk`,
-//!   `n ≥ 4·Ls − Lk` — where the oracle keeps all three output terms whole
-//!   and apart on a power-of-two grid. Every stage below is O(n) or
-//!   O(n log n) in that size;
+//!   read**: the smallest separation and the smallest 5-smooth grid that is
+//!   a multiple of four (mixed-radix plans run it directly, and the second
+//!   lens below needs the quarter) on which nothing aliases into the valid
+//!   window of the correlation lobe — `d = 2·Ls − Lk`, `n ≥ 4·Ls − Lk` —
+//!   where the oracle keeps all three output terms whole and apart on a
+//!   power-of-two grid. Every stage below is O(n) or O(n log n) in that
+//!   size;
 //! * the **first lens** is a real-input half-spectrum FFT of the signal
 //!   alone (one `n/2`-point complex FFT instead of an `n`-point one) — the
 //!   Fourier transform is linear, so `F[s + k] = F[s] + F[k]` and the
@@ -34,18 +35,24 @@
 //! * everything behind the first lens has **one body at every width**
 //!   (`PreparedSpectrum::finish_block`): for the 1 to [`LANES`] kernels of
 //!   one geometry that ride a pass together it adds each kernel spectrum,
-//!   takes the square-law intensities — symmetric (`I[n-k] = I[k]`), so
-//!   only samples `0..=n/2` exist anywhere — runs the second lens as a
-//!   symmetric-input real transform unpacked over the lobe's bins alone,
-//!   and reads every lobe out. Width one is not a special case: a lone
-//!   kernel ([`PreparedSpectrum::correlate`],
+//!   takes the square-law intensities — real **and even**
+//!   (`I[n-k] = I[k]`), so only samples `0..=n/2` exist anywhere and the
+//!   output plane is real — runs the second lens as the DCT-I of those
+//!   samples through **one quarter-length complex transform** (`n/4`
+//!   points: 60 for the 240-point plane, 250 for the 1000-point one),
+//!   written out over the lobe's bins alone as plain `f64`s, and reads
+//!   every lobe out. Width one is not a special case: a lone kernel
+//!   ([`PreparedSpectrum::correlate`],
 //!   [`PreparedSpectrum::correlate_spectrum`], the tail of a set of
-//!   `4k + 1`) is the body over `f64` / [`Complex`]
+//!   `4k + 1`) is the body over `f64`
 //!   ([`RealFftPlan::forward_real_bins_symmetric`]), a lane block
 //!   ([`PreparedConv1d::correlate_set_with_signal`]) the same source over
-//!   `[f64; LANES]` / [`ComplexLanes`]
-//!   ([`RealFftPlan::forward_real_bins_lanes`]) — so a lane's samples are
-//!   the lone kernel's, bit for bit, by construction.
+//!   `[f64; LANES]` ([`RealFftPlan::forward_real_bins_lanes`]) — so a
+//!   lane's samples are the lone kernel's, bit for bit, by construction.
+//!   Against the full-length transform a lobe sample moves by a few
+//!   10⁻¹⁵ of the plane's DC term (`pf-dsp`'s conformance suite holds the
+//!   bound; [`crate::correlator`]'s aliasing wall and `tests/geometry.rs`
+//!   hold the result to the direct sum).
 //!
 //! [`PreparedKernel`] layers the engine's DAC/ADC quantisation on top —
 //! still deterministic, so shareable between engines of one configuration
@@ -67,7 +74,7 @@ use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use pf_dsp::complex::{Complex, ComplexLanes, LANES};
+use pf_dsp::complex::{Complex, LANES};
 use pf_dsp::plan::RealFftPlan;
 use pf_dsp::scratch::{with_spectrum_scratch, SpectrumScratch};
 use pf_dsp::DspError;
@@ -109,12 +116,12 @@ impl ReadOut {
         sum_squares: false,
     };
 
-    /// Reads a lobe out of the real parts of its output-plane bins, given
-    /// in output order: normalises the double-transform gain of N
-    /// (`inv_n`), applies the gain, and returns the samples with their sum
-    /// of squares (`0.0` when not asked for).
-    fn collect(self, lobe_re: impl Iterator<Item = f64>, inv_n: f64) -> (Vec<f64>, f64) {
-        let samples = lobe_re.map(|re| re * inv_n * self.gain);
+    /// Reads a lobe out of its output-plane bins, given in output order:
+    /// normalises the double-transform gain of N (`inv_n`), applies the
+    /// gain, and returns the samples with their sum of squares (`0.0` when
+    /// not asked for).
+    fn collect(self, lobe: impl Iterator<Item = f64>, inv_n: f64) -> (Vec<f64>, f64) {
+        let samples = lobe.map(|bin| bin * inv_n * self.gain);
         let mut sum_sq = 0.0;
         let out = if self.sum_squares {
             samples.inspect(|v| sum_sq += v * v).collect()
@@ -126,17 +133,17 @@ impl ReadOut {
 }
 
 /// How many kernels ride one pass of [`PreparedSpectrum::finish_block`],
-/// named by the block's intensity sample: `f64` is a block of one,
-/// `[f64; LANES]` a lane block. What differs between the widths is listed
-/// here — which arena buffers have this shape, which instantiation of the
-/// symmetric transform takes them — so the body is written once.
+/// named by the block's sample — of the Fourier-plane intensity going into
+/// the second lens and of the (real) output plane coming out: `f64` is a
+/// block of one, `[f64; LANES]` a lane block. What differs between the
+/// widths is listed here — which arena buffers have this shape, which
+/// instantiation of the symmetric transform takes them — so the body is
+/// written once.
 trait Width: Copy {
-    /// One output-plane bin of every kernel of the block.
-    type Bin;
     /// One sample per kernel: `f(l)` is kernel `l`'s.
     fn per_kernel(f: impl FnMut(usize) -> f64) -> Self;
-    /// The real part of kernel `l`'s bin.
-    fn re(bin: &Self::Bin, l: usize) -> f64;
+    /// Kernel `l`'s sample.
+    fn kernel(self, l: usize) -> f64;
     /// The arena's intensity buffer of this width.
     fn intensity(s: &mut SpectrumScratch) -> &mut Vec<Self>;
     /// Bins `bins` of the transforms of the symmetric sequences whose
@@ -145,18 +152,16 @@ trait Width: Copy {
         plan: &RealFftPlan,
         s: &'s mut SpectrumScratch,
         bins: RangeInclusive<usize>,
-    ) -> Result<&'s [Self::Bin], DspError>;
+    ) -> Result<&'s [Self], DspError>;
 }
 
 impl Width for f64 {
-    type Bin = Complex;
-
     fn per_kernel(mut f: impl FnMut(usize) -> f64) -> Self {
         f(0)
     }
 
-    fn re(bin: &Complex, _: usize) -> f64 {
-        bin.re
+    fn kernel(self, _: usize) -> f64 {
+        self
     }
 
     fn intensity(s: &mut SpectrumScratch) -> &mut Vec<f64> {
@@ -167,21 +172,19 @@ impl Width for f64 {
         plan: &RealFftPlan,
         s: &'s mut SpectrumScratch,
         bins: RangeInclusive<usize>,
-    ) -> Result<&'s [Complex], DspError> {
+    ) -> Result<&'s [f64], DspError> {
         plan.forward_real_bins_symmetric(&s.real, bins, &mut s.fft, &mut s.half)?;
         Ok(&s.half)
     }
 }
 
 impl Width for [f64; LANES] {
-    type Bin = ComplexLanes;
-
     fn per_kernel(f: impl FnMut(usize) -> f64) -> Self {
         std::array::from_fn(f)
     }
 
-    fn re(bin: &ComplexLanes, l: usize) -> f64 {
-        bin.re[l]
+    fn kernel(self, l: usize) -> f64 {
+        self[l]
     }
 
     fn intensity(s: &mut SpectrumScratch) -> &mut Vec<[f64; LANES]> {
@@ -192,7 +195,7 @@ impl Width for [f64; LANES] {
         plan: &RealFftPlan,
         s: &'s mut SpectrumScratch,
         bins: RangeInclusive<usize>,
-    ) -> Result<&'s [ComplexLanes], DspError> {
+    ) -> Result<&'s [[f64; LANES]], DspError> {
         plan.forward_real_bins_lanes(&s.lanes_real, bins, &mut s.lanes_fft, &mut s.lanes_half)?;
         Ok(&s.lanes_half)
     }
@@ -232,8 +235,8 @@ impl PreparedSpectrum {
     /// Builds the prepared state for `kernel` against signals of exactly
     /// `signal_len` samples on the smallest joint plane that keeps the
     /// **read window** exact: signal at the origin, kernel at offset
-    /// `d = 2·Ls − Lk`, on the smallest even 5-smooth grid of at least
-    /// `4·Ls − Lk` points. Only the valid window of the correlation lobe is
+    /// `d = 2·Ls − Lk`, on the smallest 5-smooth multiple of four of at
+    /// least `4·Ls − Lk` points. Only the valid window of the correlation lobe is
     /// ever read, so the rest of the output plane is left to alias; the
     /// [`JtcSimulator`](crate::correlator::JtcSimulator) oracle, which
     /// shows the whole plane, keeps a wider separation and a power-of-two
@@ -260,6 +263,7 @@ impl PreparedSpectrum {
         }
         let (d, n) = crate::correlator::prepared_geometry(signal_len, kernel.len());
         let plan = RealFftPlan::shared(n)?;
+        debug_assert!(plan.supports_lanes(), "a 5-smooth multiple of four");
 
         // Kernel half-spectrum, computed once: the kernel occupies
         // [d, d + kernel_len) of the otherwise-zero input plane. Nothing
@@ -449,10 +453,11 @@ impl PreparedSpectrum {
     ///
     /// # Errors
     ///
-    /// The plan's, if it has no symmetric transform or `signal_half` was
-    /// not taken on its grid — what [`PreparedKernel::lane_set`] rules out
-    /// before any block of a set runs (a block must not fail once an
-    /// earlier one has drawn noise).
+    /// The plan's, if `signal_half` was not taken on its grid — what
+    /// [`PreparedKernel::lane_set`] rules out before any block of a set
+    /// runs (a block must not fail once an earlier one has drawn noise).
+    /// Every grid [`prepared_geometry`](crate::correlator) hands out has
+    /// the symmetric transform.
     fn finish_block<W: Width>(
         block: &[&PreparedSpectrum],
         signal_half: &[Complex],
@@ -474,11 +479,11 @@ impl PreparedSpectrum {
                 })
             }));
             mark(acc, Stage::SpectrumApply);
-            let lobe = W::second_lens(&first.plan, s, first.lobe_bins())?;
+            let lobes = W::second_lens(&first.plan, s, first.lobe_bins())?;
             let inv_n = 1.0 / first.n as f64;
             for (l, read_out) in read_outs.iter().enumerate() {
-                let lobe_re = lobe.iter().rev().map(|z| W::re(z, l));
-                let (samples, sum_sq) = read_out.collect(lobe_re, inv_n);
+                let lobe = lobes.iter().rev().map(|bin| bin.kernel(l));
+                let (samples, sum_sq) = read_out.collect(lobe, inv_n);
                 emit(l, samples, sum_sq);
             }
             mark(acc, Stage::Inverse);
@@ -732,16 +737,15 @@ impl PreparedKernel {
 
     /// `prepared` as this engine's own transform, when the whole of `set`
     /// can ride in lanes with it: every member is a [`PreparedKernel`] on
-    /// one geometry whose plan supports lanes and whose lobe is non-empty,
-    /// and the transform was taken on that geometry.
+    /// one geometry whose lobe is non-empty, and the transform was taken on
+    /// that geometry.
     fn lane_set<'a>(
         set: &[&dyn PreparedConv1d],
         prepared: &'a dyn PreparedSignal,
     ) -> Option<&'a SharedSignal> {
         let shared = prepared.as_any().downcast_ref::<SharedSignal>()?;
         let first = &*Self::of(*set.first()?)?.spectrum;
-        let rides = first.plan.supports_lanes()
-            && first.kernel_len <= first.signal_len
+        let rides = first.kernel_len <= first.signal_len
             && (shared.spectrum.signal_len, shared.spectrum.n) == (first.signal_len, first.n)
             && set
                 .iter()

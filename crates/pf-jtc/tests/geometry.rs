@@ -57,8 +57,17 @@ const BIT_PIN_SHAPES: [(usize, usize); 21] = [
 /// the repo benchmark runs, 1000 and 240 points.
 const RESNET_SHAPES: [(usize, usize); 2] = [(256, 35), (64, 19)];
 
+/// Shapes whose plane grew when the grid became a multiple of four (the
+/// smallest even 5-smooth length was `≡ 2 mod 4`: 90 → 96, 150 → 160,
+/// 270 → 288, 250 → 256, 750 → 768, 810 → 864) — with six of the bit-pin
+/// shapes and six of the sweep below, every step the rounding can take.
+/// The window must stay exact on the larger plane too: a plane is never
+/// too big, but the lobe bins move with it.
+const GROWN_SHAPES: [(usize, usize); 6] =
+    [(23, 5), (40, 12), (75, 35), (75, 52), (200, 50), (250, 190)];
+
 fn shapes() -> Vec<(usize, usize)> {
-    let mut shapes = [&BIT_PIN_SHAPES[..], &RESNET_SHAPES[..]].concat();
+    let mut shapes = [&BIT_PIN_SHAPES[..], &RESNET_SHAPES[..], &GROWN_SHAPES[..]].concat();
     for ls in [1usize, 2, 3, 8, 19, 64, 100, 256] {
         for lk in [1, 2, 3, ls / 2, ls.saturating_sub(1), ls] {
             if (1..=ls).contains(&lk) {
@@ -122,6 +131,9 @@ fn every_read_path_is_exact_at_the_window_edges() {
             .iter()
             .map(|k| PreparedSpectrum::new(k, ls, ls).unwrap())
             .collect();
+        // One second lens for every plane: the quarter-length transform
+        // needs a multiple of four.
+        assert_eq!(spectra[0].grid_size() % 4, 0, "Ls={ls} Lk={lk}");
         let prepared: Vec<Arc<dyn PreparedConv1d>> = kernels
             .iter()
             .map(|k| engine.prepare_kernel(k, ls).expect("the JTC prepares"))

@@ -5,6 +5,7 @@
 //! accuracy experiments quantify what that costs and how temporal
 //! accumulation buys it back.
 
+use pf_photonics::adc::round_half_away;
 use serde::{Deserialize, Serialize};
 
 use crate::tensor::Tensor;
@@ -57,7 +58,7 @@ pub fn quantize_symmetric(value: f64, max_abs: f64, bits: u32) -> f64 {
     }
     let levels = ((1u64 << (bits - 1)) - 1) as f64;
     let clipped = value.clamp(-max_abs, max_abs);
-    (clipped / max_abs * levels).round() / levels * max_abs
+    round_half_away(clipped / max_abs * levels) / levels * max_abs
 }
 
 /// Quantises a slice with a shared scale (its own maximum absolute value).

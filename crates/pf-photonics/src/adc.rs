@@ -9,11 +9,50 @@
 //!   makes explicit in Section V-D),
 //! * Walden figure-of-merit based power estimation used to derive the NG
 //!   scaling factor.
+//!
+//! The quantiser is the per-sample cost of every read-out, so its body is
+//! written for the vector unit: one divide, and the rounding to a code
+//! through [`round_half_away`] — `f64::round`, bit for bit, without the
+//! out-of-line libm call the baseline x86-64 ISA compiles `round` to (which
+//! also keeps the loop scalar). The same helper rounds the DAC's codes
+//! ([`Dac::generate`](crate::dac::Dac::generate)) and `pf-nn`'s activation
+//! quantiser.
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::PhotonicsError;
 use crate::units::Milliwatts;
+
+/// `f64::round` — to the nearest integer, halves away from zero — for every
+/// input, bit for bit, in branch-free arithmetic a loop can be vectorised
+/// around.
+///
+/// Adding and subtracting 2⁵² rounds `|q|` to an integer in the FPU's own
+/// mode, nearest-even; that differs from half-away only on a tie that went
+/// *down* to the even neighbour (`|q| − t == 0.5`, an exact subtraction),
+/// which takes one more. From 2⁵² up every `f64` is an integer already (and
+/// the addition would round it), so those — and ±∞, and NaN, which fails
+/// both comparisons — pass through. The sign bit is taken off first and
+/// put back last, as bits, so `−0.3` rounds to `−0.0` and a NaN keeps its
+/// sign.
+#[inline]
+pub fn round_half_away(q: f64) -> f64 {
+    const TWO_52: f64 = (1u64 << 52) as f64;
+    let sign = q.to_bits() & (1 << 63);
+    let magnitude = f64::from_bits(q.to_bits() ^ sign);
+    let nearest_even = (magnitude + TWO_52) - TWO_52;
+    let tie_went_down = if magnitude - nearest_even == 0.5 {
+        1.0
+    } else {
+        0.0
+    };
+    let integral = if magnitude < TWO_52 {
+        nearest_even + tie_went_down
+    } else {
+        magnitude
+    };
+    f64::from_bits(integral.to_bits() | sign)
+}
 
 /// An idealised successive-approximation ADC with uniform quantisation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -153,7 +192,7 @@ impl Adc {
             if clipped > high {
                 clipped = high;
             }
-            let code = ((clipped + full_scale) / step).round();
+            let code = round_half_away((clipped + full_scale) / step);
             *v = code * step - full_scale;
         }
     }

@@ -8,6 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::adc::round_half_away;
 use crate::error::PhotonicsError;
 use crate::units::Milliwatts;
 
@@ -111,7 +112,7 @@ impl Dac {
     pub fn generate(&self, value: f64) -> f64 {
         let levels = (self.levels() - 1) as f64;
         let clipped = value.clamp(0.0, 1.0);
-        (clipped * levels).round() / levels
+        round_half_away(clipped * levels) / levels
     }
 
     /// Converts a slice of values through [`Dac::generate`].
