@@ -232,6 +232,14 @@ impl Conv1dEngine for Box<dyn Backend> {
         (**self).prepare_kernel(kernel, signal_len)
     }
 
+    fn prepare_kernels(
+        &self,
+        kernels: &[&[f64]],
+        signal_len: usize,
+    ) -> Vec<Option<Arc<dyn PreparedConv1d>>> {
+        (**self).prepare_kernels(kernels, signal_len)
+    }
+
     fn bind_prepared(&self, cached: Arc<dyn PreparedConv1d>) -> Arc<dyn PreparedConv1d> {
         (**self).bind_prepared(cached)
     }

@@ -9,9 +9,12 @@
 //! the expression sequence the one-lane instantiation executes, so a lane's
 //! result is bit-identical to transforming that lane alone.
 //!
-//! Everything here is `#[inline(always)]`: the symmetric-input transform
-//! instantiates its whole body once per element and, over lanes, once more
-//! per ISA (the build's baseline and AVX2, see
+//! Everything here is `#[inline(always)]`: the real-input transforms (the
+//! first lens' packed-even body and the symmetric-input body) instantiate
+//! their whole bodies once per element and, over lanes, once more per ISA
+//! (the build's baseline and AVX2, see
+//! [`RealFftPlan::forward_real_batch_into`](crate::plan::RealFftPlan::forward_real_batch_into)
+//! and
 //! [`RealFftPlan::forward_real_bins_lanes`](crate::plan::RealFftPlan::forward_real_bins_lanes)),
 //! and a butterfly left out of line would be compiled for the baseline ISA
 //! only.

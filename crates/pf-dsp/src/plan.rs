@@ -27,9 +27,13 @@
 //!   - *any real signal*, zero-padded on the right
 //!     ([`RealFftPlan::forward_real_bins_into`], the unpacking pass
 //!     evaluated over a selected bin range only, bit-identical per bin;
-//!     [`RealFftPlan::forward_real_into`] is the full range and
-//!     [`RealFftPlan::forward_real_batch_into`] that same transform once
-//!     per row of a planar batch);
+//!     [`RealFftPlan::forward_real_into`] is the full range). The even-length
+//!     body — pack through the half plan's gather order, butterfly passes,
+//!     unpack — is generic over the butterfly element like the one below:
+//!     over [`Complex`] it is one row, over [`ComplexLanes`] it is
+//!     [`RealFftPlan::forward_real_batch_into`], the rows of a planar batch
+//!     **four to a pass**, every lane bit-identical to the one-row
+//!     transform by construction;
 //!   - *an even-symmetric real signal given by samples `0..=n/2`* (a
 //!     square-law intensity spectrum), for lengths that are a multiple of
 //!     four: real **and even** input has a real, even transform — the
@@ -167,6 +171,21 @@ fn with_plan_scratch<R>(f: impl FnOnce(&mut Vec<Complex>) -> R) -> R {
         static PLAN_SCRATCH: RefCell<Vec<Complex>> = const { RefCell::new(Vec::new()) };
     }
     PLAN_SCRATCH.with(|cell| {
+        let mut buf = cell.take();
+        let out = f(&mut buf);
+        cell.replace(buf);
+        out
+    })
+}
+
+/// [`with_plan_scratch`] for the lane working buffer of the batched first
+/// lens ([`RealFftPlan::forward_real_batch_into`]): half a grid of
+/// [`ComplexLanes`], 32 KB per thread on a 1000-point grid.
+fn with_lane_scratch<R>(f: impl FnOnce(&mut Vec<ComplexLanes>) -> R) -> R {
+    thread_local! {
+        static LANE_SCRATCH: RefCell<Vec<ComplexLanes>> = const { RefCell::new(Vec::new()) };
+    }
+    LANE_SCRATCH.with(|cell| {
         let mut buf = cell.take();
         let out = f(&mut buf);
         cell.replace(buf);
@@ -438,6 +457,13 @@ enum RealKernel {
     },
 }
 
+/// One instantiation of the batched first lens' lane block
+/// (`RealFftPlan::first_lens_lanes`): the plan, its half plan and gather
+/// order, the block's rows and their length, the lane working buffer, the
+/// block's half spectra.
+type LaneBlock =
+    fn(&RealFftPlan, &FftPlan, &[u32], &[f64], usize, &mut Vec<ComplexLanes>, &mut [Complex]);
+
 /// A plan computing `n`-point transforms of *real* inputs, returning only
 /// the non-redundant bins `0..=n/2`; the remaining bins follow from
 /// conjugate symmetry (`X[n-k] = conj(X[k])`).
@@ -632,38 +658,29 @@ impl RealFftPlan {
         scratch: &mut Vec<Complex>,
         out: &mut [Complex],
     ) -> Result<(), DspError> {
-        let at = |idx: usize| -> f64 {
-            if idx < input.len() {
-                input[idx]
-            } else {
-                0.0
-            }
-        };
+        // Indices beyond the input read as the implicit zero padding.
+        let at = |idx: usize| input.get(idx).copied().unwrap_or(0.0);
+        let lo = *bins.start();
         match &self.kernel {
-            RealKernel::PackedEven { half_plan } => {
-                let m = self.n / 2;
-                // Pack x[2j] + i·x[2j+1] into a length-m complex sequence;
-                // indices beyond the input read as the implicit zero
-                // padding (appended by the trailing resize).
-                scratch.clear();
-                scratch.reserve(m);
-                let mut pairs = input.chunks_exact(2);
-                for pair in &mut pairs {
-                    scratch.push(Complex::new(pair[0], pair[1]));
+            RealKernel::PackedEven { half_plan } => match half_plan.gather_order() {
+                Some(order) => {
+                    self.packed_even_body(half_plan, order, at, bins, scratch, |k, bin| {
+                        out[k - lo] = bin;
+                    });
                 }
-                if let [last] = pairs.remainder() {
-                    scratch.push(Complex::new(*last, 0.0));
+                // A Bluestein half stages through a padded convolution, not
+                // through passes: packed in natural order, transformed by
+                // the plan, unpacked by the one unpacking pass.
+                None => {
+                    scratch.clear();
+                    scratch.extend((0..self.n / 2).map(|j| Complex::new(at(2 * j), at(2 * j + 1))));
+                    half_plan.process(scratch, false)?;
+                    self.unpack_bins(scratch, bins, |k, bin| out[k - lo] = bin);
                 }
-                scratch.resize(m, Complex::ZERO);
-                half_plan.process(scratch, false)?;
-                self.unpack_bins(scratch, bins, out);
-            }
+            },
             RealKernel::OddFull { full_plan } => {
                 scratch.clear();
-                scratch.reserve(self.n);
-                for j in 0..self.n {
-                    scratch.push(Complex::from_real(at(j)));
-                }
+                scratch.extend((0..self.n).map(|j| Complex::from_real(at(j))));
                 full_plan.process(scratch, false)?;
                 out.copy_from_slice(&scratch[bins]);
             }
@@ -671,22 +688,65 @@ impl RealFftPlan {
         Ok(())
     }
 
-    /// Unpacks bins `bins` of a packed even transform into `out` (one slot
-    /// per bin) through [`unpack_bin`]. A bin's value does not depend on
-    /// which range asked for it.
-    fn unpack_bins(&self, packed: &[Complex], bins: RangeInclusive<usize>, out: &mut [Complex]) {
+    /// The first lens — the even-length real-input transform — written once
+    /// for every width: `E` is [`Complex`] for one signal, [`ComplexLanes`]
+    /// for [`LANES`]. `at(j)` is sample `j` of every signal carried (zero
+    /// beyond a signal's end); bin `k` of every signal goes to `emit(k, _)`
+    /// for each `k` in `bins`.
+    ///
+    /// Three passes: `x[2j] + i·x[2j+1]` packed straight into the half
+    /// plan's gather order, the half plan's butterfly passes, and the
+    /// unpacking pass over the requested bins. Every lane executes the
+    /// expression sequence the one-signal instantiation executes, so lane
+    /// `l` is bit-identical to transforming signal `l` alone — and gathering
+    /// while packing moves no value, so the one-signal instantiation is
+    /// bit-identical to packing in natural order and running
+    /// [`FftPlan::process`]. `#[inline(always)]` down to the butterflies so
+    /// that each caller compiles its own copy for its own element and ISA.
+    #[inline(always)]
+    fn packed_even_body<E: Element>(
+        &self,
+        half_plan: &FftPlan,
+        order: &[u32],
+        at: impl Fn(usize) -> E::Real,
+        bins: RangeInclusive<usize>,
+        work: &mut Vec<E>,
+        emit: impl FnMut(usize, E),
+    ) {
+        work.clear();
+        work.extend(order.iter().map(|&slot| {
+            let j = 2 * slot as usize;
+            E::pack(at(j), at(j + 1))
+        }));
+        half_plan.passes(work, false);
+        self.unpack_bins(work, bins, emit);
+    }
+
+    /// Unpacks bins `bins` of a packed even transform through
+    /// [`unpack_bin`], handing bin `k` to `emit(k, _)`. A bin's value does
+    /// not depend on which range asked for it.
+    #[inline(always)]
+    fn unpack_bins<E: Element>(
+        &self,
+        packed: &[E],
+        bins: RangeInclusive<usize>,
+        mut emit: impl FnMut(usize, E),
+    ) {
         let m = self.n / 2;
         let (lo, hi) = (*bins.start(), *bins.end());
         // Bins 0 and m both wrap to packed[0]; interior bins pair k with
         // m - k directly, keeping the hot loop free of modular reductions.
         if lo == 0 {
-            out[0] = unpack_bin(packed[0], packed[0].conj(), self.unpack[0]);
+            emit(0, unpack_bin(packed[0], packed[0].conj(), self.unpack[0]));
         }
         for k in lo.max(1)..(hi + 1).min(m) {
-            out[k - lo] = unpack_bin(packed[k], packed[m - k].conj(), self.unpack[k]);
+            emit(
+                k,
+                unpack_bin(packed[k], packed[m - k].conj(), self.unpack[k]),
+            );
         }
         if hi == m {
-            out[m - lo] = unpack_bin(packed[0], packed[0].conj(), self.unpack[m]);
+            emit(m, unpack_bin(packed[0], packed[0].conj(), self.unpack[m]));
         }
     }
 
@@ -941,11 +1001,24 @@ impl RealFftPlan {
     /// back-to-back into `out`. Rows shorter than the plan length are
     /// zero-padded on the right.
     ///
-    /// Each row runs the single-signal transform in turn — no stage is
-    /// shared across rows (work shared *across transforms* lives in
-    /// [`forward_real_bins_lanes`](Self::forward_real_bins_lanes)) — so the
+    /// **Rows go four to a pass.** The transform has one body
+    /// (`packed_even_body`), instantiated over [`Complex`] for
+    /// [`forward_real_into`](Self::forward_real_into) and over
+    /// [`ComplexLanes`] here: each block of [`LANES`] rows rides the half
+    /// plan's butterflies together, one row per lane, and a lane executes
+    /// the expression sequence the one-row instantiation executes — so the
     /// result is **bit-identical to looping
-    /// [`forward_real_into`](Self::forward_real_into) over the rows.**
+    /// [`forward_real_into`](Self::forward_real_into) over the rows**,
+    /// whatever rides in the other lanes. A last block of two or three rows
+    /// rides with idle lanes (they repeat its last row; still cheaper than
+    /// that many one-row transforms); a last block of one row, and every
+    /// row of a plan without a lane body (odd lengths, even lengths whose
+    /// half plan is Bluestein), runs the one-row instantiation. The lane
+    /// instantiation is compiled for the build's baseline ISA and, on
+    /// x86-64, with AVX2, picked by `is_x86_feature_detected!` exactly as
+    /// [`forward_real_bins_lanes`](Self::forward_real_bins_lanes) picks;
+    /// its working buffer (half a grid of [`ComplexLanes`]) is the plan
+    /// module's own per-thread one, `scratch` serves the one-row transforms.
     ///
     /// # Errors
     ///
@@ -958,6 +1031,48 @@ impl RealFftPlan {
         rows: usize,
         scratch: &mut Vec<Complex>,
         out: &mut Vec<Complex>,
+    ) -> Result<(), DspError> {
+        self.batch_body(inputs, rows, scratch, out, Self::first_lens_dispatched)
+    }
+
+    /// [`forward_real_batch_into`](Self::forward_real_batch_into) pinned to
+    /// the baseline-ISA lane instantiation, whatever the CPU offers — what
+    /// [`forward_real_bins_lanes_portable`](Self::forward_real_bins_lanes_portable)
+    /// is to the symmetric-input transform.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as
+    /// [`forward_real_batch_into`](Self::forward_real_batch_into).
+    pub fn forward_real_batch_into_portable(
+        &self,
+        inputs: &[f64],
+        rows: usize,
+        scratch: &mut Vec<Complex>,
+        out: &mut Vec<Complex>,
+    ) -> Result<(), DspError> {
+        self.batch_body(inputs, rows, scratch, out, Self::first_lens_lanes)
+    }
+
+    /// The half plan and its gather order, when the first lens has a lane
+    /// body: an even length whose half plan runs as gather-then-passes.
+    fn lane_half_plan(&self) -> Option<(&FftPlan, &[u32])> {
+        match &self.kernel {
+            RealKernel::PackedEven { half_plan } => Some((half_plan, half_plan.gather_order()?)),
+            RealKernel::OddFull { .. } => None,
+        }
+    }
+
+    /// The entry checks and the block loop of the batched first lens;
+    /// `lane_block` is the lane instantiation a block of two to [`LANES`]
+    /// rows takes.
+    fn batch_body(
+        &self,
+        inputs: &[f64],
+        rows: usize,
+        scratch: &mut Vec<Complex>,
+        out: &mut Vec<Complex>,
+        lane_block: LaneBlock,
     ) -> Result<(), DspError> {
         if rows == 0 || inputs.is_empty() || !inputs.len().is_multiple_of(rows) {
             return Err(DspError::InvalidLength {
@@ -975,10 +1090,99 @@ impl RealFftPlan {
         let sl = self.spectrum_len();
         out.clear();
         out.resize(rows * sl, Complex::ZERO);
-        for (row, spec) in inputs.chunks_exact(row_len).zip(out.chunks_exact_mut(sl)) {
-            self.forward_real_core(row, 0..=self.n / 2, scratch, spec)?;
+        let lane_plan = self.lane_half_plan();
+        with_lane_scratch(|work| {
+            let blocks = inputs
+                .chunks(LANES * row_len)
+                .zip(out.chunks_mut(LANES * sl));
+            for (block, spectra) in blocks {
+                match lane_plan {
+                    Some((half_plan, order)) if block.len() > row_len => {
+                        lane_block(self, half_plan, order, block, row_len, work, spectra);
+                    }
+                    _ => {
+                        let rows = block.chunks_exact(row_len);
+                        for (row, spec) in rows.zip(spectra.chunks_exact_mut(sl)) {
+                            self.forward_real_core(row, 0..=self.n / 2, scratch, spec)?;
+                        }
+                    }
+                }
+            }
+            Ok(())
+        })
+    }
+
+    /// [`first_lens_lanes`](Self::first_lens_lanes) in the widest
+    /// instantiation the CPU runs.
+    fn first_lens_dispatched(
+        &self,
+        half_plan: &FftPlan,
+        order: &[u32],
+        block: &[f64],
+        row_len: usize,
+        work: &mut Vec<ComplexLanes>,
+        spectra: &mut [Complex],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the one requirement of a `#[target_feature]` function
+            // is that the CPU has the feature, checked on the line above.
+            unsafe { self.first_lens_avx2(half_plan, order, block, row_len, work, spectra) };
+            return;
         }
-        Ok(())
+        self.first_lens_lanes(half_plan, order, block, row_len, work, spectra);
+    }
+
+    /// One lane block of the batched first lens: the one to [`LANES`] rows
+    /// of `row_len` samples stored back to back in `block`, one per lane
+    /// (idle lanes repeat the last row and write nothing), transformed by
+    /// `packed_even_body` over [`ComplexLanes`] and transposed
+    /// into their `n/2 + 1`-bin half spectra, back to back in `spectra`.
+    #[inline(always)]
+    fn first_lens_lanes(
+        &self,
+        half_plan: &FftPlan,
+        order: &[u32],
+        block: &[f64],
+        row_len: usize,
+        work: &mut Vec<ComplexLanes>,
+        spectra: &mut [Complex],
+    ) {
+        let live = block.len() / row_len;
+        let sl = self.spectrum_len();
+        let rows: [&[f64]; LANES] = std::array::from_fn(|l| {
+            let row = l.min(live - 1);
+            &block[row * row_len..(row + 1) * row_len]
+        });
+        let at = |j: usize| {
+            if j < row_len {
+                rows.map(|row| row[j])
+            } else {
+                [0.0; LANES]
+            }
+        };
+        self.packed_even_body(half_plan, order, at, 0..=self.n / 2, work, |k, bin| {
+            for l in 0..live {
+                spectra[l * sl + k] = bin.lane(l);
+            }
+        });
+    }
+
+    /// [`first_lens_lanes`](Self::first_lens_lanes) compiled with AVX2: one
+    /// 256-bit operation per lane block where the baseline ISA issues two
+    /// 128-bit ones.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn first_lens_avx2(
+        &self,
+        half_plan: &FftPlan,
+        order: &[u32],
+        block: &[f64],
+        row_len: usize,
+        work: &mut Vec<ComplexLanes>,
+        spectra: &mut [Complex],
+    ) {
+        self.first_lens_lanes(half_plan, order, block, row_len, work, spectra);
     }
 }
 

@@ -12,15 +12,24 @@
 //! Buffers keep their capacity across calls (steady-state execution
 //! performs no allocation) and are only ever *logically* cleared by the
 //! borrower — callers must not assume any particular content on entry.
-//! One-off work borrows the same arena: preparing a kernel spectrum pads
-//! its input in [`SpectrumScratch::real`] and packs it in
+//! One-off work borrows the same arena: preparing kernel spectra pads
+//! their inputs in [`SpectrumScratch::real`] and packs a lone one in
 //! [`SpectrumScratch::fft`] instead of allocating both per kernel.
 //!
 //! Every buffer is sized by the grid its borrower transforms on, so the
 //! arena is as small as the JTC's joint plane: on the 1000-point grid of
-//! a 256-sample tile against a 35-sample tiled kernel a lane block holds
-//! 501 × 32 B of intensities, 250 × 64 B of quarter-length transform and
-//! 222 × 32 B of (real) lobe — 39 KB per thread.
+//! a 256-sample tile against a 35-sample tiled kernel a lane block of the
+//! second lens holds 501 × 32 B of intensities, 250 × 64 B of
+//! quarter-length transform and 222 × 32 B of (real) lobe — 39 KB per
+//! thread. The first lens' lane buffer is not in this arena: a batched
+//! first lens ([`crate::plan::RealFftPlan::forward_real_batch_into`]) is
+//! called *from inside* a borrow (its packing scratch is [`SpectrumScratch::fft`]),
+//! so its four-rows-to-a-pass working buffer — **half a grid** of
+//! [`ComplexLanes`], 500 × 64 B = 32 KB on that grid — is the plan
+//! module's own per-thread buffer, next to the one mixed-radix plans
+//! gather through. What the arena holds for a stack being prepared is the
+//! planar input: a block of [`LANES`] kernels' rows of the joint plane in
+//! [`SpectrumScratch::real`] (4 × 512 × 8 B = 16 KB there).
 //!
 //! Threads are how the row tiler dispatches independent tiles, so
 //! thread-local state needs no locking and cannot alias across concurrent
@@ -61,9 +70,11 @@ pub fn scratch_stats() -> ScratchStats {
 /// vector (FFT packing scratch) and two real ones (an intensity or
 /// padded-input sequence, and the real bins of a symmetric sequence's
 /// transform), each with a lane counterpart for computations that carry
-/// [`LANES`] spectra at once. The lane buffers are sized by what a lane
-/// block reads — half a symmetric intensity, the quarter-length transform,
-/// the requested bins — never the full grid.
+/// [`LANES`] spectra at once. The lane buffers here are the second lens':
+/// sized by what a lane block reads — half a symmetric intensity, the
+/// quarter-length transform, the requested bins — never the full grid (the
+/// first lens' half-grid lane buffer lives with the plans, see the module
+/// docs).
 #[derive(Debug, Default)]
 pub struct SpectrumScratch {
     /// Packed-input scratch for [`crate::plan::RealFftPlan::forward_real_into`].
@@ -73,7 +84,8 @@ pub struct SpectrumScratch {
     /// correlation lobe).
     pub half: Vec<f64>,
     /// Real-valued working buffer (e.g. a square-law intensity sequence, or
-    /// a kernel zero-padded to its input-plane offset while it is prepared).
+    /// a block of kernels, each zero-padded to its input-plane offset, while
+    /// their stack is prepared).
     pub real: Vec<f64>,
     /// Transform buffer of
     /// [`crate::plan::RealFftPlan::forward_real_bins_lanes`].

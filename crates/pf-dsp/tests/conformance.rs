@@ -14,6 +14,12 @@
 //!   each lane of the lane transform vs. the symmetric-input transform at
 //!   width 1, in every instantiation this host can run), results match
 //!   **bit for bit**;
+//! * the first lens in lanes — the packed-even real transform is one body
+//!   at two widths, and unlike the symmetric body it has an exact twin:
+//!   every lane of `forward_real_batch_into`, in every instantiation this
+//!   host can run, is `forward_real_into` of that row **bit for bit**, at
+//!   every row count (a lone row, idle lanes, full blocks) and on lengths
+//!   without a lane body (odd, Bluestein halves), which batch at width 1;
 //! * the symmetric-input transform — a quarter-length DCT-I whose odd bins
 //!   come off a running sum, so no other transform in the library computes
 //!   its bits — is held to an explicit bound against an exact oracle:
@@ -554,6 +560,142 @@ fn lanes_are_refused_where_unsupported_and_on_bad_input() {
                 call(&plan, &half.repeat(2)[..len], 0..=0, &mut work, &mut out).is_err(),
                 "{len} samples ({name})"
             );
+        }
+    }
+}
+
+/// One way into the batched first lens.
+type BatchCall =
+    fn(&RealFftPlan, &[f64], usize, &mut Vec<Complex>, &mut Vec<Complex>) -> Result<(), DspError>;
+
+/// Every instantiation of the first lens' lane body this host can run:
+/// the dispatching entry point (AVX2 where detected) and the one pinned to
+/// the baseline ISA.
+const BATCH_CALLS: [(&str, BatchCall); 2] = [
+    ("dispatched", RealFftPlan::forward_real_batch_into),
+    ("portable", RealFftPlan::forward_real_batch_into_portable),
+];
+
+/// The row shapes the first lens meets, `len` samples each: a generic row
+/// bounded to ±1, a kernel's half of the joint plane (zeros up to the
+/// separation `d`, then `Lk` samples), a row of ±1 and a DC-heavy row.
+const FIRST_LENS_ROWS: [fn(usize, usize) -> Vec<f64>; 4] = [
+    |len, seed| {
+        (0..len)
+            .map(|j| ((j * j + (3 + seed) * j + 7 * seed) as f64 * 0.37).sin() * 0.9)
+            .collect()
+    },
+    |len, seed| {
+        let lk = (len / 2).clamp(1, 35);
+        let mut row = vec![0.0; len - lk];
+        row.extend((0..lk).map(|j| ((j + 5 * seed) as f64 * 0.61).cos()));
+        row
+    },
+    |len, seed| {
+        (0..len)
+            .map(|j| {
+                if (j * j + seed * j) % 3 == 0 {
+                    -1.0
+                } else {
+                    1.0
+                }
+            })
+            .collect()
+    },
+    |len, seed| {
+        (0..len)
+            .map(|j| 1e3 + ((j + seed) as f64 * 0.29).sin())
+            .collect()
+    },
+];
+
+/// Bins `0..=n/2` of the O(n²) oracle transform of `row` zero-padded to `n`.
+fn real_oracle(row: &[f64], n: usize) -> Vec<Complex> {
+    let mut padded: Vec<Complex> = row.iter().map(|&v| Complex::from_real(v)).collect();
+    padded.resize(n, Complex::ZERO);
+    let mut bins = oracle(&padded, false);
+    bins.truncate(n / 2 + 1);
+    bins
+}
+
+/// `rows` (one length) through every batched entry point: each row's half
+/// spectrum is `forward_real_into` of that row, bit for bit.
+fn check_batch_is_the_row_loop(n: usize, rows: &[Vec<f64>], what: &str) {
+    let plan = RealFftPlan::shared(n).unwrap();
+    let sl = plan.spectrum_len();
+    let planar: Vec<f64> = rows.concat();
+    let (mut scratch, mut batched, mut single) = (Vec::new(), Vec::new(), Vec::new());
+    for (name, call) in BATCH_CALLS {
+        call(&plan, &planar, rows.len(), &mut scratch, &mut batched).unwrap();
+        assert_eq!(batched.len(), rows.len() * sl, "{what} ({name})");
+        for (r, row) in rows.iter().enumerate() {
+            plan.forward_real_into(row, &mut scratch, &mut single)
+                .unwrap();
+            let what = format!("{what} n={n} row {r} of {} ({name})", rows.len());
+            assert_bits(&batched[r * sl..(r + 1) * sl], &single, &what);
+        }
+    }
+}
+
+/// The first lens in lanes, on every even 5-smooth length up to 1 024 (240
+/// and 1 000, the benchmark's grids, among them): every lane of a full
+/// block is the one-row transform bit for bit, in both instantiations, on
+/// full-length rows and on rows shorter than `n` (implicit zero padding; an
+/// odd row length too), on every row shape above — and whatever rides in
+/// the other lanes: the four shapes share a block in every rotation.
+#[test]
+fn first_lens_lanes_match_the_one_row_transform_on_every_even_grid() {
+    for n in (2usize..=1024).step_by(2).filter(|&n| is_five_smooth(n)) {
+        for len in [n, n - 1, (n / 4).max(1)] {
+            for rotation in 0..LANES {
+                let rows: Vec<Vec<f64>> = (0..LANES)
+                    .map(|l| FIRST_LENS_ROWS[(l + rotation) % LANES](len, l))
+                    .collect();
+                let what = format!("rows of {len}, rotation {rotation}");
+                check_batch_is_the_row_loop(n, &rows, &what);
+            }
+        }
+    }
+}
+
+/// `forward_real_batch_into` is the row loop for 1 to 9 rows — every
+/// remainder: a lone row at width 1, two and three rows with idle lanes,
+/// full blocks, and full blocks followed by each of those — and every row
+/// is within `TOL` of the O(n²) oracle (rows bounded to ±1).
+#[test]
+fn batched_first_lens_is_the_row_loop_for_every_remainder() {
+    for n in [2usize, 4, 12, 16, 60, 240, 1000] {
+        let len = n - n / 4;
+        for count in 1..=9 {
+            let rows: Vec<Vec<f64>> = (0..count).map(|r| FIRST_LENS_ROWS[r % 3](len, r)).collect();
+            check_batch_is_the_row_loop(n, &rows, "remainders");
+        }
+        let plan = RealFftPlan::shared(n).unwrap();
+        let rows: Vec<Vec<f64>> = (0..9).map(|r| FIRST_LENS_ROWS[r % 3](len, r)).collect();
+        let (mut scratch, mut batched) = (Vec::new(), Vec::new());
+        plan.forward_real_batch_into(&rows.concat(), 9, &mut scratch, &mut batched)
+            .unwrap();
+        for (row, spectrum) in rows.iter().zip(batched.chunks_exact(plan.spectrum_len())) {
+            assert_close(spectrum, &real_oracle(row, n), "batched first lens");
+        }
+    }
+}
+
+/// Plans without a lane body — odd lengths (full-length transform) and
+/// even lengths whose half plan is Bluestein — batch at width 1: still the
+/// row loop bit for bit at every row count, still the oracle's transform.
+#[test]
+fn odd_and_bluestein_half_lengths_batch_at_width_one() {
+    for n in [7usize, 9, 21, 45, 14, 22, 26, 34, 194] {
+        let len = n - 2;
+        for count in 1..=9 {
+            let rows: Vec<Vec<f64>> = (0..count).map(|r| FIRST_LENS_ROWS[r % 3](len, r)).collect();
+            check_batch_is_the_row_loop(n, &rows, "no lane body");
+            let plan = RealFftPlan::shared(n).unwrap();
+            let (mut scratch, mut single) = (Vec::new(), Vec::new());
+            plan.forward_real_into(&rows[count - 1], &mut scratch, &mut single)
+                .unwrap();
+            assert_close(&single, &real_oracle(&rows[count - 1], n), "no lane body");
         }
     }
 }

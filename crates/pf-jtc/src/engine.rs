@@ -170,13 +170,34 @@ impl JtcEngine {
     ///
     /// Same conditions as [`PreparedSpectrum::new`](crate::prepared::PreparedSpectrum::new).
     pub fn prepare(&self, kernel: &[f64], signal_len: usize) -> Result<PreparedKernel, JtcError> {
-        PreparedKernel::new(
-            kernel,
+        let mut batch = self.prepare_batch(&[kernel], signal_len)?;
+        Ok(batch.pop().expect("one kernel in, one preparation out"))
+    }
+
+    /// [`JtcEngine::prepare`] for a whole stack of kernels of **one
+    /// length**, in kernel order: each kernel is DAC-quantised on its own,
+    /// and their spectra go through the first lens together, four to a pass
+    /// ([`PreparedSpectrum::new_batch`](crate::prepared::PreparedSpectrum::new_batch)).
+    /// Each preparation is, bit for bit, what `prepare` returns for that
+    /// kernel alone.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as
+    /// [`PreparedSpectrum::new_batch`](crate::prepared::PreparedSpectrum::new_batch);
+    /// one kernel that cannot be prepared fails the batch.
+    fn prepare_batch(
+        &self,
+        kernels: &[&[f64]],
+        signal_len: usize,
+    ) -> Result<Vec<PreparedKernel>, JtcError> {
+        PreparedKernel::new_batch(
+            kernels,
             signal_len,
             self.config.capacity,
-            self.input_dac.clone(),
-            self.output_adc.clone(),
-            self.noise.clone(),
+            self.input_dac.as_ref(),
+            self.output_adc.as_ref(),
+            self.noise.as_ref(),
         )
     }
 }
@@ -217,6 +238,25 @@ impl Conv1dEngine for JtcEngine {
         self.prepare(kernel, signal_len)
             .ok()
             .map(|p| Arc::new(p) as Arc<dyn PreparedConv1d>)
+    }
+
+    fn prepare_kernels(
+        &self,
+        kernels: &[&[f64]],
+        signal_len: usize,
+    ) -> Vec<Option<Arc<dyn PreparedConv1d>>> {
+        match self.prepare_batch(kernels, signal_len) {
+            Ok(batch) => batch
+                .into_iter()
+                .map(|p| Some(Arc::new(p) as Arc<dyn PreparedConv1d>))
+                .collect(),
+            // Kernels of mixed length, or one the engine declines: every
+            // kernel on its own terms.
+            Err(_) => kernels
+                .iter()
+                .map(|kernel| self.prepare_kernel(kernel, signal_len))
+                .collect(),
+        }
     }
 
     fn bind_prepared(&self, cached: Arc<dyn PreparedConv1d>) -> Arc<dyn PreparedConv1d> {

@@ -13,7 +13,10 @@
 //!
 //! * [`PreparedSpectrum`] fixes the input-plane geometry (separation `d`,
 //!   grid size `n`) for one `(kernel, signal_len)` pair and precomputes the
-//!   kernel's padded half-spectrum once. The plane **holds only what is
+//!   kernel's padded half-spectrum once — a filter is *loaded* as a stack
+//!   ([`PreparedSpectrum::new_batch`]: the kernels of one length share a
+//!   geometry, their halves of the joint plane go through the first lens
+//!   together, and one kernel is a stack of one). The plane **holds only what is
 //!   read**: the smallest separation and the smallest 5-smooth grid that is
 //!   a multiple of four (mixed-radix plans run it directly, and the second
 //!   lens below needs the quarter) on which nothing aliases into the valid
@@ -26,9 +29,12 @@
 //!   Fourier transform is linear, so `F[s + k] = F[s] + F[k]` and the
 //!   kernel's half is added afterwards. It has one body, the batch
 //!   ([`PreparedSpectrum::signal_spectra_batch`], N planar rows transformed
-//!   row by row; the row-tiling hook is
-//!   [`PreparedConv1d::prepare_signal_batch`]): one signal is a batch of
-//!   one row, and the result is a [`SignalSpectrum`] any prepared kernel of
+//!   **four rows to a pass** — [`RealFftPlan::forward_real_batch_into`]
+//!   carries a block of [`LANES`] rows through the half-length butterflies
+//!   together, each lane the one-row transform bit for bit; the row-tiling
+//!   hook is [`PreparedConv1d::prepare_signal_batch`]): one signal is a
+//!   batch of one row, the kernel side is the same call over the kernels'
+//!   rows, and the result is a [`SignalSpectrum`] any prepared kernel of
 //!   the same geometry replays — a CNN layer correlates each input tile
 //!   against **many** kernels (one per output channel, two with
 //!   pseudo-negative splitting), and `F[s]` does not depend on the kernel;
@@ -70,6 +76,7 @@
 //! [`pf_telemetry::StageTotals`].
 
 use std::any::Any;
+use std::borrow::Cow;
 use std::ops::RangeInclusive;
 use std::sync::Arc;
 
@@ -242,49 +249,91 @@ impl PreparedSpectrum {
     /// shows the whole plane, keeps a wider separation and a power-of-two
     /// grid on which all three terms stay apart.
     ///
+    /// This is [`PreparedSpectrum::new_batch`] over one kernel.
+    ///
     /// # Errors
     ///
     /// * [`JtcError::EmptyOperand`] if the kernel is empty or `signal_len`
     ///   is zero.
     /// * [`JtcError::InputTooLarge`] if either operand exceeds `capacity`.
     pub fn new(kernel: &[f64], signal_len: usize, capacity: usize) -> Result<Self, JtcError> {
+        let mut batch = Self::new_batch(&[kernel], signal_len, capacity)?;
+        Ok(batch.pop().expect("one kernel in, one spectrum out"))
+    }
+
+    /// Loads a whole filter stack: the prepared state of every kernel of
+    /// `kernels` — all of **one length** — against signals of `signal_len`
+    /// samples, in kernel order. One geometry serves them all, so their
+    /// halves of the joint input plane go through the first lens together:
+    /// a block of [`LANES`] kernels' rows at a time, planar in the scratch
+    /// arena, one pass of [`RealFftPlan::forward_real_batch_into`] per
+    /// block (so the working set stays four rows however tall the stack),
+    /// each kernel's `n/2 + 1` bins copied out to its own spectrum —
+    /// nothing is stored twice. A kernel's spectrum is, bit for bit, what
+    /// [`PreparedSpectrum::new`] computes for it alone, whatever else is in
+    /// the batch. An empty batch prepares nothing.
+    ///
+    /// # Errors
+    ///
+    /// The conditions of [`PreparedSpectrum::new`], plus
+    /// [`JtcError::InvalidConfig`] if the kernels differ in length.
+    pub fn new_batch(
+        kernels: &[&[f64]],
+        signal_len: usize,
+        capacity: usize,
+    ) -> Result<Vec<Self>, JtcError> {
         if signal_len == 0 {
             return Err(JtcError::EmptyOperand { what: "signal" });
         }
-        if kernel.is_empty() {
+        let Some(first) = kernels.first() else {
+            return Ok(Vec::new());
+        };
+        let kernel_len = first.len();
+        if kernel_len == 0 {
             return Err(JtcError::EmptyOperand { what: "kernel" });
         }
-        if signal_len > capacity || kernel.len() > capacity {
+        if kernels.iter().any(|kernel| kernel.len() != kernel_len) {
+            return Err(JtcError::InvalidConfig {
+                name: "kernels",
+                requirement: format!("a batch prepares kernels of one length ({kernel_len})"),
+            });
+        }
+        if signal_len > capacity || kernel_len > capacity {
             return Err(JtcError::InputTooLarge {
                 signal_len,
-                kernel_len: kernel.len(),
+                kernel_len,
                 capacity,
             });
         }
-        let (d, n) = crate::correlator::prepared_geometry(signal_len, kernel.len());
+        let (d, n) = crate::correlator::prepared_geometry(signal_len, kernel_len);
         let plan = RealFftPlan::shared(n)?;
         debug_assert!(plan.supports_lanes(), "a 5-smooth multiple of four");
 
-        // Kernel half-spectrum, computed once: the kernel occupies
-        // [d, d + kernel_len) of the otherwise-zero input plane. Nothing
-        // prepares a kernel from inside a scratch borrow, so the padded
-        // input and the packing buffer are the thread's own.
-        let mut kernel_half_spec = Vec::new();
-        with_spectrum_scratch(|s| {
-            s.real.clear();
-            s.real.resize(d, 0.0);
-            s.real.extend_from_slice(kernel);
-            plan.forward_real_into(&s.real, &mut s.fft, &mut kernel_half_spec)
-        })?;
-
-        Ok(Self {
-            signal_len,
-            kernel_len: kernel.len(),
-            d,
-            n,
-            kernel_half_spec,
-            plan,
-        })
+        // Kernel half-spectra, computed once: each kernel occupies
+        // [d, d + kernel_len) of its otherwise-zero row of input plane.
+        // Nothing prepares a kernel from inside a scratch borrow, so the
+        // padded rows and the packing buffer are the thread's own.
+        let mut halves = Vec::new();
+        let mut spectra = Vec::with_capacity(kernels.len());
+        for block in kernels.chunks(LANES) {
+            with_spectrum_scratch(|s| {
+                s.real.clear();
+                for kernel in block {
+                    s.real.resize(s.real.len() + d, 0.0);
+                    s.real.extend_from_slice(kernel);
+                }
+                plan.forward_real_batch_into(&s.real, block.len(), &mut s.fft, &mut halves)
+            })?;
+            spectra.extend(halves.chunks_exact(plan.spectrum_len()).map(|half| Self {
+                signal_len,
+                kernel_len,
+                d,
+                n,
+                kernel_half_spec: half.to_vec(),
+                plan: Arc::clone(&plan),
+            }));
+        }
+        Ok(spectra)
     }
 
     /// The simulation grid size used by this prepared geometry.
@@ -323,12 +372,12 @@ impl PreparedSpectrum {
     /// Computes the first-lens transforms of `count` signals stored back to
     /// back in `signals` (planar layout, each row exactly
     /// the prepared signal length) in one call to
-    /// [`RealFftPlan::forward_real_batch_into`], which runs the real-input
-    /// transform once per row, in row order, sharing one scratch borrow and
-    /// one output allocation across the batch — no transform stage is
-    /// shared between rows.
+    /// [`RealFftPlan::forward_real_batch_into`], which carries the rows
+    /// through the real-input transform four to a pass, sharing one scratch
+    /// borrow and one output allocation across the batch.
     ///
-    /// A row's spectrum does not depend on what else is in the batch.
+    /// A row's spectrum does not depend on what else is in the batch: a
+    /// lane of a pass is the one-row transform, bit for bit.
     ///
     /// # Errors
     ///
@@ -557,48 +606,59 @@ impl PreparedSignal for SharedSignal {
 
 /// Normalises an operand to `[-1, 1]`, passes it through the DAC (if
 /// present) and returns the quantised values together with the scale factor
-/// to undo the normalisation.
-fn quantize_through_dac(dac: Option<&Dac>, values: &[f64]) -> (Vec<f64>, f64) {
+/// to undo the normalisation. Without a DAC quantisation is the identity
+/// and the operand comes back borrowed. (Behind a DAC an all-zero operand,
+/// an identity too, is copied like any other: how often a chain allocates
+/// must not depend on the data it sees.)
+fn quantize_through_dac<'a>(dac: Option<&Dac>, values: &'a [f64]) -> (Cow<'a, [f64]>, f64) {
+    let Some(dac) = dac else {
+        return (Cow::Borrowed(values), 1.0);
+    };
     let max_abs = values.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
     if max_abs == 0.0 {
-        return (values.to_vec(), 1.0);
+        return (Cow::Owned(values.to_vec()), 1.0);
     }
-    match dac {
-        None => (values.to_vec(), 1.0),
-        Some(dac) => {
-            // The DAC generates magnitudes; signs ride along as the phase
-            // of the modulated field (or as the pseudo-negative split at
-            // the architecture level).
-            let quantised: Vec<f64> = values
-                .iter()
-                .map(|&v| dac.generate(v.abs() / max_abs) * v.signum())
-                .collect();
-            (quantised, max_abs)
-        }
-    }
+    // The DAC generates magnitudes; signs ride along as the phase of the
+    // modulated field (or as the pseudo-negative split at the architecture
+    // level).
+    let quantised = values
+        .iter()
+        .map(|&v| dac.generate(v.abs() / max_abs) * v.signum())
+        .collect();
+    (Cow::Owned(quantised), max_abs)
 }
 
 impl PreparedKernel {
-    /// Prepares `kernel` for an engine of input-plane `capacity` with the
-    /// given converters and noise stream: the kernel goes through the DAC
-    /// once and its spectrum is computed once. Draws no noise.
-    pub(crate) fn new(
-        kernel: &[f64],
+    /// Prepares every kernel of `kernels` (one length) for an engine of
+    /// input-plane `capacity` with the given converters and noise stream:
+    /// each kernel goes through the DAC once, against its own peak, and the
+    /// stack's spectra are computed together
+    /// ([`PreparedSpectrum::new_batch`]). Draws no noise.
+    pub(crate) fn new_batch(
+        kernels: &[&[f64]],
         signal_len: usize,
         capacity: usize,
-        dac: Option<Dac>,
-        adc: Option<Adc>,
-        noise: Option<Arc<Mutex<SensingNoise>>>,
-    ) -> Result<Self, JtcError> {
-        let (kernel_q, k_scale) = quantize_through_dac(dac.as_ref(), kernel);
-        let spectrum = PreparedSpectrum::new(&kernel_q, signal_len, capacity)?;
-        Ok(Self {
-            spectrum: Arc::new(spectrum),
-            k_scale,
-            dac,
-            adc,
-            noise,
-        })
+        dac: Option<&Dac>,
+        adc: Option<&Adc>,
+        noise: Option<&Arc<Mutex<SensingNoise>>>,
+    ) -> Result<Vec<Self>, JtcError> {
+        let quantised: Vec<_> = kernels
+            .iter()
+            .map(|kernel| quantize_through_dac(dac, kernel))
+            .collect();
+        let rows: Vec<&[f64]> = quantised.iter().map(|(row, _)| &**row).collect();
+        let spectra = PreparedSpectrum::new_batch(&rows, signal_len, capacity)?;
+        Ok(spectra
+            .into_iter()
+            .zip(&quantised)
+            .map(|(spectrum, &(_, k_scale))| Self {
+                spectrum: Arc::new(spectrum),
+                k_scale,
+                dac: dac.cloned(),
+                adc: adc.cloned(),
+                noise: noise.cloned(),
+            })
+            .collect())
     }
 
     /// The same deterministic half drawing from another noise stream: what
@@ -828,14 +888,20 @@ impl PreparedConv1d for PreparedKernel {
         let row = signals.len() / count;
         // DAC quantisation normalises each signal against its own peak, so
         // it stays per-row (bit-identical to `prepare_signal`); only the
-        // transforms are batched.
-        let mut packed = Vec::with_capacity(signals.len());
-        let mut scales = Vec::with_capacity(count);
-        for chunk in signals.chunks_exact(row) {
-            let (q, s_scale) = quantize_through_dac(self.dac.as_ref(), chunk);
-            packed.extend_from_slice(&q);
-            scales.push(s_scale);
-        }
+        // transforms are batched. The batch reads the caller's planar
+        // buffer until a row comes back quantised.
+        let mut packed = Cow::Borrowed(signals);
+        let scales: Vec<f64> = signals
+            .chunks_exact(row)
+            .enumerate()
+            .map(|(i, chunk)| {
+                let (q, s_scale) = quantize_through_dac(self.dac.as_ref(), chunk);
+                if let Cow::Owned(q) = q {
+                    packed.to_mut()[i * row..(i + 1) * row].copy_from_slice(&q);
+                }
+                s_scale
+            })
+            .collect();
         let spectra = self.spectrum.signal_spectra_batch(&packed, count).ok()?;
         Some(
             spectra
@@ -1107,7 +1173,10 @@ mod tests {
 
     #[test]
     fn traced_paths_are_bit_identical_and_attribute_stages() {
-        let prep = PreparedKernel::new(&[0.3, -0.2, 0.7], 48, 64, None, None, None).unwrap();
+        let prep = PreparedKernel::new_batch(&[&[0.3, -0.2, 0.7]], 48, 64, None, None, None)
+            .unwrap()
+            .pop()
+            .unwrap();
         let signal: Vec<f64> = (0..48).map(|i| (i as f64 * 0.13).sin()).collect();
         let tel = Telemetry::enabled();
 

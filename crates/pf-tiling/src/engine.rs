@@ -79,6 +79,28 @@ pub trait Conv1dEngine: Debug + Sync {
         None
     }
 
+    /// [`Conv1dEngine::prepare_kernel`] for a whole stack — the kernels one
+    /// signal is correlated against, a filter set as it is loaded — in one
+    /// call: one entry per kernel, in kernel order, each **interchangeable**
+    /// with what `prepare_kernel` returns for that kernel alone (the
+    /// kernel-side twin of [`PreparedConv1d::prepare_signal_batch`]; `None`
+    /// declines that kernel only).
+    ///
+    /// The default is exactly that loop. Engines that can do better with
+    /// the stack in hand override it (the JTC transforms the kernels' rows
+    /// of the joint plane four to a pass) and fall back to the loop on a
+    /// stack they cannot batch.
+    fn prepare_kernels(
+        &self,
+        kernels: &[&[f64]],
+        signal_len: usize,
+    ) -> Vec<Option<Arc<dyn PreparedConv1d>>> {
+        kernels
+            .iter()
+            .map(|kernel| self.prepare_kernel(kernel, signal_len))
+            .collect()
+    }
+
     /// Binds a prepared kernel taken from a prepared-kernel cache to *this*
     /// engine's per-engine state, so one cache can serve several engines of
     /// one configuration ([`TiledConvolver::on`](crate::TiledConvolver::on)).
@@ -370,6 +392,14 @@ impl<E: Conv1dEngine + ?Sized> Conv1dEngine for &E {
 
     fn prepare_kernel(&self, kernel: &[f64], signal_len: usize) -> Option<Arc<dyn PreparedConv1d>> {
         (**self).prepare_kernel(kernel, signal_len)
+    }
+
+    fn prepare_kernels(
+        &self,
+        kernels: &[&[f64]],
+        signal_len: usize,
+    ) -> Vec<Option<Arc<dyn PreparedConv1d>>> {
+        (**self).prepare_kernels(kernels, signal_len)
     }
 
     fn bind_prepared(&self, cached: Arc<dyn PreparedConv1d>) -> Arc<dyn PreparedConv1d> {

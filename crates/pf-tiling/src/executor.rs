@@ -20,18 +20,22 @@
 //!    the output grid sits on the plane the tiles are cut from (row and
 //!    column offsets, horizontal padding), the [`TilingPlan`], and — for the
 //!    one strategy the plan selects — every *stack* of tiled 1D kernels
-//!    (the kernels one signal is correlated against), prepared through
-//!    [`Conv1dEngine::prepare_kernel`] and **classified once** by how a run
-//!    will drive it: `Shared` (every member prepared under one
+//!    (the kernels one signal is correlated against), prepared **as a
+//!    stack** through [`Conv1dEngine::prepare_kernels`] and **classified
+//!    once** by how a run will drive it: `Shared` (every member prepared under one
 //!    [`PreparedConv1d::signal_key`], and the signal's transform has more
 //!    than one reader), `Each` (prepared, nothing to share) or `Plain` (the
 //!    engine declined; all or nothing per stack). The result is an owned
 //!    [`KernelSet`]: the filter as it sits in the PFCU while input tiles
 //!    stream past it. Preparations come from a store keyed by the exact
 //!    kernel bits and the tile length, so two sets over the same weights
-//!    prepare them once; a run never touches the store, and engines that
-//!    report [`Conv1dEngine::prepares_kernels`] `== false` never pay the
-//!    key hashing.
+//!    prepare them once. The store sees **one lookup per stack**: every
+//!    key of the stack under one lock, the misses — each distinct kernel
+//!    once — handed to the engine in one call (the JTC sends their rows of
+//!    the joint plane through its first lens four to a pass) and stored, in
+//!    kernel order, under one more. A run never touches the store, and
+//!    engines that report [`Conv1dEngine::prepares_kernels`] `== false`
+//!    never pay the key hashing.
 //! 2. [`TiledConvolver::correlate2d_set`] runs a set against one input: it
 //!    binds the set's preparations to the calling engine
 //!    ([`Conv1dEngine::bind_prepared`] — one store, and one set, can serve
@@ -539,8 +543,9 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
     /// `edges == None` is `valid` mode, `Some` is `same` mode with that
     /// edge handling. Places the output grid on the tiled plane, plans, and
     /// builds the tiled 1D kernels of the one strategy the plan selects,
-    /// each with its prepared form from the store (a miss prepares it,
-    /// stores it and is tallied into `tiling.kernel_prepares`).
+    /// each stack with its prepared forms from the store (looked up once
+    /// per stack; the misses are prepared together, stored and tallied into
+    /// `tiling.kernel_prepares`).
     ///
     /// The set is tied to this convolver's capacity and to engines of its
     /// configuration; it runs on this convolver and on its
@@ -732,33 +737,71 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
 
     // ----- shared machinery ------------------------------------------------
 
-    /// Looks up (or builds) the prepared form of `kernel` for tiles of
-    /// `signal_len` samples. `None` means the engine has no fast path. The
-    /// entry is the store's own — prepared by whichever engine sharing the
-    /// store ([`TiledConvolver::on`]) met the kernel first; a run binds it
-    /// to its engine. A miss is tallied on `prepares`
-    /// (`tiling.kernel_prepares`).
-    fn prepared(
+    /// The store's entry for every kernel of a stack (`tiled`, each for
+    /// tiles of `signal_len` samples), in kernel order; `None` means the
+    /// engine declines that kernel. **One lookup per stack**: every key is
+    /// looked up under one store lock, the misses — each distinct kernel
+    /// once, however often the stack repeats it — go to the engine in one
+    /// [`Conv1dEngine::prepare_kernels`] call and are tallied on `prepares`
+    /// (`tiling.kernel_prepares`), and they go into the store, in kernel
+    /// order, under one more lock. An entry is the store's own — prepared by whichever
+    /// engine sharing the store ([`TiledConvolver::on`]) met the kernel
+    /// first; a run binds it to its engine.
+    fn prepared_stack(
         &self,
-        kernel: &[f64],
+        tiled: &[Vec<f64>],
         signal_len: usize,
         prepares: &mut usize,
-    ) -> Option<Arc<dyn PreparedConv1d>> {
+    ) -> Vec<Option<Arc<dyn PreparedConv1d>>> {
         if !self.engine.prepares_kernels() {
-            // Building and hashing the bit-pattern key costs more than a
+            // Building and hashing the bit-pattern keys costs more than a
             // short dot product; engines without a fast path skip it.
-            return None;
+            return vec![None; tiled.len()];
         }
-        let key: PrepKey = (signal_len, kernel.iter().map(|v| v.to_bits()).collect());
-        let cached = self.prep_cache.lock().get(&key).cloned();
-        if let Some(entry) = cached {
-            return entry;
+        let mut keys: Vec<PrepKey> = tiled
+            .iter()
+            .map(|kernel| (signal_len, kernel.iter().map(|v| v.to_bits()).collect()))
+            .collect();
+        // One pass under the lock: a hit is the store's entry, a miss the
+        // slot of its key in `misses` — the first kernel of the stack under
+        // each missing key. Stacks hold tens of kernels (an output-channel
+        // chunk and its pseudo-negative halves), so finding a repeat is a
+        // scan, not a second hash.
+        let mut misses: Vec<usize> = Vec::new();
+        let looked_up: Vec<Result<Option<Arc<dyn PreparedConv1d>>, usize>> = {
+            let store = self.prep_cache.lock();
+            keys.iter()
+                .enumerate()
+                .map(|(i, key)| {
+                    store.get(key).cloned().ok_or_else(|| {
+                        let seen = misses.iter().position(|&first| keys[first] == *key);
+                        seen.unwrap_or_else(|| {
+                            misses.push(i);
+                            misses.len() - 1
+                        })
+                    })
+                })
+                .collect()
+        };
+        if misses.is_empty() {
+            return looked_up.into_iter().flatten().collect();
         }
-        // Build outside the lock: preparation may run an FFT.
-        let prep = self.engine.prepare_kernel(kernel, signal_len);
-        *prepares += 1;
-        insert_capped(&mut self.prep_cache.lock(), key, prep.clone());
-        prep
+        // Build outside the lock: preparation runs the first lens.
+        let fresh: Vec<&[f64]> = misses.iter().map(|&i| &*tiled[i]).collect();
+        let prepared = self.engine.prepare_kernels(&fresh, signal_len);
+        debug_assert_eq!(prepared.len(), misses.len(), "one entry per kernel");
+        *prepares += misses.len();
+        let entries = looked_up
+            .into_iter()
+            .map(|found| found.unwrap_or_else(|slot| prepared[slot].clone()))
+            .collect();
+        // The misses go in in kernel order, each under the store's one rule
+        // — what preparing and inserting them one by one would leave.
+        let mut store = self.prep_cache.lock();
+        for (&first, entry) in misses.iter().zip(prepared) {
+            insert_capped(&mut store, std::mem::take(&mut keys[first]), entry);
+        }
+        entries
     }
 
     /// Builds and classifies one stack of a set: `tiled` holds one tiled 1D
@@ -772,9 +815,9 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         positions_repeat: bool,
         prepares: &mut usize,
     ) -> Stack {
-        let members: Option<Vec<_>> = tiled
-            .iter()
-            .map(|kernel| self.prepared(kernel, signal_len, prepares))
+        let members: Option<Vec<_>> = self
+            .prepared_stack(&tiled, signal_len, prepares)
+            .into_iter()
             .collect();
         let Some(members) = members else {
             return Stack::Plain(tiled);
@@ -1962,21 +2005,28 @@ mod tests {
         let c = TiledConvolver::new(engine, 64).unwrap();
         let mut tally = 0usize;
 
+        // A stack of one: the per-kernel path of the store.
+        let mut prepared = |kernel: &[f64]| {
+            c.prepared_stack(&[kernel.to_vec()], 8, &mut tally)
+                .pop()
+                .expect("one kernel in, one entry out")
+        };
+
         // Fill the cache with `cap` distinct kernels; every one is a miss.
         for i in 0..cap {
             let kernel = [i as f64 + 0.5];
-            assert!(c.prepared(&kernel, 8, &mut tally).is_some());
+            assert!(prepared(&kernel).is_some());
         }
         assert_eq!(prepares.load(std::sync::atomic::Ordering::Relaxed), cap);
         assert_eq!(c.prep_cache.lock().len(), cap);
 
         // A repeat within the cap is a hit: no new preparation.
-        assert!(c.prepared(&[0.5], 8, &mut tally).is_some());
+        assert!(prepared(&[0.5]).is_some());
         assert_eq!(prepares.load(std::sync::atomic::Ordering::Relaxed), cap);
 
         // One more distinct kernel trips the cap: the cache resets
         // wholesale and holds only the newcomer.
-        assert!(c.prepared(&[-1.0], 8, &mut tally).is_some());
+        assert!(prepared(&[-1.0]).is_some());
         assert_eq!(prepares.load(std::sync::atomic::Ordering::Relaxed), cap + 1);
         assert_eq!(c.prep_cache.lock().len(), 1);
 
@@ -1984,7 +2034,7 @@ mod tests {
         // the exact digital result.
         let signal: Vec<f64> = (0..8).map(|i| i as f64 * 0.25).collect();
         let before = prepares.load(std::sync::atomic::Ordering::Relaxed);
-        let prep = c.prepared(&[0.5], 8, &mut tally).expect("re-prepared");
+        let prep = prepared(&[0.5]).expect("re-prepared");
         assert_eq!(
             prepares.load(std::sync::atomic::Ordering::Relaxed),
             before + 1,
@@ -1998,6 +2048,87 @@ mod tests {
         // The call tally (`tiling.kernel_prepares`) counted exactly the
         // misses the engine saw.
         assert_eq!(tally, prepares.load(std::sync::atomic::Ordering::Relaxed));
+    }
+
+    #[test]
+    fn a_stack_prepares_each_distinct_kernel_once() {
+        // An all-positive filter bank after pseudo-negative splitting:
+        // every second kernel is the same all-zero negative half.
+        let zero = Matrix::zeros(3, 3);
+        let kernels: Vec<Matrix> = (0..3)
+            .flat_map(|i| [random_matrix(3, 3, 281 + i), zero.clone()])
+            .collect();
+        let engine = CountingPrepEngine::default();
+        let prepares = Arc::clone(&engine.prepares);
+        let tel = Telemetry::enabled();
+        let c = TiledConvolver::new(engine, 64)
+            .unwrap()
+            .with_telemetry(tel.clone());
+        let set = c.prepare_set(&kernels, 12, 12, None).unwrap();
+        assert!(matches!(set.stacks[..], [Stack::Each(_)]));
+        // Three distinct positive halves and the zero half, once each: to
+        // the engine, in the tally and in the store.
+        assert_eq!(prepares.load(std::sync::atomic::Ordering::Relaxed), 4);
+        assert_eq!(tel.snapshot().counter("tiling.kernel_prepares"), 4);
+        assert_eq!(c.prep_cache.lock().len(), 4);
+        // The repeats share the first occurrence's preparation.
+        let members = set.stacks[0].members();
+        assert!(Arc::ptr_eq(&members[1], &members[3]));
+        assert!(Arc::ptr_eq(&members[1], &members[5]));
+        // The same weights again are all hits.
+        c.prepare_set(&kernels, 12, 12, None).unwrap();
+        assert_eq!(prepares.load(std::sync::atomic::Ordering::Relaxed), 4);
+        assert_eq!(tel.snapshot().counter("tiling.kernel_prepares"), 4);
+
+        let input = random_matrix(12, 12, 280);
+        let out = c.correlate2d_valid_multi(&input, &kernels).unwrap();
+        let reference = convolver(64)
+            .correlate2d_valid_multi(&input, &kernels)
+            .unwrap();
+        for (a, b) in out.iter().zip(&reference) {
+            for (x, y) in a.data().iter().zip(b.data()) {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn a_stack_that_crosses_the_cap_leaves_what_one_by_one_inserts_leave() {
+        let convolver = || {
+            let engine = CountingPrepEngine::default();
+            let prepares = Arc::clone(&engine.prepares);
+            (TiledConvolver::new(engine, 64).unwrap(), prepares)
+        };
+        let ((stacked, stacked_prepares), (one_by_one, one_prepares)) = (convolver(), convolver());
+        let kernel = |i: usize| vec![i as f64 + 0.5];
+        let mut tally = (0usize, 0usize);
+        // Two entries short of the cap, in both stores.
+        for i in 0..CACHE_CAP - 2 {
+            stacked.prepared_stack(&[kernel(i)], 8, &mut tally.0);
+            one_by_one.prepared_stack(&[kernel(i)], 8, &mut tally.1);
+        }
+        // Five newcomers behind a hit: the third trips the cap.
+        let stack: Vec<Vec<f64>> = [0usize, 5000, 5001, 5002, 5003, 5004]
+            .into_iter()
+            .map(kernel)
+            .collect();
+        let entries = stacked.prepared_stack(&stack, 8, &mut tally.0);
+        assert!(entries.iter().all(Option::is_some));
+        for member in &stack {
+            one_by_one.prepared_stack(std::slice::from_ref(member), 8, &mut tally.1);
+        }
+        let keys = |c: &TiledConvolver<CountingPrepEngine>| {
+            let mut keys: Vec<PrepKey> = c.prep_cache.lock().keys().cloned().collect();
+            keys.sort();
+            keys
+        };
+        assert_eq!(keys(&stacked), keys(&one_by_one));
+        assert_eq!(stacked.prep_cache.lock().len(), 3);
+        assert_eq!(tally.0, tally.1, "the hit stays a hit on both sides");
+        assert_eq!(
+            stacked_prepares.load(std::sync::atomic::Ordering::Relaxed),
+            one_prepares.load(std::sync::atomic::Ordering::Relaxed)
+        );
     }
 
     /// A backend with no prepared fast path at all (the trait defaults).

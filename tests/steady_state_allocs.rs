@@ -2,7 +2,7 @@
 //!
 //! `pf-dsp`'s scratch arena reports buffer *growth* (`scratch_stats().grows`);
 //! this file counts what that cannot see — every call into the global
-//! allocator — with a counting `#[global_allocator]`. Two facts are pinned:
+//! allocator — with a counting `#[global_allocator]`. Three facts are pinned:
 //!
 //! * after `warmup()`, `Session::run_inference` allocates the same number
 //!   of times call over call, on `digital`, `jtc_ideal` and
@@ -12,7 +12,10 @@
 //!   warm `correlate_set_with_signal` over `k` kernels allocates the `k`
 //!   result vectors and the vector holding them — the lobe is read out of
 //!   the scratch arena straight into the result vectors, with no
-//!   per-kernel intermediate copy.
+//!   per-kernel intermediate copy;
+//! * a `conv2d_multi` over 16 never-seen kernels — a filter stack loaded
+//!   from scratch — allocates no more often than when each kernel was
+//!   prepared on its own.
 //!
 //! The counter is per thread (tests share the process), and every measured
 //! call runs on a one-wide pool so that its work stays on the measuring
@@ -148,4 +151,51 @@ fn a_lane_block_allocates_only_what_it_returns() {
             "{count} kernels: the result vectors and their holder"
         );
     }
+}
+
+#[test]
+fn a_fresh_conv2d_multi_allocates_no_more_than_kernel_by_kernel_preparation_did() {
+    // Allocator calls per `conv2d_multi` of one 16 x 16 input against 16
+    // 3 x 3 kernels the store has never seen (the benchmark's `conv_fresh`
+    // shape), as counted on `jtc_ideal` while every kernel was looked up,
+    // prepared and stored on its own: per kernel the tiled vector, the
+    // store key, the spectrum and its two `Arc`s, and a copy of the kernel
+    // on its way through the DAC-less "quantiser". The stack is now looked
+    // up once and prepared together, and an identity quantisation borrows
+    // (158 / 159 now). A ceiling, not to be raised; a call that grows the
+    // store's table counts one more than a call that does not (167 / 168
+    // at that commit).
+    let recorded = 168u64;
+    let mut scenario = Scenario::new("fresh-stack", "resnet18", BackendSpec::jtc_ideal(256));
+    scenario.pipeline = PipelineConfig::photofourier_default();
+    let session = Session::from_scenario(scenario).unwrap();
+    let input = Matrix::new(
+        16,
+        16,
+        (0..256).map(|i| (i as f64 * 0.11).sin() + 0.5).collect(),
+    )
+    .unwrap();
+    let mut next = 0u64;
+    let mut fresh_stack = || -> Vec<Matrix> {
+        (0..16)
+            .map(|_| {
+                next += 1;
+                let data = (0..9).map(|j| ((next * 9 + j) as f64 * 0.618).sin());
+                Matrix::new(3, 3, data.collect()).unwrap()
+            })
+            .collect()
+    };
+    let stacks: Vec<Vec<Matrix>> = (0..5).map(|_| fresh_stack()).collect();
+    let counts: Vec<u64> = one_wide(|| {
+        // One unmeasured call grows the arena and the store's table.
+        session.conv2d_multi(&input, &stacks[0]).unwrap();
+        stacks[1..]
+            .iter()
+            .map(|stack| allocations_of(|| session.conv2d_multi(&input, stack).unwrap()).0)
+            .collect()
+    });
+    assert!(
+        counts.iter().all(|&c| c > 0 && c <= recorded),
+        "{counts:?} allocations per fresh call, recorded {recorded}"
+    );
 }
