@@ -55,6 +55,13 @@
 //!   ([`PreparedConv1d::correlate_set_with_signal`]) the same source over
 //!   `[f64; LANES]` ([`RealFftPlan::forward_real_bins_lanes`]) — so a
 //!   lane's samples are the lone kernel's, bit for bit, by construction.
+//!   That holds for the two O(n) passes around the lens as well: the joint
+//!   power spectrum gathers each bin's kernel values side by side and
+//!   squares every lane in the one-kernel expression, and the read-out
+//!   writes every lane's samples in one pass over the lobe with the sums
+//!   of squares running side by side, each in output order — written once
+//!   over the width, the lane instantiation compiled with AVX2 where the
+//!   CPU has it, as the lens is.
 //!   Against the full-length transform a lobe sample moves by a few
 //!   10⁻¹⁵ of the plane's DC term (`pf-dsp`'s conformance suite holds the
 //!   bound; [`crate::correlator`]'s aliasing wall and `tests/geometry.rs`
@@ -122,30 +129,20 @@ impl ReadOut {
         gain: 1.0,
         sum_squares: false,
     };
-
-    /// Reads a lobe out of its output-plane bins, given in output order:
-    /// normalises the double-transform gain of N (`inv_n`), applies the
-    /// gain, and returns the samples with their sum of squares (`0.0` when
-    /// not asked for).
-    fn collect(self, lobe: impl Iterator<Item = f64>, inv_n: f64) -> (Vec<f64>, f64) {
-        let samples = lobe.map(|bin| bin * inv_n * self.gain);
-        let mut sum_sq = 0.0;
-        let out = if self.sum_squares {
-            samples.inspect(|v| sum_sq += v * v).collect()
-        } else {
-            samples.collect()
-        };
-        (out, sum_sq)
-    }
 }
+
+/// Every kernel's read-out of one block, in kernel order: the samples and
+/// their sum of squares (`0.0` where not asked for). Entries past the
+/// block's kernels are empty.
+type Lobes = [(Vec<f64>, f64); LANES];
 
 /// How many kernels ride one pass of [`PreparedSpectrum::finish_block`],
 /// named by the block's sample — of the Fourier-plane intensity going into
 /// the second lens and of the (real) output plane coming out: `f64` is a
 /// block of one, `[f64; LANES]` a lane block. What differs between the
 /// widths is listed here — which arena buffers have this shape, which
-/// instantiation of the symmetric transform takes them — so the body is
-/// written once.
+/// instantiation of the symmetric transform takes them, which ISA the two
+/// passes around it are compiled for — so the body is written once.
 trait Width: Copy {
     /// One sample per kernel: `f(l)` is kernel `l`'s.
     fn per_kernel(f: impl FnMut(usize) -> f64) -> Self;
@@ -153,6 +150,9 @@ trait Width: Copy {
     fn kernel(self, l: usize) -> f64;
     /// The arena's intensity buffer of this width.
     fn intensity(s: &mut SpectrumScratch) -> &mut Vec<Self>;
+    /// [`joint_power`] at this width, in the widest instantiation the CPU
+    /// runs.
+    fn joint_power(signal_half: &[Complex], kernels: &[&[Complex]; LANES], out: &mut Vec<Self>);
     /// Bins `bins` of the transforms of the symmetric sequences whose
     /// samples `0..=n/2` sit in [`Width::intensity`], left in the arena.
     fn second_lens<'s>(
@@ -160,19 +160,28 @@ trait Width: Copy {
         s: &'s mut SpectrumScratch,
         bins: RangeInclusive<usize>,
     ) -> Result<&'s [Self], DspError>;
+    /// [`read_lobes`] at this width, in the widest instantiation the CPU
+    /// runs.
+    fn read_lobes(lobes: &[Self], inv_n: f64, read_outs: &[ReadOut]) -> Lobes;
 }
 
 impl Width for f64 {
+    #[inline(always)]
     fn per_kernel(mut f: impl FnMut(usize) -> f64) -> Self {
         f(0)
     }
 
+    #[inline(always)]
     fn kernel(self, _: usize) -> f64 {
         self
     }
 
     fn intensity(s: &mut SpectrumScratch) -> &mut Vec<f64> {
         &mut s.real
+    }
+
+    fn joint_power(signal_half: &[Complex], kernels: &[&[Complex]; LANES], out: &mut Vec<f64>) {
+        joint_power(signal_half, kernels, out);
     }
 
     fn second_lens<'s>(
@@ -183,19 +192,40 @@ impl Width for f64 {
         plan.forward_real_bins_symmetric(&s.real, bins, &mut s.fft, &mut s.half)?;
         Ok(&s.half)
     }
+
+    fn read_lobes(lobes: &[f64], inv_n: f64, read_outs: &[ReadOut]) -> Lobes {
+        read_lobes(lobes, inv_n, read_outs)
+    }
 }
 
 impl Width for [f64; LANES] {
+    #[inline(always)]
     fn per_kernel(f: impl FnMut(usize) -> f64) -> Self {
         std::array::from_fn(f)
     }
 
+    #[inline(always)]
     fn kernel(self, l: usize) -> f64 {
         self[l]
     }
 
     fn intensity(s: &mut SpectrumScratch) -> &mut Vec<[f64; LANES]> {
         &mut s.lanes_real
+    }
+
+    fn joint_power(
+        signal_half: &[Complex],
+        kernels: &[&[Complex]; LANES],
+        out: &mut Vec<[f64; LANES]>,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the one requirement of a `#[target_feature]` function
+            // is that the CPU has the feature, checked on the line above.
+            unsafe { joint_power_avx2(signal_half, kernels, out) };
+            return;
+        }
+        joint_power(signal_half, kernels, out);
     }
 
     fn second_lens<'s>(
@@ -206,6 +236,94 @@ impl Width for [f64; LANES] {
         plan.forward_real_bins_lanes(&s.lanes_real, bins, &mut s.lanes_fft, &mut s.lanes_half)?;
         Ok(&s.lanes_half)
     }
+
+    fn read_lobes(lobes: &[[f64; LANES]], inv_n: f64, read_outs: &[ReadOut]) -> Lobes {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: as in `joint_power` above.
+            return unsafe { read_lobes_avx2(lobes, inv_n, read_outs) };
+        }
+        read_lobes(lobes, inv_n, read_outs)
+    }
+}
+
+/// `spectrum_apply`'s pass, written once for every width: sample `k` of
+/// kernel `l`'s joint power spectrum is `|F[s][k] + F[k_l][k]|²` for the
+/// signal half spectrum `signal_half` and the kernel half spectra `kernels`
+/// (a block of one reads `kernels[0]` only). Every kernel spectrum is cut
+/// to the signal's `n/2 + 1` bins before the loop, so the loop indexes
+/// nothing it has not proved in range, and a bin's [`LANES`] kernel values
+/// are read once, side by side. `#[inline(always)]` so that each caller
+/// compiles its own copy for its own width and ISA.
+#[inline(always)]
+fn joint_power<W: Width>(signal_half: &[Complex], kernels: &[&[Complex]; LANES], out: &mut Vec<W>) {
+    let bins = signal_half.len();
+    let kernels = kernels.map(|kernel| &kernel[..bins]);
+    out.clear();
+    out.resize(bins, W::per_kernel(|_| 0.0));
+    // A plain loop over slices: `Vec::extend` would run out of line,
+    // compiled for the baseline ISA whatever its caller is compiled for.
+    for (k, (joint, signal)) in out.iter_mut().zip(signal_half).enumerate() {
+        *joint = W::per_kernel(|l| (*signal + kernels[l][k]).norm_sqr());
+    }
+}
+
+/// The read-out pass, written once for every width: one pass over a
+/// block's lobe bins `lobes` (ascending; lobe sample `j` is the `j`-th
+/// from the top) writes every kernel's samples `bin · inv_n · gain` — the
+/// double-transform gain of N normalised away, then the kernel's
+/// [`ReadOut::gain`] — and, when any kernel asks, runs the kernels' sums of
+/// squares side by side, each in output order. `read_outs` holds one entry
+/// per kernel of the block; idle lanes are computed and dropped.
+#[inline(always)]
+fn read_lobes<W: Width>(lobes: &[W], inv_n: f64, read_outs: &[ReadOut]) -> Lobes {
+    let live = read_outs.len();
+    let gain = W::per_kernel(|l| read_outs[l.min(live - 1)].gain);
+    let sum_squares = read_outs.iter().any(|read_out| read_out.sum_squares);
+    // Not `vec![0.0; n]`: zeroed memory comes from glibc's `calloc`, which
+    // bypasses the per-thread cache the rows' frees go to, and measured
+    // slower; the rows are overwritten below anyway.
+    let mut samples: [Vec<f64>; LANES] = std::array::from_fn(|l| {
+        let len = if l < live { lobes.len() } else { 0 };
+        let mut row = Vec::with_capacity(len);
+        row.resize(len, 0.0);
+        row
+    });
+    let mut sums = W::per_kernel(|_| 0.0);
+    for (j, bin) in lobes.iter().rev().enumerate() {
+        let sample = W::per_kernel(|l| bin.kernel(l) * inv_n * gain.kernel(l));
+        if sum_squares {
+            sums = W::per_kernel(|l| sums.kernel(l) + sample.kernel(l) * sample.kernel(l));
+        }
+        for (l, out) in samples[..live].iter_mut().enumerate() {
+            out[j] = sample.kernel(l);
+        }
+    }
+    std::array::from_fn(|l| {
+        let sum_sq = match read_outs.get(l) {
+            Some(read_out) if read_out.sum_squares => sums.kernel(l),
+            _ => 0.0,
+        };
+        (std::mem::take(&mut samples[l]), sum_sq)
+    })
+}
+
+/// [`joint_power`] over lanes compiled with AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn joint_power_avx2(
+    signal_half: &[Complex],
+    kernels: &[&[Complex]; LANES],
+    out: &mut Vec<[f64; LANES]>,
+) {
+    joint_power(signal_half, kernels, out);
+}
+
+/// [`read_lobes`] over lanes compiled with AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn read_lobes_avx2(lobes: &[[f64; LANES]], inv_n: f64, read_outs: &[ReadOut]) -> Lobes {
+    read_lobes(lobes, inv_n, read_outs)
 }
 
 /// The precomputed optics-level state for correlating one fixed kernel with
@@ -468,16 +586,11 @@ impl PreparedSpectrum {
                 ),
             });
         }
-        let mut lone = (Vec::new(), 0.0);
-        if self.kernel_len <= self.signal_len {
-            Self::finish_block::<f64>(
-                &[self],
-                &spectrum.half_spec,
-                &[read_out],
-                &mut acc,
-                |_, samples, sum_sq| lone = (samples, sum_sq),
-            )?;
+        if self.kernel_len > self.signal_len {
+            return Ok((Vec::new(), 0.0));
         }
+        let [lone, ..] =
+            Self::finish_block::<f64>(&[self], &spectrum.half_spec, &[read_out], &mut acc)?;
         Ok(lone)
     }
 
@@ -496,9 +609,16 @@ impl PreparedSpectrum {
     /// (`d < n/2` by construction) and the only bins the geometry keeps
     /// alias-free. Every kernel's lobe is then read out by its `read_outs`
     /// entry (lobe sample `j` is bin `d - j`, the double-transform gain of
-    /// N normalised away) and handed to `emit(l, samples,
-    /// sum_of_squares)`, in kernel order. A kernel's samples are, bit for
-    /// bit, what a block of that kernel alone computes.
+    /// N normalised away) and returned with its sum of squares, in kernel
+    /// order. A kernel's samples are, bit for bit, what a block of that
+    /// kernel alone computes.
+    ///
+    /// The two O(n) passes around the lens run the whole block at once:
+    /// [`joint_power`] gathers a bin's kernel values side by side, and
+    /// [`read_lobes`] writes every kernel's samples in one pass over the
+    /// lobe, the sums of squares side by side. Both are written once over
+    /// [`Width`]; the lane instantiation is compiled with AVX2 where the CPU
+    /// has it, the way the lens is (one dispatch per pass).
     ///
     /// # Errors
     ///
@@ -512,31 +632,17 @@ impl PreparedSpectrum {
         signal_half: &[Complex],
         read_outs: &[ReadOut],
         acc: &mut Option<&mut StageAcc>,
-        mut emit: impl FnMut(usize, Vec<f64>, f64),
-    ) -> Result<(), JtcError> {
+    ) -> Result<Lobes, JtcError> {
         let first = block[0];
         let kernels: [&[Complex]; LANES] =
             std::array::from_fn(|l| &*block[l.min(block.len() - 1)].kernel_half_spec);
         with_spectrum_scratch(|s| {
-            let intensity = W::intensity(s);
-            intensity.clear();
-            intensity.extend(signal_half.iter().enumerate().map(|(k, &signal)| {
-                W::per_kernel(|l| {
-                    let mut joint = signal;
-                    joint += kernels[l][k];
-                    joint.norm_sqr()
-                })
-            }));
+            W::joint_power(signal_half, &kernels, W::intensity(s));
             mark(acc, Stage::SpectrumApply);
             let lobes = W::second_lens(&first.plan, s, first.lobe_bins())?;
-            let inv_n = 1.0 / first.n as f64;
-            for (l, read_out) in read_outs.iter().enumerate() {
-                let lobe = lobes.iter().rev().map(|bin| bin.kernel(l));
-                let (samples, sum_sq) = read_out.collect(lobe, inv_n);
-                emit(l, samples, sum_sq);
-            }
+            let lobes = W::read_lobes(lobes, 1.0 / first.n as f64, read_outs);
             mark(acc, Stage::Inverse);
-            Ok(())
+            Ok(lobes)
         })
     }
 
@@ -769,21 +875,16 @@ impl PreparedKernel {
             });
             let spectra = kernels.map(|k| &*k.spectrum);
             let read_outs = kernels.map(|k| k.read_out(shared.s_scale));
-            let mut sums = [0.0; LANES];
-            PreparedSpectrum::finish_block::<[f64; LANES]>(
+            let lobes = PreparedSpectrum::finish_block::<[f64; LANES]>(
                 &spectra[..block.len()],
                 &shared.spectrum.half_spec,
                 &read_outs[..block.len()],
                 &mut acc,
-                |l, samples, sum_sq| {
-                    out.push(samples);
-                    sums[l] = sum_sq;
-                },
             )
             .expect("lane_set cleared the geometry");
-            let done = out.len() - block.len();
-            for ((kernel, samples), sum_sq) in kernels.iter().zip(&mut out[done..]).zip(sums) {
-                kernel.condition(samples, sum_sq);
+            for (kernel, (mut samples, sum_sq)) in kernels.iter().zip(lobes).take(block.len()) {
+                kernel.condition(&mut samples, sum_sq);
+                out.push(samples);
             }
             mark(&mut acc, Stage::DacAdc);
         }
@@ -1169,6 +1270,105 @@ mod tests {
             prep_b.correlate_spectrum(&spectrum),
             Err(JtcError::InvalidConfig { .. })
         ));
+    }
+
+    /// The two passes around the second lens, pinned per instantiation —
+    /// what `forward_real_bins_lanes_portable` pins for the lens itself:
+    /// on the benchmark's grids (n = 240 and n = 1000), for every block
+    /// width, the baseline-ISA lanes, the AVX2 lanes (where this CPU has
+    /// them) and the width-1 body run on each kernel alone agree bit for
+    /// bit, sums of squares included.
+    #[test]
+    fn fourier_plane_passes_are_bit_equal_in_every_instantiation() {
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (len, taps, grid) in [(64, 19, 240), (256, 35, 1000)] {
+            let kernels: Vec<Vec<f64>> = (0..LANES)
+                .map(|i| {
+                    (0..taps)
+                        .map(|j| ((i * 7 + j * 3) as f64 * 0.41).sin() - 0.2 * i as f64)
+                        .collect()
+                })
+                .collect();
+            let rows: Vec<&[f64]> = kernels.iter().map(Vec::as_slice).collect();
+            let spectra = PreparedSpectrum::new_batch(&rows, len, 256).unwrap();
+            let first = &spectra[0];
+            assert_eq!(first.grid_size(), grid);
+            let signal: Vec<f64> = (0..len).map(|i| (i as f64 * 0.29).sin() + 0.3).collect();
+            let signal_half = first.signal_spectrum(&signal).unwrap().half_spec;
+            let inv_n = 1.0 / grid as f64;
+            for live in 1..=LANES {
+                let what = format!("n = {grid}, {live} live lanes");
+                let block: [&[Complex]; LANES] =
+                    std::array::from_fn(|l| &*spectra[l.min(live - 1)].kernel_half_spec);
+
+                let mut lanes = Vec::new();
+                joint_power::<[f64; LANES]>(&signal_half, &block, &mut lanes);
+                #[cfg(target_arch = "x86_64")]
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    let mut avx2 = Vec::new();
+                    // SAFETY: the CPU has AVX2, checked on the line above.
+                    unsafe { joint_power_avx2(&signal_half, &block, &mut avx2) };
+                    assert_eq!(
+                        bits(avx2.as_flattened()),
+                        bits(lanes.as_flattened()),
+                        "{what}: intensity, AVX2 against baseline"
+                    );
+                }
+                for (l, kernel) in block.iter().enumerate() {
+                    let mut one = Vec::new();
+                    joint_power::<f64>(&signal_half, &[*kernel; LANES], &mut one);
+                    for (k, (a, b)) in one.iter().zip(&lanes).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            b[l].to_bits(),
+                            "{what}: intensity {k}, lane {l}"
+                        );
+                    }
+                }
+
+                let mut work = Vec::new();
+                let mut lobes = Vec::new();
+                first
+                    .plan
+                    .forward_real_bins_lanes(&lanes, first.lobe_bins(), &mut work, &mut lobes)
+                    .unwrap();
+                for noisy in [false, true] {
+                    let read_outs: Vec<ReadOut> = (0..live)
+                        .map(|l| ReadOut {
+                            gain: 0.5 + 0.75 * l as f64,
+                            sum_squares: noisy && l != 1,
+                        })
+                        .collect();
+                    let lane_lobes = read_lobes::<[f64; LANES]>(&lobes, inv_n, &read_outs);
+                    #[cfg(target_arch = "x86_64")]
+                    if std::arch::is_x86_feature_detected!("avx2") {
+                        // SAFETY: as above.
+                        let avx2 = unsafe { read_lobes_avx2(&lobes, inv_n, &read_outs) };
+                        for (l, (a, b)) in avx2.iter().zip(&lane_lobes).enumerate() {
+                            assert_eq!(bits(&a.0), bits(&b.0), "{what}: AVX2 samples, lane {l}");
+                            assert_eq!(a.1.to_bits(), b.1.to_bits(), "{what}: AVX2 sum, lane {l}");
+                        }
+                    }
+                    for (l, (samples, sum_sq)) in lane_lobes.iter().enumerate() {
+                        let Some(read_out) = read_outs.get(l) else {
+                            assert!(
+                                samples.is_empty() && *sum_sq == 0.0,
+                                "{what}: idle lane {l}"
+                            );
+                            continue;
+                        };
+                        let column: Vec<f64> = lobes.iter().map(|bin| bin[l]).collect();
+                        let [(one, one_sum), ..] = read_lobes::<f64>(&column, inv_n, &[*read_out]);
+                        assert_eq!(samples.len(), first.signal_len - first.kernel_len + 1);
+                        for (j, (a, b)) in one.iter().zip(samples).enumerate() {
+                            assert_eq!(a.to_bits(), b.to_bits(), "{what}: sample {j}, lane {l}");
+                        }
+                        assert_eq!(one_sum.to_bits(), sum_sq.to_bits(), "{what}: sum, lane {l}");
+                        assert_eq!(*sum_sq == 0.0, !read_out.sum_squares, "{what}: lane {l}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

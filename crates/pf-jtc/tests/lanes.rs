@@ -6,9 +6,13 @@
 //! bit** what calling `correlate_with_signal` on each member in turn
 //! produces, with a noisy engine's stream left in the same state — for
 //! every block shape (full blocks, a short last block, a set shorter than
-//! one block, a lone kernel, which takes the scalar chain), with and
-//! without stage marks, and on the sets it must hand back to the
-//! per-kernel loop (mixed geometry, a foreign member).
+//! one block, a lone kernel, which takes the scalar chain), on small planes
+//! and on the benchmark's two grids (n = 240 and n = 1000, where the
+//! intensity and read-out passes run the lengths users run), on operands
+//! at the edges of `f64` (1e150-scale kernels and tiles, silent lanes,
+//! subnormal spectra), with and without stage marks, and on the sets it
+//! must hand back to the per-kernel loop (mixed geometry, a foreign
+//! member).
 //!
 //! And, since the engine has one chain: the one-off entries
 //! (`JtcEngine::correlate`, `Conv1dEngine::correlate_valid`) against a kept
@@ -19,27 +23,34 @@ use std::sync::Arc;
 use pf_dsp::scratch::with_spectrum_scratch;
 use pf_dsp::LANES;
 use pf_jtc::engine::{JtcEngine, JtcEngineConfig};
+use pf_jtc::PreparedSpectrum;
 use pf_telemetry::{Stage, StageAcc};
 use pf_tiling::{Conv1dEngine, PreparedConv1d, PreparedSignal};
 use proptest::prelude::*;
 
 const SIGNAL_LEN: usize = 48;
 
-fn configs() -> [(&'static str, JtcEngineConfig); 3] {
+/// The benchmark's two tile geometries at capacity 256: (tile length,
+/// tiled-kernel taps, grid). Its second layer's 64-sample tiles meet
+/// 19-tap kernels on a 240-point plane, its first layer's 256-sample tiles
+/// 35-tap kernels on a 1000-point one.
+const BENCHMARK_GRIDS: [(usize, usize, usize); 2] = [(64, 19, 240), (256, 35, 1000)];
+
+fn configs(capacity: usize) -> [(&'static str, JtcEngineConfig); 3] {
     [
-        ("ideal", JtcEngineConfig::ideal(64)),
+        ("ideal", JtcEngineConfig::ideal(capacity)),
         (
             "adc_only",
             JtcEngineConfig {
                 adc_bits: Some(8),
-                ..JtcEngineConfig::ideal(64)
+                ..JtcEngineConfig::ideal(capacity)
             },
         ),
         (
             "cg_seed11",
             JtcEngineConfig {
                 noise_seed: 11,
-                ..JtcEngineConfig::photofourier_cg(64)
+                ..JtcEngineConfig::photofourier_cg(capacity)
             },
         ),
     ]
@@ -55,6 +66,15 @@ fn signal(len: usize, phase: f64) -> Vec<f64> {
     (0..len)
         .map(|i| ((i as f64 + phase) * 0.29).sin() + 0.3)
         .collect()
+}
+
+/// The two tiles every set is run against unless a test says otherwise.
+fn tiles(len: usize) -> Vec<Vec<f64>> {
+    vec![signal(len, 0.0), signal(len, 5.5)]
+}
+
+fn scaled(values: &[f64], scale: f64) -> Vec<f64> {
+    values.iter().map(|v| v * scale).collect()
 }
 
 fn prepare(engine: &JtcEngine, kernels: &[Vec<f64>], len: usize) -> Vec<Arc<dyn PreparedConv1d>> {
@@ -106,17 +126,19 @@ fn path_taken(f: impl FnOnce()) -> Path {
     }
 }
 
-/// Runs `kernels` against two tiles on two engines of one configuration —
-/// the set call on one, the per-kernel loop on the other — and checks the
-/// path taken, outputs and engine state (the `Debug` form shows the noise
-/// generator).
+/// Runs `kernels` against `tiles` (each of the set's signal length) on two
+/// engines of one configuration — the set call on one, the per-kernel loop
+/// on the other — and checks the path taken, outputs and engine state (the
+/// `Debug` form shows the noise generator). Hands back the set call's
+/// outputs, tile by tile.
 fn check_set_equals_loop(
     name: &str,
     config: &JtcEngineConfig,
     kernels: &[Vec<f64>],
-    len: usize,
+    tiles: &[Vec<f64>],
     expect: Path,
-) {
+) -> Vec<Vec<Vec<f64>>> {
+    let len = tiles[0].len();
     let (by_set, by_loop) = (
         JtcEngine::new(config.clone()).unwrap(),
         JtcEngine::new(config.clone()).unwrap(),
@@ -125,28 +147,32 @@ fn check_set_equals_loop(
         prepare(&by_set, kernels, len),
         prepare(&by_loop, kernels, len),
     );
-    for phase in [0.0, 5.5] {
-        let tile = signal(len, phase);
-        let what = format!("{name}, {} kernels, phase {phase}", kernels.len());
-        let shared = set_preps[0].prepare_signal(&tile).unwrap();
-        let set = refs(&set_preps);
-        let mut lanes = Vec::new();
-        let path =
-            path_taken(|| lanes = set[0].correlate_set_with_signal(&set, &*shared, &tile, None));
-        assert_eq!(path, expect, "{what}: path");
-        let looped = per_kernel(&refs(&loop_preps), &*shared, &tile);
-        assert_bits(&lanes, &looped, &what);
-        assert_eq!(
-            format!("{by_set:?}"),
-            format!("{by_loop:?}"),
-            "{what}: engine state"
-        );
-    }
+    tiles
+        .iter()
+        .enumerate()
+        .map(|(t, tile)| {
+            let what = format!("{name}, {} kernels, tile {t}", kernels.len());
+            let shared = set_preps[0].prepare_signal(tile).unwrap();
+            let set = refs(&set_preps);
+            let mut lanes = Vec::new();
+            let path =
+                path_taken(|| lanes = set[0].correlate_set_with_signal(&set, &*shared, tile, None));
+            assert_eq!(path, expect, "{what}: path");
+            let looped = per_kernel(&refs(&loop_preps), &*shared, tile);
+            assert_bits(&lanes, &looped, &what);
+            assert_eq!(
+                format!("{by_set:?}"),
+                format!("{by_loop:?}"),
+                "{what}: engine state"
+            );
+            lanes
+        })
+        .collect()
 }
 
 #[test]
 fn set_call_equals_the_per_kernel_loop_for_every_block_shape() {
-    for (name, config) in configs() {
+    for (name, config) in configs(64) {
         for count in 1..=2 * LANES + 1 {
             let kernels: Vec<Vec<f64>> = (0..count).map(|i| kernel(i, 5)).collect();
             // One kernel is not worth a lane block.
@@ -155,7 +181,25 @@ fn set_call_equals_the_per_kernel_loop_for_every_block_shape() {
             } else {
                 Path::Lanes
             };
-            check_set_equals_loop(name, &config, &kernels, SIGNAL_LEN, expect);
+            check_set_equals_loop(name, &config, &kernels, &tiles(SIGNAL_LEN), expect);
+        }
+    }
+}
+
+#[test]
+fn set_call_equals_the_per_kernel_loop_on_the_benchmark_grids() {
+    for (len, taps, grid) in BENCHMARK_GRIDS {
+        let plane = PreparedSpectrum::new(&kernel(0, taps), len, 256).unwrap();
+        assert_eq!(plane.grid_size(), grid, "{len}-sample tiles, {taps} taps");
+        for (name, config) in configs(256) {
+            // Two and three kernels ride with idle lanes, four fill a
+            // block, five leave a lone kernel to the scalar chain, eight
+            // are two full blocks.
+            for count in [2, 3, 4, 5, 8] {
+                let kernels: Vec<Vec<f64>> = (0..count).map(|i| kernel(i, taps)).collect();
+                let name = format!("{name}, n = {grid}");
+                check_set_equals_loop(&name, &config, &kernels, &tiles(len), Path::Lanes);
+            }
         }
     }
 }
@@ -164,9 +208,92 @@ fn set_call_equals_the_per_kernel_loop_for_every_block_shape() {
 fn a_silent_kernel_in_a_lane_draws_no_noise() {
     // An all-zero kernel under an all-zero tile has zero RMS and must
     // consume nothing, also when it rides between kernels that do.
-    let (_, config) = configs().into_iter().nth(2).unwrap();
+    let (_, config) = configs(64).into_iter().nth(2).unwrap();
     let kernels = vec![kernel(0, 3), vec![0.0; 3], kernel(2, 3), kernel(3, 3)];
-    check_set_equals_loop("cg with a silent lane", &config, &kernels, 16, Path::Lanes);
+    let tiles = vec![signal(16, 0.0), vec![0.0; 16], signal(16, 5.5)];
+    check_set_equals_loop(
+        "cg with a silent lane",
+        &config,
+        &kernels,
+        &tiles,
+        Path::Lanes,
+    );
+}
+
+#[test]
+fn silent_lanes_on_the_benchmark_grids() {
+    // A silent kernel beside live ones and a block of silent kernels, each
+    // under live tiles and under an all-zero one: a silent kernel under the
+    // zero tile reads exact zeros and draws nothing, whatever rides beside
+    // it (a live kernel's own term leaks rounding into its lobe, so only
+    // the silent lanes are exact).
+    for (len, taps, _) in BENCHMARK_GRIDS {
+        let mut tiles = tiles(len);
+        tiles.insert(1, vec![0.0; len]);
+        for (name, config) in configs(256) {
+            let silent_between = vec![kernel(0, taps), vec![0.0; taps], kernel(2, taps)];
+            let all_silent = vec![vec![0.0; taps]; LANES + 1];
+            for kernels in [silent_between, all_silent] {
+                let outs = check_set_equals_loop(name, &config, &kernels, &tiles, Path::Lanes);
+                for (k, out) in outs[1].iter().enumerate() {
+                    let silent = kernels[k].iter().all(|&v| v == 0.0);
+                    assert!(
+                        !silent || out.iter().all(|&v| v == 0.0),
+                        "{name}, {len}-sample zero tile, kernel {k}: {out:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn huge_operands_come_back_as_data_in_lanes() {
+    // 1e150-scale kernels and tiles: the intensities are near the top of
+    // `f64` behind a DAC-less plane, and on CG the rescaled samples' sum of
+    // squares overflows. At 1e160 the intensity itself overflows. Either
+    // way the lane block must still be the per-kernel loop bit for bit and
+    // hand back non-finite samples where a value cannot be represented —
+    // never a panic.
+    for (len, taps, grid) in BENCHMARK_GRIDS {
+        for scale in [1e150, 1e160] {
+            let kernels: Vec<Vec<f64>> = (0..LANES + 1)
+                .map(|i| scaled(&kernel(i, taps), scale))
+                .collect();
+            let tiles: Vec<Vec<f64>> = tiles(len).iter().map(|t| scaled(t, scale)).collect();
+            for (name, config) in configs(256) {
+                let what = format!("{name}, n = {grid}, scale {scale:e}");
+                let outs = check_set_equals_loop(&what, &config, &kernels, &tiles, Path::Lanes);
+                let intensity_overflows = config.dac_bits.is_none() && scale > 1e155;
+                let rms_overflows = config.sensing_snr_db.is_some();
+                if intensity_overflows || rms_overflows {
+                    for (k, out) in outs.iter().flatten().enumerate() {
+                        assert!(
+                            out.iter().any(|v| !v.is_finite()),
+                            "{what}: output {k} hides the overflow"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn subnormal_spectra_ride_in_lanes_bit_for_bit() {
+    // Kernels and tiles scaled into the subnormal range: spectra, their
+    // sums and the intensities underflow gradually (no flush-to-zero on
+    // either instantiation) and the set must still be the loop.
+    for (len, taps, grid) in BENCHMARK_GRIDS {
+        let kernels: Vec<Vec<f64>> = (0..LANES + 1)
+            .map(|i| scaled(&kernel(i, taps), 1e-310))
+            .collect();
+        let tiles: Vec<Vec<f64>> = tiles(len).iter().map(|t| scaled(t, 1e-310)).collect();
+        for (name, config) in configs(256) {
+            let what = format!("{name}, n = {grid}, subnormal");
+            check_set_equals_loop(&what, &config, &kernels, &tiles, Path::Lanes);
+        }
+    }
 }
 
 #[test]
@@ -176,7 +303,7 @@ fn one_off_trait_and_kept_prepared_entries_are_one_chain() {
     // shows the noise generator — streams left in the same state. An
     // all-zero tile under an all-zero kernel is silent (zero RMS) and must
     // draw nothing on any entry.
-    for (name, config) in configs() {
+    for (name, config) in configs(64) {
         let engine = || JtcEngine::new(config.clone()).unwrap();
         let (by_trait, one_off, keeping) = (engine(), engine(), engine());
         let kernels = [kernel(1, 5), vec![0.0; 5]];
@@ -267,7 +394,7 @@ impl PreparedConv1d for Foreign {
 
 #[test]
 fn sets_that_cannot_ride_in_lanes_fall_back_to_the_loop() {
-    for (name, config) in configs() {
+    for (name, config) in configs(64) {
         // Mixed geometry: kernel lengths differ, so lobes (and for some
         // lengths grids) differ; the odd one out must still be answered as
         // `correlate_with_signal` answers it.
@@ -280,13 +407,19 @@ fn sets_that_cannot_ride_in_lanes_fall_back_to_the_loop() {
             &format!("{name} mixed"),
             &config,
             &mixed,
-            SIGNAL_LEN,
+            &tiles(SIGNAL_LEN),
             Path::PerKernel,
         );
 
         // A kernel longer than the signal: empty outputs, no lanes.
         let long: Vec<Vec<f64>> = (0..3).map(|i| kernel(i, 20)).collect();
-        check_set_equals_loop(&format!("{name} long"), &config, &long, 12, Path::PerKernel);
+        check_set_equals_loop(
+            &format!("{name} long"),
+            &config,
+            &long,
+            &tiles(12),
+            Path::PerKernel,
+        );
 
         // A foreign member, first (the default body answers) and in the
         // middle (the override recognises it and steps aside).

@@ -83,13 +83,23 @@ impl Stopwatch {
     /// lap point to now.
     #[inline]
     pub fn lap_ns(&mut self) -> u64 {
+        let raw = self.lap_raw();
+        self.raw_ns(raw)
+    }
+
+    /// The time since the previous lap in the clock's own unit (cycle
+    /// counter ticks, or nanoseconds on the fallback), advancing the lap
+    /// point to now: one clock read and a subtraction, so a hot loop can
+    /// sum laps and convert the sum once ([`Stopwatch::raw_ns`]).
+    #[inline]
+    fn lap_raw(&mut self) -> u64 {
         match &mut self.0 {
             #[cfg(target_arch = "x86_64")]
-            Clock::Cycles { last, ns_per_tick } => {
+            Clock::Cycles { last, .. } => {
                 let now = tsc::ticks();
                 let dt = now.wrapping_sub(*last);
                 *last = now;
-                (dt as f64 * *ns_per_tick) as u64
+                dt
             }
             Clock::Wall(last) => {
                 let now = Instant::now();
@@ -97,6 +107,16 @@ impl Stopwatch {
                 *last = now;
                 dt.as_nanos().min(u128::from(u64::MAX)) as u64
             }
+        }
+    }
+
+    /// Nanoseconds in `raw` units of this stopwatch's clock.
+    #[inline]
+    fn raw_ns(&self, raw: u64) -> u64 {
+        match &self.0 {
+            #[cfg(target_arch = "x86_64")]
+            Clock::Cycles { ns_per_tick, .. } => (raw as f64 * *ns_per_tick) as u64,
+            Clock::Wall(_) => raw,
         }
     }
 
@@ -114,9 +134,14 @@ impl Stopwatch {
 /// registry is touched once, at [`StageAcc::flush`]. One flush bumps each
 /// marked stage's call counter once, so stage call counts tally
 /// attribution flushes, not individual convolutions.
+///
+/// Laps are summed in the clock's own unit and converted to nanoseconds
+/// when read: a mark is a clock read, a subtraction and an add, and the
+/// float conversion is paid once per stage per read instead of once per
+/// boundary (a lane block marks three boundaries).
 pub struct StageAcc {
     sw: Stopwatch,
-    ns: [u64; Stage::COUNT],
+    raw: [u64; Stage::COUNT],
 }
 
 impl StageAcc {
@@ -125,7 +150,7 @@ impl StageAcc {
     pub fn start() -> Self {
         Self {
             sw: Stopwatch::start(),
-            ns: [0; Stage::COUNT],
+            raw: [0; Stage::COUNT],
         }
     }
 
@@ -133,7 +158,7 @@ impl StageAcc {
     /// advances the boundary.
     #[inline]
     pub fn mark(&mut self, stage: Stage) {
-        self.ns[stage.index()] += self.sw.lap_ns();
+        self.raw[stage.index()] += self.sw.lap_raw();
     }
 
     /// Advances the boundary without attributing the elapsed interval to
@@ -142,20 +167,20 @@ impl StageAcc {
     /// next mark.
     #[inline]
     pub fn skip(&mut self) {
-        let _ = self.sw.lap_ns();
+        let _ = self.sw.lap_raw();
     }
 
     /// The accumulated nanoseconds, indexed by [`Stage::index`].
     pub fn ns(&self) -> [u64; Stage::COUNT] {
-        self.ns
+        self.raw.map(|raw| self.sw.raw_ns(raw))
     }
 
     /// Flushes the accumulated time into `tel`'s stage slots (a single
     /// registry touch; see [`Telemetry::stage_add_ns`]) and resets the
     /// accumulator for reuse.
     pub fn flush(&mut self, tel: &Telemetry) {
-        let ns = std::mem::replace(&mut self.ns, [0; Stage::COUNT]);
-        tel.stage_add_ns(ns);
+        tel.stage_add_ns(self.ns());
+        self.raw = [0; Stage::COUNT];
     }
 }
 
