@@ -131,8 +131,9 @@ proptest! {
         n_conv_sel in 0usize..3,
     ) {
         // The convolver's tile-grouped multi-kernel path (shared signal
-        // spectra, scratch cache) must reproduce per-kernel execution
-        // bit for bit on the real optics engine, in every tiling variant.
+        // spectra, one transform per distinct signal) must reproduce
+        // per-kernel execution bit for bit on the real optics engine, in
+        // every tiling variant.
         use pf_dsp::conv::Matrix;
         use pf_tiling::TiledConvolver;
         use rand::{Rng, SeedableRng};

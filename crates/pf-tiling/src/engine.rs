@@ -150,7 +150,8 @@ pub trait PreparedConv1d: Any + Debug + Send + Sync {
 
     /// Computes the shareable transform of `signal` (e.g. its quantised
     /// half-spectrum). Must be a pure function of `signal`; the executor
-    /// caches the result and replays it against many kernels.
+    /// takes it once per distinct signal of a run and replays it against
+    /// many kernels.
     fn prepare_signal(&self, signal: &[f64]) -> Option<Arc<dyn PreparedSignal>> {
         let _ = signal;
         None

@@ -59,9 +59,9 @@ impl Conv1dEngine for PreparingDigital {
 }
 
 /// A digital engine whose prepared kernels opt into signal sharing *and*
-/// the batched transform pre-pass: `prepare_signal_batch` walks the whole
-/// planar batch in one pass. The "transform" is a copy, so the executor's
-/// seeded cache is exercised without changing any numerics — exactly the
+/// the batched transform: `prepare_signal_batch` walks the whole planar
+/// batch in one pass. The "transform" is a copy, so the executor's signal
+/// stage is exercised without changing any numerics — exactly the
 /// bit-identity contract the trait documents.
 #[derive(Debug)]
 struct BatchSharingDigital;
@@ -140,8 +140,8 @@ impl Conv1dEngine for BatchSharingDigital {
     }
 
     fn prefers_parallel_tiles(&self) -> bool {
-        // Opt in so the default grain reaches the parallel (non-seeding)
-        // branches on a wide pool.
+        // Opt in so the default grain deals signals out in one chunk per
+        // thread on a wide pool.
         true
     }
 
@@ -291,8 +291,8 @@ proptest! {
         n_conv in 3usize..200,
         seed in 0u64..1000,
     ) {
-        // The tile-grouped multi-kernel path (including the shared-signal
-        // scratch cache) must reproduce the per-kernel path exactly, for
+        // The tile-grouped multi-kernel path (including the shared signal
+        // transforms) must reproduce the per-kernel path exactly, for
         // every tiling variant, with and without kernel preparation, in
         // both padding modes.
         let ksize = 2 * k + 1;
@@ -399,11 +399,11 @@ proptest! {
         n_conv in 15usize..200,
         seed in 0u64..1000,
     ) {
-        // The serial multi-kernel path pre-computes every tile's signal
-        // transform with one batched `prepare_signal_batch` call. Whatever
-        // the batch parity, grain or pool width, the result must equal
-        // running each kernel's single-kernel path (which transforms one
-        // tile at a time and never seeds) bit for bit.
+        // A multi-kernel run takes every distinct signal's transform with
+        // one batched `prepare_signal_batch` call per chunk. Whatever the
+        // batch parity, grain or pool width, the result must equal running
+        // each kernel's single-kernel path bit for bit (under row tiling a
+        // stack of one shares nothing and takes no transform).
         prop_assume!(rows >= 3 && cols >= 3);
         let input = lcg_matrix(rows, cols, seed);
         let kernels: Vec<Matrix> = (0..n_kernels)
@@ -416,7 +416,7 @@ proptest! {
             .map(|k| single.correlate2d_valid(&input, k).unwrap())
             .collect();
 
-        // Serial multi-kernel execution takes the seeded branch.
+        // Serial execution deals the signals out as one chunk.
         let tel = Telemetry::enabled();
         let serial = TiledConvolver::new(BatchSharingDigital, n_conv).unwrap()
             .with_grain(ParallelGrain::Image)
@@ -429,16 +429,17 @@ proptest! {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
             }
         }
-        // When sharing engaged, seeded transforms were consumed at least
-        // once per kernel beyond the producing pre-pass.
+        // When sharing engaged, every correlation read a transform taken
+        // once per distinct signal.
         if stats.counter("tiling.spectrum_misses") > 0 {
-            prop_assert!(
-                stats.counter("tiling.spectrum_hits") >= stats.counter("tiling.spectrum_misses")
+            prop_assert_eq!(
+                stats.counter("tiling.spectrum_hits"),
+                stats.counter("tiling.convs_1d")
             );
         }
 
-        // And the parallel branches (which do not seed) agree too, under
-        // every grain and pool width.
+        // And so does every grain at every pool width: one chunk or one
+        // chunk per thread, the same signal stage.
         for width in [1usize, 2, 4] {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap();
             for grain in [ParallelGrain::Auto, ParallelGrain::Image] {
