@@ -5,16 +5,12 @@
 //! `repro fig13 tab1` the named ones) and times nothing — the models behind
 //! the tables are ladder rows of the repo benchmark under `benchmark/`.
 //!
-//! The crate also ships three standalone drivers: `--bin perf` (the
-//! thread-sweep report and the telemetry-overhead gate, the two host-side
-//! measurements the repo benchmark under `benchmark/` does not take, see
-//! [`perf`]), `--bin sweep` (the declarative design-space sweep runner
-//! documented in `docs/SCENARIOS.md`) and `--bin loadgen` (the serving load
-//! generator driving the `pf-serve` micro-batching server, see [`serving`]
-//! and `docs/SERVING.md`; its `--route` mode drives the `pf-router`
-//! multi-replica tier with trace-driven arrivals instead, see [`routing`],
-//! and its `--chaos` mode drives the fault-injected tier and gates on
-//! self-healing, see [`chaos`] and [`exitcode`] for the exit taxonomy).
+//! The crate also ships two more drivers: `--bin perf` (the thread-sweep
+//! report and the telemetry-overhead gate, the two host-side measurements
+//! the repo benchmark under `benchmark/` does not take, see [`perf`]) and
+//! `--bin sweep` (the declarative design-space sweep runner documented in
+//! `docs/SCENARIOS.md`). [`exitcode`] holds the exit statuses of `repro`
+//! and `perf`.
 //!
 //! # Examples
 //!
@@ -33,13 +29,10 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-pub mod chaos;
 pub mod exitcode;
 pub mod experiments;
 pub mod perf;
 pub mod report;
-pub mod routing;
-pub mod serving;
 
 pub use experiments::*;
 pub use report::Table;
@@ -47,8 +40,8 @@ pub use report::Table;
 use photofourier::prelude::{Scenario, Tensor};
 
 /// The seeded uniform `[0, 1)` image of the scenario's functional input
-/// shape. Every load generator and `perf` workload draws its traffic here,
-/// so one seed names one image across gates and offline verification.
+/// shape. Every `perf` workload draws its images here, so one seed names
+/// one image across runs.
 pub(crate) fn scenario_image(scenario: &Scenario, seed: u64) -> Tensor {
     let f = &scenario.functional;
     Tensor::random(
@@ -57,13 +50,4 @@ pub(crate) fn scenario_image(scenario: &Scenario, seed: u64) -> Tensor {
         1.0,
         seed,
     )
-}
-
-/// Whether two tensors agree in shape and in every sample's bit pattern.
-pub(crate) fn tensors_bit_equal(a: &Tensor, b: &Tensor) -> bool {
-    a.shape() == b.shape()
-        && a.data()
-            .iter()
-            .zip(b.data())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
 }

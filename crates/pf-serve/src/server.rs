@@ -659,8 +659,7 @@ fn dispatch<E: InferenceEngine>(shared: &Shared<E>, batch: Vec<Request<E::Reques
     // A panicking engine must not strand the batch's tickets (clients
     // blocked in `Ticket::wait` would sleep forever) nor kill the worker
     // (later submitters would hang just the same). Catch the unwind and
-    // fail the batch; the `failed` counter — which the loadgen smoke gate
-    // checks — is the panic's visible trace.
+    // fail the batch; the `failed` counter is the panic's visible trace.
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if tel.is_enabled() {
             let first = traces

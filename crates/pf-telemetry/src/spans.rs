@@ -5,7 +5,7 @@
 //! admission, queue wait, batch execution, per-stage convolution work —
 //! assemble into a single tree. The recorder is a drop-oldest ring: under
 //! overload the newest spans survive and the drop counter says exactly how
-//! many were lost (surfaced in loadgen summaries and snapshots).
+//! many were lost (surfaced in `dropped_spans()` and snapshots).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -92,8 +92,8 @@
 //! | [`arch`] | the architecture simulator: dataflow, power, area, design-space exploration (Sections V & VI) |
 //! | [`baselines`] | prior-accelerator reference models for the Figure 13 comparison |
 //! | [`serve`] | the micro-batching inference server (`pf-serve`) wired to `Session` |
-//! | [`route`] | the multi-replica SLO-aware routing tier (`pf-router`) over model-sharded sessions |
-//! | [`telemetry`] | metrics registry + span tracing (`pf-telemetry`): attach a [`Telemetry`] handle via [`SessionBuilder::telemetry`](session::SessionBuilder::telemetry) / `serve_scenario_traced` / `route_scenario_traced` for per-request span trees and Chrome-trace export (see `docs/OBSERVABILITY.md`) |
+//! | [`route`] | the multi-replica SLO-aware routing tier (`pf-router`) over model-sharded sessions, and its fault-injected twin ([`route::chaos_scenario`]) |
+//! | [`telemetry`] | metrics registry + span tracing (`pf-telemetry`): attach a [`Telemetry`] handle via [`SessionBuilder::telemetry`](session::SessionBuilder::telemetry) (a [`serve::serve_session`] over that session inherits it) or [`route::route_scenario_traced`] for per-request span trees and Chrome-trace export (see `docs/OBSERVABILITY.md`) |
 //!
 //! The per-crate APIs remain available underneath the facade — the
 //! `Session` API composes them and deprecates nothing.

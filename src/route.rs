@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use pf_core::{PfError, RouterSpec, Scenario, ServingSpec};
+use pf_core::{PfError, Scenario, ServingSpec};
 use pf_nn::Tensor;
 use pf_serve::InferenceEngine;
 use pf_telemetry::Telemetry;
@@ -59,7 +59,7 @@ pub struct ModelRequest {
     /// the `kernel_affinity` policy hashes.
     pub model: u64,
     /// Noise-stream seed for stochastic backends, assigned by the caller
-    /// (the load generator uses the request's trace index) so served
+    /// (for instance the request's arrival index) so served
     /// results replay offline via [`Session::run_inference_seeded`]
     /// regardless of batching or replica placement. Ignored by
     /// deterministic backends.
@@ -258,52 +258,31 @@ pub fn route_scenario_traced(
     scenario: Scenario,
     telemetry: Telemetry,
 ) -> Result<SessionRouter, PfError> {
+    let (config, replica_cache) = router_config(&scenario)?;
+    let base = Arc::new(scenario);
+    let shard_tel = telemetry.clone();
+    Router::with_telemetry(config, telemetry, |_replica| {
+        ModelShardEngine::with_telemetry(Arc::clone(&base), replica_cache, shard_tel.clone())
+    })
+}
+
+/// The router configuration of `scenario`'s `[serving.router]` section
+/// (defaults when absent), validated, with the shard capacity
+/// (`replica_cache`) the engines need.
+fn router_config(scenario: &Scenario) -> Result<(RouterConfig, usize), PfError> {
     let serving = scenario.serving.clone().unwrap_or_default();
     let router_spec = serving.router.clone().unwrap_or_default();
     let config = RouterConfig::from_spec(&ServingSpec {
         router: Some(router_spec.clone()),
         ..serving
     })?;
-    route_session_traced(Arc::new(scenario), config, &router_spec, telemetry)
-}
-
-/// Like [`route_scenario`] with an explicit router configuration; the
-/// `spec` supplies the engine-side knobs (`replica_cache`).
-///
-/// # Errors
-///
-/// Propagates configuration validation and session construction errors.
-pub fn route_session(
-    base: Arc<Scenario>,
-    config: RouterConfig,
-    spec: &RouterSpec,
-) -> Result<SessionRouter, PfError> {
-    route_session_traced(base, config, spec, Telemetry::disabled())
-}
-
-/// [`route_session`] with an observability handle (see
-/// [`route_scenario_traced`]).
-///
-/// # Errors
-///
-/// Same conditions as [`route_session`].
-pub fn route_session_traced(
-    base: Arc<Scenario>,
-    config: RouterConfig,
-    spec: &RouterSpec,
-    telemetry: Telemetry,
-) -> Result<SessionRouter, PfError> {
-    spec.validate()?;
-    let shard_tel = telemetry.clone();
-    Router::with_telemetry(config, telemetry, |_replica| {
-        ModelShardEngine::with_telemetry(Arc::clone(&base), spec.replica_cache, shard_tel.clone())
-    })
+    router_spec.validate()?;
+    Ok((config, router_spec.replica_cache))
 }
 
 /// One chaos replica: a [`ModelShardEngine`] wrapped in a deterministic
 /// fault injector. The `Arc` is shared between the router (which serves
-/// through it) and the chaos harness (which reads
-/// [`FaultyEngine::counts`] for the determinism gate).
+/// through it) and the caller (which reads [`FaultyEngine::counts`]).
 pub type ChaosShard = Arc<FaultyEngine<ModelShardEngine>>;
 
 /// A routing tier whose replicas inject faults per the scenario's
@@ -315,7 +294,7 @@ pub type ChaosRouter = Router<ChaosShard>;
 /// target replica (an empty plan elsewhere), with a [`Tensor`] corruptor
 /// that writes NaN/Inf into the first element or scales the payload by the
 /// drift gain. Returns the router plus one [`ChaosShard`] handle per
-/// replica, in replica order, so the harness can read injected-fault
+/// replica, in replica order, so the caller can read injected-fault
 /// counts without tearing the router down.
 ///
 /// A scenario without a `[faults]` section yields pure passthrough
@@ -325,37 +304,13 @@ pub type ChaosRouter = Router<ChaosShard>;
 ///
 /// Propagates configuration validation and session construction errors.
 pub fn chaos_scenario(scenario: Scenario) -> Result<(ChaosRouter, Vec<ChaosShard>), PfError> {
-    chaos_scenario_traced(scenario, Telemetry::disabled())
-}
-
-/// [`chaos_scenario`] with an observability handle (see
-/// [`route_scenario_traced`]).
-///
-/// # Errors
-///
-/// Same conditions as [`chaos_scenario`].
-pub fn chaos_scenario_traced(
-    scenario: Scenario,
-    telemetry: Telemetry,
-) -> Result<(ChaosRouter, Vec<ChaosShard>), PfError> {
-    let serving = scenario.serving.clone().unwrap_or_default();
-    let router_spec = serving.router.clone().unwrap_or_default();
-    let config = RouterConfig::from_spec(&ServingSpec {
-        router: Some(router_spec.clone()),
-        ..serving
-    })?;
-    router_spec.validate()?;
+    let (config, replica_cache) = router_config(&scenario)?;
     let faults = scenario.faults.clone().unwrap_or_default();
     let plan = FaultPlan::from_spec(&faults)?;
     let base = Arc::new(scenario);
-    let shard_tel = telemetry.clone();
     let mut shards: Vec<ChaosShard> = Vec::new();
-    let router = Router::with_telemetry(config, telemetry, |replica| {
-        let inner = ModelShardEngine::with_telemetry(
-            Arc::clone(&base),
-            router_spec.replica_cache,
-            shard_tel.clone(),
-        )?;
+    let router = Router::new(config, |replica| {
+        let inner = ModelShardEngine::new(Arc::clone(&base), replica_cache)?;
         let plan = if replica == faults.replica {
             plan.clone()
         } else {

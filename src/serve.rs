@@ -25,7 +25,6 @@
 
 use pf_core::{PfError, Scenario};
 use pf_nn::Tensor;
-use pf_telemetry::Telemetry;
 
 pub use pf_serve::{
     BatchBucket, InferenceEngine, LatencySummary, RequestTrace, ServeConfig, Server, ServerStats,
@@ -73,36 +72,20 @@ impl InferenceEngine for Session {
 /// Propagates session construction, warm-up and server configuration
 /// errors.
 pub fn serve_scenario(scenario: Scenario) -> Result<SessionServer, PfError> {
-    serve_scenario_traced(scenario, Telemetry::disabled())
-}
-
-/// Like [`serve_scenario`] with an observability handle: the session
-/// records stage timings and tiling counters into it, and the server adds
-/// `serve.*` counters plus per-request span trees (request → queue / exec,
-/// batch → infer → stages). Pass [`Telemetry::disabled`] for the untraced
-/// path.
-///
-/// # Errors
-///
-/// Same conditions as [`serve_scenario`].
-pub fn serve_scenario_traced(
-    scenario: Scenario,
-    telemetry: Telemetry,
-) -> Result<SessionServer, PfError> {
     let config = scenario
         .serving
         .as_ref()
         .map(ServeConfig::from_spec)
         .unwrap_or_default();
-    let session = Session::builder()
-        .scenario(scenario)
-        .telemetry(telemetry)
-        .build()?;
-    serve_session(session, config)
+    serve_session(Session::from_scenario(scenario)?, config)
 }
 
 /// Like [`serve_scenario`] but over an already-built session and an
 /// explicit configuration (the scenario's `[serving]` section is ignored).
+/// A session built with an enabled [`Telemetry`](pf_telemetry::Telemetry)
+/// handle lends it to the server, which adds `serve.*` counters plus
+/// per-request span trees (request → queue / exec, batch → infer →
+/// stages).
 ///
 /// # Errors
 ///

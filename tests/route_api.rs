@@ -1,13 +1,15 @@
 //! Facade-level tests of the routing tier: `photofourier::route` over real
-//! sessions — model-variant shards, policy placement, deadline accounting
-//! and offline bit-identity through the public API. (The router core's
-//! overload/degradation ladder is exercised with gated mock engines in
+//! sessions — model-variant shards, policy placement, deadline accounting,
+//! offline bit-identity and self-healing under the committed fault plan
+//! through the public API. (The router core's overload/degradation ladder
+//! is exercised with gated mock engines in
 //! `crates/pf-router/tests/router.rs`.)
 
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use photofourier::prelude::*;
-use photofourier::route::{self, model_scenario, ModelRequest};
+use photofourier::route::{self, model_scenario, ChaosShard, FaultCounts, ModelRequest};
 
 fn routing_scenario() -> Scenario {
     Scenario::from_path(concat!(
@@ -17,6 +19,10 @@ fn routing_scenario() -> Scenario {
     .expect("committed routing scenario loads")
 }
 
+fn router_spec(scenario: &Scenario) -> &RouterSpec {
+    scenario.serving.as_ref().unwrap().router.as_ref().unwrap()
+}
+
 fn image(seed: u64) -> Tensor {
     Tensor::random(vec![1, 16, 16], 0.0, 1.0, seed)
 }
@@ -24,7 +30,7 @@ fn image(seed: u64) -> Tensor {
 #[test]
 fn committed_scenario_builds_a_two_replica_affinity_router() {
     let scenario = routing_scenario();
-    let spec = scenario.serving.as_ref().unwrap().router.as_ref().unwrap();
+    let spec = router_spec(&scenario);
     assert_eq!(spec.replicas, 2);
     assert_eq!(spec.policy, "kernel_affinity");
     assert_eq!(
@@ -41,50 +47,71 @@ fn committed_scenario_builds_a_two_replica_affinity_router() {
 
 #[test]
 fn routed_results_are_bit_identical_to_offline_variant_sessions() {
-    let scenario = routing_scenario();
-    let router = route::route_scenario(scenario.clone()).unwrap();
-
-    // Three models, several requests each, mixed classes.
-    let mut expected = Vec::new();
-    let mut tickets = Vec::new();
-    for k in 0..9u64 {
-        let model = k % 3;
-        let input = image(100 + k);
-        expected.push((model, input.clone()));
-        let ticket = router
-            .submit(
-                RouterRequest::new(ModelRequest::new(input, model).with_seed(k))
-                    .with_class((k % 3) as usize)
-                    .with_affinity(model),
-            )
-            .unwrap();
-        tickets.push(ticket);
-    }
-    let served: Vec<Tensor> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
-
+    let base = routing_scenario();
     // Offline: one fresh session per variant, plain inference (digital
     // backend is deterministic).
-    for ((model, input), routed) in expected.iter().zip(&served) {
-        let offline = Session::from_scenario(model_scenario(&scenario, *model)).unwrap();
-        assert_eq!(
-            &offline.run_inference(input).unwrap(),
-            routed,
-            "model {model} diverged from its offline session"
-        );
-    }
-    // Variants really are different models.
-    assert_ne!(served[0], served[1]);
+    let offline: Vec<Session> = (0..3u64)
+        .map(|model| Session::from_scenario(model_scenario(&base, model)).unwrap())
+        .collect();
 
-    let stats = router.drain().unwrap();
-    assert_eq!(stats.submitted, 9);
-    assert_eq!(stats.served(), 9);
-    assert_eq!(stats.shed + stats.rejected, 0);
-    assert_eq!(stats.deadline_misses, 0);
-    let cache = stats.cache();
-    assert!(cache.hits > 0, "repeat models must hit the shard cache");
-    // Every class saw traffic.
-    for class in &stats.classes {
-        assert_eq!(class.served, 3, "class {}", class.class);
+    for policy in ROUTER_POLICIES {
+        let mut scenario = base.clone();
+        let spec = scenario.serving.as_mut().unwrap().router.as_mut().unwrap();
+        spec.policy = policy.to_string();
+        let router = route::route_scenario(scenario).unwrap();
+
+        // Three models, several requests each, mixed classes, each with a
+        // deadline far beyond any service time.
+        let mut expected = Vec::new();
+        let mut tickets = Vec::new();
+        for k in 0..9u64 {
+            let model = k % 3;
+            let input = image(100 + k);
+            expected.push((model, input.clone()));
+            let ticket = router
+                .submit(
+                    RouterRequest::new(ModelRequest::new(input, model).with_seed(k))
+                        .with_class((k % 3) as usize)
+                        .with_affinity(model)
+                        .with_deadline(Instant::now() + Duration::from_secs(10)),
+                )
+                .unwrap();
+            tickets.push(ticket);
+        }
+        let served: Vec<Tensor> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+
+        for ((model, input), routed) in expected.iter().zip(&served) {
+            assert_eq!(
+                &offline[*model as usize].run_inference(input).unwrap(),
+                routed,
+                "{policy}: model {model} diverged from its offline session"
+            );
+        }
+        // Variants really are different models.
+        assert_ne!(served[0], served[1]);
+
+        let stats = router.drain().unwrap();
+        assert_eq!(stats.policy, policy);
+        assert_eq!(stats.submitted, 9);
+        assert_eq!(stats.served(), 9, "{policy}");
+        assert_eq!(stats.shed + stats.rejected, 0, "{policy}");
+        assert_eq!(stats.deadline_misses, 0, "{policy}");
+        let cache = stats.cache();
+        assert!(
+            cache.hits > 0,
+            "{policy}: repeat models must hit the shard cache"
+        );
+        // Every class saw traffic, and none of it failed, expired or was
+        // abandoned.
+        for class in &stats.classes {
+            assert_eq!(class.served, 3, "{policy}: class {}", class.class);
+            assert_eq!(
+                (class.failed, class.expired, class.abandoned),
+                (0, 0, 0),
+                "{policy}: class {}",
+                class.class
+            );
+        }
     }
 }
 
@@ -255,6 +282,128 @@ fn retried_requests_replay_bit_identically_through_the_chaos_tier() {
             "request {k} did not replay bit-identically after retry"
         );
     }
+}
+
+/// Tickets the chaos driver keeps in flight.
+const CHAOS_IN_FLIGHT: usize = 4;
+
+/// Drives `scenario` through a fresh chaos tier: 96 arrivals in runs of
+/// six per model, across the three classes (a quarter interactive, half
+/// standard, a quarter background), submitted with retry from one thread
+/// through a FIFO window of [`CHAOS_IN_FLIGHT`] tickets. Every arrival must
+/// be admitted and served. Returns the router's accounting and each
+/// replica's injected-fault counts.
+fn chaos_run(scenario: &Scenario) -> (RouterStats, Vec<FaultCounts>) {
+    let (router, shards) = route::chaos_scenario(scenario.clone()).unwrap();
+    let models = router_spec(scenario).models as u64;
+    let mut pending: VecDeque<RouterTicket<'_, ChaosShard>> = VecDeque::new();
+    for k in 0..96u64 {
+        if pending.len() == CHAOS_IN_FLIGHT {
+            let ticket = pending.pop_front().unwrap();
+            ticket.wait().expect("retries absorb every injected fault");
+        }
+        let model = (k / 6) % models;
+        let request = RouterRequest::new(ModelRequest::new(image(k), model).with_seed(k))
+            .with_class([0, 1, 1, 2][k as usize % 4])
+            .with_affinity(model);
+        let ticket = router
+            .submit_with_retry(request)
+            .expect("the chaos tier admits every arrival");
+        pending.push_back(ticket);
+    }
+    for ticket in pending {
+        ticket.wait().expect("retries absorb every injected fault");
+    }
+    let stats = router.drain().unwrap();
+    (stats, shards.iter().map(|shard| shard.counts()).collect())
+}
+
+#[test]
+fn chaos_tier_heals_every_injected_fault_and_replays_its_counts() {
+    let scenario = Scenario::from_path(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/scenarios/chaos_resnet18.toml"
+    ))
+    .expect("committed chaos scenario loads");
+    let fault_replica = scenario.faults.as_ref().unwrap().replica;
+    let slo_p99_ms = router_spec(&scenario).slo_p99_ms;
+
+    let (stats, faults) = chaos_run(&scenario);
+    assert_eq!(stats.served(), 96);
+    assert_eq!((stats.shed, stats.rejected), (0, 0));
+    for class in &stats.classes {
+        assert_eq!(class.failed, 0, "class {}", class.class);
+    }
+    assert_eq!(
+        stats.submitted,
+        stats.admitted + stats.shed + stats.rejected
+    );
+
+    // Every window of the committed plan fires, each as often as its
+    // sequence range allows: a window that stops firing fails here.
+    assert_eq!(
+        faults[fault_replica],
+        FaultCounts {
+            spikes: 3,
+            stalls: 0,
+            panics: 1,
+            errors: 6,
+            corruptions: 2,
+            drifts: 0,
+        },
+        "the fault plan's windows did not fire as scheduled"
+    );
+    assert!(
+        stats.integrity_rejects >= 1,
+        "injected corruption was served past the integrity screen"
+    );
+    assert!(
+        stats.retries >= 1,
+        "no retries under an injected-fault plan"
+    );
+    assert!(
+        stats.quarantined >= 1,
+        "the flapping replica was never quarantined"
+    );
+    assert!(
+        stats.breaker_transitions >= 3,
+        "closed -> open -> half-open -> closed never completed ({} transitions)",
+        stats.breaker_transitions
+    );
+    assert_eq!(
+        stats.replicas[fault_replica].health.state, "closed",
+        "the fault replica was never re-admitted"
+    );
+    // The SLO is a wall-clock reading: held in release builds (CI runs this
+    // test there too), where a request takes about 1 ms, not in debug ones,
+    // where one VM stall could set the 24-sample p99 on its own.
+    if !cfg!(debug_assertions) {
+        let highest = &stats.classes[0];
+        assert!(
+            highest.latency.p99_ms <= slo_p99_ms,
+            "highest-class p99 {:.3} ms exceeds the {slo_p99_ms} ms SLO under faults",
+            highest.latency.p99_ms
+        );
+    }
+
+    // The fault plan keys on each replica's request sequence numbers and
+    // the breaker on counts, never on the clock: a second fresh tier
+    // replays every deterministic-event count.
+    let counts = |stats: &RouterStats| {
+        [
+            stats.retries,
+            stats.breaker_transitions,
+            stats.quarantined,
+            stats.integrity_rejects,
+        ]
+    };
+    let (replay, replay_faults) = chaos_run(&scenario);
+    assert_eq!(replay_faults, faults, "injected faults diverged on replay");
+    assert_eq!(
+        counts(&replay),
+        counts(&stats),
+        "retries / transitions / quarantines / integrity rejects diverged on replay"
+    );
 }
 
 #[test]

@@ -1,12 +1,13 @@
 //! Integration tests of the observability layer at the facade level:
 //! span-ring drop accounting, cross-thread span nesting, bit-identity of results
-//! with telemetry enabled, and a routed serving run that must yield one
-//! validated Chrome-trace span tree per admitted request.
+//! with telemetry enabled, and plain and routed serving runs that must yield
+//! one validated Chrome-trace span tree per request.
 
 use std::time::{Duration, Instant};
 
 use photofourier::prelude::*;
 use photofourier::route::{self, ModelRequest};
+use photofourier::serve;
 use photofourier::telemetry::{thread_track, validate_chrome_trace};
 
 fn bits_equal(a: &[f64], b: &[f64]) -> bool {
@@ -121,6 +122,68 @@ fn results_are_bit_identical_with_telemetry_enabled() {
         assert!(totals.total_ns() > 0, "{kind:?}: no stage time attributed");
         assert_eq!(plain.telemetry().stage_totals().total_ns(), 0);
     }
+}
+
+#[test]
+fn served_requests_yield_one_validated_span_tree_each() {
+    let scenario = Scenario::from_path(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/scenarios/serving_resnet18.toml"
+    ))
+    .expect("committed serving scenario loads");
+    let config = ServeConfig::from_spec(scenario.serving.as_ref().unwrap());
+    let session = Session::builder()
+        .scenario(scenario)
+        .telemetry(Telemetry::enabled())
+        .build()
+        .unwrap();
+    let tel = session.telemetry().clone();
+    let server = serve::serve_session(session, config).unwrap();
+
+    let submitted = 6u64;
+    let tickets: Vec<_> = (0..submitted)
+        .map(|k| {
+            let image = pf_nn::Tensor::random(vec![1, 16, 16], 0.0, 1.0, 800 + k);
+            server.submit(image).expect("uncontended submit admits")
+        })
+        .collect();
+    for ticket in tickets {
+        ticket.wait().expect("request served");
+    }
+    let stats = server.shutdown().unwrap();
+    assert_eq!(stats.served, submitted);
+    assert_eq!(
+        tel.dropped_spans(),
+        0,
+        "six requests must not overflow the ring"
+    );
+
+    let spans = tel.spans();
+    let find = |name: &str| -> Vec<_> { spans.iter().filter(|s| s.name == name).collect() };
+    let requests = find("request");
+    assert_eq!(
+        requests.len() as u64,
+        submitted,
+        "one request root per request"
+    );
+    for request in &requests {
+        assert_eq!(request.parent, 0, "an unrouted request is a root");
+        assert_ne!(request.req, 0, "request id minted at admission");
+        for phase in ["queue", "exec"] {
+            assert!(
+                spans
+                    .iter()
+                    .any(|s| s.name == phase && s.parent == request.id && s.req == request.req),
+                "request {} missing its {phase} span",
+                request.req
+            );
+        }
+    }
+    assert!(!find("batch").is_empty());
+    assert!(!find("infer").is_empty());
+
+    let stats = validate_chrome_trace(&tel.chrome_trace_json()).expect("served trace validates");
+    assert!(stats.pairs as u64 >= submitted * 3);
 }
 
 #[test]
