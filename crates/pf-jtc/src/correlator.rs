@@ -41,6 +41,7 @@
 use pf_dsp::complex::Complex;
 use pf_dsp::fft::{fft, fftshift};
 use pf_dsp::util::{next_fast_len, next_pow2};
+use pf_photonics::adc::peak_magnitude;
 use serde::{Deserialize, Serialize};
 
 use crate::error::JtcError;
@@ -107,7 +108,7 @@ impl JtcOutput {
     /// demonstrates.
     pub fn terms_are_separated(&self, threshold: f64) -> bool {
         let n = self.field.len();
-        let peak = self.field.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+        let peak = peak_magnitude(&self.field);
         if peak == 0.0 {
             return true;
         }
@@ -120,13 +121,13 @@ impl JtcOutput {
             return false;
         }
         let guard = &self.field[central_halfwidth + 1..lobe_start - 1];
-        let guard_max = guard.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+        let guard_max = peak_magnitude(guard);
         // Symmetric guard on the conjugate side.
         let conj_center = n - self.correlation_center;
         let conj_end = conj_center + (self.signal_len - 1).min(n - conj_center - 1);
         let guard2 =
             &self.field[(conj_end + 1).min(n - 1)..(n - central_halfwidth - 1).max(conj_end + 1)];
-        let guard2_max = guard2.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+        let guard2_max = peak_magnitude(guard2);
         guard_max.max(guard2_max) <= threshold * peak
     }
 }

@@ -92,7 +92,7 @@ use pf_dsp::complex::{Complex, LANES};
 use pf_dsp::plan::RealFftPlan;
 use pf_dsp::scratch::{with_spectrum_scratch, SpectrumScratch};
 use pf_dsp::DspError;
-use pf_photonics::adc::Adc;
+use pf_photonics::adc::{peak_magnitude, Adc};
 use pf_photonics::dac::Dac;
 use pf_photonics::detector::SensingNoise;
 use pf_telemetry::{Stage, StageAcc};
@@ -720,7 +720,7 @@ fn quantize_through_dac<'a>(dac: Option<&Dac>, values: &'a [f64]) -> (Cow<'a, [f
     let Some(dac) = dac else {
         return (Cow::Borrowed(values), 1.0);
     };
-    let max_abs = values.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+    let max_abs = peak_magnitude(values);
     if max_abs == 0.0 {
         return (Cow::Owned(values.to_vec()), 1.0);
     }
@@ -943,7 +943,7 @@ impl PreparedKernel {
         if let Some(adc) = &self.adc {
             // The noise pass scans the samples it writes and hands back
             // their peak; only a noiseless (or silent) tile is scanned here.
-            let peak = peak.unwrap_or_else(|| out.iter().fold(0.0f64, |m, &v| m.max(v.abs())));
+            let peak = peak.unwrap_or_else(|| peak_magnitude(out));
             adc.quantize_in_place(out, peak.max(f64::EPSILON));
         }
     }

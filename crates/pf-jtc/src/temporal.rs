@@ -8,7 +8,7 @@
 //! quantises every cycle, so Figure 7 can be regenerated by comparing the
 //! two.
 
-use pf_photonics::adc::Adc;
+use pf_photonics::adc::{peak_magnitude, Adc};
 pub use pf_photonics::temporal::{accumulate_with_depth, TemporalAccumulator};
 
 /// Baseline behaviour without temporal accumulation: every cycle's partial
@@ -26,12 +26,7 @@ pub fn accumulate_quantized_per_cycle(
     let lanes = cycles[0].len();
     let mut acc = vec![0.0; lanes];
     for cycle in cycles {
-        let fs = full_scale.unwrap_or_else(|| {
-            cycle
-                .iter()
-                .fold(0.0f64, |m, &v| m.max(v.abs()))
-                .max(f64::EPSILON)
-        });
+        let fs = full_scale.unwrap_or_else(|| peak_magnitude(cycle).max(f64::EPSILON));
         for (a, &v) in acc.iter_mut().zip(cycle) {
             *a += adc.quantize(v, fs);
         }

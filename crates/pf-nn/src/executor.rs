@@ -15,7 +15,7 @@
 use std::sync::{Arc, Mutex};
 
 use pf_dsp::conv::{correlate2d, Matrix, PaddingMode};
-use pf_photonics::adc::Adc;
+use pf_photonics::adc::{peak_magnitude, Adc};
 use pf_photonics::temporal::accumulate_with_depth;
 use pf_tiling::{Conv1dEngine, EdgeHandling, KernelSet, TiledConvolver};
 use serde::{Deserialize, Serialize};
@@ -472,8 +472,8 @@ fn check_input(input: &Tensor, layer: &Conv2d) -> Result<(), NnError> {
 fn accumulate_partials(partials: &[&[f64]], depth: usize, adc: Option<&Adc>) -> Vec<f64> {
     let max_partial = partials
         .iter()
-        .flat_map(|p| p.iter())
-        .fold(0.0f64, |m, &v| m.max(v.abs()));
+        .map(|p| peak_magnitude(p))
+        .fold(0.0, f64::max);
     let full_scale =
         (max_partial * pf_photonics::params::TEMPORAL_ACCUMULATION_DEPTH as f64).max(f64::EPSILON);
     accumulate_with_depth(partials, depth, adc, Some(full_scale))

@@ -5,7 +5,7 @@
 //! accuracy experiments quantify what that costs and how temporal
 //! accumulation buys it back.
 
-use pf_photonics::adc::round_half_away;
+use pf_photonics::adc::{peak_magnitude, round_half_away};
 use serde::{Deserialize, Serialize};
 
 use crate::tensor::Tensor;
@@ -67,7 +67,7 @@ pub fn quantize_symmetric(value: f64, max_abs: f64, bits: u32) -> f64 {
 ///
 /// Panics under the same conditions as [`quantize_symmetric`].
 pub fn quantize_slice(values: &[f64], bits: u32) -> Vec<f64> {
-    let max_abs = values.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+    let max_abs = peak_magnitude(values);
     values
         .iter()
         .map(|&v| quantize_symmetric(v, max_abs, bits))

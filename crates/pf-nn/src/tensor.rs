@@ -7,6 +7,7 @@
 //! operations and conversions to/from the `pf_dsp` matrix type.
 
 use pf_dsp::conv::Matrix;
+use pf_photonics::adc::peak_magnitude;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -224,7 +225,7 @@ impl Tensor {
 
     /// Maximum absolute value (zero for an all-zero tensor).
     pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
+        peak_magnitude(&self.data)
     }
 
     /// Flattens to a 1D vector (clones the data).

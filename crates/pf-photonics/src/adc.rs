@@ -54,6 +54,38 @@ pub fn round_half_away(q: f64) -> f64 {
     f64::from_bits(integral.to_bits() | sign)
 }
 
+/// The largest magnitude in `values`, `0.0` for an empty slice: the full
+/// scale a converter auto-ranges to, and the scale every quantiser behind
+/// one normalises by.
+///
+/// `values.iter().fold(0.0, |m, v| m.max(v.abs()))` for every input — a NaN
+/// sample is skipped, ±0 read `0.0`, ±∞ read `+∞` — but without the fold's
+/// one serial chain: eight running maxima, each a compare-select
+/// (`if |v| > m { m = |v| }`, which `maxpd` computes), merged at the end.
+/// Magnitudes carry no sign and a NaN never wins a comparison, so the order
+/// of the merge cannot change the value.
+#[inline]
+pub fn peak_magnitude(values: &[f64]) -> f64 {
+    const LANES: usize = 8;
+    let max = |m: f64, v: f64| {
+        let magnitude = v.abs();
+        if magnitude > m {
+            magnitude
+        } else {
+            m
+        }
+    };
+    let mut lanes = [0.0f64; LANES];
+    let mut blocks = values.chunks_exact(LANES);
+    for block in &mut blocks {
+        for (m, &v) in lanes.iter_mut().zip(block) {
+            *m = max(*m, v);
+        }
+    }
+    let peak = blocks.remainder().iter().fold(0.0, |m, &v| max(m, v));
+    lanes.into_iter().fold(peak, max)
+}
+
 /// An idealised successive-approximation ADC with uniform quantisation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Adc {
@@ -357,6 +389,53 @@ mod tests {
     #[should_panic(expected = "full_scale must be positive")]
     fn quantize_rejects_bad_full_scale() {
         adc8().quantize(0.0, 0.0);
+    }
+
+    /// The serial fold every peak scan was before [`peak_magnitude`].
+    fn peak_oracle(values: &[f64]) -> f64 {
+        values.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
+    }
+
+    #[test]
+    fn peak_magnitude_is_the_serial_fold() {
+        let specials = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 3.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -1e300,
+            0.75,
+        ];
+        let base = |len: usize| -> Vec<f64> {
+            (0..len)
+                .map(|i| ((i as f64) * 0.73).sin() * (1.0 + i as f64))
+                .collect()
+        };
+        for len in (0..=9).chain([1000]) {
+            let mut cases = vec![base(len)];
+            // A NaN in every position — so in every lane and in the tail —
+            // alone and beside every special value, at the start of the
+            // slice and at its end.
+            for at in 0..len {
+                let mut with_nan = base(len);
+                with_nan[at] = f64::NAN;
+                cases.push(with_nan.clone());
+                for &special in &specials {
+                    let mut both = with_nan.clone();
+                    both[(at + 1) % len] = special;
+                    both[len - 1 - at] = -special;
+                    cases.push(both);
+                }
+            }
+            cases.extend(specials.iter().map(|&s| vec![s; len]));
+            cases.push(vec![f64::NAN; len]);
+            for values in &cases {
+                let (got, want) = (peak_magnitude(values), peak_oracle(values));
+                assert_eq!(got.to_bits(), want.to_bits(), "{values:?}");
+            }
+        }
     }
 
     #[test]

@@ -25,6 +25,7 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use crate::adc::peak_magnitude;
 use crate::error::PhotonicsError;
 
 /// Configuration of a photodetector.
@@ -350,10 +351,10 @@ impl SensingNoise {
     /// split anywhere draws the values the whole block draws. `sigma == 0`
     /// consumes nothing.
     pub fn add_scaled(&mut self, out: &mut [f64], scale: f64) -> f64 {
-        let mut peak = 0.0f64;
         if self.sigma == 0.0 {
-            return out.iter().fold(peak, |m, v| m.max(v.abs()));
+            return peak_magnitude(out);
         }
+        let mut peak = 0.0f64;
         let sigma = self.sigma * scale;
         for v in out {
             *v += standard_normal(&mut self.rng) * sigma;

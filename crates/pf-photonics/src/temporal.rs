@@ -13,7 +13,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::adc::Adc;
+use crate::adc::{peak_magnitude, Adc};
 use crate::error::PhotonicsError;
 
 /// Analog partial-sum accumulator sitting behind a bank of photodetectors.
@@ -106,25 +106,36 @@ impl TemporalAccumulator {
     /// group's own maximum (an idealisation useful for sensitivity
     /// studies).
     pub fn read_out(&mut self, adc: Option<&Adc>, full_scale: Option<f64>) -> Vec<f64> {
-        let lanes = self.accumulated.len();
-        let mut out = std::mem::replace(&mut self.accumulated, vec![0.0; lanes]);
-        self.cycles = 0;
-        if let Some(adc) = adc {
-            let fs = full_scale.unwrap_or_else(|| {
-                out.iter()
-                    .fold(0.0f64, |m, &v| m.max(v.abs()))
-                    .max(f64::EPSILON)
-            });
-            adc.quantize_in_place(&mut out, fs);
-        }
+        // `0.0 + x` is `x` for every `x` but `-0.0`, which neither the bank
+        // (a sum onto `0.0`) nor the converter (`code · step − fs`) holds.
+        let mut out = vec![0.0; self.accumulated.len()];
+        self.read_out_into(&mut out, adc, full_scale);
         out
+    }
+
+    /// The one read-out body: converts the bank in place, adds the group's
+    /// read-out into the running digital sum `digital` and resets the
+    /// capacitors. Nothing is allocated.
+    fn read_out_into(&mut self, digital: &mut [f64], adc: Option<&Adc>, full_scale: Option<f64>) {
+        if let Some(adc) = adc {
+            let fs =
+                full_scale.unwrap_or_else(|| peak_magnitude(&self.accumulated).max(f64::EPSILON));
+            adc.quantize_in_place(&mut self.accumulated, fs);
+        }
+        for (d, bank) in digital.iter_mut().zip(&mut self.accumulated) {
+            *d += *bank;
+            *bank = 0.0;
+        }
+        self.cycles = 0;
     }
 }
 
 /// Accumulates `cycles` through a [`TemporalAccumulator`] of the given depth,
 /// reading out (and digitally summing the read-outs) whenever the capacitor
 /// bank fills up — the two-level accumulation scheme of Section V-F. `adc`
-/// and `full_scale` are those of [`TemporalAccumulator::read_out`].
+/// and `full_scale` are those of [`TemporalAccumulator::read_out`]. One bank
+/// serves every group and each group is read out in place into the running
+/// sum: the returned sum is the call's only other allocation.
 ///
 /// # Errors
 ///
@@ -144,12 +155,7 @@ pub fn accumulate_with_depth<C: AsRef<[f64]>>(
     for (i, cycle) in cycles.iter().enumerate() {
         accumulator.accumulate(cycle.as_ref())?;
         if accumulator.is_full() || i + 1 == cycles.len() {
-            for (d, v) in digital
-                .iter_mut()
-                .zip(accumulator.read_out(adc, full_scale))
-            {
-                *d += v;
-            }
+            accumulator.read_out_into(&mut digital, adc, full_scale);
         }
     }
     Ok(digital)

@@ -1,6 +1,6 @@
 //! Property-based tests for the mixed-signal component models.
 
-use pf_photonics::adc::Adc;
+use pf_photonics::adc::{peak_magnitude, Adc};
 use pf_photonics::dac::Dac;
 use pf_photonics::detector::{DetectorConfig, Photodetector, SensingNoise};
 use pf_photonics::mrr::Mrr;
@@ -74,6 +74,29 @@ proptest! {
         let out = mrr.modulate(carrier, drive);
         prop_assert!(out >= 0.0);
         prop_assert!(out <= carrier + 1e-12);
+    }
+
+    #[test]
+    fn peak_magnitude_is_the_serial_fold(
+        values in prop::collection::vec(
+            (0u8..6, 0u64..=u64::MAX).prop_map(|(class, bits)| {
+                let (sign, mantissa) = (bits & (1 << 63), bits & ((1 << 52) - 1));
+                match class {
+                    // Any bit pattern at all.
+                    0 => f64::from_bits(bits),
+                    // A NaN with a random payload, then ±∞, subnormals, ±0.
+                    1 => f64::from_bits(sign | 0x7ff0_0000_0000_0000 | mantissa.max(1)),
+                    2 => f64::from_bits(sign | 0x7ff0_0000_0000_0000),
+                    3 => f64::from_bits(sign | mantissa),
+                    4 => f64::from_bits(sign),
+                    _ => (bits % 2001) as f64 / 1000.0 - 1.0,
+                }
+            }),
+            0..40,
+        ),
+    ) {
+        let fold = values.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+        prop_assert_eq!(peak_magnitude(&values).to_bits(), fold.to_bits());
     }
 
     #[test]

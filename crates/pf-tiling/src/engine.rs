@@ -360,7 +360,11 @@ impl PreparedConv1d for SparseKernel {
             return Vec::new();
         }
         let len = signal.len() - self.kernel_len + 1;
-        let mut out = vec![0.0; len];
+        // Allocated, then zeroed: `vec![0.0; len]` takes zeroed memory from
+        // `calloc`, which bypasses the per-thread cache results are freed
+        // into, and measured slower.
+        let mut out = Vec::with_capacity(len);
+        out.resize(len, 0.0);
         for &(offset, tap) in &self.taps {
             for (acc, s) in out.iter_mut().zip(&signal[offset..offset + len]) {
                 *acc += s * tap;

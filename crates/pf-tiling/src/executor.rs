@@ -41,12 +41,15 @@
 //!    ([`Conv1dEngine::bind_prepared`] — one store, and one set, can serve
 //!    several engines of one configuration through [`TiledConvolver::on`]),
 //!    cuts the signals, calls the engine and hands every output sample to
-//!    the caller's sink, a row segment at a time. It runs exactly one of
-//!    three strategy bodies — row tiling, partial row tiling, row
-//!    partitioning — the three genuinely different algorithms of
-//!    Section III. Output samples whose window hangs over the edge of a
-//!    tile (only possible at a non-zero column offset) are recomputed with
-//!    a direct dot product.
+//!    the caller's sink in maximal row-major runs: a tile of row tiling
+//!    whose rows are as long as the output's (`Wraparound` `same` layers)
+//!    leaves in one run per kernel, anything else one run per row. It runs
+//!    exactly one of three strategy bodies — row tiling, partial row
+//!    tiling, row partitioning — the three genuinely different algorithms
+//!    of Section III. Output samples whose window hangs over the edge of a
+//!    tile (only possible at a non-zero column offset) are recomputed by
+//!    one border body shared by all three: a direct dot product per
+//!    position, every kernel of the set at once, kernel index innermost.
 //!
 //! The `correlate2d_*` entry points are step 1 then step 2 into fresh output
 //! planes. A caller that meets the same kernels again (a CNN layer, image
@@ -260,14 +263,109 @@ enum Layout {
     RowPartitioning(Vec<(usize, usize)>),
 }
 
+/// Kernels in a lane block of the border body ([`Taps::window`]): eight
+/// running sums per pass, two for the row, held in registers.
+const BORDER_LANES: usize = 8;
+
+/// A set's 2D kernels as the border body reads them: **tap-major**, the
+/// samples every kernel of the set has at one `(row, col)` side by side,
+/// kernel index innermost, the set padded with zero kernels to whole lane
+/// blocks of [`BORDER_LANES`].
+#[derive(Debug)]
+struct Taps {
+    /// Kernels in the set (the padding not counted).
+    count: usize,
+    /// `(rows, cols)` of every kernel.
+    shape: (usize, usize),
+    /// Tap `(dr, dc)` of kernel `k` at `(dr * cols + dc) * padded + k`,
+    /// `padded` being `count` rounded up to whole lane blocks.
+    values: Vec<f64>,
+}
+
+impl Taps {
+    /// Transposes `kernels` (one shape, at least one) tap-major.
+    fn new(kernels: &[Matrix]) -> Self {
+        let shape = (kernels[0].rows(), kernels[0].cols());
+        let padded = kernels.len().next_multiple_of(BORDER_LANES);
+        let mut values = vec![0.0; shape.0 * shape.1 * padded];
+        for (k, kernel) in kernels.iter().enumerate() {
+            for (tap, &v) in kernel.data().iter().enumerate() {
+                values[tap * padded + k] = v;
+            }
+        }
+        Self {
+            count: kernels.len(),
+            shape,
+            values,
+        }
+    }
+
+    /// The border body: the direct dot product of kernel rows `rows` of
+    /// every kernel with the window of `plane` whose top-left corner is at
+    /// `(top, left)` (`top` addresses kernel row 0), handed to `sample(k,
+    /// value)` in kernel order.
+    ///
+    /// Taps that fall outside the plane are skipped, not multiplied by zero
+    /// (a zero times an infinite sample would be a NaN). Every kernel's
+    /// terms are added exactly as the scalar sum adds them — a row's
+    /// products in column order onto `0.0`, the row sums in row order onto
+    /// `0.0` — so a lane block computes, kernel for kernel, the scalar
+    /// result bit for bit; the block only runs eight such sums side by
+    /// side.
+    fn window(
+        &self,
+        plane: &Matrix,
+        rows: Range<usize>,
+        top: isize,
+        left: isize,
+        mut sample: impl FnMut(usize, f64),
+    ) {
+        let cols = self.shape.1;
+        let padded = self.values.len() / (self.shape.0 * cols);
+        let live_rows = on_plane(rows, top, plane.rows());
+        let live_cols = on_plane(0..cols, left, plane.cols());
+        for block in (0..self.count).step_by(BORDER_LANES) {
+            let mut sums = [0.0f64; BORDER_LANES];
+            for dr in live_rows.clone() {
+                let row = plane.row((top + dr as isize) as usize);
+                let mut row_sums = [0.0f64; BORDER_LANES];
+                for dc in live_cols.clone() {
+                    let x = row[(left + dc as isize) as usize];
+                    let at = (dr * cols + dc) * padded + block;
+                    let taps: &[f64; BORDER_LANES] = self.values[at..at + BORDER_LANES]
+                        .try_into()
+                        .expect("whole lane blocks");
+                    for (s, &t) in row_sums.iter_mut().zip(taps) {
+                        *s += x * t;
+                    }
+                }
+                for (s, r) in sums.iter_mut().zip(row_sums) {
+                    *s += r;
+                }
+            }
+            for (l, s) in sums.into_iter().enumerate().take(self.count - block) {
+                sample(block + l, s);
+            }
+        }
+    }
+}
+
+/// The part of `span` whose offsets land on a plane axis of `len` samples
+/// when offset `i` sits at `at + i`.
+fn on_plane(span: Range<usize>, at: isize, len: usize) -> Range<usize> {
+    let lo = (-at).max(span.start as isize);
+    let hi = (len as isize - at).min(span.end as isize);
+    lo as usize..hi.max(lo) as usize
+}
+
 /// Kernels of one shape lowered for inputs of one shape: everything a 2D
 /// convolution does that does not depend on the input
 /// ([`TiledConvolver::prepare_set`]), kept so that it is done once however
 /// many inputs stream past ([`TiledConvolver::correlate2d_set`]).
 #[derive(Debug)]
 pub struct KernelSet {
-    /// The 2D kernels: border samples and row partitioning read them.
-    kernels: Vec<Matrix>,
+    /// The 2D kernels, tap-major: the border body reads them.
+    taps: Taps,
     /// `(rows, cols)` of the inputs this set runs against.
     input_shape: (usize, usize),
     output_shape: (usize, usize),
@@ -532,13 +630,16 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         }
         let set = self.prepare_set(kernels, input.rows(), input.cols(), edges)?;
         let (rows, cols) = set.output_shape();
-        let mut outs: Vec<Matrix> = (0..kernels.len())
-            .map(|_| Matrix::zeros(rows, cols))
-            .collect();
+        let mut planes: Vec<Vec<f64>> =
+            (0..kernels.len()).map(|_| vec![0.0; rows * cols]).collect();
         self.correlate2d_set(&set, input, |k, r, c, samples| {
-            outs[k].row_mut(r)[c..c + samples.len()].copy_from_slice(samples);
+            let at = r * cols + c;
+            planes[k][at..at + samples.len()].copy_from_slice(samples);
         })?;
-        Ok(outs)
+        Ok(planes
+            .into_iter()
+            .map(|plane| Matrix::new(rows, cols, plane).expect("one sample per output element"))
+            .collect())
     }
 
     /// Lowers `kernels` (one shape) for inputs of `plane_rows × plane_cols`:
@@ -637,7 +738,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
             self.counters.kernel_prepares.add(prepares as u64);
         }
         Ok(KernelSet {
-            kernels: kernels.to_vec(),
+            taps: Taps::new(kernels),
             input_shape: (plane_rows, plane_cols),
             output_shape,
             row_off,
@@ -657,12 +758,14 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
     /// `tiling.*` counters.
     ///
     /// Output goes to `emit(k, row, col, samples)`: `samples` are
-    /// consecutive elements of kernel `k`'s output plane
-    /// ([`KernelSet::output_shape`]), starting at `(row, col)` and staying
-    /// within that row. Every element of every plane is emitted exactly
-    /// once, and the emissions covering one `(row, col)` arrive in kernel
-    /// order — a sink may combine a later kernel's sample with an earlier
-    /// kernel's in place.
+    /// consecutive row-major elements of kernel `k`'s output plane
+    /// ([`KernelSet::output_shape`]), starting at `(row, col)` — a run may
+    /// carry on into the rows below, never past the plane's last element,
+    /// so a sink writes it through the flat plane at `row * cols + col`.
+    /// Every element of every plane is emitted exactly once, and the
+    /// emissions covering one `(row, col)` arrive in kernel order — a sink
+    /// may combine a later kernel's sample with an earlier kernel's in
+    /// place.
     ///
     /// # Errors
     ///
@@ -922,7 +1025,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
             let mut hits = 0;
             let mut accs = Vec::with_capacity(rows.len());
             for out_r in rows {
-                let mut acc = vec![vec![0.0; out_cols]; set.kernels.len()];
+                let mut acc = vec![vec![0.0; out_cols]; set.taps.count];
                 row(out_r, &mut acc, &mut |run, len, key| {
                     let class = signals.iter().find(|class| class.len == len);
                     let class = class.expect("every length a row reads was cut");
@@ -995,45 +1098,56 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         run: &Run<'_>,
         emit: &mut impl FnMut(usize, usize, usize, &[f64]),
     ) -> Tally {
-        let (plan, kernels) = (&set.plan, &set.kernels);
+        let (plan, taps) = (&set.plan, &set.taps);
         let (row_off, col_off) = (set.row_off, set.col_off);
         let si = plane.cols();
         let n_or = plan.valid_output_rows_per_conv;
         let tile_len = plan.rows_per_tile * si;
+        let corr_len = tile_len + 1 - plan.tiled_kernel_len();
 
         let (out_rows, out_cols) = set.output_shape;
         // Tile `i` completes output rows `i * n_or ..`.
         let tiles = out_rows.div_ceil(n_or);
         // Output column `c` of the tile's `rr`-th output row reads
-        // `corr[rr * si + c - col_off]`. The covered column range is
-        // computed once per row and emitted as a slice; at zero offset it
-        // is the whole row.
+        // `corr[rr * si + c - col_off]`. Where the plane rows are as long
+        // as the output rows (`si == out_cols`: `Wraparound` `same`,
+        // one-column kernels) consecutive output rows read consecutive
+        // samples, so the tile's rows are one line of `rows * out_cols`
+        // elements and its result leaves in one run; otherwise every row is
+        // a line of its own. A line's covered range is emitted as one slice
+        // per kernel.
         let mut write = |r0: usize, per_kernel: &[Vec<f64>]| {
-            for (k, (corr, kernel)) in per_kernel.iter().zip(kernels).enumerate() {
-                for rr in 0..n_or.min(out_rows - r0) {
-                    let (out_r, base) = (r0 + rr, rr * si);
-                    let covered = covered_columns(base, col_off, corr.len(), out_cols);
-                    if !covered.is_empty() {
-                        let src = base + covered.start - col_off;
-                        emit(k, out_r, covered.start, &corr[src..src + covered.len()]);
+            let rows = n_or.min(out_rows - r0);
+            let (lines, width) = if si == out_cols {
+                (1, rows * out_cols)
+            } else {
+                (rows, out_cols)
+            };
+            for line in 0..lines {
+                let base = line * si;
+                let covered = covered_columns(base, col_off, corr_len, width);
+                if !covered.is_empty() {
+                    let src = base + covered.start - col_off;
+                    for (k, corr) in per_kernel.iter().enumerate() {
+                        emit(k, r0 + line, covered.start, &corr[src..][..covered.len()]);
                     }
-                    // The window starts before this tile (left border of
-                    // the tile's first output row) or runs past its end
-                    // (right border of its last output row). In hardware
-                    // these samples come from the neighbouring tile's
-                    // output; reproduce them exactly with a direct dot
-                    // product so the only approximation left is the
-                    // genuine wraparound edge effect.
-                    for c in (0..covered.start).chain(covered.end..out_cols) {
-                        let sample = window_dot(
-                            plane,
-                            kernel,
-                            0..kernel.rows(),
-                            out_r as isize - row_off as isize,
-                            c as isize - col_off as isize,
-                        );
+                }
+                // The window starts before this tile (left border of the
+                // tile's first output row) or runs past its end (right
+                // border of its last output row). In hardware these samples
+                // come from the neighbouring tile's output; reproduce them
+                // exactly with a direct dot product so the only
+                // approximation left is the genuine wraparound edge effect.
+                for at in (0..covered.start).chain(covered.end..width) {
+                    let flat = line * width + at;
+                    let (out_r, c) = (r0 + flat / out_cols, flat % out_cols);
+                    let (top, left) = (
+                        out_r as isize - row_off as isize,
+                        c as isize - col_off as isize,
+                    );
+                    taps.window(plane, 0..taps.shape.0, top, left, |k, sample| {
                         emit(k, out_r, c, &[sample]);
-                    }
+                    });
                 }
             }
         };
@@ -1072,7 +1186,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         }
         let misses: usize = corrs.iter().map(|&(_, taken)| taken).sum();
         let hits = misses * run.sharing().len();
-        [tiles, tiles * kernels.len(), hits, misses]
+        [tiles, tiles * taps.count, hits, misses]
     }
 
     /// Partial row tiling (Section III-B): one output row at a time;
@@ -1088,8 +1202,11 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         emit: &mut impl FnMut(usize, usize, usize, &[f64]),
     ) -> Tally {
         let (row_off, col_off) = (set.row_off, set.col_off);
-        let (kernels, si) = (&set.kernels, plane.cols());
+        let (taps, si) = (&set.taps, plane.cols());
         let (out_rows, out_cols) = set.output_shape;
+        // Every group's 1D result has `si - kc + 1` samples; the columns
+        // outside their range are border samples.
+        let covered = covered_columns(0, col_off, si + 1 - taps.shape.1, out_cols);
         // Output row `r` reads, for group `(k_start, count)`, the window of
         // `count` plane rows from `r - row_off + k_start`.
         let reads = groups.iter().flat_map(|&(k_start, count)| {
@@ -1101,21 +1218,20 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
                 let top = out_r as isize - row_off as isize;
                 for (&(k_start, count), run) in groups.iter().zip(runs) {
                     let per_kernel = apply(run, count * si, top + k_start as isize);
-                    for ((acc_k, corr), kernel) in acc.iter_mut().zip(&per_kernel).zip(kernels) {
-                        let covered = covered_columns(0, col_off, corr.len(), out_cols);
+                    for (acc_k, corr) in acc.iter_mut().zip(&per_kernel) {
                         for c in covered.clone() {
                             acc_k[c] += corr[c - col_off];
                         }
-                        for c in (0..covered.start).chain(covered.end..out_cols) {
-                            let left = c as isize - col_off as isize;
-                            acc_k[c] +=
-                                window_dot(plane, kernel, k_start..k_start + count, top, left);
-                        }
+                    }
+                    for c in (0..covered.start).chain(covered.end..out_cols) {
+                        let (rows, left) =
+                            (k_start..k_start + count, c as isize - col_off as isize);
+                        taps.window(plane, rows, top, left, |k, sample| acc[k][c] += sample);
                     }
                 }
             });
         let n = out_rows * groups.len();
-        [n, n * kernels.len(), hits, misses]
+        [n, n * taps.count, hits, misses]
     }
 
     /// Row partitioning (Section III-C): overlap-save over columns — each
@@ -1133,9 +1249,9 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         emit: &mut impl FnMut(usize, usize, usize, &[f64]),
     ) -> Tally {
         let (row_off, col_off) = (set.row_off, set.col_off);
-        let kernels = &set.kernels;
-        let kernel_rows = kernels[0].rows();
-        let corr_len = plane.cols() - kernels[0].cols() + 1;
+        let taps = &set.taps;
+        let (kernel_rows, kernel_cols) = taps.shape;
+        let corr_len = plane.cols() - kernel_cols + 1;
         let (out_rows, out_cols) = set.output_shape;
         // The (kernel row, plane row) pairs of one output row: border rows
         // of an offset frame skip kernel rows hanging outside the plane.
@@ -1169,19 +1285,21 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
                             }
                         }
                     }
-                    // Columns whose window hangs over either end of the row.
-                    let row = plane.row(r);
-                    for (acc_k, kernel) in acc.iter_mut().zip(kernels) {
-                        for c in (0..covered.start).chain(covered.end..out_cols) {
-                            acc_k[c] +=
-                                row_window_dot(row, kernel.row(dr), c as isize - col_off as isize);
-                        }
-                    }
+                }
+                // Columns whose window hangs over either end of the row:
+                // no partition writes them, so the window over every kernel
+                // row is their whole sum.
+                let top = out_r as isize - row_off as isize;
+                for c in (0..covered.start).chain(covered.end..out_cols) {
+                    let left = c as isize - col_off as isize;
+                    taps.window(plane, 0..kernel_rows, top, left, |k, sample| {
+                        acc[k][c] = sample;
+                    });
                 }
             });
         // Count only convolutions that actually run.
         let live = (0..out_rows).flat_map(live_rows).count();
-        [0, live * parts.len() * kernels.len(), hits, misses]
+        [0, live * parts.len() * taps.count, hits, misses]
     }
 }
 
@@ -1244,40 +1362,6 @@ fn pad_columns(input: &Matrix, left: usize, right: usize) -> Matrix {
         out.row_mut(r)[left..left + input.cols()].copy_from_slice(input.row(r));
     }
     out
-}
-
-/// Direct dot product of kernel rows `kernel_rows` with the window whose
-/// top-left corner is at (`top_row`, `left_col`) of `plane` (`top_row`
-/// addresses kernel row 0), out-of-range elements reading as the row-major
-/// "flat" continuation (the wraparound semantics of the tiled 1D view) when
-/// inside the matrix, or zero when outside it entirely.
-fn window_dot(
-    plane: &Matrix,
-    kernel: &Matrix,
-    kernel_rows: Range<usize>,
-    top_row: isize,
-    left_col: isize,
-) -> f64 {
-    let mut acc = 0.0;
-    for dr in kernel_rows {
-        let r = top_row + dr as isize;
-        if r < 0 || r >= plane.rows() as isize {
-            continue;
-        }
-        acc += row_window_dot(plane.row(r as usize), kernel.row(dr), left_col);
-    }
-    acc
-}
-
-fn row_window_dot(row: &[f64], krow: &[f64], left_col: isize) -> f64 {
-    let mut acc = 0.0;
-    for (dc, &k) in krow.iter().enumerate() {
-        let c = left_col + dc as isize;
-        if c >= 0 && (c as usize) < row.len() {
-            acc += row[c as usize] * k;
-        }
-    }
-    acc
 }
 
 #[cfg(test)]
@@ -1651,6 +1735,196 @@ mod tests {
             c.correlate2d_same_multi(&input, &kernels, EdgeHandling::Wraparound),
             Err(TilingError::MismatchedKernels { .. })
         ));
+    }
+
+    /// The scalar window sum the border body replaced, kept as its oracle:
+    /// kernel rows `kernel_rows` of `kernel` against the window of `plane`
+    /// whose top-left corner is `(top_row, left_col)`, taps outside the
+    /// plane skipped.
+    fn window_dot(
+        plane: &Matrix,
+        kernel: &Matrix,
+        kernel_rows: Range<usize>,
+        top_row: isize,
+        left_col: isize,
+    ) -> f64 {
+        let mut acc = 0.0;
+        for dr in kernel_rows {
+            let r = top_row + dr as isize;
+            if r < 0 || r >= plane.rows() as isize {
+                continue;
+            }
+            acc += row_window_dot(plane.row(r as usize), kernel.row(dr), left_col);
+        }
+        acc
+    }
+
+    fn row_window_dot(row: &[f64], krow: &[f64], left_col: isize) -> f64 {
+        let mut acc = 0.0;
+        for (dc, &k) in krow.iter().enumerate() {
+            let c = left_col + dc as isize;
+            if c >= 0 && (c as usize) < row.len() {
+                acc += row[c as usize] * k;
+            }
+        }
+        acc
+    }
+
+    /// A `rows × cols` matrix of `scale`-sized samples with the values a
+    /// re-associated or zero-multiplying sum would get wrong mixed in:
+    /// signed zeros, subnormals, 1e300-scale samples, NaN and ±∞.
+    fn extreme_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let smooth = random_matrix(rows, cols, seed);
+        let data = (smooth.data().iter().enumerate())
+            .map(|(i, &v)| match (i as u64 + seed) % 13 {
+                0 => -0.0,
+                1 => 0.0,
+                2 => f64::MIN_POSITIVE / 8.0 * (i as f64 + 1.0),
+                3 => -f64::MIN_POSITIVE / 3.0,
+                4 => 1e300 * v,
+                5 if i % 3 == 0 => f64::NAN,
+                6 if i % 5 == 0 => f64::INFINITY,
+                7 if i % 7 == 0 => f64::NEG_INFINITY,
+                _ => v,
+            })
+            .collect();
+        Matrix::new(rows, cols, data).unwrap()
+    }
+
+    /// Bit equality, a NaN standing for any NaN: Rust leaves the payload of
+    /// an arithmetic NaN unspecified.
+    fn same_bits(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    #[test]
+    fn the_border_body_is_the_scalar_window_sum_bit_for_bit() {
+        // Every strategy under both same-mode edge handlings, and every
+        // output position of the set — every border position among them —
+        // with the kernel rows that strategy sums there: all of them under
+        // row tiling and row partitioning, each group's under partial row
+        // tiling. Set sizes straddle the lane block (8) and its multiples.
+        let strategies = [
+            (TilingVariant::RowTiling, 256),
+            (TilingVariant::PartialRowTiling, 15),
+            (TilingVariant::RowPartitioning, 7),
+        ];
+        for &count in &[1usize, 3, 4, 16, 32, 33] {
+            let kernels: Vec<Matrix> = (0..count as u64)
+                .map(|i| extreme_matrix(3, 3, 300 + i))
+                .collect();
+            let input = extreme_matrix(10, 10, 299);
+            for (variant, n_conv) in strategies {
+                for edges in [EdgeHandling::Wraparound, EdgeHandling::ZeroPad] {
+                    let c = convolver(n_conv);
+                    let set = c.prepare_set(&kernels, 10, 10, Some(edges)).unwrap();
+                    assert_eq!(set.plan.variant, variant, "n_conv {n_conv}");
+                    let plane = pad_columns(&input, set.pad.0, set.pad.1);
+                    let groups = match &set.layout {
+                        Layout::PartialRowTiling(groups) => groups.clone(),
+                        _ => vec![(0, 3)],
+                    };
+                    let (out_rows, out_cols) = set.output_shape;
+                    for (r, col) in (0..out_rows).flat_map(|r| (0..out_cols).map(move |c| (r, c))) {
+                        for &(k_start, rows) in &groups {
+                            let top = r as isize - set.row_off as isize;
+                            let left = col as isize - set.col_off as isize;
+                            let mut got = Vec::new();
+                            let kernel_rows = k_start..k_start + rows;
+                            set.taps
+                                .window(&plane, kernel_rows.clone(), top, left, |k, v| {
+                                    got.push((k, v));
+                                });
+                            assert_eq!(got.len(), count);
+                            for (i, (kernel, &(k, v))) in kernels.iter().zip(&got).enumerate() {
+                                let want =
+                                    window_dot(&plane, kernel, kernel_rows.clone(), top, left);
+                                assert_eq!(k, i, "kernel order");
+                                assert!(
+                                    same_bits(v, want),
+                                    "{variant:?} {edges:?}, {count} kernels, kernel {k} at \
+                                     ({r}, {col}) rows {kernel_rows:?}: {v:e} vs {want:e}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_tiling_emits_every_element_once_in_maximal_row_major_runs() {
+        // Valid, `Wraparound` and `ZeroPad` row tiling over one-row tiles,
+        // many-row tiles with a short last tile, and one tile holding the
+        // whole plane, for an odd and an even kernel shape.
+        let input = random_matrix(7, 10, 500);
+        for (kr, kc) in [(3usize, 3usize), (2, 4)] {
+            let kernels: Vec<Matrix> = (0..3).map(|i| random_matrix(kr, kc, 501 + i)).collect();
+            for edges in [
+                None,
+                Some(EdgeHandling::Wraparound),
+                Some(EdgeHandling::ZeroPad),
+            ] {
+                let si = match edges {
+                    Some(EdgeHandling::ZeroPad) => 10 + kc - 1,
+                    _ => 10,
+                };
+                for n_conv in [kr * si, 5 * si, 256] {
+                    let c = convolver(n_conv);
+                    let set = c.prepare_set(&kernels, 7, 10, edges).unwrap();
+                    assert_eq!(set.plan.variant, TilingVariant::RowTiling);
+                    let (rows, cols) = set.output_shape();
+                    let mut runs = Vec::new();
+                    c.correlate2d_set(&set, &input, |k, r, col, samples| {
+                        runs.push((k, r, col, samples.to_vec()));
+                    })
+                    .unwrap();
+                    let case = format!("{kr}x{kc}, {edges:?}, n_conv {n_conv}");
+
+                    // Who wrote each element, in order; and the per-row
+                    // writer: every run cut at its rows' ends.
+                    let mut writers = vec![Vec::new(); rows * cols];
+                    let mut by_rows = vec![Matrix::zeros(rows, cols); kernels.len()];
+                    for (k, r, col, samples) in &runs {
+                        assert!(*r < rows && *col < cols, "{case}: run starts off its plane");
+                        let at = r * cols + col;
+                        assert!(
+                            at + samples.len() <= rows * cols,
+                            "{case}: run leaves its plane"
+                        );
+                        for (i, &v) in samples.iter().enumerate() {
+                            writers[at + i].push(*k);
+                            let (row, c) = ((at + i) / cols, (at + i) % cols);
+                            by_rows[*k].row_mut(row)[c] = v;
+                        }
+                    }
+                    let once_each: Vec<usize> = (0..kernels.len()).collect();
+                    assert!(
+                        writers.iter().all(|w| *w == once_each),
+                        "{case}: every element once per kernel, in kernel order"
+                    );
+
+                    // Maximal runs: one per (tile, kernel) when the plane
+                    // rows are the output rows, else one per (row, kernel);
+                    // the border samples are the single-sample emissions.
+                    let tiles = rows.div_ceil(set.plan.valid_output_rows_per_conv);
+                    let long = runs.iter().filter(|run| run.3.len() > 1).count();
+                    let lines = if si == cols { tiles } else { rows };
+                    assert_eq!(long, lines * kernels.len(), "{case}");
+
+                    let flat = match edges {
+                        None => c.correlate2d_valid_multi(&input, &kernels),
+                        Some(edges) => c.correlate2d_same_multi(&input, &kernels, edges),
+                    };
+                    for (a, b) in flat.unwrap().iter().zip(&by_rows) {
+                        for (x, y) in a.data().iter().zip(b.data()) {
+                            assert_eq!(x.to_bits(), y.to_bits(), "{case}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Digital-reference engine that opts into the prepared fast path and
