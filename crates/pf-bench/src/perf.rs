@@ -206,8 +206,9 @@ fn measure_curve(
 /// point. The width-1 column is also where `Session::conv2d_batch`
 /// throughput stays on record (the repo benchmark has no such workload).
 ///
-/// One session per scenario is built up front (prepared-kernel caches warm
-/// once and are shared across the whole curve), so the only thing that
+/// One session per scenario is built up front (its layers lowered once for
+/// the whole curve, each `conv2d_batch` call preparing its kernel once per
+/// batch), so the only thing that
 /// varies between points is the advertised pool width — which is exactly
 /// what the session's one parallelism rule keys on: a batch at least as
 /// large as the width fans out across images, a smaller one runs image by
@@ -240,7 +241,6 @@ pub fn thread_scaling(smoke: bool, counts: &[usize]) -> Result<ThreadScaling, Pf
         let session = session_for(kind)?;
         let inputs = conv2d_inputs(conv_batch, 32);
         let kernel = conv2d_kernel();
-        let _ = session.conv2d(&inputs[0], &kernel)?; // warm the prepared cache
         curve.extend(measure_curve(
             "conv2d_batch",
             &session,
@@ -258,7 +258,7 @@ pub fn thread_scaling(smoke: bool, counts: &[usize]) -> Result<ThreadScaling, Pf
     // Batched inference on the ideal JTC (the serving-tier hot path).
     let session = session_for(BackendKind::JtcIdeal)?;
     let images = image_batch(session.scenario(), infer_batch, 1000);
-    let _ = session.run_batch(&images[..1])?; // warm the prepared cache
+    let _ = session.run_batch(&images[..1])?; // lower the network's layers
     curve.extend(measure_curve(
         "resnet18_batch_infer",
         &session,
@@ -363,7 +363,7 @@ pub fn telemetry_overhead(smoke: bool) -> Result<OverheadReport, PfError> {
         .telemetry(Telemetry::enabled())
         .build()?;
     let images = image_batch(&scenario, batch, 2000);
-    // Warm both prepared-kernel caches outside the timed region.
+    // Lower both sessions' layers outside the timed region.
     let _ = plain.run_batch(&images[..1])?;
     let _ = traced.run_batch(&images[..1])?;
 

@@ -223,7 +223,7 @@ pub const ROUTER_POLICIES: [&str; 3] = ["round_robin", "least_loaded", "kernel_a
 /// (the optional `[serving.router]` sub-section of a scenario file).
 ///
 /// The router owns `replicas` independent `pf-serve` servers (each with its
-/// own session and warmed prepared-kernel cache), admits requests with
+/// own session, its network's layers lowered), admits requests with
 /// per-request deadlines and priority classes, and dispatches them by
 /// `policy`. Under overload it degrades in stages — shrink the
 /// batch-formation window at `shrink_at` pressure, shed the lowest priority
@@ -239,7 +239,7 @@ pub struct RouterSpec {
     /// Dispatch policy: one of [`ROUTER_POLICIES`] — `round_robin`
     /// (rotate over replicas), `least_loaded` (smallest queue), or
     /// `kernel_affinity` (consistent hashing on the request's model key, so
-    /// one model's prepared-kernel spectra stay resident on one replica).
+    /// one model's lowered layers stay resident on one replica).
     pub policy: String,
     /// Priority class names, ordered highest to lowest. Requests name their
     /// class by index; only the last (lowest) class is ever shed.
@@ -253,7 +253,7 @@ pub struct RouterSpec {
     pub models: usize,
     /// Model-variant sessions kept resident per replica (LRU beyond this).
     /// Routing policy determines how often a request finds its model's
-    /// prepared-kernel cache already warm.
+    /// layers already lowered.
     pub replica_cache: usize,
     /// Queue-pressure fraction (total queued / total capacity) at which the
     /// router starts shedding the lowest priority class.

@@ -672,9 +672,9 @@ impl PreparedSpectrum {
 /// swaps the binding and keeps the half.
 ///
 /// Implements [`pf_tiling::PreparedConv1d`], so row tiling can reuse it
-/// across every tile of a convolution — and, through the convolver's
-/// prepared-kernel cache, across every image of a batch and every seeded
-/// engine sharing that cache. Noisy engines' prepared kernels draw their
+/// across every tile of a convolution — and, held by a kept
+/// [`pf_tiling::KernelSet`], across every image of a batch and every seeded
+/// engine the set runs on. Noisy engines' prepared kernels draw their
 /// per-call noise from the **bound engine's** stream in call order, so
 /// under a fixed seed the cached-spectrum path replays bit-identically to
 /// preparing the kernel afresh on every call; call order stays serial

@@ -197,11 +197,12 @@ impl<E: Conv1dEngine> TiledExecutor<E> {
     /// `2 × OUT_CHANNEL_CHUNK` kernels.
     const OUT_CHANNEL_CHUNK: usize = 16;
 
-    /// Bound on the lowered layers kept, under the prepared-kernel store's
-    /// rule: at the cap the list resets wholesale before the newcomer goes
-    /// in. A network's layers are a few dozen; a caller streaming
-    /// never-repeated weights lowers every one cold and holds at most this
-    /// many.
+    /// Bound on the lowered layers kept — the one cache of prepared kernels
+    /// — and its one eviction rule: at the cap the list resets wholesale
+    /// before the newcomer goes in. A network's layers are a few dozen; a
+    /// caller streaming never-repeated weights lowers every one cold and
+    /// holds at most this many. An LRU was measured against the wholesale
+    /// reset and declined (`docs/PERFORMANCE.md`).
     const LOWERED_CAP: usize = 1024;
 
     /// Creates an executor around a 1D backend with capacity `n_conv`.
@@ -232,11 +233,12 @@ impl<E: Conv1dEngine> TiledExecutor<E> {
 
     /// A view of this executor driving **another engine** of the same
     /// configuration (for a stochastic backend: another noise seed), with
-    /// this executor's pipeline, grain, lowered layers, prepared-kernel
-    /// store and telemetry handle ([`TiledConvolver::on`]). A per-request
-    /// seeded engine run through such a view lowers nothing this executor
-    /// has already lowered and adds what it is first to meet; its results
-    /// are bit-identical to running it on a fresh executor of its own.
+    /// this executor's pipeline, grain, lowered layers and telemetry handle
+    /// ([`TiledConvolver::on`]). A per-request seeded engine run through
+    /// such a view lowers nothing this executor has already lowered — it
+    /// runs the kept kernel sets, bound to its own stream — and adds what it
+    /// is first to meet; its results are bit-identical to running it on a
+    /// fresh executor of its own.
     ///
     /// # Errors
     ///
@@ -252,9 +254,8 @@ impl<E: Conv1dEngine> TiledExecutor<E> {
 
     /// The row-tiling convolver every layer of this executor runs on, for
     /// callers that also drive bare 2D convolutions (the facade's `conv2d*`
-    /// paths): one engine, one prepared-kernel store and one telemetry
-    /// handle then serve both, and a kernel either side prepared is a store
-    /// hit for the other.
+    /// paths): one engine and one telemetry handle then serve both. A bare
+    /// call prepares its kernels afresh; only lowered layers are kept.
     pub fn convolver(&self) -> &TiledConvolver<E> {
         &self.convolver
     }
@@ -667,12 +668,13 @@ mod tests {
     }
 
     #[test]
-    fn forward_is_pool_width_invariant_and_shares_one_prepared_kernel_cache() {
+    fn forward_is_pool_width_invariant_and_a_second_forward_prepares_nothing() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
 
         /// Digital maths that opts into tile parallelism and counts kernel
-        /// preparations, so both the fan-out and the cache are observable.
+        /// preparations, so both the fan-out and the lowered layer are
+        /// observable.
         #[derive(Debug, Default)]
         struct CountingEngine(AtomicUsize);
         impl Conv1dEngine for CountingEngine {
@@ -724,36 +726,7 @@ mod tests {
         assert_eq!(
             count(),
             prepared,
-            "the second forward must hit the kernels the first prepared"
-        );
-
-        // One store: `convolver()` is the convolver `forward` runs on, so
-        // a kernel either side prepared is a hit for the other.
-        let bare = |layer: &Conv2d| {
-            for i in 0..layer.in_channels() {
-                let kernels: Vec<Matrix> = (0..layer.out_channels())
-                    .map(|o| layer.weights.filter_plane(o, i))
-                    .collect();
-                convolver
-                    .correlate2d_same_multi(&input.channel(i), &kernels, EdgeHandling::Wraparound)
-                    .unwrap();
-            }
-        };
-        bare(&layer);
-        assert_eq!(
-            count(),
-            prepared,
-            "bare convolutions must hit the kernels forward prepared"
-        );
-        let unseen = small_layer(true, 1, 83);
-        bare(&unseen);
-        let after_bare = count();
-        assert!(after_bare > prepared);
-        executor.forward(&input, &unseen).unwrap();
-        assert_eq!(
-            count(),
-            after_bare,
-            "forward must hit the kernels the bare convolutions prepared"
+            "the second forward must find the layer the first lowered"
         );
     }
 

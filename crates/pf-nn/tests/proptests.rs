@@ -239,9 +239,9 @@ impl Conv1dEngine for TrackingEngine {
 #[test]
 fn two_thousand_distinct_layers_leave_a_bounded_list() {
     // Never-repeated one-kernel layers: every forward lowers cold. What an
-    // executor keeps alive — in its prepared-kernel store and its lowered
-    // list, which share each layer's one preparation — must stop growing at
-    // the cap (1 024 entries, then reset) instead of following the stream.
+    // executor keeps alive — the preparations its lowered list holds — must
+    // stop growing at the cap (1 024 layers, then reset) instead of
+    // following the stream.
     let alive = Arc::new(());
     let executor = TiledExecutor::new(
         TrackingEngine(Arc::clone(&alive)),

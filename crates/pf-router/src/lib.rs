@@ -2,9 +2,9 @@
 //!
 //! The multi-socket scale-out lesson applies to the photonic accelerator's
 //! serving layer too: placement and per-shard locality dominate behavior.
-//! Here a "shard" is one `pf-serve` server with its own session and warmed
-//! prepared-kernel cache, and routing policy directly determines how often
-//! a request's model finds its spectra already resident — so the router
+//! Here a "shard" is one `pf-serve` server with its own session and its
+//! model's layers lowered, and routing policy directly determines how often
+//! a request's model finds its kernel spectra already resident — so the router
 //! measures everything and lets the recorded p99 judge the policy.
 //!
 //! * [`Router`] — owns N replica [`pf_serve::Server`]s built by an engine

@@ -17,7 +17,7 @@ pub enum Policy {
     LeastLoaded,
     /// Consistent-hash the request's affinity key (its model) onto the
     /// replica ring, so one model's requests land on one replica and its
-    /// prepared-kernel spectra stay resident there. Fallbacks follow the
+    /// lowered layers (their prepared kernel spectra) stay resident there. Fallbacks follow the
     /// ring, so a spilled model still concentrates on few replicas.
     KernelAffinity,
 }

@@ -16,7 +16,7 @@ use crate::stats::{secs_between, Outcome, ReplicaRollup, RouterCollector, Router
 use crate::CacheStats;
 
 /// An [`InferenceEngine`] that can additionally report how often requests
-/// found their model's session (and prepared-kernel cache) already
+/// found their model's session (and its lowered layers) already
 /// resident. The router rolls these counters into
 /// [`RouterStats`] so dispatch policies are compared on
 /// *measured* cache locality. Engines without a model cache (mocks, single

@@ -17,7 +17,8 @@ use crate::health::{Admission, HealthConfig, HealthEvents, ReplicaHealth, Replic
 
 /// Model-session cache counters of one replica's engine (see
 /// `ReplicaEngine::cache_stats`): how often a request found its model's
-/// session — and with it the model's prepared-kernel spectra — already
+/// session — and with it the model's lowered layers and their kernel
+/// spectra — already
 /// resident on the replica that served it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CacheStats {

@@ -52,10 +52,9 @@ pub trait Conv1dEngine: Debug + Sync {
     }
 
     /// Whether [`Conv1dEngine::prepare_kernel`] can ever return `Some` for
-    /// this engine. The tiled executor consults this before building a
-    /// prepared-kernel cache key (hashing the kernel's bit pattern), so
-    /// engines without a fast path — a digital dot product costs less than
-    /// the lookup — skip that bookkeeping entirely on the hot path.
+    /// this engine. The tiled executor asks an engine that reports `false`
+    /// for no preparation at all: its kernel stacks run through
+    /// [`Conv1dEngine::correlate_valid`].
     ///
     /// Implementations overriding [`Conv1dEngine::prepare_kernel`] must
     /// override this too; the default is `false`.
@@ -101,9 +100,9 @@ pub trait Conv1dEngine: Debug + Sync {
             .collect()
     }
 
-    /// Binds a prepared kernel taken from a prepared-kernel cache to *this*
-    /// engine's per-engine state, so one cache can serve several engines of
-    /// one configuration ([`TiledConvolver::on`](crate::TiledConvolver::on)).
+    /// Binds a prepared kernel held by a kept kernel set to *this* engine's
+    /// per-engine state, so one set can serve several engines of one
+    /// configuration ([`TiledConvolver::on`](crate::TiledConvolver::on)).
     /// `cached` may have been prepared by a different engine.
     ///
     /// Engines whose prepared kernels carry no such state return `cached`

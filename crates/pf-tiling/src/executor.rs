@@ -25,21 +25,19 @@
 //!    once** by how a run will drive it: `Shared` (every member prepared under one
 //!    [`PreparedConv1d::signal_key`], and the signal's transform has more
 //!    than one reader), `Each` (prepared, nothing to share) or `Plain` (the
-//!    engine declined; all or nothing per stack). The result is an owned
-//!    [`KernelSet`]: the filter as it sits in the PFCU while input tiles
-//!    stream past it. Preparations come from a store keyed by the exact
-//!    kernel bits and the tile length, so two sets over the same weights
-//!    prepare them once. The store sees **one lookup per stack**: every
-//!    key of the stack under one lock, the misses — each distinct kernel
-//!    once — handed to the engine in one call (the JTC sends their rows of
-//!    the joint plane through its first lens four to a pass) and stored, in
-//!    kernel order, under one more. A run never touches the store, and
-//!    engines that report [`Conv1dEngine::prepares_kernels`] `== false`
-//!    never pay the key hashing.
+//!    engine declined; all or nothing per stack). Each stack goes to the
+//!    engine in one call (the JTC sends the kernels' rows of the joint
+//!    plane through its first lens four to a pass); engines that report
+//!    [`Conv1dEngine::prepares_kernels`] `== false` are never asked. The
+//!    result is an owned [`KernelSet`]: the filter as it sits in the PFCU
+//!    while input tiles stream past it, and the one thing prepared once and
+//!    reused — nothing else is cached. Whoever meets the same kernels again
+//!    keeps the set: the CNN executor one per layer, a batch the one it
+//!    prepared.
 //! 2. [`TiledConvolver::correlate2d_set`] runs a set against one input: it
 //!    binds the set's preparations to the calling engine
-//!    ([`Conv1dEngine::bind_prepared`] — one store, and one set, can serve
-//!    several engines of one configuration through [`TiledConvolver::on`]),
+//!    ([`Conv1dEngine::bind_prepared`] — one set can serve several engines
+//!    of one configuration through [`TiledConvolver::on`]),
 //!    cuts the signals, calls the engine and hands every output sample to
 //!    the caller's sink in maximal row-major runs: a tile of row tiling
 //!    whose rows are as long as the output's (`Wraparound` `same` layers)
@@ -93,11 +91,9 @@
 //!   recipe). A transform miss is a transform taken, a hit a 1D
 //!   correlation that read one, under every strategy and pool width.
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use pf_dsp::conv::Matrix;
 use pf_telemetry::{Counter, Stage, StageAcc, Telemetry};
 use rayon::prelude::*;
@@ -144,31 +140,6 @@ pub enum ParallelGrain {
     Image,
 }
 
-/// Entry bound of the prepared-kernel store, the one cache (a run takes
-/// each signal transform once and keeps none). A CNN batch touches a few
-/// hundred distinct (kernel, tile length) pairs at most; a stream of
-/// distinct kernels (template matching) would otherwise grow it forever.
-const CACHE_CAP: usize = 1024;
-
-/// The store's one eviction rule: at [`CACHE_CAP`] entries it resets
-/// wholesale before the newcomer goes in — crude, but fixed-kernel
-/// workloads never hit it and every entry is cheap to recompute. An LRU was
-/// measured against this on the `conv_fresh` benchmark workload and
-/// declined (`docs/PERFORMANCE.md`). When two workers race to insert the
-/// same key the first entry stays; the values are interchangeable.
-fn insert_capped(map: &mut PrepMap, key: PrepKey, value: Option<Arc<dyn PreparedConv1d>>) {
-    if map.len() >= CACHE_CAP {
-        map.clear();
-    }
-    map.entry(key).or_insert(value);
-}
-
-/// Store key: exact bit pattern of the tiled kernel plus the tile length it
-/// was prepared for.
-type PrepKey = (usize, Vec<u64>);
-
-type PrepMap = HashMap<PrepKey, Option<Arc<dyn PreparedConv1d>>>;
-
 /// What one run did, in the order of the `tiling.*` counters it is flushed
 /// into: tiles, 1D convolutions, signal-transform hits and misses (a miss
 /// is a transform taken, a hit a 1D correlation that read one).
@@ -209,7 +180,7 @@ enum Stack {
 }
 
 impl Stack {
-    /// The prepared members, as the store holds them: not yet bound to any
+    /// The prepared members, as the set holds them: not yet bound to any
     /// engine's own state.
     fn members(&self) -> &[Arc<dyn PreparedConv1d>] {
         match self {
@@ -399,10 +370,6 @@ pub struct TiledConvolver<E> {
     engine: E,
     n_conv: usize,
     grain: ParallelGrain,
-    /// Prepared kernels shared across [`TiledConvolver::on`] views (and
-    /// therefore across the seeded requests of a session): `None` entries
-    /// record that the engine declined to prepare.
-    prep_cache: Arc<Mutex<PrepMap>>,
     /// Observability handle: disabled by default (zero-cost no-op path).
     /// When enabled, 1D convolutions and signal transforms mark their
     /// stages on a [`StageAcc`] (the engines' `_acc` forms) and each run
@@ -460,7 +427,6 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
             engine,
             n_conv,
             grain: ParallelGrain::Auto,
-            prep_cache: Arc::new(Mutex::new(HashMap::new())),
             telemetry: Telemetry::disabled(),
             counters: TilingCounters::default(),
         })
@@ -487,14 +453,13 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
     }
 
     /// A view of this convolver driving **another engine** — same capacity,
-    /// grain, prepared-kernel store and telemetry handle. `engine` must
-    /// prepare kernels interchangeably with this convolver's own: the same
-    /// configuration up to per-engine state such as a noise seed. Whatever
-    /// either engine prepares, the other reads from the one store, and a
-    /// [`KernelSet`] either prepared runs on the other: every run binds the
-    /// preparations to its own engine ([`Conv1dEngine::bind_prepared`]), so
-    /// a per-request seeded engine pays for its noise stream only, never
-    /// for the deterministic preparations.
+    /// grain and telemetry handle. `engine` must prepare kernels
+    /// interchangeably with this convolver's own: the same configuration up
+    /// to per-engine state such as a noise seed. A [`KernelSet`] either
+    /// prepared then runs on the other: every run binds the preparations to
+    /// its own engine ([`Conv1dEngine::bind_prepared`]), so a per-request
+    /// seeded engine running a set the host prepared pays for its noise
+    /// stream only, never for the deterministic preparations.
     ///
     /// # Errors
     ///
@@ -506,7 +471,6 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
             engine,
             n_conv: self.n_conv,
             grain: self.grain,
-            prep_cache: Arc::clone(&self.prep_cache),
             telemetry: self.telemetry.clone(),
             counters: self.counters.clone(),
         })
@@ -647,13 +611,13 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
     /// `edges == None` is `valid` mode, `Some` is `same` mode with that
     /// edge handling. Places the output grid on the tiled plane, plans, and
     /// builds the tiled 1D kernels of the one strategy the plan selects,
-    /// each stack with its prepared forms from the store (looked up once
-    /// per stack; the misses are prepared together, stored and tallied into
-    /// `tiling.kernel_prepares`).
+    /// each stack prepared in one [`Conv1dEngine::prepare_kernels`] call
+    /// (its kernels tallied into `tiling.kernel_prepares`).
     ///
     /// The set is tied to this convolver's capacity and to engines of its
     /// configuration; it runs on this convolver and on its
-    /// [`TiledConvolver::on`] views.
+    /// [`TiledConvolver::on`] views. Nothing keeps it but the caller: a
+    /// caller that will meet the same kernels again keeps the set.
     ///
     /// # Errors
     ///
@@ -842,77 +806,13 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
 
     // ----- shared machinery ------------------------------------------------
 
-    /// The store's entry for every kernel of a stack (`tiled`, each for
-    /// tiles of `signal_len` samples), in kernel order; `None` means the
-    /// engine declines that kernel. **One lookup per stack**: every key is
-    /// looked up under one store lock, the misses — each distinct kernel
-    /// once, however often the stack repeats it — go to the engine in one
-    /// [`Conv1dEngine::prepare_kernels`] call and are tallied on `prepares`
-    /// (`tiling.kernel_prepares`), and they go into the store, in kernel
-    /// order, under one more lock. An entry is the store's own — prepared by whichever
-    /// engine sharing the store ([`TiledConvolver::on`]) met the kernel
-    /// first; a run binds it to its engine.
-    fn prepared_stack(
-        &self,
-        tiled: &[Vec<f64>],
-        signal_len: usize,
-        prepares: &mut usize,
-    ) -> Vec<Option<Arc<dyn PreparedConv1d>>> {
-        if !self.engine.prepares_kernels() {
-            // Building and hashing the bit-pattern keys costs more than a
-            // short dot product; engines without a fast path skip it.
-            return vec![None; tiled.len()];
-        }
-        let mut keys: Vec<PrepKey> = tiled
-            .iter()
-            .map(|kernel| (signal_len, kernel.iter().map(|v| v.to_bits()).collect()))
-            .collect();
-        // One pass under the lock: a hit is the store's entry, a miss the
-        // slot of its key in `misses` — the first kernel of the stack under
-        // each missing key. Stacks hold tens of kernels (an output-channel
-        // chunk and its pseudo-negative halves), so finding a repeat is a
-        // scan, not a second hash.
-        let mut misses: Vec<usize> = Vec::new();
-        let looked_up: Vec<Result<Option<Arc<dyn PreparedConv1d>>, usize>> = {
-            let store = self.prep_cache.lock();
-            keys.iter()
-                .enumerate()
-                .map(|(i, key)| {
-                    store.get(key).cloned().ok_or_else(|| {
-                        let seen = misses.iter().position(|&first| keys[first] == *key);
-                        seen.unwrap_or_else(|| {
-                            misses.push(i);
-                            misses.len() - 1
-                        })
-                    })
-                })
-                .collect()
-        };
-        if misses.is_empty() {
-            return looked_up.into_iter().flatten().collect();
-        }
-        // Build outside the lock: preparation runs the first lens.
-        let fresh: Vec<&[f64]> = misses.iter().map(|&i| &*tiled[i]).collect();
-        let prepared = self.engine.prepare_kernels(&fresh, signal_len);
-        debug_assert_eq!(prepared.len(), misses.len(), "one entry per kernel");
-        *prepares += misses.len();
-        let entries = looked_up
-            .into_iter()
-            .map(|found| found.unwrap_or_else(|slot| prepared[slot].clone()))
-            .collect();
-        // The misses go in in kernel order, each under the store's one rule
-        // — what preparing and inserting them one by one would leave.
-        let mut store = self.prep_cache.lock();
-        for (&first, entry) in misses.iter().zip(prepared) {
-            insert_capped(&mut store, std::mem::take(&mut keys[first]), entry);
-        }
-        entries
-    }
-
     /// Builds and classifies one stack of a set: `tiled` holds one tiled 1D
     /// kernel per kernel of the set, each for signals of `signal_len`
     /// samples; `positions_repeat` says whether the strategy meets the same
-    /// signal more than once within a run.
+    /// signal more than once within a run. The stack goes to the engine in
+    /// one [`Conv1dEngine::prepare_kernels`] call, its kernels tallied on
+    /// `prepares` (`tiling.kernel_prepares`) — unless the engine reports
+    /// [`Conv1dEngine::prepares_kernels`] `== false`, which is never asked.
     fn stack(
         &self,
         tiled: Vec<Vec<f64>>,
@@ -920,8 +820,14 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         positions_repeat: bool,
         prepares: &mut usize,
     ) -> Stack {
+        if !self.engine.prepares_kernels() {
+            return Stack::Plain(tiled);
+        }
+        let kernels: Vec<&[f64]> = tiled.iter().map(Vec::as_slice).collect();
+        *prepares += kernels.len();
         let members: Option<Vec<_>> = self
-            .prepared_stack(&tiled, signal_len, prepares)
+            .engine
+            .prepare_kernels(&kernels, signal_len)
             .into_iter()
             .collect();
         let Some(members) = members else {
@@ -1927,15 +1833,7 @@ mod tests {
         }
     }
 
-    /// Digital-reference engine that opts into the prepared fast path and
-    /// counts how many kernels it has prepared — the probe for the cache
-    /// tests below. Clones share the counter, mirroring how clones of the
-    /// convolver share the cache.
-    #[derive(Debug, Clone, Default)]
-    struct CountingPrepEngine {
-        prepares: Arc<std::sync::atomic::AtomicUsize>,
-    }
-
+    /// A digital kernel prepared without signal sharing.
     #[derive(Debug)]
     struct PreparedDigital {
         kernel: Vec<f64>,
@@ -1949,29 +1847,6 @@ mod tests {
 
         fn correlate_valid(&self, signal: &[f64]) -> Vec<f64> {
             DigitalEngine.correlate_valid(signal, &self.kernel)
-        }
-    }
-
-    impl Conv1dEngine for CountingPrepEngine {
-        fn correlate_valid(&self, signal: &[f64], kernel: &[f64]) -> Vec<f64> {
-            DigitalEngine.correlate_valid(signal, kernel)
-        }
-
-        fn prepares_kernels(&self) -> bool {
-            true
-        }
-
-        fn prepare_kernel(
-            &self,
-            kernel: &[f64],
-            signal_len: usize,
-        ) -> Option<Arc<dyn PreparedConv1d>> {
-            self.prepares
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            Some(Arc::new(PreparedDigital {
-                kernel: kernel.to_vec(),
-                signal_len,
-            }))
         }
     }
 
@@ -2262,10 +2137,10 @@ mod tests {
 
     #[test]
     fn a_tall_partitioned_run_transforms_every_row_partition_once() {
-        // More distinct signals than the prepared-kernel store's cap: a run
-        // holds the transforms of all its signals, so none is evicted and
+        // Over a thousand plane rows, two thousand distinct signals: a run
+        // holds the transforms of all its signals, so none is dropped and
         // none is taken twice.
-        let rows = CACHE_CAP + 40;
+        let rows = 1_064;
         let input = random_matrix(rows, 12, 241);
         let kernel = random_matrix(1, 3, 242);
         let tel = Telemetry::enabled();
@@ -2282,141 +2157,9 @@ mod tests {
         assert_eq!(hits, convs_1d);
     }
 
-    #[test]
-    fn prep_cache_evicts_at_the_cap_and_reprepares_correctly() {
-        let cap = CACHE_CAP;
-        let engine = CountingPrepEngine::default();
-        let prepares = Arc::clone(&engine.prepares);
-        let c = TiledConvolver::new(engine, 64).unwrap();
-        let mut tally = 0usize;
-
-        // A stack of one: the per-kernel path of the store.
-        let mut prepared = |kernel: &[f64]| {
-            c.prepared_stack(&[kernel.to_vec()], 8, &mut tally)
-                .pop()
-                .expect("one kernel in, one entry out")
-        };
-
-        // Fill the cache with `cap` distinct kernels; every one is a miss.
-        for i in 0..cap {
-            let kernel = [i as f64 + 0.5];
-            assert!(prepared(&kernel).is_some());
-        }
-        assert_eq!(prepares.load(std::sync::atomic::Ordering::Relaxed), cap);
-        assert_eq!(c.prep_cache.lock().len(), cap);
-
-        // A repeat within the cap is a hit: no new preparation.
-        assert!(prepared(&[0.5]).is_some());
-        assert_eq!(prepares.load(std::sync::atomic::Ordering::Relaxed), cap);
-
-        // One more distinct kernel trips the cap: the cache resets
-        // wholesale and holds only the newcomer.
-        assert!(prepared(&[-1.0]).is_some());
-        assert_eq!(prepares.load(std::sync::atomic::Ordering::Relaxed), cap + 1);
-        assert_eq!(c.prep_cache.lock().len(), 1);
-
-        // A re-requested evicted kernel is re-prepared — and still computes
-        // the exact digital result.
-        let signal: Vec<f64> = (0..8).map(|i| i as f64 * 0.25).collect();
-        let before = prepares.load(std::sync::atomic::Ordering::Relaxed);
-        let prep = prepared(&[0.5]).expect("re-prepared");
-        assert_eq!(
-            prepares.load(std::sync::atomic::Ordering::Relaxed),
-            before + 1,
-            "evicted kernel must be prepared again"
-        );
-        assert_eq!(
-            prep.correlate_valid(&signal),
-            DigitalEngine.correlate_valid(&signal, &[0.5])
-        );
-        assert_eq!(c.prep_cache.lock().len(), 2);
-        // The call tally (`tiling.kernel_prepares`) counted exactly the
-        // misses the engine saw.
-        assert_eq!(tally, prepares.load(std::sync::atomic::Ordering::Relaxed));
-    }
-
-    #[test]
-    fn a_stack_prepares_each_distinct_kernel_once() {
-        // An all-positive filter bank after pseudo-negative splitting:
-        // every second kernel is the same all-zero negative half.
-        let zero = Matrix::zeros(3, 3);
-        let kernels: Vec<Matrix> = (0..3)
-            .flat_map(|i| [random_matrix(3, 3, 281 + i), zero.clone()])
-            .collect();
-        let engine = CountingPrepEngine::default();
-        let prepares = Arc::clone(&engine.prepares);
-        let tel = Telemetry::enabled();
-        let c = TiledConvolver::new(engine, 64)
-            .unwrap()
-            .with_telemetry(tel.clone());
-        let set = c.prepare_set(&kernels, 12, 12, None).unwrap();
-        assert!(matches!(set.stacks[..], [Stack::Each(_)]));
-        // Three distinct positive halves and the zero half, once each: to
-        // the engine, in the tally and in the store.
-        assert_eq!(prepares.load(std::sync::atomic::Ordering::Relaxed), 4);
-        assert_eq!(tel.snapshot().counter("tiling.kernel_prepares"), 4);
-        assert_eq!(c.prep_cache.lock().len(), 4);
-        // The repeats share the first occurrence's preparation.
-        let members = set.stacks[0].members();
-        assert!(Arc::ptr_eq(&members[1], &members[3]));
-        assert!(Arc::ptr_eq(&members[1], &members[5]));
-        // The same weights again are all hits.
-        c.prepare_set(&kernels, 12, 12, None).unwrap();
-        assert_eq!(prepares.load(std::sync::atomic::Ordering::Relaxed), 4);
-        assert_eq!(tel.snapshot().counter("tiling.kernel_prepares"), 4);
-
-        let input = random_matrix(12, 12, 280);
-        let out = c.correlate2d_valid_multi(&input, &kernels).unwrap();
-        let reference = convolver(64)
-            .correlate2d_valid_multi(&input, &kernels)
-            .unwrap();
-        for (a, b) in out.iter().zip(&reference) {
-            for (x, y) in a.data().iter().zip(b.data()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn a_stack_that_crosses_the_cap_leaves_what_one_by_one_inserts_leave() {
-        let convolver = || {
-            let engine = CountingPrepEngine::default();
-            let prepares = Arc::clone(&engine.prepares);
-            (TiledConvolver::new(engine, 64).unwrap(), prepares)
-        };
-        let ((stacked, stacked_prepares), (one_by_one, one_prepares)) = (convolver(), convolver());
-        let kernel = |i: usize| vec![i as f64 + 0.5];
-        let mut tally = (0usize, 0usize);
-        // Two entries short of the cap, in both stores.
-        for i in 0..CACHE_CAP - 2 {
-            stacked.prepared_stack(&[kernel(i)], 8, &mut tally.0);
-            one_by_one.prepared_stack(&[kernel(i)], 8, &mut tally.1);
-        }
-        // Five newcomers behind a hit: the third trips the cap.
-        let stack: Vec<Vec<f64>> = [0usize, 5000, 5001, 5002, 5003, 5004]
-            .into_iter()
-            .map(kernel)
-            .collect();
-        let entries = stacked.prepared_stack(&stack, 8, &mut tally.0);
-        assert!(entries.iter().all(Option::is_some));
-        for member in &stack {
-            one_by_one.prepared_stack(std::slice::from_ref(member), 8, &mut tally.1);
-        }
-        let keys = |c: &TiledConvolver<CountingPrepEngine>| {
-            let mut keys: Vec<PrepKey> = c.prep_cache.lock().keys().cloned().collect();
-            keys.sort();
-            keys
-        };
-        assert_eq!(keys(&stacked), keys(&one_by_one));
-        assert_eq!(stacked.prep_cache.lock().len(), 3);
-        assert_eq!(tally.0, tally.1, "the hit stays a hit on both sides");
-        assert_eq!(
-            stacked_prepares.load(std::sync::atomic::Ordering::Relaxed),
-            one_prepares.load(std::sync::atomic::Ordering::Relaxed)
-        );
-    }
-
-    /// A backend with no prepared fast path at all (the trait defaults).
+    /// A backend with no prepared fast path: it reports the trait's default
+    /// `prepares_kernels() == false`, and a preparation it is asked for
+    /// anyway fails the test.
     #[derive(Debug, Clone, Copy, Default)]
     struct PlainDigital;
 
@@ -2424,22 +2167,34 @@ mod tests {
         fn correlate_valid(&self, signal: &[f64], kernel: &[f64]) -> Vec<f64> {
             correlate1d(signal, kernel, PaddingMode::Valid)
         }
+
+        fn prepare_kernel(&self, _: &[f64], _: usize) -> Option<Arc<dyn PreparedConv1d>> {
+            panic!("an engine that does not prepare kernels was asked to")
+        }
     }
 
     #[test]
-    fn non_preparing_engine_skips_the_prep_cache() {
-        // An engine reporting prepares_kernels() == false must never pay
-        // for a cache key — not even a None marker may appear.
-        let c = TiledConvolver::new(PlainDigital, 20).unwrap();
-        let input = random_matrix(5, 5, 251);
-        let kernel = random_matrix(3, 3, 252);
-        let reference = correlate2d(&input, &kernel, PaddingMode::Valid);
-        let out = c.correlate2d_valid(&input, &kernel).unwrap();
-        assert!(max_abs_diff(out.data(), reference.data()) < 1e-12);
-        assert!(
-            c.prep_cache.lock().is_empty(),
-            "no entries (not even None markers) for a non-preparing engine"
-        );
+    fn a_non_preparing_engine_is_never_asked_and_its_stacks_run_plain() {
+        for (rows, cols, n_conv) in [
+            (12, 12, 64), // row tiling
+            (10, 10, 15), // partial row tiling
+            (12, 12, 7),  // row partitioning
+        ] {
+            let input = random_matrix(rows, cols, 251);
+            let kernels: Vec<Matrix> = (0..3).map(|i| random_matrix(3, 3, 252 + i)).collect();
+            let tel = Telemetry::enabled();
+            let c = TiledConvolver::new(PlainDigital, n_conv)
+                .unwrap()
+                .with_telemetry(tel.clone());
+            let set = c.prepare_set(&kernels, rows, cols, None).unwrap();
+            assert!(set.stacks.iter().all(|s| matches!(s, Stack::Plain(_))));
+            let outs = c.correlate2d_valid_multi(&input, &kernels).unwrap();
+            for (kernel, plane) in kernels.iter().zip(&outs) {
+                let reference = correlate2d(&input, kernel, PaddingMode::Valid);
+                assert!(max_abs_diff(plane.data(), reference.data()) < 1e-12);
+            }
+            assert_eq!(tel.snapshot().counter("tiling.kernel_prepares"), 0);
+        }
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! One prepared-kernel cache serving several seeded engines
-//! ([`TiledConvolver::on`]): every engine must replay exactly the stream it
-//! would have produced on a convolver — and a cache — of its own, whoever
-//! prepared the kernel it reads, and across a wholesale cache reset.
+//! One kernel set, many engines ([`TiledConvolver::on`]): a set the host
+//! prepared runs on seeded views of it, and every view must replay exactly
+//! the stream it would have produced on a convolver of its own, preparing
+//! nothing.
 
 use pf_dsp::conv::Matrix;
 use pf_jtc::{JtcEngine, JtcEngineConfig};
 use pf_telemetry::Telemetry;
-use pf_tiling::{TiledConvolver, TilingError};
+use pf_tiling::{Conv1dEngine, KernelSet, TiledConvolver, TilingError};
 
 const N_CONV: usize = 64;
 
@@ -29,6 +29,19 @@ fn kernel(i: usize) -> Matrix {
     .unwrap()
 }
 
+/// The one plane of a one-kernel `set` run on `convolver`.
+fn run<E: Conv1dEngine>(convolver: &TiledConvolver<E>, set: &KernelSet, input: &Matrix) -> Matrix {
+    let (rows, cols) = set.output_shape();
+    let mut plane = vec![0.0; rows * cols];
+    convolver
+        .correlate2d_set(set, input, |_, r, c, samples| {
+            let at = r * cols + c;
+            plane[at..at + samples.len()].copy_from_slice(samples);
+        })
+        .unwrap();
+    Matrix::new(rows, cols, plane).unwrap()
+}
+
 fn assert_bits(a: &Matrix, b: &Matrix, what: &str) {
     assert_eq!(a.data().len(), b.data().len(), "{what}");
     for (x, y) in a.data().iter().zip(b.data()) {
@@ -37,7 +50,7 @@ fn assert_bits(a: &Matrix, b: &Matrix, what: &str) {
 }
 
 #[test]
-fn seeded_engines_share_one_cache_across_a_reset_without_sharing_streams() {
+fn a_set_the_host_prepared_runs_on_seeded_views_without_sharing_streams() {
     let tel = Telemetry::enabled();
     let host = TiledConvolver::new(cg(N_CONV, 0), N_CONV)
         .unwrap()
@@ -47,46 +60,35 @@ fn seeded_engines_share_one_cache_across_a_reset_without_sharing_streams() {
         host.on(cg(N_CONV, 11)).unwrap(),
         host.on(cg(N_CONV, 12)).unwrap(),
     );
-    // The oracle: the same seeds, each on a convolver and cache of its own.
+    // The oracle: the same seeds, each on a convolver of its own, one-shot.
     let fresh_a = TiledConvolver::new(cg(N_CONV, 11), N_CONV).unwrap();
     let fresh_b = TiledConvolver::new(cg(N_CONV, 12), N_CONV).unwrap();
     let input = Matrix::new(8, 8, (0..64).map(|i| (i as f64 * 0.23).cos()).collect()).unwrap();
 
-    // More distinct kernels than the cache holds (1024), each through both
-    // engines: `a` meets every kernel first and prepares it, `b` reads
-    // `a`'s preparation bound to its own stream.
-    let distinct = 1024 + 76;
+    // Over a thousand distinct kernels, each prepared once on the host and
+    // run through both views: each view binds the host's preparation to
+    // its own stream.
+    let distinct = 1_100;
     for i in 0..distinct {
         let k = kernel(i);
+        let set = host
+            .prepare_set(std::slice::from_ref(&k), 8, 8, None)
+            .unwrap();
+        let prepared = prepares();
         let what = format!("kernel {i}");
         assert_bits(
-            &a.correlate2d_valid(&input, &k).unwrap(),
+            &run(&a, &set, &input),
             &fresh_a.correlate2d_valid(&input, &k).unwrap(),
             &what,
         );
         assert_bits(
-            &b.correlate2d_valid(&input, &k).unwrap(),
+            &run(&b, &set, &input),
             &fresh_b.correlate2d_valid(&input, &k).unwrap(),
             &what,
         );
+        assert_eq!(prepares(), prepared, "{what}: a run prepares nothing");
     }
     assert_eq!(prepares(), distinct as u64, "one preparation per kernel");
-
-    // The reset dropped kernel 0: `b` now prepares it itself, and `a` reads
-    // *that* entry. Both keep replaying their own streams.
-    let k = kernel(0);
-    assert_bits(
-        &b.correlate2d_valid(&input, &k).unwrap(),
-        &fresh_b.correlate2d_valid(&input, &k).unwrap(),
-        "after the reset, b first",
-    );
-    assert_eq!(prepares(), distinct as u64 + 1, "the reset evicted it");
-    assert_bits(
-        &a.correlate2d_valid(&input, &k).unwrap(),
-        &fresh_a.correlate2d_valid(&input, &k).unwrap(),
-        "after the reset, a second",
-    );
-    assert_eq!(prepares(), distinct as u64 + 1);
 }
 
 #[test]

@@ -24,8 +24,8 @@ fn main() -> Result<(), PfError> {
         spec.queue_depth
     );
 
-    // `serve_scenario` builds the session, warms the prepared-kernel cache
-    // from the network's kernels, and starts the batcher workers.
+    // `serve_scenario` builds the session, lowers the network's layers
+    // (their kernel sets prepared once), and starts the batcher workers.
     let server = serve::serve_scenario(scenario)?;
 
     // A burst of concurrent clients: each submits a request, holds the

@@ -2,7 +2,7 @@
 //! model-sharded [`Session`]s.
 //!
 //! Each replica runs a [`ModelShardEngine`]: a small LRU of model-variant
-//! sessions (each with its own weights and warmed prepared-kernel cache).
+//! sessions (each with its own weights and its layers lowered).
 //! Requests carry a model key; the `kernel_affinity` dispatch policy
 //! consistent-hashes that key so one model's requests concentrate on one
 //! replica and keep its spectra resident — the cache-hit counters in
@@ -86,7 +86,7 @@ impl ModelRequest {
 /// The scenario of one model variant: the base scenario with the
 /// functional network re-seeded by the variant key (variant 0 *is* the
 /// base scenario). Every replica derives variants the same way, so a
-/// model's weights — and therefore its outputs and its prepared-kernel
+/// model's weights — and therefore its outputs and its prepared kernel
 /// spectra — are identical wherever it is instantiated.
 pub fn model_scenario(base: &Scenario, model: u64) -> Scenario {
     let mut scenario = base.clone();
@@ -100,8 +100,8 @@ pub fn model_scenario(base: &Scenario, model: u64) -> Scenario {
 /// One replica's engine: an LRU of model-variant [`Session`]s.
 ///
 /// A request whose model is resident is a cache *hit* — it runs against a
-/// session whose prepared-kernel cache is already warm. A miss builds (and
-/// warms) the variant's session, evicting the least-recently-used resident
+/// session whose layers are already lowered. A miss builds (and warms)
+/// the variant's session, evicting the least-recently-used resident
 /// variant once the shard holds `capacity` sessions. Routing policy
 /// decides how often each case happens; the hit/miss counters feed
 /// [`pf_router::RouterStats`] via [`ReplicaEngine::cache_stats`].

@@ -3,7 +3,7 @@
 //!
 //! The server accepts a concurrent stream of single-image requests, forms
 //! micro-batches under load and dispatches them through the session's
-//! batched inference path, so the prepared-kernel cache (and, on multicore
+//! batched inference path, so the lowered layers (and, on multicore
 //! hosts, per-image parallelism) is amortised across requests exactly like
 //! an offline [`Session::run_batch`]. See `docs/SERVING.md` for the
 //! configuration knobs, overload semantics and determinism guarantees.
@@ -63,8 +63,8 @@ impl InferenceEngine for Session {
 }
 
 /// Builds a warmed-up serving session from a scenario: the session is
-/// constructed, [`Session::warmup`] pre-populates the prepared-kernel
-/// cache, and the server starts with the scenario's `[serving]` section
+/// constructed, [`Session::warmup`] lowers the network's layers, and the
+/// server starts with the scenario's `[serving]` section
 /// (or the [`ServeConfig`] defaults when the section is absent).
 ///
 /// # Errors

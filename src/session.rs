@@ -15,13 +15,13 @@
 //! The functional side holds **one** [`TiledExecutor`] over **one**
 //! backend instance: inference runs on the executor, the `conv2d` paths on
 //! the executor's own convolver ([`TiledExecutor::convolver`]), so one
-//! engine, one prepared-kernel cache and one telemetry handle serve every
-//! call, and on a stochastic backend `conv2d*` and unseeded
-//! [`Session::run_inference`] draw from the one session noise stream in
-//! call order. Each seeded request additionally gets its own
-//! engine, driven through a view of the same executor
-//! ([`TiledExecutor::on`]): the request owns its noise stream and shares
-//! everything deterministic, the prepared-kernel cache included. Per-call
+//! engine and one telemetry handle serve every call, and on a stochastic
+//! backend `conv2d*` and unseeded [`Session::run_inference`] draw from the
+//! one session noise stream in call order. Each seeded request
+//! additionally gets its own engine, driven through a view of the same
+//! executor ([`TiledExecutor::on`]): the request owns its noise stream and
+//! shares everything deterministic, the lowered layers' prepared kernel
+//! sets included. Per-call
 //! execution tallies are read from [`Session::telemetry`] snapshots
 //! (`tiling.*` counters, stage totals).
 //!
@@ -62,6 +62,7 @@ use pf_nn::models::small::SmallCnn;
 use pf_nn::models::NetworkSpec;
 use pf_nn::Tensor;
 use pf_telemetry::Telemetry;
+use pf_tiling::TilingError;
 use rayon::prelude::*;
 
 /// Builder for [`Session`].
@@ -225,16 +226,16 @@ impl Session {
         self.scenario.backend.kind.is_stochastic()
     }
 
-    /// Pre-populates the shared prepared-kernel cache from the functional
-    /// network's kernels by running one zero-valued image through the
-    /// pipeline, so the first real request doesn't pay the per-kernel
-    /// spectrum preparation (an inference server calls this before
-    /// accepting traffic).
+    /// Lowers every layer of the functional network — its kernel sets
+    /// prepared and kept by the session executor — by running one
+    /// zero-valued image through the pipeline, so the first real request
+    /// doesn't pay the per-kernel spectrum preparation (an inference server
+    /// calls this before accepting traffic).
     ///
     /// The image runs through [`Session::run_inference_seeded`]. On a
     /// stochastic backend that is a throwaway seeded engine: kernel
-    /// preparation draws no noise, so what it leaves in the cache serves
-    /// every later seeded request and the session engine alike, while the
+    /// preparation draws no noise, so the layers it lowers serve every
+    /// later seeded request and the session engine alike, while the
     /// session engine's own noise stream is not advanced —
     /// [`Session::run_inference`] and the `conv2d` paths return the same
     /// bits with or without a warm-up.
@@ -294,8 +295,10 @@ impl Session {
 
     /// Runs one kernel over a batch of inputs through row tiling.
     ///
-    /// The kernel's spectrum is prepared once (on backends with a prepared
-    /// fast path) and reused across every tile of every image. One level of
+    /// The kernel is prepared once per batch, as a kernel set for the first
+    /// input's shape (on backends with a prepared fast path, its spectrum),
+    /// and the set is run against every image of that shape; an image of
+    /// another shape is an ordinary [`Session::conv2d`] call. One level of
     /// parallelism, never two: a batch that can fill the pool fans images
     /// across it and each image's tiles run serially on their worker; a
     /// smaller batch runs images sequentially while each image's tiles may
@@ -308,7 +311,25 @@ impl Session {
     ///
     /// Returns the first per-image error in input order, if any.
     pub fn conv2d_batch(&self, inputs: &[Matrix], kernel: &Matrix) -> Result<Vec<Matrix>, PfError> {
-        let conv = |input| self.conv2d(input, kernel);
+        let Some(first) = inputs.first() else {
+            return Ok(Vec::new());
+        };
+        let convolver = self.executor.convolver();
+        let kernels = std::slice::from_ref(kernel);
+        let set = convolver.prepare_set(kernels, first.rows(), first.cols(), None)?;
+        let (rows, cols) = set.output_shape();
+        let conv = |input: &Matrix| {
+            let mut plane = vec![0.0; rows * cols];
+            let run = convolver.correlate2d_set(&set, input, |_, r, c, samples| {
+                let at = r * cols + c;
+                plane[at..at + samples.len()].copy_from_slice(samples);
+            });
+            match run {
+                Ok(()) => Ok(Matrix::new(rows, cols, plane)?),
+                Err(TilingError::InputShapeMismatch { .. }) => self.conv2d(input, kernel),
+                Err(e) => Err(e.into()),
+            }
+        };
         if self.is_stochastic() || !Self::images_fan_out(inputs.len()) {
             return inputs.iter().map(conv).collect();
         }
@@ -358,9 +379,9 @@ impl Session {
     /// the result equals per-image [`Session::run_inference`] exactly.
     ///
     /// On backends with a prepared fast path (the JTC optics), each layer's
-    /// kernel spectra are prepared on first use and reused across **every
-    /// tile of every image of the batch** through the shared executor's
-    /// prepared-kernel cache.
+    /// kernel spectra are prepared when the layer is first lowered and
+    /// reused across **every tile of every image of the batch** through the
+    /// shared executor's lowered layers.
     ///
     /// # Errors
     ///
@@ -387,10 +408,10 @@ impl Session {
     /// The seeded engine **owns** only its sensing-noise stream. Everything
     /// deterministic it **shares** with the session: it runs on a view of
     /// the session executor ([`TiledExecutor::on`]), so the DAC-quantised
-    /// kernel spectra come from that executor's prepared-kernel cache (and
-    /// a kernel it is first to meet goes into the cache for everyone after
-    /// it). The result is bit-identical to running the seeded engine
-    /// on a fresh executor with an empty cache.
+    /// kernel spectra come from the kernel sets of that executor's lowered
+    /// layers (and a layer it is first to meet is lowered for everyone
+    /// after it). The result is bit-identical to running the seeded engine
+    /// on a fresh executor with nothing lowered.
     ///
     /// # Errors
     ///
@@ -526,33 +547,65 @@ mod tests {
 
     #[test]
     fn conv2d_batch_matches_per_image_calls() {
+        let kernel = Matrix::new(3, 3, (0..9).map(|i| (i as f64 - 4.0) / 9.0).collect()).unwrap();
+        let inputs: Vec<Matrix> = (0..3)
+            .map(|s| {
+                Matrix::new(
+                    12,
+                    12,
+                    (0..144)
+                        .map(|i| ((i + s * 7) as f64 * 0.13).sin())
+                        .collect(),
+                )
+                .unwrap()
+            })
+            .collect();
+        let prepares = |session: &Session| {
+            session
+                .telemetry()
+                .snapshot()
+                .counter("tiling.kernel_prepares")
+        };
         for kind in [BackendKind::JtcIdeal, BackendKind::PhotofourierCg] {
-            let session = Session::builder().scenario(scenario(kind)).build().unwrap();
-            let kernel =
-                Matrix::new(3, 3, (0..9).map(|i| (i as f64 - 4.0) / 9.0).collect()).unwrap();
-            let inputs: Vec<Matrix> = (0..3)
-                .map(|s| {
-                    Matrix::new(
-                        12,
-                        12,
-                        (0..144)
-                            .map(|i| ((i + s * 7) as f64 * 0.13).sin())
-                            .collect(),
-                    )
-                    .unwrap()
-                })
-                .collect();
-            let batch = session.conv2d_batch(&inputs, &kernel).unwrap();
-            assert_eq!(batch.len(), inputs.len());
-            if !kind.is_stochastic() {
-                for (input, out) in inputs.iter().zip(&batch) {
-                    let single = session.conv2d(input, &kernel).unwrap();
-                    for (a, b) in single.data().iter().zip(out.data()) {
-                        assert_eq!(a.to_bits(), b.to_bits());
+            // Images fanned out on both pools (three fill either), CG serial.
+            for width in [1usize, 2] {
+                pool(width).install(|| {
+                    let build = || {
+                        Session::builder()
+                            .scenario(scenario(kind))
+                            .telemetry(Telemetry::enabled())
+                            .build()
+                            .unwrap()
+                    };
+                    // Fresh sessions on both sides: on CG the batch must
+                    // draw the session stream exactly as per-image calls do.
+                    let (batched, one_by_one) = (build(), build());
+                    let batch = batched.conv2d_batch(&inputs, &kernel).unwrap();
+                    assert_eq!(batch.len(), inputs.len());
+                    assert_eq!(prepares(&batched), 1, "{kind:?}: one set per batch");
+                    for (input, out) in inputs.iter().zip(&batch) {
+                        let single = one_by_one.conv2d(input, &kernel).unwrap();
+                        for (a, b) in single.data().iter().zip(out.data()) {
+                            assert_eq!(a.to_bits(), b.to_bits(), "{kind:?} width {width}");
+                        }
                     }
-                }
+                    assert_eq!(prepares(&one_by_one), inputs.len() as u64);
+                });
             }
         }
+
+        // An image of another shape is a one-shot call of its own.
+        let session = Session::builder()
+            .scenario(scenario(BackendKind::JtcIdeal))
+            .build()
+            .unwrap();
+        let small = Matrix::new(8, 8, (0..64).map(|i| (i as f64 * 0.3).cos()).collect()).unwrap();
+        let mixed = [inputs[0].clone(), small.clone(), inputs[1].clone()];
+        let batch = session.conv2d_batch(&mixed, &kernel).unwrap();
+        for (input, out) in mixed.iter().zip(&batch) {
+            assert_eq!(*out, session.conv2d(input, &kernel).unwrap());
+        }
+        assert!(session.conv2d_batch(&[], &kernel).unwrap().is_empty());
     }
 
     fn pool(width: usize) -> rayon::ThreadPool {
@@ -660,7 +713,7 @@ mod tests {
         let seeded = session.run_inference_seeded(&image, 99).unwrap();
         assert_eq!(plain, seeded);
 
-        // Stochastic backend: warmup fills the shared store through a
+        // Stochastic backend: warmup lowers the network through a
         // throwaway seeded engine, and seeds pin the result before and
         // after it.
         let session = Session::builder()

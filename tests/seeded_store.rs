@@ -1,7 +1,7 @@
-//! A stochastic `Session` keeps one prepared-kernel store for every seeded
+//! A stochastic `Session` keeps one set of lowered layers for every seeded
 //! engine it spins up. The oracle here is the construction the facade used
 //! before — spelled out, not called: a fresh `instantiate_seeded` engine on
-//! its own `TiledExecutor::new` (its own, empty cache) through
+//! its own `TiledExecutor::new` (nothing lowered) through
 //! `SmallCnn::features`. Sharing the deterministic half of the preparation
 //! must not move one bit, must never let two requests observe each other's
 //! noise stream, and must show up as fewer `tiling.kernel_prepares`.
@@ -28,8 +28,8 @@ fn images(count: u64) -> Vec<Tensor> {
         .collect()
 }
 
-/// The old path: nothing shared, one engine, one executor, one cache per
-/// request. `telemetry` lets a caller count what it prepares.
+/// The old path: nothing shared, one engine, one executor, its own lowered
+/// layers per request. `telemetry` lets a caller count what it prepares.
 fn fresh_engine_oracle(
     scenario: &Scenario,
     image: &Tensor,
@@ -69,7 +69,7 @@ fn seeded_requests_equal_the_fresh_engine_construction_cold_and_warm() {
         fresh_engine_oracle(&scenario, &images[i], seed, Telemetry::disabled())
     };
 
-    // Cold store, then the same requests again on the warm one.
+    // Nothing lowered, then the same requests again on the lowered layers.
     let session = Session::from_scenario(scenario.clone()).unwrap();
     for round in ["cold", "warm"] {
         for (i, image) in images.iter().enumerate() {
@@ -79,8 +79,8 @@ fn seeded_requests_equal_the_fresh_engine_construction_cold_and_warm() {
         }
     }
 
-    // `run_batch` seeds by image index, on a cold store (fresh session,
-    // images racing to prepare) and on a warmed one.
+    // `run_batch` seeds by image index, with nothing lowered (fresh
+    // session, images racing to lower) and on a warmed session.
     let by_index: Vec<Tensor> = (0..images.len()).map(|i| expected(i, i as u64)).collect();
     for warm in [false, true] {
         let session = Session::from_scenario(scenario.clone()).unwrap();
@@ -111,7 +111,7 @@ fn interleaved_seeds_replay_on_pools_of_every_width() {
         .map(|&(i, seed)| fresh_engine_oracle(&scenario, &images[i], seed, Telemetry::disabled()))
         .collect();
     for width in [1usize, 2, 4] {
-        // A cold store per width: the first requests race to fill it.
+        // Nothing lowered per width: the first requests race to lower.
         let session = Session::from_scenario(scenario.clone()).unwrap();
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(width)
@@ -189,10 +189,9 @@ fn a_second_seeded_engine_lowers_nothing_and_prepares_nothing() {
     session.run_inference_seeded(&images[0], 1).unwrap();
     assert_eq!(kernel_prepares(&tel), 272, "the first engine lowers");
 
-    // Push the network's kernels out of the prepared-kernel store: 1 040
-    // never-repeated kernels through the bare `conv2d` path reset it at
-    // its cap. A forward that went back to the store — that lowered its
-    // layers again — would now have to prepare all 272 once more.
+    // 1 040 never-repeated kernels through the bare `conv2d` path: each
+    // call prepares its 16 afresh and keeps none. A forward that lowered its layers again instead of finding
+    // them lowered would now have to prepare all 272 once more.
     let input = Matrix::new(8, 8, (0..64).map(|i| (i as f64 * 0.21).cos()).collect()).unwrap();
     for call in 0..65 {
         let fresh: Vec<Matrix> = (0..16)
