@@ -5,7 +5,7 @@
 //! * [`thread_scaling`] — the **thread-sweep report**: batched conv2d on
 //!   every backend and batched inference on the ideal JTC, re-timed under
 //!   scoped rayon pools of each requested width. It is a report and gates
-//!   nothing (ROADMAP item 3 owns making a second core help).
+//!   nothing (ROADMAP item 8 owns making a second core help).
 //! * [`telemetry_overhead`] — the **telemetry-overhead gate**: one batched
 //!   inference workload under an enabled handle against a disabled one, the
 //!   median of the interleaved pair ratios held to [`OVERHEAD_BUDGET`].

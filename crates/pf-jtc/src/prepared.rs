@@ -52,14 +52,15 @@
 //!   [`PreparedSpectrum::correlate_spectrum`], the tail of a set of
 //!   `4k + 1`) is the body over `f64`
 //!   ([`RealFftPlan::forward_real_bins_symmetric`]), a lane block
-//!   ([`PreparedConv1d::correlate_set_with_signal`]) the same source over
+//!   ([`PreparedConv1d::correlate_set_into`]) the same source over
 //!   `[f64; LANES]` ([`RealFftPlan::forward_real_bins_lanes`]) — so a
 //!   lane's samples are the lone kernel's, bit for bit, by construction.
 //!   That holds for the two O(n) passes around the lens as well: the joint
 //!   power spectrum gathers each bin's kernel values side by side and
 //!   squares every lane in the one-kernel expression, and the read-out
-//!   writes every lane's samples in one pass over the lobe with the sums
-//!   of squares running side by side, each in output order — written once
+//!   writes every lane's samples in one pass over the lobe, straight into
+//!   the caller's buffer, with the sums of squares running side by side,
+//!   each in output order — written once
 //!   over the width, the lane instantiation compiled with AVX2 where the
 //!   CPU has it, as the lens is.
 //!   Against the full-length transform a lobe sample moves by a few
@@ -76,8 +77,10 @@
 //! ([`correlate_with_signal`](PreparedConv1d::correlate_with_signal)) on a
 //! transform it takes itself, so the two cannot differ in a bit.
 //!
-//! Every body takes `Option<&mut StageAcc>`, and the inherent, trait,
-//! `_acc` and `_traced` entry points are thin callers of it. Passing an
+//! Every body takes `Option<&mut StageAcc>` and writes into the caller's
+//! slice; the set call hands each kernel its slice of the caller's buffer
+//! and allocates nothing, and the inherent, trait, `_acc` and `_traced`
+//! entry points that return a vector are thin callers. Passing an
 //! accumulator marks the stage boundaries (`signal_fft`, `spectrum_apply`,
 //! `inverse`, `dac_adc`) in place; stage totals are read back as
 //! [`pf_telemetry::StageTotals`].
@@ -96,7 +99,7 @@ use pf_photonics::adc::{peak_magnitude, Adc};
 use pf_photonics::dac::Dac;
 use pf_photonics::detector::SensingNoise;
 use pf_telemetry::{Stage, StageAcc};
-use pf_tiling::{correlate_set_per_kernel, PreparedConv1d, PreparedSignal};
+use pf_tiling::{PreparedConv1d, PreparedSignal};
 
 use crate::error::JtcError;
 
@@ -131,10 +134,9 @@ impl ReadOut {
     };
 }
 
-/// Every kernel's read-out of one block, in kernel order: the samples and
-/// their sum of squares (`0.0` where not asked for). Entries past the
-/// block's kernels are empty.
-type Lobes = [(Vec<f64>, f64); LANES];
+/// Every kernel's sum of squares of one block's read-out, in kernel order
+/// (`0.0` where not asked for, and past the block's kernels).
+type Sums = [f64; LANES];
 
 /// How many kernels ride one pass of [`PreparedSpectrum::finish_block`],
 /// named by the block's sample — of the Fourier-plane intensity going into
@@ -162,7 +164,7 @@ trait Width: Copy {
     ) -> Result<&'s [Self], DspError>;
     /// [`read_lobes`] at this width, in the widest instantiation the CPU
     /// runs.
-    fn read_lobes(lobes: &[Self], inv_n: f64, read_outs: &[ReadOut]) -> Lobes;
+    fn read_lobes(lobes: &[Self], inv_n: f64, read_outs: &[ReadOut], out: &mut [f64]) -> Sums;
 }
 
 impl Width for f64 {
@@ -193,8 +195,8 @@ impl Width for f64 {
         Ok(&s.half)
     }
 
-    fn read_lobes(lobes: &[f64], inv_n: f64, read_outs: &[ReadOut]) -> Lobes {
-        read_lobes(lobes, inv_n, read_outs)
+    fn read_lobes(lobes: &[f64], inv_n: f64, read_outs: &[ReadOut], out: &mut [f64]) -> Sums {
+        read_lobes(lobes, inv_n, read_outs, out)
     }
 }
 
@@ -237,13 +239,18 @@ impl Width for [f64; LANES] {
         Ok(&s.lanes_half)
     }
 
-    fn read_lobes(lobes: &[[f64; LANES]], inv_n: f64, read_outs: &[ReadOut]) -> Lobes {
+    fn read_lobes(
+        lobes: &[[f64; LANES]],
+        inv_n: f64,
+        read_outs: &[ReadOut],
+        out: &mut [f64],
+    ) -> Sums {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: as in `joint_power` above.
-            return unsafe { read_lobes_avx2(lobes, inv_n, read_outs) };
+            return unsafe { read_lobes_avx2(lobes, inv_n, read_outs, out) };
         }
-        read_lobes(lobes, inv_n, read_outs)
+        read_lobes(lobes, inv_n, read_outs, out)
     }
 }
 
@@ -272,39 +279,31 @@ fn joint_power<W: Width>(signal_half: &[Complex], kernels: &[&[Complex]; LANES],
 /// block's lobe bins `lobes` (ascending; lobe sample `j` is the `j`-th
 /// from the top) writes every kernel's samples `bin · inv_n · gain` — the
 /// double-transform gain of N normalised away, then the kernel's
-/// [`ReadOut::gain`] — and, when any kernel asks, runs the kernels' sums of
-/// squares side by side, each in output order. `read_outs` holds one entry
-/// per kernel of the block; idle lanes are computed and dropped.
+/// [`ReadOut::gain`] — straight into its lobe of `out` (kernel-major, one
+/// lobe per entry of `read_outs`) and, when any kernel asks, runs the
+/// kernels' sums of squares side by side, each in output order.
+/// `read_outs` holds one entry per kernel; idle lanes are computed and
+/// dropped.
 #[inline(always)]
-fn read_lobes<W: Width>(lobes: &[W], inv_n: f64, read_outs: &[ReadOut]) -> Lobes {
+fn read_lobes<W: Width>(lobes: &[W], inv_n: f64, read_outs: &[ReadOut], out: &mut [f64]) -> Sums {
     let live = read_outs.len();
     let gain = W::per_kernel(|l| read_outs[l.min(live - 1)].gain);
     let sum_squares = read_outs.iter().any(|read_out| read_out.sum_squares);
-    // Not `vec![0.0; n]`: zeroed memory comes from glibc's `calloc`, which
-    // bypasses the per-thread cache the rows' frees go to, and measured
-    // slower; the rows are overwritten below anyway.
-    let mut samples: [Vec<f64>; LANES] = std::array::from_fn(|l| {
-        let len = if l < live { lobes.len() } else { 0 };
-        let mut row = Vec::with_capacity(len);
-        row.resize(len, 0.0);
-        row
-    });
+    let mut rows = out.chunks_exact_mut(lobes.len());
+    let mut rows: [&mut [f64]; LANES] = std::array::from_fn(|_| rows.next().unwrap_or_default());
     let mut sums = W::per_kernel(|_| 0.0);
     for (j, bin) in lobes.iter().rev().enumerate() {
         let sample = W::per_kernel(|l| bin.kernel(l) * inv_n * gain.kernel(l));
         if sum_squares {
             sums = W::per_kernel(|l| sums.kernel(l) + sample.kernel(l) * sample.kernel(l));
         }
-        for (l, out) in samples[..live].iter_mut().enumerate() {
-            out[j] = sample.kernel(l);
+        for (l, row) in rows[..live].iter_mut().enumerate() {
+            row[j] = sample.kernel(l);
         }
     }
-    std::array::from_fn(|l| {
-        let sum_sq = match read_outs.get(l) {
-            Some(read_out) if read_out.sum_squares => sums.kernel(l),
-            _ => 0.0,
-        };
-        (std::mem::take(&mut samples[l]), sum_sq)
+    std::array::from_fn(|l| match read_outs.get(l) {
+        Some(read_out) if read_out.sum_squares => sums.kernel(l),
+        _ => 0.0,
     })
 }
 
@@ -322,8 +321,13 @@ fn joint_power_avx2(
 /// [`read_lobes`] over lanes compiled with AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn read_lobes_avx2(lobes: &[[f64; LANES]], inv_n: f64, read_outs: &[ReadOut]) -> Lobes {
-    read_lobes(lobes, inv_n, read_outs)
+fn read_lobes_avx2(
+    lobes: &[[f64; LANES]],
+    inv_n: f64,
+    read_outs: &[ReadOut],
+    out: &mut [f64],
+) -> Sums {
+    read_lobes(lobes, inv_n, read_outs, out)
 }
 
 /// The precomputed optics-level state for correlating one fixed kernel with
@@ -559,23 +563,26 @@ impl PreparedSpectrum {
     /// Returns [`JtcError::InvalidConfig`] if the transform's geometry
     /// (signal length or grid size) differs from this kernel's.
     pub fn correlate_spectrum(&self, spectrum: &SignalSpectrum) -> Result<Vec<f64>, JtcError> {
-        Ok(self
-            .correlate_spectrum_acc(spectrum, ReadOut::PLAIN, None)?
-            .0)
+        let mut out = vec![0.0; self.corr_len()];
+        self.correlate_spectrum_acc(spectrum, ReadOut::PLAIN, &mut out, None)?;
+        Ok(out)
     }
 
     /// The body of [`PreparedSpectrum::correlate_spectrum`]: the entry
-    /// checks, then a block of one. `acc` chains stage boundaries on the
-    /// caller's accumulator, so a caller that already marked earlier stages
-    /// pays no extra clock reads at the hand-off boundary (the entry checks
-    /// fall into `spectrum_apply`). `read_out` and the returned sum of
-    /// squares are [`PreparedSpectrum::finish_block`]'s.
+    /// checks, then a block of one, read out into `out`
+    /// ([`PreparedSpectrum::corr_len`] samples). `acc` chains stage
+    /// boundaries on the caller's accumulator, so a caller that already
+    /// marked earlier stages pays no extra clock reads at the hand-off
+    /// boundary (the entry checks fall into `spectrum_apply`). `read_out`
+    /// and the returned sum of squares are
+    /// [`PreparedSpectrum::finish_block`]'s.
     fn correlate_spectrum_acc(
         &self,
         spectrum: &SignalSpectrum,
         read_out: ReadOut,
+        out: &mut [f64],
         mut acc: Option<&mut StageAcc>,
-    ) -> Result<(Vec<f64>, f64), JtcError> {
+    ) -> Result<f64, JtcError> {
         self.check_signal_len(spectrum.signal_len)?;
         if spectrum.n != self.n {
             return Err(JtcError::InvalidConfig {
@@ -587,11 +594,11 @@ impl PreparedSpectrum {
             });
         }
         if self.kernel_len > self.signal_len {
-            return Ok((Vec::new(), 0.0));
+            return Ok(0.0);
         }
-        let [lone, ..] =
-            Self::finish_block::<f64>(&[self], &spectrum.half_spec, &[read_out], &mut acc)?;
-        Ok(lone)
+        let [sum_sq, ..] =
+            Self::finish_block::<f64>(&[self], &spectrum.half_spec, &[read_out], out, &mut acc)?;
+        Ok(sum_sq)
     }
 
     /// The one body behind every chain: `block` holds the prepared kernels
@@ -609,9 +616,9 @@ impl PreparedSpectrum {
     /// (`d < n/2` by construction) and the only bins the geometry keeps
     /// alias-free. Every kernel's lobe is then read out by its `read_outs`
     /// entry (lobe sample `j` is bin `d - j`, the double-transform gain of
-    /// N normalised away) and returned with its sum of squares, in kernel
-    /// order. A kernel's samples are, bit for bit, what a block of that
-    /// kernel alone computes.
+    /// N normalised away) straight into its slice of `out`, kernel-major,
+    /// and its sum of squares returned, in kernel order. A kernel's samples
+    /// are, bit for bit, what a block of that kernel alone computes.
     ///
     /// The two O(n) passes around the lens run the whole block at once:
     /// [`joint_power`] gathers a bin's kernel values side by side, and
@@ -631,8 +638,9 @@ impl PreparedSpectrum {
         block: &[&PreparedSpectrum],
         signal_half: &[Complex],
         read_outs: &[ReadOut],
+        out: &mut [f64],
         acc: &mut Option<&mut StageAcc>,
-    ) -> Result<Lobes, JtcError> {
+    ) -> Result<Sums, JtcError> {
         let first = block[0];
         let kernels: [&[Complex]; LANES] =
             std::array::from_fn(|l| &*block[l.min(block.len() - 1)].kernel_half_spec);
@@ -640,16 +648,21 @@ impl PreparedSpectrum {
             W::joint_power(signal_half, &kernels, W::intensity(s));
             mark(acc, Stage::SpectrumApply);
             let lobes = W::second_lens(&first.plan, s, first.lobe_bins())?;
-            let lobes = W::read_lobes(lobes, 1.0 / first.n as f64, read_outs);
+            let sums = W::read_lobes(lobes, 1.0 / first.n as f64, read_outs, out);
             mark(acc, Stage::Inverse);
-            Ok(lobes)
+            Ok(sums)
         })
+    }
+
+    /// Samples of the valid correlation: the lobe's length, or none for a
+    /// kernel longer than the signal.
+    fn corr_len(&self) -> usize {
+        (self.signal_len + 1).saturating_sub(self.kernel_len)
     }
 
     /// The output-plane bins of the correlation lobe, ascending.
     fn lobe_bins(&self) -> RangeInclusive<usize> {
-        let len = self.signal_len - self.kernel_len + 1;
-        self.d + 1 - len..=self.d
+        self.d + 1 - self.corr_len()..=self.d
     }
 
     /// Whether `other` lays its joint input plane out exactly as `self`
@@ -791,81 +804,108 @@ impl PreparedKernel {
     ///
     /// Same conditions as [`PreparedSpectrum::correlate`].
     pub fn correlate(&self, signal: &[f64]) -> Result<Vec<f64>, JtcError> {
-        self.chain(signal, None)
+        let mut out = vec![0.0; self.spectrum.corr_len()];
+        self.chain(signal, &mut out, None)?;
+        Ok(out)
     }
 
-    /// The full chain: the first lens on the DAC-quantised signal, then the
-    /// shared-signal chain on that transform. Stage boundaries are marked on
-    /// a caller-held [`StageAcc`] when there is one (one clock read per
-    /// boundary; see the accumulator's docs for why loops hold one).
-    fn chain(&self, signal: &[f64], mut acc: Option<&mut StageAcc>) -> Result<Vec<f64>, JtcError> {
+    /// A chain's output as a fresh vector, for the entries that return
+    /// one. Shape-only contract, like `Conv1dEngine::correlate_valid`: a
+    /// mismatched call degenerates to an empty result.
+    fn collect(&self, chain: impl FnOnce(&mut [f64]) -> Result<(), JtcError>) -> Vec<f64> {
+        let mut out = vec![0.0; self.spectrum.corr_len()];
+        chain(&mut out).map_or_else(|_| Vec::new(), |()| out)
+    }
+
+    /// The full chain into `out`: the first lens on the DAC-quantised
+    /// signal, then the shared-signal chain on that transform. Stage
+    /// boundaries are marked on a caller-held [`StageAcc`] when there is
+    /// one (one clock read per boundary; see the accumulator's docs for
+    /// why loops hold one).
+    fn chain(
+        &self,
+        signal: &[f64],
+        out: &mut [f64],
+        mut acc: Option<&mut StageAcc>,
+    ) -> Result<(), JtcError> {
         let (signal_q, s_scale) = quantize_through_dac(self.dac.as_ref(), signal);
         mark(&mut acc, Stage::DacAdc);
         let spectrum = self.spectrum.signal_spectrum(&signal_q)?;
         mark(&mut acc, Stage::SignalFft);
-        self.chain_shared(&SharedSignal { spectrum, s_scale }, acc)
+        self.chain_shared(&SharedSignal { spectrum, s_scale }, out, acc)
     }
 
-    /// The one body of the shared-signal chain. No signal-FFT stage here:
+    /// The one body of a kernel's own chain into `out`, as the per-kernel
+    /// loop runs it: the shared-signal chain on `prepared` when that is
+    /// this engine's transform of this geometry — no signal-FFT stage here:
     /// the shared transform was computed (and attributed to `signal_fft`)
-    /// where it was prepared — the executor's `prepare_signal` /
-    /// `prepare_signal_batch` call sites. A foreign or mismatched transform
-    /// falls back to the full chain on `signal`.
+    /// where it was prepared, the executor's `prepare_signal_batch` call
+    /// sites — else (no transform, a foreign or mismatched one) the full
+    /// chain on `signal`.
     fn chain_with_signal(
         &self,
-        prepared: &dyn PreparedSignal,
+        prepared: Option<&dyn PreparedSignal>,
         signal: &[f64],
+        out: &mut [f64],
         mut acc: Option<&mut StageAcc>,
-    ) -> Vec<f64> {
-        if let Some(shared) = prepared.as_any().downcast_ref::<SharedSignal>() {
-            if let Ok(out) = self.chain_shared(shared, acc.as_deref_mut()) {
-                return out;
+    ) -> Result<(), JtcError> {
+        let shared = prepared.and_then(|p| p.as_any().downcast_ref::<SharedSignal>());
+        if let Some(shared) = shared {
+            if self.chain_shared(shared, out, acc.as_deref_mut()).is_ok() {
+                return Ok(());
             }
         }
-        // Shape-only contract, like `Conv1dEngine::correlate_valid`: a
-        // mismatched call degenerates to an empty result.
-        self.chain(signal, acc).unwrap_or_default()
+        self.chain(signal, out, acc)
     }
 
-    /// The shared-signal chain on this engine's own transform type.
+    /// The shared-signal chain on this engine's own transform type, into
+    /// `out` ([`PreparedSpectrum::corr_len`] samples).
     fn chain_shared(
         &self,
         shared: &SharedSignal,
+        out: &mut [f64],
         mut acc: Option<&mut StageAcc>,
-    ) -> Result<Vec<f64>, JtcError> {
-        let (mut out, sum_sq) = self.spectrum.correlate_spectrum_acc(
+    ) -> Result<(), JtcError> {
+        let sum_sq = self.spectrum.correlate_spectrum_acc(
             &shared.spectrum,
             self.read_out(shared.s_scale),
+            out,
             acc.as_deref_mut(),
         )?;
-        self.condition(&mut out, sum_sq);
+        self.condition(out, sum_sq);
         mark(&mut acc, Stage::DacAdc);
-        Ok(out)
+        Ok(())
     }
 
     /// The one body of the shared-signal chain for a whole kernel set that
-    /// [`PreparedKernel::lane_set`] cleared: the optics run per block
-    /// ([`PreparedSpectrum::finish_block`]), then each kernel of the block
-    /// conditions its own output **in kernel order**, so a noisy engine's
-    /// stream is consumed exactly as the per-kernel chain consumes it.
-    /// Stages are marked once per block. A block of one — a set of one
-    /// kernel, the tail of a set of `4k + 1` — runs at width 1
+    /// [`PreparedKernel::lane_set`] cleared, every kernel's lobe into its
+    /// slice of `out` (kernel-major): the optics run per block
+    /// ([`PreparedSpectrum::finish_block`], which reads each lobe out
+    /// straight into its slice), then each kernel of the block conditions
+    /// its own slice **in kernel order**, so a noisy engine's stream is
+    /// consumed exactly as the per-kernel chain consumes it. Stages are
+    /// marked once per block. A block of one — a set of one kernel, the
+    /// tail of a set of `4k + 1` — runs at width 1
     /// ([`PreparedKernel::chain_shared`]): a whole lane transform for one
     /// lobe costs more than the one-signal instantiation (single-kernel
-    /// partial tiling ran 20–29 % slower through lanes).
+    /// partial tiling ran 20–29 % slower through lanes). Nothing here
+    /// allocates.
     fn chain_set(
         set: &[&dyn PreparedConv1d],
         shared: &SharedSignal,
+        out: &mut [f64],
         mut acc: Option<&mut StageAcc>,
-    ) -> Vec<Vec<f64>> {
-        let mut out = Vec::with_capacity(set.len());
-        for block in set.chunks(LANES) {
+    ) {
+        let len = Self::of(set[0])
+            .expect("lane_set cleared every member")
+            .spectrum
+            .corr_len();
+        assert_eq!(out.len(), set.len() * len, "one lobe per kernel of the set");
+        for (block, out) in set.chunks(LANES).zip(out.chunks_mut(LANES * len)) {
             if let [lone] = block {
                 let lone = Self::of(*lone).expect("lane_set cleared every member");
-                out.push(
-                    lone.chain_shared(shared, acc.as_deref_mut())
-                        .expect("lane_set cleared the geometry"),
-                );
+                lone.chain_shared(shared, out, acc.as_deref_mut())
+                    .expect("lane_set cleared the geometry");
                 continue;
             }
             // Fixed-size views (a short block repeats its last kernel):
@@ -875,20 +915,21 @@ impl PreparedKernel {
             });
             let spectra = kernels.map(|k| &*k.spectrum);
             let read_outs = kernels.map(|k| k.read_out(shared.s_scale));
-            let lobes = PreparedSpectrum::finish_block::<[f64; LANES]>(
+            let sums = PreparedSpectrum::finish_block::<[f64; LANES]>(
                 &spectra[..block.len()],
                 &shared.spectrum.half_spec,
                 &read_outs[..block.len()],
+                out,
                 &mut acc,
             )
             .expect("lane_set cleared the geometry");
-            for (kernel, (mut samples, sum_sq)) in kernels.iter().zip(lobes).take(block.len()) {
-                kernel.condition(&mut samples, sum_sq);
-                out.push(samples);
+            for ((kernel, samples), sum_sq) in
+                kernels.iter().zip(out.chunks_exact_mut(len)).zip(sums)
+            {
+                kernel.condition(samples, sum_sq);
             }
             mark(&mut acc, Stage::DacAdc);
         }
-        out
     }
 
     /// `member` as this engine's own prepared kernel, if it is one.
@@ -955,9 +996,7 @@ impl PreparedConv1d for PreparedKernel {
     }
 
     fn correlate_valid(&self, signal: &[f64]) -> Vec<f64> {
-        // Shape-only contract, like `Conv1dEngine::correlate_valid`: a
-        // mismatched call degenerates to an empty result.
-        self.chain(signal, None).unwrap_or_default()
+        self.collect(|out| self.chain(signal, out, None))
     }
 
     fn signal_key(&self) -> Option<u64> {
@@ -1016,26 +1055,45 @@ impl PreparedConv1d for PreparedKernel {
     }
 
     fn correlate_with_signal(&self, prepared: &dyn PreparedSignal, signal: &[f64]) -> Vec<f64> {
-        self.chain_with_signal(prepared, signal, None)
+        self.collect(|out| self.chain_with_signal(Some(prepared), signal, out, None))
     }
 
-    fn correlate_set_with_signal(
+    fn correlate_set_into(
         &self,
         set: &[&dyn PreparedConv1d],
-        prepared: &dyn PreparedSignal,
+        shared: Option<&dyn PreparedSignal>,
         signal: &[f64],
-        acc: Option<&mut StageAcc>,
-    ) -> Vec<Vec<f64>> {
-        match Self::lane_set(set, prepared) {
-            Some(shared) => Self::chain_set(set, shared, acc),
-            // A foreign member, mixed geometries, an empty lobe: the
-            // per-kernel loop handles each member on its own terms.
-            None => correlate_set_per_kernel(set, prepared, signal, acc),
+        out: &mut [f64],
+        mut acc: Option<&mut StageAcc>,
+    ) {
+        if let Some(lanes) = shared.and_then(|prepared| Self::lane_set(set, prepared)) {
+            return Self::chain_set(set, lanes, out, acc);
+        }
+        // No transform, a foreign member, mixed geometries, an empty lobe:
+        // every member on its own terms, in order — this engine's own
+        // kernels each through its chain, a foreign one through its own
+        // set call on a set of one. A mismatched call leaves its slice as
+        // it was.
+        let len = out.len() / set.len().max(1);
+        for (k, member) in set.iter().enumerate() {
+            let out = &mut out[k * len..][..len];
+            match Self::of(*member) {
+                Some(kernel) => {
+                    let _ = kernel.chain_with_signal(shared, signal, out, acc.as_deref_mut());
+                }
+                None => member.correlate_set_into(
+                    std::slice::from_ref(member),
+                    shared,
+                    signal,
+                    out,
+                    acc.as_deref_mut(),
+                ),
+            }
         }
     }
 
     fn correlate_valid_acc(&self, signal: &[f64], acc: &mut StageAcc) -> Vec<f64> {
-        self.chain(signal, Some(acc)).unwrap_or_default()
+        self.collect(|out| self.chain(signal, out, Some(acc)))
     }
 
     fn correlate_with_signal_acc(
@@ -1044,7 +1102,7 @@ impl PreparedConv1d for PreparedKernel {
         signal: &[f64],
         acc: &mut StageAcc,
     ) -> Vec<f64> {
-        self.chain_with_signal(prepared, signal, Some(acc))
+        self.collect(|out| self.chain_with_signal(Some(prepared), signal, out, Some(acc)))
     }
 }
 
@@ -1339,32 +1397,41 @@ mod tests {
                             sum_squares: noisy && l != 1,
                         })
                         .collect();
-                    let lane_lobes = read_lobes::<[f64; LANES]>(&lobes, inv_n, &read_outs);
+                    // A whole block's worth of rows, idle ones included:
+                    // an idle lane must leave its row as it found it.
+                    let len = first.signal_len - first.kernel_len + 1;
+                    assert_eq!(lobes.len(), len, "{what}: one bin per sample");
+                    let sentinel = f64::from_bits(0x7ff8_dead_beef_0001);
+                    let mut lane_out = vec![sentinel; LANES * len];
+                    let lane_sums =
+                        read_lobes::<[f64; LANES]>(&lobes, inv_n, &read_outs, &mut lane_out);
                     #[cfg(target_arch = "x86_64")]
                     if std::arch::is_x86_feature_detected!("avx2") {
+                        let mut avx2_out = vec![sentinel; LANES * len];
                         // SAFETY: as above.
-                        let avx2 = unsafe { read_lobes_avx2(&lobes, inv_n, &read_outs) };
-                        for (l, (a, b)) in avx2.iter().zip(&lane_lobes).enumerate() {
-                            assert_eq!(bits(&a.0), bits(&b.0), "{what}: AVX2 samples, lane {l}");
-                            assert_eq!(a.1.to_bits(), b.1.to_bits(), "{what}: AVX2 sum, lane {l}");
-                        }
+                        let avx2_sums =
+                            unsafe { read_lobes_avx2(&lobes, inv_n, &read_outs, &mut avx2_out) };
+                        assert_eq!(bits(&avx2_out), bits(&lane_out), "{what}: AVX2 samples");
+                        assert_eq!(bits(&avx2_sums), bits(&lane_sums), "{what}: AVX2 sums");
                     }
-                    for (l, (samples, sum_sq)) in lane_lobes.iter().enumerate() {
+                    let rows = lane_out.chunks_exact(len).zip(lane_sums);
+                    for (l, (samples, sum_sq)) in rows.enumerate() {
                         let Some(read_out) = read_outs.get(l) else {
                             assert!(
-                                samples.is_empty() && *sum_sq == 0.0,
+                                bits(samples) == bits(&vec![sentinel; len]) && sum_sq == 0.0,
                                 "{what}: idle lane {l}"
                             );
                             continue;
                         };
                         let column: Vec<f64> = lobes.iter().map(|bin| bin[l]).collect();
-                        let [(one, one_sum), ..] = read_lobes::<f64>(&column, inv_n, &[*read_out]);
-                        assert_eq!(samples.len(), first.signal_len - first.kernel_len + 1);
+                        let mut one = vec![0.0; len];
+                        let [one_sum, ..] =
+                            read_lobes::<f64>(&column, inv_n, &[*read_out], &mut one);
                         for (j, (a, b)) in one.iter().zip(samples).enumerate() {
                             assert_eq!(a.to_bits(), b.to_bits(), "{what}: sample {j}, lane {l}");
                         }
                         assert_eq!(one_sum.to_bits(), sum_sq.to_bits(), "{what}: sum, lane {l}");
-                        assert_eq!(*sum_sq == 0.0, !read_out.sum_squares, "{what}: lane {l}");
+                        assert_eq!(sum_sq == 0.0, !read_out.sum_squares, "{what}: lane {l}");
                     }
                 }
             }

@@ -1,18 +1,19 @@
 //! The lane path against the per-kernel path.
 //!
-//! [`PreparedConv1d::correlate_set_with_signal`] on a JTC prepared kernel
-//! carries the kernels of a set through the second lens four to a lane
-//! block. The contract it is held to here: output for output **bit for
-//! bit** what calling `correlate_with_signal` on each member in turn
-//! produces, with a noisy engine's stream left in the same state — for
-//! every block shape (full blocks, a short last block, a set shorter than
-//! one block, a lone kernel, which takes the scalar chain), on small planes
-//! and on the benchmark's two grids (n = 240 and n = 1000, where the
-//! intensity and read-out passes run the lengths users run), on operands
-//! at the edges of `f64` (1e150-scale kernels and tiles, silent lanes,
-//! subnormal spectra), with and without stage marks, and on the sets it
-//! must hand back to the per-kernel loop (mixed geometry, a foreign
-//! member).
+//! [`PreparedConv1d::correlate_set_into`] on a JTC prepared kernel carries
+//! the kernels of a set through the second lens four to a lane block and
+//! reads every lobe out straight into its slice of the caller's buffer. The
+//! contract it is held to here: output for output **bit for bit** what
+//! calling `correlate_with_signal` on each member in turn produces, every
+//! sample of the buffer written, with a noisy engine's stream left in the
+//! same state — for every block shape (full blocks, a short last block, a
+//! set shorter than one block, a lone kernel, which takes the scalar
+//! chain), on small planes and on the benchmark's two grids (n = 240 and
+//! n = 1000, where the intensity and read-out passes run the lengths users
+//! run), on operands at the edges of `f64` (1e150-scale kernels and tiles,
+//! silent lanes, subnormal spectra), with and without stage marks, and on
+//! the sets it must hand back to the per-kernel loop (a transform taken on
+//! another grid, no transform at all, a foreign member).
 //!
 //! And, since the engine has one chain: the one-off entries
 //! (`JtcEngine::correlate`, `Conv1dEngine::correlate_valid`) against a kept
@@ -98,6 +99,32 @@ fn per_kernel(
         .collect()
 }
 
+/// A quiet NaN no chain produces: a sample the set call leaves unwritten
+/// keeps it, and no loop output matches it bit for bit.
+const UNWRITTEN: u64 = 0x7ff8_dead_beef_0001;
+
+/// The set call into one buffer of `corr_len` samples per kernel (the
+/// buffer starts as [`UNWRITTEN`]), cut back into one vector per kernel.
+fn set_call(
+    set: &[&dyn PreparedConv1d],
+    shared: Option<&dyn PreparedSignal>,
+    signal: &[f64],
+    corr_len: usize,
+    acc: Option<&mut StageAcc>,
+) -> Vec<Vec<f64>> {
+    let mut out = vec![f64::from_bits(UNWRITTEN); set.len() * corr_len];
+    set[0].correlate_set_into(set, shared, signal, &mut out, acc);
+    (0..set.len())
+        .map(|k| out[k * corr_len..(k + 1) * corr_len].to_vec())
+        .collect()
+}
+
+/// Samples of the valid correlation of a `signal_len` signal with a
+/// `kernel_len` kernel.
+fn corr_len(signal_len: usize, kernel_len: usize) -> usize {
+    (signal_len + 1).saturating_sub(kernel_len)
+}
+
 fn assert_bits(a: &[Vec<f64>], b: &[Vec<f64>], what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: output count");
     for (k, (x, y)) in a.iter().zip(b).enumerate() {
@@ -139,6 +166,7 @@ fn check_set_equals_loop(
     expect: Path,
 ) -> Vec<Vec<Vec<f64>>> {
     let len = tiles[0].len();
+    let out_len = corr_len(len, kernels[0].len());
     let (by_set, by_loop) = (
         JtcEngine::new(config.clone()).unwrap(),
         JtcEngine::new(config.clone()).unwrap(),
@@ -155,8 +183,7 @@ fn check_set_equals_loop(
             let shared = set_preps[0].prepare_signal(tile).unwrap();
             let set = refs(&set_preps);
             let mut lanes = Vec::new();
-            let path =
-                path_taken(|| lanes = set[0].correlate_set_with_signal(&set, &*shared, tile, None));
+            let path = path_taken(|| lanes = set_call(&set, Some(&*shared), tile, out_len, None));
             assert_eq!(path, expect, "{what}: path");
             let looped = per_kernel(&refs(&loop_preps), &*shared, tile);
             assert_bits(&lanes, &looped, &what);
@@ -357,9 +384,10 @@ fn stage_marks_change_no_bit_and_split_the_block_exactly() {
     let shared = preps[0].prepare_signal(&tile).unwrap();
     let mut acc = StageAcc::start();
     let set = refs(&preps);
-    let traced = set[0].correlate_set_with_signal(&set, &*shared, &tile, Some(&mut acc));
+    let len = corr_len(SIGNAL_LEN, 5);
+    let traced = set_call(&set, Some(&*shared), &tile, len, Some(&mut acc));
     let other_set = refs(&other_preps);
-    let plain = other_set[0].correlate_set_with_signal(&other_set, &*shared, &tile, None);
+    let plain = set_call(&other_set, Some(&*shared), &tile, len, None);
     assert_bits(&traced, &plain, "traced vs plain");
     let ns = acc.ns();
     assert_eq!(
@@ -394,22 +422,46 @@ impl PreparedConv1d for Foreign {
 
 #[test]
 fn sets_that_cannot_ride_in_lanes_fall_back_to_the_loop() {
+    let kernels: Vec<Vec<f64>> = (0..LANES + 1).map(|i| kernel(i, 5)).collect();
+    let out_len = corr_len(SIGNAL_LEN, 5);
     for (name, config) in configs(64) {
-        // Mixed geometry: kernel lengths differ, so lobes (and for some
-        // lengths grids) differ; the odd one out must still be answered as
-        // `correlate_with_signal` answers it.
-        let mixed: Vec<Vec<f64>> = [5, 5, 3, 5, 9]
-            .iter()
-            .enumerate()
-            .map(|(i, &len)| kernel(i, len))
-            .collect();
-        check_set_equals_loop(
-            &format!("{name} mixed"),
-            &config,
-            &mixed,
-            &tiles(SIGNAL_LEN),
-            Path::PerKernel,
-        );
+        // A transform taken on another grid (a 40-tap kernel's plane for
+        // the same tiles), and no transform at all: every member must be
+        // answered as it answers alone — the full chain on the tile.
+        let wide = JtcEngine::new(config.clone()).unwrap();
+        let wide = wide.prepare_kernel(&kernel(0, 40), SIGNAL_LEN).unwrap();
+        let grids = [40, 5].map(|taps| {
+            PreparedSpectrum::new(&kernel(0, taps), SIGNAL_LEN, 64)
+                .unwrap()
+                .grid_size()
+        });
+        assert_ne!(grids[0], grids[1], "two grids");
+        for (t, tile) in tiles(SIGNAL_LEN).iter().enumerate() {
+            let (by_set, by_loop) = (
+                JtcEngine::new(config.clone()).unwrap(),
+                JtcEngine::new(config.clone()).unwrap(),
+            );
+            let (set_preps, loop_preps) = (
+                prepare(&by_set, &kernels, SIGNAL_LEN),
+                prepare(&by_loop, &kernels, SIGNAL_LEN),
+            );
+            let (set, looped) = (refs(&set_preps), refs(&loop_preps));
+            let foreign_grid = wide.prepare_signal(tile).unwrap();
+            let what = format!("{name}, tile {t}, transform on another grid");
+            let mut outs = Vec::new();
+            let path =
+                path_taken(|| outs = set_call(&set, Some(&*foreign_grid), tile, out_len, None));
+            assert_eq!(path, Path::PerKernel, "{what}: path");
+            assert_bits(&outs, &per_kernel(&looped, &*foreign_grid, tile), &what);
+            assert_eq!(format!("{by_set:?}"), format!("{by_loop:?}"), "{what}");
+
+            let what = format!("{name}, tile {t}, no transform");
+            let path = path_taken(|| outs = set_call(&set, None, tile, out_len, None));
+            assert_eq!(path, Path::PerKernel, "{what}: path");
+            let full: Vec<Vec<f64>> = looped.iter().map(|k| k.correlate_valid(tile)).collect();
+            assert_bits(&outs, &full, &what);
+            assert_eq!(format!("{by_set:?}"), format!("{by_loop:?}"), "{what}");
+        }
 
         // A kernel longer than the signal: empty outputs, no lanes.
         let long: Vec<Vec<f64>> = (0..3).map(|i| kernel(i, 20)).collect();
@@ -423,7 +475,6 @@ fn sets_that_cannot_ride_in_lanes_fall_back_to_the_loop() {
 
         // A foreign member, first (the default body answers) and in the
         // middle (the override recognises it and steps aside).
-        let kernels: Vec<Vec<f64>> = (0..LANES + 1).map(|i| kernel(i, 5)).collect();
         for foreign_at in [0, 2] {
             let (by_set, by_loop) = (
                 JtcEngine::new(config.clone()).unwrap(),
@@ -440,9 +491,7 @@ fn sets_that_cannot_ride_in_lanes_fall_back_to_the_loop() {
             let set = refs(&set_preps);
             let what = format!("{name} foreign at {foreign_at}");
             let mut lanes = Vec::new();
-            let path = path_taken(|| {
-                lanes = set[0].correlate_set_with_signal(&set, &*shared, &tile, None)
-            });
+            let path = path_taken(|| lanes = set_call(&set, Some(&*shared), &tile, out_len, None));
             assert_eq!(path, Path::PerKernel, "{what}: path");
             let looped = per_kernel(&refs(&loop_preps), &*shared, &tile);
             assert_bits(&lanes, &looped, &what);
@@ -469,7 +518,7 @@ proptest! {
             (prepare(&by_set, &kernels, 24), prepare(&by_loop, &kernels, 24));
         let shared = set_preps[0].prepare_signal(&tile).unwrap();
         let set = refs(&set_preps);
-        let lanes = set[0].correlate_set_with_signal(&set, &*shared, &tile, None);
+        let lanes = set_call(&set, Some(&*shared), &tile, 24 - 4 + 1, None);
         let looped = per_kernel(&refs(&loop_preps), &*shared, &tile);
         assert_bits(&lanes, &looped, "random set");
         prop_assert_eq!(format!("{by_set:?}"), format!("{by_loop:?}"));

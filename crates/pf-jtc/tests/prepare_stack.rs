@@ -95,10 +95,13 @@ fn check_interchangeable(
         // The lane set call.
         let set_a: Vec<&dyn PreparedConv1d> = stacked.iter().map(|p| &**p).collect();
         let set_b: Vec<&dyn PreparedConv1d> = single.iter().map(|p| &**p).collect();
-        let lanes_a = set_a[0].correlate_set_with_signal(&set_a, &*shared_a, &tile, None);
-        let lanes_b = set_b[0].correlate_set_with_signal(&set_b, &*shared_b, &tile, None);
-        assert_eq!(lanes_a.len(), lanes_b.len(), "{what}: set call");
-        for (k, (a, b)) in lanes_a.iter().zip(&lanes_b).enumerate() {
+        let len = tile.len() - KERNEL_LEN + 1;
+        let (mut lanes_a, mut lanes_b) =
+            (vec![0.0; set_a.len() * len], vec![1.0; set_b.len() * len]);
+        set_a[0].correlate_set_into(&set_a, Some(&*shared_a), &tile, &mut lanes_a, None);
+        set_b[0].correlate_set_into(&set_b, Some(&*shared_b), &tile, &mut lanes_b, None);
+        let kernels = lanes_a.chunks_exact(len).zip(lanes_b.chunks_exact(len));
+        for (k, (a, b)) in kernels.enumerate() {
             assert_bits(a, b, &format!("{what}: set call, kernel {k}"));
         }
     }

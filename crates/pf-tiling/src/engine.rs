@@ -222,27 +222,43 @@ pub trait PreparedConv1d: Any + Debug + Send + Sync {
         self.correlate_with_signal(prepared, signal)
     }
 
-    /// Correlates one shared signal transform against a whole set of
-    /// prepared kernels — every consumer of one tile's transform, `self`
-    /// among them — returning one output per member of `set`, in order.
+    /// Correlates one signal against a whole set of prepared kernels —
+    /// every kernel of one stack, `self` among them, all producing outputs
+    /// of one length `corr_len` — writing them into `out` kernel-major:
+    /// kernel `k`'s samples at `k * corr_len`, `out` exactly
+    /// `set.len() * corr_len` long. `shared` is the signal's transform
+    /// when a member's [`PreparedConv1d::prepare_signal`] took one for the
+    /// set to read; without it every member runs its own full chain.
     /// `acc`, when present, collects the stage split of the whole call.
     ///
     /// Must be **bit-identical**, output for output, to calling
-    /// [`PreparedConv1d::correlate_with_signal`] on each member in turn,
-    /// and must consume any per-engine state (a noise stream) in that same
-    /// order. The default ([`correlate_set_per_kernel`]) is exactly that
-    /// loop; engines that can carry several kernels of a set through their
-    /// transform together (the JTC: one second lens per lane block)
-    /// override it, and fall back to the loop on a set they cannot batch —
-    /// a member of a foreign type, mixed geometries.
-    fn correlate_set_with_signal(
+    /// [`PreparedConv1d::correlate_with_signal`] (with `shared`) or
+    /// [`PreparedConv1d::correlate_valid`] (without) on each member in
+    /// turn, and must consume any per-engine state (a noise stream) in that
+    /// same order. The default is exactly that loop, each output copied
+    /// into its slice; engines that can do better with the set in hand
+    /// override it (the JTC carries four kernels of a set through one
+    /// second lens, the digital engine keeps a block of a kernel's outputs
+    /// in registers) and fall back to the loop on a set they cannot batch — a
+    /// member of a foreign type, a transform they cannot read.
+    fn correlate_set_into(
         &self,
         set: &[&dyn PreparedConv1d],
-        prepared: &dyn PreparedSignal,
+        shared: Option<&dyn PreparedSignal>,
         signal: &[f64],
-        acc: Option<&mut StageAcc>,
-    ) -> Vec<Vec<f64>> {
-        correlate_set_per_kernel(set, prepared, signal, acc)
+        out: &mut [f64],
+        mut acc: Option<&mut StageAcc>,
+    ) {
+        let len = out.len() / set.len().max(1);
+        for (k, member) in set.iter().enumerate() {
+            let samples = match (shared, acc.as_deref_mut()) {
+                (Some(shared), Some(acc)) => member.correlate_with_signal_acc(shared, signal, acc),
+                (Some(shared), None) => member.correlate_with_signal(shared, signal),
+                (None, Some(acc)) => member.correlate_valid_acc(signal, acc),
+                (None, None) => member.correlate_valid(signal),
+            };
+            out[k * len..][..len].copy_from_slice(&samples);
+        }
     }
 
     /// [`PreparedConv1d::correlate_valid_acc`] for a one-off call: starts
@@ -272,24 +288,6 @@ pub trait PreparedConv1d: Any + Debug + Send + Sync {
     }
 }
 
-/// The per-kernel body of [`PreparedConv1d::correlate_set_with_signal`]:
-/// each member of `set` correlates the shared transform on its own, in
-/// order, marking its stages on `acc` when there is one. The trait's
-/// default, and what an overriding engine falls back to.
-pub fn correlate_set_per_kernel(
-    set: &[&dyn PreparedConv1d],
-    prepared: &dyn PreparedSignal,
-    signal: &[f64],
-    mut acc: Option<&mut StageAcc>,
-) -> Vec<Vec<f64>> {
-    set.iter()
-        .map(|kernel| match acc.as_deref_mut() {
-            Some(acc) => kernel.correlate_with_signal_acc(prepared, signal, acc),
-            None => kernel.correlate_with_signal(prepared, signal),
-        })
-        .collect()
-}
-
 /// Exact digital reference backend built on [`pf_dsp::conv::correlate1d`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DigitalEngine;
@@ -317,15 +315,13 @@ impl Conv1dEngine for DigitalEngine {
 /// of its time multiplying by those zeros, so preparation records the
 /// non-zero taps once and the per-tile correlation only touches them.
 ///
-/// The correlation streams **one tap at a time over every output**
-/// (`out[p] += signal[p + offset] · tap` for all `p`, taps ascending): the
-/// inner loop is a contiguous multiply-add the compiler vectorises, where
-/// an output-outer loop over a handful of scattered taps is not. Each
-/// output still receives its surviving terms in the same ascending-index
-/// order as the dense reference, and a skipped term contributes an exact
-/// `+0.0` there, so for finite signals the sparse result is identical to
-/// [`pf_dsp::conv::correlate1d`] (up to the sign of an all-zero
-/// accumulator).
+/// The correlation is **register-blocked** ([`correlate_taps`]): a block of
+/// [`OUTPUT_BLOCK`] outputs keeps its running sums in registers across all
+/// of the kernel's non-zero taps, taps ascending onto `+0.0`, and is stored
+/// once. Each output receives its surviving terms in the same
+/// ascending-index order as the dense reference, and a skipped term
+/// contributes an exact `+0.0` there, so for finite signals the sparse
+/// result is identical to [`pf_dsp::conv::correlate1d`].
 #[derive(Debug)]
 struct SparseKernel {
     kernel_len: usize,
@@ -349,6 +345,94 @@ impl SparseKernel {
     }
 }
 
+/// Outputs of one kernel whose running sums [`correlate_taps`] holds in
+/// registers across the kernel's taps: four AVX2 registers, eight SSE2
+/// ones. Each tap's additions depend on the previous tap's, so the block
+/// must hold enough independent sums to cover the adder's latency: eight
+/// outputs (two AVX2 registers) left the loop waiting on it and measured
+/// slower than streaming one tap over every output.
+const OUTPUT_BLOCK: usize = 16;
+
+/// The digital engine's correlation, written once: sample `p` of `out` is
+/// `Σ signal[p + offset] · value` over `taps`, the terms added in tap order
+/// onto `+0.0` — what a loop streaming one tap over every output computes,
+/// bit for bit, without loading and storing every output once per tap.
+/// Every block of [`OUTPUT_BLOCK`] outputs runs the taps with its sums in
+/// registers; the last block ends at the last output, overlapping its
+/// predecessor where the length is no multiple of the block, and stores
+/// the same sums there again (an output's sum does not depend on the block
+/// it rides in). Fewer outputs than one block run the same loop over fewer
+/// lanes. `#[inline(always)]` so that each caller compiles its own copy
+/// for its own ISA.
+#[inline(always)]
+fn correlate_taps(taps: &[(usize, f64)], signal: &[f64], out: &mut [f64]) {
+    let len = out.len();
+    if len < OUTPUT_BLOCK {
+        let mut sums = [0.0f64; OUTPUT_BLOCK];
+        for &(offset, tap) in taps {
+            for (sum, &x) in sums.iter_mut().zip(&signal[offset..offset + len]) {
+                *sum += x * tap;
+            }
+        }
+        out.copy_from_slice(&sums[..len]);
+        return;
+    }
+    for b in 0..len.div_ceil(OUTPUT_BLOCK) {
+        let at = (b * OUTPUT_BLOCK).min(len - OUTPUT_BLOCK);
+        let mut sums = [0.0f64; OUTPUT_BLOCK];
+        for &(offset, tap) in taps {
+            let window: &[f64; OUTPUT_BLOCK] = signal[at + offset..][..OUTPUT_BLOCK]
+                .try_into()
+                .expect("a whole block");
+            for (sum, &x) in sums.iter_mut().zip(window) {
+                *sum += x * tap;
+            }
+        }
+        out[at..at + OUTPUT_BLOCK].copy_from_slice(&sums);
+    }
+}
+
+/// The digital engine's set body: each member's `out.len() / set.len()`
+/// outputs into its slice of `out`, in set order — a [`SparseKernel`]
+/// through [`correlate_taps`], any other member through its own set call
+/// on a set of one.
+#[inline(always)]
+fn correlate_sparse_set(
+    set: &[&dyn PreparedConv1d],
+    shared: Option<&dyn PreparedSignal>,
+    signal: &[f64],
+    out: &mut [f64],
+    mut acc: Option<&mut StageAcc>,
+) {
+    let len = out.len() / set.len().max(1);
+    for (k, member) in set.iter().enumerate() {
+        let out = &mut out[k * len..][..len];
+        match (*member as &dyn Any).downcast_ref::<SparseKernel>() {
+            Some(kernel) => correlate_taps(&kernel.taps, signal, out),
+            None => member.correlate_set_into(
+                std::slice::from_ref(member),
+                shared,
+                signal,
+                out,
+                acc.as_deref_mut(),
+            ),
+        }
+    }
+}
+
+/// [`correlate_sparse_set`] compiled with AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn correlate_sparse_set_avx2(
+    set: &[&dyn PreparedConv1d],
+    shared: Option<&dyn PreparedSignal>,
+    signal: &[f64],
+    out: &mut [f64],
+    acc: Option<&mut StageAcc>,
+) {
+    correlate_sparse_set(set, shared, signal, out, acc);
+}
+
 impl PreparedConv1d for SparseKernel {
     fn signal_len(&self) -> usize {
         self.signal_len
@@ -364,12 +448,26 @@ impl PreparedConv1d for SparseKernel {
         // into, and measured slower.
         let mut out = Vec::with_capacity(len);
         out.resize(len, 0.0);
-        for &(offset, tap) in &self.taps {
-            for (acc, s) in out.iter_mut().zip(&signal[offset..offset + len]) {
-                *acc += s * tap;
-            }
-        }
+        self.correlate_set_into(&[self], None, signal, &mut out, None);
         out
+    }
+
+    fn correlate_set_into(
+        &self,
+        set: &[&dyn PreparedConv1d],
+        shared: Option<&dyn PreparedSignal>,
+        signal: &[f64],
+        out: &mut [f64],
+        acc: Option<&mut StageAcc>,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the one requirement of a `#[target_feature]` function
+            // is that the CPU has the feature, checked on the line above.
+            unsafe { correlate_sparse_set_avx2(set, shared, signal, out, acc) };
+            return;
+        }
+        correlate_sparse_set(set, shared, signal, out, acc);
     }
 }
 
@@ -410,6 +508,9 @@ impl<E: Conv1dEngine + ?Sized> Conv1dEngine for &E {
         (**self).bind_prepared(cached)
     }
 }
+
+#[cfg(test)]
+mod digital_oracle;
 
 #[cfg(test)]
 mod tests {

@@ -56,15 +56,14 @@
 //! # One signal, one stack, one call
 //!
 //! Under all three strategies the unit of work is **one signal against one
-//! stack**, every kernel of the stack before the next signal. What the
-//! stack's class decided at prepare time, the run just does: a `Shared`
-//! stack has the signal transformed once
-//! ([`PreparedConv1d::prepare_signal_batch`] — for the JTC its real-input
-//! half-spectrum) and goes to the engine whole
-//! ([`PreparedConv1d::correlate_set_with_signal`]; the JTC carries four
-//! kernels to a lane block through its second transform), an `Each` stack
-//! runs each member's own chain, a `Plain` stack the engine's
-//! [`Conv1dEngine::correlate_valid`]. Nothing is decided per tile.
+//! stack**, every kernel of the stack before the next signal, written
+//! kernel-major into one scratch per chunk. A `Shared` stack has the signal
+//! transformed once ([`PreparedConv1d::prepare_signal_batch`] — for the JTC
+//! its real-input half-spectrum), an `Each` stack does not; either goes to
+//! the engine whole ([`PreparedConv1d::correlate_set_into`]: the JTC carries
+//! four kernels to a lane block through its second lens, the digital engine
+//! sixteen outputs of a kernel in registers). A `Plain` stack runs the
+//! engine's [`Conv1dEngine::correlate_valid`]. Nothing is decided per tile.
 //!
 //! * **One signal stage.** Every body first cuts the distinct signals its
 //!   run reads, each once, planar into one buffer per length, and takes
@@ -155,8 +154,8 @@ struct Signals<K> {
 }
 
 /// How a row of [`TiledConvolver::by_output_rows`] runs the signal of a
-/// length at a position against a stack.
-type Apply<'a, K> = &'a mut dyn FnMut(&Run<'_>, usize, K) -> Vec<Vec<f64>>;
+/// length at a position against a stack, kernel-major into the slice.
+type Apply<'a, K> = &'a mut dyn FnMut(&Run<'_>, usize, K, &mut [f64]);
 
 /// The tiled 1D kernels one signal is correlated against — a filter set as
 /// it sits in the PFCU — classified **once**, when the set is prepared, by
@@ -168,7 +167,7 @@ enum Stack {
     /// the signal's transform has more than one reader (several kernels, or
     /// a strategy whose signal positions repeat): the signal is transformed
     /// once and the whole stack goes to the engine in one call
-    /// ([`PreparedConv1d::correlate_set_with_signal`]).
+    /// ([`PreparedConv1d::correlate_set_into`]).
     Shared(Vec<Arc<dyn PreparedConv1d>>),
     /// Every member prepared, nothing to share (no common key, or a single
     /// kernel under row tiling, whose tile positions never repeat): each
@@ -842,35 +841,30 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         }
     }
 
-    /// Correlates one signal against a whole stack, one output per kernel
-    /// in kernel order. `shared` is the signal's transform when the run is
-    /// [`Run::Shared`] and the engine produced one; a shared run without it
-    /// (the engine declined this signal) runs kernel by kernel like
-    /// [`Run::Each`]. `acc` (present exactly when telemetry is enabled)
-    /// collects the per-stage split; the caller owns it across its loop and
-    /// flushes once.
+    /// Correlates one signal against a whole stack, every kernel's output
+    /// kernel-major into `out` (one equal slice per kernel). `shared` is the
+    /// signal's transform when the run is [`Run::Shared`] and the engine
+    /// produced one; without it (an [`Run::Each`] run, or the engine
+    /// declined this signal) every member runs its own chain. `acc`
+    /// (present exactly when telemetry is enabled) collects the per-stage
+    /// split; the caller owns it across its loop and flushes once.
     fn apply(
         &self,
         run: &Run<'_>,
         signal: &[f64],
         shared: Option<&dyn PreparedSignal>,
-        mut acc: Option<&mut StageAcc>,
-    ) -> Vec<Vec<f64>> {
-        match (run, shared) {
-            (Run::Plain(tiled), _) => tiled
-                .iter()
-                .map(|kernel| self.engine.correlate_valid(signal, kernel))
-                .collect(),
-            (Run::Shared(set), Some(shared)) => {
-                set[0].correlate_set_with_signal(set, shared, signal, acc)
+        out: &mut [f64],
+        acc: Option<&mut StageAcc>,
+    ) {
+        match run {
+            Run::Plain(tiled) => {
+                let len = out.len() / tiled.len();
+                for (kernel, out) in tiled.iter().zip(out.chunks_exact_mut(len)) {
+                    out.copy_from_slice(&self.engine.correlate_valid(signal, kernel));
+                }
             }
-            (Run::Shared(set) | Run::Each(set), _) => set
-                .iter()
-                .map(|member| match acc.as_deref_mut() {
-                    Some(acc) => member.correlate_valid_acc(signal, acc),
-                    None => member.correlate_valid(signal),
-                })
-                .collect(),
+            Run::Shared(set) => set[0].correlate_set_into(set, shared, signal, out, acc),
+            Run::Each(set) => set[0].correlate_set_into(set, None, signal, out, acc),
         }
     }
 
@@ -878,9 +872,10 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
     /// distinct signal `reads` names (`(length, position)`, repeats
     /// included) is cut once by `cut`, planar per length, and transformed
     /// through any `Shared` stack of that length, one batched call per
-    /// chunk; then `row(out_r, acc, apply)` accumulates output row `out_r`
-    /// of every kernel, `apply(run, length, position)` running one signal
-    /// against a stack. Returns the transform hits and misses.
+    /// chunk; then `row(out_r, acc, corr, apply)` sums output row `out_r` of
+    /// every kernel into `acc`, `apply(run, length, position, out)` running
+    /// one signal against a stack into `out`, a slice of the scratch `corr`
+    /// (both kernel-major). Returns the transform hits and misses.
     fn by_output_rows<K: Ord + Copy + Sync>(
         &self,
         set: &KernelSet,
@@ -888,7 +883,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         reads: impl Iterator<Item = (usize, K)>,
         cut: impl Fn(K, &mut [f64]),
         emit: &mut impl FnMut(usize, usize, usize, &[f64]),
-        row: impl Fn(usize, &mut [Vec<f64>], Apply<'_, K>) + Sync,
+        row: impl Fn(usize, &mut [f64], &mut [f64], Apply<'_, K>) + Sync,
     ) -> [usize; 2] {
         let mut reads: Vec<(usize, K)> = reads.collect();
         reads.sort_unstable();
@@ -925,14 +920,14 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
             })
             .collect();
 
-        let (out_rows, out_cols) = set.output_shape;
+        let ((out_rows, out_cols), count) = (set.output_shape, set.taps.count);
         let chunks = self.by_chunks(out_rows, |rows| {
             let mut stages = self.telemetry.is_enabled().then(StageAcc::start);
             let mut hits = 0;
-            let mut accs = Vec::with_capacity(rows.len());
-            for out_r in rows {
-                let mut acc = vec![vec![0.0; out_cols]; set.taps.count];
-                row(out_r, &mut acc, &mut |run, len, key| {
+            let mut accs = vec![0.0; rows.len() * count * out_cols];
+            let mut corr = vec![0.0; count * signals.last().map_or(0, |class| class.len)];
+            for (out_r, acc) in rows.zip(accs.chunks_exact_mut(count * out_cols)) {
+                row(out_r, acc, &mut corr, &mut |run, len, key, out| {
                     let class = signals.iter().find(|class| class.len == len);
                     let class = class.expect("every length a row reads was cut");
                     let i = class.keys.binary_search(&key).expect("every read was cut");
@@ -942,19 +937,17 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
                         stages.skip();
                     }
                     let signal = &class.samples[i * len..(i + 1) * len];
-                    self.apply(run, signal, shared, stages.as_mut())
+                    self.apply(run, signal, shared, out, stages.as_mut());
                 });
-                accs.push(acc);
             }
             if let Some(stages) = stages.as_mut() {
                 stages.flush(&self.telemetry);
             }
             (accs, hits)
         });
-        for (out_r, acc) in chunks.iter().flat_map(|(accs, _)| accs).enumerate() {
-            for (k, acc_k) in acc.iter().enumerate() {
-                emit(k, out_r, 0, acc_k);
-            }
+        let rows = chunks.iter().flat_map(|c| c.0.chunks_exact(out_cols));
+        for (at, samples) in rows.enumerate() {
+            emit(at % count, at / count, 0, samples);
         }
         let hits = chunks.iter().map(|&(_, hits)| hits).sum();
         let taken = signals.iter().filter_map(|class| class.transforms.as_ref());
@@ -1022,7 +1015,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         // elements and its result leaves in one run; otherwise every row is
         // a line of its own. A line's covered range is emitted as one slice
         // per kernel.
-        let mut write = |r0: usize, per_kernel: &[Vec<f64>]| {
+        let mut write = |r0: usize, per_kernel: &[f64]| {
             let rows = n_or.min(out_rows - r0);
             let (lines, width) = if si == out_cols {
                 (1, rows * out_cols)
@@ -1034,7 +1027,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
                 let covered = covered_columns(base, col_off, corr_len, width);
                 if !covered.is_empty() {
                     let src = base + covered.start - col_off;
-                    for (k, corr) in per_kernel.iter().enumerate() {
+                    for (k, corr) in per_kernel.chunks_exact(corr_len).enumerate() {
                         emit(k, r0 + line, covered.start, &corr[src..][..covered.len()]);
                     }
                 }
@@ -1067,7 +1060,9 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
             fill_tile_rows(tile, plane, first_row, plan.rows_per_tile);
         }
         // A chunk has its tiles transformed in one batched call (their
-        // input-DAC pass rides along into `signal_fft`), then runs them.
+        // input-DAC pass rides along into `signal_fft`), then runs each
+        // tile's stack kernel-major into its share of one scratch.
+        let stack_len = taps.count * corr_len;
         let corrs = self.by_chunks(tiles, |at| {
             let chunk = &signals[at.start * tile_len..at.end * tile_len];
             let mut acc = self.telemetry.is_enabled().then(StageAcc::start);
@@ -1076,18 +1071,19 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
             if let (Some(acc), Some(_)) = (acc.as_mut(), &transforms) {
                 acc.mark(Stage::SignalFft);
             }
-            let outs: Vec<_> = (chunk.chunks_exact(tile_len).enumerate())
-                .map(|(i, tile)| {
-                    let shared = transforms.as_ref().map(|t| &*t[i]);
-                    self.apply(run, tile, shared, acc.as_mut())
-                })
-                .collect();
+            let mut outs = vec![0.0; at.len() * stack_len];
+            for (i, out) in outs.chunks_exact_mut(stack_len).enumerate() {
+                let shared = transforms.as_ref().map(|t| &*t[i]);
+                let tile = &chunk[i * tile_len..][..tile_len];
+                self.apply(run, tile, shared, out, acc.as_mut());
+            }
             if let Some(acc) = acc.as_mut() {
                 acc.flush(&self.telemetry);
             }
             (outs, transforms.map_or(0, |t| t.len()))
         });
-        for (i, per_kernel) in corrs.iter().flat_map(|(outs, _)| outs).enumerate() {
+        let per_tile = corrs.iter().flat_map(|c| c.0.chunks_exact(stack_len));
+        for (i, per_kernel) in per_tile.enumerate() {
             write(i * n_or, per_kernel);
         }
         let misses: usize = corrs.iter().map(|&(_, taken)| taken).sum();
@@ -1112,7 +1108,8 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         let (out_rows, out_cols) = set.output_shape;
         // Every group's 1D result has `si - kc + 1` samples; the columns
         // outside their range are border samples.
-        let covered = covered_columns(0, col_off, si + 1 - taps.shape.1, out_cols);
+        let corr_len = si + 1 - taps.shape.1;
+        let covered = covered_columns(0, col_off, corr_len, out_cols);
         // Output row `r` reads, for group `(k_start, count)`, the window of
         // `count` plane rows from `r - row_off + k_start`.
         let reads = groups.iter().flat_map(|&(k_start, count)| {
@@ -1120,19 +1117,20 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         });
         let cut = |start, buf: &mut [f64]| fill_tile_rows(buf, plane, start, buf.len() / si);
         let [hits, misses] =
-            self.by_output_rows(set, runs, reads, cut, emit, |out_r, acc, apply| {
+            self.by_output_rows(set, runs, reads, cut, emit, |out_r, acc, corr, apply| {
                 let top = out_r as isize - row_off as isize;
+                let corr = &mut corr[..taps.count * corr_len];
                 for (&(k_start, count), run) in groups.iter().zip(runs) {
-                    let per_kernel = apply(run, count * si, top + k_start as isize);
-                    for (acc_k, corr) in acc.iter_mut().zip(&per_kernel) {
+                    apply(run, count * si, top + k_start as isize, corr);
+                    for (k, corr) in corr.chunks_exact(corr_len).enumerate() {
                         for c in covered.clone() {
-                            acc_k[c] += corr[c - col_off];
+                            acc[k * out_cols + c] += corr[c - col_off];
                         }
                     }
                     for c in (0..covered.start).chain(covered.end..out_cols) {
                         let (rows, left) =
                             (k_start..k_start + count, c as isize - col_off as isize);
-                        taps.window(plane, rows, top, left, |k, sample| acc[k][c] += sample);
+                        taps.window(plane, rows, top, left, |k, v| acc[k * out_cols + c] += v);
                     }
                 }
             });
@@ -1177,16 +1175,18 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         };
         let covered = covered_columns(0, col_off, corr_len, out_cols);
         let [hits, misses] =
-            self.by_output_rows(set, runs, reads, cut, emit, |out_r, acc, apply| {
+            self.by_output_rows(set, runs, reads, cut, emit, |out_r, acc, corr, apply| {
                 for (dr, r) in live_rows(out_r) {
                     for (p, &(start, end)) in parts.iter().enumerate() {
-                        let per_kernel = apply(&runs[dr * parts.len() + p], end - start, (r, p));
-                        for (acc_k, corr) in acc.iter_mut().zip(&per_kernel) {
+                        let part_len = end - start + 1 - kernel_cols;
+                        let corr = &mut corr[..taps.count * part_len];
+                        apply(&runs[dr * parts.len() + p], end - start, (r, p), corr);
+                        for (k, corr) in corr.chunks_exact(part_len).enumerate() {
                             for (i, v) in corr.iter().enumerate() {
                                 // Sample `start + i` of the row's correlation
                                 // is output column `start + i + col_off`.
                                 if start + i < corr_len && start + i + col_off < out_cols {
-                                    acc_k[start + i + col_off] += v;
+                                    acc[k * out_cols + start + i + col_off] += v;
                                 }
                             }
                         }
@@ -1199,7 +1199,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
                 for c in (0..covered.start).chain(covered.end..out_cols) {
                     let left = c as isize - col_off as isize;
                     taps.window(plane, 0..kernel_rows, top, left, |k, sample| {
-                        acc[k][c] = sample;
+                        acc[k * out_cols + c] = sample;
                     });
                 }
             });

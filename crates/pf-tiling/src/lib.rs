@@ -47,9 +47,7 @@ pub mod executor;
 pub mod plan;
 pub mod tiler;
 
-pub use engine::{
-    correlate_set_per_kernel, Conv1dEngine, DigitalEngine, PreparedConv1d, PreparedSignal,
-};
+pub use engine::{Conv1dEngine, DigitalEngine, PreparedConv1d, PreparedSignal};
 pub use error::TilingError;
 pub use executor::{EdgeHandling, KernelSet, ParallelGrain, TiledConvolver};
 pub use plan::{TilingPlan, TilingVariant};

@@ -1,17 +1,22 @@
-//! The default body of [`PreparedConv1d::correlate_set_with_signal`] stays a
-//! valid path: an engine wrapper written before the method existed — it
-//! forwards every other method, so the executor still shares signal
-//! transforms through it, but inherits the per-kernel default for the set
-//! call — must yield the bits of the bare engine, whose prepared kernels
-//! override the set call and ride the second lens in lanes. On the CG
-//! engine that includes the order the noise stream is consumed in.
+//! The default body of [`PreparedConv1d::correlate_set_into`] stays a valid
+//! path: an engine wrapper written before the method existed — it forwards
+//! every other method, so the executor still shares signal transforms
+//! through it, but inherits the per-kernel default for the set call, each
+//! kernel's vector copied into its slice of the caller's buffer — must
+//! yield the bits of the bare engine, whose prepared kernels override the
+//! set call: the JTC's ride the second lens in lanes and read their lobes
+//! out into the buffer, the digital engine's keep eight outputs in
+//! registers across their taps. On the CG engine that includes the order
+//! the noise stream is consumed in.
 
 use std::sync::Arc;
 
 use pf_dsp::conv::Matrix;
 use pf_jtc::{JtcEngine, JtcEngineConfig};
 use pf_telemetry::{StageAcc, Telemetry};
-use pf_tiling::{Conv1dEngine, EdgeHandling, PreparedConv1d, PreparedSignal, TiledConvolver};
+use pf_tiling::{
+    Conv1dEngine, DigitalEngine, EdgeHandling, PreparedConv1d, PreparedSignal, TiledConvolver,
+};
 
 /// Forwards every [`Conv1dEngine`] method and wraps the prepared handles.
 #[derive(Debug)]
@@ -99,8 +104,57 @@ fn matrix(rows: usize, cols: usize, seed: usize) -> Matrix {
     Matrix::new(rows, cols, data).unwrap()
 }
 
-fn engines() -> Vec<(&'static str, JtcEngineConfig)> {
-    vec![
+/// Runs one input through a bare engine and through [`Wrapped`] around a
+/// second engine of one configuration, at every set size, telemetry off
+/// and on, twice (a noisy engine's stream carries over), and asserts the
+/// same bits.
+fn check_bare_equals_wrapped<E: Conv1dEngine>(name: &str, engine: impl Fn() -> E) {
+    let input = matrix(16, 16, 1);
+    // Full blocks, a short last block, fewer kernels than one block.
+    for count in [2usize, 4, 7, 9] {
+        let kernels: Vec<Matrix> = (0..count).map(|k| matrix(3, 3, 40 + k)).collect();
+        for telemetry in [Telemetry::disabled(), Telemetry::enabled()] {
+            let bare = TiledConvolver::new(engine(), 256)
+                .unwrap()
+                .with_telemetry(telemetry.clone());
+            let wrapped = TiledConvolver::new(Wrapped(engine()), 256)
+                .unwrap()
+                .with_telemetry(telemetry.clone());
+            for call in 0..2 {
+                let what = format!(
+                    "{name}, {count} kernels, call {call}, telemetry {}",
+                    telemetry.is_enabled()
+                );
+                let pairs = [
+                    (
+                        bare.correlate2d_valid_multi(&input, &kernels).unwrap(),
+                        wrapped.correlate2d_valid_multi(&input, &kernels).unwrap(),
+                    ),
+                    (
+                        bare.correlate2d_same_multi(&input, &kernels, EdgeHandling::ZeroPad)
+                            .unwrap(),
+                        wrapped
+                            .correlate2d_same_multi(&input, &kernels, EdgeHandling::ZeroPad)
+                            .unwrap(),
+                    ),
+                ];
+                for (a, b) in pairs {
+                    assert_eq!(a.len(), b.len(), "{what}");
+                    for (x, y) in a.iter().zip(&b) {
+                        assert_eq!(x.data().len(), y.data().len(), "{what}");
+                        for (p, q) in x.data().iter().zip(y.data()) {
+                            assert_eq!(p.to_bits(), q.to_bits(), "{what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_wrapper_without_the_set_call_yields_the_bare_engines_bits() {
+    let jtc = [
         ("jtc_ideal", JtcEngineConfig::ideal(256)),
         (
             "cg_seed5",
@@ -109,54 +163,9 @@ fn engines() -> Vec<(&'static str, JtcEngineConfig)> {
                 ..JtcEngineConfig::photofourier_cg(256)
             },
         ),
-    ]
-}
-
-#[test]
-fn a_wrapper_without_the_set_call_yields_the_bare_engines_bits() {
-    let input = matrix(16, 16, 1);
-    for (name, config) in engines() {
-        // Full blocks, a short last block, fewer kernels than one block.
-        for count in [2usize, 4, 7, 9] {
-            let kernels: Vec<Matrix> = (0..count).map(|k| matrix(3, 3, 40 + k)).collect();
-            for telemetry in [Telemetry::disabled(), Telemetry::enabled()] {
-                let bare = TiledConvolver::new(JtcEngine::new(config.clone()).unwrap(), 256)
-                    .unwrap()
-                    .with_telemetry(telemetry.clone());
-                let wrapped =
-                    TiledConvolver::new(Wrapped(JtcEngine::new(config.clone()).unwrap()), 256)
-                        .unwrap()
-                        .with_telemetry(telemetry.clone());
-                // Two calls: a noisy engine's stream carries over.
-                for call in 0..2 {
-                    let what = format!(
-                        "{name}, {count} kernels, call {call}, telemetry {}",
-                        telemetry.is_enabled()
-                    );
-                    let pairs = [
-                        (
-                            bare.correlate2d_valid_multi(&input, &kernels).unwrap(),
-                            wrapped.correlate2d_valid_multi(&input, &kernels).unwrap(),
-                        ),
-                        (
-                            bare.correlate2d_same_multi(&input, &kernels, EdgeHandling::ZeroPad)
-                                .unwrap(),
-                            wrapped
-                                .correlate2d_same_multi(&input, &kernels, EdgeHandling::ZeroPad)
-                                .unwrap(),
-                        ),
-                    ];
-                    for (a, b) in pairs {
-                        assert_eq!(a.len(), b.len(), "{what}");
-                        for (x, y) in a.iter().zip(&b) {
-                            assert_eq!(x.data().len(), y.data().len(), "{what}");
-                            for (p, q) in x.data().iter().zip(y.data()) {
-                                assert_eq!(p.to_bits(), q.to_bits(), "{what}");
-                            }
-                        }
-                    }
-                }
-            }
-        }
+    ];
+    for (name, config) in jtc {
+        check_bare_equals_wrapped(name, || JtcEngine::new(config.clone()).unwrap());
     }
+    check_bare_equals_wrapped("digital", || DigitalEngine);
 }
