@@ -703,6 +703,10 @@ impl RealFftPlan {
     /// bit-identical to packing in natural order and running
     /// [`FftPlan::process`]. `#[inline(always)]` down to the butterflies so
     /// that each caller compiles its own copy for its own element and ISA.
+    ///
+    /// The pack pass stays an `extend(map(..))`, unlike the second lens's
+    /// ([`symmetric_body`](Self::symmetric_body)): the same rewrite into a
+    /// plain loop read `conv_fresh` 2 % slower over five rounds here.
     #[inline(always)]
     fn packed_even_body<E: Element>(
         &self,
@@ -946,16 +950,19 @@ impl RealFftPlan {
         let m = self.n / 2;
         let q = m / 2;
         let mut anchor = E::ZERO;
-        work.clear();
-        work.extend(order.iter().map(|&slot| {
+        // A plain loop over the resized buffer, not `extend(map(..))`: the
+        // adapter's fold compiles out of line at the baseline ISA (bounds
+        // checks in, `anchor` through memory), under the AVX2 caller too.
+        work.resize(order.len(), E::ZERO);
+        for (packed, &slot) in work.iter_mut().zip(order) {
             let j = 2 * slot as usize;
             let near = E::pack(half[j], half[j + 1]);
             let far = E::pack(half[m - j], half[m - j - 1]);
             let (t, a) = (near + far, near - far);
             let (w0, w1) = (self.unpack[j], self.unpack[j + 1]);
             anchor = anchor + a.scale_parts(w0.re, w1.re);
-            t + a.scale_parts(2.0 * w0.im, 2.0 * w1.im)
-        }));
+            *packed = t + a.scale_parts(2.0 * w0.im, 2.0 * w1.im);
+        }
         quarter.passes(work, false);
         // Bins 0 and m of the m-point real transform both wrap to packed
         // slot 0; a compare-select keeps the loop free of a division.

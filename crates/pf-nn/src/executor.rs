@@ -16,13 +16,13 @@ use std::sync::{Arc, Mutex};
 
 use pf_dsp::conv::{correlate2d, Matrix, PaddingMode};
 use pf_photonics::adc::{peak_magnitude, Adc};
-use pf_photonics::temporal::accumulate_with_depth;
+use pf_photonics::temporal::{accumulate_with_depth_into, TemporalAccumulator};
 use pf_tiling::{Conv1dEngine, EdgeHandling, KernelSet, TiledConvolver};
 use serde::{Deserialize, Serialize};
 
 use crate::error::NnError;
 use crate::layers::Conv2d;
-use crate::quant::{quantize_tensor, QuantConfig};
+use crate::quant::{quantize_planes, quantize_tensor, QuantConfig};
 use crate::tensor::Tensor;
 
 /// Anything that can execute a convolution layer on a `(C, H, W)` activation
@@ -353,14 +353,22 @@ impl<E: Conv1dEngine> TiledExecutor<E> {
 impl<E: Conv1dEngine> Conv2dExecutor for TiledExecutor<E> {
     /// Prepare-then-run, one level up: the layer is lowered on first sight
     /// (`Lowered`) and every later forward does signal-side work only —
-    /// quantise the activations, stream each input channel past its kernel
-    /// sets, accumulate, add bias, subsample.
+    /// quantise the activations straight into the planes the set calls
+    /// read, stream each input channel past its kernel sets, then close
+    /// each output channel in one pass.
+    ///
+    /// That pass is the layer's epilogue: it reads the channel's partial
+    /// planes where the chunk's sets wrote them, takes their peak for the
+    /// partial-sum ADC's full scale, runs the temporal groups and their
+    /// read-outs through one capacitor bank and one digital sum that serve
+    /// every output channel of the forward, and writes the finished plane —
+    /// bias added, every `stride`-th row and column kept — into the output
+    /// tensor. At unit stride the digital sum is the output plane itself.
     fn forward(&self, input: &Tensor, layer: &Conv2d) -> Result<Tensor, NnError> {
         check_input(input, layer)?;
         let (ic, plane) = (input.shape()[0], (input.shape()[1], input.shape()[2]));
         let lowered = self.lowered(layer, plane)?;
-        let activations = quantize_tensor(input, self.config.activation_quant);
-        let channels: Vec<Matrix> = (0..ic).map(|i| activations.channel(i)).collect();
+        let channels = quantize_planes(input, self.config.activation_quant);
 
         let psum_adc = self
             .config
@@ -379,7 +387,8 @@ impl<E: Conv1dEngine> Conv2dExecutor for TiledExecutor<E> {
         let hw = h * w;
         let stride = layer.stride.max(1);
         let (out_h, out_w) = (h.div_ceil(stride), w.div_ceil(stride));
-        let mut out = Vec::with_capacity(layer.out_channels() * out_h * out_w);
+        let out_hw = out_h * out_w;
+        let mut out = vec![0.0; layer.out_channels() * out_hw];
 
         // One flat buffer holds a chunk's partial planes, input channel
         // major: plane `(i, o_rel)` at `(i * chunk + o_rel) * hw`, so the
@@ -389,6 +398,9 @@ impl<E: Conv1dEngine> Conv2dExecutor for TiledExecutor<E> {
         // sample — is subtracted in place.
         let pairs = self.config.pseudo_negative;
         let mut partials = vec![0.0; ic * Self::OUT_CHANNEL_CHUNK.min(layer.out_channels()) * hw];
+        let mut bank = TemporalAccumulator::new(hw, self.config.temporal_depth)
+            .expect("a non-empty output plane and a depth validated at construction");
+        let mut strided_sum = vec![0.0; if stride > 1 { hw } else { 0 }];
         for (chunk, sets) in Self::chunks(layer.out_channels()).zip(lowered.sets.chunks(ic)) {
             for ((set, channel), block) in sets
                 .iter()
@@ -415,28 +427,49 @@ impl<E: Conv1dEngine> Conv2dExecutor for TiledExecutor<E> {
             }
 
             for (o_rel, o) in chunk.clone().enumerate() {
-                // Accumulate the per-input-channel partial planes in groups
-                // of `temporal_depth`: within a group the sum stays analog
-                // (full precision); at the group boundary the ADC quantises
-                // once; groups are summed digitally (the two-level
-                // accumulation of Section V-F).
-                let channel_partials: Vec<&[f64]> = (0..ic)
-                    .map(|i| &partials[(i * chunk.len() + o_rel) * hw..][..hw])
-                    .collect();
-                let plane = accumulate_partials(
-                    &channel_partials,
-                    self.config.temporal_depth,
+                let partial = |i: usize| &partials[(i * chunk.len() + o_rel) * hw..][..hw];
+                // The ADC full scale is a hardware design constant sized
+                // for the deepest supported group (16 channels, the
+                // capacitor capacity of the PhotoFourier photodetectors),
+                // independent of the depth actually used — shallow depths
+                // therefore waste dynamic range on every read-out, which is
+                // precisely why Figure 7 shows accuracy improving with
+                // depth.
+                let peak = (0..ic)
+                    .map(|i| peak_magnitude(partial(i)))
+                    .fold(0.0, f64::max);
+                let full_scale = (peak * pf_photonics::params::TEMPORAL_ACCUMULATION_DEPTH as f64)
+                    .max(f64::EPSILON);
+                let plane = &mut out[o * out_hw..][..out_hw];
+                // Within a group of `temporal_depth` input channels the sum
+                // stays analog (full precision); at the group boundary the
+                // ADC quantises once; groups are summed digitally (the
+                // two-level accumulation of Section V-F).
+                let sum = if stride > 1 {
+                    &mut strided_sum
+                } else {
+                    &mut *plane
+                };
+                accumulate_with_depth_into(
+                    &mut bank,
+                    (0..ic).map(partial),
+                    sum,
                     psum_adc.as_ref(),
-                );
+                    Some(full_scale),
+                )
+                .expect("equal-shaped partial planes and a bank read out by its last call");
                 let bias = layer.bias[o];
-                for row in plane.chunks(w).step_by(stride) {
-                    out.extend(row.iter().step_by(stride).map(|&v| {
-                        if bias != 0.0 {
-                            v + bias
-                        } else {
-                            v
+                if stride > 1 {
+                    let rows = strided_sum.chunks(w).step_by(stride);
+                    for (dst, row) in plane.chunks_mut(out_w).zip(rows) {
+                        for (d, &v) in dst.iter_mut().zip(row.iter().step_by(stride)) {
+                            *d = if bias != 0.0 { v + bias } else { v };
                         }
-                    }));
+                    }
+                } else if bias != 0.0 {
+                    for v in plane {
+                        *v += bias;
+                    }
                 }
             }
         }
@@ -458,27 +491,6 @@ fn check_input(input: &Tensor, layer: &Conv2d) -> Result<(), NnError> {
         });
     }
     Ok(())
-}
-
-/// Accumulates per-channel partial-sum planes with temporal accumulation of
-/// the given depth and an optional partial-sum ADC — the Section V-C loop of
-/// [`pf_photonics::temporal`], for which this function only chooses the
-/// full scale.
-///
-/// The ADC full scale is a hardware design constant sized for the deepest
-/// supported group (16 channels, the capacitor capacity of the PhotoFourier
-/// photodetectors), independent of the depth actually used — shallow depths
-/// therefore waste dynamic range on every read-out, which is precisely why
-/// Figure 7 shows accuracy improving with depth.
-fn accumulate_partials(partials: &[&[f64]], depth: usize, adc: Option<&Adc>) -> Vec<f64> {
-    let max_partial = partials
-        .iter()
-        .map(|p| peak_magnitude(p))
-        .fold(0.0, f64::max);
-    let full_scale =
-        (max_partial * pf_photonics::params::TEMPORAL_ACCUMULATION_DEPTH as f64).max(f64::EPSILON);
-    accumulate_with_depth(partials, depth, adc, Some(full_scale))
-        .expect("equal-shaped partial planes and a depth validated at construction")
 }
 
 /// Splits a filter into its positive part and the magnitude of its negative

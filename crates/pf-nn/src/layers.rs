@@ -298,9 +298,7 @@ pub fn relu(mut input: Tensor) -> Tensor {
 ///
 /// Panics if the input is not 3D or the window is zero.
 pub fn max_pool2d(input: &Tensor, window: usize) -> Tensor {
-    pool2d(input, window, |vals| {
-        vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-    })
+    pool2d(input, window, f64::NEG_INFINITY, f64::max, |m, _| m)
 }
 
 /// 2D average pooling with a square window and equal stride.
@@ -309,9 +307,8 @@ pub fn max_pool2d(input: &Tensor, window: usize) -> Tensor {
 ///
 /// Panics if the input is not 3D or the window is zero.
 pub fn avg_pool2d(input: &Tensor, window: usize) -> Tensor {
-    pool2d(input, window, |vals| {
-        vals.iter().sum::<f64>() / vals.len() as f64
-    })
+    // `-0.0` is where `Iterator::sum` starts an `f64` sum.
+    pool2d(input, window, -0.0, |s, v| s + v, |s, len| s / len as f64)
 }
 
 /// Global average pooling: reduces each channel to a single value.
@@ -334,7 +331,19 @@ pub fn global_avg_pool(input: &Tensor) -> Vec<f64> {
         .collect()
 }
 
-fn pool2d(input: &Tensor, window: usize, reduce: impl Fn(&[f64]) -> f64) -> Tensor {
+/// Pools every `window × window` block of each plane in place: a window's
+/// value is `finish(step(..step(step(init, x₀), x₁).., xₙ), n)` over its
+/// `n` samples row by row, left to right — the order a copy of the window
+/// would hold them in — with no copy made. An output row's windows are
+/// folded side by side, one input row at a time; each window still sees
+/// its own samples in that order, so the value is the same.
+fn pool2d(
+    input: &Tensor,
+    window: usize,
+    init: f64,
+    step: impl Fn(f64, f64) -> f64,
+    finish: impl Fn(f64, usize) -> f64,
+) -> Tensor {
     assert_eq!(input.shape().len(), 3, "pooling requires a 3D tensor");
     assert!(window > 0, "pooling window must be positive");
     let (c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
@@ -342,15 +351,20 @@ fn pool2d(input: &Tensor, window: usize, reduce: impl Fn(&[f64]) -> f64) -> Tens
     let (oh, ow) = ((h / window).max(1), (w / window).max(1));
     let (win_h, win_w) = (window.min(h), window.min(w));
     let mut out = Vec::with_capacity(c * oh * ow);
-    let mut buf = Vec::with_capacity(win_h * win_w);
     for plane in input.data().chunks(h * w) {
         for rows in plane.chunks(w * window).take(oh) {
-            for oc in 0..ow {
-                buf.clear();
-                for row in rows.chunks(w).take(win_h) {
-                    buf.extend_from_slice(&row[oc * window..oc * window + win_w]);
+            let at = out.len();
+            out.resize(at + ow, init);
+            let folds = &mut out[at..];
+            for row in rows.chunks(w).take(win_h) {
+                for (fold, cols) in folds.iter_mut().zip(row.chunks(window)) {
+                    for &v in &cols[..win_w] {
+                        *fold = step(*fold, v);
+                    }
                 }
-                out.push(reduce(&buf));
+            }
+            for fold in folds {
+                *fold = finish(*fold, win_h * win_w);
             }
         }
     }
@@ -432,6 +446,68 @@ mod tests {
         assert_eq!(mp.data(), &[6.0, 8.0, 14.0, 16.0]);
         let ap = avg_pool2d(&t, 2);
         assert_eq!(ap.data(), &[3.5, 5.5, 11.5, 13.5]);
+
+        // Against the buffered fold the windows were reduced by before
+        // they were read in place: odd sizes, planes smaller than the
+        // window, and NaN and -0.0 inside a window, bit for bit.
+        let buffered = |input: &Tensor, window: usize, reduce: fn(&[f64]) -> f64| {
+            let (h, w) = (input.shape()[1], input.shape()[2]);
+            let (oh, ow) = ((h / window).max(1), (w / window).max(1));
+            let (win_h, win_w) = (window.min(h), window.min(w));
+            let mut out = Vec::new();
+            for plane in input.data().chunks(h * w) {
+                for rows in plane.chunks(w * window).take(oh) {
+                    for oc in 0..ow {
+                        let mut buf = Vec::new();
+                        for row in rows.chunks(w).take(win_h) {
+                            buf.extend_from_slice(&row[oc * window..oc * window + win_w]);
+                        }
+                        out.push(reduce(&buf));
+                    }
+                }
+            }
+            out
+        };
+        let max_fold: fn(&[f64]) -> f64 =
+            |vals| vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let avg_fold: fn(&[f64]) -> f64 = |vals| vals.iter().sum::<f64>() / vals.len() as f64;
+        let specials = [f64::NAN, -0.0, 0.0, -1.5, f64::NEG_INFINITY, 2.25];
+        for (c, h, w) in [
+            (1, 5, 7),
+            (2, 3, 3),
+            (1, 1, 1),
+            (3, 7, 2),
+            (1, 2, 9),
+            (2, 9, 5),
+        ] {
+            let data: Vec<f64> = (0..c * h * w)
+                .map(|i| {
+                    if i % 5 == 3 {
+                        specials[(i / 5) % specials.len()]
+                    } else {
+                        ((i as f64) * 0.37).sin()
+                    }
+                })
+                .collect();
+            for data in [
+                data.clone(),
+                vec![-0.0; data.len()],
+                vec![f64::NAN; data.len()],
+            ] {
+                let t = Tensor::new(vec![c, h, w], data).unwrap();
+                for window in [1usize, 2, 3, 4, 10] {
+                    for (pooled, fold) in [
+                        (max_pool2d(&t, window), max_fold),
+                        (avg_pool2d(&t, window), avg_fold),
+                    ] {
+                        let want = buffered(&t, window, fold);
+                        let got: Vec<u64> = pooled.data().iter().map(|v| v.to_bits()).collect();
+                        let want: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(got, want, "({c}, {h}, {w}) window {window}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

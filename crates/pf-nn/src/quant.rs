@@ -5,6 +5,7 @@
 //! accuracy experiments quantify what that costs and how temporal
 //! accumulation buys it back.
 
+use pf_dsp::conv::Matrix;
 use pf_photonics::adc::{peak_magnitude, round_half_away};
 use serde::{Deserialize, Serialize};
 
@@ -50,15 +51,40 @@ impl Default for QuantConfig {
 ///
 /// # Panics
 ///
-/// Panics if `bits` is zero or greater than 31.
+/// Panics if `bits` is zero or greater than 31, or if `max_abs` is
+/// negative or NaN.
 pub fn quantize_symmetric(value: f64, max_abs: f64, bits: u32) -> f64 {
+    let mut sample = [value];
+    quantize_in_place(&mut sample, max_abs, bits);
+    sample[0]
+}
+
+/// [`quantize_symmetric`] over a slice with one scale, overwriting it: the
+/// one quantiser body, with the checks and the level count taken once per
+/// call rather than once per sample, so the loop vectorises. The
+/// arithmetic per sample is unchanged.
+fn quantize_in_place(values: &mut [f64], max_abs: f64, bits: u32) {
     assert!(bits > 0 && bits < 32, "bits must be in 1..=31");
     if max_abs == 0.0 {
-        return value;
+        return;
     }
+    // `f64::clamp`'s own check, made once.
+    assert!(
+        -max_abs <= max_abs,
+        "min > max, or either was NaN. min = {:?}, max = {max_abs:?}",
+        -max_abs
+    );
     let levels = ((1u64 << (bits - 1)) - 1) as f64;
-    let clipped = value.clamp(-max_abs, max_abs);
-    round_half_away(clipped / max_abs * levels) / levels * max_abs
+    for v in values {
+        let mut clipped = *v;
+        if clipped < -max_abs {
+            clipped = -max_abs;
+        }
+        if clipped > max_abs {
+            clipped = max_abs;
+        }
+        *v = round_half_away(clipped / max_abs * levels) / levels * max_abs;
+    }
 }
 
 /// Quantises a slice with a shared scale (its own maximum absolute value).
@@ -67,11 +93,9 @@ pub fn quantize_symmetric(value: f64, max_abs: f64, bits: u32) -> f64 {
 ///
 /// Panics under the same conditions as [`quantize_symmetric`].
 pub fn quantize_slice(values: &[f64], bits: u32) -> Vec<f64> {
-    let max_abs = peak_magnitude(values);
-    values
-        .iter()
-        .map(|&v| quantize_symmetric(v, max_abs, bits))
-        .collect()
+    let mut out = values.to_vec();
+    quantize_in_place(&mut out, peak_magnitude(values), bits);
+    out
 }
 
 /// Quantises a tensor with a single per-tensor scale.
@@ -80,11 +104,36 @@ pub fn quantize_slice(values: &[f64], bits: u32) -> Vec<f64> {
 ///
 /// Panics under the same conditions as [`quantize_symmetric`].
 pub fn quantize_tensor(tensor: &Tensor, config: QuantConfig) -> Tensor {
-    if !config.enabled {
-        return tensor.clone();
+    let mut out = tensor.clone();
+    if config.enabled {
+        quantize_in_place(out.data_mut(), tensor.max_abs(), config.bits);
     }
+    out
+}
+
+/// The `(H, W)` planes of a `(C, H, W)` tensor, quantised as
+/// [`quantize_tensor`] quantises them — one scale for the whole tensor —
+/// but written straight into one matrix per channel, with no quantised
+/// tensor in between.
+///
+/// # Panics
+///
+/// Panics if the tensor is not 3D, or under the conditions of
+/// [`quantize_symmetric`].
+pub(crate) fn quantize_planes(tensor: &Tensor, config: QuantConfig) -> Vec<Matrix> {
+    let &[c, h, w] = tensor.shape() else {
+        panic!("quantize_planes requires a 3D tensor");
+    };
     let max_abs = tensor.max_abs();
-    tensor.map(|v| quantize_symmetric(v, max_abs, config.bits))
+    (0..c)
+        .map(|ch| {
+            let mut data = tensor.data()[ch * h * w..][..h * w].to_vec();
+            if config.enabled {
+                quantize_in_place(&mut data, max_abs, config.bits);
+            }
+            Matrix::new(h, w, data).expect("one plane per channel")
+        })
+        .collect()
 }
 
 /// Worst-case relative quantisation step for a given bit width.

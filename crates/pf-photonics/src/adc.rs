@@ -35,7 +35,10 @@ use crate::units::Milliwatts;
 /// both comparisons — pass through. The sign bit is taken off first and
 /// put back last, as bits, so `−0.3` rounds to `−0.0` and a NaN keeps its
 /// sign.
-#[inline]
+///
+/// `#[inline(always)]`: a converter loop compiled with AVX2 must get this
+/// body at its own width, not a call into the baseline-ISA copy.
+#[inline(always)]
 pub fn round_half_away(q: f64) -> f64 {
     const TWO_52: f64 = (1u64 << 52) as f64;
     let sign = q.to_bits() & (1 << 63);
@@ -206,27 +209,27 @@ impl Adc {
     /// body, with the code grid (step and clip edges) computed once per
     /// call rather than once per sample.
     ///
+    /// The body is compiled twice — for the build's baseline ISA and, on
+    /// x86-64, with AVX2 — and this call picks by `is_x86_feature_detected!`.
+    /// The step is a division (a multiply by its reciprocal would round
+    /// differently), so what AVX2 buys is four samples per operation instead
+    /// of two. The two cannot differ in a bit: every operation is IEEE-exact
+    /// per lane and nothing is contracted.
+    ///
     /// # Panics
     ///
     /// Panics if `full_scale` is not positive.
     pub fn quantize_in_place(&self, values: &mut [f64], full_scale: f64) {
         assert!(full_scale > 0.0, "full_scale must be positive");
         let step = 2.0 * full_scale / self.levels() as f64;
-        let (low, high) = (-full_scale, full_scale - step);
-        for v in values {
-            // `f64::clamp` spelled out, because it asserts `low <= high` and
-            // an infinite full scale makes `high` NaN: both comparisons are
-            // then false and the NaN surfaces in the code arithmetic below.
-            let mut clipped = *v;
-            if clipped < low {
-                clipped = low;
-            }
-            if clipped > high {
-                clipped = high;
-            }
-            let code = round_half_away((clipped + full_scale) / step);
-            *v = code * step - full_scale;
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the one requirement of a `#[target_feature]` function
+            // is that the CPU has the feature, checked on the line above.
+            unsafe { quantize_avx2(values, full_scale, step) };
+            return;
         }
+        quantize_body(values, full_scale, step);
     }
 
     /// Worst-case quantisation error (half an LSB) for the given full scale.
@@ -246,6 +249,34 @@ impl Adc {
         let steps = (1u64 << bits) as f64;
         Milliwatts(fom_fj_per_conv * steps * frequency_ghz * 1e-3)
     }
+}
+
+/// The quantiser of [`Adc::quantize_in_place`] on the code grid of
+/// `full_scale` and `step`, inlined into each instantiation.
+#[inline(always)]
+fn quantize_body(values: &mut [f64], full_scale: f64, step: f64) {
+    let (low, high) = (-full_scale, full_scale - step);
+    for v in values {
+        // `f64::clamp` spelled out, because it asserts `low <= high` and
+        // an infinite full scale makes `high` NaN: both comparisons are
+        // then false and the NaN surfaces in the code arithmetic below.
+        let mut clipped = *v;
+        if clipped < low {
+            clipped = low;
+        }
+        if clipped > high {
+            clipped = high;
+        }
+        let code = round_half_away((clipped + full_scale) / step);
+        *v = code * step - full_scale;
+    }
+}
+
+/// [`quantize_body`] compiled with AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn quantize_avx2(values: &mut [f64], full_scale: f64, step: f64) {
+    quantize_body(values, full_scale, step);
 }
 
 #[cfg(test)]
@@ -367,6 +398,89 @@ mod tests {
                     assert_eq!(q.to_bits(), want, "{bits} bits, fs {full_scale}, v {v}");
                     assert_eq!(s.to_bits(), want);
                     assert_eq!(adc.quantize(v, full_scale).to_bits(), want);
+                }
+            }
+        }
+    }
+
+    /// Where rounding decides (the table `pf-nn`'s `round_half_away` test
+    /// holds the helper to): ±0, subnormals, every half up to 300 and its
+    /// neighbours, magnitudes around 2⁵² and beyond, NaN and ±∞ — read as
+    /// samples, so under a full scale of 128 with 8 bits (a step of one)
+    /// each half is a half-code.
+    fn rounding_table() -> Vec<f64> {
+        const TWO_52: f64 = (1u64 << 52) as f64;
+        let mut table = vec![f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let halves = (0..300).map(|k| f64::from(k) + 0.5);
+        let specials = [
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            0.25,
+            1.0,
+            255.0,
+            TWO_52 - 0.5,
+            TWO_52,
+            1e300,
+            f64::MAX,
+        ];
+        for v in specials.into_iter().chain(halves) {
+            table.extend([v, v.next_down(), v.next_up()]);
+            table.extend([-v, -v.next_down(), -v.next_up()]);
+        }
+        table
+    }
+
+    #[test]
+    fn both_quantizer_instantiations_are_the_scalar_converter_bit_for_bit() {
+        for bits in [1u32, 8, 12] {
+            let adc = Adc::new(bits, 1.0, 1.0).unwrap();
+            for full_scale in [1.0, 128.0, 0.37, f64::MIN_POSITIVE, 8e307, f64::INFINITY] {
+                let step = 2.0 * full_scale / adc.levels() as f64;
+                let mut values = rounding_table();
+                // The clip edges and their neighbours, and the first
+                // half-codes of this grid.
+                for edge in [full_scale, -full_scale, full_scale - step] {
+                    values.extend([edge, edge.next_down(), edge.next_up()]);
+                }
+                for code in 0..adc.levels().min(64) {
+                    let half = (f64::from(code) + 0.5) * step - full_scale;
+                    values.extend([half, half.next_down(), half.next_up()]);
+                }
+                let want: Vec<u64> = values
+                    .iter()
+                    .map(|&v| adc.quantize(v, full_scale).to_bits())
+                    .collect();
+                if full_scale.is_finite() {
+                    for (&v, &w) in values.iter().zip(&want) {
+                        let oracle = quantize_oracle(&adc, v, full_scale).to_bits();
+                        assert_eq!(w, oracle, "{bits} bits, fs {full_scale}, v {v:e}");
+                    }
+                }
+                // Every length from 0 to 17, so every vector tail is hit.
+                for len in 0..=17usize {
+                    for (at, chunk) in values.chunks(len.max(1)).enumerate() {
+                        let chunk = &chunk[..chunk.len().min(len)];
+                        let want = &want[at * len.max(1)..][..chunk.len()];
+                        let what = format!("{bits} bits, fs {full_scale}, len {len}, chunk {at}");
+                        let mut baseline = chunk.to_vec();
+                        quantize_body(&mut baseline, full_scale, step);
+                        let got: Vec<u64> = baseline.iter().map(|q| q.to_bits()).collect();
+                        assert_eq!(got, want, "{what}: baseline ISA");
+                        #[cfg(target_arch = "x86_64")]
+                        if std::arch::is_x86_feature_detected!("avx2") {
+                            let mut lanes = chunk.to_vec();
+                            // SAFETY: the CPU has AVX2, checked on the line
+                            // above.
+                            unsafe { quantize_avx2(&mut lanes, full_scale, step) };
+                            let got: Vec<u64> = lanes.iter().map(|q| q.to_bits()).collect();
+                            assert_eq!(got, want, "{what}: AVX2");
+                        }
+                        let mut dispatched = chunk.to_vec();
+                        adc.quantize_in_place(&mut dispatched, full_scale);
+                        let got: Vec<u64> = dispatched.iter().map(|q| q.to_bits()).collect();
+                        assert_eq!(got, want, "{what}: dispatched");
+                    }
                 }
             }
         }

@@ -1,0 +1,112 @@
+//! Bit pin for the facade's forward paths: the output bits of 64 seeded
+//! images through `Session::run_batch` (eight per call) and of one
+//! 16-kernel `Session::conv2d_multi`, on `digital`, `jtc_ideal` and
+//! `photofourier_cg`, under the PhotoFourier default pipeline (8-bit
+//! weights and activations, pseudo-negative pairs, temporal depth 16, the
+//! 8-bit partial-sum ADC).
+//!
+//! `pf-tiling/tests/bit_pin.rs` pins the tiled convolutions; this file pins
+//! everything above them — activation quantisation, the pseudo-negative
+//! subtraction, the two-level accumulation and its ADC, bias, stride,
+//! pooling and the classifier head — against digests recorded before the
+//! layer epilogue was fused into one pass. A change that moves one bit
+//! fails here with the freshly computed table printed, so an intentional
+//! change is a copy-paste re-record.
+
+use photofourier::prelude::*;
+
+/// `(backend, digest of the 64 batch outputs, digest of the 16 planes)`.
+#[rustfmt::skip]
+const RECORDED: [(&str, u64, u64); 3] = [
+    ("digital", 0xd4523afda803e56e, 0xba8d5763d80f305b),
+    ("jtc_ideal", 0xa68ce4b9239028e6, 0xaa8c41ad802ad9d0),
+    ("photofourier_cg", 0x24adeb2098ead17c, 0xcd6d1db60be2af16),
+];
+
+const IMAGES: usize = 64;
+const PER_CALL: usize = 8;
+
+/// A fixed-seed LCG in `[0, 1)`: the data does not depend on the vendored
+/// `rand` streams.
+fn lcg(seed: u64, count: usize) -> Vec<f64> {
+    let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+    (0..count)
+        .map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        })
+        .collect()
+}
+
+fn fnv1a(hash: &mut u64, word: u64) {
+    for byte in word.to_le_bytes() {
+        *hash ^= u64::from(byte);
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+fn digest<'a>(shapes_and_data: impl IntoIterator<Item = (Vec<usize>, &'a [f64])>) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for (shape, data) in shapes_and_data {
+        for dim in shape {
+            fnv1a(&mut hash, dim as u64);
+        }
+        for v in data {
+            fnv1a(&mut hash, v.to_bits());
+        }
+    }
+    hash
+}
+
+fn run(backend: BackendSpec) -> (u64, u64) {
+    let mut scenario = Scenario::new("forward-bit-pin", "resnet18", backend);
+    scenario.pipeline = PipelineConfig::photofourier_default();
+    let session = Session::from_scenario(scenario).unwrap();
+
+    let images: Vec<Tensor> = (0..IMAGES as u64)
+        .map(|seed| Tensor::new(vec![1, 16, 16], lcg(1000 + seed, 256)).unwrap())
+        .collect();
+    let outputs: Vec<Tensor> = images
+        .chunks(PER_CALL)
+        .flat_map(|batch| session.run_batch(batch).unwrap())
+        .collect();
+    assert_eq!(outputs.len(), IMAGES);
+    let batch = digest(outputs.iter().map(|t| (t.shape().to_vec(), t.data())));
+
+    let plane = Matrix::new(16, 16, lcg(7, 256)).unwrap();
+    let kernels: Vec<Matrix> = (0..16)
+        .map(|k| {
+            let weights = lcg(500 + k, 9).into_iter().map(|v| 2.0 * v - 1.0);
+            Matrix::new(3, 3, weights.collect()).unwrap()
+        })
+        .collect();
+    let planes = session.conv2d_multi(&plane, &kernels).unwrap();
+    assert_eq!(planes.len(), kernels.len());
+    let multi = digest(planes.iter().map(|m| (vec![m.rows(), m.cols()], m.data())));
+    (batch, multi)
+}
+
+#[test]
+fn facade_outputs_match_the_recorded_digests() {
+    let backends = [
+        BackendSpec::digital(256),
+        BackendSpec::jtc_ideal(256),
+        BackendSpec::photofourier_cg(256),
+    ];
+    let actual: Vec<(&str, u64, u64)> = RECORDED
+        .iter()
+        .zip(backends)
+        .map(|(&(name, _, _), backend)| {
+            let (batch, multi) = run(backend);
+            (name, batch, multi)
+        })
+        .collect();
+    let table: String = actual
+        .iter()
+        .map(|(name, batch, multi)| format!("    ({name:?}, {batch:#018x}, {multi:#018x}),\n"))
+        .collect();
+    assert_eq!(
+        actual, RECORDED,
+        "forward bits moved; freshly computed table:\n{table}"
+    );
+}
