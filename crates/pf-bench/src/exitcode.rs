@@ -1,16 +1,16 @@
-//! The exit statuses of the `repro` and `perf` binaries, in one place so
-//! the CI jobs, the docs and the binaries cannot drift apart.
+//! The exit statuses of the `repro` binary, in one place so the CI jobs,
+//! the docs and the binary cannot drift apart.
 //!
 //! | code | meaning |
 //! |------|---------|
-//! | [`OK`] | run (and any gate) passed |
-//! | [`FAILURE`] | hard failure: an experiment error, a breached gate, an I/O error |
+//! | [`OK`] | every requested experiment ran |
+//! | [`FAILURE`] | hard failure: an experiment error |
 //! | [`USAGE`] | bad command line |
 
-/// The run — and any gate it ran under — passed.
+/// Every requested experiment ran.
 pub const OK: u8 = 0;
 
-/// Hard failure (experiment error, breached gate, I/O).
+/// Hard failure (an experiment error).
 pub const FAILURE: u8 = 1;
 
 /// Bad command line.

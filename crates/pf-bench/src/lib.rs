@@ -5,12 +5,9 @@
 //! `repro fig13 tab1` the named ones) and times nothing — the models behind
 //! the tables are ladder rows of the repo benchmark under `benchmark/`.
 //!
-//! The crate also ships two more drivers: `--bin perf` (the thread-sweep
-//! report and the telemetry-overhead gate, the two host-side measurements
-//! the repo benchmark under `benchmark/` does not take, see [`perf`]) and
-//! `--bin sweep` (the declarative design-space sweep runner documented in
-//! `docs/SCENARIOS.md`). [`exitcode`] holds the exit statuses of `repro`
-//! and `perf`.
+//! The crate also ships `--bin sweep`, the declarative design-space sweep
+//! runner documented in `docs/SCENARIOS.md`. [`exitcode`] holds the exit
+//! statuses of `repro`.
 //!
 //! # Examples
 //!
@@ -31,23 +28,7 @@
 
 pub mod exitcode;
 pub mod experiments;
-pub mod perf;
 pub mod report;
 
 pub use experiments::*;
 pub use report::Table;
-
-use photofourier::prelude::{Scenario, Tensor};
-
-/// The seeded uniform `[0, 1)` image of the scenario's functional input
-/// shape. Every `perf` workload draws its images here, so one seed names
-/// one image across runs.
-pub(crate) fn scenario_image(scenario: &Scenario, seed: u64) -> Tensor {
-    let f = &scenario.functional;
-    Tensor::random(
-        vec![f.input_channels, f.input_size, f.input_size],
-        0.0,
-        1.0,
-        seed,
-    )
-}

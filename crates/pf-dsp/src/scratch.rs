@@ -44,9 +44,8 @@ use crate::complex::{Complex, ComplexLanes, LANES};
 /// in which any of the arena's buffers grew its capacity inside the closure —
 /// i.e. the steady state was *not* allocation-free — and `borrows` counts
 /// every [`with_spectrum_scratch`] call. A warmed-up pipeline should hold
-/// `grows` flat while `borrows` climbs; the serving stack surfaces both as
-/// telemetry gauges (`dsp.scratch_grows` / `dsp.scratch_borrows`), the
-/// instrumentation prerequisite for the zero-allocation steady-state work.
+/// `grows` flat while `borrows` climbs; the repo benchmark reports the
+/// growth over its warm runs as the `pf-dsp.scratch_grows` ladder row.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScratchStats {
     /// Borrows in which at least one scratch buffer grew its capacity.

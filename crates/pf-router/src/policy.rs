@@ -50,9 +50,9 @@ impl Policy {
     }
 }
 
-/// SplitMix64: a cheap, well-mixed 64-bit hash (also used as the seed
-/// expander in `pf-nn`'s weight init). Deterministic across runs and
-/// platforms — ring placement is part of the reproducible experiment.
+/// SplitMix64: a cheap, well-mixed 64-bit hash (also the router's
+/// backoff jitter). Deterministic across runs and platforms — ring
+/// placement is part of the reproducible experiment.
 pub(crate) fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

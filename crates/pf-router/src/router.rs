@@ -11,7 +11,7 @@ use pf_serve::{InferenceEngine, RequestTrace, ServeConfig, Server, Ticket};
 use pf_telemetry::Telemetry;
 
 use crate::health::HealthConfig;
-use crate::policy::{HashRing, Policy};
+use crate::policy::{splitmix64, HashRing, Policy};
 use crate::stats::{secs_between, Outcome, ReplicaRollup, RouterCollector, RouterStats};
 use crate::CacheStats;
 
@@ -431,14 +431,6 @@ impl<'r, E: ReplicaEngine + 'static> RouterTicket<'r, E> {
         }
         false
     }
-}
-
-/// SplitMix64, for deterministic backoff jitter.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Maps 64 random bits onto `[0, 1)`.

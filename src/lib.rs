@@ -127,21 +127,6 @@ pub use session::{Session, SessionBuilder};
 pub use sweep::{SweepPointResult, SweepReport, SweepRunner, SWEEP_SCHEMA};
 pub use tiling::ParallelGrain;
 
-/// Mirrors the process-wide `pf-dsp` scratch-arena counters into `tel` as
-/// the gauges `dsp.scratch_grows` (borrows that had to allocate) and
-/// `dsp.scratch_borrows` (all borrows). Call this right before taking a
-/// [`MetricsSnapshot`] so the allocation-behaviour gauges are current: a
-/// healthy steady state shows `scratch_grows` flat while `scratch_borrows`
-/// climbs. No-op when `tel` is disabled.
-pub fn mirror_scratch_gauges(tel: &Telemetry) {
-    if !tel.is_enabled() {
-        return;
-    }
-    let stats = pf_dsp::scratch::scratch_stats();
-    tel.gauge("dsp.scratch_grows").set(stats.grows);
-    tel.gauge("dsp.scratch_borrows").set(stats.borrows);
-}
-
 /// Commonly used items re-exported in one place.
 pub mod prelude {
     // The unified facade API.

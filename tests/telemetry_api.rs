@@ -188,77 +188,79 @@ fn served_requests_yield_one_validated_span_tree_each() {
 
 #[test]
 fn routed_serving_yields_one_validated_span_tree_per_request() {
-    let mut scenario = Scenario::from_path(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/scenarios/routing_resnet18.toml"
-    ))
-    .expect("committed routing scenario loads");
-    // The photonic staged path, so per-stage child spans appear under the
-    // batch's infer span.
-    scenario.backend.kind = BackendKind::JtcIdeal;
+    // Both photonic staged paths, so per-stage child spans appear under
+    // the batch's infer span.
+    for kind in [BackendKind::JtcIdeal, BackendKind::PhotofourierCg] {
+        let mut scenario = Scenario::from_path(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/scenarios/routing_resnet18.toml"
+        ))
+        .expect("committed routing scenario loads");
+        scenario.backend.kind = kind;
 
-    let tel = Telemetry::enabled();
-    let router = route::route_scenario_traced(scenario, tel.clone()).unwrap();
-    let submitted = 6u64;
-    let tickets: Vec<_> = (0..submitted)
-        .map(|k| {
-            let image = pf_nn::Tensor::random(vec![1, 16, 16], 0.0, 1.0, 700 + k);
-            let payload = ModelRequest::new(image, k % 3).with_seed(k);
-            router
-                .submit(
-                    RouterRequest::new(payload)
-                        .with_class(0)
-                        .with_affinity(k % 3),
-                )
-                .expect("uncontended submit admits")
-        })
-        .collect();
-    for ticket in tickets {
-        ticket.wait().expect("request served");
-    }
-    let stats = router.drain().unwrap();
-    assert_eq!(stats.admitted, submitted);
-    assert_eq!(
-        tel.dropped_spans(),
-        0,
-        "smoke load must not overflow the ring"
-    );
-
-    let spans = tel.spans();
-    let find = |name: &str| -> Vec<_> { spans.iter().filter(|s| s.name == name).collect() };
-    let admits = find("admit");
-    assert_eq!(
-        admits.len() as u64,
-        submitted,
-        "one admission span per request"
-    );
-    for admit in &admits {
-        assert_ne!(admit.req, 0, "request id minted at admission");
-        let request = spans
-            .iter()
-            .find(|s| s.name == "request" && s.parent == admit.id)
-            .unwrap_or_else(|| panic!("request {} has no root span", admit.req));
-        assert_eq!(request.req, admit.req);
-        for phase in ["queue", "exec"] {
-            assert!(
-                spans
-                    .iter()
-                    .any(|s| s.name == phase && s.parent == request.id && s.req == admit.req),
-                "request {} missing its {phase} span",
-                admit.req
-            );
+        let tel = Telemetry::enabled();
+        let router = route::route_scenario_traced(scenario, tel.clone()).unwrap();
+        let submitted = 6u64;
+        let tickets: Vec<_> = (0..submitted)
+            .map(|k| {
+                let image = pf_nn::Tensor::random(vec![1, 16, 16], 0.0, 1.0, 700 + k);
+                let payload = ModelRequest::new(image, k % 3).with_seed(k);
+                router
+                    .submit(
+                        RouterRequest::new(payload)
+                            .with_class(0)
+                            .with_affinity(k % 3),
+                    )
+                    .expect("uncontended submit admits")
+            })
+            .collect();
+        for ticket in tickets {
+            ticket.wait().expect("request served");
         }
-    }
-    // The dispatch side: batches carry infer spans with staged children.
-    assert!(!find("batch").is_empty());
-    assert!(!find("infer").is_empty());
-    assert!(
-        Stage::ALL.iter().any(|s| !find(s.name()).is_empty()),
-        "no per-stage child spans were synthesized"
-    );
+        let stats = router.drain().unwrap();
+        assert_eq!(stats.admitted, submitted);
+        assert_eq!(
+            tel.dropped_spans(),
+            0,
+            "smoke load must not overflow the ring"
+        );
 
-    let trace = tel.chrome_trace_json();
-    let stats = validate_chrome_trace(&trace).expect("routed trace validates");
-    assert!(stats.pairs as u64 >= submitted * 3);
-    assert!(stats.tracks > 1, "request lanes and worker tracks coexist");
+        let spans = tel.spans();
+        let find = |name: &str| -> Vec<_> { spans.iter().filter(|s| s.name == name).collect() };
+        let admits = find("admit");
+        assert_eq!(
+            admits.len() as u64,
+            submitted,
+            "one admission span per request"
+        );
+        for admit in &admits {
+            assert_ne!(admit.req, 0, "request id minted at admission");
+            let request = spans
+                .iter()
+                .find(|s| s.name == "request" && s.parent == admit.id)
+                .unwrap_or_else(|| panic!("request {} has no root span", admit.req));
+            assert_eq!(request.req, admit.req);
+            for phase in ["queue", "exec"] {
+                assert!(
+                    spans
+                        .iter()
+                        .any(|s| s.name == phase && s.parent == request.id && s.req == admit.req),
+                    "request {} missing its {phase} span",
+                    admit.req
+                );
+            }
+        }
+        // The dispatch side: batches carry infer spans with staged children.
+        assert!(!find("batch").is_empty());
+        assert!(!find("infer").is_empty());
+        assert!(
+            Stage::ALL.iter().any(|s| !find(s.name()).is_empty()),
+            "{kind:?}: no per-stage child spans were synthesized"
+        );
+
+        let trace = tel.chrome_trace_json();
+        let stats = validate_chrome_trace(&trace).expect("routed trace validates");
+        assert!(stats.pairs as u64 >= submitted * 3);
+        assert!(stats.tracks > 1, "request lanes and worker tracks coexist");
+    }
 }
