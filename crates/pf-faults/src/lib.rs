@@ -32,6 +32,7 @@ use std::time::Duration;
 
 use pf_core::{FaultsSpec, PfError};
 use pf_photonics::detector::SensingNoise;
+use pf_router::policy::{splitmix64, unit_from_bits};
 use pf_router::{CacheStats, ReplicaEngine};
 use pf_serve::InferenceEngine;
 
@@ -186,19 +187,6 @@ impl FaultPlan {
             Err(_) => 1.0,
         }
     }
-}
-
-/// SplitMix64: the standard 64-bit seed scrambler.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Maps 64 random bits onto `[0, 1)`.
-fn unit_from_bits(bits: u64) -> f64 {
-    (bits >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// How a corruption fault mutates a response payload. The payload type is

@@ -83,10 +83,13 @@ pub struct JtcEngine {
     config: JtcEngineConfig,
     input_dac: Option<Dac>,
     output_adc: Option<Adc>,
-    /// The seeded sensing-noise stream, behind an `Arc` so prepared kernels
-    /// handed out by this engine draw from the *same* stream in call order
-    /// (which is what makes a cached prepared kernel replay bit-identically
-    /// to preparing afresh per call under a fixed seed).
+    /// The seeded sensing-noise stream — a key and the next free position,
+    /// a sample's noise a pure function of the two — behind an `Arc` so
+    /// prepared kernels handed out by this engine reserve positions from
+    /// the *same* counter in call order (which is what makes a cached
+    /// prepared kernel replay bit-identically to preparing afresh per call
+    /// under a fixed seed). A lane block reserves its kernels' positions
+    /// under one lock, in kernel order.
     noise: Option<Arc<Mutex<SensingNoise>>>,
 }
 

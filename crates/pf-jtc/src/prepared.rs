@@ -872,7 +872,7 @@ impl PreparedKernel {
             out,
             acc.as_deref_mut(),
         )?;
-        self.condition(out, sum_sq);
+        Self::condition([self], [out], [sum_sq]);
         mark(&mut acc, Stage::DacAdc);
         Ok(())
     }
@@ -881,8 +881,9 @@ impl PreparedKernel {
     /// [`PreparedKernel::lane_set`] cleared, every kernel's lobe into its
     /// slice of `out` (kernel-major): the optics run per block
     /// ([`PreparedSpectrum::finish_block`], which reads each lobe out
-    /// straight into its slice), then each kernel of the block conditions
-    /// its own slice **in kernel order**, so a noisy engine's stream is
+    /// straight into its slice), then the block is conditioned as one
+    /// ([`PreparedKernel::condition`]: its noise positions reserved **in
+    /// kernel order** under one lock), so a noisy engine's stream is
     /// consumed exactly as the per-kernel chain consumes it. Stages are
     /// marked once per block. A block of one — a set of one kernel, the
     /// tail of a set of `4k + 1` — runs at width 1
@@ -923,11 +924,10 @@ impl PreparedKernel {
                 &mut acc,
             )
             .expect("lane_set cleared the geometry");
-            for ((kernel, samples), sum_sq) in
-                kernels.iter().zip(out.chunks_exact_mut(len)).zip(sums)
-            {
-                kernel.condition(samples, sum_sq);
-            }
+            // A short block's idle lanes condition empty slices: nothing.
+            let mut slices = out.chunks_exact_mut(len);
+            let slices = std::array::from_fn(|_| slices.next().unwrap_or(&mut []));
+            Self::condition(kernels, slices, sums);
             mark(&mut acc, Stage::DacAdc);
         }
     }
@@ -939,19 +939,25 @@ impl PreparedKernel {
 
     /// `prepared` as this engine's own transform, when the whole of `set`
     /// can ride in lanes with it: every member is a [`PreparedKernel`] on
-    /// one geometry whose lobe is non-empty, and the transform was taken on
-    /// that geometry.
+    /// one geometry whose lobe is non-empty, bound to one noise stream (or
+    /// to none), and the transform was taken on that geometry.
     fn lane_set<'a>(
         set: &[&dyn PreparedConv1d],
         prepared: &'a dyn PreparedSignal,
     ) -> Option<&'a SharedSignal> {
         let shared = prepared.as_any().downcast_ref::<SharedSignal>()?;
-        let first = &*Self::of(*set.first()?)?.spectrum;
+        let lead = Self::of(*set.first()?)?;
+        let first = &*lead.spectrum;
+        let same_noise = |k: &PreparedKernel| match (&k.noise, &lead.noise) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (None, None) => true,
+            _ => false,
+        };
         let rides = first.kernel_len <= first.signal_len
             && (shared.spectrum.signal_len, shared.spectrum.n) == (first.signal_len, first.n)
-            && set
-                .iter()
-                .all(|member| Self::of(*member).is_some_and(|k| k.spectrum.same_geometry(first)));
+            && set.iter().all(|member| {
+                Self::of(*member).is_some_and(|k| k.spectrum.same_geometry(first) && same_noise(k))
+            });
         rides.then_some(shared)
     }
 
@@ -965,27 +971,42 @@ impl PreparedKernel {
     }
 
     /// The output conditioning behind the optics, shared by every chain,
-    /// on rescaled samples whose sum of squares (`sum_sq`, accumulated in
-    /// output order) the second lens' read-out already holds: photodetector
-    /// sensing noise relative to the output RMS, one block per call drawn
-    /// from the bound stream under one lock, then ADC quantisation in place
-    /// against the block's own full scale. A zero-RMS tile draws nothing.
+    /// on `L` kernels of one noise binding, each with its rescaled samples
+    /// in its slice and their sum of squares (`sums`, accumulated in output
+    /// order) from the second lens' read-out: photodetector sensing noise
+    /// relative to each slice's RMS — every slice's positions reserved in
+    /// kernel order under one lock, the draws interleaved
+    /// ([`SensingNoise::add_scaled_blocks`]) — then each kernel's ADC
+    /// quantisation in place against its slice's own full scale. A
+    /// zero-RMS slice draws nothing.
     ///
     /// Total over non-finite input: an overflowed RMS or full scale comes
     /// back as non-finite samples, never as a panic.
-    fn condition(&self, out: &mut [f64], sum_sq: f64) {
-        let mut peak = None;
-        if let Some(noise) = &self.noise {
-            let rms = (sum_sq / out.len().max(1) as f64).sqrt();
-            if rms > 0.0 {
-                peak = Some(noise.lock().add_scaled(out, rms));
+    fn condition<const L: usize>(kernels: [&Self; L], mut slices: [&mut [f64]; L], sums: [f64; L]) {
+        let mut peaks = [None; L];
+        if let Some(noise) = &kernels[0].noise {
+            let rms: [f64; L] =
+                std::array::from_fn(|l| (sums[l] / slices[l].len().max(1) as f64).sqrt());
+            let live = rms.map(|rms| rms > 0.0);
+            // A silent slice rides as an empty block: no position is
+            // reserved for it.
+            let mut lanes = live.iter();
+            let blocks = slices.each_mut().map(|slice| match lanes.next() {
+                Some(true) => &mut **slice,
+                _ => &mut [],
+            });
+            let drawn = noise.lock().add_scaled_blocks(blocks, rms);
+            for ((peak, drawn), live) in peaks.iter_mut().zip(drawn).zip(live) {
+                *peak = live.then_some(drawn);
             }
         }
-        if let Some(adc) = &self.adc {
-            // The noise pass scans the samples it writes and hands back
-            // their peak; only a noiseless (or silent) tile is scanned here.
-            let peak = peak.unwrap_or_else(|| peak_magnitude(out));
-            adc.quantize_in_place(out, peak.max(f64::EPSILON));
+        for ((kernel, slice), peak) in kernels.iter().zip(slices).zip(peaks) {
+            if let Some(adc) = &kernel.adc {
+                // The noise call hands back the peak of the samples it
+                // wrote; only a noiseless (or silent) slice is scanned here.
+                let peak = peak.unwrap_or_else(|| peak_magnitude(slice));
+                adc.quantize_in_place(slice, peak.max(f64::EPSILON));
+            }
         }
     }
 }

@@ -220,9 +220,10 @@ fn set_call_equals_the_per_kernel_loop_on_the_benchmark_grids() {
         assert_eq!(plane.grid_size(), grid, "{len}-sample tiles, {taps} taps");
         for (name, config) in configs(256) {
             // Two and three kernels ride with idle lanes, four fill a
-            // block, five leave a lone kernel to the scalar chain, eight
+            // block, five and nine leave a lone kernel to the scalar
+            // chain, six and seven a short block after a full one, eight
             // are two full blocks.
-            for count in [2, 3, 4, 5, 8] {
+            for count in [2, 3, 4, 5, 6, 7, 8, 9] {
                 let kernels: Vec<Vec<f64>> = (0..count).map(|i| kernel(i, taps)).collect();
                 let name = format!("{name}, n = {grid}");
                 check_set_equals_loop(&name, &config, &kernels, &tiles(len), Path::Lanes);
@@ -260,7 +261,13 @@ fn silent_lanes_on_the_benchmark_grids() {
         for (name, config) in configs(256) {
             let silent_between = vec![kernel(0, taps), vec![0.0; taps], kernel(2, taps)];
             let all_silent = vec![vec![0.0; taps]; LANES + 1];
-            for kernels in [silent_between, all_silent] {
+            // A full block, then a short one with a silent kernel in its
+            // middle: the block's live kernels reserve their noise
+            // positions around it.
+            let mut silent_in_second_block: Vec<Vec<f64>> =
+                (0..LANES + 3).map(|i| kernel(i, taps)).collect();
+            silent_in_second_block[LANES + 1] = vec![0.0; taps];
+            for kernels in [silent_between, all_silent, silent_in_second_block] {
                 let outs = check_set_equals_loop(name, &config, &kernels, &tiles, Path::Lanes);
                 for (k, out) in outs[1].iter().enumerate() {
                     let silent = kernels[k].iter().all(|&v| v == 0.0);
@@ -471,6 +478,48 @@ fn sets_that_cannot_ride_in_lanes_fall_back_to_the_loop() {
             &long,
             &tiles(12),
             Path::PerKernel,
+        );
+
+        // Members of two engines in one set: a lane block reserves noise
+        // positions from one stream, so a noisy mix takes the loop, each
+        // kernel drawing from its own engine's stream; noiseless engines
+        // bind no stream and still ride.
+        let engines = || {
+            [1, 2].map(|seed| {
+                JtcEngine::new(JtcEngineConfig {
+                    noise_seed: seed,
+                    ..config.clone()
+                })
+                .unwrap()
+            })
+        };
+        let (set_engines, loop_engines) = (engines(), engines());
+        let mixed = |engines: &[JtcEngine; 2]| -> Vec<Arc<dyn PreparedConv1d>> {
+            kernels
+                .iter()
+                .enumerate()
+                .map(|(i, k)| engines[i % 2].prepare_kernel(k, SIGNAL_LEN).unwrap())
+                .collect()
+        };
+        let (set_preps, loop_preps) = (mixed(&set_engines), mixed(&loop_engines));
+        let tile = signal(SIGNAL_LEN, 3.0);
+        let shared = set_preps[0].prepare_signal(&tile).unwrap();
+        let set = refs(&set_preps);
+        let what = format!("{name} two engines");
+        let mut lanes = Vec::new();
+        let path = path_taken(|| lanes = set_call(&set, Some(&*shared), &tile, out_len, None));
+        let expect = if config.sensing_snr_db.is_some() {
+            Path::PerKernel
+        } else {
+            Path::Lanes
+        };
+        assert_eq!(path, expect, "{what}: path");
+        let looped = per_kernel(&refs(&loop_preps), &*shared, &tile);
+        assert_bits(&lanes, &looped, &what);
+        assert_eq!(
+            format!("{set_engines:?}"),
+            format!("{loop_engines:?}"),
+            "{what}"
         );
 
         // A foreign member, first (the default body answers) and in the

@@ -11,13 +11,16 @@
 //!
 //! [`SensingNoise`] is the read-out noise of those detectors as the
 //! accuracy experiments model it: additive zero-mean Gaussian noise at a
-//! configured SNR, from one seeded stream, **one normal per sample**
-//! ([`standard_normal`]: a 128-layer ziggurat — one 64-bit word, one table
-//! look-up, one multiply and one compare on 97.2 % of draws; the wedges and
-//! the tail are sampled exactly, with libm, on the rest). A sample's noise
-//! depends on the stream position alone, so how samples are grouped into
-//! blocks is invisible: two back-to-back blocks draw what their
-//! concatenation draws.
+//! configured SNR, **keyed by position**: sample `j` of a seed's stream is
+//! the [`standard_normal`] law (a 128-layer ziggurat — one 64-bit word,
+//! one table look-up, one multiply and one compare on 97.2 % of draws; the
+//! wedges and the tail are sampled exactly, with libm, on the rest) applied
+//! to word `j` of a counter-based generator keyed by the seed, its rare
+//! retries to a sequence of its own. A sample's noise is a pure function
+//! of (seed, position) and each sample takes exactly one position, so how
+//! samples are grouped into blocks is invisible: two back-to-back blocks
+//! draw what their concatenation draws, and so do four blocks reserved at
+//! once.
 
 use std::sync::OnceLock;
 
@@ -191,6 +194,14 @@ struct Ziggurat {
     f: [f64; LAYERS + 1],
 }
 
+/// A word the one-word path could not settle: the layer it picked, its
+/// uniform `u` in `[−1, 1)` and the candidate `x = u·x[layer]`.
+struct Miss {
+    layer: usize,
+    u: f64,
+    x: f64,
+}
+
 impl Ziggurat {
     /// The tables, built on first use: equal-area layers stacked from the
     /// tail up, `x[i+1] = f⁻¹(LAYER_AREA / x[i] + f(x[i]))`.
@@ -210,6 +221,59 @@ impl Ziggurat {
             }
         })
     }
+
+    /// The one-word path: the low 7 bits of `bits` pick a layer, its top
+    /// 53 a uniform `u` in `[−1, 1)` (disjoint bits, so the layer and the
+    /// position within it cannot correlate), and `u·x[layer]` is the draw
+    /// whenever it falls under the next layer up — inside the part of the
+    /// layer that lies wholly below the density.
+    #[inline(always)]
+    fn place(&self, bits: u64) -> Result<f64, Miss> {
+        let layer = (bits & (LAYERS as u64 - 1)) as usize;
+        // The top 53 bits as a multiple of 2⁻⁵² in [0, 2), shifted to
+        // [−1, 1): every step is exact.
+        let u = (bits >> 11) as f64 * (1.0 / (1u64 << 52) as f64) - 1.0;
+        let x = u * self.x[layer];
+        if x.abs() < self.x[layer + 1] {
+            Ok(x)
+        } else {
+            Err(Miss { layer, u, x })
+        }
+    }
+
+    /// Settles a miss exactly, on further words from `rng`: in a wedge by
+    /// one more uniform against the density itself, in the tail of the
+    /// base layer by Marsaglia's exponential rejection — or rejects it, and
+    /// the draw starts over on a fresh word. Out of line: 2.8 % of draws
+    /// come here.
+    #[cold]
+    #[inline(never)]
+    fn settle(&self, mut miss: Miss, rng: &mut impl RngCore) -> f64 {
+        loop {
+            let Miss { layer, u, x } = miss;
+            if layer == 0 {
+                // |x| landed past the rectangle of the base layer: draw
+                // from the tail beyond TAIL_START, on the side `u` picked.
+                loop {
+                    let along = open_unit(rng).ln() / TAIL_START;
+                    let across = open_unit(rng).ln();
+                    if -2.0 * across >= along * along {
+                        return (TAIL_START - along).copysign(u);
+                    }
+                }
+            }
+            // A wedge: uniform in height over the layer, kept when it
+            // falls under the curve.
+            let height = self.f[layer + 1] + (self.f[layer] - self.f[layer + 1]) * open_unit(rng);
+            if height < (-0.5 * x * x).exp() {
+                return x;
+            }
+            miss = match self.place(rng.next_u64()) {
+                Ok(x) => return x,
+                Err(miss) => miss,
+            };
+        }
+    }
 }
 
 /// A uniform draw from the open interval `(0, 1)`: 52 bits, centred in
@@ -221,46 +285,72 @@ fn open_unit(rng: &mut impl RngCore) -> f64 {
 /// One standard normal draw from `rng`: the ziggurat method over 128 layers.
 ///
 /// The common path spends one `next_u64`: its low 7 bits pick a layer, its
-/// top 53 a uniform `u` in `[−1, 1)` (disjoint bits, so the layer and the
-/// position within it cannot correlate), and `u·x[layer]` is the draw
-/// whenever it falls under the next layer up — inside the part of the
-/// layer that lies wholly below the density. Otherwise the draw is settled
-/// exactly: in a wedge by one more uniform against the density itself, in
-/// the tail of the base layer by Marsaglia's exponential rejection — or
-/// rejected, and the whole draw starts over. The accepted values are
-/// exactly normal whatever `LAYERS` is; the tables only set how often the
-/// slow paths run (2.8 % of draws see a wedge test, 5.7·10⁻⁴ the tail).
+/// top 53 a uniform `u` in `[−1, 1)`, and `u·x[layer]` is the draw
+/// whenever it falls under the next layer up. Otherwise the draw is
+/// settled exactly on further words: in a wedge by one more uniform
+/// against the density itself, in the tail of the base layer by
+/// Marsaglia's exponential rejection — or rejected, and the whole draw
+/// starts over. The accepted values are exactly normal whatever `LAYERS`
+/// is; the tables only set how often the slow paths run (2.8 % of draws
+/// see a wedge test, 5.7·10⁻⁴ the tail).
 ///
-/// Generic over the word source, so a keyed, counter-based generator can
-/// take the stream's place without touching the law.
+/// Generic over the word source. [`SensingNoise`] runs the same tables,
+/// wedge and tail on keyed words instead: the first word of sample `j` is
+/// word `j` of its key, the rest come from a sequence of that sample's own.
 pub fn standard_normal(rng: &mut impl RngCore) -> f64 {
     let zig = Ziggurat::shared();
-    loop {
-        let bits = rng.next_u64();
-        let layer = (bits & (LAYERS as u64 - 1)) as usize;
-        // The top 53 bits as a multiple of 2⁻⁵² in [0, 2), shifted to
-        // [−1, 1): every step is exact.
-        let u = (bits >> 11) as f64 * (1.0 / (1u64 << 52) as f64) - 1.0;
-        let x = u * zig.x[layer];
-        if x.abs() < zig.x[layer + 1] {
-            return x;
-        }
-        if layer == 0 {
-            // |x| landed past the rectangle of the base layer: draw from
-            // the tail beyond TAIL_START, on the side `u` picked.
-            loop {
-                let along = open_unit(rng).ln() / TAIL_START;
-                let across = open_unit(rng).ln();
-                if -2.0 * across >= along * along {
-                    return (TAIL_START - along).copysign(u);
-                }
-            }
-        }
-        // A wedge: uniform in height over the layer, kept when it falls
-        // under the curve.
-        let height = zig.f[layer + 1] + (zig.f[layer] - zig.f[layer + 1]) * open_unit(rng);
-        if height < (-0.5 * x * x).exp() {
-            return x;
+    match zig.place(rng.next_u64()) {
+        Ok(x) => x,
+        Err(miss) => zig.settle(miss, rng),
+    }
+}
+
+/// wyrand's Weyl increment and multiplier mask.
+const WY_INCREMENT: u64 = 0xa076_1d64_78bd_642f;
+const WY_MASK: u64 = 0xe703_7ed1_a0b4_28db;
+/// Parts a stream's retry key from its key.
+const RETRY_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Word `position` of the sequence keyed by `key`: wyrand's output
+/// function (one 64 × 64 → 128-bit multiply, the halves folded) on step
+/// `position` of a Weyl sequence that starts at `key`. A pure function of
+/// the pair, so words can be taken in any order and several at a time.
+#[inline(always)]
+fn word(key: u64, position: u64) -> u64 {
+    let s = key.wrapping_add(position.wrapping_mul(WY_INCREMENT));
+    let t = u128::from(s) * u128::from(s ^ WY_MASK);
+    (t >> 64) as u64 ^ t as u64
+}
+
+/// A keyed sequence read in order: the word source of one sample's wedge
+/// and tail retries.
+struct Keyed {
+    key: u64,
+    position: u64,
+}
+
+impl RngCore for Keyed {
+    fn next_u64(&mut self) -> u64 {
+        let bits = word(self.key, self.position);
+        self.position += 1;
+        bits
+    }
+}
+
+/// Sample `position` of the stream keyed by `key`: the ziggurat on word
+/// `position`; a miss is settled on the sample's own retry sequence, keyed
+/// by word `position` of the retry key, so a sample consumes one position
+/// whatever is rejected.
+#[inline(always)]
+fn normal_at(zig: &Ziggurat, key: u64, position: u64) -> f64 {
+    match zig.place(word(key, position)) {
+        Ok(x) => x,
+        Err(miss) => {
+            let mut retries = Keyed {
+                key: word(key ^ RETRY_SALT, position),
+                position: 0,
+            };
+            zig.settle(miss, &mut retries)
         }
     }
 }
@@ -268,16 +358,21 @@ pub fn standard_normal(rng: &mut impl RngCore) -> f64 {
 /// Additive Gaussian sensing-noise model used by the accuracy experiments
 /// (Figure 7 simulates "applying square function to partial sums and adding
 /// sensing noise"): zero-mean, standard deviation `sigma`, independent per
-/// sample, one seeded stream consumed in call order.
+/// sample, **keyed by position**: sample `j` of a seed's stream is a pure
+/// function of (seed, `j`).
 ///
-/// Every entry point is a caller of [`SensingNoise::add_scaled`], which
-/// draws one [`standard_normal`] per sample and keeps nothing between
-/// calls but the stream position — so neither the *law* nor the *values* a
-/// seed produces depend on how samples are grouped into blocks: replaying
-/// a seeded run means replaying its samples in order.
+/// The source is a key, a position and `sigma`. Every entry point is a
+/// caller of [`SensingNoise::add_scaled_blocks`], which reserves one
+/// position per sample, in order, and draws the [`standard_normal`] law
+/// there — so neither the *law* nor the *values* a seed produces depend on
+/// how samples are grouped into blocks: replaying a seeded run means
+/// replaying how many samples it drew before each block.
 #[derive(Debug, Clone)]
 pub struct SensingNoise {
-    rng: StdRng,
+    /// The seed's key: the first word of the seed's `StdRng` stream.
+    key: u64,
+    /// Samples drawn so far: the position the next sample takes.
+    position: u64,
     sigma: f64,
 }
 
@@ -297,7 +392,8 @@ impl SensingNoise {
             });
         }
         Ok(Self {
-            rng: StdRng::seed_from_u64(seed),
+            key: StdRng::seed_from_u64(seed).next_u64(),
+            position: 0,
             sigma,
         })
     }
@@ -344,29 +440,48 @@ impl SensingNoise {
     /// Adds one block of independent Gaussian noise, `sigma * scale` per
     /// sample, to `out` in place and returns the block's peak magnitude
     /// after the add (the full scale an ADC behind the detector converts
-    /// against, so the caller needs no second scan).
-    ///
-    /// The one draw body: one [`standard_normal`] per sample, in order, off
-    /// this source's stream. Nothing is carried between calls, so a block
-    /// split anywhere draws the values the whole block draws. `sigma == 0`
-    /// consumes nothing.
+    /// against, so the caller needs no second scan): a one-block
+    /// [`SensingNoise::add_scaled_blocks`].
     pub fn add_scaled(&mut self, out: &mut [f64], scale: f64) -> f64 {
-        if self.sigma == 0.0 {
-            return peak_magnitude(out);
-        }
-        let mut peak = 0.0f64;
-        let sigma = self.sigma * scale;
-        for v in out {
-            *v += standard_normal(&mut self.rng) * sigma;
-            // `peak.max(|v|)` as a compare-select: the same value for
-            // every input (a NaN sample is skipped either way) without
-            // `f64::max`'s NaN fix-up in the loop-carried chain.
-            let magnitude = v.abs();
-            if magnitude > peak {
-                peak = magnitude;
+        let [peak] = self.add_scaled_blocks([out], [scale]);
+        peak
+    }
+
+    /// Adds noise to `L` blocks as one reservation — block `b` scaled by
+    /// `scales[b]` and taking the positions right after block `b − 1`'s —
+    /// and returns each block's peak magnitude after the add: exactly what
+    /// `L` back-to-back [`SensingNoise::add_scaled`] calls draw and return.
+    ///
+    /// The one draw body: one sample per position, the blocks interleaved
+    /// (one sample of each per step, `L` independent counters), then each
+    /// block's peak in a pass of its own — a running maximum in the draw
+    /// loop is a loop-carried chain, which the slow path's out-of-line call
+    /// pins to general registers. `sigma == 0` consumes nothing; an empty
+    /// block consumes nothing and reads peak 0.
+    pub fn add_scaled_blocks<const L: usize>(
+        &mut self,
+        blocks: [&mut [f64]; L],
+        scales: [f64; L],
+    ) -> [f64; L] {
+        if self.sigma != 0.0 {
+            let zig = Ziggurat::shared();
+            let key = self.key;
+            let starts = blocks.each_ref().map(|block| {
+                let start = self.position;
+                self.position += block.len() as u64;
+                start
+            });
+            let sigmas = scales.map(|scale| self.sigma * scale);
+            let steps = blocks.iter().map(|block| block.len()).max().unwrap_or(0);
+            for i in 0..steps {
+                for b in 0..L {
+                    if let Some(v) = blocks[b].get_mut(i) {
+                        *v += normal_at(zig, key, starts[b] + i as u64) * sigmas[b];
+                    }
+                }
             }
         }
-        peak
+        blocks.map(|block| peak_magnitude(block))
     }
 }
 

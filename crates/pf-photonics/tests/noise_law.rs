@@ -2,9 +2,11 @@
 //! produces: zero-mean Gaussian with the configured standard deviation,
 //! independent per sample, right out into the tail the slow path samples,
 //! the layer a word picks independent of where in the layer it lands — and
-//! the stream-consumption rule seeded replay rests on: one draw per sample
-//! off one stream, so how samples are grouped into blocks changes no value
-//! (and nothing is consumed when `sigma == 0` or the block is empty).
+//! the position rule seeded replay rests on: each sample takes one
+//! position of the seed's keyed stream, whatever its draw rejects, so how
+//! samples are grouped into blocks (one call, many, or four reserved at
+//! once) changes no value (and nothing is consumed when `sigma == 0` or
+//! the block is empty).
 //!
 //! Seeds are fixed, so every check is deterministic. Tolerances are the
 //! statistic's standard error under the law (CLT / binomial, stated at each
@@ -101,8 +103,8 @@ fn check_law(label: &str, z: &[f64]) {
         check_tail(label, z, k, p);
     }
     // Sample autocorrelation of white noise at any lag: standard error
-    // 1/sqrt(n). Neighbouring samples come off neighbouring words of one
-    // xoshiro stream.
+    // 1/sqrt(n). Neighbouring samples come off neighbouring positions of
+    // one keyed counter.
     for lag in 1usize..=4 {
         let r = z
             .windows(lag + 1)
@@ -328,4 +330,88 @@ fn silent_sources_and_empty_blocks_leave_the_stream_alone() {
     assert_eq!(format!("{noisy:?}"), before);
     noisy.perturb(0.0);
     assert_ne!(format!("{noisy:?}"), before);
+}
+
+/// `n` values off a fixed curve, away from zero, so every block has a
+/// peak of its own.
+fn ramp(n: usize, phase: f64) -> Vec<f64> {
+    (0..n)
+        .map(|i| ((i as f64 + phase) * 0.61).sin() * 2.0)
+        .collect()
+}
+
+#[test]
+fn one_reservation_of_four_blocks_is_four_add_scaled_calls() {
+    // Equal blocks (a lane block of one tile length), an empty block (a
+    // silent kernel) between live ones, ragged lengths, all empty, and
+    // blocks long enough to meet wedges and the tail.
+    let shapes = [
+        [46, 46, 46, 46],
+        [222, 0, 222, 222],
+        [1, 7, 0, 45],
+        [0, 0, 0, 0],
+        [4_000, 3, 1_000, 1],
+    ];
+    let scales = [3.0, 0.5, 1.0, 2.0];
+    for sigma in [SIGMA, 0.0] {
+        for lens in shapes {
+            let what = format!("sigma {sigma}, blocks {lens:?}");
+            let mut reserved = SensingNoise::new(sigma, 9).unwrap();
+            let mut by_call = reserved.clone();
+            let mut blocks: Vec<Vec<f64>> = lens
+                .iter()
+                .enumerate()
+                .map(|(b, &n)| ramp(n, b as f64))
+                .collect();
+            let mut called = blocks.clone();
+            let [a, b, c, d] = &mut blocks[..] else {
+                unreachable!("four blocks")
+            };
+            let peaks = reserved.add_scaled_blocks([a, b, c, d], scales);
+            for (b, (block, scale)) in called.iter_mut().zip(scales).enumerate() {
+                let peak = by_call.add_scaled(block, scale);
+                assert_eq!(peaks[b].to_bits(), peak.to_bits(), "{what}: peak {b}");
+            }
+            for (b, (x, y)) in blocks.iter().zip(&called).enumerate() {
+                let (x, y): (Vec<u64>, Vec<u64>) = (
+                    x.iter().map(|v| v.to_bits()).collect(),
+                    y.iter().map(|v| v.to_bits()).collect(),
+                );
+                assert_eq!(x, y, "{what}: block {b}");
+            }
+            // Both sources stand at the same position afterwards.
+            assert_eq!(format!("{reserved:?}"), format!("{by_call:?}"), "{what}");
+            assert_eq!(reserved.perturb(0.5), by_call.perturb(0.5), "{what}");
+        }
+    }
+}
+
+#[test]
+fn a_continued_source_draws_what_one_long_block_draws_there() {
+    // 6 000 positions meet some 170 wedge tests — a share of them
+    // rejected, the draw starting over on the sample's own retry words —
+    // and the tail sampler (checked below): a source that has drawn `n`
+    // samples, one call at a time, and then draws `M` more must draw
+    // samples `n + 1 … n + M` of the long block, wherever `n` falls.
+    const LONG: usize = 6_000;
+    const M: usize = 5;
+    let mut long = vec![0.0; LONG + M];
+    SensingNoise::new(SIGMA, 3)
+        .unwrap()
+        .add_scaled(&mut long, SCALE);
+    let tails = long
+        .iter()
+        .filter(|v| (*v / (SIGMA * SCALE)).abs() > 3.442_619_855_899)
+        .count();
+    assert!(tails > 0, "the run reaches the tail sampler");
+
+    let mut source = SensingNoise::new(SIGMA, 3).unwrap();
+    for n in 0..LONG {
+        let mut next = [0.0; M];
+        source.clone().add_scaled(&mut next, SCALE);
+        for (i, (got, want)) in next.iter().zip(&long[n..]).enumerate() {
+            assert_eq!(got.to_bits(), want.to_bits(), "after {n}, sample {i}");
+        }
+        source.add_scaled(&mut [0.0], SCALE);
+    }
 }

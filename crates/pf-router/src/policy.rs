@@ -52,12 +52,18 @@ impl Policy {
 
 /// SplitMix64: a cheap, well-mixed 64-bit hash (also the router's
 /// backoff jitter). Deterministic across runs and platforms — ring
-/// placement is part of the reproducible experiment.
-pub(crate) fn splitmix64(x: u64) -> u64 {
+/// placement is part of the reproducible experiment. pf-faults draws its
+/// fault windows from it too.
+pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Maps 64 random bits onto `[0, 1)`: the top 53, exactly.
+pub fn unit_from_bits(bits: u64) -> f64 {
+    (bits >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// A consistent-hash ring over replica indices with virtual nodes, so that

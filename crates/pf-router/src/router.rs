@@ -11,7 +11,7 @@ use pf_serve::{InferenceEngine, RequestTrace, ServeConfig, Server, Ticket};
 use pf_telemetry::Telemetry;
 
 use crate::health::HealthConfig;
-use crate::policy::{splitmix64, HashRing, Policy};
+use crate::policy::{splitmix64, unit_from_bits, HashRing, Policy};
 use crate::stats::{secs_between, Outcome, ReplicaRollup, RouterCollector, RouterStats};
 use crate::CacheStats;
 
@@ -431,11 +431,6 @@ impl<'r, E: ReplicaEngine + 'static> RouterTicket<'r, E> {
         }
         false
     }
-}
-
-/// Maps 64 random bits onto `[0, 1)`.
-fn unit_from_bits(bits: u64) -> f64 {
-    (bits >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// A multi-replica SLO-aware serving tier.

@@ -77,7 +77,11 @@ const COUNTERS: [&str; 5] = [
 /// law — `pf-photonics/tests/noise_law.rs` — and no pair rule: a block's
 /// draws no longer depend on how the stream was blocked before it). The
 /// converters' libm-free rounding changed no bit; the nine `digital`
-/// digests and all 27 counter rows passed unedited again.
+/// digests and all 27 counter rows passed unedited again. The nine
+/// `cg_seed7` digests were re-recorded once more, alone, when the noise
+/// stream became keyed by position (sample `j` a pure function of the
+/// seed and `j`: new values per seed, same law, same positions per
+/// block).
 ///
 /// The `spectrum_hits` cell of fourteen optical rows was re-recorded once,
 /// when partial row tiling and row partitioning stopped keeping their
@@ -97,31 +101,31 @@ const COUNTERS: [&str; 5] = [
 const EXPECTED: &[(&str, &str, u64, [u64; 5])] = &[
     ("row_several_tiles", "digital", 0xc9262865451d249f, [28, 56, 0, 0, 6]),
     ("row_several_tiles", "jtc_ideal", 0x4993df6f00bdb3a7, [28, 56, 42, 14, 6]),
-    ("row_several_tiles", "cg_seed7", 0x216fbbb26496a8b2, [28, 56, 42, 14, 6]),
+    ("row_several_tiles", "cg_seed7", 0xd23179e023772100, [28, 56, 42, 14, 6]),
     ("row_tile_at_capacity", "digital", 0xe9c61248ff65bd9c, [60, 120, 0, 0, 6]),
     ("row_tile_at_capacity", "jtc_ideal", 0x2c78f47436896629, [60, 120, 106, 46, 6]),
-    ("row_tile_at_capacity", "cg_seed7", 0xfd936181929bfea4, [60, 120, 106, 46, 6]),
+    ("row_tile_at_capacity", "cg_seed7", 0x3f19ccbca3c7ed50, [60, 120, 106, 46, 6]),
     ("row_kernel_equals_input", "digital", 0xa664cf548b893756, [32, 64, 0, 0, 6]),
     ("row_kernel_equals_input", "jtc_ideal", 0xcbf51bda63180dc1, [32, 64, 58, 26, 6]),
-    ("row_kernel_equals_input", "cg_seed7", 0xff21f8f14fea4b7f, [32, 64, 58, 26, 6]),
+    ("row_kernel_equals_input", "cg_seed7", 0x0fd10b236eb0761f, [32, 64, 58, 26, 6]),
     ("row_1xn_kernel", "digital", 0x69a106b6538b24f3, [24, 48, 0, 0, 6]),
     ("row_1xn_kernel", "jtc_ideal", 0x2b8bbb7c14123474, [24, 48, 36, 12, 6]),
-    ("row_1xn_kernel", "cg_seed7", 0x1f84021efe6f71c3, [24, 48, 36, 12, 6]),
+    ("row_1xn_kernel", "cg_seed7", 0x204d7186cb84491a, [24, 48, 36, 12, 6]),
     ("partial_three_groups", "digital", 0x7dac6479869c8a08, [174, 348, 0, 0, 6]),
     ("partial_three_groups", "jtc_ideal", 0xf496d349088e5fb9, [174, 348, 348, 90, 6]),
-    ("partial_three_groups", "cg_seed7", 0xe2fcda498e3dfa4a, [174, 348, 348, 90, 6]),
+    ("partial_three_groups", "cg_seed7", 0xe10748f1b38b8686, [174, 348, 348, 90, 6]),
     ("partial_uneven_groups", "digital", 0x9100a4288e185c18, [112, 224, 0, 0, 6]),
     ("partial_uneven_groups", "jtc_ideal", 0x9be965d701b8600a, [112, 224, 224, 112, 6]),
-    ("partial_uneven_groups", "cg_seed7", 0x9e50d9454f12ebc4, [112, 224, 224, 112, 6]),
+    ("partial_uneven_groups", "cg_seed7", 0x60c7986d44475690, [112, 224, 224, 112, 6]),
     ("partitioned_square", "digital", 0x746f96282d965543, [0, 920, 0, 0, 6]),
     ("partitioned_square", "jtc_ideal", 0xe4a04b08e88aaf41, [0, 920, 920, 168, 6]),
-    ("partitioned_square", "cg_seed7", 0xbfac8e7b45235359, [0, 920, 920, 168, 6]),
+    ("partitioned_square", "cg_seed7", 0x0d9910a9197b1702, [0, 920, 920, 168, 6]),
     ("partitioned_1xn_kernel", "digital", 0x8d25baf906aa87e6, [0, 192, 0, 0, 6]),
     ("partitioned_1xn_kernel", "jtc_ideal", 0x33a1e1ba4dc6c967, [0, 192, 192, 96, 6]),
-    ("partitioned_1xn_kernel", "cg_seed7", 0xa7f8f8533bde5e59, [0, 192, 192, 96, 6]),
+    ("partitioned_1xn_kernel", "cg_seed7", 0x5f1f5efd5a8fb632, [0, 192, 192, 96, 6]),
     ("partitioned_clipped_tail", "digital", 0x4af2b21f5ecec0fe, [0, 848, 0, 0, 6]),
     ("partitioned_clipped_tail", "jtc_ideal", 0x11f02401e4abaf45, [0, 848, 848, 168, 6]),
-    ("partitioned_clipped_tail", "cg_seed7", 0x8b3d20724f4a4e1b, [0, 848, 848, 168, 6]),
+    ("partitioned_clipped_tail", "cg_seed7", 0x11fc98098104e443, [0, 848, 848, 168, 6]),
 ];
 
 fn lcg_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
