@@ -1,13 +1,13 @@
 //! The butterflies, written once.
 //!
-//! Every non-Bluestein plan executes as "gather the input through a table
-//! built at plan time, then run combine passes in place". The passes — the
-//! radix-2 stage loop of power-of-two plans and the radix-2/3/4/5 combine
-//! butterflies of mixed-radix plans — are generic over an [`Element`]:
-//! [`Complex`] is one transform, [`ComplexLanes`] is [`LANES`] independent
-//! transforms carried through each butterfly together. Every lane executes
-//! the expression sequence the one-lane instantiation executes, so a lane's
-//! result is bit-identical to transforming that lane alone.
+//! Every plan executes as "gather the input through a table built at plan
+//! time, then run combine passes in place". The passes — radix-2/3/4/5
+//! combine butterflies, radix-2 alone for a power of two — are generic over
+//! an [`Element`]: [`Complex`] is one transform, [`ComplexLanes`] is
+//! [`LANES`] independent transforms carried through each butterfly
+//! together. Every lane executes the expression sequence the one-lane
+//! instantiation executes, so a lane's result is bit-identical to
+//! transforming that lane alone.
 //!
 //! Everything here is `#[inline(always)]`: the real-input transforms (the
 //! first lens' packed-even body and the symmetric-input body) instantiate
@@ -182,34 +182,6 @@ impl Element for ComplexLanes {
             re: self.im,
             im: lanes(|l| -self.re[l]),
         }
-    }
-}
-
-/// The radix-2 decimation-in-time stages of a power-of-two transform over
-/// bit-reversed `data`; `twiddles[k] = exp(-2πik/n)` for `k in 0..n/2`.
-/// Inverse transforms conjugate the twiddles (the `1/n` scale is the
-/// caller's).
-#[inline(always)]
-pub(crate) fn radix2_stages<E: Element>(data: &mut [E], twiddles: &[Complex], inverse: bool) {
-    let n = data.len();
-    let mut len = 2;
-    while len <= n {
-        let half = len / 2;
-        let stride = n / len;
-        for block in data.chunks_exact_mut(len) {
-            let (lo, hi) = block.split_at_mut(half);
-            for k in 0..half {
-                let mut w = twiddles[k * stride];
-                if inverse {
-                    w = w.conj();
-                }
-                let u = lo[k];
-                let v = hi[k] * w;
-                lo[k] = u + v;
-                hi[k] = u - v;
-            }
-        }
-        len <<= 1;
     }
 }
 

@@ -8,7 +8,8 @@ use std::fmt;
 #[non_exhaustive]
 pub enum DspError {
     /// The input length is not supported by the requested transform
-    /// (for example a radix-2 FFT called with a non-power-of-two length).
+    /// (for example an FFT plan asked for a length with a prime factor
+    /// above 5).
     InvalidLength {
         /// Length that was supplied.
         len: usize,

@@ -3,9 +3,9 @@
 //! The on-chip lens of a JTC performs a continuous 1D Fourier transform; the
 //! discrete simulation of that lens is an FFT. This module provides:
 //!
-//! * [`fft`] / [`ifft`] — fast transforms for **any** length, routed
-//!   through the shared [`FftPlan`] registry (radix-2 for powers of two,
-//!   mixed-radix for 5-smooth sizes, Bluestein otherwise);
+//! * [`fft`] / [`ifft`] — fast transforms for any 5-smooth length
+//!   (`2^a·3^b·5^c`), routed through the shared [`FftPlan`] registry (one
+//!   mixed-radix kernel; powers of two run as radix-2 passes);
 //! * [`dft`] / [`idft`] — O(N²) direct transforms for any length, used as
 //!   the reference oracle in tests;
 //! * [`fft_real`] — convenience wrapper transforming a real signal;
@@ -16,11 +16,12 @@ use crate::complex::Complex;
 use crate::error::DspError;
 use crate::plan::FftPlan;
 
-/// Computes the forward FFT of `input` (any non-zero length).
+/// Computes the forward FFT of `input` (any non-zero 5-smooth length).
 ///
 /// # Errors
 ///
-/// Returns [`DspError::EmptyInput`] for an empty input.
+/// Returns [`DspError::EmptyInput`] for an empty input and
+/// [`DspError::InvalidLength`] for a length with a prime factor above 5.
 ///
 /// # Examples
 ///
@@ -37,11 +38,11 @@ pub fn fft(input: &[Complex]) -> Result<Vec<Complex>, DspError> {
 }
 
 /// Computes the inverse FFT of `input` (normalized by `1/N`; any non-zero
-/// length).
+/// 5-smooth length).
 ///
 /// # Errors
 ///
-/// Returns [`DspError::EmptyInput`] for an empty input.
+/// Same conditions as [`fft`].
 pub fn ifft(input: &[Complex]) -> Result<Vec<Complex>, DspError> {
     fft_dir(input, true)
 }
@@ -153,11 +154,15 @@ mod tests {
     }
 
     #[test]
-    fn fft_rejects_empty_and_accepts_any_length() {
+    fn fft_rejects_empty_and_non_five_smooth_lengths() {
         assert!(matches!(fft(&[]), Err(DspError::EmptyInput { .. })));
-        // Non-pow2 lengths route through the mixed-radix/Bluestein plans
+        assert!(matches!(
+            fft(&[Complex::ONE; 7]),
+            Err(DspError::InvalidLength { .. })
+        ));
+        // Non-pow2 5-smooth lengths route through the mixed-radix plans
         // and agree with the direct DFT.
-        for n in [3usize, 6, 7, 12, 20] {
+        for n in [3usize, 6, 12, 20] {
             let x: Vec<Complex> = (0..n)
                 .map(|k| Complex::new((k as f64 * 0.61).sin(), (k as f64 * 0.17).cos()))
                 .collect();

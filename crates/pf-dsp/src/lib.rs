@@ -9,13 +9,12 @@
 //! * [`Complex`] — complex arithmetic used by the Fourier transforms, and
 //!   [`ComplexLanes`], [`LANES`] of them side by side: the element of the
 //!   lane transform.
-//! * [`fft`] — FFT/IFFT for any length (radix-2 for powers of two,
-//!   mixed-radix for 5-smooth sizes, Bluestein otherwise) plus a direct
-//!   DFT reference.
-//! * [`plan`] — precomputed FFT plans (radix-2 / mixed-radix / Bluestein
-//!   kernels, plus a real-input half-spectrum transform with selected-bin,
-//!   row-batch and lane forms) shared through a process-wide registry; the
-//!   hot path of the JTC simulation.
+//! * [`fft`] — FFT/IFFT for any 5-smooth length (`2^a·3^b·5^c`) plus a
+//!   direct DFT reference for any length.
+//! * [`plan`] — precomputed FFT plans (one mixed-radix kernel, powers of
+//!   two as radix-2 passes, plus a real-input half-spectrum transform with
+//!   selected-bin, row-batch and lane forms) shared through a process-wide
+//!   registry; the hot path of the JTC simulation.
 //! * [`conv`] — reference 1D/2D convolution and cross-correlation kernels in
 //!   `full`/`same`/`valid` modes, and FFT-accelerated 1D convolution.
 //! * [`scratch`] — per-thread reusable working buffers for spectrum

@@ -1,34 +1,30 @@
 //! Reusable FFT execution plans.
 //!
-//! The free functions in [`crate::fft`] recompute the bit-reversal
-//! permutation and the twiddle factors on every call. That is fine for
-//! one-off transforms, but the JTC simulation runs *millions* of
-//! fixed-length transforms (two per row tile), so this module provides:
+//! The JTC simulation runs *millions* of fixed-length transforms (two per
+//! row tile), so this module precomputes each length's tables once:
 //!
-//! * [`FftPlan`] — a precomputed transform plan for **any** length, with
-//!   allocation-free in-place execution ([`FftPlan::process`]) and
-//!   allocating wrappers ([`FftPlan::fft`] / [`FftPlan::ifft`]). Three
-//!   kernels cover every size:
-//!   - power-of-two lengths run the classic radix-2 plan (bit-reversal +
-//!     twiddle tables) — byte-for-byte the historical hot path, so every
-//!     existing pow2 result stays bit-identical;
-//!   - 5-smooth lengths (`2^a·3^b·5^c`) run mixed-radix decimation in
-//!     time with specialised radix-4/2/3/5 butterflies — a gather through
-//!     a leaf-order table built with the plan, then one combine pass per
-//!     factor — so joint-plane geometry can pick tight sizes instead of
-//!     rounding up to the next power of two;
-//!   - every other length runs Bluestein's chirp-z algorithm through a
-//!     padded power-of-two convolution, making the plan API total.
+//! * [`FftPlan`] — a precomputed complex transform plan for one
+//!   **5-smooth** length (`2^a·3^b·5^c`), with allocation-free in-place
+//!   execution ([`FftPlan::process`]) and allocating wrappers
+//!   ([`FftPlan::fft`] / [`FftPlan::ifft`]). One kernel runs every length:
+//!   mixed-radix decimation in time — a gather through a leaf-order table
+//!   built with the plan, then one combine pass per factor with
+//!   specialised radix-2/3/4/5 butterflies — so joint-plane geometry can
+//!   pick tight sizes instead of rounding up to the next power of two. A
+//!   power of two factors into radix-2 passes: its leaf order is the bit
+//!   reversal and its 2-point combine the radix-2 butterfly, so it computes
+//!   the classic radix-2 transform's bits. A length with a prime factor
+//!   above 5 is refused when the plan is built.
 //! * [`RealFftPlan`] — real-input transforms returning the non-redundant
-//!   half spectrum (bins `0..=n/2`). Even lengths use the classic packing
-//!   trick (one `n/2`-point complex FFT plus an O(n) unpacking pass); odd
-//!   lengths fall back to a full-length complex transform. Two input
-//!   shapes, each with **one body**, each costing half of the one before:
+//!   half spectrum (bins `0..=n/2`) for an even `n` whose half is 5-smooth,
+//!   through the classic packing trick (one `n/2`-point complex FFT plus an
+//!   O(n) unpacking pass). Two input shapes, each with **one body**, each
+//!   costing half of the one before:
 //!   - *any real signal*, zero-padded on the right
 //!     ([`RealFftPlan::forward_real_bins_into`], the unpacking pass
 //!     evaluated over a selected bin range only, bit-identical per bin;
-//!     [`RealFftPlan::forward_real_into`] is the full range). The even-length
-//!     body — pack through the half plan's gather order, butterfly passes,
+//!     [`RealFftPlan::forward_real_into`] is the full range). The body —
+//!     pack through the half plan's gather order, butterfly passes,
 //!     unpack — is generic over the butterfly element like the one below:
 //!     over [`Complex`] it is one row, over [`ComplexLanes`] it is
 //!     [`RealFftPlan::forward_real_batch_into`], the rows of a planar batch
@@ -66,78 +62,52 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
-use crate::butterfly::{leaf_order, mixed_passes, radix2_stages, unpack_bin, Element};
+use crate::butterfly::{leaf_order, mixed_passes, unpack_bin, Element};
 use crate::complex::{Complex, ComplexLanes, LANES};
 use crate::error::DspError;
-use crate::util::{is_pow2, next_pow2};
 
-/// The execution kernel behind an [`FftPlan`], selected by length.
-#[derive(Debug)]
-pub(crate) enum Kernel {
-    /// Radix-2 decimation-in-time for power-of-two lengths. The historical
-    /// hot path, kept byte-for-byte so pow2 results stay bit-identical.
-    Radix2 {
-        /// `bit_rev[i]` is the bit-reversed image of `i` within `log2(n)`
-        /// bits.
-        bit_rev: Vec<u32>,
-        /// `twiddles[k] = exp(-2πik/n)` for `k in 0..n/2`.
-        twiddles: Vec<Complex>,
-    },
-    /// Mixed-radix decimation-in-time for 5-smooth lengths
-    /// (`2^a·3^b·5^c`), with specialised radix-4/2/3/5 butterflies.
-    MixedRadix {
-        /// Radix of each decimation level, outermost first (4s, then at
-        /// most one 2, then 3s, then 5s).
-        factors: Vec<usize>,
-        /// Full twiddle table `exp(-2πik/n)` for `k in 0..n`.
-        twiddles: Vec<Complex>,
-        /// `leaf[i]` is the input index working-buffer slot `i` starts
-        /// from ([`leaf_order`]).
-        leaf: Vec<u32>,
-    },
-    /// Bluestein's chirp-z transform for all remaining lengths: the DFT
-    /// rewritten as a circular convolution executed through a padded
-    /// power-of-two plan.
-    Bluestein {
-        /// `exp(-πi·j²/n)` with the square reduced mod `2n` for precision.
-        chirp: Vec<Complex>,
-        /// Forward FFT (length `pad.len()`) of the chirp filter.
-        filter_spec: Vec<Complex>,
-        /// Power-of-two plan (length `>= 2n-1`) running the convolution.
-        pad: Arc<FftPlan>,
-    },
-}
-
-/// A precomputed FFT plan for one length (any length is supported; see
-/// the module docs for how the kernel is selected).
+/// A precomputed FFT plan for one 5-smooth length (see the module docs for
+/// the kernel).
 ///
 /// # Examples
 ///
 /// ```
 /// use pf_dsp::plan::FftPlan;
-/// use pf_dsp::Complex;
+/// use pf_dsp::{Complex, DspError};
 ///
 /// let plan = FftPlan::shared(8)?;
 /// let x = vec![Complex::ONE; 8];
 /// let y = plan.fft(&x)?;
 /// assert!((y[0].re - 8.0).abs() < 1e-12);
 ///
-/// // Non-power-of-two lengths are supported too.
+/// // Any 5-smooth length runs; a prime factor above 5 is refused.
 /// let plan = FftPlan::shared(12)?;
 /// let y = plan.fft(&vec![Complex::ONE; 12])?;
 /// assert!((y[0].re - 12.0).abs() < 1e-12);
+/// assert!(matches!(FftPlan::new(7), Err(DspError::InvalidLength { .. })));
 /// # Ok::<(), pf_dsp::DspError>(())
 /// ```
 #[derive(Debug)]
 pub struct FftPlan {
     n: usize,
-    kernel: Kernel,
+    /// Radix of each decimation level, outermost first
+    /// ([`five_smooth_factors`]).
+    factors: Vec<usize>,
+    /// Full twiddle table `exp(-2πik/n)` for `k in 0..n`.
+    twiddles: Vec<Complex>,
+    /// `leaf[i]` is the input index working-buffer slot `i` starts from
+    /// ([`leaf_order`]).
+    leaf: Vec<u32>,
 }
 
-/// Splits `n` into mixed-radix factors (4s first, then at most one 2,
-/// then 3s, then 5s). Returns `None` when `n` has a prime factor larger
-/// than 5.
+/// Splits `n` into mixed-radix factors, outermost first: a power of two
+/// into 2s (so its leaf order is the bit reversal and every pass the
+/// radix-2 butterfly), any other length into 4s, then at most one 2, then
+/// 3s, then 5s. Returns `None` when `n` has a prime factor larger than 5.
 fn five_smooth_factors(n: usize) -> Option<Vec<usize>> {
+    if n.is_power_of_two() {
+        return Some(vec![2; n.trailing_zeros() as usize]);
+    }
     let mut rem = n;
     let mut factors = Vec::new();
     while rem.is_multiple_of(4) {
@@ -194,77 +164,34 @@ fn with_lane_scratch<R>(f: impl FnOnce(&mut Vec<ComplexLanes>) -> R) -> R {
 }
 
 impl FftPlan {
-    /// Builds a plan for transforms of length `n` (any `n >= 1`).
+    /// Builds a plan for transforms of length `n`, any 5-smooth `n >= 1`.
     ///
     /// # Errors
     ///
-    /// Returns [`DspError::EmptyInput`] for `n == 0`.
+    /// Returns [`DspError::EmptyInput`] for `n == 0` and
+    /// [`DspError::InvalidLength`] when `n` has a prime factor above 5.
     pub fn new(n: usize) -> Result<Self, DspError> {
         if n == 0 {
             return Err(DspError::EmptyInput {
                 what: "fft plan length",
             });
         }
-        let kernel = if is_pow2(n) {
-            let bits = n.trailing_zeros();
-            let mut bit_rev = vec![0u32; n];
-            for (i, slot) in bit_rev.iter_mut().enumerate() {
-                let mut x = i;
-                let mut r = 0usize;
-                for _ in 0..bits {
-                    r = (r << 1) | (x & 1);
-                    x >>= 1;
-                }
-                *slot = r as u32;
-            }
-            let half = n / 2;
-            let mut twiddles = Vec::with_capacity(half);
-            for k in 0..half {
-                let ang = -2.0 * std::f64::consts::PI * k as f64 / n as f64;
-                twiddles.push(Complex::cis(ang));
-            }
-            Kernel::Radix2 { bit_rev, twiddles }
-        } else if let Some(factors) = five_smooth_factors(n) {
-            let mut twiddles = Vec::with_capacity(n);
-            for k in 0..n {
-                let ang = -2.0 * std::f64::consts::PI * k as f64 / n as f64;
-                twiddles.push(Complex::cis(ang));
-            }
-            let leaf = leaf_order(n, &factors);
-            Kernel::MixedRadix {
-                factors,
-                twiddles,
-                leaf,
-            }
-        } else {
-            // Bluestein: X[k] = chirp[k]·Σ_j (x[j]·chirp[j])·conj(chirp[k-j])
-            // — a circular convolution of length >= 2n-1, run on a padded
-            // power-of-two plan. The chirp squares are reduced mod 2n
-            // before the angle is formed, so precision does not degrade
-            // with n.
-            let m = next_pow2(2 * n - 1);
-            let pad = FftPlan::shared(m)?;
-            let mut chirp = Vec::with_capacity(n);
-            for j in 0..n {
-                let sq = ((j as u128 * j as u128) % (2 * n as u128)) as usize;
-                let ang = -std::f64::consts::PI * sq as f64 / n as f64;
-                chirp.push(Complex::cis(ang));
-            }
-            let mut filter_spec = vec![Complex::ZERO; m];
-            filter_spec[0] = chirp[0].conj();
-            for j in 1..n {
-                let c = chirp[j].conj();
-                filter_spec[j] = c;
-                filter_spec[m - j] = c;
-            }
-            pad.process(&mut filter_spec, false)?;
-            Kernel::Bluestein {
-                chirp,
-                filter_spec,
-                pad,
-            }
-        };
-        Ok(Self { n, kernel })
+        let factors = five_smooth_factors(n).ok_or(DspError::InvalidLength {
+            len: n,
+            requirement: "FFT plan lengths must be 5-smooth (2^a·3^b·5^c)",
+        })?;
+        let mut twiddles = Vec::with_capacity(n);
+        for k in 0..n {
+            let ang = -2.0 * std::f64::consts::PI * k as f64 / n as f64;
+            twiddles.push(Complex::cis(ang));
+        }
+        let leaf = leaf_order(n, &factors);
+        Ok(Self {
+            n,
+            factors,
+            twiddles,
+            leaf,
+        })
     }
 
     /// Fetches (building on first use) the process-wide shared plan for
@@ -300,9 +227,8 @@ impl FftPlan {
     /// Executes the transform in place.
     ///
     /// A forward transform computes `X[k] = Σ_j x[j]·exp(-2πijk/n)`; the
-    /// inverse additionally scales by `1/n`. The radix-2 path allocates
-    /// nothing; the mixed-radix and Bluestein kernels borrow a per-thread
-    /// scratch buffer that keeps its capacity across calls.
+    /// inverse additionally scales by `1/n`. The gather borrows a
+    /// per-thread scratch buffer that keeps its capacity across calls.
     ///
     /// # Errors
     ///
@@ -315,38 +241,13 @@ impl FftPlan {
                 requirement: "input length must match the FFT plan length",
             });
         }
-        match &self.kernel {
-            Kernel::Radix2 { bit_rev, .. } => {
-                for (i, &rev) in bit_rev.iter().enumerate() {
-                    let j = rev as usize;
-                    if j > i {
-                        data.swap(i, j);
-                    }
-                }
+        with_plan_scratch(|src| {
+            src.clear();
+            src.extend_from_slice(data);
+            for (slot, &from) in data.iter_mut().zip(&self.leaf) {
+                *slot = src[from as usize];
             }
-            Kernel::MixedRadix { leaf, .. } => with_plan_scratch(|src| {
-                src.clear();
-                src.extend_from_slice(data);
-                for (slot, &from) in data.iter_mut().zip(leaf) {
-                    *slot = src[from as usize];
-                }
-            }),
-            Kernel::Bluestein { .. } => {
-                if !inverse {
-                    return self.bluestein_forward(data);
-                }
-                // IDFT(x) = conj(DFT(conj(x)))/n.
-                for z in data.iter_mut() {
-                    *z = z.conj();
-                }
-                self.bluestein_forward(data)?;
-                let scale = 1.0 / self.n as f64;
-                for z in data.iter_mut() {
-                    *z = z.conj().scale(scale);
-                }
-                return Ok(());
-            }
-        }
+        });
         self.passes(data, inverse);
         if inverse {
             let scale = 1.0 / self.n as f64;
@@ -357,64 +258,19 @@ impl FftPlan {
         Ok(())
     }
 
-    /// The input index each working-buffer slot starts from — bit-reversed
-    /// for radix-2 plans, leaf order for mixed-radix ones. `None` for
-    /// Bluestein plans, which do not run as gather-then-[`passes`](Self::passes).
-    pub(crate) fn gather_order(&self) -> Option<&[u32]> {
-        match &self.kernel {
-            Kernel::Radix2 { bit_rev, .. } => Some(bit_rev),
-            Kernel::MixedRadix { leaf, .. } => Some(leaf),
-            Kernel::Bluestein { .. } => None,
-        }
+    /// The input index each working-buffer slot starts from: the leaf
+    /// order (the bit reversal for a power of two).
+    pub(crate) fn gather_order(&self) -> &[u32] {
+        &self.leaf
     }
 
     /// Runs the plan's butterfly passes in place over `data`, which must
     /// hold the input gathered through [`gather_order`](Self::gather_order)
     /// (without the inverse transform's `1/n` scale). The one body behind
     /// the scalar and the lane transform.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a Bluestein plan (it has no gather order to call this
-    /// with).
     #[inline(always)]
     pub(crate) fn passes<E: Element>(&self, data: &mut [E], inverse: bool) {
-        match &self.kernel {
-            Kernel::Radix2 { twiddles, .. } => radix2_stages(data, twiddles, inverse),
-            Kernel::MixedRadix {
-                factors, twiddles, ..
-            } => mixed_passes(data, factors, twiddles, inverse),
-            Kernel::Bluestein { .. } => unreachable!("Bluestein plans have no gather order"),
-        }
-    }
-
-    /// The forward chirp-z pass of a Bluestein plan.
-    fn bluestein_forward(&self, data: &mut [Complex]) -> Result<(), DspError> {
-        let Kernel::Bluestein {
-            chirp,
-            filter_spec,
-            pad,
-        } = &self.kernel
-        else {
-            unreachable!("bluestein_forward is only called on Bluestein kernels");
-        };
-        let n = self.n;
-        with_plan_scratch(|buf| {
-            buf.clear();
-            buf.resize(pad.len(), Complex::ZERO);
-            for j in 0..n {
-                buf[j] = data[j] * chirp[j];
-            }
-            pad.process(buf, false)?;
-            for (z, f) in buf.iter_mut().zip(filter_spec) {
-                *z *= *f;
-            }
-            pad.process(buf, true)?;
-            for k in 0..n {
-                data[k] = buf[k] * chirp[k];
-            }
-            Ok(())
-        })
+        mixed_passes(data, &self.factors, &self.twiddles, inverse);
     }
 
     /// Forward FFT of `input` (must have the plan length).
@@ -440,38 +296,19 @@ impl FftPlan {
     }
 }
 
-/// How a [`RealFftPlan`] executes, selected by length parity.
-#[derive(Debug)]
-enum RealKernel {
-    /// Even lengths: the classic packing trick — one `n/2`-point complex
-    /// FFT of `x[2j] + i·x[2j+1]` plus an O(n) unpacking pass.
-    PackedEven {
-        /// Complex plan of length `n/2` executing the packed transform.
-        half_plan: Arc<FftPlan>,
-    },
-    /// Odd lengths: a full `n`-point complex transform of the
-    /// zero-imaginary input (no half-length trick exists).
-    OddFull {
-        /// Complex plan of length `n` executing the transform.
-        full_plan: Arc<FftPlan>,
-    },
-}
-
 /// One instantiation of the batched first lens' lane block
-/// (`RealFftPlan::first_lens_lanes`): the plan, its half plan and gather
-/// order, the block's rows and their length, the lane working buffer, the
-/// block's half spectra.
-type LaneBlock =
-    fn(&RealFftPlan, &FftPlan, &[u32], &[f64], usize, &mut Vec<ComplexLanes>, &mut [Complex]);
+/// (`RealFftPlan::first_lens_lanes`): the plan, the block's rows and their
+/// length, the lane working buffer, the block's half spectra.
+type LaneBlock = fn(&RealFftPlan, &[f64], usize, &mut Vec<ComplexLanes>, &mut [Complex]);
 
 /// A plan computing `n`-point transforms of *real* inputs, returning only
 /// the non-redundant bins `0..=n/2`; the remaining bins follow from
 /// conjugate symmetry (`X[n-k] = conj(X[k])`).
 ///
-/// Even lengths run through one `n/2`-point complex FFT (the even/odd
-/// packing trick); odd lengths run a full-length complex transform. Both
-/// lenses of the JTC chain transform real sequences, so the even path
-/// roughly halves the simulation's FFT cost.
+/// `n` is even with a 5-smooth half, and every transform runs through one
+/// `n/2`-point complex FFT (the even/odd packing trick). Both lenses of the
+/// JTC chain transform real sequences, so this roughly halves the
+/// simulation's FFT cost.
 ///
 /// # Examples
 ///
@@ -493,7 +330,8 @@ type LaneBlock =
 #[derive(Debug)]
 pub struct RealFftPlan {
     n: usize,
-    kernel: RealKernel,
+    /// The `n/2`-point complex plan of the packed transform.
+    half_plan: Arc<FftPlan>,
     /// The `n/4`-point complex plan of the symmetric-input transform, when
     /// `n` is a multiple of four.
     quarter_plan: Option<Arc<FftPlan>>,
@@ -503,34 +341,27 @@ pub struct RealFftPlan {
 }
 
 impl RealFftPlan {
-    /// Builds a real-input plan for transforms of length `n` (any
-    /// `n >= 2`).
+    /// Builds a real-input plan for transforms of length `n`: any even
+    /// `n >= 2` whose half `n/2` is 5-smooth.
     ///
     /// # Errors
     ///
     /// Returns [`DspError::EmptyInput`] for `n == 0` and
-    /// [`DspError::InvalidLength`] for `n == 1`.
+    /// [`DspError::InvalidLength`] for an odd `n` or a half with a prime
+    /// factor above 5.
     pub fn new(n: usize) -> Result<Self, DspError> {
         if n == 0 {
             return Err(DspError::EmptyInput {
                 what: "real fft plan length",
             });
         }
-        if n < 2 {
+        if !n.is_multiple_of(2) || five_smooth_factors(n / 2).is_none() {
             return Err(DspError::InvalidLength {
                 len: n,
-                requirement: "real-input FFT plans require a length >= 2",
+                requirement: "real-input FFT plans need an even length with a 5-smooth half",
             });
         }
-        let kernel = if n.is_multiple_of(2) {
-            RealKernel::PackedEven {
-                half_plan: FftPlan::shared(n / 2)?,
-            }
-        } else {
-            RealKernel::OddFull {
-                full_plan: FftPlan::shared(n)?,
-            }
-        };
+        let half_plan = FftPlan::shared(n / 2)?;
         let quarter_plan = if n.is_multiple_of(4) {
             Some(FftPlan::shared(n / 4)?)
         } else {
@@ -543,7 +374,7 @@ impl RealFftPlan {
         }
         Ok(Self {
             n,
-            kernel,
+            half_plan,
             quarter_plan,
             unpack,
         })
@@ -633,7 +464,8 @@ impl RealFftPlan {
         self.check_bins(&bins)?;
         out.clear();
         out.resize(bins.end() - bins.start() + 1, Complex::ZERO);
-        self.forward_real_core(input, bins, scratch, out)
+        self.forward_real_core(input, bins, scratch, out);
+        Ok(())
     }
 
     /// A selected-bins range must be ordered and lie within `0..=n/2`.
@@ -657,42 +489,18 @@ impl RealFftPlan {
         bins: RangeInclusive<usize>,
         scratch: &mut Vec<Complex>,
         out: &mut [Complex],
-    ) -> Result<(), DspError> {
+    ) {
         // Indices beyond the input read as the implicit zero padding.
         let at = |idx: usize| input.get(idx).copied().unwrap_or(0.0);
         let lo = *bins.start();
-        match &self.kernel {
-            RealKernel::PackedEven { half_plan } => match half_plan.gather_order() {
-                Some(order) => {
-                    self.packed_even_body(half_plan, order, at, bins, scratch, |k, bin| {
-                        out[k - lo] = bin;
-                    });
-                }
-                // A Bluestein half stages through a padded convolution, not
-                // through passes: packed in natural order, transformed by
-                // the plan, unpacked by the one unpacking pass.
-                None => {
-                    scratch.clear();
-                    scratch.extend((0..self.n / 2).map(|j| Complex::new(at(2 * j), at(2 * j + 1))));
-                    half_plan.process(scratch, false)?;
-                    self.unpack_bins(scratch, bins, |k, bin| out[k - lo] = bin);
-                }
-            },
-            RealKernel::OddFull { full_plan } => {
-                scratch.clear();
-                scratch.extend((0..self.n).map(|j| Complex::from_real(at(j))));
-                full_plan.process(scratch, false)?;
-                out.copy_from_slice(&scratch[bins]);
-            }
-        }
-        Ok(())
+        self.packed_even_body(at, bins, scratch, |k, bin| out[k - lo] = bin);
     }
 
-    /// The first lens — the even-length real-input transform — written once
-    /// for every width: `E` is [`Complex`] for one signal, [`ComplexLanes`]
-    /// for [`LANES`]. `at(j)` is sample `j` of every signal carried (zero
-    /// beyond a signal's end); bin `k` of every signal goes to `emit(k, _)`
-    /// for each `k` in `bins`.
+    /// The first lens — the real-input transform — written once for every
+    /// width: `E` is [`Complex`] for one signal, [`ComplexLanes`] for
+    /// [`LANES`]. `at(j)` is sample `j` of every signal carried (zero beyond
+    /// a signal's end); bin `k` of every signal goes to `emit(k, _)` for
+    /// each `k` in `bins`.
     ///
     /// Three passes: `x[2j] + i·x[2j+1]` packed straight into the half
     /// plan's gather order, the half plan's butterfly passes, and the
@@ -710,19 +518,17 @@ impl RealFftPlan {
     #[inline(always)]
     fn packed_even_body<E: Element>(
         &self,
-        half_plan: &FftPlan,
-        order: &[u32],
         at: impl Fn(usize) -> E::Real,
         bins: RangeInclusive<usize>,
         work: &mut Vec<E>,
         emit: impl FnMut(usize, E),
     ) {
         work.clear();
-        work.extend(order.iter().map(|&slot| {
+        work.extend(self.half_plan.gather_order().iter().map(|&slot| {
             let j = 2 * slot as usize;
             E::pack(at(j), at(j + 1))
         }));
-        half_plan.passes(work, false);
+        self.half_plan.passes(work, false);
         self.unpack_bins(work, bins, emit);
     }
 
@@ -757,18 +563,9 @@ impl RealFftPlan {
     /// Whether this plan runs the symmetric-input transforms
     /// ([`forward_real_bins_symmetric`](Self::forward_real_bins_symmetric),
     /// [`forward_real_bins_lanes`](Self::forward_real_bins_lanes)): the
-    /// length is a multiple of four and the quarter-length plan is radix-2
-    /// or mixed-radix (a Bluestein plan stages through a padded
-    /// convolution, not through butterfly passes an element of any width
-    /// can ride).
+    /// length is a multiple of four.
     pub fn supports_lanes(&self) -> bool {
-        self.lane_quarter_plan().is_some()
-    }
-
-    /// The quarter plan and its gather order, when lanes are supported.
-    fn lane_quarter_plan(&self) -> Option<(&FftPlan, &[u32])> {
-        let quarter = self.quarter_plan.as_deref()?;
-        Some((quarter, quarter.gather_order()?))
+        self.quarter_plan.is_some()
     }
 
     /// Computes bins `bins` (a sub-range of `0..=n/2`) of the `n`-point DFT
@@ -800,8 +597,8 @@ impl RealFftPlan {
         work: &mut Vec<Complex>,
         out: &mut Vec<f64>,
     ) -> Result<(), DspError> {
-        let (quarter, order) = self.check_symmetric(half, &bins)?;
-        self.symmetric_body(quarter, order, half, bins, work, out);
+        let quarter = self.check_symmetric(half, &bins)?;
+        self.symmetric_body(quarter, half, bins, work, out);
         Ok(())
     }
 
@@ -833,15 +630,15 @@ impl RealFftPlan {
         work: &mut Vec<ComplexLanes>,
         out: &mut Vec<[f64; LANES]>,
     ) -> Result<(), DspError> {
-        let (quarter, order) = self.check_symmetric(half, &bins)?;
+        let quarter = self.check_symmetric(half, &bins)?;
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: the one requirement of a `#[target_feature]` function
             // is that the CPU has the feature, checked on the line above.
-            unsafe { self.lanes_avx2(quarter, order, half, bins, work, out) };
+            unsafe { self.lanes_avx2(quarter, half, bins, work, out) };
             return Ok(());
         }
-        self.symmetric_body(quarter, order, half, bins, work, out);
+        self.symmetric_body(quarter, half, bins, work, out);
         Ok(())
     }
 
@@ -861,24 +658,22 @@ impl RealFftPlan {
         work: &mut Vec<ComplexLanes>,
         out: &mut Vec<[f64; LANES]>,
     ) -> Result<(), DspError> {
-        let (quarter, order) = self.check_symmetric(half, &bins)?;
-        self.symmetric_body(quarter, order, half, bins, work, out);
+        let quarter = self.check_symmetric(half, &bins)?;
+        self.symmetric_body(quarter, half, bins, work, out);
         Ok(())
     }
 
     /// Entry checks of the symmetric-input transform at any width (`R` is
-    /// one sample of every signal carried); hands back the quarter plan and
-    /// its gather order.
+    /// one sample of every signal carried); hands back the quarter plan.
     fn check_symmetric<R>(
         &self,
         half: &[R],
         bins: &RangeInclusive<usize>,
-    ) -> Result<(&FftPlan, &[u32]), DspError> {
-        let Some(lane_plan) = self.lane_quarter_plan() else {
+    ) -> Result<&FftPlan, DspError> {
+        let Some(quarter) = self.quarter_plan.as_deref() else {
             return Err(DspError::InvalidLength {
                 len: self.n,
-                requirement:
-                    "symmetric-input transforms need a multiple of four with a non-Bluestein quarter plan",
+                requirement: "symmetric-input transforms need a multiple of four",
             });
         };
         if half.len() != self.spectrum_len() {
@@ -888,7 +683,7 @@ impl RealFftPlan {
             });
         }
         self.check_bins(bins)?;
-        Ok(lane_plan)
+        Ok(quarter)
     }
 
     /// The symmetric-input selected-bins transform, written once for every
@@ -941,13 +736,12 @@ impl RealFftPlan {
     fn symmetric_body<E: Element>(
         &self,
         quarter: &FftPlan,
-        order: &[u32],
         half: &[E::Real],
         bins: RangeInclusive<usize>,
         work: &mut Vec<E>,
         out: &mut Vec<E::Real>,
     ) {
-        let m = self.n / 2;
+        let (m, order) = (self.n / 2, quarter.gather_order());
         let q = m / 2;
         let mut anchor = E::ZERO;
         // A plain loop over the resized buffer, not `extend(map(..))`: the
@@ -993,13 +787,12 @@ impl RealFftPlan {
     fn lanes_avx2(
         &self,
         quarter: &FftPlan,
-        order: &[u32],
         half: &[[f64; LANES]],
         bins: RangeInclusive<usize>,
         work: &mut Vec<ComplexLanes>,
         out: &mut Vec<[f64; LANES]>,
     ) {
-        self.symmetric_body(quarter, order, half, bins, work, out);
+        self.symmetric_body(quarter, half, bins, work, out);
     }
 
     /// Computes the half spectra of `rows` equal-length real signals laid
@@ -1018,9 +811,8 @@ impl RealFftPlan {
     /// [`forward_real_into`](Self::forward_real_into) over the rows**,
     /// whatever rides in the other lanes. A last block of two or three rows
     /// rides with idle lanes (they repeat its last row; still cheaper than
-    /// that many one-row transforms); a last block of one row, and every
-    /// row of a plan without a lane body (odd lengths, even lengths whose
-    /// half plan is Bluestein), runs the one-row instantiation. The lane
+    /// that many one-row transforms); a last block of one row runs the
+    /// one-row instantiation. The lane
     /// instantiation is compiled for the build's baseline ISA and, on
     /// x86-64, with AVX2, picked by `is_x86_feature_detected!` exactly as
     /// [`forward_real_bins_lanes`](Self::forward_real_bins_lanes) picks;
@@ -1061,15 +853,6 @@ impl RealFftPlan {
         self.batch_body(inputs, rows, scratch, out, Self::first_lens_lanes)
     }
 
-    /// The half plan and its gather order, when the first lens has a lane
-    /// body: an even length whose half plan runs as gather-then-passes.
-    fn lane_half_plan(&self) -> Option<(&FftPlan, &[u32])> {
-        match &self.kernel {
-            RealKernel::PackedEven { half_plan } => Some((half_plan, half_plan.gather_order()?)),
-            RealKernel::OddFull { .. } => None,
-        }
-    }
-
     /// The entry checks and the block loop of the batched first lens;
     /// `lane_block` is the lane instantiation a block of two to [`LANES`]
     /// rows takes.
@@ -1097,34 +880,25 @@ impl RealFftPlan {
         let sl = self.spectrum_len();
         out.clear();
         out.resize(rows * sl, Complex::ZERO);
-        let lane_plan = self.lane_half_plan();
         with_lane_scratch(|work| {
             let blocks = inputs
                 .chunks(LANES * row_len)
                 .zip(out.chunks_mut(LANES * sl));
             for (block, spectra) in blocks {
-                match lane_plan {
-                    Some((half_plan, order)) if block.len() > row_len => {
-                        lane_block(self, half_plan, order, block, row_len, work, spectra);
-                    }
-                    _ => {
-                        let rows = block.chunks_exact(row_len);
-                        for (row, spec) in rows.zip(spectra.chunks_exact_mut(sl)) {
-                            self.forward_real_core(row, 0..=self.n / 2, scratch, spec)?;
-                        }
-                    }
+                if block.len() > row_len {
+                    lane_block(self, block, row_len, work, spectra);
+                } else {
+                    self.forward_real_core(block, 0..=self.n / 2, scratch, spectra);
                 }
             }
-            Ok(())
-        })
+        });
+        Ok(())
     }
 
     /// [`first_lens_lanes`](Self::first_lens_lanes) in the widest
     /// instantiation the CPU runs.
     fn first_lens_dispatched(
         &self,
-        half_plan: &FftPlan,
-        order: &[u32],
         block: &[f64],
         row_len: usize,
         work: &mut Vec<ComplexLanes>,
@@ -1134,10 +908,10 @@ impl RealFftPlan {
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: the one requirement of a `#[target_feature]` function
             // is that the CPU has the feature, checked on the line above.
-            unsafe { self.first_lens_avx2(half_plan, order, block, row_len, work, spectra) };
+            unsafe { self.first_lens_avx2(block, row_len, work, spectra) };
             return;
         }
-        self.first_lens_lanes(half_plan, order, block, row_len, work, spectra);
+        self.first_lens_lanes(block, row_len, work, spectra);
     }
 
     /// One lane block of the batched first lens: the one to [`LANES`] rows
@@ -1148,8 +922,6 @@ impl RealFftPlan {
     #[inline(always)]
     fn first_lens_lanes(
         &self,
-        half_plan: &FftPlan,
-        order: &[u32],
         block: &[f64],
         row_len: usize,
         work: &mut Vec<ComplexLanes>,
@@ -1168,7 +940,7 @@ impl RealFftPlan {
                 [0.0; LANES]
             }
         };
-        self.packed_even_body(half_plan, order, at, 0..=self.n / 2, work, |k, bin| {
+        self.packed_even_body(at, 0..=self.n / 2, work, |k, bin| {
             for l in 0..live {
                 spectra[l * sl + k] = bin.lane(l);
             }
@@ -1182,14 +954,12 @@ impl RealFftPlan {
     #[target_feature(enable = "avx2")]
     fn first_lens_avx2(
         &self,
-        half_plan: &FftPlan,
-        order: &[u32],
         block: &[f64],
         row_len: usize,
         work: &mut Vec<ComplexLanes>,
         spectra: &mut [Complex],
     ) {
-        self.first_lens_lanes(half_plan, order, block, row_len, work, spectra);
+        self.first_lens_lanes(block, row_len, work, spectra);
     }
 }
 
@@ -1199,22 +969,30 @@ mod tests {
     use crate::fft::{dft, fft, fft_real};
 
     #[test]
-    fn plan_rejects_zero_and_accepts_any_positive_length() {
+    fn plan_rejects_zero_and_lengths_outside_the_five_smooth_domain() {
         assert!(matches!(FftPlan::new(0), Err(DspError::EmptyInput { .. })));
         assert!(matches!(
             RealFftPlan::new(0),
             Err(DspError::EmptyInput { .. })
         ));
-        assert!(matches!(
-            RealFftPlan::new(1),
-            Err(DspError::InvalidLength { .. })
-        ));
-        // Non-pow2 lengths used to be rejected; the mixed-radix and
-        // Bluestein kernels now make the plan API total.
-        for n in [3usize, 6, 7, 12, 20, 22, 97] {
+        // One kernel: a complex length with a prime factor above 5, an odd
+        // real length or a real length whose half has one is refused.
+        for n in [7usize, 11, 14, 22, 97] {
+            assert!(
+                matches!(FftPlan::new(n), Err(DspError::InvalidLength { .. })),
+                "n={n}"
+            );
+        }
+        for n in [1usize, 7, 9, 14, 22, 45] {
+            assert!(
+                matches!(RealFftPlan::new(n), Err(DspError::InvalidLength { .. })),
+                "n={n}"
+            );
+        }
+        for n in [1usize, 3, 6, 12, 20, 64, 100] {
             assert_eq!(FftPlan::new(n).unwrap().len(), n);
         }
-        for n in [6usize, 7, 9, 12, 20, 22] {
+        for n in [2usize, 6, 10, 12, 20, 90] {
             assert_eq!(RealFftPlan::new(n).unwrap().len(), n);
         }
     }
@@ -1252,13 +1030,14 @@ mod tests {
     }
 
     #[test]
-    fn mixed_radix_and_bluestein_match_dft() {
-        // 5-smooth sizes exercise every butterfly (4s, a lone 2, 3s, 5s);
-        // the rest exercise the chirp-z path (primes and composites with a
-        // prime factor > 5).
-        for n in [
-            3usize, 5, 6, 10, 12, 15, 20, 24, 45, 60, 90, 135, 7, 11, 13, 14, 22, 97,
-        ] {
+    fn mixed_radix_matches_dft() {
+        // Powers of two run radix-2 passes alone; the other 5-smooth sizes
+        // exercise every butterfly (4s, a lone 2, 3s, 5s).
+        assert!(matches!(
+            FftPlan::new(97),
+            Err(DspError::InvalidLength { .. })
+        ));
+        for n in [2usize, 8, 16, 3, 5, 6, 10, 12, 15, 20, 24, 45, 60, 90, 135] {
             let x: Vec<Complex> = (0..n)
                 .map(|k| Complex::new((k as f64 * 0.29).sin(), (k as f64 * 0.53).cos()))
                 .collect();
@@ -1273,7 +1052,11 @@ mod tests {
 
     #[test]
     fn inverse_roundtrips_in_place() {
-        for n in [32usize, 12, 45, 97] {
+        assert!(matches!(
+            FftPlan::new(97),
+            Err(DspError::InvalidLength { .. })
+        ));
+        for n in [32usize, 12, 45, 100] {
             let x: Vec<Complex> = (0..n)
                 .map(|k| Complex::new(k as f64, -(k as f64) * 0.3))
                 .collect();
@@ -1317,8 +1100,14 @@ mod tests {
     }
 
     #[test]
-    fn real_plan_handles_odd_and_non_pow2_lengths() {
-        for n in [6usize, 7, 9, 12, 20, 45, 135, 1350] {
+    fn real_plan_handles_non_pow2_lengths_and_refuses_odd_ones() {
+        for n in [9usize, 45, 135] {
+            assert!(matches!(
+                RealFftPlan::new(n),
+                Err(DspError::InvalidLength { .. })
+            ));
+        }
+        for n in [6usize, 10, 12, 20, 90, 270, 1350] {
             let x: Vec<f64> = (0..n).map(|k| (k as f64 * 0.31).cos() - 0.1).collect();
             let plan = RealFftPlan::shared(n).unwrap();
             let mut scratch = Vec::new();
@@ -1343,7 +1132,11 @@ mod tests {
                 .map(|k| ((k + 3 * seed) as f64 * 0.23).sin() + 0.1 * seed as f64)
                 .collect()
         };
-        for n in [16usize, 12, 9] {
+        assert!(matches!(
+            RealFftPlan::new(9),
+            Err(DspError::InvalidLength { .. })
+        ));
+        for n in [16usize, 12, 10] {
             for rows in [1usize, 2, 3, 4] {
                 let plan = RealFftPlan::shared(n).unwrap();
                 let row_len = n - 2; // exercise the zero-padding path

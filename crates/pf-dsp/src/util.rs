@@ -14,15 +14,11 @@ pub fn next_pow2(n: usize) -> usize {
     n.max(1).next_power_of_two()
 }
 
-/// Returns `true` if `n` is a power of two (and non-zero).
-pub fn is_pow2(n: usize) -> bool {
-    n != 0 && (n & (n - 1)) == 0
-}
-
 /// Returns the smallest **even 5-smooth** number (`2^a·3^b·5^c` with
-/// `a >= 1`) greater than or equal to `n` — the tightest transform length
-/// the mixed-radix FFT kernels execute efficiently. Evenness is required
-/// so the real-input half-spectrum packing applies.
+/// `a >= 1`) greater than or equal to `n` — the tightest length a
+/// [`RealFftPlan`](crate::plan::RealFftPlan) accepts: the FFT kernel runs
+/// 5-smooth lengths, and evenness is required so the real-input
+/// half-spectrum packing applies.
 ///
 /// Always at most `next_pow2(n)`, so callers switching from pow2 padding
 /// can only shrink their transforms.
@@ -194,14 +190,6 @@ mod tests {
                 assert!(!is_even_5_smooth(candidate), "n={n} missed {candidate}");
             }
         }
-    }
-
-    #[test]
-    fn is_pow2_values() {
-        assert!(!is_pow2(0));
-        assert!(is_pow2(1));
-        assert!(is_pow2(64));
-        assert!(!is_pow2(63));
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! DFT (written here, not the library's own `fft::dft`, so a refactor
 //! cannot silently re-derive a wrong baseline):
 //!
-//! * every plan variant — pow2 radix-2, mixed-radix (radix-4/2/3/5),
-//!   Bluestein, packed-real, batched, symmetric-input at width 1 and in
-//!   lanes — matches the oracle within `1e-9`;
+//! * every plan variant — the one mixed-radix kernel (radix-2 passes for
+//!   powers of two, radix-4/2/3/5 otherwise), packed-real, batched,
+//!   symmetric-input at width 1 and in lanes — matches the oracle within
+//!   `1e-9`, and a length outside the 5-smooth domain is refused;
 //! * where the docs claim bit-identity (free fft vs. shared plan, batched
 //!   real vs. serial real, selected bins vs. the full real transform, a
 //!   symmetric-input bin vs. the same bin asked for by any other range,
@@ -18,8 +19,7 @@
 //!   at two widths, and unlike the symmetric body it has an exact twin:
 //!   every lane of `forward_real_batch_into`, in every instantiation this
 //!   host can run, is `forward_real_into` of that row **bit for bit**, at
-//!   every row count (a lone row, idle lanes, full blocks) and on lengths
-//!   without a lane body (odd, Bluestein halves), which batch at width 1;
+//!   every row count (a lone row, idle lanes, full blocks);
 //! * the symmetric-input transform — a quarter-length DCT-I whose odd bins
 //!   come off a running sum, so no other transform in the library computes
 //!   its bits — is held to an explicit bound against an exact oracle:
@@ -57,19 +57,24 @@ fn oracle(x: &[Complex], inverse: bool) -> Vec<Complex> {
     out
 }
 
-/// Lengths covering every kernel: powers of two (radix-2), 5-smooth
-/// non-pow2 with 4-factors (radix-4 butterflies) and without, and sizes
-/// with prime factors > 5 (Bluestein).
+/// Lengths covering every butterfly: powers of two (radix-2 passes),
+/// 5-smooth non-pow2 with 4-factors (radix-4 butterflies) and without.
 const LENGTHS: &[usize] = &[
     1, 2, 4, 8, 32, 128, // radix-2
     6, 10, 15, 45, // mixed radix without a 4-factor
     12, 20, 36, 48, 60, 100, // mixed radix exercising radix-4
-    7, 11, 13, 14, 21, 22, 97, // Bluestein
 ];
 
-/// Even lengths usable by the packed real path; odd ones take the
-/// full-length real path.
-const REAL_LENGTHS: &[usize] = &[2, 4, 16, 128, 6, 12, 20, 60, 14, 22, 7, 9, 45, 21];
+/// Real lengths: even, with a 5-smooth half (power-of-two and mixed-radix
+/// halves, with and without a 4-factor).
+const REAL_LENGTHS: &[usize] = &[2, 4, 16, 128, 6, 12, 20, 60, 10, 30, 90];
+
+/// Complex lengths the one kernel refuses: a prime factor above 5.
+const REFUSED_LENGTHS: &[usize] = &[7, 11, 13, 14, 21, 22, 97];
+
+/// Real lengths a real-input plan refuses: odd, or a half with a prime
+/// factor above 5.
+const REFUSED_REAL_LENGTHS: &[usize] = &[1, 7, 9, 45, 21, 14, 22, 26, 28, 44, 52, 194];
 
 fn complex_signal() -> impl Strategy<Value = Vec<Complex>> {
     (0usize..LENGTHS.len()).prop_flat_map(|i| {
@@ -141,8 +146,7 @@ proptest! {
         prop_assert!((te - fe).abs() <= TOL * te.max(1.0));
     }
 
-    /// The real-input plan (packed even and full odd paths) matches the
-    /// oracle's non-redundant bins.
+    /// The real-input plan matches the oracle's non-redundant bins.
     #[test]
     fn real_plans_match_the_oracle(x in real_signal()) {
         let n = x.len();
@@ -184,10 +188,28 @@ proptest! {
     }
 }
 
-/// The selected-bins real transform, on every real length above (packed
-/// even with mixed-radix and Bluestein half plans, full odd): each bin of
-/// each range — `{0}`, `{n/2}`, single interior bins, the full range and
-/// everything between — is bit-identical to the same bin of
+/// Every length outside the one kernel's domain is refused when a plan is
+/// built — shared or not, complex or real — and by the free transforms.
+#[test]
+fn lengths_outside_the_five_smooth_domain_are_refused() {
+    let refused = |r: Result<(), DspError>| matches!(r, Err(DspError::InvalidLength { .. }));
+    for &n in REFUSED_LENGTHS {
+        assert!(refused(FftPlan::new(n).map(drop)), "n={n}");
+        assert!(refused(FftPlan::shared(n).map(drop)), "n={n}");
+        let x = vec![Complex::ONE; n];
+        assert!(refused(fft(&x).map(drop)), "n={n}");
+        assert!(refused(ifft(&x).map(drop)), "n={n}");
+    }
+    for &n in REFUSED_REAL_LENGTHS {
+        assert!(refused(RealFftPlan::new(n).map(drop)), "n={n}");
+        assert!(refused(RealFftPlan::shared(n).map(drop)), "n={n}");
+    }
+}
+
+/// The selected-bins real transform, on every real length above
+/// (power-of-two and mixed-radix half plans): each bin of each range —
+/// `{0}`, `{n/2}`, single interior bins, the full range and everything
+/// between — is bit-identical to the same bin of
 /// `forward_real_into` and within tolerance of the oracle.
 #[test]
 fn selected_bins_match_the_full_transform_and_the_oracle() {
@@ -213,10 +235,10 @@ fn selected_bins_match_the_full_transform_and_the_oracle() {
 }
 
 /// Ranges reaching past bin `n/2`, inverted ranges and over-long inputs are
-/// rejected, on the packed and the full-length path alike.
+/// rejected, on halves with and without a 4-factor alike.
 #[test]
 fn selected_bins_reject_bad_ranges() {
-    for n in [12usize, 14, 9] {
+    for n in [12usize, 10, 6] {
         let plan = RealFftPlan::shared(n).unwrap();
         let x = vec![0.5; n];
         let (mut scratch, mut out) = (Vec::new(), Vec::new());
@@ -496,15 +518,15 @@ fn lanes_match_the_scalar_transform_and_the_oracle_on_the_jtc_grids() {
     );
 }
 
-/// Lengths that are not a multiple of four (odd, or twice an odd number)
-/// and multiples of four with a Bluestein quarter have no symmetric-input
-/// path at either width, and say so; bad inputs are rejected where it is
-/// supported.
+/// Lengths that are twice an odd number have no symmetric-input path at
+/// either width, and say so (odd lengths and multiples of four without a
+/// 5-smooth quarter have no plan at all: `REFUSED_REAL_LENGTHS`); bad
+/// inputs are rejected where the path is supported.
 #[test]
 fn lanes_are_refused_where_unsupported_and_on_bad_input() {
     let (mut work, mut out) = (Vec::new(), Vec::new());
     let (mut one_work, mut one) = (Vec::new(), Vec::new());
-    for n in [7usize, 9, 45, 21, 2, 6, 10, 14, 22, 30, 250, 28, 44, 52] {
+    for n in [2usize, 6, 10, 30, 250] {
         let plan = RealFftPlan::shared(n).unwrap();
         assert!(!plan.supports_lanes(), "n={n}");
         assert!(
@@ -677,25 +699,6 @@ fn batched_first_lens_is_the_row_loop_for_every_remainder() {
             .unwrap();
         for (row, spectrum) in rows.iter().zip(batched.chunks_exact(plan.spectrum_len())) {
             assert_close(spectrum, &real_oracle(row, n), "batched first lens");
-        }
-    }
-}
-
-/// Plans without a lane body — odd lengths (full-length transform) and
-/// even lengths whose half plan is Bluestein — batch at width 1: still the
-/// row loop bit for bit at every row count, still the oracle's transform.
-#[test]
-fn odd_and_bluestein_half_lengths_batch_at_width_one() {
-    for n in [7usize, 9, 21, 45, 14, 22, 26, 34, 194] {
-        let len = n - 2;
-        for count in 1..=9 {
-            let rows: Vec<Vec<f64>> = (0..count).map(|r| FIRST_LENS_ROWS[r % 3](len, r)).collect();
-            check_batch_is_the_row_loop(n, &rows, "no lane body");
-            let plan = RealFftPlan::shared(n).unwrap();
-            let (mut scratch, mut single) = (Vec::new(), Vec::new());
-            plan.forward_real_into(&rows[count - 1], &mut scratch, &mut single)
-                .unwrap();
-            assert_close(&single, &real_oracle(&rows[count - 1], n), "no lane body");
         }
     }
 }

@@ -432,11 +432,16 @@ mod tests {
 
     #[test]
     fn prepared_geometry_is_tight_a_multiple_of_four_and_sufficient() {
-        let runs_the_second_lens = |n: usize| {
-            pf_dsp::plan::RealFftPlan::shared(n)
-                .unwrap()
-                .supports_lanes()
-        };
+        // A length outside the FFT kernel's domain has no plan at all.
+        let runs_the_second_lens =
+            |n: usize| pf_dsp::plan::RealFftPlan::shared(n).is_ok_and(|p| p.supports_lanes());
+        // Every tile the chain can meet lands in that domain.
+        for s in 1usize..=256 {
+            for k in 1..=s {
+                let (_, n) = prepared_geometry(s, k);
+                assert!(runs_the_second_lens(n), "s={s} k={k}: n={n}");
+            }
+        }
         for s in [1usize, 3, 8, 32, 100, 256] {
             for k in [1usize, 3, 5, 32, 67, 256] {
                 let (d, n) = prepared_geometry(s, k);
@@ -448,8 +453,8 @@ mod tests {
                 assert!(2 * d < n, "s={s} k={k}: d={d} is not below n/2={}", n / 2);
                 assert!(n <= next_fast_len(4 * s + 4 * k + 8), "s={s} k={k}: n={n}");
                 // A multiple of four (the half-spectrum mirror bin exists) with
-                // a 5-smooth quarter (mixed-radix plans, no Bluestein): what
-                // the symmetric second lens asks of a plan.
+                // a 5-smooth quarter (the one FFT kernel's domain): what the
+                // symmetric second lens asks of a plan.
                 assert!(runs_the_second_lens(n), "s={s} k={k}: n={n}");
                 if k > s {
                     // No window: the kernel sits right behind the signal

@@ -28,7 +28,9 @@
 //!   [`prepared::SignalSpectrum`] — a signal tile's first-lens transform
 //!   computed once and replayed against many prepared kernels;
 //! * [`pfcu::Pfcu`] — the hardware-shaped wrapper (256 input waveguides, 25
-//!   weight waveguides, two pipeline stages) used by the architecture model;
+//!   weight waveguides, two pipeline stages); only `tests/end_to_end.rs` and
+//!   the facade's re-export use it, and its `cycles_for` repeats the
+//!   pipelined rule of `pf_arch::dataflow::LayerSchedule`;
 //! * [`temporal::TemporalAccumulator`] — analog partial-sum accumulation at
 //!   the photodetector (Section V-C), the optimisation that restores 8-bit
 //!   ADC accuracy and cuts ADC power 16×.
