@@ -265,7 +265,9 @@ impl Conv1dEngine for JtcEngine {
     fn bind_prepared(&self, cached: Arc<dyn PreparedConv1d>) -> Arc<dyn PreparedConv1d> {
         // Preparation draws no noise, so a kernel another engine of this
         // configuration prepared differs from ours only in the stream it
-        // is bound to. Deterministic engines bind nothing.
+        // is bound to. The executor binds one kernel per stack run, the
+        // stack's lead: the set call made on it draws every member's noise
+        // from this stream. Deterministic engines bind nothing.
         let Some(noise) = &self.noise else {
             return cached;
         };

@@ -90,7 +90,7 @@ use std::borrow::Cow;
 use std::ops::RangeInclusive;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use pf_dsp::complex::{Complex, LANES};
 use pf_dsp::plan::RealFftPlan;
 use pf_dsp::scratch::{with_spectrum_scratch, SpectrumScratch};
@@ -693,6 +693,10 @@ impl PreparedSpectrum {
 /// preparing the kernel afresh on every call; call order stays serial
 /// because the engine reports
 /// [`is_deterministic`](pf_tiling::Conv1dEngine::is_deterministic)` == false`.
+/// A set call ([`PreparedConv1d::correlate_set_into`]) draws every member's
+/// noise from the stream of the kernel it is made on, in member order —
+/// the executor binds that one kernel per stack run and the others ride on
+/// it, whatever stream they were prepared with.
 #[derive(Debug, Clone)]
 pub struct PreparedKernel {
     spectrum: Arc<PreparedSpectrum>,
@@ -703,7 +707,8 @@ pub struct PreparedKernel {
     /// Copy of the engine's output ADC.
     adc: Option<Adc>,
     /// The bound engine's sensing-noise stream (shared, not copied: every
-    /// kernel an engine prepares draws from that engine's one stream).
+    /// kernel an engine prepares draws from that engine's one stream). A
+    /// set call made on this kernel conditions every member on it.
     noise: Option<Arc<Mutex<SensingNoise>>>,
 }
 
@@ -733,18 +738,30 @@ fn quantize_through_dac<'a>(dac: Option<&Dac>, values: &'a [f64]) -> (Cow<'a, [f
     let Some(dac) = dac else {
         return (Cow::Borrowed(values), 1.0);
     };
+    let mut quantised = Vec::with_capacity(values.len());
+    let scale = dac_row_into(dac, values, &mut quantised);
+    (Cow::Owned(quantised), scale)
+}
+
+/// The DAC pass of one operand, appended to `out`: `values` normalised to
+/// `[-1, 1]` against their own peak and quantised; returns the scale
+/// undoing the normalisation. An all-zero operand is appended as it is,
+/// at scale `1.0`.
+fn dac_row_into(dac: &Dac, values: &[f64], out: &mut Vec<f64>) -> f64 {
     let max_abs = peak_magnitude(values);
     if max_abs == 0.0 {
-        return (Cow::Owned(values.to_vec()), 1.0);
+        out.extend_from_slice(values);
+        return 1.0;
     }
     // The DAC generates magnitudes; signs ride along as the phase of the
     // modulated field (or as the pseudo-negative split at the architecture
     // level).
-    let quantised = values
-        .iter()
-        .map(|&v| dac.generate(v.abs() / max_abs) * v.signum())
-        .collect();
-    (Cow::Owned(quantised), max_abs)
+    out.extend(
+        values
+            .iter()
+            .map(|&v| dac.generate(v.abs() / max_abs) * v.signum()),
+    );
+    max_abs
 }
 
 impl PreparedKernel {
@@ -805,8 +822,16 @@ impl PreparedKernel {
     /// Same conditions as [`PreparedSpectrum::correlate`].
     pub fn correlate(&self, signal: &[f64]) -> Result<Vec<f64>, JtcError> {
         let mut out = vec![0.0; self.spectrum.corr_len()];
-        self.chain(signal, &mut out, None)?;
+        self.chain(self.stream().as_deref_mut(), signal, &mut out, None)?;
         Ok(out)
+    }
+
+    /// This kernel's own noise stream, locked for one call (`None` on a
+    /// deterministic engine). The chain bodies below take the locked stream
+    /// as a parameter and never lock: a set call locks its caller's stream
+    /// and conditions every member on it.
+    fn stream(&self) -> Option<MutexGuard<'_, SensingNoise>> {
+        self.noise.as_deref().map(Mutex::lock)
     }
 
     /// A chain's output as a fresh vector, for the entries that return
@@ -817,13 +842,14 @@ impl PreparedKernel {
         chain(&mut out).map_or_else(|_| Vec::new(), |()| out)
     }
 
-    /// The full chain into `out`: the first lens on the DAC-quantised
-    /// signal, then the shared-signal chain on that transform. Stage
-    /// boundaries are marked on a caller-held [`StageAcc`] when there is
-    /// one (one clock read per boundary; see the accumulator's docs for
-    /// why loops hold one).
+    /// The full chain into `out`, drawing sensing noise from `noise`: the
+    /// first lens on the DAC-quantised signal, then the shared-signal
+    /// chain on that transform. Stage boundaries are marked on a
+    /// caller-held [`StageAcc`] when there is one (one clock read per
+    /// boundary; see the accumulator's docs for why loops hold one).
     fn chain(
         &self,
+        noise: Option<&mut SensingNoise>,
         signal: &[f64],
         out: &mut [f64],
         mut acc: Option<&mut StageAcc>,
@@ -832,7 +858,7 @@ impl PreparedKernel {
         mark(&mut acc, Stage::DacAdc);
         let spectrum = self.spectrum.signal_spectrum(&signal_q)?;
         mark(&mut acc, Stage::SignalFft);
-        self.chain_shared(&SharedSignal { spectrum, s_scale }, out, acc)
+        self.chain_shared(noise, &SharedSignal { spectrum, s_scale }, out, acc)
     }
 
     /// The one body of a kernel's own chain into `out`, as the per-kernel
@@ -841,9 +867,10 @@ impl PreparedKernel {
     /// the shared transform was computed (and attributed to `signal_fft`)
     /// where it was prepared, the executor's `prepare_signal_batch` call
     /// sites — else (no transform, a foreign or mismatched one) the full
-    /// chain on `signal`.
+    /// chain on `signal`. Sensing noise comes from `noise`.
     fn chain_with_signal(
         &self,
+        mut noise: Option<&mut SensingNoise>,
         prepared: Option<&dyn PreparedSignal>,
         signal: &[f64],
         out: &mut [f64],
@@ -851,28 +878,31 @@ impl PreparedKernel {
     ) -> Result<(), JtcError> {
         let shared = prepared.and_then(|p| p.as_any().downcast_ref::<SharedSignal>());
         if let Some(shared) = shared {
-            if self.chain_shared(shared, out, acc.as_deref_mut()).is_ok() {
+            let chained = self.chain_shared(noise.as_deref_mut(), shared, out, acc.as_deref_mut());
+            if chained.is_ok() {
                 return Ok(());
             }
         }
-        self.chain(signal, out, acc)
+        self.chain(noise, signal, out, acc)
     }
 
     /// The shared-signal chain on this engine's own transform type, into
-    /// `out` ([`PreparedSpectrum::corr_len`] samples).
+    /// `out` ([`PreparedSpectrum::corr_len`] samples), drawing sensing
+    /// noise from `noise`.
     fn chain_shared(
         &self,
+        noise: Option<&mut SensingNoise>,
         shared: &SharedSignal,
         out: &mut [f64],
         mut acc: Option<&mut StageAcc>,
     ) -> Result<(), JtcError> {
         let sum_sq = self.spectrum.correlate_spectrum_acc(
             &shared.spectrum,
-            self.read_out(shared.s_scale),
+            self.read_out(shared.s_scale, noise.is_some()),
             out,
             acc.as_deref_mut(),
         )?;
-        Self::condition([self], [out], [sum_sq]);
+        Self::condition(noise, [self], [out], [sum_sq]);
         mark(&mut acc, Stage::DacAdc);
         Ok(())
     }
@@ -881,11 +911,12 @@ impl PreparedKernel {
     /// [`PreparedKernel::lane_set`] cleared, every kernel's lobe into its
     /// slice of `out` (kernel-major): the optics run per block
     /// ([`PreparedSpectrum::finish_block`], which reads each lobe out
-    /// straight into its slice), then the block is conditioned as one
+    /// straight into its slice), then the block is conditioned as one on
+    /// `noise` — the set caller's stream, locked once for the whole call —
     /// ([`PreparedKernel::condition`]: its noise positions reserved **in
-    /// kernel order** under one lock), so a noisy engine's stream is
-    /// consumed exactly as the per-kernel chain consumes it. Stages are
-    /// marked once per block. A block of one — a set of one kernel, the
+    /// kernel order**), so the stream is consumed exactly as the per-kernel
+    /// chain of each member bound to it consumes it. Stages are marked
+    /// once per block. A block of one — a set of one kernel, the
     /// tail of a set of `4k + 1` — runs at width 1
     /// ([`PreparedKernel::chain_shared`]): a whole lane transform for one
     /// lobe costs more than the one-signal instantiation (single-kernel
@@ -894,6 +925,7 @@ impl PreparedKernel {
     fn chain_set(
         set: &[&dyn PreparedConv1d],
         shared: &SharedSignal,
+        mut noise: Option<&mut SensingNoise>,
         out: &mut [f64],
         mut acc: Option<&mut StageAcc>,
     ) {
@@ -905,7 +937,7 @@ impl PreparedKernel {
         for (block, out) in set.chunks(LANES).zip(out.chunks_mut(LANES * len)) {
             if let [lone] = block {
                 let lone = Self::of(*lone).expect("lane_set cleared every member");
-                lone.chain_shared(shared, out, acc.as_deref_mut())
+                lone.chain_shared(noise.as_deref_mut(), shared, out, acc.as_deref_mut())
                     .expect("lane_set cleared the geometry");
                 continue;
             }
@@ -915,7 +947,7 @@ impl PreparedKernel {
                 Self::of(block[l.min(block.len() - 1)]).expect("lane_set cleared every member")
             });
             let spectra = kernels.map(|k| &*k.spectrum);
-            let read_outs = kernels.map(|k| k.read_out(shared.s_scale));
+            let read_outs = kernels.map(|k| k.read_out(shared.s_scale, noise.is_some()));
             let sums = PreparedSpectrum::finish_block::<[f64; LANES]>(
                 &spectra[..block.len()],
                 &shared.spectrum.half_spec,
@@ -927,7 +959,7 @@ impl PreparedKernel {
             // A short block's idle lanes condition empty slices: nothing.
             let mut slices = out.chunks_exact_mut(len);
             let slices = std::array::from_fn(|_| slices.next().unwrap_or(&mut []));
-            Self::condition(kernels, slices, sums);
+            Self::condition(noise.as_deref_mut(), kernels, slices, sums);
             mark(&mut acc, Stage::DacAdc);
         }
     }
@@ -939,52 +971,52 @@ impl PreparedKernel {
 
     /// `prepared` as this engine's own transform, when the whole of `set`
     /// can ride in lanes with it: every member is a [`PreparedKernel`] on
-    /// one geometry whose lobe is non-empty, bound to one noise stream (or
-    /// to none), and the transform was taken on that geometry.
+    /// one geometry whose lobe is non-empty, and the transform was taken on
+    /// that geometry. The streams the members were bound to do not matter:
+    /// the set is conditioned on its caller's.
     fn lane_set<'a>(
         set: &[&dyn PreparedConv1d],
         prepared: &'a dyn PreparedSignal,
     ) -> Option<&'a SharedSignal> {
         let shared = prepared.as_any().downcast_ref::<SharedSignal>()?;
-        let lead = Self::of(*set.first()?)?;
-        let first = &*lead.spectrum;
-        let same_noise = |k: &PreparedKernel| match (&k.noise, &lead.noise) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            (None, None) => true,
-            _ => false,
-        };
+        let first = &*Self::of(*set.first()?)?.spectrum;
         let rides = first.kernel_len <= first.signal_len
             && (shared.spectrum.signal_len, shared.spectrum.n) == (first.signal_len, first.n)
-            && set.iter().all(|member| {
-                Self::of(*member).is_some_and(|k| k.spectrum.same_geometry(first) && same_noise(k))
-            });
+            && set
+                .iter()
+                .all(|member| Self::of(*member).is_some_and(|k| k.spectrum.same_geometry(first)));
         rides.then_some(shared)
     }
 
     /// What both chains ask of the second lens' read-out for a signal with
-    /// pre-DAC scale `s_scale`.
-    fn read_out(&self, s_scale: f64) -> ReadOut {
+    /// pre-DAC scale `s_scale`, `noisy` when sensing noise follows.
+    fn read_out(&self, s_scale: f64, noisy: bool) -> ReadOut {
         ReadOut {
             gain: s_scale * self.k_scale,
-            sum_squares: self.noise.is_some(),
+            sum_squares: noisy,
         }
     }
 
     /// The output conditioning behind the optics, shared by every chain,
-    /// on `L` kernels of one noise binding, each with its rescaled samples
-    /// in its slice and their sum of squares (`sums`, accumulated in output
-    /// order) from the second lens' read-out: photodetector sensing noise
-    /// relative to each slice's RMS — every slice's positions reserved in
-    /// kernel order under one lock, the draws interleaved
-    /// ([`SensingNoise::add_scaled_blocks`]) — then each kernel's ADC
-    /// quantisation in place against its slice's own full scale. A
-    /// zero-RMS slice draws nothing.
+    /// on `L` kernels drawing from one stream `noise` (`None`: no sensing
+    /// noise), each with its rescaled samples in its slice and their sum of
+    /// squares (`sums`, accumulated in output order) from the second lens'
+    /// read-out: photodetector sensing noise relative to each slice's RMS —
+    /// every slice's positions reserved in kernel order, the draws
+    /// interleaved ([`SensingNoise::add_scaled_blocks`]) — then each
+    /// kernel's ADC quantisation in place against its slice's own full
+    /// scale. A zero-RMS slice draws nothing.
     ///
     /// Total over non-finite input: an overflowed RMS or full scale comes
     /// back as non-finite samples, never as a panic.
-    fn condition<const L: usize>(kernels: [&Self; L], mut slices: [&mut [f64]; L], sums: [f64; L]) {
+    fn condition<const L: usize>(
+        noise: Option<&mut SensingNoise>,
+        kernels: [&Self; L],
+        mut slices: [&mut [f64]; L],
+        sums: [f64; L],
+    ) {
         let mut peaks = [None; L];
-        if let Some(noise) = &kernels[0].noise {
+        if let Some(noise) = noise {
             let rms: [f64; L] =
                 std::array::from_fn(|l| (sums[l] / slices[l].len().max(1) as f64).sqrt());
             let live = rms.map(|rms| rms > 0.0);
@@ -995,7 +1027,7 @@ impl PreparedKernel {
                 Some(true) => &mut **slice,
                 _ => &mut [],
             });
-            let drawn = noise.lock().add_scaled_blocks(blocks, rms);
+            let drawn = noise.add_scaled_blocks(blocks, rms);
             for ((peak, drawn), live) in peaks.iter_mut().zip(drawn).zip(live) {
                 *peak = live.then_some(drawn);
             }
@@ -1017,7 +1049,7 @@ impl PreparedConv1d for PreparedKernel {
     }
 
     fn correlate_valid(&self, signal: &[f64]) -> Vec<f64> {
-        self.collect(|out| self.chain(signal, out, None))
+        self.collect(|out| self.chain(self.stream().as_deref_mut(), signal, out, None))
     }
 
     fn signal_key(&self) -> Option<u64> {
@@ -1048,21 +1080,20 @@ impl PreparedConv1d for PreparedKernel {
         }
         let row = signals.len() / count;
         // DAC quantisation normalises each signal against its own peak, so
-        // it stays per-row (bit-identical to `prepare_signal`); only the
-        // transforms are batched. The batch reads the caller's planar
-        // buffer until a row comes back quantised.
-        let mut packed = Cow::Borrowed(signals);
-        let scales: Vec<f64> = signals
-            .chunks_exact(row)
-            .enumerate()
-            .map(|(i, chunk)| {
-                let (q, s_scale) = quantize_through_dac(self.dac.as_ref(), chunk);
-                if let Cow::Owned(q) = q {
-                    packed.to_mut()[i * row..(i + 1) * row].copy_from_slice(&q);
-                }
-                s_scale
-            })
-            .collect();
+        // it stays per-row (bit-identical to `prepare_signal`), each row
+        // quantised straight into one planar buffer; only the transforms
+        // are batched. Without a DAC the batch reads the caller's buffer.
+        let (packed, scales): (Cow<'_, [f64]>, Vec<f64>) = match &self.dac {
+            Some(dac) => {
+                let mut quantised = Vec::with_capacity(signals.len());
+                let scales = signals
+                    .chunks_exact(row)
+                    .map(|chunk| dac_row_into(dac, chunk, &mut quantised))
+                    .collect();
+                (Cow::Owned(quantised), scales)
+            }
+            None => (Cow::Borrowed(signals), vec![1.0; count]),
+        };
         let spectra = self.spectrum.signal_spectra_batch(&packed, count).ok()?;
         Some(
             spectra
@@ -1076,7 +1107,10 @@ impl PreparedConv1d for PreparedKernel {
     }
 
     fn correlate_with_signal(&self, prepared: &dyn PreparedSignal, signal: &[f64]) -> Vec<f64> {
-        self.collect(|out| self.chain_with_signal(Some(prepared), signal, out, None))
+        self.collect(|out| {
+            let mut noise = self.stream();
+            self.chain_with_signal(noise.as_deref_mut(), Some(prepared), signal, out, None)
+        })
     }
 
     fn correlate_set_into(
@@ -1087,20 +1121,29 @@ impl PreparedConv1d for PreparedKernel {
         out: &mut [f64],
         mut acc: Option<&mut StageAcc>,
     ) {
+        // One lock of this kernel's stream for the whole set: every member
+        // is conditioned on it, in member order.
         if let Some(lanes) = shared.and_then(|prepared| Self::lane_set(set, prepared)) {
-            return Self::chain_set(set, lanes, out, acc);
+            return Self::chain_set(set, lanes, self.stream().as_deref_mut(), out, acc);
         }
         // No transform, a foreign member, mixed geometries, an empty lobe:
-        // every member on its own terms, in order — this engine's own
-        // kernels each through its chain, a foreign one through its own
-        // set call on a set of one. A mismatched call leaves its slice as
-        // it was.
+        // every member in order — this engine's own kernels each through
+        // its chain on this kernel's stream (locked per member: a foreign
+        // member may lock it too), a foreign one on its own terms, through
+        // its own set call on a set of one. A mismatched call leaves its
+        // slice as it was.
         let len = out.len() / set.len().max(1);
         for (k, member) in set.iter().enumerate() {
             let out = &mut out[k * len..][..len];
             match Self::of(*member) {
                 Some(kernel) => {
-                    let _ = kernel.chain_with_signal(shared, signal, out, acc.as_deref_mut());
+                    let _ = kernel.chain_with_signal(
+                        self.stream().as_deref_mut(),
+                        shared,
+                        signal,
+                        out,
+                        acc.as_deref_mut(),
+                    );
                 }
                 None => member.correlate_set_into(
                     std::slice::from_ref(member),
@@ -1114,7 +1157,7 @@ impl PreparedConv1d for PreparedKernel {
     }
 
     fn correlate_valid_acc(&self, signal: &[f64], acc: &mut StageAcc) -> Vec<f64> {
-        self.collect(|out| self.chain(signal, out, Some(acc)))
+        self.collect(|out| self.chain(self.stream().as_deref_mut(), signal, out, Some(acc)))
     }
 
     fn correlate_with_signal_acc(
@@ -1123,7 +1166,10 @@ impl PreparedConv1d for PreparedKernel {
         signal: &[f64],
         acc: &mut StageAcc,
     ) -> Vec<f64> {
-        self.collect(|out| self.chain_with_signal(Some(prepared), signal, out, Some(acc)))
+        self.collect(|out| {
+            let mut noise = self.stream();
+            self.chain_with_signal(noise.as_deref_mut(), Some(prepared), signal, out, Some(acc))
+        })
     }
 }
 

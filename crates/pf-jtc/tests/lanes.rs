@@ -13,7 +13,11 @@
 //! run), on operands at the edges of `f64` (1e150-scale kernels and tiles,
 //! silent lanes, subnormal spectra), with and without stage marks, and on
 //! the sets it must hand back to the per-kernel loop (a transform taken on
-//! another grid, no transform at all, a foreign member).
+//! another grid, no transform at all, a foreign member). A set call
+//! conditions every member on the stream of the kernel it is made on:
+//! kernels another engine prepared, run from a lead bound to this one, are
+//! this engine's own per-kernel loop, and the preparing engine's stream is
+//! never touched.
 //!
 //! And, since the engine has one chain: the one-off entries
 //! (`JtcEngine::correlate`, `Conv1dEngine::correlate_valid`) against a kept
@@ -197,6 +201,83 @@ fn check_set_equals_loop(
         .collect()
 }
 
+/// Where the transform a lead-bound set call reads comes from.
+#[derive(Debug, Clone, Copy)]
+enum Transform {
+    /// Taken by the set's lead: the lane path, or the lone chain for a set
+    /// of one.
+    Lead,
+    /// Taken on another grid, for a kernel of another length: the
+    /// per-kernel fallback, each member on the full chain.
+    OtherGrid,
+    /// None at all: the per-kernel fallback a set with nothing to share
+    /// takes.
+    Absent,
+}
+
+/// Runs `kernels` the way a seeded view runs a kept set: prepared by one
+/// engine, the set's lead bound to another
+/// ([`Conv1dEngine::bind_prepared`]), the other members as the first engine
+/// prepared them. Against `tiles` in turn, the set call must equal, bit for
+/// bit, the running engine's per-kernel loop over kernels it prepared
+/// itself (a twin engine's), leave the running engine's stream as the loop
+/// leaves its twin's, and leave the preparing engine's stream untouched
+/// (the `Debug` form shows the noise generator).
+fn check_lead_bound(
+    name: &str,
+    config: &JtcEngineConfig,
+    kernels: &[Vec<f64>],
+    tiles: &[Vec<f64>],
+    transform: Transform,
+    expect: Path,
+) {
+    let len = tiles[0].len();
+    let out_len = corr_len(len, kernels[0].len());
+    let engines = || {
+        [1, 2].map(|seed| {
+            JtcEngine::new(JtcEngineConfig {
+                noise_seed: seed,
+                ..config.clone()
+            })
+            .unwrap()
+        })
+    };
+    let ([runner, preparer], [by_loop, fresh]) = (engines(), engines());
+    let mut set_preps = prepare(&preparer, kernels, len);
+    set_preps[0] = runner.bind_prepared(Arc::clone(&set_preps[0]));
+    let loop_preps = prepare(&by_loop, kernels, len);
+    // A kernel one tap short of the tile lays its plane out on another grid.
+    let wide = JtcEngine::new(config.clone()).unwrap();
+    let wide = wide.prepare_kernel(&kernel(0, len - 1), len).unwrap();
+    for (t, tile) in tiles.iter().enumerate() {
+        let what = format!("{name}, {} kernels, {transform:?}, tile {t}", kernels.len());
+        let shared = match transform {
+            Transform::Lead => set_preps[0].prepare_signal(tile),
+            Transform::OtherGrid => wide.prepare_signal(tile),
+            Transform::Absent => None,
+        };
+        let set = refs(&set_preps);
+        let mut outs = Vec::new();
+        let path = path_taken(|| outs = set_call(&set, shared.as_deref(), tile, out_len, None));
+        assert_eq!(path, expect, "{what}: path");
+        let looped: Vec<Vec<f64>> = match &shared {
+            Some(shared) => per_kernel(&refs(&loop_preps), &**shared, tile),
+            None => loop_preps.iter().map(|k| k.correlate_valid(tile)).collect(),
+        };
+        assert_bits(&outs, &looped, &what);
+        assert_eq!(
+            format!("{runner:?}"),
+            format!("{by_loop:?}"),
+            "{what}: running engine's state"
+        );
+        assert_eq!(
+            format!("{preparer:?}"),
+            format!("{fresh:?}"),
+            "{what}: preparing engine's state"
+        );
+    }
+}
+
 #[test]
 fn set_call_equals_the_per_kernel_loop_for_every_block_shape() {
     for (name, config) in configs(64) {
@@ -227,6 +308,38 @@ fn set_call_equals_the_per_kernel_loop_on_the_benchmark_grids() {
                 let kernels: Vec<Vec<f64>> = (0..count).map(|i| kernel(i, taps)).collect();
                 let name = format!("{name}, n = {grid}");
                 check_set_equals_loop(&name, &config, &kernels, &tiles(len), Path::Lanes);
+            }
+        }
+    }
+}
+
+#[test]
+fn lead_bound_sets_ride_on_the_leads_stream_on_the_benchmark_grids() {
+    // Sets of 1, 2, 5 and 9 kernels prepared by one engine and run from a
+    // lead bound to another: one kernel takes the lone chain, two ride a
+    // block with idle lanes, five and nine leave a lone `4k + 1` tail after
+    // full blocks; a transform on another grid and none at all take the
+    // per-kernel fallback. Every path draws every member's noise from the
+    // lead's stream.
+    for (len, taps, grid) in BENCHMARK_GRIDS {
+        let other = PreparedSpectrum::new(&kernel(0, len - 1), len, 256).unwrap();
+        assert_ne!(other.grid_size(), grid, "{len}-sample tiles: two grids");
+        for (name, config) in configs(256) {
+            let name = format!("{name}, n = {grid}");
+            for count in [1, 2, 5, 9] {
+                let kernels: Vec<Vec<f64>> = (0..count).map(|i| kernel(i, taps)).collect();
+                let lead_path = if count == 1 {
+                    Path::PerKernel
+                } else {
+                    Path::Lanes
+                };
+                for (transform, expect) in [
+                    (Transform::Lead, lead_path),
+                    (Transform::OtherGrid, Path::PerKernel),
+                    (Transform::Absent, Path::PerKernel),
+                ] {
+                    check_lead_bound(&name, &config, &kernels, &tiles(len), transform, expect);
+                }
             }
         }
     }
@@ -480,46 +593,15 @@ fn sets_that_cannot_ride_in_lanes_fall_back_to_the_loop() {
             Path::PerKernel,
         );
 
-        // Members of two engines in one set: a lane block reserves noise
-        // positions from one stream, so a noisy mix takes the loop, each
-        // kernel drawing from its own engine's stream; noiseless engines
-        // bind no stream and still ride.
-        let engines = || {
-            [1, 2].map(|seed| {
-                JtcEngine::new(JtcEngineConfig {
-                    noise_seed: seed,
-                    ..config.clone()
-                })
-                .unwrap()
-            })
-        };
-        let (set_engines, loop_engines) = (engines(), engines());
-        let mixed = |engines: &[JtcEngine; 2]| -> Vec<Arc<dyn PreparedConv1d>> {
-            kernels
-                .iter()
-                .enumerate()
-                .map(|(i, k)| engines[i % 2].prepare_kernel(k, SIGNAL_LEN).unwrap())
-                .collect()
-        };
-        let (set_preps, loop_preps) = (mixed(&set_engines), mixed(&loop_engines));
-        let tile = signal(SIGNAL_LEN, 3.0);
-        let shared = set_preps[0].prepare_signal(&tile).unwrap();
-        let set = refs(&set_preps);
-        let what = format!("{name} two engines");
-        let mut lanes = Vec::new();
-        let path = path_taken(|| lanes = set_call(&set, Some(&*shared), &tile, out_len, None));
-        let expect = if config.sensing_snr_db.is_some() {
-            Path::PerKernel
-        } else {
-            Path::Lanes
-        };
-        assert_eq!(path, expect, "{what}: path");
-        let looped = per_kernel(&refs(&loop_preps), &*shared, &tile);
-        assert_bits(&lanes, &looped, &what);
-        assert_eq!(
-            format!("{set_engines:?}"),
-            format!("{loop_engines:?}"),
-            "{what}"
+        // Kernels another engine prepared, run as a set whose lead is bound
+        // to this engine: every member rides on the lead's stream, in lanes.
+        check_lead_bound(
+            &format!("{name} two engines"),
+            &config,
+            &kernels,
+            &tiles(SIGNAL_LEN),
+            Transform::Lead,
+            Path::Lanes,
         );
 
         // A foreign member, first (the default body answers) and in the

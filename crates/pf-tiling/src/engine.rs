@@ -109,6 +109,12 @@ pub trait Conv1dEngine: Debug + Sync {
     /// unchanged (the default). A stochastic engine returns a kernel that
     /// reads the same deterministic preparation but draws from its **own**
     /// noise stream, exactly as if it had prepared the kernel itself.
+    ///
+    /// The tiled executor binds one kernel per stack run, the stack's lead:
+    /// a set call made on the bound lead
+    /// ([`PreparedConv1d::correlate_set_into`]) conditions every member of
+    /// the lead's own type on the lead's state, so the other members are
+    /// never bound.
     fn bind_prepared(&self, cached: Arc<dyn PreparedConv1d>) -> Arc<dyn PreparedConv1d> {
         cached
     }
@@ -231,16 +237,25 @@ pub trait PreparedConv1d: Any + Debug + Send + Sync {
     /// set to read; without it every member runs its own full chain.
     /// `acc`, when present, collects the stage split of the whole call.
     ///
+    /// A set call consumes **`self`'s** per-engine state (a noise stream),
+    /// in member order: members of `self`'s own type ride on that state,
+    /// whatever state they were bound to
+    /// ([`Conv1dEngine::bind_prepared`]), and foreign members answer on
+    /// their own terms. Engines without per-engine state see no difference:
+    /// their binding is the identity.
+    ///
     /// Must be **bit-identical**, output for output, to calling
     /// [`PreparedConv1d::correlate_with_signal`] (with `shared`) or
     /// [`PreparedConv1d::correlate_valid`] (without) on each member in
-    /// turn, and must consume any per-engine state (a noise stream) in that
-    /// same order. The default is exactly that loop, each output copied
-    /// into its slice; engines that can do better with the set in hand
-    /// override it (the JTC carries four kernels of a set through one
-    /// second lens, the digital engine keeps a block of a kernel's outputs
-    /// in registers) and fall back to the loop on a set they cannot batch — a
-    /// member of a foreign type, a transform they cannot read.
+    /// turn — each member of `self`'s type as bound to `self`'s state —
+    /// and must leave that state as the loop does. The default is exactly
+    /// the loop over the members as they are, each output copied into its
+    /// slice (a type with per-engine state overrides it); engines that can
+    /// do better with the set in hand override it (the JTC carries four
+    /// kernels of a set through one second lens, the digital engine keeps a
+    /// block of a kernel's outputs in registers) and fall back to the loop
+    /// on a set they cannot batch — a member of a foreign type, a transform
+    /// they cannot read.
     fn correlate_set_into(
         &self,
         set: &[&dyn PreparedConv1d],

@@ -35,13 +35,15 @@
 //!    keeps the set: the CNN executor one per layer, a batch the one it
 //!    prepared.
 //! 2. [`TiledConvolver::correlate2d_set`] runs a set against one input: it
-//!    binds the set's preparations to the calling engine
-//!    ([`Conv1dEngine::bind_prepared`] — one set can serve several engines
-//!    of one configuration through [`TiledConvolver::on`]),
-//!    cuts the signals, calls the engine and hands every output sample to
-//!    the caller's sink in maximal row-major runs: a tile of row tiling
-//!    whose rows are as long as the output's (`Wraparound` `same` layers)
-//!    leaves in one run per kernel, anything else one run per row. It runs
+//!    binds each stack's lead to the calling engine
+//!    ([`Conv1dEngine::bind_prepared`], once per stack run — the set call
+//!    made on the lead conditions every member on that engine's state, so
+//!    one set can serve several engines of one configuration through
+//!    [`TiledConvolver::on`]), cuts the signals, calls the engine and
+//!    hands every output sample to the caller's sink in maximal row-major
+//!    runs: a tile of row tiling whose rows are as long as the output's
+//!    (`Wraparound` `same` layers) leaves in one run per kernel, anything
+//!    else one run per row. It runs
 //!    exactly one of three strategy bodies — row tiling, partial row
 //!    tiling, row partitioning — the three genuinely different algorithms
 //!    of Section III. Output samples whose window hangs over the edge of a
@@ -188,8 +190,9 @@ impl Stack {
         }
     }
 
-    /// This stack for the length of one run, over its members `bound` to
-    /// the calling engine ([`Conv1dEngine::bind_prepared`]).
+    /// This stack for the length of one run, over its members as `bound`
+    /// for it: the lead bound to the calling engine
+    /// ([`Conv1dEngine::bind_prepared`]), the rest as the set holds them.
     fn run<'a>(&'a self, bound: &'a [&'a dyn PreparedConv1d]) -> Run<'a> {
         match self {
             Stack::Shared(_) => Run::Shared(bound),
@@ -455,10 +458,13 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
     /// grain and telemetry handle. `engine` must prepare kernels
     /// interchangeably with this convolver's own: the same configuration up
     /// to per-engine state such as a noise seed. A [`KernelSet`] either
-    /// prepared then runs on the other: every run binds the preparations to
-    /// its own engine ([`Conv1dEngine::bind_prepared`]), so a per-request
-    /// seeded engine running a set the host prepared pays for its noise
-    /// stream only, never for the deterministic preparations.
+    /// prepared then runs on the other: every stack run binds its lead to
+    /// its own engine ([`Conv1dEngine::bind_prepared`]) and the set call
+    /// made on that lead conditions every member on the lead's state
+    /// ([`PreparedConv1d::correlate_set_into`]), so a per-request seeded
+    /// engine running a set the host prepared pays for one binding per
+    /// stack run, never for the deterministic preparations, and draws every
+    /// member's noise from its own stream.
     ///
     /// # Errors
     ///
@@ -714,11 +720,11 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
     }
 
     /// Runs a prepared set against `input`: the half of a 2D convolution
-    /// that is all signal-side work. Cuts the tiles, binds the set's
-    /// preparations to this convolver's engine
-    /// ([`Conv1dEngine::bind_prepared`]), runs the one strategy body the
-    /// set was planned for and flushes the run's tallies into the
-    /// `tiling.*` counters.
+    /// that is all signal-side work. Cuts the tiles, binds each stack's
+    /// lead to this convolver's engine ([`Conv1dEngine::bind_prepared`],
+    /// one binding per stack run; the other members ride on the lead's
+    /// state), runs the one strategy body the set was planned for and
+    /// flushes the run's tallies into the `tiling.*` counters.
     ///
     /// Output goes to `emit(k, row, col, samples)`: `samples` are
     /// consecutive row-major elements of kernel `k`'s output plane
@@ -761,15 +767,25 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
             padded = pad_columns(input, set.pad.0, set.pad.1);
             &padded
         };
-        // Every stack's members bound to this engine, flat and in stack
-        // order; each stack's run takes its slice of the references.
-        let bound: Vec<Arc<dyn PreparedConv1d>> = set
+        // Each prepared stack's lead — the member its set call and signal
+        // transforms are made on — bound to this engine; the other members
+        // ride on the lead's state and are borrowed from the set as they
+        // are. Flat and in stack order; each stack's run takes its slice.
+        let leads: Vec<Arc<dyn PreparedConv1d>> = set
             .stacks
             .iter()
-            .flat_map(Stack::members)
-            .map(|member| self.engine.bind_prepared(Arc::clone(member)))
+            .filter_map(|stack| stack.members().first())
+            .map(|lead| self.engine.bind_prepared(Arc::clone(lead)))
             .collect();
-        let refs: Vec<&dyn PreparedConv1d> = bound.iter().map(|member| &**member).collect();
+        let total = set.stacks.iter().map(|stack| stack.members().len()).sum();
+        let mut refs: Vec<&dyn PreparedConv1d> = Vec::with_capacity(total);
+        let mut leads = leads.iter();
+        for members in set.stacks.iter().map(Stack::members) {
+            if let Some((_, rest)) = members.split_first() {
+                refs.push(&**leads.next().expect("one lead per prepared stack"));
+                refs.extend(rest.iter().map(|member| &**member));
+            }
+        }
         let mut rest = &refs[..];
         let runs: Vec<Run<'_>> = set
             .stacks

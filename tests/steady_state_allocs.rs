@@ -81,8 +81,12 @@ fn one_wide<T: Send>(f: impl FnOnce() -> T + Send) -> T {
 #[test]
 fn inference_allocates_the_same_call_over_call_after_warmup() {
     // Allocator calls per `run_inference` of one 1 x 16 x 16 image through
-    // the small CNN (34 kernel-set runs, 18 tiles, 544 1D convolutions):
-    // 87 / 150 / 449 since each layer's epilogue closes every output
+    // the small CNN (9 kernel-set runs — 1 for conv1, 8 for conv2 at
+    // `OUT_CHANNEL_CHUNK = 16` — 18 tiles, 544 1D convolutions):
+    // 87 / 150 / 168 on digital / `jtc_ideal` / CG (449 on CG while every
+    // run re-bound every prepared kernel to the request's stream and the
+    // CG signal DAC copied each row, then the batch). 87 / 150 / 449 since
+    // each layer's epilogue closes every output
     // channel in one pass into the output tensor, through one capacitor
     // bank and one digital sum per forward, and quantises the activations
     // straight into the planes the sets read (163 / 226 / 525 before: a
@@ -99,11 +103,12 @@ fn inference_allocates_the_same_call_over_call_after_warmup() {
     // per layer: the bound kernel list, the cut signals and their result
     // scratch, the signal transforms on the optical backends, what each
     // layer returns upward. The CG chain adds one re-bound kernel per
-    // prepared kernel per run (its own noise stream).
+    // stack run (the lead, on the request's noise stream) and one
+    // DAC-quantised signal buffer per transform batch.
     let recorded = [
         ("digital", BackendSpec::digital(256), 87u64),
         ("jtc_ideal", BackendSpec::jtc_ideal(256), 150),
-        ("photofourier_cg", BackendSpec::photofourier_cg(256), 449),
+        ("photofourier_cg", BackendSpec::photofourier_cg(256), 168),
     ];
 
     for (name, backend, recorded) in recorded {
