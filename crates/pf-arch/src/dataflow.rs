@@ -181,6 +181,19 @@ mod tests {
         assert!(s.total_cycles > 0);
         assert_eq!(s.active_weight_dacs, 25);
         assert_eq!(s.active_input_waveguides, 4 * 56);
+        // The Fourier-plane sample-and-hold (Section IV-A) overlaps the two
+        // halves of the JTC: one extra cycle to fill the pipeline instead of
+        // two cycles per issued convolution.
+        let issue_cycles = s.plan.convs_per_output_plane as u64
+            * s.channel_iterations as u64
+            * s.filter_groups as u64;
+        assert_eq!(s.total_cycles, issue_cycles + 1);
+        let unpipelined = ArchConfig {
+            pipelined: false,
+            ..cfg
+        };
+        let u = LayerSchedule::new(&spec(64, 64, 3, 1, 56), &unpipelined).unwrap();
+        assert_eq!(u.total_cycles, 2 * issue_cycles);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use pf_baselines::published::{prior_photonic_accelerators, CROSSLIGHT_ENERGY_PER
 use pf_baselines::AcceleratorModel;
 use pf_dsp::conv::Matrix;
 use pf_jtc::correlator::JtcSimulator;
-use pf_jtc::temporal::{accumulate_quantized_per_cycle, accumulate_with_depth};
+use pf_jtc::temporal::accumulate_quantized_per_cycle;
 use pf_nn::dataset::{DatasetConfig, SyntheticDataset};
 use pf_nn::executor::{PipelineConfig, ReferenceExecutor, TiledExecutor};
 use pf_nn::fidelity::{evaluate_network, FidelityConfig, FidelityReport};
@@ -23,6 +23,7 @@ use pf_nn::models::small::SmallCnn;
 use pf_nn::models::{comparison_suite, paper_benchmark_suite, NetworkSpec};
 use pf_nn::train::{accuracy, train_linear_probe, TrainConfig};
 use pf_photonics::adc::Adc;
+use pf_photonics::temporal::accumulate_with_depth;
 use pf_tiling::{tile_input_rows, tile_kernel, DigitalEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

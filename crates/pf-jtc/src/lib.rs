@@ -1,5 +1,5 @@
-//! Functional simulation of the on-chip Joint Transform Correlator (JTC) and
-//! the PhotoFourier Compute Unit (PFCU).
+//! Functional simulation of the on-chip Joint Transform Correlator (JTC), the
+//! optics of a PhotoFourier Compute Unit (PFCU).
 //!
 //! A JTC computes the cross-correlation of two signals placed side by side on
 //! its input plane using nothing but two Fourier lenses and a square-law
@@ -27,13 +27,12 @@
 //!   through the row-tiling cache, every image of a batch), plus
 //!   [`prepared::SignalSpectrum`] — a signal tile's first-lens transform
 //!   computed once and replayed against many prepared kernels;
-//! * [`pfcu::Pfcu`] — the hardware-shaped wrapper (256 input waveguides, 25
-//!   weight waveguides, two pipeline stages); only `tests/end_to_end.rs` and
-//!   the facade's re-export use it, and its `cycles_for` repeats the
-//!   pipelined rule of `pf_arch::dataflow::LayerSchedule`;
-//! * [`temporal::TemporalAccumulator`] — analog partial-sum accumulation at
-//!   the photodetector (Section V-C), the optimisation that restores 8-bit
-//!   ADC accuracy and cuts ADC power 16×.
+//! * [`temporal::accumulate_quantized_per_cycle`] — the per-cycle ADC
+//!   baseline of Figure 7. Temporal accumulation itself (Section V-C: analog
+//!   partial sums on the output-plane capacitor, one ADC read-out per 16
+//!   cycles) is [`pf_photonics::temporal::TemporalAccumulator`] and
+//!   [`pf_photonics::temporal::accumulate_with_depth`], the loop the CNN
+//!   executor runs.
 //!
 //! # Examples
 //!
@@ -57,13 +56,10 @@
 pub mod correlator;
 pub mod engine;
 pub mod error;
-pub mod pfcu;
 pub mod prepared;
 pub mod temporal;
 
 pub use correlator::{JtcOutput, JtcSimulator};
 pub use engine::{JtcEngine, JtcEngineConfig};
 pub use error::JtcError;
-pub use pfcu::{Pfcu, PfcuConfig};
 pub use prepared::{PreparedKernel, PreparedSpectrum, SignalSpectrum};
-pub use temporal::TemporalAccumulator;

@@ -1,20 +1,21 @@
 //! Temporal accumulation (Section V-C).
 //!
-//! The capacitor bank and its accumulation loop — [`TemporalAccumulator`],
-//! [`accumulate_with_depth`] — live in [`pf_photonics::temporal`], next to
-//! the ADC they read out through, so that the CNN executor runs the same
-//! loop; they are re-exported here. What this module adds is their
+//! The capacitor bank and its accumulation loop —
+//! [`pf_photonics::temporal::TemporalAccumulator`],
+//! [`pf_photonics::temporal::accumulate_with_depth`] — live in
+//! [`pf_photonics::temporal`], next to the ADC they read out through, so that
+//! the CNN executor runs the same loop. What this module adds is their
 //! counterpart [`accumulate_quantized_per_cycle`], the baseline that
 //! quantises every cycle, so Figure 7 can be regenerated by comparing the
 //! two.
 
 use pf_photonics::adc::{peak_magnitude, Adc};
-pub use pf_photonics::temporal::{accumulate_with_depth, TemporalAccumulator};
 
 /// Baseline behaviour without temporal accumulation: every cycle's partial
 /// sums are quantised by the ADC and accumulated digitally. Returns the final
 /// digital sums. `full_scale` has the same meaning as in
-/// [`TemporalAccumulator::read_out`], applied per cycle.
+/// [`pf_photonics::temporal::TemporalAccumulator::read_out`], applied per
+/// cycle.
 pub fn accumulate_quantized_per_cycle(
     cycles: &[Vec<f64>],
     adc: &Adc,
@@ -38,6 +39,7 @@ pub fn accumulate_quantized_per_cycle(
 mod tests {
     use super::*;
     use pf_dsp::util::relative_l2_error;
+    use pf_photonics::temporal::{accumulate_with_depth, TemporalAccumulator};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

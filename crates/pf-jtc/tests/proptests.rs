@@ -7,8 +7,8 @@ use pf_dsp::util::max_abs_diff;
 use pf_jtc::correlator::JtcSimulator;
 use pf_jtc::engine::{JtcEngine, JtcEngineConfig};
 use pf_jtc::prepared::PreparedSpectrum;
-use pf_jtc::temporal::{accumulate_with_depth, TemporalAccumulator};
 use pf_photonics::adc::Adc;
+use pf_photonics::temporal::{accumulate_with_depth, TemporalAccumulator};
 use proptest::prelude::*;
 
 fn signal_strategy(max_len: usize) -> impl Strategy<Value = Vec<f64>> {

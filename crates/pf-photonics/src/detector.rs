@@ -1,13 +1,12 @@
-//! Photodetector model with square-law detection, charge accumulation and
-//! dark-current noise.
+//! Photodetector model with square-law detection and dark-current noise.
 //!
 //! Photodetectors appear twice in a PFCU: in the Fourier plane, where their
 //! square-law response implements the non-linearity the JTC needs, and at the
 //! output plane, where they read the convolution result. The output-plane
-//! detectors additionally implement **temporal accumulation** (Section V-C):
-//! charge from up to 16 consecutive cycles is integrated on a capacitor
-//! before a single ADC read-out, which keeps partial-sum accumulation at full
-//! precision and cuts ADC power 16×.
+//! detectors' integration capacitor — **temporal accumulation** (Section
+//! V-C): charge from up to 16 consecutive cycles summed before a single ADC
+//! read-out — is [`crate::temporal::TemporalAccumulator`], the bank the CNN
+//! executor runs.
 //!
 //! [`SensingNoise`] is the read-out noise of those detectors as the
 //! accuracy experiments model it: additive zero-mean Gaussian noise at a
@@ -39,9 +38,6 @@ pub struct DetectorConfig {
     /// Dark current in nanoamperes — sets the noise floor and hence the SNR
     /// the laser power budget must maintain (the paper targets > 20 dB).
     pub dark_current_na: f64,
-    /// Maximum number of cycles the integration capacitor can accumulate
-    /// before it must be read out (the temporal accumulation depth limit).
-    pub max_accumulation_depth: usize,
 }
 
 impl Default for DetectorConfig {
@@ -49,17 +45,14 @@ impl Default for DetectorConfig {
         Self {
             responsivity_a_per_w: 1.0,
             dark_current_na: 10.0,
-            max_accumulation_depth: 16,
         }
     }
 }
 
-/// A square-law photodetector with an integration capacitor.
+/// A square-law photodetector.
 #[derive(Debug, Clone)]
 pub struct Photodetector {
     config: DetectorConfig,
-    accumulated: f64,
-    cycles_accumulated: usize,
 }
 
 impl Photodetector {
@@ -67,8 +60,8 @@ impl Photodetector {
     ///
     /// # Errors
     ///
-    /// Returns an error if the responsivity is not positive, the dark current
-    /// is negative, or the accumulation depth is zero.
+    /// Returns an error if the responsivity is not positive or the dark
+    /// current is negative.
     pub fn new(config: DetectorConfig) -> Result<Self, PhotonicsError> {
         if config.responsivity_a_per_w <= 0.0 {
             return Err(PhotonicsError::InvalidParameter {
@@ -84,18 +77,7 @@ impl Photodetector {
                 requirement: "must be non-negative",
             });
         }
-        if config.max_accumulation_depth == 0 {
-            return Err(PhotonicsError::InvalidParameter {
-                name: "max_accumulation_depth",
-                value: 0.0,
-                requirement: "must be at least 1",
-            });
-        }
-        Ok(Self {
-            config,
-            accumulated: 0.0,
-            cycles_accumulated: 0,
-        })
+        Ok(Self { config })
     }
 
     /// Creates a detector with the default configuration.
@@ -119,42 +101,6 @@ impl Photodetector {
     /// Converts an optical *intensity* directly to photocurrent.
     pub fn detect_intensity(&self, intensity: f64) -> f64 {
         self.config.responsivity_a_per_w * intensity
-    }
-
-    /// Accumulates one cycle worth of photocurrent on the integration
-    /// capacitor (temporal accumulation).
-    ///
-    /// Returns the number of cycles accumulated so far.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the capacitor already holds
-    /// `max_accumulation_depth` cycles; the caller must [`Photodetector::read_out`]
-    /// first.
-    pub fn accumulate(&mut self, photocurrent: f64) -> Result<usize, PhotonicsError> {
-        if self.cycles_accumulated >= self.config.max_accumulation_depth {
-            return Err(PhotonicsError::InvalidParameter {
-                name: "cycles_accumulated",
-                value: self.cycles_accumulated as f64,
-                requirement: "accumulation capacitor is full; read_out() before accumulating more",
-            });
-        }
-        self.accumulated += photocurrent;
-        self.cycles_accumulated += 1;
-        Ok(self.cycles_accumulated)
-    }
-
-    /// Reads the accumulated charge and resets the capacitor.
-    pub fn read_out(&mut self) -> f64 {
-        let v = self.accumulated;
-        self.accumulated = 0.0;
-        self.cycles_accumulated = 0;
-        v
-    }
-
-    /// Number of cycles currently integrated on the capacitor.
-    pub fn cycles_accumulated(&self) -> usize {
-        self.cycles_accumulated
     }
 
     /// Signal-to-noise ratio in dB of a signal level against the dark
@@ -501,11 +447,6 @@ mod tests {
             ..Default::default()
         };
         assert!(Photodetector::new(bad).is_err());
-        let bad = DetectorConfig {
-            max_accumulation_depth: 0,
-            ..Default::default()
-        };
-        assert!(Photodetector::new(bad).is_err());
         assert!(Photodetector::new(DetectorConfig::default()).is_ok());
     }
 
@@ -526,45 +467,6 @@ mod tests {
         })
         .unwrap();
         assert_eq!(pd.detect_amplitude(2.0), 2.0);
-    }
-
-    #[test]
-    fn accumulation_sums_then_resets() {
-        let mut pd = Photodetector::with_defaults();
-        for i in 1..=5 {
-            assert_eq!(pd.accumulate(1.0).unwrap(), i);
-        }
-        assert_eq!(pd.cycles_accumulated(), 5);
-        assert_eq!(pd.read_out(), 5.0);
-        assert_eq!(pd.cycles_accumulated(), 0);
-        assert_eq!(pd.read_out(), 0.0);
-    }
-
-    #[test]
-    fn accumulation_depth_is_enforced() {
-        let mut pd = Photodetector::new(DetectorConfig {
-            max_accumulation_depth: 2,
-            ..Default::default()
-        })
-        .unwrap();
-        pd.accumulate(1.0).unwrap();
-        pd.accumulate(1.0).unwrap();
-        assert!(pd.accumulate(1.0).is_err());
-        pd.read_out();
-        assert!(pd.accumulate(1.0).is_ok());
-    }
-
-    #[test]
-    fn accumulation_is_full_precision() {
-        // The whole point of temporal accumulation: the analog sum equals the
-        // exact sum with no intermediate quantization.
-        let mut pd = Photodetector::with_defaults();
-        let values = [0.001, 0.5, 1.7, 0.03, 0.9];
-        for &v in &values {
-            pd.accumulate(v).unwrap();
-        }
-        let expected: f64 = values.iter().sum();
-        assert!((pd.read_out() - expected).abs() < 1e-15);
     }
 
     #[test]

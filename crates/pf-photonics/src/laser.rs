@@ -143,7 +143,6 @@ mod tests {
         let detector = Photodetector::new(DetectorConfig {
             responsivity_a_per_w: 1.0,
             dark_current_na: 10.0,
-            max_accumulation_depth: 16,
         })
         .unwrap();
         let laser = Laser::photofourier_default(256).unwrap();

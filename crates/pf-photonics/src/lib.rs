@@ -8,8 +8,9 @@
 //! * micro-ring resonator modulators ([`mrr::Mrr`]) that imprint activation /
 //!   weight values on the optical carriers,
 //! * photodetectors ([`detector::Photodetector`]) that square-law detect the
-//!   field, accumulate charge for *temporal accumulation* and add
-//!   dark-current noise,
+//!   field and add dark-current noise, and the capacitor bank behind them
+//!   ([`temporal::TemporalAccumulator`]) that integrates partial sums for
+//!   *temporal accumulation*,
 //! * DACs ([`dac::Dac`]) and ADCs ([`adc::Adc`]) performing the costly
 //!   E-O / O-E conversions the architecture tries to minimise,
 //! * lasers, on-chip lenses, splitters and waveguides that set the optical

@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::units::{Gigahertz, Milliwatts, SquareMicrons};
+use crate::units::{Gigahertz, SquareMicrons};
 
 /// CMOS technology node assumed by a design point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -234,26 +234,6 @@ impl TechConfig {
             });
         }
         Ok(self)
-    }
-
-    /// ADC power as a [`Milliwatts`] quantity.
-    pub fn adc_power(&self) -> Milliwatts {
-        Milliwatts(self.adc_power_mw)
-    }
-
-    /// DAC power as a [`Milliwatts`] quantity.
-    pub fn dac_power(&self) -> Milliwatts {
-        Milliwatts(self.dac_power_mw)
-    }
-
-    /// MRR power as a [`Milliwatts`] quantity.
-    pub fn mrr_power(&self) -> Milliwatts {
-        Milliwatts(self.mrr_power_mw)
-    }
-
-    /// Photonic clock as a typed frequency.
-    pub fn photonic_clock(&self) -> Gigahertz {
-        Gigahertz(self.photonic_clock_ghz)
     }
 
     /// Effective ADC/CMOS read-out frequency after temporal accumulation.

@@ -45,18 +45,6 @@ proptest! {
     }
 
     #[test]
-    fn detector_accumulation_is_linear(
-        currents in prop::collection::vec(0.0f64..10.0, 1..16),
-    ) {
-        let mut pd = Photodetector::with_defaults();
-        for &c in &currents {
-            pd.accumulate(c).unwrap();
-        }
-        let expected: f64 = currents.iter().sum();
-        prop_assert!((pd.read_out() - expected).abs() < 1e-12);
-    }
-
-    #[test]
     fn snr_increases_with_signal(
         signal_a in 1.0f64..1e6,
         factor in 1.1f64..100.0,

@@ -486,44 +486,6 @@ impl PreparedConv1d for SparseKernel {
     }
 }
 
-impl<E: Conv1dEngine + ?Sized> Conv1dEngine for &E {
-    fn correlate_valid(&self, signal: &[f64], kernel: &[f64]) -> Vec<f64> {
-        (**self).correlate_valid(signal, kernel)
-    }
-
-    fn max_signal_len(&self) -> Option<usize> {
-        (**self).max_signal_len()
-    }
-
-    fn is_deterministic(&self) -> bool {
-        (**self).is_deterministic()
-    }
-
-    fn prefers_parallel_tiles(&self) -> bool {
-        (**self).prefers_parallel_tiles()
-    }
-
-    fn prepares_kernels(&self) -> bool {
-        (**self).prepares_kernels()
-    }
-
-    fn prepare_kernel(&self, kernel: &[f64], signal_len: usize) -> Option<Arc<dyn PreparedConv1d>> {
-        (**self).prepare_kernel(kernel, signal_len)
-    }
-
-    fn prepare_kernels(
-        &self,
-        kernels: &[&[f64]],
-        signal_len: usize,
-    ) -> Vec<Option<Arc<dyn PreparedConv1d>>> {
-        (**self).prepare_kernels(kernels, signal_len)
-    }
-
-    fn bind_prepared(&self, cached: Arc<dyn PreparedConv1d>) -> Arc<dyn PreparedConv1d> {
-        (**self).bind_prepared(cached)
-    }
-}
-
 #[cfg(test)]
 mod digital_oracle;
 

@@ -151,7 +151,6 @@ pub mod prelude {
     pub use pf_dsp::conv::{conv1d, correlate1d, correlate2d, Matrix, PaddingMode};
     pub use pf_jtc::correlator::JtcSimulator;
     pub use pf_jtc::engine::{JtcEngine, JtcEngineConfig};
-    pub use pf_jtc::pfcu::{Pfcu, PfcuConfig};
     pub use pf_nn::executor::{PipelineConfig, ReferenceExecutor, TiledExecutor};
     pub use pf_nn::models::cifar::{crosslight_cnn, resnet_s};
     pub use pf_nn::models::imagenet::{alexnet, resnet18, resnet34, resnet50, vgg16};

@@ -59,19 +59,26 @@ fn scenario_file_yields_functional_and_analytical_results() {
     assert_eq!(perf.layers.len(), session.network().num_conv_layers());
 }
 
-/// The PFCU hardware model (256 waveguides, 25 weight DACs, pipelined) can
-/// execute a row-tiled CNN layer end to end and stays close to the digital
-/// result even with its capacity constraints. (Sub-facade APIs stay public.)
+/// One PFCU's optics (256 input waveguides, ideal numerics) executes a
+/// row-tiled CNN layer end to end through a `Session` and matches the
+/// digital result: a 5×5 kernel, the 25 taps the PFCU has weight DACs for,
+/// and a 7×7 kernel (49 taps, ResNet's `conv1`) over that limit.
 #[test]
 fn pfcu_executes_row_tiled_layer() {
-    let pfcu = Pfcu::photofourier_default();
-    let convolver = TiledConvolver::new(&pfcu, 256).unwrap();
+    let session = session("resnet18", BackendSpec::jtc_ideal(256));
     let input = Matrix::new(16, 16, (0..256).map(|i| ((i % 7) as f64) / 7.0).collect()).unwrap();
-    let kernel = Matrix::new(5, 5, (0..25).map(|i| (i as f64) / 50.0).collect()).unwrap();
-    let out = convolver.correlate2d_valid(&input, &kernel).unwrap();
-    let reference = correlate2d(&input, &kernel, PaddingMode::Valid);
-    assert_eq!(out.rows(), reference.rows());
-    assert!(max_abs_diff(out.data(), reference.data()) < 1e-6);
+    for k in [5, 7] {
+        let taps = k * k;
+        let kernel = Matrix::new(k, k, (0..taps).map(|i| (i as f64) / 50.0).collect()).unwrap();
+        let out = session.conv2d(&input, &kernel).unwrap();
+        let reference = correlate2d(&input, &kernel, PaddingMode::Valid);
+        assert_eq!(
+            (out.rows(), out.cols()),
+            (reference.rows(), reference.cols())
+        );
+        let diff = max_abs_diff(out.data(), reference.data());
+        assert!(diff < 1e-6, "{k}x{k} kernel: max |diff| {diff}");
+    }
 }
 
 /// Full CNN-layer execution through the photonic pipeline with the paper's
