@@ -46,8 +46,10 @@
 //!   output plane is real — runs the second lens as the DCT-I of those
 //!   samples through **one quarter-length complex transform** (`n/4`
 //!   points: 60 for the 240-point plane, 250 for the 1000-point one),
-//!   written out over the lobe's bins alone as plain `f64`s, and reads
-//!   every lobe out. Width one is not a special case: a lone kernel
+//!   written out over the lobe's bins alone as plain `f64`s — over the
+//!   top of it, when a caller asks for the first samples only and no ADC
+//!   or sensing noise reads the whole lobe — and reads every lobe out.
+//!   Width one is not a special case: a lone kernel
 //!   ([`PreparedSpectrum::correlate`],
 //!   [`PreparedSpectrum::correlate_spectrum`], the tail of a set of
 //!   `4k + 1`) is the body over `f64`
@@ -87,6 +89,7 @@
 
 use std::any::Any;
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::ops::RangeInclusive;
 use std::sync::Arc;
 
@@ -569,8 +572,9 @@ impl PreparedSpectrum {
     }
 
     /// The body of [`PreparedSpectrum::correlate_spectrum`]: the entry
-    /// checks, then a block of one, read out into `out`
-    /// ([`PreparedSpectrum::corr_len`] samples). `acc` chains stage
+    /// checks, then a block of one, its first `out.len()` lobe samples
+    /// (`0 < out.len() <= corr_len` for a kernel no longer than the
+    /// signal) read out into `out`. `acc` chains stage
     /// boundaries on the caller's accumulator, so a caller that already
     /// marked earlier stages pays no extra clock reads at the hand-off
     /// boundary (the entry checks fall into `spectrum_apply`). `read_out`
@@ -612,13 +616,17 @@ impl PreparedSpectrum {
     /// (`I[n-k] = I[k]`): only samples `0..=n/2` are stored, the transform
     /// reads the mirror half. `inverse`: the second lens, evaluated only
     /// where it is read — the valid window of the correlation lobe lives at
-    /// output-plane bins `d-len+1..=d`, all within the half spectrum
+    /// output-plane bins `d-corr_len+1..=d`, all within the half spectrum
     /// (`d < n/2` by construction) and the only bins the geometry keeps
-    /// alias-free. Every kernel's lobe is then read out by its `read_outs`
-    /// entry (lobe sample `j` is bin `d - j`, the double-transform gain of
-    /// N normalised away) straight into its slice of `out`, kernel-major,
-    /// and its sum of squares returned, in kernel order. A kernel's samples
-    /// are, bit for bit, what a block of that kernel alone computes.
+    /// alias-free, and of those only the top `len = out.len() /
+    /// read_outs.len()` are evaluated (`0 < len <= corr_len`): the first
+    /// `len` lobe samples, which the lens' read-out from the top down
+    /// computes bit for bit as it does on the way to the whole lobe. Every
+    /// kernel's samples are then read out by its `read_outs` entry (lobe
+    /// sample `j` is bin `d - j`, the double-transform gain of N normalised
+    /// away) straight into its slice of `out`, kernel-major, and their sum
+    /// of squares returned, in kernel order. A kernel's samples are, bit
+    /// for bit, what a block of that kernel alone computes.
     ///
     /// The two O(n) passes around the lens run the whole block at once:
     /// [`joint_power`] gathers a bin's kernel values side by side, and
@@ -644,10 +652,11 @@ impl PreparedSpectrum {
         let first = block[0];
         let kernels: [&[Complex]; LANES] =
             std::array::from_fn(|l| &*block[l.min(block.len() - 1)].kernel_half_spec);
+        let len = out.len() / read_outs.len();
         with_spectrum_scratch(|s| {
             W::joint_power(signal_half, &kernels, W::intensity(s));
             mark(acc, Stage::SpectrumApply);
-            let lobes = W::second_lens(&first.plan, s, first.lobe_bins())?;
+            let lobes = W::second_lens(&first.plan, s, first.lobe_prefix(len))?;
             let sums = W::read_lobes(lobes, 1.0 / first.n as f64, read_outs, out);
             mark(acc, Stage::Inverse);
             Ok(sums)
@@ -660,9 +669,12 @@ impl PreparedSpectrum {
         (self.signal_len + 1).saturating_sub(self.kernel_len)
     }
 
-    /// The output-plane bins of the correlation lobe, ascending.
-    fn lobe_bins(&self) -> RangeInclusive<usize> {
-        self.d + 1 - self.corr_len()..=self.d
+    /// The output-plane bins of the first `len` samples of the
+    /// correlation lobe (`0 < len <= corr_len`), ascending: lobe sample `j`
+    /// is bin `d - j`, so a prefix is the top of the lobe.
+    fn lobe_prefix(&self, len: usize) -> RangeInclusive<usize> {
+        debug_assert!(0 < len && len <= self.corr_len(), "a prefix of the lobe");
+        self.d + 1 - len..=self.d
     }
 
     /// Whether `other` lays its joint input plane out exactly as `self`
@@ -762,6 +774,53 @@ fn dac_row_into(dac: &Dac, values: &[f64], out: &mut Vec<f64>) -> f64 {
             .map(|&v| dac.generate(v.abs() / max_abs) * v.signum()),
     );
     max_abs
+}
+
+thread_local! {
+    /// Whole lobes of a block whose read-out ranges over the lobe, when the
+    /// caller asked for prefixes ([`read_prefixes`]); grown once per thread
+    /// and reused.
+    static WHOLE_LOBES: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+}
+
+/// Hands `out` — `count` kernels' first `len = out.len() / count` samples
+/// each, kernel-major, `len <= corr_len` — the prefixes of their lobes, as
+/// `body` reads and conditions them into the buffer it is given (one lobe
+/// prefix per kernel, kernel-major, of `buffer.len() / count` samples):
+///
+/// * a read-out that depends on the whole lobe (`whole`: an ADC full
+///   scale, a noise RMS, noise positions reserved per lobe) runs on whole
+///   lobes in this thread's buffer, and each prefix is copied out, so no
+///   value, no noise position and no allocation of a warm thread moves;
+/// * any other read-out is per sample: `body` evaluates only the prefixes,
+///   straight into `out`, and an empty prefix asks for nothing.
+///
+/// A whole request (`len == corr_len`) always goes straight into `out`.
+fn read_prefixes(
+    out: &mut [f64],
+    count: usize,
+    corr_len: usize,
+    whole: bool,
+    body: impl FnOnce(&mut [f64]) -> Result<(), JtcError>,
+) -> Result<(), JtcError> {
+    let len = out.len() / count.max(1);
+    if len == corr_len || (!whole && len > 0) {
+        return body(out);
+    }
+    if !whole {
+        return Ok(());
+    }
+    let mut lobes = WHOLE_LOBES.take();
+    lobes.clear();
+    lobes.resize(count * corr_len, 0.0);
+    let read = body(&mut lobes);
+    if read.is_ok() && len > 0 {
+        for (prefix, lobe) in out.chunks_exact_mut(len).zip(lobes.chunks_exact(corr_len)) {
+            prefix.copy_from_slice(&lobe[..len]);
+        }
+    }
+    WHOLE_LOBES.set(lobes);
+    read
 }
 
 impl PreparedKernel {
@@ -886,9 +945,9 @@ impl PreparedKernel {
         self.chain(noise, signal, out, acc)
     }
 
-    /// The shared-signal chain on this engine's own transform type, into
-    /// `out` ([`PreparedSpectrum::corr_len`] samples), drawing sensing
-    /// noise from `noise`.
+    /// The shared-signal chain on this engine's own transform type, the
+    /// first `out.len()` samples of its correlation into `out`
+    /// ([`read_prefixes`]), drawing sensing noise from `noise`.
     fn chain_shared(
         &self,
         noise: Option<&mut SensingNoise>,
@@ -896,15 +955,27 @@ impl PreparedKernel {
         out: &mut [f64],
         mut acc: Option<&mut StageAcc>,
     ) -> Result<(), JtcError> {
-        let sum_sq = self.spectrum.correlate_spectrum_acc(
-            &shared.spectrum,
-            self.read_out(shared.s_scale, noise.is_some()),
-            out,
-            acc.as_deref_mut(),
-        )?;
-        Self::condition(noise, [self], [out], [sum_sq]);
-        mark(&mut acc, Stage::DacAdc);
-        Ok(())
+        let whole = self.reads_whole_lobe(noise.is_some());
+        read_prefixes(out, 1, self.spectrum.corr_len(), whole, |lobe| {
+            let sum_sq = self.spectrum.correlate_spectrum_acc(
+                &shared.spectrum,
+                self.read_out(shared.s_scale, noise.is_some()),
+                lobe,
+                acc.as_deref_mut(),
+            )?;
+            Self::condition(noise, [self], [lobe], [sum_sq]);
+            mark(&mut acc, Stage::DacAdc);
+            Ok(())
+        })
+    }
+
+    /// Whether this kernel's read-out depends on its whole lobe, under
+    /// sensing noise when `noisy`: the ADC's full scale is the lobe's
+    /// peak, the noise level its RMS and the noise positions are reserved
+    /// per lobe. Without either a sample is read out on its own, and a
+    /// prefix of the lobe is the read-out of the prefix's bins.
+    fn reads_whole_lobe(&self, noisy: bool) -> bool {
+        noisy || self.adc.is_some()
     }
 
     /// The one body of the shared-signal chain for a whole kernel set that
@@ -915,13 +986,16 @@ impl PreparedKernel {
     /// `noise` — the set caller's stream, locked once for the whole call —
     /// ([`PreparedKernel::condition`]: its noise positions reserved **in
     /// kernel order**), so the stream is consumed exactly as the per-kernel
-    /// chain of each member bound to it consumes it. Stages are marked
-    /// once per block. A block of one — a set of one kernel, the
-    /// tail of a set of `4k + 1` — runs at width 1
+    /// chain of each member bound to it consumes it. Each kernel gets the
+    /// first `out.len() / set.len()` samples of its lobe
+    /// ([`read_prefixes`], decided per block: whole lobes if any of its
+    /// kernels [reads its whole lobe](PreparedKernel::reads_whole_lobe)).
+    /// Stages are marked once per block. A block of one — a set of one
+    /// kernel, the tail of a set of `4k + 1` — runs at width 1
     /// ([`PreparedKernel::chain_shared`]): a whole lane transform for one
     /// lobe costs more than the one-signal instantiation (single-kernel
     /// partial tiling ran 20–29 % slower through lanes). Nothing here
-    /// allocates.
+    /// allocates once this thread's whole-lobe buffer has grown.
     fn chain_set(
         set: &[&dyn PreparedConv1d],
         shared: &SharedSignal,
@@ -929,12 +1003,17 @@ impl PreparedKernel {
         out: &mut [f64],
         mut acc: Option<&mut StageAcc>,
     ) {
-        let len = Self::of(set[0])
+        let corr_len = Self::of(set[0])
             .expect("lane_set cleared every member")
             .spectrum
             .corr_len();
-        assert_eq!(out.len(), set.len() * len, "one lobe per kernel of the set");
-        for (block, out) in set.chunks(LANES).zip(out.chunks_mut(LANES * len)) {
+        let len = out.len() / set.len();
+        assert!(
+            len <= corr_len && out.len() == set.len() * len,
+            "a prefix of one lobe per kernel of the set"
+        );
+        for (b, block) in set.chunks(LANES).enumerate() {
+            let out = &mut out[b * LANES * len..][..block.len() * len];
             if let [lone] = block {
                 let lone = Self::of(*lone).expect("lane_set cleared every member");
                 lone.chain_shared(noise.as_deref_mut(), shared, out, acc.as_deref_mut())
@@ -948,19 +1027,23 @@ impl PreparedKernel {
             });
             let spectra = kernels.map(|k| &*k.spectrum);
             let read_outs = kernels.map(|k| k.read_out(shared.s_scale, noise.is_some()));
-            let sums = PreparedSpectrum::finish_block::<[f64; LANES]>(
-                &spectra[..block.len()],
-                &shared.spectrum.half_spec,
-                &read_outs[..block.len()],
-                out,
-                &mut acc,
-            )
+            let whole = kernels.iter().any(|k| k.reads_whole_lobe(noise.is_some()));
+            read_prefixes(out, block.len(), corr_len, whole, |lobes| {
+                let sums = PreparedSpectrum::finish_block::<[f64; LANES]>(
+                    &spectra[..block.len()],
+                    &shared.spectrum.half_spec,
+                    &read_outs[..block.len()],
+                    lobes,
+                    &mut acc,
+                )?;
+                // A short block's idle lanes condition empty slices: nothing.
+                let mut slices = lobes.chunks_exact_mut(lobes.len() / block.len());
+                let slices = std::array::from_fn(|_| slices.next().unwrap_or(&mut []));
+                Self::condition(noise.as_deref_mut(), kernels, slices, sums);
+                mark(&mut acc, Stage::DacAdc);
+                Ok(())
+            })
             .expect("lane_set cleared the geometry");
-            // A short block's idle lanes condition empty slices: nothing.
-            let mut slices = out.chunks_exact_mut(len);
-            let slices = std::array::from_fn(|_| slices.next().unwrap_or(&mut []));
-            Self::condition(noise.as_deref_mut(), kernels, slices, sums);
-            mark(&mut acc, Stage::DacAdc);
         }
     }
 
@@ -1455,7 +1538,12 @@ mod tests {
                 let mut lobes = Vec::new();
                 first
                     .plan
-                    .forward_real_bins_lanes(&lanes, first.lobe_bins(), &mut work, &mut lobes)
+                    .forward_real_bins_lanes(
+                        &lanes,
+                        first.lobe_prefix(first.corr_len()),
+                        &mut work,
+                        &mut lobes,
+                    )
                     .unwrap();
                 for noisy in [false, true] {
                     let read_outs: Vec<ReadOut> = (0..live)

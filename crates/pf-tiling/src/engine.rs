@@ -229,13 +229,15 @@ pub trait PreparedConv1d: Any + Debug + Send + Sync {
     }
 
     /// Correlates one signal against a whole set of prepared kernels —
-    /// every kernel of one stack, `self` among them, all producing outputs
-    /// of one length `corr_len` — writing them into `out` kernel-major:
-    /// kernel `k`'s samples at `k * corr_len`, `out` exactly
-    /// `set.len() * corr_len` long. `shared` is the signal's transform
-    /// when a member's [`PreparedConv1d::prepare_signal`] took one for the
-    /// set to read; without it every member runs its own full chain.
-    /// `acc`, when present, collects the stage split of the whole call.
+    /// every kernel of one stack, `self` among them, all producing valid
+    /// correlations of one length `corr_len` — writing the first
+    /// `len = out.len() / set.len()` samples of each (`len <= corr_len`:
+    /// a caller asks only for the samples it reads) into `out`
+    /// kernel-major: kernel `k`'s prefix at `k * len`. `shared` is the
+    /// signal's transform when a member's
+    /// [`PreparedConv1d::prepare_signal`] took one for the set to read;
+    /// without it every member runs its own full chain. `acc`, when
+    /// present, collects the stage split of the whole call.
     ///
     /// A set call consumes **`self`'s** per-engine state (a noise stream),
     /// in member order: members of `self`'s own type ride on that state,
@@ -244,13 +246,16 @@ pub trait PreparedConv1d: Any + Debug + Send + Sync {
     /// their own terms. Engines without per-engine state see no difference:
     /// their binding is the identity.
     ///
-    /// Must be **bit-identical**, output for output, to calling
-    /// [`PreparedConv1d::correlate_with_signal`] (with `shared`) or
-    /// [`PreparedConv1d::correlate_valid`] (without) on each member in
-    /// turn — each member of `self`'s type as bound to `self`'s state —
-    /// and must leave that state as the loop does. The default is exactly
-    /// the loop over the members as they are, each output copied into its
-    /// slice (a type with per-engine state overrides it); engines that can
+    /// Must be **bit-identical**, output for output, to the first `len`
+    /// samples of calling [`PreparedConv1d::correlate_with_signal`] (with
+    /// `shared`) or [`PreparedConv1d::correlate_valid`] (without) on each
+    /// member in turn — each member of `self`'s type as bound to `self`'s
+    /// state — and must leave that state as the loop does, whatever `len`
+    /// is: a sample that depends on the whole correlation (a converter's
+    /// full scale, a noise level, noise drawn per correlation) is computed
+    /// from the whole of it. The default is exactly the loop over the
+    /// members as they are, each output's prefix copied into its slice (a
+    /// type with per-engine state overrides it); engines that can
     /// do better with the set in hand override it (the JTC carries four
     /// kernels of a set through one second lens, the digital engine keeps a
     /// block of a kernel's outputs in registers) and fall back to the loop
@@ -272,7 +277,7 @@ pub trait PreparedConv1d: Any + Debug + Send + Sync {
                 (None, Some(acc)) => member.correlate_valid_acc(signal, acc),
                 (None, None) => member.correlate_valid(signal),
             };
-            out[k * len..][..len].copy_from_slice(&samples);
+            out[k * len..][..len].copy_from_slice(&samples[..len]);
         }
     }
 

@@ -65,7 +65,11 @@
 //! the engine whole ([`PreparedConv1d::correlate_set_into`]: the JTC carries
 //! four kernels to a lane block through its second lens, the digital engine
 //! sixteen outputs of a kernel in registers). A `Plain` stack runs the
-//! engine's [`Conv1dEngine::correlate_valid`]. Nothing is decided per tile.
+//! engine's [`Conv1dEngine::correlate_valid`]. Nothing is decided per tile
+//! but its length: row tiling asks each set call only for the samples its
+//! tile's output rows read, so a plane's last tile, which completes fewer
+//! rows, asks for a prefix of every correlation (the `tiling.samples`
+//! counter sums what a run asks for).
 //!
 //! * **One signal stage.** Every body first cuts the distinct signals its
 //!   run reads, each once, planar into one buffer per length, and takes
@@ -143,8 +147,9 @@ pub enum ParallelGrain {
 
 /// What one run did, in the order of the `tiling.*` counters it is flushed
 /// into: tiles, 1D convolutions, signal-transform hits and misses (a miss
-/// is a transform taken, a hit a 1D correlation that read one).
-type Tally = [usize; 4];
+/// is a transform taken, a hit a 1D correlation that read one) and the 1D
+/// output samples asked of the engine (the `out.len()` of every set call).
+type Tally = [usize; 5];
 
 /// The distinct signals of one length a run reads: cut once, back to back
 /// in position order, with their transforms if a `Shared` stack took them.
@@ -391,6 +396,7 @@ struct TilingCounters {
     convs_1d: Counter,
     spectrum_hits: Counter,
     spectrum_misses: Counter,
+    samples: Counter,
     kernel_prepares: Counter,
     conv2d_calls: Counter,
 }
@@ -402,6 +408,7 @@ impl TilingCounters {
             convs_1d: tel.counter("tiling.convs_1d"),
             spectrum_hits: tel.counter("tiling.spectrum_hits"),
             spectrum_misses: tel.counter("tiling.spectrum_misses"),
+            samples: tel.counter("tiling.samples"),
             kernel_prepares: tel.counter("tiling.kernel_prepares"),
             conv2d_calls: tel.counter("tiling.conv2d_calls"),
         }
@@ -810,7 +817,13 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         // no-op handles when telemetry is disabled.
         if self.telemetry.is_enabled() {
             let c = &self.counters;
-            let counters = [&c.tiles, &c.convs_1d, &c.spectrum_hits, &c.spectrum_misses];
+            let counters = [
+                &c.tiles,
+                &c.convs_1d,
+                &c.spectrum_hits,
+                &c.spectrum_misses,
+                &c.samples,
+            ];
             for (counter, n) in counters.into_iter().zip(tally) {
                 counter.add(n as u64);
             }
@@ -857,8 +870,9 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         }
     }
 
-    /// Correlates one signal against a whole stack, every kernel's output
-    /// kernel-major into `out` (one equal slice per kernel). `shared` is the
+    /// Correlates one signal against a whole stack, the first
+    /// `out.len() / kernels` samples of every kernel's output kernel-major
+    /// into `out` (one equal slice per kernel). `shared` is the
     /// signal's transform when the run is [`Run::Shared`] and the engine
     /// produced one; without it (an [`Run::Each`] run, or the engine
     /// declined this signal) every member runs its own chain. `acc`
@@ -876,7 +890,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
             Run::Plain(tiled) => {
                 let len = out.len() / tiled.len();
                 for (kernel, out) in tiled.iter().zip(out.chunks_exact_mut(len)) {
-                    out.copy_from_slice(&self.engine.correlate_valid(signal, kernel));
+                    out.copy_from_slice(&self.engine.correlate_valid(signal, kernel)[..len]);
                 }
             }
             Run::Shared(set) => set[0].correlate_set_into(set, shared, signal, out, acc),
@@ -891,7 +905,8 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
     /// chunk; then `row(out_r, acc, corr, apply)` sums output row `out_r` of
     /// every kernel into `acc`, `apply(run, length, position, out)` running
     /// one signal against a stack into `out`, a slice of the scratch `corr`
-    /// (both kernel-major). Returns the transform hits and misses.
+    /// (both kernel-major). Returns the transform hits and misses and the
+    /// samples asked of the engine.
     fn by_output_rows<K: Ord + Copy + Sync>(
         &self,
         set: &KernelSet,
@@ -900,7 +915,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         cut: impl Fn(K, &mut [f64]),
         emit: &mut impl FnMut(usize, usize, usize, &[f64]),
         row: impl Fn(usize, &mut [f64], &mut [f64], Apply<'_, K>) + Sync,
-    ) -> [usize; 2] {
+    ) -> [usize; 3] {
         let mut reads: Vec<(usize, K)> = reads.collect();
         reads.sort_unstable();
         reads.dedup();
@@ -939,7 +954,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         let ((out_rows, out_cols), count) = (set.output_shape, set.taps.count);
         let chunks = self.by_chunks(out_rows, |rows| {
             let mut stages = self.telemetry.is_enabled().then(StageAcc::start);
-            let mut hits = 0;
+            let (mut hits, mut samples) = (0, 0);
             let mut accs = vec![0.0; rows.len() * count * out_cols];
             let mut corr = vec![0.0; count * signals.last().map_or(0, |class| class.len)];
             for (out_r, acc) in rows.zip(accs.chunks_exact_mut(count * out_cols)) {
@@ -949,6 +964,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
                     let i = class.keys.binary_search(&key).expect("every read was cut");
                     let shared = class.transforms.as_ref().map(|t| &*t[i]);
                     hits += shared.map_or(0, |_| run.sharing().len());
+                    samples += out.len();
                     if let Some(stages) = stages.as_mut() {
                         stages.skip();
                     }
@@ -959,15 +975,16 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
             if let Some(stages) = stages.as_mut() {
                 stages.flush(&self.telemetry);
             }
-            (accs, hits)
+            (accs, hits, samples)
         });
         let rows = chunks.iter().flat_map(|c| c.0.chunks_exact(out_cols));
         for (at, samples) in rows.enumerate() {
             emit(at % count, at / count, 0, samples);
         }
-        let hits = chunks.iter().map(|&(_, hits)| hits).sum();
+        let hits = chunks.iter().map(|&(_, hits, _)| hits).sum();
+        let samples = chunks.iter().map(|&(_, _, samples)| samples).sum();
         let taken = signals.iter().filter_map(|class| class.transforms.as_ref());
-        [hits, taken.map(Vec::len).sum()]
+        [hits, taken.map(Vec::len).sum(), samples]
     }
 
     /// Maps `f` over `0..count` cut into one contiguous range per pool
@@ -1005,7 +1022,9 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
     // ----- the three strategy bodies ---------------------------------------
 
     /// Row tiling (Section III-A): each 1D convolution covers
-    /// `rows_per_tile` plane rows and completes `N_or` output rows.
+    /// `rows_per_tile` plane rows and completes `N_or` output rows (a
+    /// plane's last one what is left), and asks the engine only for the
+    /// samples of its correlations those rows read.
     fn by_row_tiling(
         &self,
         plane: &Matrix,
@@ -1021,8 +1040,20 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         let corr_len = tile_len + 1 - plan.tiled_kernel_len();
 
         let (out_rows, out_cols) = set.output_shape;
-        // Tile `i` completes output rows `i * n_or ..`.
+        // Tile `i` completes output rows `i * n_or ..`, all `n_or` of them
+        // but on a plane's last tile, which completes what is left.
         let tiles = out_rows.div_ceil(n_or);
+        let rows_of = |r0: usize| n_or.min(out_rows - r0);
+        // The samples of a tile's correlations that are read: its output
+        // row `rr` reads samples below `rr * si + out_cols - col_off`, and
+        // `out_cols <= si + col_off` on every frame, so a tile of `rows`
+        // output rows reads within its first `rows * si` samples and the
+        // engine is asked for no more — a full tile for its whole
+        // correlation, a plane's last tile for a prefix. Every covered
+        // range below is the one the whole correlation gives: no border
+        // sample changes path.
+        debug_assert!(out_cols <= si + col_off, "an output row fits a plane row");
+        let len_of = |r0: usize| corr_len.min(rows_of(r0) * si);
         // Output column `c` of the tile's `rr`-th output row reads
         // `corr[rr * si + c - col_off]`. Where the plane rows are as long
         // as the output rows (`si == out_cols`: `Wraparound` `same`,
@@ -1032,7 +1063,8 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         // a line of its own. A line's covered range is emitted as one slice
         // per kernel.
         let mut write = |r0: usize, per_kernel: &[f64]| {
-            let rows = n_or.min(out_rows - r0);
+            let rows = rows_of(r0);
+            let len = len_of(r0);
             let (lines, width) = if si == out_cols {
                 (1, rows * out_cols)
             } else {
@@ -1043,7 +1075,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
                 let covered = covered_columns(base, col_off, corr_len, width);
                 if !covered.is_empty() {
                     let src = base + covered.start - col_off;
-                    for (k, corr) in per_kernel.chunks_exact(corr_len).enumerate() {
+                    for (k, corr) in per_kernel.chunks_exact(len).enumerate() {
                         emit(k, r0 + line, covered.start, &corr[src..][..covered.len()]);
                     }
                 }
@@ -1077,7 +1109,8 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         }
         // A chunk has its tiles transformed in one batched call (their
         // input-DAC pass rides along into `signal_fft`), then runs each
-        // tile's stack kernel-major into its share of one scratch.
+        // tile's stack kernel-major into the head of its share of one
+        // scratch: `count` prefixes of the tile's `len_of` samples.
         let stack_len = taps.count * corr_len;
         let corrs = self.by_chunks(tiles, |at| {
             let chunk = &signals[at.start * tile_len..at.end * tile_len];
@@ -1091,6 +1124,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
             for (i, out) in outs.chunks_exact_mut(stack_len).enumerate() {
                 let shared = transforms.as_ref().map(|t| &*t[i]);
                 let tile = &chunk[i * tile_len..][..tile_len];
+                let out = &mut out[..taps.count * len_of((at.start + i) * n_or)];
                 self.apply(run, tile, shared, out, acc.as_mut());
             }
             if let Some(acc) = acc.as_mut() {
@@ -1099,12 +1133,15 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
             (outs, transforms.map_or(0, |t| t.len()))
         });
         let per_tile = corrs.iter().flat_map(|c| c.0.chunks_exact(stack_len));
+        let mut samples = 0;
         for (i, per_kernel) in per_tile.enumerate() {
-            write(i * n_or, per_kernel);
+            let asked = &per_kernel[..taps.count * len_of(i * n_or)];
+            samples += asked.len();
+            write(i * n_or, asked);
         }
         let misses: usize = corrs.iter().map(|&(_, taken)| taken).sum();
         let hits = misses * run.sharing().len();
-        [tiles, tiles * taps.count, hits, misses]
+        [tiles, tiles * taps.count, hits, misses, samples]
     }
 
     /// Partial row tiling (Section III-B): one output row at a time;
@@ -1132,7 +1169,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
             (0..out_rows).map(move |r| (count * si, (r + k_start) as isize - row_off as isize))
         });
         let cut = |start, buf: &mut [f64]| fill_tile_rows(buf, plane, start, buf.len() / si);
-        let [hits, misses] =
+        let [hits, misses, samples] =
             self.by_output_rows(set, runs, reads, cut, emit, |out_r, acc, corr, apply| {
                 let top = out_r as isize - row_off as isize;
                 let corr = &mut corr[..taps.count * corr_len];
@@ -1151,7 +1188,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
                 }
             });
         let n = out_rows * groups.len();
-        [n, n * taps.count, hits, misses]
+        [n, n * taps.count, hits, misses, samples]
     }
 
     /// Row partitioning (Section III-C): overlap-save over columns — each
@@ -1190,7 +1227,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
             buf.copy_from_slice(&plane.row(r)[parts[p].0..parts[p].1]);
         };
         let covered = covered_columns(0, col_off, corr_len, out_cols);
-        let [hits, misses] =
+        let [hits, misses, samples] =
             self.by_output_rows(set, runs, reads, cut, emit, |out_r, acc, corr, apply| {
                 for (dr, r) in live_rows(out_r) {
                     for (p, &(start, end)) in parts.iter().enumerate() {
@@ -1221,7 +1258,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
             });
         // Count only convolutions that actually run.
         let live = (0..out_rows).flat_map(live_rows).count();
-        [0, live * parts.len() * taps.count, hits, misses]
+        [0, live * parts.len() * taps.count, hits, misses, samples]
     }
 }
 

@@ -7,7 +7,9 @@
 //! set call: the JTC's ride the second lens in lanes and read their lobes
 //! out into the buffer, the digital engine's keep eight outputs in
 //! registers across their taps. On the CG engine that includes the order
-//! the noise stream is consumed in.
+//! the noise stream is consumed in. Row tiling asks a plane's last tile
+//! for a prefix of each correlation, which the default body copies out of
+//! each member's whole vector.
 
 use std::sync::Arc;
 
@@ -125,19 +127,21 @@ fn check_bare_equals_wrapped<E: Conv1dEngine>(name: &str, engine: impl Fn() -> E
                     "{name}, {count} kernels, call {call}, telemetry {}",
                     telemetry.is_enabled()
                 );
-                let pairs = [
-                    (
-                        bare.correlate2d_valid_multi(&input, &kernels).unwrap(),
-                        wrapped.correlate2d_valid_multi(&input, &kernels).unwrap(),
-                    ),
-                    (
-                        bare.correlate2d_same_multi(&input, &kernels, EdgeHandling::ZeroPad)
+                // `valid` runs one tile, whole; both `same` modes a second
+                // whose correlations are read only in part.
+                let mut pairs = vec![(
+                    bare.correlate2d_valid_multi(&input, &kernels).unwrap(),
+                    wrapped.correlate2d_valid_multi(&input, &kernels).unwrap(),
+                )];
+                for edges in [EdgeHandling::ZeroPad, EdgeHandling::Wraparound] {
+                    pairs.push((
+                        bare.correlate2d_same_multi(&input, &kernels, edges)
                             .unwrap(),
                         wrapped
-                            .correlate2d_same_multi(&input, &kernels, EdgeHandling::ZeroPad)
+                            .correlate2d_same_multi(&input, &kernels, edges)
                             .unwrap(),
-                    ),
-                ];
+                    ));
+                }
                 for (a, b) in pairs {
                     assert_eq!(a.len(), b.len(), "{what}");
                     for (x, y) in a.iter().zip(&b) {
@@ -168,4 +172,79 @@ fn a_wrapper_without_the_set_call_yields_the_bare_engines_bits() {
         check_bare_equals_wrapped(name, || JtcEngine::new(config.clone()).unwrap());
     }
     check_bare_equals_wrapped("digital", || DigitalEngine);
+}
+
+/// Asks a set of wrapped kernels (the default body) for the first `len`
+/// samples of every correlation, and the bare engine's set call for all of
+/// them, on twin engines: the prefixes must be the whole call's, bit for
+/// bit, every sample of the buffer written, and a noisy engine's stream
+/// must be where the whole call left its twin's.
+fn check_default_body_copies_prefixes<E: Conv1dEngine>(name: &str, engine: impl Fn() -> E) {
+    let (tile_len, taps) = (64, 19);
+    let corr_len = tile_len + 1 - taps;
+    let tile: Vec<f64> = (0..tile_len)
+        .map(|i| (i as f64 * 0.29).sin() + 0.3)
+        .collect();
+    for count in [1usize, 2, 5] {
+        let kernels: Vec<Vec<f64>> = (0..count)
+            .map(|k| {
+                (0..taps)
+                    .map(|j| ((k * 7 + j * 3) as f64 * 0.41).sin())
+                    .collect()
+            })
+            .collect();
+        let kernels: Vec<&[f64]> = kernels.iter().map(Vec::as_slice).collect();
+        for len in [0, 1, 16, corr_len - 1, corr_len] {
+            let what = format!("{name}, {count} kernels, len {len} of {corr_len}");
+            let (bare, wrapped) = (engine(), Wrapped(engine()));
+            let prepare = |engine: &dyn Conv1dEngine| -> Vec<Arc<dyn PreparedConv1d>> {
+                let prepared = kernels.iter().map(|k| engine.prepare_kernel(k, tile_len));
+                prepared.map(Option::unwrap).collect()
+            };
+            let (bare_set, wrapped_set) = (prepare(&bare), prepare(&wrapped));
+            let bare_refs: Vec<&dyn PreparedConv1d> = bare_set.iter().map(|p| &**p).collect();
+            let wrapped_refs: Vec<&dyn PreparedConv1d> = wrapped_set.iter().map(|p| &**p).collect();
+            let bare_shared = bare_refs[0].prepare_signal(&tile);
+            let wrapped_shared = wrapped_refs[0].prepare_signal(&tile);
+            let mut whole = vec![f64::NAN; count * corr_len];
+            bare_refs[0].correlate_set_into(
+                &bare_refs,
+                bare_shared.as_deref(),
+                &tile,
+                &mut whole,
+                None,
+            );
+            let mut prefix = vec![f64::NAN; count * len];
+            wrapped_refs[0].correlate_set_into(
+                &wrapped_refs,
+                wrapped_shared.as_deref(),
+                &tile,
+                &mut prefix,
+                None,
+            );
+            for k in 0..count {
+                for i in 0..len {
+                    assert_eq!(
+                        prefix[k * len + i].to_bits(),
+                        whole[k * corr_len + i].to_bits(),
+                        "{what}: kernel {k} sample {i}"
+                    );
+                }
+            }
+            assert_eq!(format!("{bare:?}"), format!("{:?}", wrapped.0), "{what}");
+        }
+    }
+}
+
+#[test]
+fn the_default_body_copies_prefixes() {
+    check_default_body_copies_prefixes("jtc_ideal", || JtcEngine::ideal(256).unwrap());
+    check_default_body_copies_prefixes("cg_seed5", || {
+        JtcEngine::new(JtcEngineConfig {
+            noise_seed: 5,
+            ..JtcEngineConfig::photofourier_cg(256)
+        })
+        .unwrap()
+    });
+    check_default_body_copies_prefixes("digital", || DigitalEngine);
 }
