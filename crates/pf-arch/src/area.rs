@@ -80,37 +80,6 @@ impl AreaModel {
         }
     }
 
-    /// Area of one PFCU with `waveguides` input waveguides, in mm²
-    /// (before layout overhead).
-    pub fn pfcu_area_mm2(&self, tech: &TechConfig, waveguides: usize) -> f64 {
-        let w = waveguides as f64;
-        // Input + weight modulators; the CG design additionally has a ring on
-        // every Fourier-plane waveguide for the square function.
-        let mrr_count = if tech.passive_nonlinearity {
-            2.0 * w
-        } else {
-            3.0 * w
-        };
-        // Output detectors, plus Fourier-plane detectors for CG.
-        let pd_count = if tech.passive_nonlinearity {
-            w
-        } else {
-            2.0 * w
-        };
-        let mrr = mrr_count * self.dims.mrr_area().to_mm2();
-        let pd = pd_count * self.dims.photodetector_area().to_mm2();
-        // The lens aperture must span all waveguides: its width grows with
-        // the waveguide count (the Table V 2 mm x 1 mm lens corresponds to a
-        // 256-waveguide PFCU, i.e. about 3.9 um of aperture per waveguide).
-        let lens_width_um = w * 3.9;
-        let lens = 2.0 * self.dims.lens_um.0 * lens_width_um * 1e-6;
-        let routing = self
-            .dims
-            .waveguide_area(waveguides, self.waveguide_run_um)
-            .to_mm2();
-        mrr + pd + lens + routing + self.fixed_per_pfcu_mm2
-    }
-
     /// Full area breakdown of an accelerator with the given PFCU count and
     /// waveguides per PFCU.
     pub fn breakdown(&self, tech: &TechConfig) -> AreaBreakdown {
@@ -127,8 +96,13 @@ impl AreaModel {
     ) -> AreaBreakdown {
         let w = waveguides as f64;
         let n = num_pfcus as f64;
+        // Input and weight modulators per waveguide; the CG design adds a
+        // ring on every Fourier-plane waveguide for the square function.
         let mrr_count = if tech.passive_nonlinearity { 2.0 } else { 3.0 } * w * n;
+        // Output detectors, plus the Fourier-plane detectors of CG.
         let pd_count = if tech.passive_nonlinearity { 1.0 } else { 2.0 } * w * n;
+        // The lens aperture spans every waveguide: the Table V 2 mm × 1 mm
+        // lens serves a 256-waveguide PFCU, about 3.9 µm per waveguide.
         let lens_width_um = w * 3.9;
 
         let mrr_mm2 = mrr_count * self.dims.mrr_area().to_mm2();
@@ -298,9 +272,8 @@ mod tests {
     fn pfcu_area_monotone_in_waveguides() {
         let tech = TechConfig::photofourier_cg();
         let model = AreaModel::for_tech(&tech);
-        let a128 = model.pfcu_area_mm2(&tech, 128);
-        let a256 = model.pfcu_area_mm2(&tech, 256);
-        let a512 = model.pfcu_area_mm2(&tech, 512);
+        let pfcu = |w: usize| model.breakdown_for(&tech, 1, w).pic_mm2();
+        let (a128, a256, a512) = (pfcu(128), pfcu(256), pfcu(512));
         assert!(a128 < a256 && a256 < a512);
     }
 }

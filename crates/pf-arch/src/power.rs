@@ -6,7 +6,6 @@
 
 use std::ops::{Add, AddAssign};
 
-use pf_nn::layers::ConvLayerSpec;
 use serde::{Deserialize, Serialize};
 
 use crate::config::ArchConfig;
@@ -107,19 +106,13 @@ impl AddAssign for EnergyBreakdown {
 }
 
 /// Computes the energy breakdown of one scheduled layer.
-pub fn layer_energy(
-    spec: &ConvLayerSpec,
-    schedule: &LayerSchedule,
-    config: &ArchConfig,
-) -> EnergyBreakdown {
+pub fn layer_energy(schedule: &LayerSchedule, config: &ArchConfig) -> EnergyBreakdown {
     let tech = &config.tech;
     let cycle_ns = 1.0 / tech.photonic_clock_ghz;
     let active_ns = schedule.total_cycles as f64 * cycle_ns;
 
-    let ib = config.parallel.input_broadcast.max(1) as f64;
     let cp = config.parallel.channel_parallel.max(1) as f64;
     let num_pfcus = tech.num_pfcus as f64;
-    let _ = ib;
 
     // --- Laser -----------------------------------------------------------
     // Input light is generated once per channel-parallel group and split to
@@ -164,7 +157,6 @@ pub fn layer_energy(
     // --- DRAM ---------------------------------------------------------------
     let dram_pj = schedule.dram_bytes as f64 * tech.dram_energy_pj_per_byte;
 
-    let _ = spec;
     EnergyBreakdown {
         laser_pj,
         mrr_pj,
@@ -189,7 +181,7 @@ mod tests {
 
     fn energy_for(cfg: &ArchConfig, spec: &ConvLayerSpec) -> (LayerSchedule, EnergyBreakdown) {
         let schedule = LayerSchedule::new(spec, cfg).unwrap();
-        let energy = layer_energy(spec, &schedule, cfg);
+        let energy = layer_energy(&schedule, cfg);
         (schedule, energy)
     }
 

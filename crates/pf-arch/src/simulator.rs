@@ -106,7 +106,7 @@ impl Simulator {
     /// Propagates scheduling errors.
     pub fn evaluate_layer(&self, spec: &ConvLayerSpec) -> Result<LayerPerformance, ArchError> {
         let schedule = LayerSchedule::new(spec, &self.config)?;
-        let energy = layer_energy(spec, &schedule, &self.config);
+        let energy = layer_energy(&schedule, &self.config);
         let latency_s = schedule.latency_seconds(self.config.tech.photonic_clock_ghz);
         Ok(LayerPerformance {
             layer: spec.name.clone(),

@@ -51,7 +51,7 @@ proptest! {
     fn energy_is_positive_and_scales_with_work(spec in layer_strategy()) {
         let config = ArchConfig::photofourier_cg();
         let schedule = LayerSchedule::new(&spec, &config).unwrap();
-        let energy = layer_energy(&spec, &schedule, &config);
+        let energy = layer_energy(&schedule, &config);
         prop_assert!(energy.total_pj() > 0.0);
         for share in energy.shares() {
             prop_assert!((0.0..=1.0).contains(&share));
@@ -68,7 +68,7 @@ proptest! {
             spec.padded,
         ) {
             let bigger_schedule = LayerSchedule::new(&bigger_spec, &config).unwrap();
-            let bigger_energy = layer_energy(&bigger_spec, &bigger_schedule, &config);
+            let bigger_energy = layer_energy(&bigger_schedule, &config);
             prop_assert!(bigger_energy.total_pj() >= energy.total_pj());
         }
     }

@@ -115,7 +115,6 @@ pub fn train_linear_probe(
             // Gradient of cross-entropy w.r.t. logits: p - onehot(y).
             for (class, &prob) in probs.iter().enumerate() {
                 let grad = prob - if class == y { 1.0 } else { 0.0 };
-                let row_start = class * dim;
                 // Matrix stores row-major (out_features x in_features).
                 let mut row: Vec<f64> = probe.weights.row(class).to_vec();
                 for (j, w) in row.iter_mut().enumerate() {
@@ -125,7 +124,6 @@ pub fn train_linear_probe(
                     probe.weights.set(class, j, *w);
                 }
                 probe.bias[class] -= config.learning_rate * grad;
-                let _ = row_start;
             }
         }
     }

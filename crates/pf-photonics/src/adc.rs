@@ -2,13 +2,11 @@
 //!
 //! ADCs perform the O-E read-out of the photodetector outputs. In the
 //! baseline JTC system they dominate power (Figure 6); temporal accumulation
-//! reduces their frequency 16× (Section V-C). The model captures:
-//!
-//! * uniform mid-rise quantisation of a bounded analog value,
-//! * linear power scaling with sampling frequency (the assumption the paper
-//!   makes explicit in Section V-D),
-//! * Walden figure-of-merit based power estimation used to derive the NG
-//!   scaling factor.
+//! reduces their frequency 16× (Section V-C). The model is the uniform
+//! mid-rise quantisation of a bounded analog value; a converter's power is
+//! the Table IV figure it is built with, which the architecture model
+//! charges (the NG scaling and the baseline's 10 GHz penalty are constants
+//! in [`crate::params`]).
 //!
 //! The quantiser is the per-sample cost of every read-out, so its body is
 //! written for the vector unit: one divide, and the rounding to a code
@@ -100,8 +98,7 @@ pub struct Adc {
 impl Adc {
     /// Creates an ADC model.
     ///
-    /// `power_mw` is the power at `frequency_ghz`; use [`Adc::scaled_to`] to
-    /// derive models at other sampling rates.
+    /// `power_mw` is the power at `frequency_ghz`.
     ///
     /// # Errors
     ///
@@ -145,28 +142,6 @@ impl Adc {
     /// Power at the configured sampling frequency.
     pub fn power(&self) -> Milliwatts {
         Milliwatts(self.power_mw)
-    }
-
-    /// Returns a copy of this ADC re-timed to `frequency_ghz`, scaling power
-    /// linearly with frequency (the paper's assumption: "the power of ADC
-    /// scales linearly with frequency").
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the requested frequency is not positive.
-    pub fn scaled_to(&self, frequency_ghz: f64) -> Result<Self, PhotonicsError> {
-        if frequency_ghz <= 0.0 {
-            return Err(PhotonicsError::InvalidParameter {
-                name: "frequency_ghz",
-                value: frequency_ghz,
-                requirement: "must be positive",
-            });
-        }
-        Ok(Self {
-            bits: self.bits,
-            frequency_ghz,
-            power_mw: self.power_mw * frequency_ghz / self.frequency_ghz,
-        })
     }
 
     /// Number of quantisation levels (`2^bits`).
@@ -236,19 +211,6 @@ impl Adc {
     pub fn max_quantization_error(&self, full_scale: f64) -> f64 {
         full_scale / self.levels() as f64
     }
-
-    /// Estimates converter power from the Walden figure of merit
-    /// `P = FoM * 2^bits * f_s` where `fom_fj_per_conv` is in
-    /// femtojoules per conversion step.
-    pub fn power_from_walden_fom(
-        bits: u32,
-        frequency_ghz: f64,
-        fom_fj_per_conv: f64,
-    ) -> Milliwatts {
-        // fJ/step * steps * GHz = 1e-15 J * 1e9 /s = 1e-6 W = 1e-3 mW per fJ*GHz
-        let steps = (1u64 << bits) as f64;
-        Milliwatts(fom_fj_per_conv * steps * frequency_ghz * 1e-3)
-    }
 }
 
 /// The quantiser of [`Adc::quantize_in_place`] on the code grid of
@@ -302,16 +264,6 @@ mod tests {
         assert_eq!(adc.bits(), 8);
         assert_eq!(adc.levels(), 256);
         assert_eq!(adc.power(), Milliwatts(0.93));
-    }
-
-    #[test]
-    fn linear_frequency_scaling() {
-        // Temporal accumulation: 10 GHz -> 625 MHz is 16x less power,
-        // equivalently baseline 10 GHz ADC is 16x the 625 MHz one.
-        let adc = adc8();
-        let fast = adc.scaled_to(10.0).unwrap();
-        assert!((fast.power().value() - 0.93 * 16.0).abs() < 1e-9);
-        assert!(adc.scaled_to(0.0).is_err());
     }
 
     #[test]
@@ -550,17 +502,6 @@ mod tests {
                 assert_eq!(got.to_bits(), want.to_bits(), "{values:?}");
             }
         }
-    }
-
-    #[test]
-    fn walden_fom_power() {
-        // 8-bit, 625 MHz, 50 fJ/conv-step -> 256 * 0.625 * 50 fJ * 1e9/s = 8 uW * ... compute:
-        let p = Adc::power_from_walden_fom(8, 0.625, 50.0);
-        // 50e-15 J * 256 * 0.625e9 Hz = 8e-3 W? No: 50e-15*256*0.625e9 = 8e-3... = 8 mW
-        assert!((p.value() - 8.0).abs() < 1e-9);
-        // Better FoM -> lower power
-        let p2 = Adc::power_from_walden_fom(8, 0.625, 10.0);
-        assert!(p2.value() < p.value());
     }
 
     #[test]

@@ -53,16 +53,6 @@ impl Dac {
         })
     }
 
-    /// The 8-bit 10 GHz DAC used by PhotoFourier-CG (35.71 mW, scaled from a
-    /// published 14 GS/s switched-capacitor design).
-    pub fn photofourier_cg_default() -> Self {
-        Self {
-            bits: 8,
-            frequency_ghz: 10.0,
-            power_mw: 35.71,
-        }
-    }
-
     /// Resolution in bits.
     pub fn bits(&self) -> u32 {
         self.bits
@@ -76,28 +66,6 @@ impl Dac {
     /// Power at the configured frequency.
     pub fn power(&self) -> Milliwatts {
         Milliwatts(self.power_mw)
-    }
-
-    /// Returns a copy re-timed to a different frequency with linear power
-    /// scaling (same assumption as the ADC; SAR ADCs are built from DACs so
-    /// the paper scales both by the same factor).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the requested frequency is not positive.
-    pub fn scaled_to(&self, frequency_ghz: f64) -> Result<Self, PhotonicsError> {
-        if frequency_ghz <= 0.0 {
-            return Err(PhotonicsError::InvalidParameter {
-                name: "frequency_ghz",
-                value: frequency_ghz,
-                requirement: "must be positive",
-            });
-        }
-        Ok(Self {
-            bits: self.bits,
-            frequency_ghz,
-            power_mw: self.power_mw * frequency_ghz / self.frequency_ghz,
-        })
     }
 
     /// Number of representable levels.
@@ -135,20 +103,13 @@ mod tests {
     }
 
     #[test]
-    fn paper_default() {
-        let dac = Dac::photofourier_cg_default();
+    fn paper_dac_parameters() {
+        // PhotoFourier-CG's DAC: 8 bits at 10 GHz, 35.71 mW (Table IV).
+        let dac = Dac::new(8, 10.0, 35.71).unwrap();
         assert_eq!(dac.bits(), 8);
         assert_eq!(dac.frequency_ghz(), 10.0);
         assert_eq!(dac.power(), Milliwatts(35.71));
         assert_eq!(dac.levels(), 256);
-    }
-
-    #[test]
-    fn frequency_scaling() {
-        let dac = Dac::photofourier_cg_default();
-        let slow = dac.scaled_to(5.0).unwrap();
-        assert!((slow.power().value() - 35.71 / 2.0).abs() < 1e-9);
-        assert!(dac.scaled_to(-1.0).is_err());
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! Photodetector model with square-law detection and dark-current noise.
+//! Read-out noise of the output-plane photodetectors.
 //!
-//! Photodetectors appear twice in a PFCU: in the Fourier plane, where their
-//! square-law response implements the non-linearity the JTC needs, and at the
-//! output plane, where they read the convolution result. The output-plane
-//! detectors' integration capacitor — **temporal accumulation** (Section
-//! V-C): charge from up to 16 consecutive cycles summed before a single ADC
+//! The detectors' square-law response is the JTC's non-linearity, which
+//! the correlator simulates as the intensity of the joint Fourier plane;
+//! their integration capacitor — **temporal accumulation** (Section V-C):
+//! charge from up to 16 consecutive cycles summed before a single ADC
 //! read-out — is [`crate::temporal::TemporalAccumulator`], the bank the CNN
 //! executor runs.
 //!
@@ -25,100 +24,9 @@ use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::adc::peak_magnitude;
 use crate::error::PhotonicsError;
-
-/// Configuration of a photodetector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DetectorConfig {
-    /// Responsivity in amperes per watt of incident optical power.
-    pub responsivity_a_per_w: f64,
-    /// Dark current in nanoamperes — sets the noise floor and hence the SNR
-    /// the laser power budget must maintain (the paper targets > 20 dB).
-    pub dark_current_na: f64,
-}
-
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        Self {
-            responsivity_a_per_w: 1.0,
-            dark_current_na: 10.0,
-        }
-    }
-}
-
-/// A square-law photodetector.
-#[derive(Debug, Clone)]
-pub struct Photodetector {
-    config: DetectorConfig,
-}
-
-impl Photodetector {
-    /// Creates a detector from a configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the responsivity is not positive or the dark
-    /// current is negative.
-    pub fn new(config: DetectorConfig) -> Result<Self, PhotonicsError> {
-        if config.responsivity_a_per_w <= 0.0 {
-            return Err(PhotonicsError::InvalidParameter {
-                name: "responsivity_a_per_w",
-                value: config.responsivity_a_per_w,
-                requirement: "must be positive",
-            });
-        }
-        if config.dark_current_na < 0.0 {
-            return Err(PhotonicsError::InvalidParameter {
-                name: "dark_current_na",
-                value: config.dark_current_na,
-                requirement: "must be non-negative",
-            });
-        }
-        Ok(Self { config })
-    }
-
-    /// Creates a detector with the default configuration.
-    ///
-    /// Never fails because the default configuration is valid.
-    pub fn with_defaults() -> Self {
-        Self::new(DetectorConfig::default()).expect("default detector config is valid")
-    }
-
-    /// The detector configuration.
-    pub fn config(&self) -> &DetectorConfig {
-        &self.config
-    }
-
-    /// Square-law response: converts a (real) optical field amplitude to a
-    /// photocurrent proportional to its intensity `|E|^2`.
-    pub fn detect_amplitude(&self, field_amplitude: f64) -> f64 {
-        self.config.responsivity_a_per_w * field_amplitude * field_amplitude
-    }
-
-    /// Converts an optical *intensity* directly to photocurrent.
-    pub fn detect_intensity(&self, intensity: f64) -> f64 {
-        self.config.responsivity_a_per_w * intensity
-    }
-
-    /// Signal-to-noise ratio in dB of a signal level against the dark
-    /// current noise floor.
-    ///
-    /// Returns `f64::INFINITY` when the dark current is zero.
-    pub fn snr_db(&self, signal_current_na: f64) -> f64 {
-        if self.config.dark_current_na == 0.0 {
-            return f64::INFINITY;
-        }
-        20.0 * (signal_current_na.abs() / self.config.dark_current_na).log10()
-    }
-
-    /// Minimum signal current (nA) needed to reach `target_snr_db`.
-    pub fn required_signal_for_snr(&self, target_snr_db: f64) -> f64 {
-        self.config.dark_current_na * 10f64.powf(target_snr_db / 20.0)
-    }
-}
 
 /// Layers of the ziggurat: the low 7 bits of a word pick one, its top 53
 /// the position within it.
@@ -434,55 +342,6 @@ impl SensingNoise {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn config_validation() {
-        let bad = DetectorConfig {
-            responsivity_a_per_w: 0.0,
-            ..Default::default()
-        };
-        assert!(Photodetector::new(bad).is_err());
-        let bad = DetectorConfig {
-            dark_current_na: -1.0,
-            ..Default::default()
-        };
-        assert!(Photodetector::new(bad).is_err());
-        assert!(Photodetector::new(DetectorConfig::default()).is_ok());
-    }
-
-    #[test]
-    fn square_law_response() {
-        let pd = Photodetector::with_defaults();
-        assert_eq!(pd.detect_amplitude(0.0), 0.0);
-        assert_eq!(pd.detect_amplitude(2.0), 4.0);
-        assert_eq!(pd.detect_amplitude(-2.0), 4.0);
-        assert_eq!(pd.detect_intensity(3.0), 3.0);
-    }
-
-    #[test]
-    fn responsivity_scales_output() {
-        let pd = Photodetector::new(DetectorConfig {
-            responsivity_a_per_w: 0.5,
-            ..Default::default()
-        })
-        .unwrap();
-        assert_eq!(pd.detect_amplitude(2.0), 2.0);
-    }
-
-    #[test]
-    fn snr_computation() {
-        let pd = Photodetector::with_defaults(); // dark current 10 nA
-        assert!((pd.snr_db(1000.0) - 40.0).abs() < 1e-9);
-        assert!((pd.snr_db(100.0) - 20.0).abs() < 1e-9);
-        let needed = pd.required_signal_for_snr(20.0);
-        assert!((needed - 100.0).abs() < 1e-9);
-        let quiet = Photodetector::new(DetectorConfig {
-            dark_current_na: 0.0,
-            ..Default::default()
-        })
-        .unwrap();
-        assert_eq!(quiet.snr_db(1.0), f64::INFINITY);
-    }
 
     #[test]
     fn ziggurat_layers_are_stacked_with_equal_areas() {

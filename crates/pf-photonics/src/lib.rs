@@ -1,20 +1,19 @@
-//! Photonic and mixed-signal component models for the PhotoFourier
-//! reproduction.
+//! Mixed-signal component models and published design constants for the
+//! PhotoFourier reproduction.
 //!
 //! The PhotoFourier accelerator (HPCA 2023) is built from a small set of
-//! devices whose power, area and noise behaviour drive every architectural
-//! result in the paper:
+//! devices. Their cost is charged from the paper's tables; their behaviour
+//! on a signal is modelled where the accuracy results depend on it:
 //!
-//! * micro-ring resonator modulators ([`mrr::Mrr`]) that imprint activation /
-//!   weight values on the optical carriers,
-//! * photodetectors ([`detector::Photodetector`]) that square-law detect the
-//!   field and add dark-current noise, and the capacitor bank behind them
-//!   ([`temporal::TemporalAccumulator`]) that integrates partial sums for
+//! * DACs ([`dac::Dac`]) and ADCs ([`adc::Adc`]) quantise the E-O / O-E
+//!   conversions the architecture tries to minimise,
+//! * the output-plane photodetectors add sensing noise at a set SNR
+//!   ([`detector::SensingNoise`]), and the capacitor bank behind them
+//!   ([`temporal::TemporalAccumulator`]) integrates partial sums for
 //!   *temporal accumulation*,
-//! * DACs ([`dac::Dac`]) and ADCs ([`adc::Adc`]) performing the costly
-//!   E-O / O-E conversions the architecture tries to minimise,
-//! * lasers, on-chip lenses, splitters and waveguides that set the optical
-//!   power budget and chip area.
+//! * micro-ring modulators, lasers, on-chip lenses, splitters and
+//!   waveguides enter only through their Table IV power and Table V
+//!   footprint, which the architecture model charges.
 //!
 //! [`params`] carries the exact constants of Table IV (component power) and
 //! Table V (component dimensions), for both the conservative
@@ -40,8 +39,6 @@ pub mod adc;
 pub mod dac;
 pub mod detector;
 pub mod error;
-pub mod laser;
-pub mod mrr;
 pub mod params;
 pub mod temporal;
 pub mod units;

@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::units::{Gigahertz, SquareMicrons};
+use crate::units::SquareMicrons;
 
 /// CMOS technology node assumed by a design point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -19,16 +19,6 @@ pub enum TechNode {
     Nm14,
     /// 7 nm FinFET — PhotoFourier-NG (monolithic integration).
     Nm7,
-}
-
-impl TechNode {
-    /// Reported nominal feature size in nanometres.
-    pub fn nanometers(self) -> u32 {
-        match self {
-            TechNode::Nm14 => 14,
-            TechNode::Nm7 => 7,
-        }
-    }
 }
 
 /// Scaling factor applied to ADC/DAC power from CG to NG, obtained in the
@@ -235,11 +225,6 @@ impl TechConfig {
         }
         Ok(self)
     }
-
-    /// Effective ADC/CMOS read-out frequency after temporal accumulation.
-    pub fn readout_clock(&self) -> Gigahertz {
-        Gigahertz(self.photonic_clock_ghz / self.temporal_accumulation as f64)
-    }
 }
 
 /// Table V — dimensions of the photonic components used for area estimation.
@@ -291,11 +276,6 @@ impl ComponentDims {
     /// Area of one laser.
     pub fn laser_area(&self) -> SquareMicrons {
         SquareMicrons(self.laser_um.0 * self.laser_um.1)
-    }
-
-    /// Area of one on-chip lens.
-    pub fn lens_area(&self) -> SquareMicrons {
-        SquareMicrons(self.lens_um.0 * self.lens_um.1)
     }
 
     /// Area occupied by `n` parallel waveguides of length `len_um`.
@@ -355,8 +335,20 @@ mod tests {
 
     #[test]
     fn readout_clock_is_divided_by_temporal_depth() {
-        let cg = TechConfig::photofourier_cg();
-        assert!((cg.readout_clock().value() - 0.625).abs() < 1e-12);
+        // The ADCs read once per temporal-accumulation group: 10 GHz / 16 =
+        // 0.625 GHz on CG and NG, the full photonic clock on the baseline.
+        for tech in [
+            TechConfig::photofourier_cg(),
+            TechConfig::photofourier_ng(),
+            TechConfig::baseline_single_pfcu(),
+        ] {
+            assert_eq!(
+                tech.adc_frequency_ghz,
+                tech.photonic_clock_ghz / tech.temporal_accumulation as f64,
+                "{}",
+                tech.name
+            );
+        }
     }
 
     #[test]
@@ -376,7 +368,7 @@ mod tests {
         assert_eq!(d.mrr_area().value(), 15.0 * 17.0);
         assert_eq!(d.photodetector_area().value(), 16.0 * 120.0);
         assert_eq!(d.laser_area().value(), 400.0 * 300.0);
-        assert_eq!(d.lens_area().value(), 2000.0 * 1000.0);
+        assert_eq!(d.lens_um, (2000.0, 1000.0));
         assert_eq!(d.splitter_area().value(), 1.2 * 2.2);
         assert_eq!(d.waveguide_pitch_um, 1.3);
         assert_eq!(ComponentDims::default(), d);
@@ -388,12 +380,6 @@ mod tests {
         let a1 = d.waveguide_area(1, 1000.0);
         let a256 = d.waveguide_area(256, 1000.0);
         assert!((a256.value() / a1.value() - 256.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn tech_node_feature_sizes() {
-        assert_eq!(TechNode::Nm14.nanometers(), 14);
-        assert_eq!(TechNode::Nm7.nanometers(), 7);
     }
 
     #[test]

@@ -93,79 +93,16 @@ quantity!(
     "mW"
 );
 quantity!(
-    /// Energy in picojoules.
-    Picojoules,
-    "pJ"
-);
-quantity!(
     /// Area in square micrometres.
     SquareMicrons,
     "um^2"
 );
-quantity!(
-    /// Time in nanoseconds.
-    Nanoseconds,
-    "ns"
-);
-quantity!(
-    /// Frequency in gigahertz.
-    Gigahertz,
-    "GHz"
-);
-
-impl Milliwatts {
-    /// Converts to watts.
-    #[inline]
-    pub fn to_watts(self) -> f64 {
-        self.0 * 1e-3
-    }
-
-    /// Energy dissipated over a duration.
-    #[inline]
-    pub fn energy_over(self, t: Nanoseconds) -> Picojoules {
-        // mW * ns = 1e-3 J/s * 1e-9 s = 1e-12 J = pJ
-        Picojoules(self.0 * t.0)
-    }
-}
 
 impl SquareMicrons {
     /// Converts to square millimetres.
     #[inline]
     pub fn to_mm2(self) -> f64 {
         self.0 * 1e-6
-    }
-
-    /// Creates an area from square millimetres.
-    #[inline]
-    pub fn from_mm2(mm2: f64) -> Self {
-        SquareMicrons(mm2 * 1e6)
-    }
-}
-
-impl Gigahertz {
-    /// Period of one cycle at this frequency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frequency is not positive.
-    #[inline]
-    pub fn period(self) -> Nanoseconds {
-        assert!(self.0 > 0.0, "frequency must be positive");
-        Nanoseconds(1.0 / self.0)
-    }
-}
-
-impl Picojoules {
-    /// Converts to microjoules.
-    #[inline]
-    pub fn to_microjoules(self) -> f64 {
-        self.0 * 1e-6
-    }
-
-    /// Converts to joules.
-    #[inline]
-    pub fn to_joules(self) -> f64 {
-        self.0 * 1e-12
     }
 }
 
@@ -194,26 +131,7 @@ mod tests {
 
     #[test]
     fn conversions() {
-        assert_eq!(Milliwatts(1500.0).to_watts(), 1.5);
-        assert_eq!(SquareMicrons::from_mm2(2.0).to_mm2(), 2.0);
-        assert!((Picojoules(1e6).to_microjoules() - 1.0).abs() < 1e-12);
-        assert!((Picojoules(1e12).to_joules() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn energy_over_time() {
-        // 1 mW for 1 ns = 1 pJ.
-        let e = Milliwatts(1.0).energy_over(Nanoseconds(1.0));
-        assert_eq!(e, Picojoules(1.0));
-        // 10 GHz clock: 0.1 ns period.
-        let p = Gigahertz(10.0).period();
-        assert!((p.0 - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "frequency must be positive")]
-    fn zero_frequency_period_panics() {
-        let _ = Gigahertz(0.0).period();
+        assert_eq!(SquareMicrons(2e6).to_mm2(), 2.0);
     }
 
     #[test]

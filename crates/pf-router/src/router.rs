@@ -324,7 +324,7 @@ impl<'r, E: ReplicaEngine + 'static> RouterTicket<'r, E> {
                         .screen(&response)
                 {
                     let mut collector = self.router.collector.lock();
-                    collector.record_integrity_reject(self.replica);
+                    collector.record_integrity_reject();
                     collector.record_attempt_failure(self.replica);
                     drop(collector);
                     let err = PfError::IntegrityViolation {

@@ -280,9 +280,8 @@ impl RouterCollector {
         self.bump(events);
     }
 
-    /// A served payload from `replica` failed the integrity screen.
-    pub(crate) fn record_integrity_reject(&mut self, replica: usize) {
-        let _ = replica;
+    /// A served payload failed the integrity screen.
+    pub(crate) fn record_integrity_reject(&mut self) {
         self.integrity_rejects.inc();
     }
 
@@ -543,7 +542,7 @@ mod tests {
         c.record_retry(0);
         c.record_attempt_success(0, 5.0);
         assert_eq!(c.health_report(0).state, "closed");
-        c.record_integrity_reject(1);
+        c.record_integrity_reject();
 
         let names = vec!["only".to_string()];
         let stats = c.snapshot("round_robin", &names, Vec::new());

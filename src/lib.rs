@@ -85,9 +85,9 @@
 //! |---|---|
 //! | [`core`] | `PfError`, the `Backend` registry, `Scenario` |
 //! | [`dsp`] | complex numbers, FFT, reference convolutions |
-//! | [`photonics`] | MRR / photodetector / DAC / ADC / laser models, Table IV & V constants |
+//! | [`photonics`] | DAC / ADC quantisers, sensing noise, the temporal-accumulation capacitor bank, Table IV & V constants |
 //! | [`tiling`] | row tiling, partial row tiling, row partitioning (Section III) |
-//! | [`jtc`] | JTC optics simulation, PFCU, temporal accumulation (Sections II & IV) |
+//! | [`jtc`] | JTC optics simulation, the `JtcEngine` backend, prepared kernel spectra, Figure 7's per-cycle ADC baseline (Sections II & IV) |
 //! | [`nn`] | tensors, layers, the CNN model zoo, quantisation, fidelity & accuracy experiments |
 //! | [`arch`] | the architecture simulator: dataflow, power, area, design-space exploration (Sections V & VI) |
 //! | [`baselines`] | prior-accelerator reference models for the Figure 13 comparison |
