@@ -79,9 +79,9 @@ pub enum PfError {
         workers: usize,
     },
     /// A deterministic fault plan injected a transient failure into this
-    /// request (`pf-faults`). Requests failing with this error are safe to
-    /// retry: the fault is scheduled by request sequence number, not by
-    /// payload.
+    /// request (`photofourier::route`'s `FaultyEngine`). Requests failing
+    /// with this error are safe to retry: the fault is scheduled by request
+    /// sequence number, not by payload.
     FaultInjected {
         /// The injected fault kind, e.g. `"transient_error"`.
         kind: &'static str,

@@ -367,11 +367,11 @@ pub const FAULT_KINDS: [&str; 7] = [
 /// Declarative configuration of deterministic fault injection (the optional
 /// top-level `[faults]` section of a scenario file).
 ///
-/// `pf-faults` compiles this spec into a `FaultPlan` that wraps one
-/// replica's inference engine; every fault fires on that replica's own
-/// request sequence numbers, so a chaos run replays bit-identically given
-/// the same seed. Every field has a default, so a bare `[faults]` table is
-/// a valid (empty, fault-free) plan.
+/// `photofourier::route` compiles this spec into a `FaultPlan`, which its
+/// `FaultyEngine` injects into one replica's inference engine; every fault
+/// fires on that replica's own request sequence numbers, so a chaos run
+/// replays bit-identically given the same seed. Every field has a default,
+/// so a bare `[faults]` table is a valid (empty, fault-free) plan.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 #[serde(default)]
 pub struct FaultsSpec {

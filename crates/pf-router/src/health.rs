@@ -10,95 +10,31 @@
 //!
 //! State machine:
 //!
-//! - **Closed** — healthy; requests flow normally. `trip_after`
-//!   consecutive failures opens the breaker.
+//! - **Closed** — healthy; requests flow normally. `TRIP_AFTER` (3)
+//!   consecutive failures open the breaker.
 //! - **Open** — quarantined; the dispatch order skips the replica. After
-//!   `probe_after` submissions have passed it over, it moves to half-open.
-//! - **HalfOpen** — re-admission probing; up to `probes_to_close`
+//!   `PROBE_AFTER` (8) submissions have passed it over, it moves to
+//!   half-open.
+//! - **HalfOpen** — re-admission probing; up to `PROBES_TO_CLOSE` (2)
 //!   concurrent requests are routed to the replica (ahead of the policy
 //!   order, so probes actually happen on a lightly-loaded tier). One probe
-//!   failure reopens; `probes_to_close` consecutive successes close.
+//!   failure reopens; `PROBES_TO_CLOSE` consecutive successes close.
+//!
+//! The thresholds and the EWMA factor (`EWMA_ALPHA`, 0.2) are constants:
+//! the scenario schema configures fault *injection* (`[faults]`), not
+//! healing.
 
-use pf_core::PfError;
-
-/// Knobs of the router's self-healing layer: health scoring, circuit
-/// breaking, retry/backoff and the payload integrity screen. Not part of
-/// the scenario schema — scenarios opt into fault *injection* via
-/// `[faults]`; the healing side runs with these defaults unless configured
-/// in code.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthConfig {
-    /// EWMA smoothing factor in `(0, 1]` for per-replica latency and
-    /// error-rate scores (1 = latest sample only).
-    pub ewma_alpha: f64,
-    /// Consecutive dispatch failures that trip a closed breaker open.
-    pub trip_after: u32,
-    /// Submissions that must pass over an open (quarantined) replica
-    /// before it is offered a half-open re-admission probe.
-    pub probe_after: u64,
-    /// Consecutive successful probes required to close a half-open
-    /// breaker; also the cap on concurrent half-open probe traffic.
-    pub probes_to_close: u32,
-    /// Retry attempts per request submitted via
-    /// [`Router::submit_with_retry`] (0 disables retries).
-    ///
-    /// [`Router::submit_with_retry`]: crate::Router::submit_with_retry
-    pub max_retries: u32,
-    /// Base of the jittered exponential retry backoff, microseconds.
-    pub backoff_base_us: u64,
-    /// Upper bound on one backoff sleep, microseconds.
-    pub backoff_cap_us: u64,
-    /// Whether served payloads are run through the replica engine's
-    /// integrity screen (`ReplicaEngine::screen`); failures are discarded,
-    /// counted as integrity rejects, and retried like engine errors.
-    pub integrity_screen: bool,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        Self {
-            ewma_alpha: 0.2,
-            trip_after: 3,
-            probe_after: 8,
-            probes_to_close: 2,
-            max_retries: 2,
-            backoff_base_us: 200,
-            backoff_cap_us: 5_000,
-            integrity_screen: true,
-        }
-    }
-}
-
-impl HealthConfig {
-    /// Checks the configuration's internal consistency.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PfError::InvalidScenario`] describing the first problem.
-    pub fn validate(&self) -> Result<(), PfError> {
-        if !(self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0) {
-            return Err(PfError::invalid_scenario(
-                "health ewma_alpha must lie in (0, 1]",
-            ));
-        }
-        if self.trip_after == 0 {
-            return Err(PfError::invalid_scenario(
-                "health trip_after must be at least 1",
-            ));
-        }
-        if self.probes_to_close == 0 {
-            return Err(PfError::invalid_scenario(
-                "health probes_to_close must be at least 1",
-            ));
-        }
-        if self.backoff_cap_us < self.backoff_base_us {
-            return Err(PfError::invalid_scenario(
-                "health backoff_cap_us must be at least backoff_base_us",
-            ));
-        }
-        Ok(())
-    }
-}
+/// EWMA smoothing factor for the per-replica latency and error-rate
+/// scores (1 would keep the latest sample only).
+const EWMA_ALPHA: f64 = 0.2;
+/// Consecutive dispatch failures that trip a closed breaker open.
+const TRIP_AFTER: u32 = 3;
+/// Submissions that must pass over an open (quarantined) replica before it
+/// is offered a half-open re-admission probe.
+const PROBE_AFTER: u64 = 8;
+/// Consecutive successful probes that close a half-open breaker; also the
+/// cap on concurrent half-open probe traffic.
+const PROBES_TO_CLOSE: u32 = 2;
 
 /// Circuit-breaker state of one replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,7 +100,7 @@ impl ReplicaHealth {
         }
     }
 
-    fn ewma(&mut self, latency_ms: Option<f64>, error: f64, alpha: f64) {
+    fn ewma(&mut self, latency_ms: Option<f64>, error: f64) {
         if !self.ewma_primed {
             self.ewma_latency_ms = latency_ms.unwrap_or(0.0);
             self.ewma_error_rate = error;
@@ -172,20 +108,21 @@ impl ReplicaHealth {
             return;
         }
         if let Some(latency_ms) = latency_ms {
-            self.ewma_latency_ms = alpha * latency_ms + (1.0 - alpha) * self.ewma_latency_ms;
+            self.ewma_latency_ms =
+                EWMA_ALPHA * latency_ms + (1.0 - EWMA_ALPHA) * self.ewma_latency_ms;
         }
-        self.ewma_error_rate = alpha * error + (1.0 - alpha) * self.ewma_error_rate;
+        self.ewma_error_rate = EWMA_ALPHA * error + (1.0 - EWMA_ALPHA) * self.ewma_error_rate;
     }
 
     /// A dispatch attempt on this replica succeeded.
-    pub(crate) fn on_success(&mut self, cfg: &HealthConfig, latency_ms: f64) -> HealthEvents {
-        self.ewma(Some(latency_ms), 0.0, cfg.ewma_alpha);
+    pub(crate) fn on_success(&mut self, latency_ms: f64) -> HealthEvents {
+        self.ewma(Some(latency_ms), 0.0);
         self.consecutive_failures = 0;
         self.probes_outstanding = self.probes_outstanding.saturating_sub(1);
         let mut events = HealthEvents::default();
         if self.state == BreakerState::HalfOpen {
             self.probe_successes += 1;
-            if self.probe_successes >= cfg.probes_to_close {
+            if self.probe_successes >= PROBES_TO_CLOSE {
                 self.state = BreakerState::Closed;
                 self.transitions += 1;
                 events.transitions += 1;
@@ -196,13 +133,13 @@ impl ReplicaHealth {
 
     /// A dispatch attempt on this replica failed (engine error or
     /// integrity reject).
-    pub(crate) fn on_failure(&mut self, cfg: &HealthConfig) -> HealthEvents {
-        self.ewma(None, 1.0, cfg.ewma_alpha);
+    pub(crate) fn on_failure(&mut self) -> HealthEvents {
+        self.ewma(None, 1.0);
         self.consecutive_failures += 1;
         self.probes_outstanding = self.probes_outstanding.saturating_sub(1);
         let mut events = HealthEvents::default();
         let trip = match self.state {
-            BreakerState::Closed => self.consecutive_failures >= cfg.trip_after,
+            BreakerState::Closed => self.consecutive_failures >= TRIP_AFTER,
             // One failed probe is enough evidence: back to quarantine.
             BreakerState::HalfOpen => true,
             BreakerState::Open => false,
@@ -230,12 +167,12 @@ impl ReplicaHealth {
     /// Mutates the open-state skip counter and performs the open →
     /// half-open transition when a probe is due. Returns the admission
     /// class for ordering (see [`gate_order`]).
-    pub(crate) fn gate(&mut self, cfg: &HealthConfig) -> (Admission, HealthEvents) {
+    pub(crate) fn gate(&mut self) -> (Admission, HealthEvents) {
         let mut events = HealthEvents::default();
         let admission = match self.state {
             BreakerState::Closed => Admission::Normal,
             BreakerState::Open => {
-                if self.skipped_while_open >= cfg.probe_after {
+                if self.skipped_while_open >= PROBE_AFTER {
                     self.state = BreakerState::HalfOpen;
                     self.probe_successes = 0;
                     self.probes_outstanding = 0;
@@ -248,7 +185,7 @@ impl ReplicaHealth {
                 }
             }
             BreakerState::HalfOpen => {
-                if self.probes_outstanding < cfg.probes_to_close {
+                if self.probes_outstanding < PROBES_TO_CLOSE {
                     Admission::Probe
                 } else {
                     Admission::Quarantined
@@ -318,48 +255,39 @@ impl Default for ReplicaHealthReport {
 mod tests {
     use super::*;
 
-    fn cfg() -> HealthConfig {
-        HealthConfig {
-            trip_after: 2,
-            probe_after: 3,
-            probes_to_close: 2,
-            ..HealthConfig::default()
-        }
-    }
-
     #[test]
     fn breaker_walks_closed_open_half_open_closed() {
-        let cfg = cfg();
         let mut h = ReplicaHealth::new();
         assert_eq!(h.state, BreakerState::Closed);
 
-        // Two consecutive failures trip it open.
-        assert_eq!(h.on_failure(&cfg), HealthEvents::default());
-        let events = h.on_failure(&cfg);
+        // Three consecutive failures trip it open.
+        assert_eq!(h.on_failure(), HealthEvents::default());
+        assert_eq!(h.on_failure(), HealthEvents::default());
+        let events = h.on_failure();
         assert_eq!(events.transitions, 1);
         assert_eq!(events.quarantines, 1);
         assert_eq!(h.state, BreakerState::Open);
 
-        // Quarantined until probe_after submissions have passed it over.
-        for _ in 0..3 {
-            let (admission, events) = h.gate(&cfg);
+        // Quarantined until eight submissions have passed it over.
+        for _ in 0..8 {
+            let (admission, events) = h.gate();
             assert_eq!(admission, Admission::Quarantined);
             assert_eq!(events, HealthEvents::default());
         }
-        let (admission, events) = h.gate(&cfg);
+        let (admission, events) = h.gate();
         assert_eq!(admission, Admission::Probe);
         assert_eq!(events.transitions, 1);
         assert_eq!(h.state, BreakerState::HalfOpen);
 
-        // Probe traffic is capped at probes_to_close in flight.
+        // Probe traffic is capped at two in flight.
         h.note_admission();
         h.note_admission();
-        assert_eq!(h.gate(&cfg).0, Admission::Quarantined);
+        assert_eq!(h.gate().0, Admission::Quarantined);
 
         // Two probe successes close it.
-        assert_eq!(h.on_success(&cfg, 1.0), HealthEvents::default());
-        assert_eq!(h.gate(&cfg).0, Admission::Probe);
-        let events = h.on_success(&cfg, 1.0);
+        assert_eq!(h.on_success(1.0), HealthEvents::default());
+        assert_eq!(h.gate().0, Admission::Probe);
+        let events = h.on_success(1.0);
         assert_eq!(events.transitions, 1);
         assert_eq!(events.quarantines, 0);
         assert_eq!(h.state, BreakerState::Closed);
@@ -369,58 +297,40 @@ mod tests {
 
     #[test]
     fn a_failed_probe_reopens() {
-        let cfg = cfg();
         let mut h = ReplicaHealth::new();
-        h.on_failure(&cfg);
-        h.on_failure(&cfg);
-        for _ in 0..4 {
-            h.gate(&cfg);
+        for _ in 0..3 {
+            h.on_failure();
+        }
+        for _ in 0..9 {
+            h.gate();
         }
         assert_eq!(h.state, BreakerState::HalfOpen);
-        let events = h.on_failure(&cfg);
+        let events = h.on_failure();
         assert_eq!(events.quarantines, 1);
         assert_eq!(h.state, BreakerState::Open);
     }
 
     #[test]
     fn successes_reset_the_failure_streak() {
-        let cfg = cfg();
         let mut h = ReplicaHealth::new();
-        h.on_failure(&cfg);
-        h.on_success(&cfg, 2.0);
-        h.on_failure(&cfg);
+        h.on_failure();
+        h.on_failure();
+        h.on_success(2.0);
+        h.on_failure();
+        h.on_failure();
         assert_eq!(h.state, BreakerState::Closed, "streak broken by success");
         let report = h.report();
-        assert_eq!(report.consecutive_failures, 1);
+        assert_eq!(report.consecutive_failures, 2);
         assert!(report.ewma_error_rate > 0.0 && report.ewma_error_rate < 1.0);
     }
 
     #[test]
     fn ewma_tracks_latency() {
-        let cfg = HealthConfig {
-            ewma_alpha: 0.5,
-            ..HealthConfig::default()
-        };
         let mut h = ReplicaHealth::new();
-        h.on_success(&cfg, 10.0);
+        h.on_success(10.0);
         assert!((h.report().ewma_latency_ms - 10.0).abs() < 1e-12);
-        h.on_success(&cfg, 20.0);
-        assert!((h.report().ewma_latency_ms - 15.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn config_is_validated() {
-        assert!(HealthConfig::default().validate().is_ok());
-        for break_it in [
-            (|c: &mut HealthConfig| c.ewma_alpha = 0.0) as fn(&mut HealthConfig),
-            |c| c.ewma_alpha = 1.5,
-            |c| c.trip_after = 0,
-            |c| c.probes_to_close = 0,
-            |c| c.backoff_cap_us = c.backoff_base_us - 1,
-        ] {
-            let mut c = HealthConfig::default();
-            break_it(&mut c);
-            assert!(c.validate().is_err());
-        }
+        // 0.2 * 20 + 0.8 * 10.
+        h.on_success(20.0);
+        assert!((h.report().ewma_latency_ms - 12.0).abs() < 1e-12);
     }
 }

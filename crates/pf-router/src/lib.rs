@@ -24,7 +24,7 @@
 //!   before returning the final stats;
 //! * self-healing: per-replica health scoring (EWMA latency + error
 //!   rate), a closed → open → half-open circuit breaker with quarantine
-//!   and re-admission probes ([`HealthConfig`], [`BreakerState`]),
+//!   and re-admission probes ([`BreakerState`]),
 //!   deadline-aware retry with jittered exponential backoff for
 //!   idempotent requests ([`Router::submit_with_retry`]), and a NaN/Inf
 //!   integrity screen ([`ReplicaEngine::screen`]).
@@ -42,7 +42,7 @@ pub mod policy;
 pub mod router;
 pub mod stats;
 
-pub use health::{BreakerState, HealthConfig, ReplicaHealthReport};
+pub use health::{BreakerState, ReplicaHealthReport};
 pub use policy::Policy;
 pub use router::{ReplicaEngine, Router, RouterConfig, RouterRequest, RouterTicket};
 pub use stats::{CacheStats, ClassStats, ReplicaRollup, RouterStats};

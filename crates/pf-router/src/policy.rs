@@ -52,8 +52,8 @@ impl Policy {
 
 /// SplitMix64: a cheap, well-mixed 64-bit hash (also the router's
 /// backoff jitter). Deterministic across runs and platforms — ring
-/// placement is part of the reproducible experiment. pf-faults draws its
-/// fault windows from it too.
+/// placement is part of the reproducible experiment. The facade's fault
+/// plans draw their spike jitter and drift seeds from it too.
 pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

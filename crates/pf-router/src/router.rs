@@ -10,10 +10,16 @@ use pf_core::{PfError, ServingSpec};
 use pf_serve::{InferenceEngine, RequestTrace, ServeConfig, Server, Ticket};
 use pf_telemetry::Telemetry;
 
-use crate::health::HealthConfig;
 use crate::policy::{splitmix64, unit_from_bits, HashRing, Policy};
 use crate::stats::{secs_between, Outcome, ReplicaRollup, RouterCollector, RouterStats};
 use crate::CacheStats;
+
+/// Retry attempts per request submitted via [`Router::submit_with_retry`].
+const MAX_RETRIES: u32 = 2;
+/// Base of the jittered exponential retry backoff, microseconds.
+const BACKOFF_BASE_US: u64 = 200;
+/// Upper bound on one backoff sleep, microseconds.
+const BACKOFF_CAP_US: u64 = 5_000;
 
 /// An [`InferenceEngine`] that can additionally report how often requests
 /// found their model's session (and its lowered layers) already
@@ -29,11 +35,9 @@ pub trait ReplicaEngine: InferenceEngine {
 
     /// Cheap integrity screen over a served payload: `false` means the
     /// response is corrupt (e.g. contains NaN/Inf) and must not reach the
-    /// caller. The router runs this on every successful result when
-    /// [`HealthConfig::integrity_screen`] is on, discards failures, and
-    /// counts them as integrity rejects. The default accepts everything.
-    ///
-    /// [`HealthConfig::integrity_screen`]: crate::HealthConfig::integrity_screen
+    /// caller. The router runs this on every successful result, discards
+    /// failures, and counts them as integrity rejects. The default accepts
+    /// everything.
     fn screen(&self, response: &Self::Response) -> bool {
         let _ = response;
         true
@@ -78,11 +82,6 @@ pub struct RouterConfig {
     /// zero. Restored (with hysteresis, at half this pressure) when load
     /// subsides.
     pub shrink_at: f64,
-    /// Self-healing knobs: per-replica health scoring, circuit breaker,
-    /// retry/backoff, integrity screen. Defaults apply unless configured in
-    /// code (the scenario schema configures fault *injection*, not
-    /// healing).
-    pub health: HealthConfig,
 }
 
 impl Default for RouterConfig {
@@ -114,7 +113,6 @@ impl RouterConfig {
             slo_p99_ms: router.slo_p99_ms,
             shed_at: router.shed_at,
             shrink_at: router.shrink_at,
-            health: HealthConfig::default(),
         })
     }
 
@@ -135,8 +133,7 @@ impl RouterConfig {
             shrink_at: self.shrink_at,
             ..pf_core::RouterSpec::default()
         });
-        spec.validate()?;
-        self.health.validate()
+        spec.validate()
     }
 
     /// Index of the lowest (only sheddable) priority class.
@@ -315,13 +312,11 @@ impl<'r, E: ReplicaEngine + 'static> RouterTicket<'r, E> {
         completed: Option<Instant>,
         budget: Option<Instant>,
     ) -> Resolution<E::Response> {
-        let health = &self.router.config.health;
         match (result, completed) {
             (Ok(response), Some(completed)) => {
-                if health.integrity_screen
-                    && !self.router.replicas[self.replica]
-                        .engine()
-                        .screen(&response)
+                if !self.router.replicas[self.replica]
+                    .engine()
+                    .screen(&response)
                 {
                     let mut collector = self.router.collector.lock();
                     collector.record_integrity_reject();
@@ -387,19 +382,16 @@ impl<'r, E: ReplicaEngine + 'static> RouterTicket<'r, E> {
     /// request is not retryable, out of attempts, out of time, or no
     /// replica admits it.
     fn try_retry(&mut self, budget: Option<Instant>) -> bool {
-        let health = &self.router.config.health;
         let Some(replay) = &self.replay else {
             return false;
         };
-        if self.attempts >= health.max_retries {
+        if self.attempts >= MAX_RETRIES {
             return false;
         }
-        let exp = health
-            .backoff_base_us
-            .saturating_mul(1u64 << self.attempts.min(20));
+        let exp = BACKOFF_BASE_US.saturating_mul(1u64 << self.attempts.min(20));
         let jitter = 0.5
             + 0.5 * unit_from_bits(splitmix64(self.backoff_seed ^ u64::from(self.attempts + 1)));
-        let delay = Duration::from_micros((exp.min(health.backoff_cap_us) as f64 * jitter) as u64);
+        let delay = Duration::from_micros((exp.min(BACKOFF_CAP_US) as f64 * jitter) as u64);
         let now = Instant::now();
         // Deadline-aware: a retry that cannot complete in time is pointless.
         if [self.deadline, budget]
@@ -517,7 +509,6 @@ impl<E: ReplicaEngine + 'static> Router<E> {
         let collector = Arc::new(Mutex::new(RouterCollector::new(
             config.priority_classes.len(),
             config.replicas,
-            config.health,
             &telemetry,
         )));
         Ok(Self {
@@ -579,10 +570,10 @@ impl<E: ReplicaEngine + 'static> Router<E> {
     /// if an attempt fails (engine error, injected fault, integrity
     /// rejection), waiting on the ticket transparently resubmits the
     /// payload — preferring a different replica — with deadline-aware
-    /// jittered exponential backoff, up to
-    /// [`crate::HealthConfig::max_retries`] times. Only side-effect-free
-    /// requests should use this path; the router cannot tell whether a
-    /// failed attempt partially executed.
+    /// jittered exponential backoff (200 µs doubling per attempt, capped
+    /// at 5 ms, each sleep jittered into its upper half), up to two times.
+    /// Only side-effect-free requests should use this path; the router
+    /// cannot tell whether a failed attempt partially executed.
     ///
     /// # Errors
     ///

@@ -13,7 +13,7 @@ use pf_serve::{LatencySummary, ServerStats};
 use pf_telemetry::{Counter, Telemetry};
 use serde::{Deserialize, Serialize};
 
-use crate::health::{Admission, HealthConfig, HealthEvents, ReplicaHealth, ReplicaHealthReport};
+use crate::health::{Admission, HealthEvents, ReplicaHealth, ReplicaHealthReport};
 
 /// Model-session cache counters of one replica's engine (see
 /// `ReplicaEngine::cache_stats`): how often a request found its model's
@@ -205,7 +205,6 @@ struct ClassAcc {
 pub(crate) struct RouterCollector {
     classes: Vec<ClassAcc>,
     dispatched: Vec<u64>,
-    health_config: HealthConfig,
     health: Vec<ReplicaHealth>,
     admitted: Counter,
     shed: Counter,
@@ -219,17 +218,11 @@ pub(crate) struct RouterCollector {
 }
 
 impl RouterCollector {
-    pub(crate) fn new(
-        classes: usize,
-        replicas: usize,
-        health_config: HealthConfig,
-        tel: &Telemetry,
-    ) -> Self {
+    pub(crate) fn new(classes: usize, replicas: usize, tel: &Telemetry) -> Self {
         let tel = tel.or_private();
         Self {
             classes: (0..classes).map(|_| ClassAcc::default()).collect(),
             dispatched: vec![0; replicas],
-            health_config,
             health: (0..replicas).map(|_| ReplicaHealth::new()).collect(),
             admitted: tel.counter("router.admitted"),
             shed: tel.counter("router.shed"),
@@ -269,14 +262,14 @@ impl RouterCollector {
 
     /// One dispatch attempt on `replica` served successfully.
     pub(crate) fn record_attempt_success(&mut self, replica: usize, latency_ms: f64) {
-        let events = self.health[replica].on_success(&self.health_config, latency_ms);
+        let events = self.health[replica].on_success(latency_ms);
         self.bump(events);
     }
 
     /// One dispatch attempt on `replica` failed (engine error or integrity
     /// reject) — whether or not the request will be retried.
     pub(crate) fn record_attempt_failure(&mut self, replica: usize) {
-        let events = self.health[replica].on_failure(&self.health_config);
+        let events = self.health[replica].on_failure();
         self.bump(events);
     }
 
@@ -301,7 +294,7 @@ impl RouterCollector {
         let mut probes = Vec::new();
         let mut normal = Vec::new();
         for &replica in &order {
-            let (admission, events) = self.health[replica].gate(&self.health_config);
+            let (admission, events) = self.health[replica].gate();
             self.bump(events);
             match admission {
                 Admission::Normal => normal.push(replica),
@@ -422,7 +415,7 @@ mod tests {
     #[test]
     fn collector_rolls_up_per_class_and_aggregate() {
         let tel = Telemetry::enabled();
-        let mut c = RouterCollector::new(2, 2, HealthConfig::default(), &tel);
+        let mut c = RouterCollector::new(2, 2, &tel);
         c.record_admitted(0, 0, false);
         c.record_admitted(0, 1, true);
         c.record_admitted(1, 0, false);
@@ -501,18 +494,17 @@ mod tests {
 
     #[test]
     fn router_stats_serialize() {
-        let stats = RouterCollector::new(1, 1, HealthConfig::default(), &Telemetry::disabled())
-            .snapshot(
-                "round_robin",
-                &["only".to_string()],
-                vec![ReplicaRollup {
-                    replica: 0,
-                    dispatched: 0,
-                    server: ServerStats::default(),
-                    cache: CacheStats::default(),
-                    health: ReplicaHealthReport::default(),
-                }],
-            );
+        let stats = RouterCollector::new(1, 1, &Telemetry::disabled()).snapshot(
+            "round_robin",
+            &["only".to_string()],
+            vec![ReplicaRollup {
+                replica: 0,
+                dispatched: 0,
+                server: ServerStats::default(),
+                cache: CacheStats::default(),
+                health: ReplicaHealthReport::default(),
+            }],
+        );
         let json = serde_json::to_string(&stats).unwrap();
         let back: RouterStats = serde_json::from_str(&json).unwrap();
         assert_eq!(back, stats);
@@ -521,24 +513,25 @@ mod tests {
     #[test]
     fn attempt_accounting_drives_breaker_and_counters() {
         let tel = Telemetry::enabled();
-        let health = HealthConfig {
-            trip_after: 2,
-            probe_after: 1,
-            probes_to_close: 1,
-            ..HealthConfig::default()
-        };
-        let mut c = RouterCollector::new(1, 2, health, &tel);
-        // Two failures on replica 0 trip its breaker; replica 1 untouched.
+        let mut c = RouterCollector::new(1, 2, &tel);
+        // Three failures on replica 0 trip its breaker; replica 1 untouched.
         c.record_attempt_failure(0);
+        c.record_attempt_failure(0);
+        assert_eq!(c.health_report(0).state, "closed");
         c.record_attempt_failure(0);
         assert_eq!(c.health_report(0).state, "open");
         assert_eq!(c.health_report(1).state, "closed");
-        // The gate skips replica 0 on the first pass (probe countdown), then
+        // The gate skips replica 0 for eight passes (probe countdown), then
         // offers it a probe — ahead of the policy order.
-        assert_eq!(c.gate_order(vec![0, 1]), vec![1]);
+        for _ in 0..8 {
+            assert_eq!(c.gate_order(vec![0, 1]), vec![1]);
+        }
         assert_eq!(c.gate_order(vec![0, 1]), vec![0, 1]);
         assert_eq!(c.health_report(0).state, "half_open");
-        // A retry dispatch lands the probe; success closes the breaker.
+        // Retry dispatches land the probes; two successes close the breaker.
+        c.record_retry(0);
+        c.record_attempt_success(0, 5.0);
+        assert_eq!(c.health_report(0).state, "half_open");
         c.record_retry(0);
         c.record_attempt_success(0, 5.0);
         assert_eq!(c.health_report(0).state, "closed");
@@ -546,12 +539,12 @@ mod tests {
 
         let names = vec!["only".to_string()];
         let stats = c.snapshot("round_robin", &names, Vec::new());
-        assert_eq!(stats.retries, 1);
+        assert_eq!(stats.retries, 2);
         // closed->open, open->half_open, half_open->closed.
         assert_eq!(stats.breaker_transitions, 3);
         assert_eq!(stats.quarantined, 1);
         assert_eq!(stats.integrity_rejects, 1);
-        assert_eq!(c.dispatched(0), 1, "retry dispatch counts as work");
+        assert_eq!(c.dispatched(0), 2, "retry dispatch counts as work");
         // Retries never inflate the admission invariant.
         assert_eq!(
             stats.submitted,
@@ -559,7 +552,7 @@ mod tests {
         );
 
         let snap = tel.snapshot();
-        assert_eq!(snap.counter("router.retries"), 1);
+        assert_eq!(snap.counter("router.retries"), 2);
         assert_eq!(snap.counter("router.breaker_transitions"), 3);
         assert_eq!(snap.counter("router.quarantined"), 1);
         assert_eq!(snap.counter("router.integrity_rejects"), 1);

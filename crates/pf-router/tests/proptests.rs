@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use std::time::Duration;
 
 use pf_core::PfError;
-use pf_router::{HealthConfig, Policy, ReplicaEngine, Router, RouterConfig, RouterRequest};
+use pf_router::{Policy, ReplicaEngine, Router, RouterConfig, RouterRequest};
 use pf_serve::{InferenceEngine, ServeConfig};
 use proptest::prelude::*;
 
@@ -54,13 +54,6 @@ fn config(replicas: usize) -> RouterConfig {
         slo_p99_ms: 1_000.0,
         shed_at: 0.95,
         shrink_at: 0.9,
-        health: HealthConfig {
-            // Tiny backoff keeps the property runs fast; the retry logic
-            // under test is cadence-independent.
-            backoff_base_us: 10,
-            backoff_cap_us: 50,
-            ..HealthConfig::default()
-        },
     }
 }
 

@@ -10,9 +10,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 use pf_core::PfError;
-use pf_router::{
-    CacheStats, HealthConfig, Policy, ReplicaEngine, Router, RouterConfig, RouterRequest,
-};
+use pf_router::{CacheStats, Policy, ReplicaEngine, Router, RouterConfig, RouterRequest};
 use pf_serve::{InferenceEngine, ServeConfig};
 
 /// Echo engine that remembers which replica it is and which affinity keys
@@ -157,7 +155,6 @@ fn config(policy: Policy, replicas: usize, queue_depth: usize) -> RouterConfig {
         slo_p99_ms: 250.0,
         shed_at: 0.75,
         shrink_at: 0.5,
-        health: HealthConfig::default(),
     }
 }
 

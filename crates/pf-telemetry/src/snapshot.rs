@@ -1,5 +1,5 @@
 //! Point-in-time snapshots of the registry, serializable for BENCH
-//! reports, plus counter-delta extraction for the periodic reporter.
+//! reports, plus counter deltas between two snapshots.
 
 use serde::{Deserialize, Serialize};
 
@@ -87,43 +87,6 @@ impl MetricsSnapshot {
             spans_dropped: self.spans_dropped.saturating_sub(prev.spans_dropped),
         }
     }
-
-    /// A compact human-readable table of the non-zero counters and gauges
-    /// (what `--report-every` prints between runs).
-    pub fn format_table(&self) -> String {
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            if *v != 0 {
-                out.push_str(&format!("  {name:<40} {v:>12}\n"));
-            }
-        }
-        for (name, v) in &self.gauges {
-            if *v != 0 {
-                out.push_str(&format!("  {name:<40} {v:>12} (gauge)\n"));
-            }
-        }
-        for stage in Stage::ALL {
-            let ns = self.stages.stage_ns(stage);
-            if ns != 0 {
-                out.push_str(&format!(
-                    "  stage.{:<34} {:>10.3}ms ({} calls)\n",
-                    stage.name(),
-                    ns as f64 / 1e6,
-                    self.stages.stage_calls(stage)
-                ));
-            }
-        }
-        if self.spans_recorded != 0 {
-            out.push_str(&format!(
-                "  {:<40} {:>12} ({} dropped)\n",
-                "spans.recorded", self.spans_recorded, self.spans_dropped
-            ));
-        }
-        if out.is_empty() {
-            out.push_str("  (no activity)\n");
-        }
-        out
-    }
 }
 
 fn lookup(pairs: &[(String, u64)], name: &str) -> u64 {
@@ -155,7 +118,6 @@ mod tests {
         assert_eq!(delta.counter("c"), 7, "new counters keep full value");
         assert_eq!(delta.gauge("g"), 9, "gauges are levels, not rates");
         assert_eq!(delta.spans_recorded, 4);
-        assert!(delta.format_table().contains('a'));
     }
 
     #[test]

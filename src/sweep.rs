@@ -18,10 +18,9 @@
 //! Points fan out across the rayon pool; the pool width is the one way to
 //! say "serial" (`ThreadPoolBuilder::num_threads(1)` around the run).
 //! Results are **bit-for-bit identical** at every width: every point owns
-//! its sessions (fresh
-//! noise streams seeded per point), the digital inference reference is
-//! deterministic regardless of which thread populates the cache first, and
-//! the report lists points in expansion order, not completion order.
+//! its sessions (fresh noise streams seeded per point, and its own
+//! deterministic digital reference), and the report lists points in
+//! expansion order, not completion order.
 //!
 //! ```
 //! use photofourier::prelude::*;
@@ -36,9 +35,6 @@
 //! assert!(report.points.iter().all(|p| p.fps_per_watt > 0.0));
 //! # Ok::<(), photofourier::PfError>(())
 //! ```
-
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 
 use pf_core::{BackendKind, PfError, Scenario, SweepPlan, SweepPoint};
 use pf_dsp::conv::{correlate2d, Matrix, PaddingMode};
@@ -181,16 +177,7 @@ fn csv_escape(field: &str) -> String {
 pub struct SweepRunner {
     plan: SweepPlan,
     smoke: bool,
-    /// Digital inference features keyed by (capacity, pipeline, functional):
-    /// points that share a numeric pipeline share one reference computation.
-    /// Each key holds its own slot mutex so only one thread computes a
-    /// given reference while unrelated keys proceed unblocked.
-    reference_cache: Mutex<HashMap<String, ReferenceSlot>>,
 }
-
-/// Per-key cell of the reference cache: `None` until the digital reference
-/// features for that pipeline have been computed.
-type ReferenceSlot = Arc<Mutex<Option<Arc<Vec<f64>>>>>;
 
 impl SweepRunner {
     /// Expands the scenario's `[sweep]` section into a plan. A scenario
@@ -206,11 +193,7 @@ impl SweepRunner {
 
     /// Wraps an already-expanded plan.
     pub fn from_plan(plan: SweepPlan) -> Self {
-        Self {
-            plan,
-            smoke: false,
-            reference_cache: Mutex::new(HashMap::new()),
-        }
+        Self { plan, smoke: false }
     }
 
     /// Switches between smoke probes (16×16 convolution input, one
@@ -337,37 +320,13 @@ impl SweepRunner {
             .collect()
     }
 
-    /// Digital-backend features for the probe images, cached per numeric
-    /// pipeline so grid points that differ only in backend or design point
-    /// share one reference computation.
+    /// Digital-backend features for the probe images: the point's
+    /// scenario with its backend switched to the exact digital reference.
     fn reference_features(
         &self,
         scenario: &Scenario,
         images: &[Tensor],
-    ) -> Result<Arc<Vec<f64>>, PfError> {
-        let key = format!(
-            "cap={}|pipeline={:?}|functional={:?}|images={}",
-            scenario.backend.capacity,
-            scenario.pipeline,
-            scenario.functional,
-            images.len()
-        );
-        let slot: ReferenceSlot = Arc::clone(
-            self.reference_cache
-                .lock()
-                .expect("cache lock")
-                .entry(key)
-                .or_default(),
-        );
-        // Holding the slot lock (not the map lock) during the computation
-        // serialises threads racing for the *same* key — exactly one of
-        // them runs the expensive digital inference — while points with
-        // other pipelines proceed unblocked. On error the slot stays empty
-        // and the next caller retries.
-        let mut slot = slot.lock().expect("reference slot lock");
-        if let Some(cached) = &*slot {
-            return Ok(Arc::clone(cached));
-        }
+    ) -> Result<Vec<f64>, PfError> {
         let mut reference = scenario.clone();
         reference.backend.kind = BackendKind::Digital;
         let session = Session::from_scenario(reference)?;
@@ -375,8 +334,6 @@ impl SweepRunner {
         for image in images {
             features.extend_from_slice(session.run_inference(image)?.data());
         }
-        let features = Arc::new(features);
-        *slot = Some(Arc::clone(&features));
         Ok(features)
     }
 }

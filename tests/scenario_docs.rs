@@ -1,7 +1,7 @@
 //! Keeps `docs/SCENARIOS.md` honest: every fenced TOML example on the page
 //! must be a complete, loadable scenario that survives a serialization
 //! round trip, and the page must mention every field the scenario parser
-//! accepts.
+//! accepts. Also holds README's crate table to the workspace's members.
 
 use photofourier::prelude::*;
 
@@ -163,4 +163,41 @@ fn every_schema_field_is_documented() {
             "SCENARIOS.md must list network `{network}`"
         );
     }
+}
+
+#[test]
+fn readme_architecture_table_lists_exactly_the_workspace_crates() {
+    let read = |file: &str| {
+        std::fs::read_to_string(format!("{}/{file}", env!("CARGO_MANIFEST_DIR")))
+            .unwrap_or_else(|e| panic!("{file}: {e}"))
+    };
+    let mut members: Vec<String> = read("Cargo.toml")
+        .lines()
+        .filter_map(|line| {
+            let name = line.trim().strip_prefix("\"crates/")?;
+            Some(name.trim_end_matches(',').trim_end_matches('"').to_string())
+        })
+        .collect();
+    let readme = read("README.md");
+    let map = readme
+        .split("## Architecture map")
+        .nth(1)
+        .expect("README.md has an \"Architecture map\" section");
+    let map = map.split("\n## ").next().unwrap();
+    // Table rows name one crate each: | `pf-xyz` | role |
+    let mut listed: Vec<String> = map
+        .lines()
+        .filter_map(|line| {
+            let cell = line.strip_prefix("| `")?;
+            Some(cell.split('`').next()?.to_string())
+        })
+        .filter(|name| name.starts_with("pf-"))
+        .collect();
+    members.sort();
+    listed.sort();
+    assert!(!members.is_empty(), "no crates/* members in Cargo.toml");
+    assert_eq!(
+        listed, members,
+        "README's architecture table must list exactly the crates/* workspace members"
+    );
 }
