@@ -162,7 +162,8 @@ pub struct ServingSpec {
     /// Largest micro-batch the batcher dispatches in one engine call.
     pub max_batch: usize,
     /// How long the batcher waits for more requests before dispatching a
-    /// partial batch, in microseconds. `0` dispatches whatever is queued
+    /// partial batch, in microseconds, counted from the admission of the
+    /// batch's oldest request. `0` dispatches whatever is queued
     /// immediately.
     pub batch_timeout_us: u64,
     /// Bounded queue depth: requests submitted while this many are already

@@ -14,8 +14,12 @@ pub struct ServeConfig {
     /// Largest micro-batch the batcher dispatches in one engine call.
     pub max_batch: usize,
     /// How long the batcher waits for more requests before dispatching a
-    /// partial batch. `Duration::ZERO` dispatches whatever is queued the
-    /// moment a worker picks work up — lowest latency, smallest batches.
+    /// partial batch, counted from the admission of the batch's oldest
+    /// request; a worker wakes at that deadline (its timer slack is 1 ns).
+    /// A request that already waited this long behind a busy worker is
+    /// dispatched as soon as a worker picks it up. `Duration::ZERO`
+    /// dispatches whatever is queued the moment a worker picks work up —
+    /// lowest latency, smallest batches.
     pub batch_timeout: Duration,
     /// Bounded queue depth: a request submitted while this many are already
     /// waiting is rejected with [`PfError::Overloaded`]. This is the

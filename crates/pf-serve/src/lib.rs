@@ -13,7 +13,9 @@
 //!
 //! * [`ServeConfig`] — batch size, batch-formation timeout, bounded queue
 //!   depth (admission control), worker count (`0` auto-sizes against
-//!   rayon's global pool);
+//!   rayon's global pool). The timeout is counted from the admission of a
+//!   batch's oldest request, and workers wake at that deadline (their
+//!   timer slack is 1 ns, not the kernel's default 50 µs);
 //! * [`Server`] — [`Server::submit`] returns a per-request [`Ticket`];
 //!   [`Server::submit_with_deadline`] attaches an absolute deadline
 //!   (expired requests are never dispatched); [`Ticket::wait_deadline`]

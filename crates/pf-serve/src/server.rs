@@ -249,9 +249,13 @@ impl<E: InferenceEngine> Shared<E> {
 /// A thread-based micro-batching inference server.
 ///
 /// Worker threads drain the bounded request queue into micro-batches (up to
-/// [`ServeConfig::max_batch`] requests, waiting at most the current batch
-/// window — initially [`ServeConfig::batch_timeout`] — for a partial batch
-/// to fill) and dispatch each batch through the [`InferenceEngine`].
+/// [`ServeConfig::max_batch`] requests) and dispatch each batch through the
+/// [`InferenceEngine`]. A partial batch waits for company until the current
+/// batch window — initially [`ServeConfig::batch_timeout`] — has passed
+/// since its oldest request's admission: a request that already queued
+/// that long behind a busy worker is dispatched as soon as a worker picks
+/// it up. Workers set their timer slack to 1 ns, so they wake at that
+/// deadline rather than up to the kernel's default 50 µs past it.
 /// Admission control is a bounded queue: submissions beyond
 /// [`ServeConfig::queue_depth`] are rejected with [`PfError::Overloaded`].
 /// Requests may carry a deadline ([`Server::submit_with_deadline`]): a
@@ -580,7 +584,29 @@ fn resolve_dropped<E: InferenceEngine>(shared: &Shared<E>, dropped: Vec<Dropped<
     }
 }
 
+/// Asks the kernel to wake the calling thread at its timers' deadlines.
+/// A thread's default timer slack (50 µs) lets every timed wait overrun by
+/// up to that much; 1 ns is the least that can be set (0 restores the
+/// default). Only the calling thread's slack changes.
+#[cfg(target_os = "linux")]
+fn tighten_timer_slack() {
+    use std::os::raw::{c_int, c_ulong};
+    extern "C" {
+        fn prctl(option: c_int, ...) -> c_int;
+    }
+    const PR_SET_TIMERSLACK: c_int = 29;
+    // SAFETY: PR_SET_TIMERSLACK reads one unsigned long and touches only
+    // the calling thread's slack. A failure leaves the default in place.
+    unsafe {
+        prctl(PR_SET_TIMERSLACK, 1 as c_ulong);
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+fn tighten_timer_slack() {}
+
 fn worker_loop<E: InferenceEngine>(shared: &Shared<E>) {
+    tighten_timer_slack();
     let max_batch = shared.config.max_batch;
     loop {
         let mut queue = shared.queue.lock();
@@ -598,13 +624,23 @@ fn worker_loop<E: InferenceEngine>(shared: &Shared<E>) {
         let mut batch = Vec::with_capacity(max_batch);
         let mut dropped = Vec::new();
         take_into(&mut batch, &mut dropped, &mut queue, max_batch);
+        // Nothing live in hand: resolve what was dropped now rather than
+        // after a window, and go back to the idle wait.
+        if batch.is_empty() {
+            drop(queue);
+            resolve_dropped(shared, dropped);
+            continue;
+        }
 
-        // Batch formation: wait (bounded by the current window) for a
-        // partial batch to fill. Skipped during drain — shutdown flushes at
-        // full speed — and when the window has been shrunk to zero.
+        // Batch formation: wait for a partial batch to fill until the
+        // window, counted from the oldest request's admission (the queue is
+        // FIFO, so that is `batch[0]`), lapses. A request that already
+        // waited its window behind a busy worker leaves at once. Skipped
+        // during drain — shutdown flushes at full speed — and when the
+        // window has been shrunk to zero.
         let window = shared.window();
         if batch.len() < max_batch && queue.accepting && !window.is_zero() {
-            let deadline = Instant::now() + window;
+            let deadline = batch[0].enqueued + window;
             loop {
                 take_into(&mut batch, &mut dropped, &mut queue, max_batch);
                 if batch.len() >= max_batch || !queue.accepting {
@@ -629,9 +665,6 @@ fn worker_loop<E: InferenceEngine>(shared: &Shared<E>) {
 }
 
 fn dispatch<E: InferenceEngine>(shared: &Shared<E>, batch: Vec<Request<E::Request, E::Response>>) {
-    if batch.is_empty() {
-        return;
-    }
     let dispatched = Instant::now();
     let mut inputs = Vec::with_capacity(batch.len());
     let mut seqs = Vec::with_capacity(batch.len());

@@ -246,6 +246,80 @@ fn batcher_forms_micro_batches_up_to_max_batch() {
 }
 
 #[test]
+fn batch_window_is_counted_from_the_oldest_requests_admission() {
+    let (engine, entered) = GatedEngine::new();
+    let window = Duration::from_millis(300);
+    let config = ServeConfig {
+        max_batch: 4,
+        batch_timeout: window,
+        queue_depth: 64,
+        workers: 1,
+    };
+    let server = Server::new(Arc::clone(&engine), config).unwrap();
+
+    // A lone request on an idle server waits its whole window for company;
+    // it then holds the worker inside the engine.
+    let submitted = Instant::now();
+    let t0 = server.submit(0.0).unwrap();
+    assert_eq!(entered.recv().unwrap(), 1);
+    let lone = submitted.elapsed();
+
+    // A request that waits its window out behind the busy worker...
+    let t1 = server.submit(1.0).unwrap();
+    std::thread::sleep(Duration::from_millis(400));
+    let granted = Instant::now();
+    engine.grant(1);
+    assert_eq!(entered.recv().unwrap(), 1);
+    let waited = granted.elapsed();
+    // (Release the engine before asserting: a failed assertion must not
+    // leave the worker blocked in it while the server is dropped.)
+    engine.grant(1);
+    assert_eq!(t0.wait().unwrap(), 0.0);
+    assert_eq!(t1.wait().unwrap(), 1.0);
+    let stats = server.shutdown().unwrap();
+    assert_eq!(stats.served, 2);
+
+    // ...leaves as soon as the worker is free, not after a fresh window.
+    assert!(
+        waited < Duration::from_millis(150),
+        "the worker opened a fresh window: {waited:?} from grant to dispatch"
+    );
+    assert!(
+        lone >= window,
+        "a lone request was dispatched {lone:?} after admission, inside its {window:?} window"
+    );
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn workers_wake_on_the_deadline() {
+    /// Answers each request with its worker thread's timer slack.
+    #[derive(Debug)]
+    struct SlackEngine;
+    impl InferenceEngine for SlackEngine {
+        type Request = ();
+        type Response = String;
+
+        fn infer_batch(&self, inputs: &[()], _seqs: &[u64]) -> Result<Vec<String>, PfError> {
+            // `timerslack_ns` is listed only under `/proc/<id>`, not under
+            // `/proc/<pid>/task/<tid>`; `/proc/<tid>` names the calling
+            // thread itself, which may read its own slack.
+            let own = std::fs::read_link("/proc/thread-self").expect("the thread's proc entry");
+            let tid = own.file_name().expect("<pid>/task/<tid>");
+            let path = std::path::Path::new("/proc")
+                .join(tid)
+                .join("timerslack_ns");
+            let slack = std::fs::read_to_string(path).expect("read the thread's timer slack");
+            Ok(vec![slack; inputs.len()])
+        }
+    }
+
+    let server = Server::new(SlackEngine, quick_config()).unwrap();
+    assert_eq!(server.submit_blocking(()).unwrap().trim(), "1");
+    server.shutdown().unwrap();
+}
+
+#[test]
 fn shutdown_drains_every_accepted_request() {
     let server = Server::new(EchoEngine::default(), quick_config()).unwrap();
     let tickets: Vec<_> = (0..50).map(|i| server.submit(i as f64).unwrap()).collect();
@@ -385,6 +459,44 @@ fn expired_requests_are_never_dispatched() {
     let mut seqs = engine.seen_seqs.lock().clone();
     seqs.sort_unstable();
     assert_eq!(seqs, vec![0, 2]);
+}
+
+#[test]
+fn a_take_with_nothing_live_resolves_its_drops_at_once() {
+    let (engine, entered) = GatedEngine::new();
+    let config = ServeConfig {
+        max_batch: 4,
+        batch_timeout: Duration::from_millis(300),
+        queue_depth: 16,
+        workers: 1,
+    };
+    let server = Server::new(Arc::clone(&engine), config).unwrap();
+
+    // Occupy the worker, then queue only a request already past its deadline.
+    let blocker = server.submit(1.0).unwrap();
+    assert_eq!(entered.recv().unwrap(), 1);
+    let doomed = server
+        .submit_with_deadline(2.0, Some(Instant::now() - Duration::from_millis(1)))
+        .unwrap();
+
+    // The worker's next take holds nothing live: it resolves the drop and
+    // goes back to its idle wait instead of opening a window empty-handed.
+    let granted = Instant::now();
+    engine.grant(1);
+    let outcome = doomed.wait();
+    let waited = granted.elapsed();
+    assert!(matches!(
+        outcome,
+        Err(PfError::DeadlineExceeded { stage: "queued" })
+    ));
+    assert_eq!(blocker.wait().unwrap(), 1.0);
+    let stats = server.shutdown().unwrap();
+    assert_eq!(stats.expired, 1);
+    assert_eq!(five_way(&stats), stats.submitted);
+    assert!(
+        waited < Duration::from_millis(150),
+        "the dropped ticket resolved {waited:?} after the worker freed up"
+    );
 }
 
 #[test]
