@@ -11,7 +11,7 @@ use pf_serve::{InferenceEngine, RequestTrace, ServeConfig, Server, Ticket};
 use pf_telemetry::Telemetry;
 
 use crate::policy::{splitmix64, unit_from_bits, HashRing, Policy};
-use crate::stats::{secs_between, Outcome, ReplicaRollup, RouterCollector, RouterStats};
+use crate::stats::{Outcome, ReplicaRollup, RouterCollector, RouterStats};
 use crate::CacheStats;
 
 /// Retry attempts per request submitted via [`Router::submit_with_retry`].
@@ -327,13 +327,13 @@ impl<'r, E: ReplicaEngine + 'static> RouterTicket<'r, E> {
                     };
                     return self.fail_or_retry(err, budget);
                 }
-                let latency_secs = secs_between(self.admitted, completed);
+                let latency = completed.saturating_duration_since(self.admitted);
                 let mut collector = self.router.collector.lock();
-                collector.record_attempt_success(self.replica, latency_secs * 1e3);
+                collector.record_attempt_success(self.replica, latency.as_secs_f64() * 1e3);
                 collector.record_outcome(
                     self.class,
                     Outcome::Served {
-                        latency_secs,
+                        latency,
                         missed: self.deadline.is_some_and(|d| completed > d),
                     },
                 );

@@ -7,9 +7,9 @@
 //! spilled), sheds, rejections, window shrinks, deadline misses, and the
 //! per-class latency distributions.
 
-use std::time::Instant;
+use std::time::Duration;
 
-use pf_serve::{LatencySummary, ServerStats};
+use pf_serve::{LatencyRecord, LatencySummary, ServerStats};
 use pf_telemetry::{Counter, Telemetry};
 use serde::{Deserialize, Serialize};
 
@@ -168,9 +168,9 @@ impl RouterStats {
 /// How a waited-on router ticket resolved.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Outcome {
-    /// Completed successfully; latency in seconds and whether the
-    /// completion violated the request's deadline.
-    Served { latency_secs: f64, missed: bool },
+    /// Completed successfully; admission-to-completion latency and
+    /// whether the completion violated the request's deadline.
+    Served { latency: Duration, missed: bool },
     /// The replica engine failed the request.
     Failed,
     /// Deadline expired while queued; never dispatched.
@@ -179,17 +179,13 @@ pub(crate) enum Outcome {
     Abandoned,
 }
 
+/// One class's running [`ClassStats`] counts (the snapshot fills in its
+/// name, and its served count and latency summary from the record) and its
+/// latency record.
 #[derive(Debug, Default)]
 struct ClassAcc {
-    admitted: u64,
-    served: u64,
-    failed: u64,
-    expired: u64,
-    abandoned: u64,
-    shed: u64,
-    rejected: u64,
-    deadline_misses: u64,
-    latency_secs: Vec<f64>,
+    counts: ClassStats,
+    latency: LatencyRecord,
 }
 
 /// Mutable accumulator behind the router's stats mutex. Tickets record
@@ -200,7 +196,9 @@ struct ClassAcc {
 /// (admitted / shed / rejected / spills / window shrinks) live in the
 /// telemetry registry as `router.*` counters so metric snapshots and the
 /// [`RouterStats`] view read the same numbers; the per-class accumulators
-/// (exact latency samples) stay local.
+/// stay local, each class's latency one constant-memory [`LatencyRecord`]
+/// (percentiles within 1/128 above the exact sample) that the aggregate
+/// merges.
 #[derive(Debug)]
 pub(crate) struct RouterCollector {
     classes: Vec<ClassAcc>,
@@ -242,7 +240,7 @@ impl RouterCollector {
     }
 
     pub(crate) fn record_admitted(&mut self, class: usize, replica: usize, spilled: bool) {
-        self.classes[class].admitted += 1;
+        self.classes[class].counts.admitted += 1;
         self.dispatched[replica] += 1;
         self.health[replica].note_admission();
         self.admitted.inc();
@@ -314,12 +312,12 @@ impl RouterCollector {
     }
 
     pub(crate) fn record_shed(&mut self, class: usize) {
-        self.classes[class].shed += 1;
+        self.classes[class].counts.shed += 1;
         self.shed.inc();
     }
 
     pub(crate) fn record_rejected(&mut self, class: usize) {
-        self.classes[class].rejected += 1;
+        self.classes[class].counts.rejected += 1;
         self.rejected.inc();
     }
 
@@ -328,21 +326,20 @@ impl RouterCollector {
     }
 
     pub(crate) fn record_outcome(&mut self, class: usize, outcome: Outcome) {
-        let acc = &mut self.classes[class];
+        let ClassAcc {
+            counts,
+            latency: record,
+        } = &mut self.classes[class];
         match outcome {
-            Outcome::Served {
-                latency_secs,
-                missed,
-            } => {
-                acc.served += 1;
-                acc.latency_secs.push(latency_secs);
+            Outcome::Served { latency, missed } => {
+                record.record(latency);
                 if missed {
-                    acc.deadline_misses += 1;
+                    counts.deadline_misses += 1;
                 }
             }
-            Outcome::Failed => acc.failed += 1,
-            Outcome::Expired => acc.expired += 1,
-            Outcome::Abandoned => acc.abandoned += 1,
+            Outcome::Failed => counts.failed += 1,
+            Outcome::Expired => counts.expired += 1,
+            Outcome::Abandoned => counts.abandoned += 1,
         }
     }
 
@@ -355,24 +352,20 @@ impl RouterCollector {
         let classes: Vec<ClassStats> = class_names
             .iter()
             .zip(&self.classes)
-            .map(|(name, acc)| ClassStats {
-                class: name.clone(),
-                admitted: acc.admitted,
-                served: acc.served,
-                failed: acc.failed,
-                expired: acc.expired,
-                abandoned: acc.abandoned,
-                shed: acc.shed,
-                rejected: acc.rejected,
-                deadline_misses: acc.deadline_misses,
-                latency: LatencySummary::from_samples_secs(&acc.latency_secs),
+            .map(|(name, acc)| {
+                let latency = acc.latency.summary();
+                ClassStats {
+                    class: name.clone(),
+                    served: latency.count,
+                    latency,
+                    ..acc.counts.clone()
+                }
             })
             .collect();
-        let all_samples: Vec<f64> = self
-            .classes
-            .iter()
-            .flat_map(|acc| acc.latency_secs.iter().copied())
-            .collect();
+        let mut all = LatencyRecord::default();
+        for acc in &self.classes {
+            all.merge(&acc.latency);
+        }
         let admitted: u64 = classes.iter().map(|c| c.admitted).sum();
         let (shed, rejected) = (self.shed.value(), self.rejected.value());
         RouterStats {
@@ -388,7 +381,7 @@ impl RouterCollector {
             breaker_transitions: self.breaker_transitions.value(),
             quarantined: self.quarantined.value(),
             integrity_rejects: self.integrity_rejects.value(),
-            latency: LatencySummary::from_samples_secs(&all_samples),
+            latency: all.summary(),
             classes,
             replicas,
         }
@@ -399,18 +392,10 @@ impl RouterCollector {
     }
 }
 
-/// Elapsed seconds between two instants, `0` if `end` precedes `start`
-/// (instants are monotone, but clones of them can be compared across
-/// threads in either order).
-pub(crate) fn secs_between(start: Instant, end: Instant) -> f64 {
-    end.checked_duration_since(start)
-        .map(|d| d.as_secs_f64())
-        .unwrap_or(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     #[test]
     fn collector_rolls_up_per_class_and_aggregate() {
@@ -425,14 +410,14 @@ mod tests {
         c.record_outcome(
             0,
             Outcome::Served {
-                latency_secs: 0.010,
+                latency: Duration::from_millis(10),
                 missed: false,
             },
         );
         c.record_outcome(
             0,
             Outcome::Served {
-                latency_secs: 0.030,
+                latency: Duration::from_millis(30),
                 missed: true,
             },
         );
@@ -460,6 +445,20 @@ mod tests {
         assert_eq!(background.shed, 1);
         assert_eq!(background.rejected, 1);
         assert!(stats.class("nope").is_none());
+        // The aggregate is the class records merged: exact count and max.
+        assert_eq!(
+            stats.latency.count,
+            stats.classes.iter().map(|c| c.latency.count).sum::<u64>()
+        );
+        assert_eq!(
+            stats.latency.max_ms,
+            stats
+                .classes
+                .iter()
+                .map(|c| c.latency.max_ms)
+                .fold(0.0, f64::max)
+        );
+        assert_eq!(stats.latency.max_ms, 30.0);
 
         assert_eq!(c.dispatched(0), 2);
         assert_eq!(c.dispatched(1), 1);
@@ -473,6 +472,29 @@ mod tests {
         assert_eq!(snap.counter("router.window_shrinks"), 1);
     }
 
+    /// A ticket's latency is `completed.saturating_duration_since(admitted)`
+    /// (`RouterTicket::resolve`): instants cloned across threads can
+    /// compare in either order, and a completion seen before its admission
+    /// records a 0 ns sample, never a negative or panicking one.
+    #[test]
+    fn served_latency_is_never_negative() {
+        let completed = Instant::now();
+        let admitted = completed + Duration::from_millis(5);
+        let mut c = RouterCollector::new(1, 1, &Telemetry::disabled());
+        c.record_outcome(
+            0,
+            Outcome::Served {
+                latency: completed.saturating_duration_since(admitted),
+                missed: false,
+            },
+        );
+        let stats = c.snapshot("round_robin", &["only".to_string()], Vec::new());
+        assert_eq!(stats.latency.count, 1);
+        assert_eq!(stats.latency.max_ms, 0.0);
+        assert_eq!(stats.latency.p99_ms, 0.0);
+        assert_eq!(stats.served(), 1);
+    }
+
     #[test]
     fn cache_stats_hit_rate_and_merge() {
         let a = CacheStats { hits: 3, misses: 1 };
@@ -482,14 +504,6 @@ mod tests {
         let merged = a.merged(&b);
         assert_eq!(merged, CacheStats { hits: 4, misses: 4 });
         assert!((merged.hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn secs_between_is_never_negative() {
-        let now = Instant::now();
-        let later = now + std::time::Duration::from_millis(5);
-        assert!(secs_between(now, later) > 0.0);
-        assert_eq!(secs_between(later, now), 0.0);
     }
 
     #[test]

@@ -21,8 +21,10 @@
 //!   (expired requests are never dispatched); [`Ticket::wait_deadline`]
 //!   lets a caller abandon a request without leaking its queue slot;
 //! * [`ServerStats`] — per-request enqueue/dispatch/complete timestamps
-//!   aggregated into p50/p95/p99 latency, the achieved batch-size
-//!   histogram, throughput, and rejected / expired / cancelled counts;
+//!   aggregated into p50/p95/p99 latency (each distribution one
+//!   constant-memory [`LatencyRecord`], percentiles within 1/128 above the
+//!   exact sample), the achieved batch-size histogram, throughput, and
+//!   rejected / expired / cancelled counts;
 //! * overload is explicit: a full queue rejects the request with
 //!   [`pf_core::PfError::Overloaded`]; the batch-formation window is
 //!   adjustable at runtime ([`Server::set_batch_window`]) so a routing
@@ -44,4 +46,4 @@ pub mod stats;
 
 pub use config::ServeConfig;
 pub use server::{InferenceEngine, RequestTrace, Server, Ticket};
-pub use stats::{BatchBucket, LatencySummary, ServerStats};
+pub use stats::{BatchBucket, LatencyRecord, LatencySummary, ServerStats};

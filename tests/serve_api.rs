@@ -118,6 +118,12 @@ fn stats_sanity_under_load() {
     assert!(stats.latency.p99_ms >= stats.latency.p50_ms);
     assert!(stats.latency.p95_ms >= stats.latency.p50_ms);
     assert!(stats.latency.max_ms >= stats.latency.p99_ms);
+    // One sample per served request in each distribution, and a mean never
+    // above its maximum.
+    for summary in [stats.latency, stats.queue_wait, stats.service] {
+        assert_eq!(summary.count, stats.served);
+        assert!(summary.mean_ms <= summary.max_ms);
+    }
     assert!(stats.throughput_rps > 0.0);
     let requests: u64 = stats
         .batch_histogram
