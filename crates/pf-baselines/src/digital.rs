@@ -68,12 +68,6 @@ impl SystolicArray {
         Self::new("UNPU", 1152, 0.2, 0.75, 0.55, 0.15)
     }
 
-    /// A cloud-class 8-bit systolic array (TPU-like), used as an additional
-    /// sanity reference for the benchmark harness.
-    pub fn datacenter_npu() -> Self {
-        Self::new("Systolic-256x256", 256 * 256, 0.7, 0.5, 0.35, 40.0)
-    }
-
     /// Inference latency in seconds.
     pub fn latency_s(&self, network: &NetworkSpec) -> f64 {
         let macs = network.total_macs() as f64;
@@ -134,14 +128,6 @@ mod tests {
         let fps_vgg = unpu.fps(&vgg16()).unwrap();
         assert!(fps_alex > fps_vgg);
         assert!(unpu.energy_j(&vgg16()) > unpu.energy_j(&alexnet()));
-    }
-
-    #[test]
-    fn datacenter_npu_is_faster_but_not_necessarily_more_efficient() {
-        let unpu = SystolicArray::unpu_like();
-        let tpu = SystolicArray::datacenter_npu();
-        let net = resnet18();
-        assert!(tpu.fps(&net).unwrap() > 50.0 * unpu.fps(&net).unwrap());
     }
 
     #[test]

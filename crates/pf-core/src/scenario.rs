@@ -245,10 +245,6 @@ pub struct RouterSpec {
     /// Priority class names, ordered highest to lowest. Requests name their
     /// class by index; only the last (lowest) class is ever shed.
     pub priority_classes: Vec<String>,
-    /// The p99 end-to-end latency target (milliseconds) for the highest
-    /// priority class; recorded in reports and asserted by the route-smoke
-    /// CI gate.
-    pub slo_p99_ms: f64,
     /// Number of model variants the tier serves (each variant re-seeds the
     /// functional network's weights, so each has its own kernel set).
     pub models: usize,
@@ -275,7 +271,6 @@ impl Default for RouterSpec {
                 "standard".to_string(),
                 "background".to_string(),
             ],
-            slo_p99_ms: 250.0,
             models: 1,
             replica_cache: 2,
             shed_at: 0.75,
@@ -319,11 +314,6 @@ impl RouterSpec {
                     "router priority class `{class}` is listed twice"
                 )));
             }
-        }
-        if !(self.slo_p99_ms.is_finite() && self.slo_p99_ms > 0.0) {
-            return Err(PfError::invalid_scenario(
-                "router slo_p99_ms must be positive",
-            ));
         }
         if self.models == 0 {
             return Err(PfError::invalid_scenario(
@@ -765,7 +755,6 @@ mod tests {
             |r| r.priority_classes = vec!["a".into(); 9],
             |r| r.priority_classes = vec!["a".into(), "a".into()],
             |r| r.priority_classes = vec![String::new()],
-            |r| r.slo_p99_ms = 0.0,
             |r| r.models = 0,
             |r| r.replica_cache = 0,
             |r| r.shed_at = 1.5,

@@ -237,23 +237,6 @@ impl Tensor {
     pub fn into_vec(self) -> Vec<f64> {
         self.data
     }
-
-    /// Reshapes the tensor without moving data.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] if the element count changes.
-    pub fn reshape(mut self, shape: Vec<usize>) -> Result<Self, NnError> {
-        let numel: usize = shape.iter().product();
-        if numel != self.data.len() {
-            return Err(NnError::ShapeMismatch {
-                expected: format!("{} elements", self.data.len()),
-                found: format!("{numel} elements for shape {shape:?}"),
-            });
-        }
-        self.shape = shape;
-        Ok(self)
-    }
 }
 
 #[cfg(test)]
@@ -336,14 +319,5 @@ mod tests {
         assert_eq!(a.max_abs(), 4.0);
         let c = Tensor::zeros(vec![3, 3]);
         assert!(a.add(&c).is_err());
-    }
-
-    #[test]
-    fn reshape() {
-        let t = Tensor::new(vec![2, 6], (0..12).map(|x| x as f64).collect()).unwrap();
-        let r = t.clone().reshape(vec![3, 4]).unwrap();
-        assert_eq!(r.shape(), &[3, 4]);
-        assert_eq!(r.data(), t.data());
-        assert!(t.reshape(vec![5, 5]).is_err());
     }
 }

@@ -46,16 +46,6 @@ pub fn softmax(logits: &[f64]) -> Vec<f64> {
     exps.iter().map(|&e| e / sum).collect()
 }
 
-/// Cross-entropy loss of a softmax distribution against a target class.
-///
-/// # Panics
-///
-/// Panics if `target` is out of range.
-pub fn cross_entropy(probabilities: &[f64], target: usize) -> f64 {
-    assert!(target < probabilities.len(), "target class out of range");
-    -(probabilities[target].max(1e-12)).ln()
-}
-
 /// Trains a softmax linear classifier on feature vectors with plain SGD.
 ///
 /// # Errors
@@ -211,18 +201,6 @@ mod tests {
         // Stable for large logits.
         let p = softmax(&[1000.0, 1000.0]);
         assert!((p[0] - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cross_entropy_behaviour() {
-        assert!(cross_entropy(&[0.9, 0.1], 0) < cross_entropy(&[0.6, 0.4], 0));
-        assert!(cross_entropy(&[1e-15, 1.0], 0).is_finite());
-    }
-
-    #[test]
-    #[should_panic(expected = "target class out of range")]
-    fn cross_entropy_rejects_bad_target() {
-        let _ = cross_entropy(&[1.0], 3);
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! Per-replica health: EWMA scoring and a deterministic circuit breaker.
+//! Per-replica health: a deterministic circuit breaker.
 //!
 //! Every dispatch attempt's outcome feeds a per-replica health
-//! record: an EWMA of observed latency and error rate, a consecutive-
-//! failure counter, and a closed → open → half-open breaker. The breaker
-//! is driven entirely by *counts* (consecutive failures, skipped
-//! submissions, probe successes), never by wall-clock time, so a seeded
-//! chaos run trips, quarantines and re-admits replicas at exactly the same
-//! points every run.
+//! record: a consecutive-failure counter and a closed → open → half-open
+//! breaker. The breaker is driven entirely by *counts* (consecutive
+//! failures, skipped submissions, probe successes), never by wall-clock
+//! time, so a seeded chaos run trips, quarantines and re-admits replicas
+//! at exactly the same points every run.
 //!
 //! State machine:
 //!
@@ -20,13 +19,10 @@
 //!   order, so probes actually happen on a lightly-loaded tier). One probe
 //!   failure reopens; `PROBES_TO_CLOSE` consecutive successes close.
 //!
-//! The thresholds and the EWMA factor (`EWMA_ALPHA`, 0.2) are constants:
+//! The thresholds are constants:
 //! the scenario schema configures fault *injection* (`[faults]`), not
 //! healing.
 
-/// EWMA smoothing factor for the per-replica latency and error-rate
-/// scores (1 would keep the latest sample only).
-const EWMA_ALPHA: f64 = 0.2;
 /// Consecutive dispatch failures that trip a closed breaker open.
 const TRIP_AFTER: u32 = 3;
 /// Submissions that must pass over an open (quarantined) replica before it
@@ -77,9 +73,6 @@ pub(crate) struct ReplicaHealth {
     skipped_while_open: u64,
     probe_successes: u32,
     probes_outstanding: u32,
-    ewma_latency_ms: f64,
-    ewma_error_rate: f64,
-    ewma_primed: bool,
     transitions: u64,
     quarantines: u64,
 }
@@ -92,31 +85,13 @@ impl ReplicaHealth {
             skipped_while_open: 0,
             probe_successes: 0,
             probes_outstanding: 0,
-            ewma_latency_ms: 0.0,
-            ewma_error_rate: 0.0,
-            ewma_primed: false,
             transitions: 0,
             quarantines: 0,
         }
     }
 
-    fn ewma(&mut self, latency_ms: Option<f64>, error: f64) {
-        if !self.ewma_primed {
-            self.ewma_latency_ms = latency_ms.unwrap_or(0.0);
-            self.ewma_error_rate = error;
-            self.ewma_primed = true;
-            return;
-        }
-        if let Some(latency_ms) = latency_ms {
-            self.ewma_latency_ms =
-                EWMA_ALPHA * latency_ms + (1.0 - EWMA_ALPHA) * self.ewma_latency_ms;
-        }
-        self.ewma_error_rate = EWMA_ALPHA * error + (1.0 - EWMA_ALPHA) * self.ewma_error_rate;
-    }
-
     /// A dispatch attempt on this replica succeeded.
-    pub(crate) fn on_success(&mut self, latency_ms: f64) -> HealthEvents {
-        self.ewma(Some(latency_ms), 0.0);
+    pub(crate) fn on_success(&mut self) -> HealthEvents {
         self.consecutive_failures = 0;
         self.probes_outstanding = self.probes_outstanding.saturating_sub(1);
         let mut events = HealthEvents::default();
@@ -134,7 +109,6 @@ impl ReplicaHealth {
     /// A dispatch attempt on this replica failed (engine error or
     /// integrity reject).
     pub(crate) fn on_failure(&mut self) -> HealthEvents {
-        self.ewma(None, 1.0);
         self.consecutive_failures += 1;
         self.probes_outstanding = self.probes_outstanding.saturating_sub(1);
         let mut events = HealthEvents::default();
@@ -206,8 +180,6 @@ impl ReplicaHealth {
     pub(crate) fn report(&self) -> ReplicaHealthReport {
         ReplicaHealthReport {
             state: self.state.name().to_string(),
-            ewma_latency_ms: self.ewma_latency_ms,
-            ewma_error_rate: self.ewma_error_rate,
             consecutive_failures: self.consecutive_failures,
             transitions: self.transitions,
             quarantines: self.quarantines,
@@ -233,10 +205,6 @@ pub(crate) enum Admission {
 pub struct ReplicaHealthReport {
     /// Breaker state name: `"closed"`, `"open"` or `"half_open"`.
     pub state: String,
-    /// EWMA of served-request latency observed by the router, ms.
-    pub ewma_latency_ms: f64,
-    /// EWMA error rate over dispatch attempts, in `[0, 1]`.
-    pub ewma_error_rate: f64,
     /// Current consecutive-failure streak.
     pub consecutive_failures: u32,
     /// Total breaker state changes.
@@ -285,9 +253,9 @@ mod tests {
         assert_eq!(h.gate().0, Admission::Quarantined);
 
         // Two probe successes close it.
-        assert_eq!(h.on_success(1.0), HealthEvents::default());
+        assert_eq!(h.on_success(), HealthEvents::default());
         assert_eq!(h.gate().0, Admission::Probe);
-        let events = h.on_success(1.0);
+        let events = h.on_success();
         assert_eq!(events.transitions, 1);
         assert_eq!(events.quarantines, 0);
         assert_eq!(h.state, BreakerState::Closed);
@@ -315,22 +283,10 @@ mod tests {
         let mut h = ReplicaHealth::new();
         h.on_failure();
         h.on_failure();
-        h.on_success(2.0);
+        h.on_success();
         h.on_failure();
         h.on_failure();
         assert_eq!(h.state, BreakerState::Closed, "streak broken by success");
-        let report = h.report();
-        assert_eq!(report.consecutive_failures, 2);
-        assert!(report.ewma_error_rate > 0.0 && report.ewma_error_rate < 1.0);
-    }
-
-    #[test]
-    fn ewma_tracks_latency() {
-        let mut h = ReplicaHealth::new();
-        h.on_success(10.0);
-        assert!((h.report().ewma_latency_ms - 10.0).abs() < 1e-12);
-        // 0.2 * 20 + 0.8 * 10.
-        h.on_success(20.0);
-        assert!((h.report().ewma_latency_ms - 12.0).abs() < 1e-12);
+        assert_eq!(h.report().consecutive_failures, 2);
     }
 }

@@ -22,9 +22,9 @@
 //!   via [`ReplicaEngine::cache_stats`]);
 //! * [`Router::drain`] resolves every outstanding ticket deterministically
 //!   before returning the final stats;
-//! * self-healing: per-replica health scoring (EWMA latency + error
-//!   rate), a closed → open → half-open circuit breaker with quarantine
-//!   and re-admission probes ([`BreakerState`]),
+//! * self-healing: a per-replica failure streak driving a closed → open →
+//!   half-open circuit breaker with quarantine and re-admission probes
+//!   ([`BreakerState`]),
 //!   deadline-aware retry with jittered exponential backoff for
 //!   idempotent requests ([`Router::submit_with_retry`]), and a NaN/Inf
 //!   integrity screen ([`ReplicaEngine::screen`]).

@@ -72,10 +72,6 @@ pub struct RouterConfig {
     /// Priority class names, highest first. Requests carry their class as
     /// an index into this list; only the last class is ever shed.
     pub priority_classes: Vec<String>,
-    /// The p99 end-to-end latency target (milliseconds) for the highest
-    /// class — recorded in reports and asserted by smoke gates, not
-    /// enforced per-request by the router.
-    pub slo_p99_ms: f64,
     /// Queue-pressure fraction at which the lowest class is shed.
     pub shed_at: f64,
     /// Queue-pressure fraction at which batch-formation windows shrink to
@@ -110,7 +106,6 @@ impl RouterConfig {
             replicas: router.replicas,
             policy: Policy::from_name(&router.policy)?,
             priority_classes: router.priority_classes,
-            slo_p99_ms: router.slo_p99_ms,
             shed_at: router.shed_at,
             shrink_at: router.shrink_at,
         })
@@ -128,7 +123,6 @@ impl RouterConfig {
             replicas: self.replicas,
             policy: self.policy.name().to_string(),
             priority_classes: self.priority_classes.clone(),
-            slo_p99_ms: self.slo_p99_ms,
             shed_at: self.shed_at,
             shrink_at: self.shrink_at,
             ..pf_core::RouterSpec::default()
@@ -329,7 +323,7 @@ impl<'r, E: ReplicaEngine + 'static> RouterTicket<'r, E> {
                 }
                 let latency = completed.saturating_duration_since(self.admitted);
                 let mut collector = self.router.collector.lock();
-                collector.record_attempt_success(self.replica, latency.as_secs_f64() * 1e3);
+                collector.record_attempt_success(self.replica);
                 collector.record_outcome(
                     self.class,
                     Outcome::Served {
@@ -409,7 +403,7 @@ impl<'r, E: ReplicaEngine + 'static> RouterTicket<'r, E> {
         }
         let mut payload = replay();
         for &replica in &order {
-            match self.router.replicas[replica].try_submit_traced(payload, self.deadline, None) {
+            match self.router.replicas[replica].try_submit(payload, self.deadline, None) {
                 Ok(ticket) => {
                     self.router.collector.lock().record_retry(replica);
                     self.attempts += 1;
@@ -648,7 +642,7 @@ impl<E: ReplicaEngine + 'static> Router<E> {
         let mut payload = payload;
         let mut last_overload = None;
         for (attempt, &replica) in order.iter().enumerate() {
-            match self.replicas[replica].try_submit_traced(payload, deadline, trace) {
+            match self.replicas[replica].try_submit(payload, deadline, trace) {
                 Ok(ticket) => {
                     self.collector
                         .lock()

@@ -86,8 +86,8 @@ pub struct ReplicaRollup {
     pub server: ServerStats,
     /// The replica engine's model-session cache counters.
     pub cache: CacheStats,
-    /// The replica's health record: breaker state, EWMA latency/error
-    /// scores, quarantine history.
+    /// The replica's health record: breaker state, failure streak,
+    /// quarantine history.
     pub health: ReplicaHealthReport,
 }
 
@@ -259,8 +259,8 @@ impl RouterCollector {
     }
 
     /// One dispatch attempt on `replica` served successfully.
-    pub(crate) fn record_attempt_success(&mut self, replica: usize, latency_ms: f64) {
-        let events = self.health[replica].on_success(latency_ms);
+    pub(crate) fn record_attempt_success(&mut self, replica: usize) {
+        let events = self.health[replica].on_success();
         self.bump(events);
     }
 
@@ -544,10 +544,10 @@ mod tests {
         assert_eq!(c.health_report(0).state, "half_open");
         // Retry dispatches land the probes; two successes close the breaker.
         c.record_retry(0);
-        c.record_attempt_success(0, 5.0);
+        c.record_attempt_success(0);
         assert_eq!(c.health_report(0).state, "half_open");
         c.record_retry(0);
-        c.record_attempt_success(0, 5.0);
+        c.record_attempt_success(0);
         assert_eq!(c.health_report(0).state, "closed");
         c.record_integrity_reject();
 

@@ -51,7 +51,6 @@ fn config(replicas: usize) -> RouterConfig {
         replicas,
         policy: Policy::RoundRobin,
         priority_classes: vec!["only".to_string()],
-        slo_p99_ms: 1_000.0,
         shed_at: 0.95,
         shrink_at: 0.9,
     }

@@ -152,7 +152,6 @@ fn config(policy: Policy, replicas: usize, queue_depth: usize) -> RouterConfig {
             "standard".to_string(),
             "background".to_string(),
         ],
-        slo_p99_ms: 250.0,
         shed_at: 0.75,
         shrink_at: 0.5,
     }

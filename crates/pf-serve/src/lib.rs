@@ -17,8 +17,8 @@
 //!   batch's oldest request, and workers wake at that deadline (their
 //!   timer slack is 1 ns, not the kernel's default 50 µs);
 //! * [`Server`] — [`Server::submit`] returns a per-request [`Ticket`];
-//!   [`Server::submit_with_deadline`] attaches an absolute deadline
-//!   (expired requests are never dispatched); [`Ticket::wait_deadline`]
+//!   [`Server::try_submit`] attaches an absolute deadline (expired
+//!   requests are never dispatched); [`Ticket::wait_deadline`]
 //!   lets a caller abandon a request without leaking its queue slot;
 //! * [`ServerStats`] — per-request enqueue/dispatch/complete timestamps
 //!   aggregated into p50/p95/p99 latency (each distribution one

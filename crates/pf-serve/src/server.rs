@@ -34,7 +34,7 @@ pub struct RequestTrace {
 impl RequestTrace {
     /// Mints a fresh trace rooted at `admitted` (no parent span). Returns
     /// `None` on a disabled handle, so untraced serving carries no baggage.
-    pub fn mint(tel: &Telemetry, admitted: Instant) -> Option<Self> {
+    fn mint(tel: &Telemetry, admitted: Instant) -> Option<Self> {
         tel.is_enabled().then(|| Self {
             req: tel.next_request_id(),
             parent: 0,
@@ -258,7 +258,7 @@ impl<E: InferenceEngine> Shared<E> {
 /// deadline rather than up to the kernel's default 50 µs past it.
 /// Admission control is a bounded queue: submissions beyond
 /// [`ServeConfig::queue_depth`] are rejected with [`PfError::Overloaded`].
-/// Requests may carry a deadline ([`Server::submit_with_deadline`]): a
+/// Requests may carry a deadline ([`Server::try_submit`]): a
 /// request whose deadline passes while it is still queued is **never
 /// dispatched** — its ticket resolves to [`PfError::DeadlineExceeded`] and
 /// it is counted as `expired`.
@@ -375,7 +375,8 @@ impl<E: InferenceEngine + 'static> Server<E> {
             .store(capped.as_micros() as u64, Ordering::Relaxed);
     }
 
-    /// Submits one request, returning its [`Ticket`] immediately.
+    /// Submits one request with no deadline, returning its [`Ticket`]
+    /// immediately.
     ///
     /// # Errors
     ///
@@ -383,10 +384,13 @@ impl<E: InferenceEngine + 'static> Server<E> {
     /// is counted as rejected), or [`PfError::InvalidScenario`] when the
     /// server is shutting down (not counted: shutdown is not load).
     pub fn submit(&self, input: E::Request) -> Result<Ticket<E::Response>, PfError> {
-        self.submit_with_deadline(input, None)
+        self.try_submit(input, None, None).map_err(|(_, e)| e)
     }
 
-    /// Submits one request with an optional absolute deadline.
+    /// Submits one request with an optional absolute deadline and trace,
+    /// handing the payload back on failure — so a routing tier can spill a
+    /// rejected request to another replica without requiring `Clone`
+    /// payloads.
     ///
     /// A deadlined request that is still queued when its deadline passes is
     /// never dispatched: the batcher resolves its ticket with
@@ -396,37 +400,8 @@ impl<E: InferenceEngine + 'static> Server<E> {
     /// completions after the deadline are the *caller's* deadline misses to
     /// account, from [`Ticket::wait_timed`].
     ///
-    /// # Errors
-    ///
-    /// Same admission errors as [`Server::submit`].
-    pub fn submit_with_deadline(
-        &self,
-        input: E::Request,
-        deadline: Option<Instant>,
-    ) -> Result<Ticket<E::Response>, PfError> {
-        self.try_submit_with_deadline(input, deadline)
-            .map_err(|(_, e)| e)
-    }
-
-    /// Like [`Server::submit_with_deadline`], but hands the payload back
-    /// on failure — so a routing tier can spill a rejected request to
-    /// another replica without requiring `Clone` payloads.
-    ///
-    /// # Errors
-    ///
-    /// Same admission errors as [`Server::submit`], paired with the
-    /// unconsumed payload.
-    pub fn try_submit_with_deadline(
-        &self,
-        input: E::Request,
-        deadline: Option<Instant>,
-    ) -> Result<Ticket<E::Response>, (E::Request, PfError)> {
-        self.try_submit_traced(input, deadline, None)
-    }
-
-    /// Like [`Server::try_submit_with_deadline`], carrying an explicit
-    /// [`RequestTrace`] — the routing tier mints the request id at *its*
-    /// admission and passes it down so one routed request yields one span
+    /// The routing tier mints the request's [`RequestTrace`] at *its*
+    /// admission and passes it down, so one routed request yields one span
     /// tree across both tiers. With `trace: None` the server mints a trace
     /// of its own (when telemetry is enabled).
     ///
@@ -434,7 +409,7 @@ impl<E: InferenceEngine + 'static> Server<E> {
     ///
     /// Same admission errors as [`Server::submit`], paired with the
     /// unconsumed payload.
-    pub fn try_submit_traced(
+    pub fn try_submit(
         &self,
         input: E::Request,
         deadline: Option<Instant>,
@@ -477,15 +452,6 @@ impl<E: InferenceEngine + 'static> Server<E> {
         self.shared.stats.lock().record_submitted(enqueued, depth);
         self.shared.work.notify_one();
         Ok(Ticket { seq, cell })
-    }
-
-    /// Submits one request and blocks until its result is ready.
-    ///
-    /// # Errors
-    ///
-    /// Same admission errors as [`Server::submit`], plus any engine error.
-    pub fn submit_blocking(&self, input: E::Request) -> Result<E::Response, PfError> {
-        self.submit(input)?.wait()
     }
 
     /// A snapshot of the accounting so far (may be mid-flight; totals only

@@ -126,9 +126,9 @@ fn five_way(stats: &pf_serve::ServerStats) -> u64 {
 }
 
 #[test]
-fn submit_blocking_round_trips() {
+fn submit_then_wait_round_trips() {
     let server = Server::new(EchoEngine::default(), quick_config()).unwrap();
-    let out = server.submit_blocking(21.0).unwrap();
+    let out = server.submit(21.0).unwrap().wait().unwrap();
     assert_eq!(out, 42.0);
     let stats = server.shutdown().unwrap();
     assert_eq!(stats.submitted, 1);
@@ -315,7 +315,7 @@ fn workers_wake_on_the_deadline() {
     }
 
     let server = Server::new(SlackEngine, quick_config()).unwrap();
-    assert_eq!(server.submit_blocking(()).unwrap().trim(), "1");
+    assert_eq!(server.submit(()).unwrap().wait().unwrap().trim(), "1");
     server.shutdown().unwrap();
 }
 
@@ -335,7 +335,7 @@ fn shutdown_drains_every_accepted_request() {
 #[test]
 fn mid_flight_snapshot_settles_at_shutdown() {
     let server = Server::new(EchoEngine::default(), quick_config()).unwrap();
-    let _ = server.submit_blocking(1.0).unwrap();
+    let _ = server.submit(1.0).unwrap().wait().unwrap();
     let snapshot = server.stats();
     assert_eq!(snapshot.submitted, 1);
     assert_eq!(snapshot.served, 1);
@@ -360,10 +360,10 @@ fn engine_panics_fail_the_batch_without_stranding_anyone() {
     let server = Server::new(PanicOnceEngine::default(), quick_config()).unwrap();
     // First request hits the panicking batch: its ticket must still
     // resolve (to an error), not hang.
-    let err = server.submit_blocking(1.0).unwrap_err();
+    let err = server.submit(1.0).unwrap().wait().unwrap_err();
     assert!(err.to_string().contains("panicked"), "{err}");
     // The worker survived: the server keeps serving.
-    assert_eq!(server.submit_blocking(2.0).unwrap(), 2.0);
+    assert_eq!(server.submit(2.0).unwrap().wait().unwrap(), 2.0);
     let stats = server.shutdown().unwrap();
     assert_eq!(stats.failed, 1);
     assert_eq!(stats.served, 1);
@@ -384,7 +384,7 @@ fn multiple_workers_serve_concurrently() {
             scope.spawn(move || {
                 for i in 0..10 {
                     let v = (w * 100 + i) as f64;
-                    assert_eq!(server.submit_blocking(v).unwrap(), v * 2.0);
+                    assert_eq!(server.submit(v).unwrap().wait().unwrap(), v * 2.0);
                 }
             });
         }
@@ -416,7 +416,7 @@ fn non_tensor_payloads_are_first_class() {
     }
 
     let server = Server::new(KeyedEngine, quick_config()).unwrap();
-    let out = server.submit_blocking((7, "img".into())).unwrap();
+    let out = server.submit((7, "img".into())).unwrap().wait().unwrap();
     assert_eq!(out, "7:img");
     server.shutdown().unwrap();
 }
@@ -437,7 +437,7 @@ fn expired_requests_are_never_dispatched() {
     assert_eq!(entered.recv().unwrap(), 1);
     // ...with a deadline that is already in the past.
     let doomed = server
-        .submit_with_deadline(2.0, Some(Instant::now() - Duration::from_millis(1)))
+        .try_submit(2.0, Some(Instant::now() - Duration::from_millis(1)), None)
         .unwrap();
     let live = server.submit(3.0).unwrap();
 
@@ -476,7 +476,7 @@ fn a_take_with_nothing_live_resolves_its_drops_at_once() {
     let blocker = server.submit(1.0).unwrap();
     assert_eq!(entered.recv().unwrap(), 1);
     let doomed = server
-        .submit_with_deadline(2.0, Some(Instant::now() - Duration::from_millis(1)))
+        .try_submit(2.0, Some(Instant::now() - Duration::from_millis(1)), None)
         .unwrap();
 
     // The worker's next take holds nothing live: it resolves the drop and
@@ -569,7 +569,7 @@ fn batch_window_is_adjustable_and_capped() {
     server.set_batch_window(Duration::ZERO);
     assert_eq!(server.batch_window(), Duration::ZERO);
     // Requests still serve with a zero window (immediate dispatch).
-    assert_eq!(server.submit_blocking(4.0).unwrap(), 8.0);
+    assert_eq!(server.submit(4.0).unwrap().wait().unwrap(), 8.0);
     // The window can only shrink relative to the configured timeout.
     server.set_batch_window(Duration::from_secs(60));
     assert_eq!(server.batch_window(), quick_config().batch_timeout);
@@ -583,7 +583,7 @@ fn auto_sized_workers_still_serve() {
         ..quick_config()
     };
     let server = Server::new(EchoEngine::default(), config).unwrap();
-    assert_eq!(server.submit_blocking(3.0).unwrap(), 6.0);
+    assert_eq!(server.submit(3.0).unwrap().wait().unwrap(), 6.0);
     let stats = server.shutdown().unwrap();
     assert_eq!(stats.served, 1);
 }

@@ -129,23 +129,14 @@ impl ModelShardEngine {
     /// A shard over `base`'s model variants keeping at most `capacity`
     /// sessions resident, with model 0 (the base scenario) pre-built and
     /// warmed so a fresh router serves its first request from a warm
-    /// cache.
+    /// cache. Every variant session the shard builds shares `telemetry`
+    /// (pass [`Telemetry::disabled`] for none).
     ///
     /// # Errors
     ///
     /// Returns [`PfError::InvalidScenario`] for a zero capacity, or
     /// session construction/warm-up errors.
-    pub fn new(base: Arc<Scenario>, capacity: usize) -> Result<Self, PfError> {
-        Self::with_telemetry(base, capacity, Telemetry::disabled())
-    }
-
-    /// Like [`ModelShardEngine::new`] with an observability handle shared
-    /// by every variant session the shard builds.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ModelShardEngine::new`].
-    pub fn with_telemetry(
+    pub fn new(
         base: Arc<Scenario>,
         capacity: usize,
         telemetry: Telemetry,
@@ -269,7 +260,7 @@ pub fn route_scenario_traced(
     let base = Arc::new(scenario);
     let shard_tel = telemetry.clone();
     Router::with_telemetry(config, telemetry, |_replica| {
-        ModelShardEngine::with_telemetry(Arc::clone(&base), replica_cache, shard_tel.clone())
+        ModelShardEngine::new(Arc::clone(&base), replica_cache, shard_tel.clone())
     })
 }
 
@@ -572,7 +563,7 @@ pub fn chaos_scenario(scenario: Scenario) -> Result<(ChaosRouter, Vec<ChaosShard
     let base = Arc::new(scenario);
     let mut shards: Vec<ChaosShard> = Vec::new();
     let router = Router::new(config, |replica| {
-        let inner = ModelShardEngine::new(Arc::clone(&base), replica_cache)?;
+        let inner = ModelShardEngine::new(Arc::clone(&base), replica_cache, Telemetry::disabled())?;
         let plan = if replica == faults.replica {
             plan.clone()
         } else {
@@ -606,7 +597,8 @@ mod tests {
 
     #[test]
     fn shard_lru_evicts_and_counts() {
-        let shard = ModelShardEngine::new(Arc::new(base_scenario()), 2).unwrap();
+        let shard =
+            ModelShardEngine::new(Arc::new(base_scenario()), 2, Telemetry::disabled()).unwrap();
         assert_eq!(shard.resident_models(), vec![0]);
         let image = Tensor::random(vec![1, 16, 16], 0.0, 1.0, 5);
 
@@ -636,8 +628,8 @@ mod tests {
     #[test]
     fn variants_differ_and_are_deterministic_across_shards() {
         let base = Arc::new(base_scenario());
-        let a = ModelShardEngine::new(Arc::clone(&base), 2).unwrap();
-        let b = ModelShardEngine::new(Arc::clone(&base), 2).unwrap();
+        let a = ModelShardEngine::new(Arc::clone(&base), 2, Telemetry::disabled()).unwrap();
+        let b = ModelShardEngine::new(Arc::clone(&base), 2, Telemetry::disabled()).unwrap();
         let image = Tensor::random(vec![1, 16, 16], 0.0, 1.0, 9);
 
         let m0 = a

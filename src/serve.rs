@@ -16,7 +16,7 @@
 //! let server = serve::serve_scenario(scenario)?;
 //!
 //! let image = Tensor::random(vec![1, 16, 16], 0.0, 1.0, 1);
-//! let features = server.submit_blocking(image)?;   // or submit() -> Ticket
+//! let features = server.submit(image)?.wait()?;   // submit() -> Ticket
 //!
 //! let stats = server.shutdown()?;
 //! println!("p99 latency: {:.2} ms", stats.latency.p99_ms);
@@ -113,7 +113,7 @@ mod tests {
         let server = serve_scenario(scenario.clone()).unwrap();
         let session = Session::from_scenario(scenario).unwrap();
         let image = Tensor::random(vec![1, 16, 16], 0.0, 1.0, 11);
-        let served = server.submit_blocking(image.clone()).unwrap();
+        let served = server.submit(image.clone()).unwrap().wait().unwrap();
         assert_eq!(served, session.run_inference(&image).unwrap());
         let stats = server.shutdown().unwrap();
         assert_eq!(stats.served, 1);
@@ -129,7 +129,7 @@ mod tests {
             .collect();
         // Sequential blocking submits pin seq = submission order.
         for (i, image) in images.iter().enumerate() {
-            let served = server.submit_blocking(image.clone()).unwrap();
+            let served = server.submit(image.clone()).unwrap().wait().unwrap();
             let offline = session.run_inference_seeded(image, i as u64).unwrap();
             assert_eq!(served, offline, "request {i}");
         }

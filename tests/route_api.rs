@@ -287,6 +287,11 @@ fn retried_requests_replay_bit_identically_through_the_chaos_tier() {
 /// Tickets the chaos driver keeps in flight.
 const CHAOS_IN_FLIGHT: usize = 4;
 
+/// The chaos run's latency objective: the highest class's p99 end-to-end
+/// latency under faults, in milliseconds (a request takes about 1 ms in a
+/// release build).
+const CHAOS_SLO_P99_MS: f64 = 250.0;
+
 /// Drives `scenario` through a fresh chaos tier: 96 arrivals in runs of
 /// six per model, across the three classes (a quarter interactive, half
 /// standard, a quarter background), submitted with retry from one thread
@@ -326,7 +331,6 @@ fn chaos_tier_heals_every_injected_fault_and_replays_its_counts() {
     ))
     .expect("committed chaos scenario loads");
     let fault_replica = scenario.faults.as_ref().unwrap().replica;
-    let slo_p99_ms = router_spec(&scenario).slo_p99_ms;
 
     let (stats, faults) = chaos_run(&scenario);
     assert_eq!(stats.served(), 96);
@@ -380,8 +384,8 @@ fn chaos_tier_heals_every_injected_fault_and_replays_its_counts() {
     if !cfg!(debug_assertions) {
         let highest = &stats.classes[0];
         assert!(
-            highest.latency.p99_ms <= slo_p99_ms,
-            "highest-class p99 {:.3} ms exceeds the {slo_p99_ms} ms SLO under faults",
+            highest.latency.p99_ms <= CHAOS_SLO_P99_MS,
+            "highest-class p99 {:.3} ms exceeds the {CHAOS_SLO_P99_MS} ms SLO under faults",
             highest.latency.p99_ms
         );
     }

@@ -108,7 +108,6 @@ fn every_schema_field_is_documented() {
         "replicas",
         "policy",
         "priority_classes",
-        "slo_p99_ms",
         "models",
         "replica_cache",
         "shed_at",

@@ -54,7 +54,7 @@ fn served_results_are_bit_identical_to_offline_run_batch() {
                 .iter()
                 .map(|img| {
                     let server = &server;
-                    scope.spawn(move || server.submit_blocking(img.clone()).unwrap())
+                    scope.spawn(move || server.submit(img.clone()).unwrap().wait().unwrap())
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -104,7 +104,11 @@ fn stats_sanity_under_load() {
             let server = &server;
             scope.spawn(move || {
                 for k in 0..8 {
-                    server.submit_blocking(image((w * 100 + k) as u64)).unwrap();
+                    server
+                        .submit(image((w * 100 + k) as u64))
+                        .unwrap()
+                        .wait()
+                        .unwrap();
                 }
             });
         }

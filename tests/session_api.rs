@@ -39,16 +39,28 @@ fn scenario_round_trips_through_json() {
     assert_eq!(back, scenario);
 }
 
+/// Every `.toml` under `dir`, sorted.
+fn toml_files(dir: &str) -> Vec<std::path::PathBuf> {
+    let dir = format!("{}/{dir}", env!("CARGO_MANIFEST_DIR"));
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("{dir}: {e}"))
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "toml"))
+        .collect();
+    files.sort();
+    files
+}
+
 #[test]
 fn shipped_scenario_files_load_and_build() {
-    for file in [
-        "resnet18_cg.toml",
-        "crosslight.toml",
-        "sweep_design_space.toml",
-        "sweep_networks.toml",
-    ] {
-        let path = format!("{}/scenarios/{file}", env!("CARGO_MANIFEST_DIR"));
-        let scenario = Scenario::from_path(&path).unwrap();
+    let files: Vec<_> = ["scenarios", "benchmark/workloads"]
+        .into_iter()
+        .flat_map(toml_files)
+        .collect();
+    assert!(files.len() >= 2, "no scenario files found");
+    for path in files {
+        let file = path.display();
+        let scenario = Scenario::from_path(&path).unwrap_or_else(|e| panic!("{file}: {e}"));
         // Round trip: what we serialize parses back to the same scenario.
         assert_eq!(
             Scenario::from_toml(&scenario.to_toml().unwrap()).unwrap(),
