@@ -238,9 +238,11 @@ pub struct RouterSpec {
     /// Number of replica shards (independent servers), at least 1.
     pub replicas: usize,
     /// Dispatch policy: one of [`ROUTER_POLICIES`] — `round_robin`
-    /// (rotate over replicas), `least_loaded` (smallest queue), or
-    /// `kernel_affinity` (consistent hashing on the request's model key, so
-    /// one model's lowered layers stay resident on one replica).
+    /// (rotate over replicas), `least_loaded` (fewest outstanding
+    /// requests), or `kernel_affinity` (consistent hashing on the request's
+    /// model key, so one model's lowered layers stay resident on one
+    /// replica; a busy home yields to a less-loaded replica that holds the
+    /// model).
     pub policy: String,
     /// Priority class names, ordered highest to lowest. Requests name their
     /// class by index; only the last (lowest) class is ever shed.

@@ -12,7 +12,9 @@
 //!   priority class + affinity key + optional deadline) and returns a
 //!   [`RouterTicket`];
 //! * [`Policy`] — `round_robin`, `least_loaded`, or `kernel_affinity`
-//!   (consistent hashing of the model key onto the replica ring);
+//!   (consistent hashing of the model key onto the replica ring, leaving
+//!   a busy home only for a less-loaded replica that
+//!   [`ReplicaEngine::holds`] the request);
 //! * graceful degradation under overload, in stages: shrink the
 //!   batch-formation windows, shed the lowest priority class
 //!   ([`pf_core::PfError::Shed`]), spill past full replicas, and reject

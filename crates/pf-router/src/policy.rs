@@ -12,13 +12,23 @@ pub enum Policy {
     /// Rotate over replicas in admission order. Oblivious to both load and
     /// locality — the baseline the other policies are judged against.
     RoundRobin,
-    /// Pick the replica with the shortest queue (ties to the lowest
-    /// index). Best instantaneous load spreading, oblivious to locality.
+    /// Pick the replica with the fewest outstanding requests — queued,
+    /// forming a batch or in service ([`pf_serve::Server::outstanding`]) —
+    /// ties to the lowest index. Best instantaneous load spreading,
+    /// oblivious to locality.
     LeastLoaded,
     /// Consistent-hash the request's affinity key (its model) onto the
     /// replica ring, so one model's requests land on one replica and its
-    /// lowered layers (their prepared kernel spectra) stay resident there. Fallbacks follow the
-    /// ring, so a spilled model still concentrates on few replicas.
+    /// lowered layers (their prepared kernel spectra) stay resident there.
+    /// Fallbacks follow the ring, so a spilled model still concentrates on
+    /// few replicas.
+    ///
+    /// Load-aware among warm replicas (consistent hashing with bounded
+    /// loads, restricted to hits): when the home replica has requests
+    /// outstanding, the replica that already holds the request
+    /// ([`crate::ReplicaEngine::holds`]) with the fewest outstanding goes
+    /// first, if that count is strictly below home's. Ties stay home, and
+    /// a request never leaves home for a replica where it would miss.
     KernelAffinity,
 }
 

@@ -42,6 +42,17 @@ pub trait ReplicaEngine: InferenceEngine {
         let _ = response;
         true
     }
+
+    /// Whether serving `request` here would hit the replica's cache (its
+    /// model is resident). [`Policy::KernelAffinity`] moves a request off
+    /// its busy home replica only to a less-loaded replica that holds it.
+    /// The answer must be cheap and must not block: it runs on the
+    /// submitting thread. The default, `false`, means "unknown: stay
+    /// home".
+    fn holds(&self, request: &Self::Request) -> bool {
+        let _ = request;
+        false
+    }
 }
 
 impl<E: ReplicaEngine + ?Sized> ReplicaEngine for Arc<E> {
@@ -51,6 +62,10 @@ impl<E: ReplicaEngine + ?Sized> ReplicaEngine for Arc<E> {
 
     fn screen(&self, response: &Self::Response) -> bool {
         (**self).screen(response)
+    }
+
+    fn holds(&self, request: &Self::Request) -> bool {
+        (**self).holds(request)
     }
 }
 
@@ -397,11 +412,11 @@ impl<'r, E: ReplicaEngine + 'static> RouterTicket<'r, E> {
         }
         std::thread::sleep(delay);
 
-        let mut order = self.router.gated_order(self.affinity);
+        let mut payload = replay();
+        let mut order = self.router.gated_order(self.affinity, &payload);
         if order.len() > 1 {
             order.retain(|&r| r != self.replica);
         }
-        let mut payload = replay();
         for &replica in &order {
             match self.router.replicas[replica].try_submit(payload, self.deadline, None) {
                 Ok(ticket) => {
@@ -621,7 +636,7 @@ impl<E: ReplicaEngine + 'static> Router<E> {
 
         // Stages 3-4: dispatch in breaker-gated policy order, spilling
         // past full replicas; reject only when every queue is full.
-        let order = self.gated_order(affinity);
+        let order = self.gated_order(affinity, &payload);
         let admitted = Instant::now();
         // Mint the request's tracing identity here — router admission is
         // where the request enters the serving stack. The admission span
@@ -692,7 +707,7 @@ impl<E: ReplicaEngine + 'static> Router<E> {
     }
 
     /// The replica indices to try, best first, per the configured policy.
-    fn dispatch_order(&self, affinity: u64) -> Vec<usize> {
+    fn dispatch_order(&self, affinity: u64, request: &E::Request) -> Vec<usize> {
         let n = self.replicas.len();
         match self.config.policy {
             Policy::RoundRobin => {
@@ -701,10 +716,29 @@ impl<E: ReplicaEngine + 'static> Router<E> {
             }
             Policy::LeastLoaded => {
                 let mut order: Vec<usize> = (0..n).collect();
-                order.sort_by_key(|&i| (self.replicas[i].queue_len(), i));
+                order.sort_by_key(|&i| (self.replicas[i].outstanding(), i));
                 order
             }
-            Policy::KernelAffinity => self.ring.order(affinity),
+            Policy::KernelAffinity => {
+                let mut order = self.ring.order(affinity);
+                // Leave a busy home only for a strictly less-loaded replica
+                // that holds the request, so no move causes a miss: the
+                // least loaded of those, ties to ring order.
+                let home_load = self.replicas[order[0]].outstanding();
+                if home_load > 0 {
+                    let warmest = order
+                        .iter()
+                        .enumerate()
+                        .skip(1)
+                        .filter(|&(_, &r)| self.replicas[r].engine().holds(request))
+                        .map(|(pos, &r)| (pos, self.replicas[r].outstanding()))
+                        .min_by_key(|&(_, load)| load);
+                    if let Some((pos, _)) = warmest.filter(|&(_, load)| load < home_load) {
+                        order[..=pos].rotate_right(1);
+                    }
+                }
+                order
+            }
         }
     }
 
@@ -715,10 +749,10 @@ impl<E: ReplicaEngine + 'static> Router<E> {
     /// breakers would leave nothing to dispatch to, the raw policy order
     /// is used instead — total unavailability degrades to normal spill
     /// behaviour rather than an artificial reject.
-    fn gated_order(&self, affinity: u64) -> Vec<usize> {
+    fn gated_order(&self, affinity: u64, request: &E::Request) -> Vec<usize> {
         self.collector
             .lock()
-            .gate_order(self.dispatch_order(affinity))
+            .gate_order(self.dispatch_order(affinity, request))
     }
 
     /// A mid-flight snapshot of the router's accounting.

@@ -137,6 +137,101 @@ impl InferenceEngine for GatedShard {
 
 impl ReplicaEngine for GatedShard {}
 
+/// A [`GatedShard`] with an unbounded model cache: it starts holding
+/// `resident` and keeps every model it serves. With `reports` it answers
+/// [`ReplicaEngine::holds`] from that cache; without, it keeps the trait's
+/// default, so kernel affinity places by the ring alone.
+#[derive(Debug)]
+struct WarmShard {
+    gated: GatedShard,
+    resident: Mutex<Vec<u64>>,
+    reports: bool,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl InferenceEngine for WarmShard {
+    type Request = (u64, f64);
+    type Response = (usize, f64);
+
+    fn infer_batch(
+        &self,
+        inputs: &[(u64, f64)],
+        seqs: &[u64],
+    ) -> Result<Vec<(usize, f64)>, PfError> {
+        let out = self.gated.infer_batch(inputs, seqs)?;
+        let mut resident = self.resident.lock();
+        for &(model, _) in inputs {
+            if resident.contains(&model) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+            } else {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                resident.push(model);
+            }
+        }
+        Ok(out)
+    }
+}
+
+impl ReplicaEngine for WarmShard {
+    fn cache_stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+        }
+    }
+
+    fn holds(&self, &(model, _): &(u64, f64)) -> bool {
+        self.reports && self.resident.lock().contains(&model)
+    }
+}
+
+/// A kernel-affinity router over gated [`WarmShard`]s, replica `i`
+/// starting with the models `resident(i)`. Requests queue behind the
+/// closed gate, so placement reads exactly the loads the test built.
+fn warm_router(
+    replicas: usize,
+    resident: impl Fn(usize) -> Vec<u64>,
+    reports: bool,
+) -> (Router<WarmShard>, Arc<Gate>, mpsc::Receiver<(usize, usize)>) {
+    let (gate, entered) = Gate::new();
+    let router = Router::new(config(Policy::KernelAffinity, replicas, 64), |i| {
+        Ok(WarmShard {
+            gated: GatedShard {
+                replica: i,
+                gate: Arc::clone(&gate),
+            },
+            resident: Mutex::new(resident(i)),
+            reports,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        })
+    })
+    .unwrap();
+    (router, gate, entered)
+}
+
+/// The home replica of each key `0..keys` on a ring of `replicas`: on an
+/// idle router every request goes home.
+fn ring_homes(replicas: usize, keys: u64) -> Vec<usize> {
+    let router = Router::new(config(Policy::KernelAffinity, replicas, 8), |i| {
+        Ok(ShardEngine::new(i))
+    })
+    .unwrap();
+    let homes = (0..keys)
+        .map(|key| {
+            let ticket = router
+                .submit(RouterRequest::new((key, 0.0)).with_affinity(key))
+                .unwrap();
+            let home = ticket.replica();
+            ticket.wait().unwrap();
+            home
+        })
+        .collect();
+    router.drain().unwrap();
+    homes
+}
+
 fn config(policy: Policy, replicas: usize, queue_depth: usize) -> RouterConfig {
     RouterConfig {
         serve: ServeConfig {
@@ -241,20 +336,25 @@ fn least_loaded_prefers_the_empty_replica() {
     })
     .unwrap();
 
-    // Empty queues tie to replica 0; its worker takes the request off the
+    // Idle replicas tie to replica 0; its worker takes the request off the
     // queue (we see it enter the engine) and blocks.
     let t0 = router.submit(RouterRequest::new((0, 0.0))).unwrap();
     assert_eq!(entered.recv().unwrap().0, 0);
-    // Queues are both empty again (the request is in flight, not queued),
-    // so the tie again picks replica 0 — this one stays queued behind the
-    // blocked worker...
+    // Both queues are empty again, but replica 0 still has that request
+    // in service, so the idle replica 1 takes this one...
     let q1 = router.submit(RouterRequest::new((0, 1.0))).unwrap();
-    // ...which makes replica 1 the less-loaded choice for the next one.
+    // ...and with one outstanding on each, the tie goes back to replica 0,
+    // where this one queues behind the blocked worker.
     let q2 = router.submit(RouterRequest::new((0, 2.0))).unwrap();
     assert_eq!(
         entered.recv().unwrap().0,
         1,
         "least loaded avoided the backlog"
+    );
+    assert_eq!(
+        (q1.replica(), q2.replica()),
+        (1, 0),
+        "least loaded saw the request in service"
     );
 
     gate.open();
@@ -264,6 +364,130 @@ fn least_loaded_prefers_the_empty_replica() {
     let stats = router.drain().unwrap();
     assert_eq!(stats.replicas[0].dispatched, 2);
     assert_eq!(stats.replicas[1].dispatched, 1);
+}
+
+#[test]
+fn kernel_affinity_moves_off_a_busy_home_to_a_less_loaded_warm_replica() {
+    let (router, gate, entered) = warm_router(2, |_| vec![7], true);
+    let submit = |key: u64| {
+        router
+            .submit(RouterRequest::new((key, 0.0)).with_affinity(key))
+            .unwrap()
+    };
+    // The first request goes home and is taken into service there...
+    let t1 = submit(7);
+    let (home, _) = entered.recv().unwrap();
+    assert_eq!(t1.replica(), home);
+    // ...so the idle replica, which also holds model 7, takes the next.
+    let t2 = submit(7);
+    assert_ne!(t2.replica(), home, "stayed on a busy home");
+    assert_eq!(entered.recv().unwrap().0, t2.replica());
+
+    gate.open();
+    t1.wait().unwrap();
+    t2.wait().unwrap();
+    let stats = router.drain().unwrap();
+    assert_eq!(stats.spills, 0, "a move is placement, not a spill");
+    assert_eq!(stats.cache().misses, 0);
+}
+
+#[test]
+fn kernel_affinity_never_moves_to_a_replica_that_would_miss() {
+    let homes = ring_homes(3, 64);
+    let key = 7;
+    let home = homes[key as usize];
+    let warm = (home + 1) % 3;
+    let cold = (home + 2) % 3;
+    let warm_key = homes.iter().position(|&h| h == warm).unwrap() as u64;
+    let (router, gate, _entered) =
+        warm_router(3, |i| if i == cold { vec![] } else { vec![key] }, true);
+    let submit = |key: u64| {
+        router
+            .submit(RouterRequest::new((key, 0.0)).with_affinity(key))
+            .unwrap()
+    };
+    let tickets = [
+        submit(key),      // home: 1, warm: 0, cold: 0
+        submit(warm_key), // home: 1, warm: 1, cold: 0
+        submit(key),      // the idle replica would miss; warm ties home
+        submit(key),      // home: 2 > warm: 1
+    ];
+    let placed: Vec<usize> = tickets.iter().map(|t| t.replica()).collect();
+    assert_eq!(placed, [home, warm, home, warm], "cold replica {cold}");
+
+    gate.open();
+    for ticket in tickets {
+        ticket.wait().unwrap();
+    }
+    let stats = router.drain().unwrap();
+    assert_eq!(stats.replicas[cold].dispatched, 0);
+    // `warm_key` is the only model served where it was not resident.
+    assert_eq!(stats.cache().misses, 1);
+}
+
+#[test]
+fn kernel_affinity_ties_stay_home() {
+    let homes = ring_homes(2, 64);
+    let key = 7;
+    let home = homes[key as usize];
+    let other = 1 - home;
+    let other_key = homes.iter().position(|&h| h == other).unwrap() as u64;
+    let (router, gate, _entered) = warm_router(2, |_| vec![key], true);
+    let submit = |key: u64| {
+        router
+            .submit(RouterRequest::new((key, 0.0)).with_affinity(key))
+            .unwrap()
+    };
+    let tickets = [
+        submit(key),       // home: 1, other: 0
+        submit(other_key), // home: 1, other: 1
+        submit(key),       // tie: stays home
+        submit(key),       // home: 2 > other: 1
+        submit(key),       // tie again
+    ];
+    let placed: Vec<usize> = tickets.iter().map(|t| t.replica()).collect();
+    assert_eq!(placed, [home, other, home, other, home]);
+
+    gate.open();
+    for ticket in tickets {
+        ticket.wait().unwrap();
+    }
+    router.drain().unwrap();
+}
+
+#[test]
+fn kernel_affinity_spreads_a_skewed_trace_at_the_pure_ring_miss_count() {
+    // Three of every four requests are for model 0, which every replica
+    // holds from the start (as a facade shard pre-builds variant 0); the
+    // rest alternate models 1 and 2, held nowhere.
+    let run = |reports: bool| {
+        let (router, gate, _entered) = warm_router(2, |_| vec![0], reports);
+        let tickets: Vec<_> = (0..32u64)
+            .map(|i| {
+                let model = if i % 4 == 3 { 1 + (i / 4) % 2 } else { 0 };
+                router
+                    .submit(RouterRequest::new((model, i as f64)).with_affinity(model))
+                    .unwrap()
+            })
+            .collect();
+        gate.open();
+        for ticket in tickets {
+            ticket.wait().unwrap();
+        }
+        router.drain().unwrap()
+    };
+    let aware = run(true);
+    let ring = run(false);
+    assert_eq!(aware.cache().misses, ring.cache().misses, "a move missed");
+    assert_eq!(ring.cache().misses, 2, "models 1 and 2 miss once at home");
+    let busiest =
+        |stats: &pf_router::RouterStats| stats.replicas.iter().map(|r| r.dispatched).max().unwrap();
+    assert!(
+        busiest(&aware) < busiest(&ring),
+        "load-aware {} vs ring {}",
+        busiest(&aware),
+        busiest(&ring)
+    );
 }
 
 #[test]

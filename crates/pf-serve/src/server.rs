@@ -2,7 +2,7 @@
 //! tickets, deadlines and deterministic shutdown.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -235,6 +235,12 @@ struct Shared<E: InferenceEngine> {
     /// pressure ([`Server::set_batch_window`]).
     window_us: AtomicU64,
     queue: Mutex<QueueState<E::Request, E::Response>>,
+    /// Requests admitted and not yet resolved: queued, forming a batch or
+    /// in service. Raised at admission, lowered for each request before
+    /// its ticket is fulfilled ([`Server::outstanding`]). `Relaxed` is
+    /// enough: the count publishes no other data, and the ticket cell's
+    /// mutex orders the decrement before a waiter's return.
+    outstanding: AtomicUsize,
     /// Signalled on every admission and on shutdown.
     work: Condvar,
     stats: Mutex<StatsCollector>,
@@ -319,6 +325,7 @@ impl<E: InferenceEngine + 'static> Server<E> {
                 accepting: true,
                 next_seq: 0,
             }),
+            outstanding: AtomicUsize::new(0),
             work: Condvar::new(),
             stats: Mutex::new(stats),
         });
@@ -354,6 +361,16 @@ impl<E: InferenceEngine + 'static> Server<E> {
     /// excluded).
     pub fn queue_len(&self) -> usize {
         self.shared.queue.lock().pending.len()
+    }
+
+    /// Requests admitted and not yet resolved: queued, forming a batch or
+    /// in service. Unlike [`Server::queue_len`] it sees a batch the worker
+    /// has already taken, so an idle server and a busy one with an empty
+    /// queue read differently. A request stops counting before its ticket
+    /// is fulfilled, so once [`Ticket::wait`] returns, that request is no
+    /// longer in the count.
+    pub fn outstanding(&self) -> usize {
+        self.shared.outstanding.load(Ordering::Relaxed)
     }
 
     /// The current batch-formation window (initially
@@ -438,6 +455,7 @@ impl<E: InferenceEngine + 'static> Server<E> {
         }
         let seq = queue.next_seq;
         queue.next_seq += 1;
+        self.shared.outstanding.fetch_add(1, Ordering::Relaxed);
         let cell = Arc::new(TicketCell::default());
         queue.pending.push_back(Request {
             seq,
@@ -540,6 +558,9 @@ fn resolve_dropped<E: InferenceEngine>(shared: &Shared<E>, dropped: Vec<Dropped<
         return;
     }
     let now = Instant::now();
+    shared
+        .outstanding
+        .fetch_sub(dropped.len(), Ordering::Relaxed);
     let mut stats = shared.stats.lock();
     for (cell, stage) in dropped {
         match stage {
@@ -715,6 +736,7 @@ fn dispatch<E: InferenceEngine>(shared: &Shared<E>, batch: Vec<Request<E::Reques
         .stats
         .lock()
         .record_batch(&enqueues, dispatched, completed, outcome.is_ok());
+    shared.outstanding.fetch_sub(cells.len(), Ordering::Relaxed);
     match outcome {
         Ok(outputs) => {
             for (cell, output) in cells.iter().zip(outputs) {

@@ -462,6 +462,53 @@ fn expired_requests_are_never_dispatched() {
 }
 
 #[test]
+fn outstanding_counts_queued_and_taken_requests_until_resolution() {
+    let (engine, entered) = GatedEngine::new();
+    let config = ServeConfig {
+        max_batch: 1,
+        batch_timeout: Duration::ZERO,
+        queue_depth: 8,
+        workers: 1,
+    };
+    let server = Server::new(Arc::clone(&engine), config).unwrap();
+    assert_eq!(server.outstanding(), 0);
+
+    // The worker takes the first request: out of the queue, still counted.
+    let taken = server.submit(1.0).unwrap();
+    assert_eq!(entered.recv().unwrap(), 1);
+    assert_eq!((server.queue_len(), server.outstanding()), (0, 1));
+    let queued = server.submit(2.0).unwrap();
+    let doomed = server
+        .try_submit(3.0, Some(Instant::now() - Duration::from_millis(1)), None)
+        .unwrap();
+    assert_eq!((server.queue_len(), server.outstanding()), (2, 3));
+
+    // A served request stops counting before its ticket resolves; the
+    // next one is taken, the expired one still queued behind it.
+    engine.grant(1);
+    assert_eq!(taken.wait().unwrap(), 1.0);
+    assert_eq!(server.outstanding(), 2);
+    assert_eq!(entered.recv().unwrap(), 1);
+    engine.grant(1);
+    assert_eq!(queued.wait().unwrap(), 2.0);
+    // So does a request dropped at batch formation.
+    assert!(matches!(
+        doomed.wait(),
+        Err(PfError::DeadlineExceeded { stage: "queued" })
+    ));
+    assert_eq!(server.outstanding(), 0);
+    server.shutdown().unwrap();
+
+    // Back to back, a waiter never sees its own request still counted.
+    let server = Server::new(EchoEngine::default(), quick_config()).unwrap();
+    for i in 0..500 {
+        server.submit(f64::from(i)).unwrap().wait().unwrap();
+        assert_eq!(server.outstanding(), 0, "round trip {i}");
+    }
+    server.shutdown().unwrap();
+}
+
+#[test]
 fn a_take_with_nothing_live_resolves_its_drops_at_once() {
     let (engine, entered) = GatedEngine::new();
     let config = ServeConfig {

@@ -7,8 +7,10 @@
 //! consistent-hashes that key so one model's requests concentrate on one
 //! replica and keep its spectra resident — the cache-hit counters in
 //! [`pf_router::RouterStats`] measure exactly how much locality each
-//! policy achieves. See `docs/SERVING.md` for the degradation ladder and
-//! stats fields.
+//! policy achieves. A request whose home replica is busy goes instead to
+//! a strictly less-loaded replica that already holds its model
+//! ([`ReplicaEngine::holds`]), so spreading load never costs a miss.
+//! See `docs/SERVING.md` for the degradation ladder and stats fields.
 //!
 //! [`chaos_scenario`] builds the same tier with every replica wrapped in a
 //! [`FaultyEngine`], which injects the scenario's `[faults]` plan
@@ -229,6 +231,16 @@ impl ReplicaEngine for ModelShardEngine {
     fn screen(&self, response: &Tensor) -> bool {
         response.data().iter().all(|v| v.is_finite())
     }
+
+    /// Whether `request.model`'s session is resident. A contended lock
+    /// answers `false`: a worker may hold it for a whole session build,
+    /// and a submit must never wait for one. Counts no hit or miss and
+    /// leaves the LRU order as it is.
+    fn holds(&self, request: &ModelRequest) -> bool {
+        self.resident
+            .try_lock()
+            .is_some_and(|resident| resident.iter().any(|&(m, _)| m == request.model))
+    }
 }
 
 /// Builds a routing tier from a scenario: replica count, policy, priority
@@ -428,8 +440,11 @@ pub struct FaultCounts {
 
 /// An engine serving feature [`Tensor`]s, wrapped to inject the faults a
 /// [`FaultPlan`] schedules; otherwise it forwards to the wrapped engine
-/// unchanged, [`ReplicaEngine`] seam included, so it drops into a router
-/// tier as is.
+/// unchanged, so it drops into a router tier as is. Of the
+/// [`ReplicaEngine`] seam it forwards the cache counters and the screen
+/// but keeps the default [`ReplicaEngine::holds`]: faults key on each
+/// replica's sequence numbers, so placement under injection must stay a
+/// pure function of the affinity key for a chaos run to replay.
 ///
 /// Panics and transient errors take the whole batch down, as a real
 /// replica would; spikes and stalls sleep the largest jittered delay once
@@ -623,6 +638,29 @@ mod tests {
         let cache = shard.cache_stats();
         assert_eq!(cache.hits, 1);
         assert_eq!(cache.misses, 3);
+    }
+
+    #[test]
+    fn holds_reports_resident_variants_without_touching_the_lru() {
+        let shard =
+            ModelShardEngine::new(Arc::new(base_scenario()), 2, Telemetry::disabled()).unwrap();
+        let image = Tensor::random(vec![1, 16, 16], 0.0, 1.0, 5);
+        let request = |model| ModelRequest::new(image.clone(), model);
+        assert!(shard.holds(&request(0)), "variant 0 is pre-built");
+        assert!(!shard.holds(&request(1)));
+
+        shard.infer_batch(&[request(1)], &[0]).unwrap();
+        let (resident, cache) = (shard.resident_models(), shard.cache_stats());
+        assert_eq!(resident, vec![1, 0]);
+        assert!(shard.holds(&request(0)) && shard.holds(&request(1)));
+        assert!(!shard.holds(&request(2)));
+        assert_eq!(shard.resident_models(), resident, "holds reordered the LRU");
+        assert_eq!(shard.cache_stats(), cache, "holds counted a lookup");
+
+        // A worker building a session holds the lock: answer at once.
+        let building = shard.resident.lock();
+        assert!(!shard.holds(&request(0)), "a contended lock answers false");
+        drop(building);
     }
 
     #[test]
