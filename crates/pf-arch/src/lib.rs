@@ -24,7 +24,10 @@
 //! * [`simulator`] — the top-level [`simulator::Simulator`] producing
 //!   [`simulator::NetworkPerformance`] for a [`pf_nn::models::NetworkSpec`];
 //! * [`design_space`] — the Table III design-space sweep;
-//! * [`optimizations`] — the cumulative-optimisation study of Figure 10.
+//! * [`optimizations`] — the cumulative-optimisation study of Figure 10;
+//! * [`baselines`] — the prior accelerators of the Figure 13 and CrossLight
+//!   comparisons (Section VI-E): a systolic-array model of UNPU and the
+//!   prior photonic designs, anchored to simulated PhotoFourier-CG results.
 //!
 //! # Examples
 //!
@@ -44,6 +47,7 @@
 #![deny(missing_debug_implementations)]
 
 pub mod area;
+pub mod baselines;
 pub mod config;
 pub mod dataflow;
 pub mod design_space;

@@ -297,7 +297,7 @@ fn fig13() -> Outcome {
         }
         println!("\n== Figure 13: {network} ==\n{table}");
     }
-    println!("prior-accelerator bars are anchored reference points (see pf-baselines docs)\n");
+    println!("prior-accelerator bars are anchored reference points (see pf_arch::baselines)\n");
     Ok(())
 }
 

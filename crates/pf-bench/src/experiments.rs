@@ -1,6 +1,9 @@
 //! One function per table / figure of the paper's evaluation.
 
 use pf_arch::area::{AreaBreakdown, AreaModel};
+use pf_arch::baselines::{
+    prior_photonic_accelerators, SystolicArray, CROSSLIGHT_ENERGY_PER_INFERENCE_UJ,
+};
 use pf_arch::config::ArchConfig;
 use pf_arch::design_space::{sweep_pfcu_counts, DesignPoint, TABLE3_PFCU_COUNTS};
 use pf_arch::optimizations::OptimizationStep;
@@ -8,12 +11,8 @@ use pf_arch::parallel::{sweep_input_broadcast, SweepPoint};
 use pf_arch::power::EnergyBreakdown;
 use pf_arch::simulator::{NetworkPerformance, Simulator};
 use pf_arch::ArchError;
-use pf_baselines::digital::SystolicArray;
-use pf_baselines::published::{prior_photonic_accelerators, CROSSLIGHT_ENERGY_PER_INFERENCE_UJ};
-use pf_baselines::AcceleratorModel;
 use pf_dsp::conv::Matrix;
 use pf_jtc::correlator::JtcSimulator;
-use pf_jtc::temporal::accumulate_quantized_per_cycle;
 use pf_nn::dataset::{DatasetConfig, SyntheticDataset};
 use pf_nn::executor::{PipelineConfig, ReferenceExecutor, TiledExecutor};
 use pf_nn::fidelity::{evaluate_network, FidelityConfig, FidelityReport};
@@ -23,7 +22,7 @@ use pf_nn::models::small::SmallCnn;
 use pf_nn::models::{comparison_suite, paper_benchmark_suite, NetworkSpec};
 use pf_nn::train::{accuracy, train_linear_probe, TrainConfig};
 use pf_photonics::adc::Adc;
-use pf_photonics::temporal::accumulate_with_depth;
+use pf_photonics::temporal::{accumulate_quantized_per_cycle, accumulate_with_depth};
 use pf_tiling::{tile_input_rows, tile_kernel, DigitalEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -469,60 +468,45 @@ pub struct ComparisonRow {
 
 /// Reproduces Figure 13: FPS, FPS/W and 1/EDP of PhotoFourier-CG/NG (with
 /// and without memory power), the prior photonic accelerators (anchored to
-/// the simulated CG results, see `pf-baselines`), and the UNPU-like digital
-/// baseline, on AlexNet / VGG-16 / ResNet-18.
+/// the simulated CG results, see `pf_arch::baselines`), and the UNPU-like
+/// digital baseline, on AlexNet / VGG-16 / ResNet-18.
 ///
 /// # Errors
 ///
 /// Propagates simulation errors.
 pub fn fig13_comparison() -> Result<Vec<ComparisonRow>, ArchError> {
     let networks = comparison_suite();
-    let cg = Simulator::new(ArchConfig::photofourier_cg())?;
-    let ng = Simulator::new(ArchConfig::photofourier_ng())?;
-
-    let cg_results: Vec<NetworkPerformance> = networks
-        .iter()
-        .map(|n| cg.evaluate_network(n))
-        .collect::<Result<_, _>>()?;
-    let ng_results: Vec<NetworkPerformance> = networks
-        .iter()
-        .map(|n| ng.evaluate_network(n))
-        .collect::<Result<_, _>>()?;
+    let evaluate = |config: ArchConfig| -> Result<Vec<NetworkPerformance>, ArchError> {
+        let sim = Simulator::new(config)?;
+        networks.iter().map(|n| sim.evaluate_network(n)).collect()
+    };
+    let cg_results = evaluate(ArchConfig::photofourier_cg())?;
+    let ng_results = evaluate(ArchConfig::photofourier_ng())?;
 
     let mut rows = Vec::new();
-    for (network, perf) in networks.iter().zip(&cg_results) {
+    let mut push = |accelerator: &str, network: &NetworkSpec, fps, fps_per_watt, inverse_edp| {
         rows.push(ComparisonRow {
-            accelerator: "PhotoFourier-CG".to_string(),
+            accelerator: accelerator.to_string(),
             network: network.name.clone(),
-            fps: perf.fps,
-            fps_per_watt: perf.fps_per_watt,
-            inverse_edp: perf.inverse_edp(),
+            fps,
+            fps_per_watt,
+            inverse_edp,
         });
-        rows.push(ComparisonRow {
-            accelerator: "PhotoFourier-CG-nm".to_string(),
-            network: network.name.clone(),
-            fps: perf.fps,
-            fps_per_watt: perf.fps_per_watt_no_memory(),
-            inverse_edp: perf.fps * perf.fps_per_watt_no_memory(),
-        });
+    };
+    for (design, results) in [("CG", &cg_results), ("NG", &ng_results)] {
+        let name = format!("PhotoFourier-{design}");
+        for (network, perf) in networks.iter().zip(results) {
+            let nm = perf.fps_per_watt_no_memory();
+            push(
+                &name,
+                network,
+                perf.fps,
+                perf.fps_per_watt,
+                perf.inverse_edp(),
+            );
+            push(&format!("{name}-nm"), network, perf.fps, nm, perf.fps * nm);
+        }
     }
-    for (network, perf) in networks.iter().zip(&ng_results) {
-        rows.push(ComparisonRow {
-            accelerator: "PhotoFourier-NG".to_string(),
-            network: network.name.clone(),
-            fps: perf.fps,
-            fps_per_watt: perf.fps_per_watt,
-            inverse_edp: perf.inverse_edp(),
-        });
-        rows.push(ComparisonRow {
-            accelerator: "PhotoFourier-NG-nm".to_string(),
-            network: network.name.clone(),
-            fps: perf.fps,
-            fps_per_watt: perf.fps_per_watt_no_memory(),
-            inverse_edp: perf.fps * perf.fps_per_watt_no_memory(),
-        });
-    }
-
     for reference in prior_photonic_accelerators() {
         let anchored = reference.anchored(&cg_results);
         for network in &networks {
@@ -531,33 +515,14 @@ pub fn fig13_comparison() -> Result<Vec<ComparisonRow>, ArchError> {
                 anchored.fps_per_watt(network),
                 anchored.edp(network),
             ) {
-                rows.push(ComparisonRow {
-                    accelerator: reference.name.to_string(),
-                    network: network.name.clone(),
-                    fps,
-                    fps_per_watt: fpw,
-                    inverse_edp: 1.0 / edp,
-                });
+                push(reference.name, network, fps, fpw, 1.0 / edp);
             }
         }
     }
-
     let unpu = SystolicArray::unpu_like();
     for network in &networks {
-        rows.push(ComparisonRow {
-            accelerator: unpu.name().to_string(),
-            network: network.name.clone(),
-            fps: unpu
-                .fps(network)
-                .expect("systolic model covers all networks"),
-            fps_per_watt: unpu
-                .fps_per_watt(network)
-                .expect("systolic model covers all networks"),
-            inverse_edp: 1.0
-                / unpu
-                    .edp(network)
-                    .expect("systolic model covers all networks"),
-        });
+        let (fps, fpw) = (unpu.fps(network), unpu.fps_per_watt(network));
+        push(unpu.name(), network, fps, fpw, 1.0 / unpu.edp(network));
     }
     Ok(rows)
 }

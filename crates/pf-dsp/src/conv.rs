@@ -5,7 +5,7 @@
 //! 1. They are the *golden reference* that the JTC physics simulation and the
 //!    row-tiling algorithm are validated against (Section III of the paper
 //!    proves row-tiled 1D convolution equals 2D convolution in `valid` mode).
-//! 2. They are the building block of the digital baselines in `pf-baselines`.
+//! 2. They are the building block of the digital backend (`pf_tiling::DigitalEngine`).
 //!
 //! All routines operate on `f64` slices / row-major matrices and come in the
 //! three standard padding modes.

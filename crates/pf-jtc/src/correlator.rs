@@ -85,23 +85,6 @@ impl JtcOutput {
             .collect()
     }
 
-    /// Extracts the *full* cross-correlation (length
-    /// `signal_len + kernel_len - 1`), lag running from `-(kernel_len-1)` to
-    /// `signal_len - 1`.
-    pub fn full_correlation(&self) -> Vec<f64> {
-        let n = self.field.len();
-        let len = self.signal_len + self.kernel_len - 1;
-        // lag j runs from -(kernel_len - 1) .. signal_len - 1; c[j] sits at
-        // correlation_center - j.
-        (0..len)
-            .map(|i| {
-                let j = i as isize - (self.kernel_len as isize - 1);
-                let idx = (self.correlation_center as isize - j).rem_euclid(n as isize);
-                self.field[idx as usize]
-            })
-            .collect()
-    }
-
     /// Checks that the three output terms are spatially separated: the
     /// maximum absolute field value in the guard bands between the lobes is
     /// below `threshold` times the peak value. This is the property Figure 2
@@ -362,18 +345,6 @@ mod tests {
         let optical = jtc.correlate(&signal, &kernel).unwrap();
         let digital = correlate1d(&signal, &kernel, PaddingMode::Valid);
         assert!(max_abs_diff(&optical, &digital) < 1e-9);
-    }
-
-    #[test]
-    fn full_correlation_matches_digital_reference() {
-        let jtc = JtcSimulator::new(32).unwrap();
-        let signal = vec![1.0, 2.0, 3.0, 4.0, 5.0];
-        let kernel = vec![1.0, 0.0, -1.0];
-        let out = jtc.output_plane(&signal, &kernel).unwrap();
-        let optical_full = out.full_correlation();
-        let digital_full = correlate1d(&signal, &kernel, PaddingMode::Full);
-        assert_eq!(optical_full.len(), digital_full.len());
-        assert!(max_abs_diff(&optical_full, &digital_full) < 1e-9);
     }
 
     #[test]

@@ -26,13 +26,7 @@
 //!   `(kernel, tile length)` pair and reused across every row tile (and,
 //!   through the row-tiling cache, every image of a batch), plus
 //!   [`prepared::SignalSpectrum`] — a signal tile's first-lens transform
-//!   computed once and replayed against many prepared kernels;
-//! * [`temporal::accumulate_quantized_per_cycle`] — the per-cycle ADC
-//!   baseline of Figure 7. Temporal accumulation itself (Section V-C: analog
-//!   partial sums on the output-plane capacitor, one ADC read-out per 16
-//!   cycles) is [`pf_photonics::temporal::TemporalAccumulator`] and
-//!   [`pf_photonics::temporal::accumulate_with_depth`], the loop the CNN
-//!   executor runs.
+//!   computed once and replayed against many prepared kernels.
 //!
 //! # Examples
 //!
@@ -57,7 +51,6 @@ pub mod correlator;
 pub mod engine;
 pub mod error;
 pub mod prepared;
-pub mod temporal;
 
 pub use correlator::{JtcOutput, JtcSimulator};
 pub use engine::{JtcEngine, JtcEngineConfig};

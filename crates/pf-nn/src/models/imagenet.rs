@@ -233,7 +233,8 @@ mod tests {
         let gmacs = net.total_macs() as f64 / 1e9;
         assert!((14.0..17.0).contains(&gmacs), "VGG-16 GMACs {gmacs}");
         // ~14.7 M conv weights.
-        let mw = net.total_weights() as f64 / 1e6;
+        let weights: u64 = net.conv_layers.iter().map(|l| l.weight_count()).sum();
+        let mw = weights as f64 / 1e6;
         assert!((13.0..16.0).contains(&mw), "VGG-16 conv weights {mw} M");
     }
 
@@ -245,7 +246,8 @@ mod tests {
         let gmacs = net.total_macs() as f64 / 1e9;
         assert!((1.5..2.2).contains(&gmacs), "ResNet-18 GMACs {gmacs}");
         // ~11 M conv weights.
-        let mw = net.total_weights() as f64 / 1e6;
+        let weights: u64 = net.conv_layers.iter().map(|l| l.weight_count()).sum();
+        let mw = weights as f64 / 1e6;
         assert!((10.0..12.5).contains(&mw), "ResNet-18 conv weights {mw} M");
     }
 

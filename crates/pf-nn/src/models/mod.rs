@@ -34,11 +34,6 @@ impl NetworkSpec {
         self.conv_layers.iter().map(|l| l.macs()).sum()
     }
 
-    /// Total number of convolution weights.
-    pub fn total_weights(&self) -> u64 {
-        self.conv_layers.iter().map(|l| l.weight_count()).sum()
-    }
-
     /// Largest single-layer activation footprint in values (input or
     /// output), which sizes the activation SRAM (Section V-A requires 2×
     /// this for ping-pong buffering).
@@ -102,7 +97,8 @@ mod tests {
     fn aggregate_statistics_are_positive() {
         for net in paper_benchmark_suite() {
             assert!(net.total_macs() > 0, "{} has zero MACs", net.name);
-            assert!(net.total_weights() > 0);
+            let weights: u64 = net.conv_layers.iter().map(|l| l.weight_count()).sum();
+            assert!(weights > 0);
             assert!(net.max_activation_values() > 0);
             assert!(net.num_conv_layers() > 0);
         }

@@ -48,11 +48,6 @@ impl SmallCnn {
         })
     }
 
-    /// Number of features produced by [`SmallCnn::features`].
-    pub fn feature_len(&self) -> usize {
-        16 * (self.input_size / 4) * (self.input_size / 4)
-    }
-
     /// The first convolution layer (exposed for fidelity studies).
     pub fn conv1(&self) -> &Conv2d {
         &self.conv1
@@ -122,10 +117,9 @@ mod tests {
     #[test]
     fn feature_dimensions() {
         let cnn = SmallCnn::new(1, 16, 7).unwrap();
-        assert_eq!(cnn.feature_len(), 16 * 4 * 4);
         let image = Tensor::random(vec![1, 16, 16], 0.0, 1.0, 3);
         let feats = cnn.features(&image, &ReferenceExecutor).unwrap();
-        assert_eq!(feats.len(), cnn.feature_len());
+        assert_eq!(feats.len(), 16 * 4 * 4);
     }
 
     #[test]
@@ -154,6 +148,6 @@ mod tests {
             .collect();
         let feats = cnn.features_batch(&images, &ReferenceExecutor).unwrap();
         assert_eq!(feats.len(), 3);
-        assert!(feats.iter().all(|f| f.len() == cnn.feature_len()));
+        assert!(feats.iter().all(|f| f.len() == 16 * 4 * 4));
     }
 }

@@ -150,13 +150,6 @@ impl TilingPlan {
             _ => self.tiled_input_len().min(self.n_conv) as f64 / self.n_conv as f64,
         }
     }
-
-    /// Number of 1D convolutions needed for `channels` input channels of this
-    /// layer shape (one output channel). Each channel needs a full output
-    /// plane worth of convolutions.
-    pub fn convs_for_channels(&self, channels: usize) -> usize {
-        self.convs_per_output_plane * channels
-    }
 }
 
 #[cfg(test)]
@@ -255,15 +248,6 @@ mod tests {
         let small = TilingPlan::new(14, 14, 3, 3, 3 * 14).unwrap();
         let large = TilingPlan::new(14, 14, 3, 3, 14 * 14).unwrap();
         assert!(large.efficiency() > small.efficiency());
-    }
-
-    #[test]
-    fn channel_scaling() {
-        let plan = TilingPlan::new(32, 32, 3, 3, 256).unwrap();
-        assert_eq!(
-            plan.convs_for_channels(64),
-            64 * plan.convs_per_output_plane
-        );
     }
 
     #[test]

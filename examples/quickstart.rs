@@ -88,10 +88,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for network in ["alexnet", "vgg16", "resnet18"] {
             let mut scenario = session.scenario().clone();
             scenario.arch = ArchSpec::preset(preset);
-            let sweep_session = Session::builder()
-                .scenario(scenario)
-                .network(network)
-                .build()?;
+            scenario.network = network.to_string();
+            let sweep_session = Session::from_scenario(scenario)?;
             let perf = sweep_session.evaluate_performance()?;
             println!(
                 "{:<12} {:>16} {:>12.1} {:>12.2} {:>14.1}",

@@ -85,12 +85,11 @@
 //! |---|---|
 //! | [`core`] | `PfError`, the `Backend` registry, `Scenario` |
 //! | [`dsp`] | complex numbers, FFT, reference convolutions |
-//! | [`photonics`] | DAC / ADC quantisers, sensing noise, the temporal-accumulation capacitor bank, Table IV & V constants |
+//! | [`photonics`] | DAC / ADC quantisers, sensing noise, the temporal-accumulation capacitor bank and Figure 7's per-cycle ADC baseline, Table IV & V constants |
 //! | [`tiling`] | row tiling, partial row tiling, row partitioning (Section III) |
-//! | [`jtc`] | JTC optics simulation, the `JtcEngine` backend, prepared kernel spectra, Figure 7's per-cycle ADC baseline (Sections II & IV) |
+//! | [`jtc`] | JTC optics simulation, the `JtcEngine` backend, prepared kernel spectra (Sections II & IV) |
 //! | [`nn`] | tensors, layers, the CNN model zoo, quantisation, fidelity & accuracy experiments |
-//! | [`arch`] | the architecture simulator: dataflow, power, area, design-space exploration (Sections V & VI) |
-//! | [`baselines`] | prior-accelerator reference models for the Figure 13 comparison |
+//! | [`arch`] | the architecture simulator: dataflow, power, area, design-space exploration, and the prior-accelerator reference models of the Figure 13 comparison (Sections V & VI) |
 //! | [`serve`] | the micro-batching inference server (`pf-serve`) wired to `Session` |
 //! | [`route`] | the multi-replica SLO-aware routing tier (`pf-router`) over model-sharded sessions, and its fault-injected twin ([`route::chaos_scenario`]) |
 //! | [`telemetry`] | metrics registry + span tracing (`pf-telemetry`): attach a [`Telemetry`] handle via [`SessionBuilder::telemetry`](session::SessionBuilder::telemetry) (a [`serve::serve_session`] over that session inherits it) or [`route::route_scenario_traced`] for per-request span trees and Chrome-trace export (see `docs/OBSERVABILITY.md`) |
@@ -106,7 +105,6 @@ pub mod session;
 pub mod sweep;
 
 pub use pf_arch as arch;
-pub use pf_baselines as baselines;
 pub use pf_core as core;
 pub use pf_dsp as dsp;
 pub use pf_jtc as jtc;
@@ -147,7 +145,6 @@ pub mod prelude {
     pub use pf_arch::design_space::{sweep_pfcu_counts, TABLE3_PFCU_COUNTS};
     pub use pf_arch::optimizations::OptimizationStep;
     pub use pf_arch::simulator::{NetworkPerformance, Simulator};
-    pub use pf_baselines::AcceleratorModel;
     pub use pf_dsp::conv::{conv1d, correlate1d, correlate2d, Matrix, PaddingMode};
     pub use pf_jtc::correlator::JtcSimulator;
     pub use pf_jtc::engine::{JtcEngine, JtcEngineConfig};

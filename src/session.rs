@@ -25,16 +25,16 @@
 //! execution tallies are read from [`Session::telemetry`] snapshots
 //! (`tiling.*` counters, stage totals).
 //!
-//! Parallelism is one rule, applied at the two batch loops
-//! ([`Session::run_batch`], [`Session::conv2d_batch`]): **images fan out
-//! across the pool when the batch can fill it** (`images >=
-//! rayon::current_num_threads()`); otherwise the loop is serial and each
-//! image's tiles may fan out instead, under the engine's cost hint. The
-//! two never nest, and no caller has to arrange that: the pool gives every
-//! worker of a parallel region a width of 1 (`vendor/rayon`), so a session
-//! driven from inside somebody else's region — a sweep fanning out over
-//! grid points — runs serially on its worker. Every choice is
-//! bit-identical (`docs/PERFORMANCE.md`, "Reading the scaling curves").
+//! Parallelism is one rule, applied at the one batch loop
+//! ([`Session::run_batch`]): **images fan out across the pool when the
+//! batch can fill it** (`images >= rayon::current_num_threads()`);
+//! otherwise the loop is serial and each image's tiles may fan out instead,
+//! under the engine's cost hint. The two never nest, and no caller has to
+//! arrange that: the pool gives every worker of a parallel region a width
+//! of 1 (`vendor/rayon`), so a session driven from inside somebody else's
+//! region — a sweep fanning out over grid points — runs serially on its
+//! worker. Every choice is bit-identical (`docs/PERFORMANCE.md`, "Reading
+//! the scaling curves").
 //!
 //! "Functional accuracy + analytical performance for one configuration" is
 //! therefore a two-call flow:
@@ -62,7 +62,6 @@ use pf_nn::models::small::SmallCnn;
 use pf_nn::models::NetworkSpec;
 use pf_nn::Tensor;
 use pf_telemetry::Telemetry;
-use pf_tiling::TilingError;
 use rayon::prelude::*;
 
 /// Builder for [`Session`].
@@ -70,7 +69,6 @@ use rayon::prelude::*;
 pub struct SessionBuilder {
     scenario: Option<Scenario>,
     backend_override: Option<BackendSpec>,
-    network_override: Option<String>,
     telemetry: Telemetry,
 }
 
@@ -99,12 +97,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Overrides the scenario's network registry name.
-    pub fn network(mut self, name: impl Into<String>) -> Self {
-        self.network_override = Some(name.into());
-        self
-    }
-
     /// Attaches an observability handle (default
     /// [`Telemetry::disabled`]): every convolution the session drives
     /// records its four JTC stage timings and tiling counters into the
@@ -129,9 +121,6 @@ impl SessionBuilder {
             .ok_or_else(|| PfError::invalid_scenario("Session::builder() needs a scenario"))?;
         if let Some(backend) = self.backend_override {
             scenario.backend = backend;
-        }
-        if let Some(network) = self.network_override {
-            scenario.network = network;
         }
         scenario.validate()?;
         let network = scenario.network_spec()?;
@@ -207,7 +196,7 @@ impl Session {
         &self.backend_id
     }
 
-    /// The one parallelism rule of the batch loops: a batch of `items`
+    /// The one parallelism rule of the batch loop: a batch of `items`
     /// images fans out across the pool exactly when it can fill it. Below
     /// that the loop runs serially and the tiles of each image may fan out
     /// instead (the tiling layer's gate, under the engine's cost hint). On a
@@ -291,50 +280,6 @@ impl Session {
             .executor
             .convolver()
             .correlate2d_valid_multi(input, kernels)?)
-    }
-
-    /// Runs one kernel over a batch of inputs through row tiling.
-    ///
-    /// The kernel is prepared once per batch, as a kernel set for the first
-    /// input's shape (on backends with a prepared fast path, its spectrum),
-    /// and the set is run against every image of that shape; an image of
-    /// another shape is an ordinary [`Session::conv2d`] call. One level of
-    /// parallelism, never two: a batch that can fill the pool fans images
-    /// across it and each image's tiles run serially on their worker; a
-    /// smaller batch runs images sequentially while each image's tiles may
-    /// fan out. Results are bit-identical either way, and identical to
-    /// calling [`Session::conv2d`] per image, in input order. Stochastic
-    /// backends always run serially through the session engine so the
-    /// shared noise stream is consumed in input order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first per-image error in input order, if any.
-    pub fn conv2d_batch(&self, inputs: &[Matrix], kernel: &Matrix) -> Result<Vec<Matrix>, PfError> {
-        let Some(first) = inputs.first() else {
-            return Ok(Vec::new());
-        };
-        let convolver = self.executor.convolver();
-        let kernels = std::slice::from_ref(kernel);
-        let set = convolver.prepare_set(kernels, first.rows(), first.cols(), None)?;
-        let (rows, cols) = set.output_shape();
-        let conv = |input: &Matrix| {
-            let mut plane = vec![0.0; rows * cols];
-            let run = convolver.correlate2d_set(&set, input, |_, r, c, samples| {
-                let at = r * cols + c;
-                plane[at..at + samples.len()].copy_from_slice(samples);
-            });
-            match run {
-                Ok(()) => Ok(Matrix::new(rows, cols, plane)?),
-                Err(TilingError::InputShapeMismatch { .. }) => self.conv2d(input, kernel),
-                Err(e) => Err(e.into()),
-            }
-        };
-        if self.is_stochastic() || !Self::images_fan_out(inputs.len()) {
-            return inputs.iter().map(conv).collect();
-        }
-        let results: Vec<Result<Matrix, PfError>> = inputs.par_iter().map(conv).collect();
-        results.into_iter().collect()
     }
 
     /// Runs one image through the runnable feature-extractor CNN on the
@@ -483,11 +428,9 @@ mod tests {
         let session = Session::builder()
             .scenario(scenario(BackendKind::Digital))
             .backend(BackendSpec::jtc_ideal(128))
-            .network("crosslight_cnn")
             .build()
             .unwrap();
         assert_eq!(session.backend_id(), "jtc_ideal(128)");
-        assert_eq!(session.network().name, "CrossLight-CNN");
     }
 
     #[test]
@@ -545,69 +488,6 @@ mod tests {
         16 * (size / 4) * (size / 4)
     }
 
-    #[test]
-    fn conv2d_batch_matches_per_image_calls() {
-        let kernel = Matrix::new(3, 3, (0..9).map(|i| (i as f64 - 4.0) / 9.0).collect()).unwrap();
-        let inputs: Vec<Matrix> = (0..3)
-            .map(|s| {
-                Matrix::new(
-                    12,
-                    12,
-                    (0..144)
-                        .map(|i| ((i + s * 7) as f64 * 0.13).sin())
-                        .collect(),
-                )
-                .unwrap()
-            })
-            .collect();
-        let prepares = |session: &Session| {
-            session
-                .telemetry()
-                .snapshot()
-                .counter("tiling.kernel_prepares")
-        };
-        for kind in [BackendKind::JtcIdeal, BackendKind::PhotofourierCg] {
-            // Images fanned out on both pools (three fill either), CG serial.
-            for width in [1usize, 2] {
-                pool(width).install(|| {
-                    let build = || {
-                        Session::builder()
-                            .scenario(scenario(kind))
-                            .telemetry(Telemetry::enabled())
-                            .build()
-                            .unwrap()
-                    };
-                    // Fresh sessions on both sides: on CG the batch must
-                    // draw the session stream exactly as per-image calls do.
-                    let (batched, one_by_one) = (build(), build());
-                    let batch = batched.conv2d_batch(&inputs, &kernel).unwrap();
-                    assert_eq!(batch.len(), inputs.len());
-                    assert_eq!(prepares(&batched), 1, "{kind:?}: one set per batch");
-                    for (input, out) in inputs.iter().zip(&batch) {
-                        let single = one_by_one.conv2d(input, &kernel).unwrap();
-                        for (a, b) in single.data().iter().zip(out.data()) {
-                            assert_eq!(a.to_bits(), b.to_bits(), "{kind:?} width {width}");
-                        }
-                    }
-                    assert_eq!(prepares(&one_by_one), inputs.len() as u64);
-                });
-            }
-        }
-
-        // An image of another shape is a one-shot call of its own.
-        let session = Session::builder()
-            .scenario(scenario(BackendKind::JtcIdeal))
-            .build()
-            .unwrap();
-        let small = Matrix::new(8, 8, (0..64).map(|i| (i as f64 * 0.3).cos()).collect()).unwrap();
-        let mixed = [inputs[0].clone(), small.clone(), inputs[1].clone()];
-        let batch = session.conv2d_batch(&mixed, &kernel).unwrap();
-        for (input, out) in mixed.iter().zip(&batch) {
-            assert_eq!(*out, session.conv2d(input, &kernel).unwrap());
-        }
-        assert!(session.conv2d_batch(&[], &kernel).unwrap().is_empty());
-    }
-
     fn pool(width: usize) -> rayon::ThreadPool {
         rayon::ThreadPoolBuilder::new()
             .num_threads(width)
@@ -645,38 +525,14 @@ mod tests {
         let images: Vec<Tensor> = (0..3)
             .map(|i| Tensor::random(vec![1, 16, 16], 0.0, 1.0, 700 + i))
             .collect();
-        let kernel = Matrix::new(3, 3, (0..9).map(|i| (i as f64 - 4.0) / 9.0).collect()).unwrap();
-        let inputs: Vec<Matrix> = (0..3)
-            .map(|s| {
-                Matrix::new(
-                    12,
-                    12,
-                    (0..144)
-                        .map(|i| ((i + s * 11) as f64 * 0.19).cos())
-                        .collect(),
-                )
-                .unwrap()
-            })
-            .collect();
         for kind in [BackendKind::Digital, BackendKind::JtcIdeal] {
             let session = Session::builder().scenario(scenario(kind)).build().unwrap();
-            let (ref_batch, ref_conv) = pool(1).install(|| {
-                (
-                    session.run_batch(&images).unwrap(),
-                    session.conv2d_batch(&inputs, &kernel).unwrap(),
-                )
-            });
+            let ref_batch = pool(1).install(|| session.run_batch(&images).unwrap());
             // Three images: fanned out across a 2-wide pool, run one by
             // one with fanned-out tiles on a 4-wide one.
             for width in [2usize, 4] {
                 pool(width).install(|| {
                     assert_eq!(session.run_batch(&images).unwrap(), ref_batch, "{width}");
-                    let conv = session.conv2d_batch(&inputs, &kernel).unwrap();
-                    for (a, b) in conv.iter().zip(&ref_conv) {
-                        for (x, y) in a.data().iter().zip(b.data()) {
-                            assert_eq!(x.to_bits(), y.to_bits(), "{kind:?} {width}");
-                        }
-                    }
                 });
             }
         }
@@ -764,8 +620,7 @@ mod tests {
         busy.conv2d_multi(&input, std::slice::from_ref(&kernel))
             .unwrap();
         assert_eq!(busy.run_inference_seeded(&image, 5).unwrap(), seeded);
-        busy.conv2d_batch(std::slice::from_ref(&input), &kernel)
-            .unwrap();
+        busy.conv2d(&input, &kernel).unwrap();
         busy.run_inference(&image).unwrap();
         assert_eq!(busy.run_batch(&images).unwrap(), batch);
         assert_eq!(busy.run_inference_seeded(&image, 5).unwrap(), seeded);

@@ -139,7 +139,7 @@ fn design_point_ordering_holds_across_networks() {
 /// (Figure 13(c): PhotoFourier-NG best everywhere, CG best in most cases).
 #[test]
 fn comparison_with_prior_work_preserves_orderings() {
-    use pf_baselines::published::prior_photonic_accelerators;
+    use pf_arch::baselines::prior_photonic_accelerators;
 
     let cg = Simulator::new(ArchConfig::photofourier_cg()).unwrap();
     let ng = Simulator::new(ArchConfig::photofourier_ng()).unwrap();
@@ -178,20 +178,20 @@ fn comparison_with_prior_work_preserves_orderings() {
 /// PhotoFourier-CG but comparable-order efficiency (Figure 13(a)/(b)).
 #[test]
 fn digital_baseline_relationship() {
-    use pf_baselines::digital::SystolicArray;
+    use pf_arch::baselines::SystolicArray;
 
     let unpu = SystolicArray::unpu_like();
     for name in ["vgg16", "resnet18"] {
         let session = session(name, BackendSpec::digital(256));
         let pf = session.evaluate_performance().unwrap();
         let network = session.network();
-        let unpu_fps = unpu.fps(network).unwrap();
+        let unpu_fps = unpu.fps(network);
         assert!(
             pf.fps > 10.0 * unpu_fps,
             "PhotoFourier should be much faster than UNPU on {}",
             network.name
         );
-        let unpu_eff = unpu.fps_per_watt(network).unwrap();
+        let unpu_eff = unpu.fps_per_watt(network);
         let ratio = pf.fps_per_watt / unpu_eff;
         assert!(
             (0.05..50.0).contains(&ratio),
